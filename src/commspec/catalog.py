@@ -13,19 +13,6 @@ from dataclasses import dataclass
 from .errors import NotPrimeError, ParameterOutOfRange, ParseError
 from .groups import FiniteGroup, from_cayley_table, is_prime
 
-_FAMILY_KINDS = (
-    "dihedral",
-    "dicyclic",
-    "metacyclic",
-    "u6n",
-    "heis",
-    "expp2",
-    "zpzp",
-    "cyclic",
-    "product",
-)
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """Parameters of a group family; use the named constructors."""

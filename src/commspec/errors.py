@@ -56,5 +56,13 @@ class IncompleteSpectrumError(CommspecError):
     """Both spectra must be complete for an exact comparison."""
 
 
+class SpectralCheckError(CommspecError):
+    """A characteristic polynomial disagrees with an independent determinant."""
+
+
+class QuotientError(CommspecError):
+    """A coset product depends on the representatives chosen."""
+
+
 class ParseError(CommspecError):
     """Malformed group spec string or Cayley-table text."""

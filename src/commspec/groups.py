@@ -17,6 +17,7 @@ from .errors import (
     AxiomViolation,
     IndexOutOfRange,
     ParseError,
+    QuotientError,
 )
 
 
@@ -40,14 +41,6 @@ class FiniteGroup:
 
     def inverse(self, a: int) -> int:
         return self.table[a].index(0)
-
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inverse(a), -k)
-        acc = 0
-        for _ in range(k):
-            acc = self.table[acc][a]
-        return acc
 
     def element_order(self, a: int) -> int:
         acc = a
@@ -240,7 +233,7 @@ def quotient_by_center(group: FiniteGroup) -> QuotientGroup:
             for a in ci:
                 for b in cj:
                     if coset_of[group.mul(a, b)] != expected:
-                        raise RuntimeError(
+                        raise QuotientError(
                             "coset product depends on representatives; "
                             "the designated subgroup is not the center"
                         )

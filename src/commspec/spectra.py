@@ -3,9 +3,14 @@
 Everything here runs on arbitrary-precision integers; no floating point is
 involved anywhere, so an "integral" verdict is a certificate rather than an
 estimate.  The characteristic polynomial is computed blockwise over the
-connected components with the Faddeev-LeVerrier recurrence (whose divisions
-by the step index are exact over the integers) and each block is
-spot-checked against a fraction-free Bareiss determinant.
+connected components.  Each block is reduced to upper Hessenberg form modulo
+word-size primes, and its integer coefficients are rebuilt by the Chinese
+remainder theorem under a proven bound on their size (Cohen, "A Course in
+Computational Algebraic Number Theory", the Hessenberg method; Dumas,
+Pernet and Wan, "Efficient computation of the characteristic polynomial",
+ISSAC 2005).  Each block is then spot-checked against an independent
+fraction-free Bareiss determinant.  Integer roots are found among the
+divisors of the lowest nonzero coefficient.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .errors import (
     NotMonicError,
     NotSymmetricError,
     ParameterOutOfRange,
+    SpectralCheckError,
 )
 from .graphs import CommutingGraph
 
@@ -113,10 +119,12 @@ class SpectralAnalysis:
 def char_poly(matrix: Sequence[Sequence[int]]) -> CharPoly:
     """Exact characteristic polynomial det(xI - A) of a symmetric matrix.
 
-    The matrix is split into connected blocks by reachability; each block
-    goes through the Faddeev-LeVerrier recurrence and is verified at
-    t in {0, 1, -1} against an independent Bareiss determinant before the
-    block polynomials are multiplied together.
+    The matrix is split into connected blocks by reachability.  Each block's
+    polynomial is computed modulo word-size primes from a Hessenberg form
+    and rebuilt by CRT under a proven coefficient bound, so it is exact by
+    proof; it is then verified at t in {0, 1, -1} against an independent
+    Bareiss determinant before the block polynomials are multiplied
+    together.  A failed check raises :class:`SpectralCheckError`.
     """
     # operator.index rejects floats, keeping the arithmetic exact
     a = [[_exact_int(v) for v in row] for row in matrix]
@@ -134,7 +142,7 @@ def char_poly(matrix: Sequence[Sequence[int]]) -> CharPoly:
     product = [1]
     for block in _support_blocks(a):
         sub = [[a[i][j] for j in block] for i in block]
-        coeffs = _faddeev_leverrier(sub)
+        coeffs = _multimodular_char_poly(sub)
         _spot_check(coeffs, sub)
         product = _poly_mul(product, coeffs)
     return CharPoly(tuple(product))
@@ -162,29 +170,154 @@ def _support_blocks(a: list[list[int]]) -> list[list[int]]:
     return blocks
 
 
-def _faddeev_leverrier(a: list[list[int]]) -> list[int]:
-    """Coefficients of det(xI - A), ascending; divisions are exact."""
+def _multimodular_char_poly(a: list[list[int]]) -> list[int]:
+    """Coefficients of det(xI - A), ascending, rebuilt from residues by CRT.
+
+    Bound: let R be the largest absolute row sum of the k x k matrix A.
+    Every eigenvalue satisfies |lambda| <= R, and c_{k-i} = (-1)^i e_i(lambda)
+    is a sum of C(k, i) products of i eigenvalues, so |c_{k-i}| <= C(k, i) R^i.
+    These bounds sum to B = (R + 1)^k, which therefore bounds every
+    coefficient.  A similarity over a field preserves the characteristic
+    polynomial, so each residue is the true coefficient modulo its prime and
+    no prime is unlucky.  Once the product M of the primes exceeds 2B, the
+    symmetric residue in (-M/2, M/2] is the coefficient itself.
+    """
+    k = len(a)
+    bound = (max((sum(abs(x) for x in row) for row in a), default=0) + 1) ** k
+    coeffs = [0] * (k + 1)
+    modulus = 1
+    i = 0
+    while modulus <= 2 * bound:
+        p = _crt_prime(i)
+        i += 1
+        # Garner step: the c mod modulus*p with c = coeffs (mod modulus)
+        # and c = residue (mod p)
+        inverse = pow(modulus, -1, p)
+        coeffs = [
+            c + modulus * ((r - c) * inverse % p)
+            for c, r in zip(coeffs, _char_poly_mod(a, p))
+        ]
+        modulus *= p
+    half = modulus // 2
+    return [c - modulus if c > half else c for c in coeffs]
+
+
+def _char_poly_mod(a: list[list[int]], p: int) -> list[int]:
+    """det(xI - A) mod p, ascending, from an upper Hessenberg form of A."""
     n = len(a)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-    for step in range(1, n + 1):
-        am = _mat_mul(a, m)
-        trace = sum(am[i][i] for i in range(n))
-        q, r = divmod(-trace, step)
-        if r:
-            raise ArithmeticError("trace division was not exact")
-        coeffs[n - step] = q
-        if step < n:
-            for i in range(n):
-                am[i][i] += q
-            m = am
-    return coeffs
+    h = [[x % p for x in row] for row in a]
+    for m in range(1, n - 1):
+        col = m - 1
+        pivot = next((i for i in range(m, n) if h[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != m:
+            h[m], h[pivot] = h[pivot], h[m]
+            for row in h:
+                row[m], row[pivot] = row[pivot], row[m]
+        # Similarity by L = I - sum_i u_i e_i e_m^T: subtract u_i * row m from
+        # each row i > m to clear column m-1 below the subdiagonal, then add
+        # u_i * column i to column m.
+        row_m = h[m]
+        minus_inverse = p - pow(row_m[col], -1, p)
+        tail = row_m[col:]
+        targets = []
+        factors = []
+        for i in range(m + 1, n):
+            row_i = h[i]
+            if row_i[col]:
+                minus_u = row_i[col] * minus_inverse % p
+                row_i[col:] = [
+                    (x + minus_u * y) % p for x, y in zip(row_i[col:], tail)
+                ]
+                targets.append(i)
+                factors.append(p - minus_u)
+        if targets:
+            for row in h:
+                added = sum([u * row[i] for i, u in zip(targets, factors)])
+                row[m] = (row[m] + added) % p
+    # A zero subdiagonal entry splits H into diagonal blocks whose
+    # polynomials multiply.
+    poly = [1]
+    start = 0
+    for end in range(1, n + 1):
+        if end == n or h[end][end - 1] == 0:
+            block = _hessenberg_block_mod(h, start, end, p)
+            poly = [c % p for c in _poly_mul(block, poly)]
+            start = end
+    return poly
 
 
-def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+def _hessenberg_block_mod(
+    h: list[list[int]], start: int, end: int, p: int
+) -> list[int]:
+    """det(xI - H) mod p for the diagonal block H[start:end, start:end].
+
+    With q_t the polynomial of the leading t x t minor of the block,
+    q_t = (x - h_tt) q_{t-1} - sum_{i<t} h_it (h_{i+1,i} ... h_{t,t-1}) q_{i-1}.
+    """
+    # columns[d] lists the x^d coefficients of q_d, q_{d+1}, ...
+    columns = [[1]]
+    for t in range(1, end - start + 1):
+        g = start + t - 1
+        weights = [0] * (t - 1)
+        chain = 1
+        for j in range(t - 2, -1, -1):
+            chain = chain * h[start + j + 1][start + j] % p
+            weights[j] = h[start + j][g] * chain % p
+        diag = h[g][g]
+        lower = 0
+        for d in range(t):
+            column = columns[d]
+            last = column[-1]
+            earlier = sum([w * c for w, c in zip(weights[d:], column)])
+            column.append((lower - diag * last - earlier) % p)
+            lower = last
+        columns.append([1])
+    return [column[-1] for column in columns]
+
+
+# Odd primes below 2**62, largest first; extended on first use, never at import.
+_CRT_PRIMES: list[int] = []
+
+
+def _crt_prime(i: int) -> int:
+    """The i-th largest prime below 2**62, counting from 0."""
+    candidate = _CRT_PRIMES[-1] - 2 if _CRT_PRIMES else (1 << 62) - 1
+    while len(_CRT_PRIMES) <= i:
+        if _is_prime_mr(candidate):
+            _CRT_PRIMES.append(candidate)
+        candidate -= 2
+    return _CRT_PRIMES[i]
+
+
+def _is_prime_mr(n: int) -> bool:
+    """Miller-Rabin with the first 12 primes as bases.
+
+    Deterministic below 3.1 * 10**23 (Sorenson and Webster, 2015), which
+    covers every candidate below 2**62.
+    """
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _spot_check(coeffs: list[int], a: list[list[int]]) -> None:
@@ -198,7 +331,7 @@ def _spot_check(coeffs: list[int], a: list[list[int]]) -> None:
         for c in reversed(coeffs):
             acc = acc * t + c
         if acc != expected:
-            raise ArithmeticError(
+            raise SpectralCheckError(
                 f"characteristic polynomial failed determinant check at t={t}"
             )
 
@@ -243,9 +376,12 @@ def integer_spectrum(
 
     Roots at zero are peeled off by stripping trailing zero coefficients;
     the remaining candidates are scanned from +bound down to -bound and
-    divided out by exact synthetic division to full multiplicity.  The
-    returned remainder has no integer roots within the bound, and the
-    spectrum is complete exactly when the remainder is constant.
+    divided out by exact synthetic division to full multiplicity.  By the
+    rational root theorem only divisors of the current constant term are
+    tried; each quotient's constant term divides the one before, so no
+    root is missed.  The returned remainder has no integer roots within
+    the bound, and the spectrum is complete exactly when the remainder is
+    constant.
     """
     if poly.coeffs[-1] != 1:
         raise NotMonicError("integer root extraction needs a monic polynomial")
@@ -260,7 +396,7 @@ def integer_spectrum(
         found.append((0, zeros))
 
     for r in range(max_abs_root, -max_abs_root - 1, -1):
-        if r == 0:
+        if r == 0 or desc[-1] % r:
             continue
         mult = 0
         while len(desc) > 1:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from commspec import spectra
 from commspec.cli import main
 from commspec.groups import format_cayley_text, from_cayley_table
 
@@ -75,6 +76,22 @@ def test_analyze_rejects_out_of_range_parameter(capsys):
 
 def test_analyze_unknown_family(capsys):
     assert main(["analyze", "foo:3"]) == 2
+
+
+def test_failed_spectral_check_is_an_error_line(monkeypatch, capsys):
+    original = spectra._multimodular_char_poly
+
+    def off_by_one(a):
+        coeffs = original(a)
+        coeffs[0] += 1
+        return coeffs
+
+    monkeypatch.setattr(spectra, "_multimodular_char_poly", off_by_one)
+    code = main(["analyze", "dihedral:4"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: characteristic polynomial failed")
+    assert "Traceback" not in err
 
 
 def test_analyze_abelian_group_is_a_domain_error(capsys):

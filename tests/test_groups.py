@@ -2,14 +2,17 @@ import itertools
 
 import pytest
 
+from commspec import groups
 from commspec.catalog import FamilySpec, build
 from commspec.errors import (
     AbelianGroupError,
     AxiomViolation,
     IndexOutOfRange,
     ParseError,
+    QuotientError,
 )
 from commspec.groups import (
+    Center,
     Recognition,
     center,
     centralizer,
@@ -147,6 +150,15 @@ def test_quotient_of_abelian_group_is_trivial():
     quotient = quotient_by_center(z6)
     assert quotient.group.order == 1
     assert quotient.coset_of == (0,) * 6
+
+
+def test_quotient_by_non_normal_subgroup_raises(monkeypatch):
+    s3 = from_cayley_table(s3_table())
+    # a subgroup of order 2 is not normal in S3, so its cosets do not multiply
+    reflection = next(x for x in range(1, 6) if s3.element_order(x) == 2)
+    monkeypatch.setattr(groups, "center", lambda group: Center((0, reflection)))
+    with pytest.raises(QuotientError):
+        quotient_by_center(s3)
 
 
 def test_quotient_of_q8(q8):

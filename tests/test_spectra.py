@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from commspec import spectra
 from commspec.errors import (
     EmptyInputError,
     IncompleteSpectrumError,
@@ -9,8 +11,10 @@ from commspec.errors import (
     NotMonicError,
     NotSymmetricError,
     ParameterOutOfRange,
+    SpectralCheckError,
 )
-from commspec.graphs import build_commuting_graph, raw_graph
+from commspec.graphs import build_commuting_graph, connected_components, raw_graph
+from commspec.groups import from_cayley_table, is_prime
 from commspec.spectra import (
     CharPoly,
     char_poly,
@@ -223,3 +227,158 @@ def test_char_poly_handles_disconnected_input():
     spectrum, remainder = integer_spectrum(char_poly(graph.to_matrix()), 2)
     assert spectrum.pairs == ((2, 2), (-1, 4))
     assert remainder.coeffs == (1,)
+
+
+def _faddeev_leverrier(a):
+    """Coefficients of det(xI - A), ascending; the divisions are exact."""
+    n = len(a)
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for step in range(1, n + 1):
+        am = [[sum(x * y for x, y in zip(row, col)) for col in zip(*m)] for row in a]
+        q, r = divmod(-sum(am[i][i] for i in range(n)), step)
+        assert r == 0
+        coeffs[n - step] = q
+        for i in range(n):
+            am[i][i] += q
+        m = am
+    return coeffs
+
+
+def _random_symmetric(rng, k):
+    a = [[0] * k for _ in range(k)]
+    split = rng.randint(0, k)  # no entries across the split: disconnected
+    for i in range(k):
+        for j in range(i + 1, k):
+            if (i < split) == (j < split):
+                a[i][j] = a[j][i] = rng.randint(-3, 3)
+    return a
+
+
+def test_char_poly_matches_faddeev_leverrier_on_random_matrices():
+    rng = random.Random(2016)
+    for k in range(13):
+        for _ in range(6):
+            a = _random_symmetric(rng, k)
+            assert list(char_poly(a).coeffs) == _faddeev_leverrier(a)
+
+
+def test_char_poly_of_k30_needs_three_primes(monkeypatch):
+    k30 = [[int(i != j) for j in range(30)] for i in range(30)]
+    residues = []
+    original = spectra._char_poly_mod
+    monkeypatch.setattr(
+        spectra, "_char_poly_mod", lambda a, p: residues.append(p) or original(a, p)
+    )
+    poly = char_poly(k30)
+    assert list(poly.coeffs) == _faddeev_leverrier(k30)
+    # B = 30**30 is about 2**147, so 2B exceeds any product of two primes
+    assert len(residues) >= 3
+    assert all(p % 2 == 1 and p < 2**62 for p in residues)
+
+
+def test_crt_primes_are_the_largest_primes_below_2_62():
+    # published offsets of the ten largest primes below 2**62
+    offsets = (57, 87, 117, 143, 153, 167, 171, 195, 203, 273)
+    assert [2**62 - spectra._crt_prime(i) for i in range(10)] == list(offsets)
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    assert [n for n in range(3000) if spectra._is_prime_mr(n)] == [
+        n for n in range(3000) if is_prime(n)
+    ]
+    # strong pseudoprimes to the bases 2, 3, 5 and 7, and a Carmichael number
+    assert not spectra._is_prime_mr(3215031751)
+    assert not spectra._is_prime_mr(561)
+
+
+def _permutation_group(degree, even):
+    perms = list(itertools.permutations(range(degree)))
+    if even:
+        pairs = list(itertools.combinations(range(degree), 2))
+        perms = [p for p in perms if sum(p[i] > p[j] for i, j in pairs) % 2 == 0]
+    index = {p: i for i, p in enumerate(perms)}
+    return from_cayley_table(
+        [[index[tuple(a[x] for x in b)] for b in perms] for a in perms]
+    )
+
+
+@pytest.mark.parametrize("degree, even", [(4, False), (5, True)])
+def test_char_poly_matches_sympy_on_s4_and_a5(degree, even):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    graph = build_commuting_graph(_permutation_group(degree, even))
+    matrix = graph.to_matrix()
+    expected = sympy.Poly(1, x)
+    for component in connected_components(graph):
+        block = sympy.Matrix([[matrix[i][j] for j in component] for i in component])
+        expected *= block.charpoly(x)
+    expected_coeffs = [int(c) for c in reversed(expected.all_coeffs())]
+    assert list(char_poly(matrix).coeffs) == expected_coeffs
+
+
+def test_char_poly_coefficients_within_proven_bound(grid):
+    for name, _, group in grid:
+        matrix = build_commuting_graph(group).to_matrix()
+        bound = (max(sum(row) for row in matrix) + 1) ** len(matrix)
+        assert all(abs(c) <= bound for c in char_poly(matrix).coeffs), name
+
+
+def test_wrong_modular_coefficient_fails_the_determinant_check(monkeypatch):
+    original = spectra._multimodular_char_poly
+
+    def off_by_one(a):
+        coeffs = original(a)
+        coeffs[0] += 1
+        return coeffs
+
+    monkeypatch.setattr(spectra, "_multimodular_char_poly", off_by_one)
+    with pytest.raises(SpectralCheckError):
+        char_poly(K3)
+
+
+def _full_scan_integer_spectrum(poly, max_abs_root):
+    """Every candidate from +bound down to -bound, no divisor filter."""
+    desc = list(reversed(poly.coeffs))
+    found = []
+    zeros = 0
+    while len(desc) > 1 and desc[-1] == 0:
+        desc.pop()
+        zeros += 1
+    if zeros:
+        found.append((0, zeros))
+    for r in range(max_abs_root, -max_abs_root - 1, -1):
+        if r == 0:
+            continue
+        mult = 0
+        while len(desc) > 1:
+            quotient, rem = spectra._divide_linear(desc, r)
+            if rem != 0:
+                break
+            desc = quotient
+            mult += 1
+        if mult:
+            found.append((r, mult))
+    remainder = CharPoly(tuple(reversed(desc)))
+    return spectrum_from_pairs(found, complete=remainder.degree == 0), remainder
+
+
+def test_divisor_candidates_match_full_scan_on_grid(grid):
+    for name, _, group in grid:
+        graph = build_commuting_graph(group)
+        poly = char_poly(graph.to_matrix())
+        bound = max(graph.degree(i) for i in range(graph.vertex_count))
+        expected = _full_scan_integer_spectrum(poly, bound)
+        assert integer_spectrum(poly, bound) == expected, name
+
+
+def test_divisor_candidates_match_full_scan_on_random_polynomials():
+    rng = random.Random(44)
+    for _ in range(300):
+        degree = rng.randint(0, 4)
+        poly = CharPoly(tuple(rng.randint(-6, 6) for _ in range(degree)) + (1,))
+        for _ in range(rng.randint(0, 5)):
+            poly = poly * monic_linear(rng.randint(-6, 6))
+        bound = rng.randint(0, 8)
+        assert integer_spectrum(poly, bound) == _full_scan_integer_spectrum(poly, bound)
