@@ -27,6 +27,8 @@ from .errors import (
     NotSymmetricError,
     ParameterOutOfRange,
     ParseError,
+    QuotientError,
+    SpectralCheckError,
     UnsupportedFamilyError,
 )
 from .graphs import (

@@ -13,16 +13,7 @@ import sys
 
 from . import catalog
 from .catalog import FamilySpec
-from .errors import (
-    AbelianGroupError,
-    AxiomViolation,
-    CommspecError,
-    IndexOutOfRange,
-    NotPrimeError,
-    ParameterOutOfRange,
-    ParseError,
-    UnsupportedFamilyError,
-)
+from .errors import CommspecError, ParseError
 from .graphs import build_commuting_graph, export_dot
 from .groups import FiniteGroup, load_cayley_file
 from .predictions import (
@@ -31,15 +22,6 @@ from .predictions import (
     verify_centralizer_corollaries,
     verify_group,
 )
-
-_USAGE_ERRORS = (
-    ParseError,
-    ParameterOutOfRange,
-    NotPrimeError,
-    UnsupportedFamilyError,
-    OSError,
-)
-_DOMAIN_ERRORS = (AbelianGroupError, AxiomViolation, IndexOutOfRange)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -50,15 +32,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except CommspecError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -183,7 +162,7 @@ def _run_analyze(args) -> int:
 def _run_verify(args) -> int:
     name, family, group = _load_group(args.group)
     report = verify_group(group, name, family)
-    corollaries = verify_centralizer_corollaries(group)
+    corollaries = verify_centralizer_corollaries(group, report)
     lines = [f"group: {name}"]
     ok = report.all_match()
     for check in report.checks:
@@ -227,7 +206,7 @@ def _run_suite(args) -> int:
         try:
             _, family, group = _load_group(spec_text)
             report = verify_group(group, name, family)
-            corollaries = verify_centralizer_corollaries(group)
+            corollaries = verify_centralizer_corollaries(group, report)
             ok = (
                 report.all_match()
                 and report.integral

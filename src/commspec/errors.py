@@ -2,7 +2,13 @@
 
 
 class CommspecError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``exit_code`` is what the CLI returns for it: 1 for a domain or
+    computational error, 2 for a usage or parse error.
+    """
+
+    exit_code = 1
 
 
 class AxiomViolation(CommspecError):
@@ -27,13 +33,19 @@ class AbelianGroupError(CommspecError):
 class ParameterOutOfRange(CommspecError):
     """A family parameter is outside its allowed range."""
 
+    exit_code = 2
+
 
 class NotPrimeError(CommspecError):
     """A parameter that must be prime is not."""
 
+    exit_code = 2
+
 
 class UnsupportedFamilyError(CommspecError):
     """No closed-form spectrum is implemented for this family."""
+
+    exit_code = 2
 
 
 class NotSymmetricError(CommspecError):
@@ -66,3 +78,5 @@ class QuotientError(CommspecError):
 
 class ParseError(CommspecError):
     """Malformed group spec string or Cayley-table text."""
+
+    exit_code = 2

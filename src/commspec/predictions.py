@@ -5,6 +5,8 @@ dihedral, the commuting graph is a disjoint union of centralizer cliques
 and its spectrum has a closed form in p (or m) and the center size.  This
 module evaluates those closed forms, plus the per-family specializations,
 and checks every applicable prediction against the brute-force pipeline.
+Each group is analysed once: the centralizer-count corollaries are
+evaluated from its verification report.
 """
 
 from __future__ import annotations
@@ -164,16 +166,6 @@ def predict_family(spec: FamilySpec) -> Prediction:
     raise UnsupportedFamilyError(f"no closed-form spectrum for family {spec.kind!r}")
 
 
-def _family_supported(spec: FamilySpec | None) -> bool:
-    if spec is None:
-        return False
-    if spec.kind in ("dicyclic", "u6n"):
-        return True
-    if spec.kind in ("metacyclic", "dihedral"):
-        return spec.params[0] > 2
-    return False
-
-
 def verify_group(
     group: FiniteGroup, name: str, family: FamilySpec | None = None
 ) -> VerificationReport:
@@ -199,8 +191,11 @@ def verify_group(
         predictions.append(predict_zpzp(recognition.param, z))
     elif recognition.kind == "dihedral":
         predictions.append(predict_dihedral_quotient(recognition.param, z))
-    if _family_supported(family):
-        predictions.append(predict_family(family))
+    if family is not None:
+        try:
+            predictions.append(predict_family(family))
+        except UnsupportedFamilyError:
+            pass
 
     checks = tuple(
         PredictionCheck(
@@ -231,20 +226,23 @@ def verify_group(
     )
 
 
-def verify_centralizer_corollaries(group: FiniteGroup) -> tuple[CorollaryCheck, ...]:
-    """Evaluate the centralizer-count consequences on one group.
+def verify_centralizer_corollaries(
+    group: FiniteGroup, report: VerificationReport
+) -> tuple[CorollaryCheck, ...]:
+    """Evaluate the centralizer-count consequences on one verified group.
 
     Each check states a hypothesis about the number of distinct centralizers
     (or the largest pairwise non-commuting set) and, when it holds, verifies
-    the promised quotient shape and the integrality of the spectrum.
+    the promised quotient shape and the integrality of the spectrum.  The
+    center, count, quotient shape and spectrum are read from ``report``,
+    which ``verify_group`` produced for ``group``; only the non-commuting
+    search needs the group itself.
     """
-    if group.is_abelian():
-        raise AbelianGroupError("corollary checks need a non-abelian group")
-    z = center(group).size
-    count = centralizer_count(group)
-    recognition = recognize_small(quotient_by_center(group).group)
-    analysis = is_integral(build_commuting_graph(group))
-    spectrum = analysis.spectrum
+    z = report.center_size
+    count = report.centralizer_count
+    recognition = report.recognition
+    analysis = report.analysis
+    spectrum = report.spectrum
 
     def matches(prediction: Prediction) -> bool:
         return spectrum.complete and spectra_agree(prediction.spectrum, spectrum)
@@ -268,7 +266,7 @@ def verify_centralizer_corollaries(group: FiniteGroup) -> tuple[CorollaryCheck, 
         )
     )
 
-    pp = prime_power(group.order)
+    pp = prime_power(report.order)
     held = pp is not None and count == pp[0] + 2
     verified = None
     if held:

@@ -14,6 +14,7 @@ from commspec.predictions import (
     predict_family,
     predict_zpzp,
     verify_centralizer_corollaries,
+    verify_group,
 )
 from commspec.spectra import (
     clique_union_spectrum,
@@ -137,14 +138,19 @@ def test_criterion_5_centralizer_corollaries():
             failures.append((name, "count", centralizer_count(group)))
         if len(max_noncommuting_set(group)) != witness_size:
             failures.append((name, "witness", len(max_noncommuting_set(group))))
-        checks = {c.label: c for c in verify_centralizer_corollaries(group)}
+        checks = {
+            c.label: c
+            for c in verify_centralizer_corollaries(group, verify_group(group, name))
+        }
         if not (checks[label].hypothesis_held and checks[label].conclusion_verified):
             failures.append((name, label))
         bound = checks["max-noncommuting-bound"]
         if not (bound.hypothesis_held and bound.conclusion_verified):
             failures.append((name, "max-noncommuting-bound"))
+    heis3 = build(FamilySpec.heis(3))
     heis3_checks = {
-        c.label: c for c in verify_centralizer_corollaries(build(FamilySpec.heis(3)))
+        c.label: c
+        for c in verify_centralizer_corollaries(heis3, verify_group(heis3, "Heis(3)"))
     }
     extra = heis3_checks["p-plus-two-centralizer"]
     if not (extra.hypothesis_held and extra.conclusion_verified):

@@ -1,10 +1,13 @@
+import hashlib
+import inspect
 import json
 import subprocess
 import sys
 
 import pytest
 
-from commspec import spectra
+import commspec
+from commspec import cli, errors, predictions, spectra
 from commspec.cli import main
 from commspec.groups import format_cayley_text, from_cayley_table
 
@@ -139,11 +142,27 @@ def test_suite_filter(capsys):
     assert "24/24 groups passed" in out
 
 
+# sha256 of the whole-grid outputs; the JSON one is also the `grid` digest
+# in perfbench/references.json
+_SUITE_TEXT_SHA256 = "7c0b1c0c277f3343a4fe7c1aa4112510718ccacbb6dda3b94403367ce2ab2324"
+_SUITE_JSON_SHA256 = "48ce6e1bbac99c694c97c6f826cf3b6835d70f717237d679759251b90806c8a2"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def test_suite_full_grid(capsys):
     code = main(["suite"])
     out = capsys.readouterr().out
     assert code == 0
     assert "73/73 groups passed" in out
+    assert _sha256(out) == _SUITE_TEXT_SHA256
+
+
+def test_suite_full_grid_json_is_pinned(capsys):
+    assert main(["suite", "--format", "json"]) == 0
+    assert _sha256(capsys.readouterr().out) == _SUITE_JSON_SHA256
 
 
 def test_suite_reports_axiom_failure(corrupted_file, capsys):
@@ -211,3 +230,62 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert "spectrum: 1^3 (-1)^3" in result.stdout
+
+
+_USAGE_ERROR_NAMES = {
+    "ParseError",
+    "ParameterOutOfRange",
+    "NotPrimeError",
+    "UnsupportedFamilyError",
+}
+_ERROR_CLASSES = sorted(
+    (
+        cls
+        for cls in vars(errors).values()
+        if inspect.isclass(cls) and issubclass(cls, errors.CommspecError)
+    ),
+    key=lambda cls: cls.__name__,
+)
+
+
+@pytest.mark.parametrize("cls", _ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_error_class_has_its_documented_exit_code(cls, monkeypatch, capsys):
+    assert getattr(commspec, cls.__name__) is cls
+    exc = cls("identity", "boom") if cls is errors.AxiomViolation else cls("boom")
+
+    def failing_load(spec_text):
+        raise exc
+
+    monkeypatch.setattr(cli, "_load_group", failing_load)
+    code = main(["analyze", "dihedral:3"])
+    err = capsys.readouterr().err
+    assert code == (2 if cls.__name__ in _USAGE_ERROR_NAMES else 1)
+    assert err.startswith("error: ")
+    assert "boom" in err
+    assert "Traceback" not in err
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, groups",
+    [(["verify", "dihedral:5"], 1), (["suite", "--only", "Q1"], 2)],
+    ids=["verify", "suite"],
+)
+def test_each_group_is_analysed_once(argv, groups, monkeypatch, capsys):
+    integral_calls = _count_calls(monkeypatch, predictions, "is_integral")
+    quotient_calls = _count_calls(monkeypatch, predictions, "quotient_by_center")
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(integral_calls) == groups
+    assert len(quotient_calls) == groups

@@ -160,7 +160,8 @@ def test_verify_group_outside_the_predicted_shapes():
 
 
 def test_corollaries_d8(d8):
-    checks = {c.label: c for c in verify_centralizer_corollaries(d8)}
+    report = verify_group(d8, "D8")
+    checks = {c.label: c for c in verify_centralizer_corollaries(d8, report)}
     assert checks["four-centralizer"].hypothesis_held
     assert checks["four-centralizer"].conclusion_verified
     assert checks["p-plus-two-centralizer"].hypothesis_held  # p = 2, count = 4
@@ -171,7 +172,8 @@ def test_corollaries_d8(d8):
 
 
 def test_corollaries_d12(d12):
-    checks = {c.label: c for c in verify_centralizer_corollaries(d12)}
+    report = verify_group(d12, "D12")
+    checks = {c.label: c for c in verify_centralizer_corollaries(d12, report)}
     assert not checks["four-centralizer"].hypothesis_held
     assert checks["five-centralizer"].hypothesis_held
     assert checks["five-centralizer"].conclusion_verified
@@ -180,7 +182,8 @@ def test_corollaries_d12(d12):
 
 
 def test_corollaries_heis3(heis3):
-    checks = {c.label: c for c in verify_centralizer_corollaries(heis3)}
+    report = verify_group(heis3, "Heis(3)")
+    checks = {c.label: c for c in verify_centralizer_corollaries(heis3, report)}
     assert checks["p-plus-two-centralizer"].hypothesis_held  # p = 3, count = 5
     assert checks["p-plus-two-centralizer"].conclusion_verified
     assert checks["five-centralizer"].hypothesis_held
@@ -188,8 +191,10 @@ def test_corollaries_heis3(heis3):
 
 
 def test_corollaries_reject_abelian():
+    # the report the corollaries read cannot be built for an abelian group
+    c6 = build(FamilySpec.cyclic(6))
     with pytest.raises(AbelianGroupError):
-        verify_centralizer_corollaries(build(FamilySpec.cyclic(6)))
+        verify_centralizer_corollaries(c6, verify_group(c6, "C6"))
 
 
 def test_report_json_shape(q8):
