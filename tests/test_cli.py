@@ -11,7 +11,7 @@ from commspec import cli, errors, predictions, spectra
 from commspec.cli import main
 from commspec.groups import format_cayley_text, from_cayley_table
 
-from test_groups import s3_table
+from test_groups import Z5_SWAPPED, s3_table
 
 
 @pytest.fixture()
@@ -116,6 +116,16 @@ def test_analyze_missing_file(capsys):
 def test_analyze_corrupted_table(corrupted_file, capsys):
     assert main(["analyze", f"file:{corrupted_file}"]) == 1
     assert "inverse" in capsys.readouterr().err
+
+
+def test_analyze_non_associative_table(tmp_path, capsys):
+    path = tmp_path / "z5.cayley"
+    rows = [" ".join(map(str, row)) for row in Z5_SWAPPED]
+    path.write_text("\n".join(["5", *rows]) + "\n", encoding="utf-8")
+    assert main(["analyze", f"file:{path}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: associativity axiom violated: ")
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_analyze_binary_file_is_a_parse_error(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import itertools
+import random
+import re
 
 import pytest
 
@@ -59,19 +61,127 @@ def test_missing_inverse_detected():
     assert exc.value.axiom == "inverse"
 
 
+# Z5 with row 3's last two entries swapped: identity and unique right
+# inverses survive, so only the associativity check can reject it.
+Z5_SWAPPED = [
+    [0, 1, 2, 3, 4],
+    [1, 2, 3, 4, 0],
+    [2, 3, 4, 0, 1],
+    [3, 4, 0, 2, 1],
+    [4, 0, 1, 2, 3],
+]
+
+
 def test_associativity_violation_detected():
-    # Z5 with row 3's last two entries swapped: identity and unique right
-    # inverses survive, so only the associativity scan can reject it.
+    with pytest.raises(AxiomViolation) as exc:
+        from_cayley_table(Z5_SWAPPED)
+    assert exc.value.axiom == "associativity"
+
+
+def test_associativity_violation_away_from_the_first_generator():
+    # Z2 x Z5_SWAPPED with (a, m) at index a + 2m: element 1 = (1, e)
+    # associates with everything, so only a later generator exposes the
+    # broken factor.
     table = [
-        [0, 1, 2, 3, 4],
-        [1, 2, 3, 4, 0],
-        [2, 3, 4, 0, 1],
-        [3, 4, 0, 2, 1],
-        [4, 0, 1, 2, 3],
+        [(a ^ b) + 2 * Z5_SWAPPED[m][k] for k in range(5) for b in (0, 1)]
+        for m in range(5)
+        for a in (0, 1)
     ]
+    assert groups._generating_set(table)[0] == 1
     with pytest.raises(AxiomViolation) as exc:
         from_cayley_table(table)
     assert exc.value.axiom == "associativity"
+    assert not _is_associative(table)
+
+
+def _is_associative(table):
+    """Oracle: the exhaustive O(n^3) scan over every triple."""
+    n = len(table)
+    for x in range(n):
+        row_x = table[x]
+        for y in range(n):
+            if table[row_x[y]] != [row_x[v] for v in table[y]]:
+                return False
+    return True
+
+
+def _identity_to_front(table, e):
+    """The relabelling from_cayley_table applies: swap elements 0 and e."""
+    n = len(table)
+    perm = list(range(n))
+    perm[0], perm[e] = e, 0
+    return [[perm[table[perm[i]][perm[j]]] for j in range(n)] for i in range(n)]
+
+
+def _relabelled_d8(seed):
+    """The order-8 dihedral group under a seeded shuffle of its elements."""
+    table = build(FamilySpec.dihedral(4)).table
+    n = len(table)
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    assert perm[0] != 0
+    pos = {old: new for new, old in enumerate(perm)}
+    return [[pos[table[perm[i]][perm[j]]] for j in range(n)] for i in range(n)]
+
+
+_WITNESS = re.compile(r"\((\d+)\*(\d+)\)\*(\d+) != (\d+)\*\((\d+)\*(\d+)\)")
+
+
+@pytest.mark.parametrize(
+    "make_table, seed",
+    [
+        (s3_table, 1),
+        (lambda: build(FamilySpec.dicyclic(2)).table, 2),
+        (lambda: build(FamilySpec.dihedral(6)).table, 3),
+        (lambda: build(FamilySpec.heis(3)).table, 4),
+        (lambda: _relabelled_d8(5), 5),
+    ],
+    ids=["S3", "Q8", "dihedral:6", "heis:3", "relabelled-D8"],
+)
+def test_validation_agrees_with_exhaustive_scan(make_table, seed):
+    table = [list(row) for row in make_table()]
+    n = len(table)
+    e = next(i for i in range(n) if table[i] == list(range(n)))
+    assert _is_associative(table)
+    from_cayley_table(table)
+
+    rng = random.Random(seed)
+    others = [i for i in range(n) if i != e]
+    witnesses = 0
+    for _ in range(200):
+        # corrupt one entry outside the identity row and column
+        bad = [row[:] for row in table]
+        i, j = rng.choice(others), rng.choice(others)
+        bad[i][j] = rng.choice([v for v in range(n) if v != table[i][j]])
+        one_inverse_per_row = all(row.count(e) == 1 for row in bad)
+        is_group = one_inverse_per_row and _is_associative(bad)
+        try:
+            from_cayley_table(bad)
+        except AxiomViolation as exc:
+            assert not is_group, (i, j)
+            expected = "associativity" if one_inverse_per_row else "inverse"
+            assert exc.axiom == expected, (i, j)
+            if expected == "associativity":
+                x, g, y, x2, g2, y2 = map(int, _WITNESS.search(str(exc)).groups())
+                assert (x, g, y) == (x2, g2, y2)
+                t = _identity_to_front(bad, e)
+                assert t[t[x][g]][y] != t[x][t[g][y]], str(exc)
+                witnesses += 1
+        else:
+            assert is_group, (i, j)
+    assert witnesses > 0
+
+
+def test_generating_set_is_logarithmic(grid):
+    for name, _, group in grid:
+        gens = groups._generating_set(group.table)
+        assert len(gens) <= group.order.bit_length() - 1, name  # floor(log2 n)
+        assert groups._generates(group, gens), name
+
+
+def test_heisenberg_7_needs_three_generators():
+    heis7 = build(FamilySpec.heis(7))
+    assert len(groups._generating_set(heis7.table)) == 3
 
 
 def test_no_identity_detected():

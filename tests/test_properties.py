@@ -1,12 +1,16 @@
 """Structural invariants checked across the whole verification grid."""
 
+import pytest
+
 from commspec.catalog import FamilySpec, build
+from commspec.errors import AxiomViolation
 from commspec.graphs import build_commuting_graph, connected_components
 from commspec.groups import (
     Recognition,
     center,
     centralizer,
     centralizer_count,
+    from_cayley_table,
     max_noncommuting_set,
     quotient_by_center,
     recognize_small,
@@ -184,3 +188,30 @@ def test_component_count_equals_quotient_prediction_shape(grid_reports):
     for name, _, group, report in grid_reports:
         parts = len(connected_components(report.graph))
         assert parts == report.recognition.param + 1, name
+
+
+def test_flipping_one_table_entry_raises_axiom_violation(grid):
+    # A group table is a Latin square, so a changed entry repeats a value in
+    # its row.  The table then either loses its identity, has a row without
+    # exactly one identity, or is not associative: an associative table with
+    # an identity and right inverses is a group.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    groups = [group for _, _, group in grid if group.order > 1]
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        group = data.draw(st.sampled_from(groups))
+        n = group.order
+        i = data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(0, n - 1))
+        value = data.draw(st.integers(0, n - 2))
+        if value >= group.table[i][j]:
+            value += 1
+        table = [list(row) for row in group.table]
+        table[i][j] = value
+        with pytest.raises(AxiomViolation):
+            from_cayley_table(table)
+
+    check()
