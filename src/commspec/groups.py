@@ -3,12 +3,14 @@
 Element 0 is always the identity; the constructor relabels elements when the
 identity sits elsewhere.  Every value here is immutable after construction
 and all operations are pure functions, so groups and derived data can be
-shared freely between workers.
+shared freely between workers.  A group's center is scanned on first use and
+kept on the group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 from typing import Sequence
 
@@ -60,6 +62,12 @@ class FiniteGroup:
 
     def commutes(self, a: int, b: int) -> bool:
         return self.table[a][b] == self.table[b][a]
+
+    @cached_property
+    def _center_members(self) -> tuple[int, ...]:
+        # stored in the instance dict on first use, so each group's center
+        # is scanned once however many callers ask for it
+        return _center_scan(self.table)
 
 
 @dataclass(frozen=True)
@@ -196,13 +204,15 @@ def _swap_to_front(
 
 
 def center(group: FiniteGroup) -> Center:
-    """Exact center by exhaustive commutation check."""
-    table = group.table
-    n = group.order
-    members = tuple(
+    """Exact center by exhaustive commutation check, done once per group."""
+    return Center(group._center_members)
+
+
+def _center_scan(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    n = len(table)
+    return tuple(
         z for z in range(n) if all(table[z][g] == table[g][z] for g in range(n))
     )
-    return Center(members)
 
 
 def centralizer(group: FiniteGroup, x: int) -> Centralizer:

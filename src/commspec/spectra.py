@@ -3,14 +3,15 @@
 Everything here runs on arbitrary-precision integers; no floating point is
 involved anywhere, so an "integral" verdict is a certificate rather than an
 estimate.  The characteristic polynomial is computed blockwise over the
-connected components.  Each block is reduced to upper Hessenberg form modulo
-word-size primes, and its integer coefficients are rebuilt by the Chinese
-remainder theorem under a proven bound on their size (Cohen, "A Course in
-Computational Algebraic Number Theory", the Hessenberg method; Dumas,
-Pernet and Wan, "Efficient computation of the characteristic polynomial",
-ISSAC 2005).  Each block is then spot-checked against an independent
-fraction-free Bareiss determinant.  Integer roots are found among the
-divisors of the lowest nonzero coefficient.
+connected components, and each distinct block is computed and spot-checked
+once.  A block is reduced to upper Hessenberg form modulo word-size primes,
+and its integer coefficients are rebuilt by the Chinese remainder theorem
+under a proven bound on their size (Cohen, "A Course in Computational
+Algebraic Number Theory", the Hessenberg method; Dumas, Pernet and Wan,
+"Efficient computation of the characteristic polynomial", ISSAC 2005).  It
+is then spot-checked against an independent fraction-free Bareiss
+determinant.  Integer roots are found among the divisors of the lowest
+nonzero coefficient.
 """
 
 from __future__ import annotations
@@ -119,12 +120,21 @@ class SpectralAnalysis:
 def char_poly(matrix: Sequence[Sequence[int]]) -> CharPoly:
     """Exact characteristic polynomial det(xI - A) of a symmetric matrix.
 
-    The matrix is split into connected blocks by reachability.  Each block's
-    polynomial is computed modulo word-size primes from a Hessenberg form
-    and rebuilt by CRT under a proven coefficient bound, so it is exact by
-    proof; it is then verified at t in {0, 1, -1} against an independent
-    Bareiss determinant before the block polynomials are multiplied
-    together.  A failed check raises :class:`SpectralCheckError`.
+    The matrix is split into connected blocks by reachability.  Each
+    distinct block is computed and spot-checked once: its polynomial is
+    computed modulo word-size primes from a Hessenberg form and rebuilt by
+    CRT under a proven coefficient bound, so it is exact by proof, and it is
+    then verified at t in {0, 1, -1} against an independent Bareiss
+    determinant.  A failed check raises :class:`SpectralCheckError`.  The
+    block polynomials are then multiplied together, one factor per block.
+
+    Blocks are keyed by their exact submatrix, rows and columns in the
+    block's sorted vertex order.  det(xI - B) is a function of B's entries,
+    so two blocks with equal keys are the same matrix and share the
+    coefficients that were proved and checked for it; a key never merges
+    two different matrices.  Isomorphic blocks whose vertex orders give
+    different submatrices get different keys and are computed separately.
+    The cache lives only for this call.
     """
     # operator.index rejects floats, keeping the arithmetic exact
     a = [[_exact_int(v) for v in row] for row in matrix]
@@ -140,10 +150,15 @@ def char_poly(matrix: Sequence[Sequence[int]]) -> CharPoly:
                 raise NotSymmetricError(f"entries ({i},{j}) and ({j},{i}) differ")
 
     product = [1]
+    checked: dict[tuple[tuple[int, ...], ...], list[int]] = {}
     for block in _support_blocks(a):
-        sub = [[a[i][j] for j in block] for i in block]
-        coeffs = _multimodular_char_poly(sub)
-        _spot_check(coeffs, sub)
+        key = tuple(tuple(a[i][j] for j in block) for i in block)
+        coeffs = checked.get(key)
+        if coeffs is None:
+            sub = [list(row) for row in key]
+            coeffs = _multimodular_char_poly(sub)
+            _spot_check(coeffs, sub)
+            checked[key] = coeffs
         product = _poly_mul(product, coeffs)
     return CharPoly(tuple(product))
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import commspec
-from commspec import cli, errors, predictions, spectra
+from commspec import cli, errors, groups, predictions, spectra
 from commspec.cli import main
 from commspec.groups import format_cayley_text, from_cayley_table
 
@@ -299,3 +299,17 @@ def test_each_group_is_analysed_once(argv, groups, monkeypatch, capsys):
     capsys.readouterr()
     assert len(integral_calls) == groups
     assert len(quotient_calls) == groups
+
+
+@pytest.mark.parametrize(
+    "argv, group_count",
+    [(["verify", "dihedral:5"], 1), (["suite", "--only", "Q1"], 2)],
+    ids=["verify", "suite"],
+)
+def test_each_center_is_scanned_once(argv, group_count, monkeypatch, capsys):
+    # verify_group, quotient_by_center, build_commuting_graph and
+    # max_noncommuting_set all ask for the center of the same group
+    scans = _count_calls(monkeypatch, groups, "_center_scan")
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(scans) == group_count

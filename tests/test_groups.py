@@ -227,6 +227,22 @@ def test_center_of_u6_is_trivial():
     assert center(u6).size == 1
 
 
+def test_center_is_kept_on_its_group_only(monkeypatch):
+    scans = []
+    original = groups._center_scan
+    monkeypatch.setattr(
+        groups, "_center_scan", lambda table: scans.append(1) or original(table)
+    )
+    first = build(FamilySpec.dihedral(4))
+    second = build(FamilySpec.dihedral(4))
+    assert center(first) == center(first) == Center((0, 2))
+    assert len(scans) == 1
+    # the kept center is not a field: equality and hashing see the table only
+    assert first == second and hash(first) == hash(second)
+    assert center(second) == center(first)
+    assert len(scans) == 2
+
+
 def test_centralizer_of_identity_is_whole_group(d6):
     assert centralizer(d6, 0).members == tuple(range(6))
 

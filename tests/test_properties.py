@@ -6,6 +6,7 @@ from commspec.catalog import FamilySpec, build
 from commspec.errors import AxiomViolation
 from commspec.graphs import build_commuting_graph, connected_components
 from commspec.groups import (
+    FiniteGroup,
     Recognition,
     center,
     centralizer,
@@ -15,12 +16,15 @@ from commspec.groups import (
     quotient_by_center,
     recognize_small,
 )
+from commspec.predictions import verify_centralizer_corollaries, verify_group
 from commspec.spectra import (
     clique_union_spectrum,
     exact_determinant,
     monic_linear,
     spectra_agree,
 )
+
+from test_spectra import _permutation_group
 
 
 def _is_subgroup(group, members):
@@ -213,5 +217,57 @@ def test_flipping_one_table_entry_raises_axiom_violation(grid):
         table[i][j] = value
         with pytest.raises(AxiomViolation):
             from_cayley_table(table)
+
+    check()
+
+
+def _relabel(group: FiniteGroup, perm: list[int]) -> FiniteGroup:
+    """The same group with element i renamed perm[i]; from_cayley_table moves
+    the identity back to index 0."""
+    n = group.order
+    table = [[0] * n for _ in range(n)]
+    for i, row in enumerate(group.table):
+        for j, v in enumerate(row):
+            table[perm[i]][perm[j]] = perm[v]
+    return from_cayley_table(table)
+
+
+def _label_free_report(group, name, spec):
+    report = verify_group(group, name, spec)
+    return (
+        report.analysis.char_poly,
+        report.spectrum,
+        report.analysis.remainder,
+        report.center_size,
+        report.centralizer_count,
+        report.component_sizes,
+        report.all_cliques,
+        report.recognition,
+        report.integral,
+        report.checks,
+        verify_centralizer_corollaries(group, report),
+    )
+
+
+def test_relabelling_leaves_the_report_unchanged(grid):
+    # Relabelling permutes the commuting graph's vertices, so the connected
+    # blocks reach char_poly as different submatrices and hit its per-call
+    # block cache in a different pattern; S4's non-integral remainder and
+    # A5's non-clique blocks cover what the grid's clique unions do not.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cases = [(name, spec, group) for name, spec, group in grid]
+    cases += [("S4", None, _permutation_group(4, False))]
+    cases += [("A5", None, _permutation_group(5, True))]
+    expected = [_label_free_report(g, name, spec) for name, spec, g in cases]
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        i = data.draw(st.integers(0, len(cases) - 1))
+        name, spec, group = cases[i]
+        perm = data.draw(st.permutations(range(group.order)))
+        relabelled = _relabel(group, perm)
+        assert _label_free_report(relabelled, name, spec) == expected[i], name
 
     check()

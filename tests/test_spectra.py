@@ -4,6 +4,7 @@ import random
 import pytest
 
 from commspec import spectra
+from commspec.catalog import FamilySpec, build
 from commspec.errors import (
     EmptyInputError,
     IncompleteSpectrumError,
@@ -336,6 +337,96 @@ def test_wrong_modular_coefficient_fails_the_determinant_check(monkeypatch):
     monkeypatch.setattr(spectra, "_multimodular_char_poly", off_by_one)
     with pytest.raises(SpectralCheckError):
         char_poly(K3)
+
+
+def _block_diagonal(*blocks):
+    n = sum(len(b) for b in blocks)
+    a = [[0] * n for _ in range(n)]
+    offset = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            a[offset + i][offset : offset + len(b)] = row
+        offset += len(b)
+    return a
+
+
+def _complete(m):
+    return [[int(i != j) for j in range(m)] for i in range(m)]
+
+
+P3_MIDDLE_FIRST = [[0, 1, 1], [1, 0, 0], [1, 0, 0]]  # P3 with its middle vertex first
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [_complete(4)] * 5,
+        [P3, P3_MIDDLE_FIRST, P3, P3_MIDDLE_FIRST],
+        [K3, P3, K3, P3],
+        [[[0]]] * 6,
+        [[[0]], _complete(3), [[0]], _complete(3), [[0]], P3, [[0]]],
+    ],
+    ids=["repeated-k4", "p3-two-orders", "k3-beside-p3", "isolated", "mixed"],
+)
+def test_repeated_blocks_give_the_exact_char_poly(blocks):
+    a = _block_diagonal(*blocks)
+    assert list(char_poly(a).coeffs) == _faddeev_leverrier(a)
+
+
+def test_repeated_random_blocks_give_the_exact_char_poly():
+    rng = random.Random(5)
+    for _ in range(12):
+        pool = [_random_symmetric(rng, rng.randint(1, 5)) for _ in range(3)]
+        a = _block_diagonal(*(rng.choice(pool) for _ in range(rng.randint(1, 5))))
+        # a random vertex order scatters the copies and changes their keys
+        perm = list(range(len(a)))
+        rng.shuffle(perm)
+        shuffled = [[a[perm[i]][perm[j]] for j in perm] for i in perm]
+        assert list(char_poly(a).coeffs) == _faddeev_leverrier(a)
+        assert char_poly(shuffled) == char_poly(a)
+
+
+def _count_determinants(monkeypatch):
+    calls = []
+    original = spectra.exact_determinant
+    monkeypatch.setattr(
+        spectra, "exact_determinant", lambda m: calls.append(1) or original(m)
+    )
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spec, blocks, distinct",
+    [(FamilySpec.heis(7), 8, 1), (FamilySpec.dihedral(40), 21, 2)],
+    ids=["heis:7", "dihedral:40"],
+)
+def test_each_distinct_block_is_spot_checked_once(spec, blocks, distinct, monkeypatch):
+    # heis:7: eight copies of K_42; dihedral:40: twenty copies of K_2 and a K_38
+    graph = build_commuting_graph(build(spec))
+    assert len(connected_components(graph)) == blocks
+    calls = _count_determinants(monkeypatch)
+    char_poly(graph.to_matrix())
+    assert len(calls) == 3 * distinct
+
+
+def test_block_cache_does_not_outlive_the_call(monkeypatch):
+    a = _block_diagonal(K3, K3, P3)
+    calls = _count_determinants(monkeypatch)
+    assert char_poly(a) == char_poly(a)
+    assert len(calls) == 2 * 3 * 2
+
+
+def test_wrong_coefficient_in_a_repeated_block_fails_the_check(monkeypatch):
+    original = spectra._multimodular_char_poly
+
+    def off_by_one(a):
+        coeffs = original(a)
+        coeffs[0] += 1
+        return coeffs
+
+    monkeypatch.setattr(spectra, "_multimodular_char_poly", off_by_one)
+    with pytest.raises(SpectralCheckError):
+        char_poly(_block_diagonal(K3, K3, K3))
 
 
 def _full_scan_integer_spectrum(poly, max_abs_root):
