@@ -331,12 +331,16 @@ def _close(
     return span
 
 
-def max_noncommuting_set(group: FiniteGroup) -> list[int]:
+def max_noncommuting_set(group: FiniteGroup, cap: int | None = None) -> list[int]:
     """A maximum set of pairwise non-commuting elements.
 
     Exact branch-and-bound maximum clique in the non-commuting graph on the
     non-central elements, with a greedy-coloring bound.  Returns one witness
     as sorted element indices.
+
+    With a ``cap`` the search stops as soon as the best set found has at
+    least ``cap`` elements.  The result is still pairwise non-commuting, and
+    it is maximum whenever it has fewer than ``cap`` elements.
     """
     if group.is_abelian():
         raise AbelianGroupError("every pair of elements commutes")
@@ -349,11 +353,11 @@ def max_noncommuting_set(group: FiniteGroup) -> list[int]:
             if not group.commutes(verts[i], verts[j]):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    best = _max_clique(adj)
+    best = _max_clique(adj, k + 1 if cap is None else cap)
     return sorted(verts[i] for i in best)
 
 
-def _max_clique(adj: list[int]) -> list[int]:
+def _max_clique(adj: list[int], cap: int) -> list[int]:
     n = len(adj)
     best: list[int] = []
 
@@ -378,15 +382,15 @@ def _max_clique(adj: list[int]) -> list[int]:
         nonlocal best
         order, bounds = color_order(cand)
         for i in range(len(order) - 1, -1, -1):
-            if len(clique) + bounds[i] <= len(best):
+            if len(best) >= cap or len(clique) + bounds[i] <= len(best):
                 return
             v = order[i]
             clique.append(v)
+            if len(clique) > len(best):
+                best = clique[:]
             nxt = cand & adj[v]
             if nxt:
                 expand(clique, nxt)
-            elif len(clique) > len(best):
-                best = clique[:]
             clique.pop()
             cand &= ~(1 << v)
 

@@ -303,7 +303,8 @@ def verify_centralizer_corollaries(
         )
     )
 
-    r = len(max_noncommuting_set(group))
+    # the hypothesis asks only whether r is 3 or 4, so a 5-set settles it
+    r = len(max_noncommuting_set(group, cap=5))
     held = r in (3, 4)
     verified = None
     if held:

@@ -4,19 +4,22 @@ Everything here runs on arbitrary-precision integers; no floating point is
 involved anywhere, so an "integral" verdict is a certificate rather than an
 estimate.  The characteristic polynomial is computed blockwise over the
 connected components, and each distinct block is computed and spot-checked
-once.  A block is reduced to upper Hessenberg form modulo word-size primes,
-and its integer coefficients are rebuilt by the Chinese remainder theorem
-under a proven bound on their size (Cohen, "A Course in Computational
-Algebraic Number Theory", the Hessenberg method; Dumas, Pernet and Wan,
-"Efficient computation of the characteristic polynomial", ISSAC 2005).  It
-is then spot-checked against an independent fraction-free Bareiss
-determinant.  Integer roots are found among the divisors of the lowest
-nonzero coefficient.
+once.  A block is reduced to upper Hessenberg form in one pass modulo M,
+the product of enough word-size primes to exceed twice a proven bound on
+the coefficients, and the symmetric residues are the integer coefficients
+(Cohen, "A Course in Computational Algebraic Number Theory", the Hessenberg
+method; Dumas, Pernet and Wan, "Efficient computation of the characteristic
+polynomial", ISSAC 2005).  If no entry of some pivot column is a unit
+modulo M, the block is instead reduced once per prime and rebuilt by the
+Chinese remainder theorem.  It is then spot-checked against an independent
+fraction-free Bareiss determinant.  Integer roots are found among the
+divisors of the lowest nonzero coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from operator import index as _exact_int
 from typing import Iterable, Sequence
 
@@ -186,45 +189,69 @@ def _support_blocks(a: list[list[int]]) -> list[list[int]]:
 
 
 def _multimodular_char_poly(a: list[list[int]]) -> list[int]:
-    """Coefficients of det(xI - A), ascending, rebuilt from residues by CRT.
+    """Coefficients of det(xI - A), ascending, from their residues modulo M.
 
     Bound: let R be the largest absolute row sum of the k x k matrix A.
     Every eigenvalue satisfies |lambda| <= R, and c_{k-i} = (-1)^i e_i(lambda)
     is a sum of C(k, i) products of i eigenvalues, so |c_{k-i}| <= C(k, i) R^i.
     These bounds sum to B = (R + 1)^k, which therefore bounds every
-    coefficient.  A similarity over a field preserves the characteristic
-    polynomial, so each residue is the true coefficient modulo its prime and
-    no prime is unlucky.  Once the product M of the primes exceeds 2B, the
-    symmetric residue in (-M/2, M/2] is the coefficient itself.
+    coefficient.  M is the product of the largest primes below 2**62, taken
+    until M exceeds 2B, so the symmetric residue in (-M/2, M/2] of a true
+    coefficient is the coefficient itself.
+
+    One Hessenberg pass over the ring Z/M gives every residue at once:
+    a similarity by unit pivots preserves det(xI - A) over any commutative
+    ring; the recurrence of ``_hessenberg_block_mod`` is a determinant
+    expansion, so it needs no division; and splitting at a zero subdiagonal
+    entry leaves a block-triangular determinant, the product of the
+    diagonal blocks' determinants over any ring.  So the pass yields the
+    true coefficients modulo M.  When some pivot column has nonzero entries
+    but no unit modulo M, the pass gives up and the block is reduced once
+    per prime instead.  Over the field Z/p every nonzero entry is a unit,
+    so no prime is unlucky, and the residues are combined by Garner's
+    algorithm into the same residues modulo M.
     """
     k = len(a)
     bound = (max((sum(abs(x) for x in row) for row in a), default=0) + 1) ** k
-    coeffs = [0] * (k + 1)
+    primes = []
     modulus = 1
-    i = 0
     while modulus <= 2 * bound:
-        p = _crt_prime(i)
-        i += 1
-        # Garner step: the c mod modulus*p with c = coeffs (mod modulus)
-        # and c = residue (mod p)
-        inverse = pow(modulus, -1, p)
-        coeffs = [
-            c + modulus * ((r - c) * inverse % p)
-            for c, r in zip(coeffs, _char_poly_mod(a, p))
-        ]
+        p = _crt_prime(len(primes))
+        primes.append(p)
         modulus *= p
+    coeffs = _char_poly_mod(a, modulus)
+    if coeffs is None:
+        coeffs = [0] * (k + 1)
+        partial = 1
+        for p in primes:
+            # Garner step: the c mod partial*p with c = coeffs (mod partial)
+            # and c = residue (mod p)
+            inverse = pow(partial, -1, p)
+            coeffs = [
+                c + partial * ((r - c) * inverse % p)
+                for c, r in zip(coeffs, _char_poly_mod(a, p))
+            ]
+            partial *= p
     half = modulus // 2
     return [c - modulus if c > half else c for c in coeffs]
 
 
-def _char_poly_mod(a: list[list[int]], p: int) -> list[int]:
-    """det(xI - A) mod p, ascending, from an upper Hessenberg form of A."""
+def _char_poly_mod(a: list[list[int]], p: int) -> list[int] | None:
+    """det(xI - A) mod p, ascending, from an upper Hessenberg form of A.
+
+    p is any odd modulus.  Each pivot is the first entry of its column that
+    is a unit mod p; when a column has nonzero entries but no unit, the
+    reduction stops and returns None.  For a prime p that never happens.
+    """
     n = len(a)
     h = [[x % p for x in row] for row in a]
     for m in range(1, n - 1):
         col = m - 1
-        pivot = next((i for i in range(m, n) if h[i][col]), None)
+        column = [h[i][col] for i in range(m, n)]
+        pivot = next((i for i, x in enumerate(column, m) if gcd(x, p) == 1), None)
         if pivot is None:
+            if any(column):
+                return None
             continue
         if pivot != m:
             h[m], h[pivot] = h[pivot], h[m]

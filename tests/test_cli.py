@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import json
+import random
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from commspec.cli import main
 from commspec.groups import format_cayley_text, from_cayley_table
 
 from test_groups import Z5_SWAPPED, s3_table
+from test_spectra import _permutation_table
 
 
 @pytest.fixture()
@@ -240,6 +242,23 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert "spectrum: 1^3 (-1)^3" in result.stdout
+
+
+def test_verify_of_a_shuffled_s5_table_finishes_within_budget(tmp_path):
+    table = _permutation_table(5, False, random.Random(5))
+    assert table[0][0] != 0  # the identity is not element 0
+    path = tmp_path / "s5.cayley"
+    text = "\n".join(" ".join(map(str, row)) for row in table)
+    path.write_text(f"{len(table)}\n{text}\n", encoding="utf-8")
+    # the exact non-commuting search did not finish on S5 within 200 s
+    result = subprocess.run(
+        [sys.executable, "-m", "commspec.cli", "verify", f"file:{path}"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert result.returncode == 0
+    assert "corollary max-noncommuting-bound: not applicable" in result.stdout
 
 
 _USAGE_ERROR_NAMES = {

@@ -30,6 +30,8 @@ from commspec.groups import (
     recognize_small,
 )
 
+from test_spectra import _permutation_group
+
 
 def s3_table():
     """Compose the six permutations of three letters by hand."""
@@ -356,6 +358,19 @@ def test_max_noncommuting_set_sizes(spec, expected):
     assert len(witness) == expected
     _assert_pairwise_noncommuting(group, witness)
     assert _brute_force_max_size(group) == expected
+
+
+def test_capped_noncommuting_search_agrees_with_uncapped(grid):
+    named = [(name, group) for name, _, group in grid]
+    named += [("S4", _permutation_group(4, False)), ("A5", _permutation_group(5, True))]
+    for name, group in named:
+        full = max_noncommuting_set(group)
+        capped = max_noncommuting_set(group, cap=5)
+        _assert_pairwise_noncommuting(group, capped)
+        if len(full) < 5:
+            assert len(capped) == len(full), name
+        else:
+            assert len(capped) >= 5, name
 
 
 def test_max_noncommuting_set_rejects_abelian():

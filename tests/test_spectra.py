@@ -265,18 +265,114 @@ def test_char_poly_matches_faddeev_leverrier_on_random_matrices():
             assert list(char_poly(a).coeffs) == _faddeev_leverrier(a)
 
 
+def _spy_char_poly_mod(monkeypatch):
+    """Record (modulus, gave up) for every call of _char_poly_mod."""
+    calls = []
+    original = spectra._char_poly_mod
+
+    def spy(a, modulus):
+        residues = original(a, modulus)
+        calls.append((modulus, residues is None))
+        return residues
+
+    monkeypatch.setattr(spectra, "_char_poly_mod", spy)
+    return calls
+
+
+def _crt_factors(modulus):
+    """The leading CRT primes whose product is modulus."""
+    primes = []
+    product = 1
+    while product < modulus:
+        primes.append(spectra._crt_prime(len(primes)))
+        product *= primes[-1]
+    assert product == modulus
+    return primes
+
+
 def test_char_poly_of_k30_needs_three_primes(monkeypatch):
     k30 = [[int(i != j) for j in range(30)] for i in range(30)]
-    residues = []
-    original = spectra._char_poly_mod
-    monkeypatch.setattr(
-        spectra, "_char_poly_mod", lambda a, p: residues.append(p) or original(a, p)
-    )
+    calls = _spy_char_poly_mod(monkeypatch)
     poly = char_poly(k30)
     assert list(poly.coeffs) == _faddeev_leverrier(k30)
-    # B = 30**30 is about 2**147, so 2B exceeds any product of two primes
-    assert len(residues) >= 3
-    assert all(p % 2 == 1 and p < 2**62 for p in residues)
+    # one pass, modulo a product of distinct CRT primes; B = 30**30 is about
+    # 2**147, so 2B exceeds any product of two of them
+    [(modulus, gave_up)] = calls
+    assert not gave_up
+    primes = _crt_factors(modulus)
+    assert len(set(primes)) == len(primes) >= 3
+    assert modulus > 2 * 30**30
+
+
+def test_pivot_column_without_a_unit_falls_back_to_one_pass_per_prime(monkeypatch):
+    p = spectra._crt_prime(0)
+    # column 0 below the diagonal holds only p: nonzero modulo M, not a unit
+    a = [[0, p, 0, 0], [p, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]]
+    calls = _spy_char_poly_mod(monkeypatch)
+    assert list(char_poly(a).coeffs) == _faddeev_leverrier(a)
+    (modulus, gave_up), *per_prime = calls
+    assert gave_up
+    assert per_prime == [(q, False) for q in _crt_factors(modulus)]
+
+
+def test_pivot_skips_an_entry_that_is_not_a_unit(monkeypatch):
+    p = spectra._crt_prime(0)
+    # column 0 below the diagonal holds p and then 1, which becomes the pivot
+    a = [[0, p, 1, 0], [p, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]]
+    calls = _spy_char_poly_mod(monkeypatch)
+    assert list(char_poly(a).coeffs) == _faddeev_leverrier(a)
+    [(modulus, gave_up)] = calls
+    assert not gave_up
+    assert p in _crt_factors(modulus)
+
+
+def _distinct_blocks(group):
+    graph = build_commuting_graph(group)
+    matrix = graph.to_matrix()
+    return {
+        tuple(tuple(matrix[i][j] for j in block) for i in block)
+        for block in connected_components(graph)
+    }
+
+
+def test_single_pass_agrees_with_per_prime_path(grid, monkeypatch):
+    blocks = set()
+    for group in [g for _, _, g in grid] + [
+        _permutation_group(4, False),
+        _permutation_group(5, True),
+    ]:
+        blocks |= _distinct_blocks(group)
+    blocks = [[list(row) for row in key] for key in sorted(blocks)]
+    calls = _spy_char_poly_mod(monkeypatch)
+    single = [spectra._multimodular_char_poly(b) for b in blocks]
+    assert len(calls) == len(blocks) and not any(g for _, g in calls)
+    # refuse every composite modulus, forcing the Garner path
+    original = spectra._char_poly_mod
+    monkeypatch.setattr(
+        spectra,
+        "_char_poly_mod",
+        lambda a, modulus: original(a, modulus) if modulus < 2**62 else None,
+    )
+    assert [spectra._multimodular_char_poly(b) for b in blocks] == single
+
+
+@pytest.mark.parametrize(
+    "make_group, distinct",
+    [
+        (lambda: build(FamilySpec.heis(7)), 1),
+        (lambda: build(FamilySpec.dihedral(40)), 2),
+        (lambda: _permutation_group(5, False), 2),
+    ],
+    ids=["heis:7", "dihedral:40", "S5"],
+)
+def test_one_modular_pass_per_distinct_block(make_group, distinct, monkeypatch):
+    # S5: a 95-vertex block and six copies of K_4
+    group = make_group()
+    assert len(_distinct_blocks(group)) == distinct
+    calls = _spy_char_poly_mod(monkeypatch)
+    char_poly(build_commuting_graph(group).to_matrix())
+    assert len(calls) == distinct
+    assert not any(gave_up for _, gave_up in calls)
 
 
 def test_crt_primes_are_the_largest_primes_below_2_62():
@@ -294,15 +390,24 @@ def test_miller_rabin_agrees_with_trial_division():
     assert not spectra._is_prime_mr(561)
 
 
-def _permutation_group(degree, even):
+def _permutation_table(degree, even, rng=None):
+    """Cayley table of the symmetric or alternating group.
+
+    The elements are in lexicographic order, identity first, unless rng is
+    given; then they are shuffled.
+    """
     perms = list(itertools.permutations(range(degree)))
     if even:
         pairs = list(itertools.combinations(range(degree), 2))
         perms = [p for p in perms if sum(p[i] > p[j] for i, j in pairs) % 2 == 0]
+    if rng is not None:
+        rng.shuffle(perms)
     index = {p: i for i, p in enumerate(perms)}
-    return from_cayley_table(
-        [[index[tuple(a[x] for x in b)] for b in perms] for a in perms]
-    )
+    return [[index[tuple(a[x] for x in b)] for b in perms] for a in perms]
+
+
+def _permutation_group(degree, even):
+    return from_cayley_table(_permutation_table(degree, even))
 
 
 @pytest.mark.parametrize("degree, even", [(4, False), (5, True)])
