@@ -10,7 +10,6 @@ from .catalog import (
     FamilySpec,
     build,
     direct_product,
-    extraspecial,
     list_catalog,
     parse_family,
 )

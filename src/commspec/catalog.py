@@ -218,21 +218,6 @@ def _zpzp(p: int) -> FiniteGroup:
     return direct_product(_cyclic(p), _cyclic(p))
 
 
-def extraspecial(p: int, kind: str) -> FiniteGroup:
-    """One of the two non-abelian groups of order p^3.
-
-    ``kind`` is ``"heisenberg"`` (exponent p for odd p) or
-    ``"exp_p_squared"`` (has an element of order p^2 for odd p).
-    """
-    if not is_prime(p):
-        raise NotPrimeError(f"extraspecial needs a prime, got {p}")
-    if kind == "heisenberg":
-        return _heisenberg(p)
-    if kind == "exp_p_squared":
-        return _exp_p_squared(p)
-    raise ParameterOutOfRange(f"unknown extraspecial kind {kind!r}")
-
-
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Componentwise product; element (a, b) is encoded as a*|H| + b."""
     hn = h.order
@@ -264,9 +249,9 @@ def build(spec: FamilySpec) -> FiniteGroup:
     if spec.kind == "u6n":
         return _u6n(*spec.params)
     if spec.kind == "heis":
-        return extraspecial(spec.params[0], "heisenberg")
+        return _heisenberg(*spec.params)
     if spec.kind == "expp2":
-        return extraspecial(spec.params[0], "exp_p_squared")
+        return _exp_p_squared(*spec.params)
     if spec.kind == "zpzp":
         return _zpzp(*spec.params)
     if spec.kind == "cyclic":

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import AbelianGroupError, IndexOutOfRange
-from .groups import FiniteGroup, center
+from .groups import FiniteGroup, _bits, center
 
 
 @dataclass(frozen=True)
@@ -23,9 +23,6 @@ class CommutingGraph:
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
-
-    def adjacent(self, i: int, j: int) -> bool:
-        return bool(self.adjacency[i] >> j & 1)
 
     def degree(self, i: int) -> int:
         return self.adjacency[i].bit_count()
@@ -39,11 +36,7 @@ class CommutingGraph:
         """Edges as (i, j) position pairs with i < j, sorted."""
         out = []
         for i in range(self.vertex_count):
-            rest = self.adjacency[i] >> (i + 1) << (i + 1)
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                out.append((i, j))
-                rest &= rest - 1
+            out.extend((i, j) for j in _bits(self.adjacency[i] >> (i + 1) << (i + 1)))
         return out
 
 
@@ -56,21 +49,22 @@ class CliqueDecomposition:
 
 
 def build_commuting_graph(group: FiniteGroup) -> CommutingGraph:
-    """Graph on the non-central elements, adjacent iff they commute."""
+    """Graph on the non-central elements, adjacent iff they commute.
+
+    Each vertex's row is its commutation mask restricted to the non-central
+    elements, without its own bit, renumbered to vertex positions.
+    """
     if group.is_abelian():
         raise AbelianGroupError("commuting graph is undefined for abelian groups")
     central = set(center(group).members)
     verts = tuple(x for x in range(group.order) if x not in central)
-    k = len(verts)
-    adj = [0] * k
-    edges = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            if group.commutes(verts[i], verts[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-                edges += 1
-    return CommutingGraph(verts, tuple(adj), edges)
+    position = {x: i for i, x in enumerate(verts)}
+    masks = group.commuting_masks
+    adj = tuple(
+        sum(1 << position[y] for y in _bits(masks[x]) if y in position and y != x)
+        for x in verts
+    )
+    return CommutingGraph(verts, adj, sum(row.bit_count() for row in adj) // 2)
 
 
 def raw_graph(
@@ -106,24 +100,13 @@ def connected_components(graph: CommutingGraph) -> list[tuple[int, ...]]:
         frontier = start
         while frontier:
             grow = 0
-            rest = frontier
-            while rest:
-                v = (rest & -rest).bit_length() - 1
+            for v in _bits(frontier):
                 grow |= adj[v]
-                rest &= rest - 1
             frontier = grow & ~comp & unseen
             comp |= frontier
         unseen &= ~comp
         components.append(tuple(_bits(comp)))
     return components
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
 
 
 def clique_decomposition(graph: CommutingGraph) -> CliqueDecomposition:

@@ -3,8 +3,10 @@
 Element 0 is always the identity; the constructor relabels elements when the
 identity sits elsewhere.  Every value here is immutable after construction
 and all operations are pure functions, so groups and derived data can be
-shared freely between workers.  A group's center is scanned on first use and
-kept on the group.
+shared freely between workers.  A group's commutation relation is scanned
+once, on first use, into one bitmask per element and kept on the group; the
+center, the centralizers, the commuting graph and the non-commuting search
+all read those masks.
 """
 
 from __future__ import annotations
@@ -53,21 +55,18 @@ class FiniteGroup:
         return k
 
     def is_abelian(self) -> bool:
-        table = self.table
-        return all(
-            table[i][j] == table[j][i]
-            for i in range(len(table))
-            for j in range(i + 1, len(table))
-        )
-
-    def commutes(self, a: int, b: int) -> bool:
-        return self.table[a][b] == self.table[b][a]
+        full = (1 << self.order) - 1
+        return all(mask == full for mask in self.commuting_masks)
 
     @cached_property
-    def _center_members(self) -> tuple[int, ...]:
-        # stored in the instance dict on first use, so each group's center
-        # is scanned once however many callers ask for it
-        return _center_scan(self.table)
+    def commuting_masks(self) -> tuple[int, ...]:
+        """Bit y of entry x is set iff x*y == y*x.
+
+        Stored in the instance dict on first use, so each group's relation
+        is scanned once however many callers ask for it; it is not a field,
+        so equality and hashing see the table only.
+        """
+        return _commuting_masks(self.table)
 
 
 @dataclass(frozen=True)
@@ -203,32 +202,40 @@ def _swap_to_front(
     return new_rows, new_names
 
 
-def center(group: FiniteGroup) -> Center:
-    """Exact center by exhaustive commutation check, done once per group."""
-    return Center(group._center_members)
-
-
-def _center_scan(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    n = len(table)
+def _commuting_masks(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    # one O(n^2) pass: row x against column x
     return tuple(
-        z for z in range(n) if all(table[z][g] == table[g][z] for g in range(n))
+        sum(1 << y for y, (xy, yx) in enumerate(zip(row, column)) if xy == yx)
+        for row, column in zip(table, zip(*table))
     )
 
 
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
+def center(group: FiniteGroup) -> Center:
+    """The elements whose commutation mask is full."""
+    full = (1 << group.order) - 1
+    masks = group.commuting_masks
+    return Center(tuple(x for x, mask in enumerate(masks) if mask == full))
+
+
 def centralizer(group: FiniteGroup, x: int) -> Centralizer:
-    """All elements commuting with ``x``, found by brute force."""
+    """All elements commuting with ``x``: the bits of its commutation mask."""
     if not 0 <= x < group.order:
         raise IndexOutOfRange(f"element {x} not in 0..{group.order - 1}")
-    table = group.table
-    row_x = table[x]
-    members = tuple(y for y in range(group.order) if row_x[y] == table[y][x])
-    return Centralizer(x, members)
+    return Centralizer(x, tuple(_bits(group.commuting_masks[x])))
 
 
 def centralizer_count(group: FiniteGroup) -> int:
-    """Number of distinct centralizer subgroups (member sets)."""
-    distinct = {centralizer(group, x).members for x in range(group.order)}
-    return len(distinct)
+    """Number of distinct centralizer subgroups (distinct commutation masks)."""
+    return len(set(group.commuting_masks))
 
 
 def quotient_by_center(group: FiniteGroup) -> QuotientGroup:
@@ -335,8 +342,8 @@ def max_noncommuting_set(group: FiniteGroup, cap: int | None = None) -> list[int
     """A maximum set of pairwise non-commuting elements.
 
     Exact branch-and-bound maximum clique in the non-commuting graph on the
-    non-central elements, with a greedy-coloring bound.  Returns one witness
-    as sorted element indices.
+    non-central elements (the complemented commutation masks), with a
+    greedy-coloring bound.  Returns one witness as sorted element indices.
 
     With a ``cap`` the search stops as soon as the best set found has at
     least ``cap`` elements.  The result is still pairwise non-commuting, and
@@ -344,21 +351,14 @@ def max_noncommuting_set(group: FiniteGroup, cap: int | None = None) -> list[int
     """
     if group.is_abelian():
         raise AbelianGroupError("every pair of elements commutes")
-    z = set(center(group).members)
-    verts = [x for x in range(group.order) if x not in z]
-    k = len(verts)
-    adj = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            if not group.commutes(verts[i], verts[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    best = _max_clique(adj, k + 1 if cap is None else cap)
-    return sorted(verts[i] for i in best)
+    full = (1 << group.order) - 1
+    noncentral = full & ~sum(1 << z for z in center(group).members)
+    adj = [noncentral & ~mask for mask in group.commuting_masks]
+    best = _max_clique(adj, noncentral, group.order if cap is None else cap)
+    return sorted(best)
 
 
-def _max_clique(adj: list[int], cap: int) -> list[int]:
-    n = len(adj)
+def _max_clique(adj: list[int], cand: int, cap: int) -> list[int]:
     best: list[int] = []
 
     def color_order(cand: int) -> tuple[list[int], list[int]]:
@@ -394,8 +394,7 @@ def _max_clique(adj: list[int], cap: int) -> list[int]:
             clique.pop()
             cand &= ~(1 << v)
 
-    if n:
-        expand([], (1 << n) - 1)
+    expand([], cand)
     return best
 
 

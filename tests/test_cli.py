@@ -177,6 +177,40 @@ def test_suite_full_grid_json_is_pinned(capsys):
     assert _sha256(capsys.readouterr().out) == _SUITE_JSON_SHA256
 
 
+# sha256 of graph-bearing outputs of groups whose center interleaves with the
+# non-central elements (centers 0,1,4,5 / 0,2,8,10 / 0,3), recorded before the
+# graph was built from the commutation masks
+_GRAPH_OUTPUT_SHA256 = {
+    ("export-dot", "prod:dihedral:4,z2"): (
+        "44be04692094bfc2543196bd91dfe181e18f1efd07883785be91bfeeaad04add"
+    ),
+    ("analyze", "prod:dihedral:4,z2"): (
+        "5348ca086b4463be066f4b626804a41cf7633c928402823133741b6a42390de2"
+    ),
+    ("export-dot", "metacyclic:4,2"): (
+        "c297ba9a4162aae89c617eff8cd52579b45a130b8e3efd89b56147e12f58935a"
+    ),
+    ("analyze", "metacyclic:4,2"): (
+        "acd79b42c55d19c9502afb9140c50dff9405624a1de58795078f35646fb1409c"
+    ),
+    ("export-dot", "dicyclic:3"): (
+        "106c1764913127cb4057493f87a5f7d54942bcb3acfc321de8d88421dc23b901"
+    ),
+    ("analyze", "dicyclic:3"): (
+        "c0bca2b6ed36e75d6183afa26824a321a36e50787a5ca79baf35c1900ef473c2"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, spec", sorted(_GRAPH_OUTPUT_SHA256), ids="-".join
+)
+def test_graph_outputs_are_pinned(command, spec, capsys):
+    argv = [command, spec] + (["--format", "json"] if command == "analyze" else [])
+    assert main(argv) == 0
+    assert _sha256(capsys.readouterr().out) == _GRAPH_OUTPUT_SHA256[command, spec]
+
+
 def test_suite_reports_axiom_failure(corrupted_file, capsys):
     code = main(["suite", "--only", "u6n", "--extra", f"file:{corrupted_file}"])
     out = capsys.readouterr().out
@@ -321,14 +355,23 @@ def test_each_group_is_analysed_once(argv, groups, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, group_count",
-    [(["verify", "dihedral:5"], 1), (["suite", "--only", "Q1"], 2)],
-    ids=["verify", "suite"],
+    "argv, orders",
+    [
+        (["verify", "dihedral:5"], [10]),
+        (["suite", "--only", "Q1"], [12, 16]),
+        # recognize_small asks whether the order-4 central quotient is abelian
+        (["verify", "dicyclic:2"], [8, 4]),
+    ],
+    ids=["verify", "suite", "quotient"],
 )
-def test_each_center_is_scanned_once(argv, group_count, monkeypatch, capsys):
-    # verify_group, quotient_by_center, build_commuting_graph and
-    # max_noncommuting_set all ask for the center of the same group
-    scans = _count_calls(monkeypatch, groups, "_center_scan")
+def test_each_center_is_scanned_once(argv, orders, monkeypatch, capsys):
+    # the center, the centralizer count, the commuting graph and the
+    # non-commuting search all read one commutation scan per group
+    seen = []
+    original = groups._commuting_masks
+    monkeypatch.setattr(
+        groups, "_commuting_masks", lambda table: seen.append(len(table)) or original(table)
+    )
     assert main(argv) == 0
     capsys.readouterr()
-    assert len(scans) == group_count
+    assert seen == orders

@@ -13,6 +13,7 @@ from commspec.errors import (
     ParseError,
     QuotientError,
 )
+from commspec.graphs import build_commuting_graph
 from commspec.groups import (
     Center,
     Recognition,
@@ -30,7 +31,7 @@ from commspec.groups import (
     recognize_small,
 )
 
-from test_spectra import _permutation_group
+from test_spectra import _permutation_group, _permutation_table
 
 
 def s3_table():
@@ -231,18 +232,19 @@ def test_center_of_u6_is_trivial():
 
 def test_center_is_kept_on_its_group_only(monkeypatch):
     scans = []
-    original = groups._center_scan
+    original = groups._commuting_masks
     monkeypatch.setattr(
-        groups, "_center_scan", lambda table: scans.append(1) or original(table)
+        groups, "_commuting_masks", lambda table: scans.append(len(table)) or original(table)
     )
     first = build(FamilySpec.dihedral(4))
     second = build(FamilySpec.dihedral(4))
     assert center(first) == center(first) == Center((0, 2))
-    assert len(scans) == 1
-    # the kept center is not a field: equality and hashing see the table only
+    assert centralizer_count(first) == 4 and first.is_abelian() is False
+    assert scans == [8]
+    # the kept masks are not a field: equality and hashing see the table only
     assert first == second and hash(first) == hash(second)
     assert center(second) == center(first)
-    assert len(scans) == 2
+    assert scans == [8, 8]
 
 
 def test_centralizer_of_identity_is_whole_group(d6):
@@ -371,6 +373,64 @@ def test_capped_noncommuting_search_agrees_with_uncapped(grid):
             assert len(capped) == len(full), name
         else:
             assert len(capped) >= 5, name
+
+
+def _commutes(group, a, b):
+    # the pairwise oracle the commutation masks are checked against
+    return group.table[a][b] == group.table[b][a]
+
+
+def _shuffled_permutation_groups():
+    # identity not at index 0, so from_cayley_table relabels the elements
+    rng = random.Random(7)
+    tables = [_permutation_table(4, False, rng), _permutation_table(5, True, rng)]
+    assert all(table[0][0] != 0 for table in tables)
+    return [("S4", from_cayley_table(tables[0])), ("A5", from_cayley_table(tables[1]))]
+
+
+def test_commutation_masks_agree_with_pairwise_oracle(grid):
+    named = [(name, group) for name, _, group in grid] + _shuffled_permutation_groups()
+    for name, group in named:
+        n = group.order
+        members = [tuple(y for y in range(n) if _commutes(group, x, y)) for x in range(n)]
+        central = tuple(x for x in range(n) if len(members[x]) == n)
+        assert center(group).members == central, name
+        for x in range(n):
+            assert centralizer(group, x).members == members[x], name
+        assert centralizer_count(group) == len(set(members)), name
+        assert group.is_abelian() is (len(central) == n), name
+
+        graph = build_commuting_graph(group)
+        verts = tuple(x for x in range(n) if x not in central)
+        assert graph.vertices == verts, name
+        adjacency = tuple(
+            sum(1 << j for j, y in enumerate(verts) if y != x and _commutes(group, x, y))
+            for x in verts
+        )
+        assert graph.adjacency == adjacency, name
+        assert graph.edge_count == sum(
+            _commutes(group, x, y) for x, y in itertools.combinations(verts, 2)
+        ), name
+
+        for witness in (max_noncommuting_set(group), max_noncommuting_set(group, cap=5)):
+            assert witness == sorted(set(witness)), name
+            _assert_pairwise_noncommuting(group, witness)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FamilySpec.cyclic(6), FamilySpec.product(FamilySpec.cyclic(2), FamilySpec.cyclic(2))],
+    ids=["z6", "z2xz2"],
+)
+def test_commutation_masks_of_abelian_groups(spec):
+    group = build(spec)
+    assert group.is_abelian()
+    assert center(group).members == tuple(range(group.order))
+    assert centralizer_count(group) == 1
+    with pytest.raises(AbelianGroupError):
+        build_commuting_graph(group)
+    with pytest.raises(AbelianGroupError):
+        max_noncommuting_set(group)
 
 
 def test_max_noncommuting_set_rejects_abelian():
