@@ -1,8 +1,9 @@
 """Constructors for the named group families on the verification grid.
 
-Each family is built by enumerating normal-form words (a^i b^j and friends)
-and multiplying with the defining relations, then running the resulting
-table through full axiom validation.
+Each family's elements are normal-form words (a^i b^j, or (x, y, z) for
+the Heisenberg group) at fixed indices, and every table entry is the index
+of a product, written by index arithmetic from the defining relations.
+The table then runs through full axiom validation.
 """
 
 from __future__ import annotations
@@ -116,78 +117,92 @@ def _word(*terms: tuple[str, int]) -> str:
     return "".join(parts) or "1"
 
 
-def _tabulate(elements, mul, name):
-    index = {e: i for i, e in enumerate(elements)}
-    table = [[index[mul(x, y)] for y in elements] for x in elements]
-    return from_cayley_table(table, [name(e) for e in elements])
+def _cyclic_extension(
+    a_order: int, b_order: int, twist: int, b_power: int
+) -> FiniteGroup:
+    """The group of words a^i b^j, element a^i b^j at index j*|a| + i.
+
+    Relations: a^|a| = 1, b a b^-1 = a^twist and b^|b| = a^b_power.  Moving
+    b^j1 past a^i2 gives a^i1 b^j1 a^i2 b^j2 = a^(i1 + twist^j1 i2) b^(j1 + j2),
+    and b^(j1 + j2) picks up a^b_power when j1 + j2 reaches |b|.  Entries
+    are drawn from one list of indices, so the table shares its int objects.
+    """
+    n = a_order * b_order
+    idx = list(range(n))
+    # act[j][i]: the exponent of b^j a^i b^-j
+    act = [
+        [pow(twist, j, a_order) * i % a_order for i in range(a_order)]
+        for j in range(b_order)
+    ]
+    table = []
+    for j1 in range(b_order):
+        for i1 in range(a_order):
+            row = []
+            for j2 in range(b_order):
+                j = j1 + j2
+                shift = i1 + b_power if j >= b_order else i1
+                base = j % b_order * a_order
+                row += [idx[base + (shift + k) % a_order] for k in act[j1]]
+            table.append(row)
+    names = [_word(("a", i), ("b", j)) for j in range(b_order) for i in range(a_order)]
+    return from_cayley_table(table, names)
 
 
 def _dihedral(m: int) -> FiniteGroup:
     # <a, b : a^m = b^2 = 1, b a b^-1 = a^-1>, order 2m
-    elements = [(i, j) for j in range(2) for i in range(m)]
-
-    def mul(x, y):
-        i1, j1 = x
-        i2, j2 = y
-        i = (i1 + i2) if j1 == 0 else (i1 - i2)
-        return (i % m, (j1 + j2) % 2)
-
-    return _tabulate(elements, mul, lambda e: _word(("a", e[0]), ("b", e[1])))
+    return _cyclic_extension(m, 2, -1, 0)
 
 
 def _dicyclic(m: int) -> FiniteGroup:
     # <a, b : a^2m = 1, b^2 = a^m, b a b^-1 = a^-1>, order 4m
-    elements = [(i, j) for j in range(2) for i in range(2 * m)]
-
-    def mul(x, y):
-        i1, j1 = x
-        i2, j2 = y
-        i = (i1 + i2) if j1 == 0 else (i1 - i2)
-        j = j1 + j2
-        if j == 2:
-            i += m
-            j = 0
-        return (i % (2 * m), j)
-
-    return _tabulate(elements, mul, lambda e: _word(("a", e[0]), ("b", e[1])))
+    return _cyclic_extension(2 * m, 2, -1, m)
 
 
 def _metacyclic(m: int, n: int) -> FiniteGroup:
     # <a, b : a^m = b^2n = 1, b a b^-1 = a^-1>, order 2mn
-    elements = [(i, j) for j in range(2 * n) for i in range(m)]
-
-    def mul(x, y):
-        i1, j1 = x
-        i2, j2 = y
-        i = (i1 + i2) if j1 % 2 == 0 else (i1 - i2)
-        return (i % m, (j1 + j2) % (2 * n))
-
-    return _tabulate(elements, mul, lambda e: _word(("a", e[0]), ("b", e[1])))
+    return _cyclic_extension(m, 2 * n, -1, 0)
 
 
 def _u6n(n: int) -> FiniteGroup:
-    # <a, b : a^2n = b^3 = 1, a^-1 b a = b^-1>, order 6n
-    elements = [(j, i) for j in range(2 * n) for i in range(3)]
-
-    def mul(x, y):
-        j1, i1 = x
-        j2, i2 = y
-        i = (i1 + i2) if j2 % 2 == 0 else (i2 - i1)
-        return ((j1 + j2) % (2 * n), i % 3)
-
-    return _tabulate(elements, mul, lambda e: _word(("a", e[0]), ("b", e[1])))
+    # <a, b : a^2n = b^3 = 1, a^-1 b a = b^-1>, order 6n; a^j b^i at 3j + i,
+    # and a^j1 b^i1 a^j2 b^i2 = a^(j1 + j2) b^((-1)^j2 i1 + i2)
+    order_a = 2 * n
+    idx = list(range(3 * order_a))
+    table = [
+        [
+            idx[(j1 + j2) % order_a * 3 + ((i2 - i1) if j2 % 2 else (i1 + i2)) % 3]
+            for j2 in range(order_a)
+            for i2 in range(3)
+        ]
+        for j1 in range(order_a)
+        for i1 in range(3)
+    ]
+    names = [_word(("a", j), ("b", i)) for j in range(order_a) for i in range(3)]
+    return from_cayley_table(table, names)
 
 
 def _heisenberg(p: int) -> FiniteGroup:
-    # upper unitriangular 3x3 matrices over Z_p, as (x, y, z) triples
-    elements = [(x, y, z) for x in range(p) for y in range(p) for z in range(p)]
-
-    def mul(u, v):
-        x1, y1, z1 = u
-        x2, y2, z2 = v
-        return ((x1 + x2) % p, (y1 + y2) % p, (z1 + z2 + x1 * y2) % p)
-
-    return _tabulate(elements, mul, lambda e: f"({e[0]},{e[1]},{e[2]})")
+    # upper unitriangular 3x3 matrices over Z_p as (x, y, z) triples, at
+    # x*p^2 + y*p + z; (x1, y1, z1)(x2, y2, z2) = (x1 + x2, y1 + y2,
+    # z1 + z2 + x1*y2).  For fixed x2 and y2 the p products run through z
+    # cyclically from z1 + x1*y2, so each is two slices of one shared index
+    # list.
+    pp = p * p
+    idx = list(range(pp * p))
+    table = []
+    for x1 in range(p):
+        for y1 in range(p):
+            for z1 in range(p):
+                row = []
+                for x2 in range(p):
+                    for y2 in range(p):
+                        base = (x1 + x2) % p * pp + (y1 + y2) % p * p
+                        z = (z1 + x1 * y2) % p
+                        row += idx[base + z : base + p]
+                        row += idx[base : base + z]
+                table.append(row)
+    names = [f"({x},{y},{z})" for x in range(p) for y in range(p) for z in range(p)]
+    return from_cayley_table(table, names)
 
 
 def _exp_p_squared(p: int) -> FiniteGroup:
@@ -196,16 +211,7 @@ def _exp_p_squared(p: int) -> FiniteGroup:
     # quaternion group is returned instead to cover the second order-8 type.
     if p == 2:
         return _dicyclic(2)
-    pp = p * p
-    elements = [(i, j) for j in range(p) for i in range(pp)]
-    twist = [pow(1 + p, j, pp) for j in range(p)]
-
-    def mul(x, y):
-        i1, j1 = x
-        i2, j2 = y
-        return ((i1 + i2 * twist[j1]) % pp, (j1 + j2) % p)
-
-    return _tabulate(elements, mul, lambda e: _word(("a", e[0]), ("b", e[1])))
+    return _cyclic_extension(p * p, p, 1 + p, 0)
 
 
 def _cyclic(k: int) -> FiniteGroup:

@@ -245,13 +245,15 @@ def quotient_by_center(group: FiniteGroup) -> QuotientGroup:
     by their smallest element, so construction is deterministic.
     """
     z = center(group).members
+    table = group.table
     n = group.order
     coset_of = [-1] * n
     cosets: list[tuple[int, ...]] = []
     for x in range(n):
         if coset_of[x] >= 0:
             continue
-        members = tuple(sorted(group.mul(x, zi) for zi in z))
+        row = table[x]
+        members = tuple(sorted(row[zi] for zi in z))
         idx = len(cosets)
         cosets.append(members)
         for m in members:
@@ -260,11 +262,12 @@ def quotient_by_center(group: FiniteGroup) -> QuotientGroup:
     q = len(cosets)
     q_table = [[0] * q for _ in range(q)]
     for i, ci in enumerate(cosets):
+        rows = [table[a] for a in ci]
         for j, cj in enumerate(cosets):
-            expected = coset_of[group.mul(ci[0], cj[0])]
-            for a in ci:
+            expected = coset_of[rows[0][cj[0]]]
+            for row in rows:
                 for b in cj:
-                    if coset_of[group.mul(a, b)] != expected:
+                    if coset_of[row[b]] != expected:
                         raise QuotientError(
                             "coset product depends on representatives; "
                             "the designated subgroup is not the center"

@@ -2,23 +2,28 @@
 
 Everything here runs on arbitrary-precision integers; no floating point is
 involved anywhere, so an "integral" verdict is a certificate rather than an
-estimate.  The characteristic polynomial is computed blockwise over the
-connected components, and each distinct block is computed and spot-checked
-once.  A block is reduced to upper Hessenberg form in one pass modulo M,
-the product of enough word-size primes to exceed twice a proven bound on
-the coefficients, and the symmetric residues are the integer coefficients
+estimate.  A graph's spectrum is analysed one connected component at a
+time: det(xI - A) is the product of the blocks' polynomials, so the
+spectrum is the union of the blocks' spectra, and each distinct block is
+computed, spot-checked and searched for integer roots once.  A block is
+reduced to upper Hessenberg form in one pass modulo M, the product of
+enough word-size primes to exceed twice a proven bound on the
+coefficients, and the symmetric residues are the integer coefficients
 (Cohen, "A Course in Computational Algebraic Number Theory", the Hessenberg
 method; Dumas, Pernet and Wan, "Efficient computation of the characteristic
 polynomial", ISSAC 2005).  If no entry of some pivot column is a unit
 modulo M, the block is instead reduced once per prime and rebuilt by the
 Chinese remainder theorem.  It is then spot-checked against an independent
 fraction-free Bareiss determinant.  Integer roots are found among the
-divisors of the lowest nonzero coefficient.
+divisors of the lowest nonzero coefficient, bounded by the block's largest
+row sum.  The whole graph's polynomial is multiplied out only when it is
+read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 from operator import index as _exact_int
 from typing import Iterable, Sequence
@@ -32,7 +37,7 @@ from .errors import (
     ParameterOutOfRange,
     SpectralCheckError,
 )
-from .graphs import CommutingGraph
+from .graphs import CommutingGraph, connected_components
 
 
 @dataclass(frozen=True)
@@ -111,33 +116,36 @@ def char_poly_json(poly: CharPoly) -> list[int]:
 
 @dataclass(frozen=True)
 class SpectralAnalysis:
-    """Outcome of the exact integrality decision for one graph."""
+    """Outcome of the exact integrality decision for one graph.
+
+    ``factors`` pairs each distinct block polynomial with the number of
+    connected blocks that have it.  ``char_poly``, their product, is
+    multiplied out on first read.  Equality leaves the factors out: the
+    spectrum and the remainder already determine the product.
+    """
 
     integral: bool
     spectrum: Spectrum
-    char_poly: CharPoly
     remainder: CharPoly
     max_degree: int
+    factors: tuple[tuple[CharPoly, int], ...] = field(compare=False, repr=False)
+
+    @cached_property
+    def char_poly(self) -> CharPoly:
+        product = [1]
+        for factor, count in self.factors:
+            for _ in range(count):
+                product = _poly_mul(product, factor.coeffs)
+        return CharPoly(tuple(product))
 
 
 def char_poly(matrix: Sequence[Sequence[int]]) -> CharPoly:
     """Exact characteristic polynomial det(xI - A) of a symmetric matrix.
 
-    The matrix is split into connected blocks by reachability.  Each
-    distinct block is computed and spot-checked once: its polynomial is
-    computed modulo word-size primes from a Hessenberg form and rebuilt by
-    CRT under a proven coefficient bound, so it is exact by proof, and it is
-    then verified at t in {0, 1, -1} against an independent Bareiss
-    determinant.  A failed check raises :class:`SpectralCheckError`.  The
-    block polynomials are then multiplied together, one factor per block.
-
-    Blocks are keyed by their exact submatrix, rows and columns in the
-    block's sorted vertex order.  det(xI - B) is a function of B's entries,
-    so two blocks with equal keys are the same matrix and share the
-    coefficients that were proved and checked for it; a key never merges
-    two different matrices.  Isomorphic blocks whose vertex orders give
-    different submatrices get different keys and are computed separately.
-    The cache lives only for this call.
+    The matrix is split into the connected blocks of its support, and each
+    distinct block is computed and spot-checked once (``_block_char_poly``).
+    The block polynomials are then multiplied together, one factor per
+    block.  A failed check raises :class:`SpectralCheckError`.
     """
     # operator.index rejects floats, keeping the arithmetic exact
     a = [[_exact_int(v) for v in row] for row in matrix]
@@ -152,40 +160,52 @@ def char_poly(matrix: Sequence[Sequence[int]]) -> CharPoly:
             if a[i][j] != a[j][i]:
                 raise NotSymmetricError(f"entries ({i},{j}) and ({j},{i}) differ")
 
+    masks = tuple(sum(1 << j for j, v in enumerate(row) if v) for row in a)
+    support = CommutingGraph(
+        tuple(range(n)), masks, sum(m.bit_count() for m in masks) // 2
+    )
+    blocks = _distinct_blocks(support, lambda i, block: tuple(a[i][j] for j in block))
     product = [1]
-    checked: dict[tuple[tuple[int, ...], ...], list[int]] = {}
-    for block in _support_blocks(a):
-        key = tuple(tuple(a[i][j] for j in block) for i in block)
-        coeffs = checked.get(key)
-        if coeffs is None:
-            sub = [list(row) for row in key]
-            coeffs = _multimodular_char_poly(sub)
-            _spot_check(coeffs, sub)
-            checked[key] = coeffs
-        product = _poly_mul(product, coeffs)
+    for key, count in blocks.items():
+        coeffs = _block_char_poly(key)
+        for _ in range(count):
+            product = _poly_mul(product, coeffs)
     return CharPoly(tuple(product))
 
 
-def _support_blocks(a: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    seen = [False] * n
-    blocks = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in range(n):
-                if not seen[v] and a[u][v] != 0:
-                    seen[v] = True
-                    comp.append(v)
-                    stack.append(v)
-        comp.sort()
-        blocks.append(comp)
-    return blocks
+def _distinct_blocks(
+    graph: CommutingGraph, row
+) -> dict[tuple[tuple[int, ...], ...], int]:
+    """Each connected block's submatrix, with the number of blocks that have it.
+
+    ``row(i, block)`` is row i of the matrix restricted to the block's
+    columns.  Blocks are keyed by their exact submatrix, rows and columns in
+    the block's sorted vertex order.  det(xI - B) is a function of B's
+    entries, so two blocks with equal keys are the same matrix and share the
+    coefficients that were proved and checked for it; a key never merges
+    two different matrices.  Isomorphic blocks whose vertex orders give
+    different submatrices get different keys and are computed separately.
+    The keys live only for the caller's call.
+    """
+    counts: dict[tuple[tuple[int, ...], ...], int] = {}
+    for block in connected_components(graph):
+        key = tuple(row(i, block) for i in block)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _block_char_poly(key: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Coefficients of det(xI - B) for one block B, ascending.
+
+    They are computed modulo word-size primes from a Hessenberg form and
+    rebuilt under a proven coefficient bound, so they are exact by proof,
+    and then verified at t in {0, 1, -1} against an independent Bareiss
+    determinant.  A failed check raises :class:`SpectralCheckError`.
+    """
+    sub = [list(r) for r in key]
+    coeffs = _multimodular_char_poly(sub)
+    _spot_check(coeffs, sub)
+    return coeffs
 
 
 def _multimodular_char_poly(a: list[list[int]]) -> list[int]:
@@ -465,18 +485,39 @@ def _divide_linear(desc: list[int], r: int) -> tuple[list[int], int]:
 
 
 def is_integral(graph: CommutingGraph) -> SpectralAnalysis:
-    """Decide integrality of the graph's adjacency spectrum, exactly."""
-    cp = char_poly(graph.to_matrix())
-    bound = max(
-        (graph.degree(i) for i in range(graph.vertex_count)), default=0
+    """Decide integrality of the graph's adjacency spectrum, exactly.
+
+    Each distinct connected block, read from the adjacency bitmasks, gets
+    its exact polynomial and its integer roots up to its largest degree,
+    which bounds its eigenvalues.  The multiplicities add up over the
+    blocks, and the remainder is the product of the block remainders: by
+    unique factorisation of monic polynomials in Z[x] it is the product
+    polynomial with every integer root divided out.
+    """
+    adjacency = graph.adjacency
+    blocks = _distinct_blocks(
+        graph, lambda i, block: tuple(adjacency[i] >> j & 1 for j in block)
     )
-    spectrum, remainder = integer_spectrum(cp, bound)
+    pairs: list[tuple[int, int]] = []
+    factors = []
+    remainder = [1]
+    max_degree = 0
+    for key, count in blocks.items():
+        bound = max(sum(r) for r in key)
+        poly = CharPoly(tuple(_block_char_poly(key)))
+        spectrum, rest = integer_spectrum(poly, bound)
+        pairs.extend((value, mult * count) for value, mult in spectrum.pairs)
+        for _ in range(count):
+            remainder = _poly_mul(remainder, rest.coeffs)
+        factors.append((poly, count))
+        max_degree = max(max_degree, bound)
+    spectrum = spectrum_from_pairs(pairs, complete=len(remainder) == 1)
     return SpectralAnalysis(
         integral=spectrum.complete,
         spectrum=spectrum,
-        char_poly=cp,
-        remainder=remainder,
-        max_degree=bound,
+        remainder=CharPoly(tuple(remainder)),
+        max_degree=max_degree,
+        factors=tuple(factors),
     )
 
 

@@ -2,7 +2,13 @@ import pytest
 
 from commspec.catalog import FamilySpec, build, direct_product, list_catalog, parse_family
 from commspec.errors import NotPrimeError, ParameterOutOfRange, ParseError
-from commspec.groups import Recognition, center, quotient_by_center, recognize_small
+from commspec.groups import (
+    Recognition,
+    center,
+    from_cayley_table,
+    quotient_by_center,
+    recognize_small,
+)
 
 
 def _order_profile(group):
@@ -222,3 +228,139 @@ def test_parse_family(text, spec):
 def test_parse_family_errors(text):
     with pytest.raises((ParseError, ParameterOutOfRange)):
         parse_family(text)
+
+
+def _word(*terms):
+    parts = [sym if e == 1 else f"{sym}^{e}" for sym, e in terms if e]
+    return "".join(parts) or "1"
+
+
+def _by_tuples(elements, mul, name):
+    """A table by multiplying element tuples and looking each product up."""
+    index = {e: i for i, e in enumerate(elements)}
+    table = [[index[mul(x, y)] for y in elements] for x in elements]
+    return table, [name(e) for e in elements]
+
+
+def _ab_name(e):
+    return _word(("a", e[0]), ("b", e[1]))
+
+
+def _reference_dihedral(m):
+    elements = [(i, j) for j in range(2) for i in range(m)]
+
+    def mul(x, y):
+        i1, j1 = x
+        i2, j2 = y
+        i = (i1 + i2) if j1 == 0 else (i1 - i2)
+        return (i % m, (j1 + j2) % 2)
+
+    return _by_tuples(elements, mul, _ab_name)
+
+
+def _reference_dicyclic(m):
+    elements = [(i, j) for j in range(2) for i in range(2 * m)]
+
+    def mul(x, y):
+        i1, j1 = x
+        i2, j2 = y
+        i = (i1 + i2) if j1 == 0 else (i1 - i2)
+        j = j1 + j2
+        if j == 2:
+            i += m
+            j = 0
+        return (i % (2 * m), j)
+
+    return _by_tuples(elements, mul, _ab_name)
+
+
+def _reference_metacyclic(m, n):
+    elements = [(i, j) for j in range(2 * n) for i in range(m)]
+
+    def mul(x, y):
+        i1, j1 = x
+        i2, j2 = y
+        i = (i1 + i2) if j1 % 2 == 0 else (i1 - i2)
+        return (i % m, (j1 + j2) % (2 * n))
+
+    return _by_tuples(elements, mul, _ab_name)
+
+
+def _reference_u6n(n):
+    elements = [(j, i) for j in range(2 * n) for i in range(3)]
+
+    def mul(x, y):
+        j1, i1 = x
+        j2, i2 = y
+        i = (i1 + i2) if j2 % 2 == 0 else (i2 - i1)
+        return ((j1 + j2) % (2 * n), i % 3)
+
+    return _by_tuples(elements, mul, _ab_name)
+
+
+def _reference_heis(p):
+    elements = [(x, y, z) for x in range(p) for y in range(p) for z in range(p)]
+
+    def mul(u, v):
+        x1, y1, z1 = u
+        x2, y2, z2 = v
+        return ((x1 + x2) % p, (y1 + y2) % p, (z1 + z2 + x1 * y2) % p)
+
+    return _by_tuples(elements, mul, lambda e: f"({e[0]},{e[1]},{e[2]})")
+
+
+def _reference_expp2(p):
+    if p == 2:
+        return _reference_dicyclic(2)
+    pp = p * p
+    elements = [(i, j) for j in range(p) for i in range(pp)]
+    twist = [pow(1 + p, j, pp) for j in range(p)]
+
+    def mul(x, y):
+        i1, j1 = x
+        i2, j2 = y
+        return ((i1 + i2 * twist[j1]) % pp, (j1 + j2) % p)
+
+    return _by_tuples(elements, mul, _ab_name)
+
+
+_REFERENCE = {
+    "dihedral": _reference_dihedral,
+    "dicyclic": _reference_dicyclic,
+    "metacyclic": _reference_metacyclic,
+    "u6n": _reference_u6n,
+    "heis": _reference_heis,
+    "expp2": _reference_expp2,
+}
+
+
+def _reference_group(spec):
+    """The group with each family table built by multiplying element tuples
+    and looking every product up in a tuple -> index dict."""
+    if spec.kind == "product":
+        group = _reference_group(spec.factors[0])
+        for factor in spec.factors[1:]:
+            group = direct_product(group, _reference_group(factor))
+        return group
+    if spec.kind not in _REFERENCE:
+        return build(spec)  # cyclic and zpzp tables are built directly
+    return from_cayley_table(*_REFERENCE[spec.kind](*spec.params))
+
+
+_OFF_GRID = "heis:7 metacyclic:12,6 dihedral:40 dicyclic:12 u6n:6 expp2:5".split()
+_PINNED = [spec for _, spec in list_catalog()] + [parse_family(t) for t in _OFF_GRID]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    # dict.fromkeys drops dicyclic:12, which is also on the grid
+    list(dict.fromkeys(_PINNED)),
+    ids=lambda spec: spec.label(),
+)
+def test_family_tables_match_the_tuple_construction(spec):
+    # the index layouts keep the element order and names of normal-form
+    # words multiplied as tuples
+    group = build(spec)
+    expected = _reference_group(spec)
+    assert group.table == expected.table
+    assert group.names == expected.names

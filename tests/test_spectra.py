@@ -16,6 +16,7 @@ from commspec.errors import (
 )
 from commspec.graphs import build_commuting_graph, connected_components, raw_graph
 from commspec.groups import from_cayley_table, is_prime
+from commspec.predictions import verify_group
 from commspec.spectra import (
     CharPoly,
     char_poly,
@@ -578,3 +579,100 @@ def test_divisor_candidates_match_full_scan_on_random_polynomials():
             poly = poly * monic_linear(rng.randint(-6, 6))
         bound = rng.randint(0, 8)
         assert integer_spectrum(poly, bound) == _full_scan_integer_spectrum(poly, bound)
+
+
+def _oracle_analysis(graph):
+    """The whole graph's polynomial from its dense matrix, roots divided out."""
+    bound = max((graph.degree(i) for i in range(graph.vertex_count)), default=0)
+    poly = char_poly(graph.to_matrix())
+    return poly, integer_spectrum(poly, bound)
+
+
+def _edges_of(*blocks):
+    """Edge lists of the blocks laid side by side, with their vertex count."""
+    edges = []
+    offset = 0
+    for size, block_edges in blocks:
+        edges += [(u + offset, v + offset) for u, v in block_edges]
+        offset += size
+    return offset, edges
+
+
+_P3 = (3, [(0, 1), (1, 2)])
+_P3_MIDDLE_FIRST = (3, [(0, 1), (0, 2)])
+_C5 = (5, [(i, (i + 1) % 5) for i in range(5)])
+_K3 = (3, [(0, 1), (1, 2), (0, 2)])
+_RAW_GRAPHS = {
+    "empty": raw_graph(0, []),
+    "isolated": raw_graph(*_edges_of((1, []), _K3, (1, []), (1, []))),
+    "p3-c5-p3": raw_graph(*_edges_of(_P3, _C5, _P3)),
+    "p3-two-orders": raw_graph(*_edges_of(_P3, _P3_MIDDLE_FIRST)),
+    "k3-c5-mixed": raw_graph(*_edges_of(_K3, _C5, _K3, _C5, _K3)),
+}
+
+
+def _differential_cases(grid):
+    cases = [(name, build_commuting_graph(group)) for name, _, group in grid]
+    for label, degree, even, seed in (("S4", 4, False, 11), ("A5", 5, True, 12)):
+        table = _permutation_table(degree, even, random.Random(seed))
+        cases.append((label, build_commuting_graph(from_cayley_table(table))))
+    return cases + list(_RAW_GRAPHS.items())
+
+
+def test_factored_analysis_matches_the_whole_polynomial(grid):
+    for name, graph in _differential_cases(grid):
+        poly, (spectrum, remainder) = _oracle_analysis(graph)
+        analysis = is_integral(graph)
+        assert analysis.spectrum == spectrum, name
+        assert analysis.integral == spectrum.complete, name
+        assert analysis.remainder.coeffs == remainder.coeffs, name
+        assert analysis.char_poly == poly, name
+
+
+def test_repeated_non_integral_block_repeats_in_the_remainder():
+    analysis = is_integral(_RAW_GRAPHS["p3-c5-p3"])
+    # P3: x^3 - 2x leaves x^2 - 2; C5: (x - 2)(x^2 + x - 1)^2
+    x2_minus_2 = CharPoly((-2, 0, 1))
+    golden = CharPoly((-1, 1, 1))
+    assert analysis.remainder == x2_minus_2 * x2_minus_2 * golden * golden
+    assert analysis.spectrum.pairs == ((2, 1), (0, 2))
+
+
+def test_verify_group_never_forms_the_whole_polynomial(d12, monkeypatch):
+    calls = []
+    original = spectra.char_poly
+    monkeypatch.setattr(
+        spectra, "char_poly", lambda m: calls.append(1) or original(m)
+    )
+    report = verify_group(d12, "D12", FamilySpec.dihedral(6))
+    assert calls == []
+    assert "char_poly" not in vars(report.analysis)
+    assert report.analysis.char_poly == original(report.graph.to_matrix())
+    assert "char_poly" in vars(report.analysis)
+
+
+@pytest.mark.parametrize(
+    "make_graph, distinct",
+    [
+        (lambda: build_commuting_graph(build(FamilySpec.heis(7))), 1),
+        (lambda: build_commuting_graph(build(FamilySpec.dihedral(40))), 2),
+        (lambda: _RAW_GRAPHS["p3-c5-p3"], 2),
+        # the same path twice, in two vertex orders: two submatrices
+        (lambda: _RAW_GRAPHS["p3-two-orders"], 2),
+        (lambda: _RAW_GRAPHS["empty"], 0),
+    ],
+    ids=["heis:7", "dihedral:40", "p3-c5-p3", "p3-two-orders", "empty"],
+)
+def test_is_integral_proves_and_checks_each_distinct_block_once(
+    make_graph, distinct, monkeypatch
+):
+    graph = make_graph()
+    modular = []
+    original = spectra._multimodular_char_poly
+    monkeypatch.setattr(
+        spectra, "_multimodular_char_poly", lambda a: modular.append(1) or original(a)
+    )
+    determinants = _count_determinants(monkeypatch)
+    is_integral(graph)
+    assert len(modular) == distinct
+    assert len(determinants) == 3 * distinct
