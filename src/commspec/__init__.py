@@ -31,8 +31,6 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .graphs import (
-    CliqueDecomposition,
-    CommutingGraph,
     build_commuting_graph,
     clique_decomposition,
     connected_components,
@@ -44,7 +42,6 @@ from .groups import (
     Center,
     Centralizer,
     FiniteGroup,
-    QuotientGroup,
     Recognition,
     center,
     centralizer,
@@ -58,10 +55,6 @@ from .groups import (
     recognize_small,
 )
 from .predictions import (
-    CorollaryCheck,
-    Prediction,
-    PredictionCheck,
-    VerificationReport,
     predict_dihedral_quotient,
     predict_family,
     predict_zpzp,
@@ -71,8 +64,6 @@ from .predictions import (
 )
 from .spectra import (
     CharPoly,
-    SpectralAnalysis,
-    Spectrum,
     char_poly,
     char_poly_json,
     clique_union_spectrum,
@@ -82,7 +73,6 @@ from .spectra import (
     monic_linear,
     spectra_agree,
     spectrum_from_pairs,
-    spectrum_json,
 )
 
 __version__ = "0.1.0"

@@ -1,5 +1,12 @@
 """Constructors for the named group families on the verification grid.
 
+Every fact about a family is stated once, in the ``_FAMILIES`` table keyed
+by kind: its parameters and their ranges, its order, its builder and, where
+the paper displays one, its closed-form spectrum with the least parameters
+where that form holds.  ``FamilySpec`` validates against the table when it
+is constructed; ``order``, ``build``, ``parse_family`` and
+``predictions.predict_family`` read it.
+
 Each family's elements are normal-form words (a^i b^j, or (x, y, z) for
 the Heisenberg group) at fixed indices, and every table entry is the index
 of a product, written by index arithmetic from the defining relations.
@@ -10,72 +17,69 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
+from math import prod
+from typing import Callable, NamedTuple
 
 from .errors import NotPrimeError, ParameterOutOfRange, ParseError
 from .groups import FiniteGroup, from_cayley_table, is_prime
 
+
 @dataclass(frozen=True)
 class FamilySpec:
-    """Parameters of a group family; use the named constructors."""
+    """Parameters of a group family, checked against its table entry.
+
+    Only ``product`` holds ``factors`` instead of ``params``.
+    """
 
     kind: str
     params: tuple[int, ...] = ()
     factors: tuple["FamilySpec", ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.kind == "product":
+            if len(self.factors) < 2:
+                raise ParameterOutOfRange("product needs at least two factors")
+            return
+        if self.kind not in _FAMILIES:
+            raise ParseError(f"unknown family {self.kind!r}")
+        for param, value in zip(_params(self.kind, len(self.params)), self.params):
+            param.check(self.kind, value)
+
     @staticmethod
     def dihedral(m: int) -> "FamilySpec":
-        if m < 2:
-            raise ParameterOutOfRange(f"dihedral needs m >= 2, got {m}")
         return FamilySpec("dihedral", (m,))
 
     @staticmethod
     def dicyclic(m: int) -> "FamilySpec":
-        if m < 2:
-            raise ParameterOutOfRange(f"dicyclic needs m >= 2, got {m}")
         return FamilySpec("dicyclic", (m,))
 
     @staticmethod
     def metacyclic(m: int, n: int) -> "FamilySpec":
-        if m <= 2:
-            raise ParameterOutOfRange(f"metacyclic needs m > 2, got {m}")
-        if n < 1:
-            raise ParameterOutOfRange(f"metacyclic needs n >= 1, got {n}")
         return FamilySpec("metacyclic", (m, n))
 
     @staticmethod
     def u6n(n: int) -> "FamilySpec":
-        if n < 1:
-            raise ParameterOutOfRange(f"u6n needs n >= 1, got {n}")
         return FamilySpec("u6n", (n,))
 
     @staticmethod
     def heis(p: int) -> "FamilySpec":
-        if not is_prime(p):
-            raise NotPrimeError(f"heis needs a prime, got {p}")
         return FamilySpec("heis", (p,))
 
     @staticmethod
     def expp2(p: int) -> "FamilySpec":
-        if not is_prime(p):
-            raise NotPrimeError(f"expp2 needs a prime, got {p}")
         return FamilySpec("expp2", (p,))
 
     @staticmethod
     def zpzp(p: int) -> "FamilySpec":
-        if not is_prime(p):
-            raise NotPrimeError(f"zpzp needs a prime, got {p}")
         return FamilySpec("zpzp", (p,))
 
     @staticmethod
     def cyclic(k: int) -> "FamilySpec":
-        if k < 1:
-            raise ParameterOutOfRange(f"cyclic needs k >= 1, got {k}")
         return FamilySpec("cyclic", (k,))
 
     @staticmethod
     def product(*factors: "FamilySpec") -> "FamilySpec":
-        if len(factors) < 2:
-            raise ParameterOutOfRange("product needs at least two factors")
         return FamilySpec("product", (), tuple(factors))
 
     def label(self) -> str:
@@ -88,33 +92,13 @@ class FamilySpec:
 
     def order(self) -> int:
         """Group order from the closed form, without building the table."""
-        if self.kind == "dihedral":
-            return 2 * self.params[0]
-        if self.kind == "dicyclic":
-            return 4 * self.params[0]
-        if self.kind == "metacyclic":
-            return 2 * self.params[0] * self.params[1]
-        if self.kind == "u6n":
-            return 6 * self.params[0]
-        if self.kind in ("heis", "expp2"):
-            return self.params[0] ** 3
-        if self.kind == "zpzp":
-            return self.params[0] ** 2
-        if self.kind == "cyclic":
-            return self.params[0]
-        prod = 1
-        for f in self.factors:
-            prod *= f.order()
-        return prod
+        if self.kind == "product":
+            return prod(f.order() for f in self.factors)
+        return _FAMILIES[self.kind].order(*self.params)
 
 
 def _word(*terms: tuple[str, int]) -> str:
-    parts = []
-    for sym, e in terms:
-        if e == 0:
-            continue
-        parts.append(sym if e == 1 else f"{sym}^{e}")
-    return "".join(parts) or "1"
+    return "".join(sym if e == 1 else f"{sym}^{e}" for sym, e in terms if e) or "1"
 
 
 def _cyclic_extension(
@@ -146,21 +130,6 @@ def _cyclic_extension(
             table.append(row)
     names = [_word(("a", i), ("b", j)) for j in range(b_order) for i in range(a_order)]
     return from_cayley_table(table, names)
-
-
-def _dihedral(m: int) -> FiniteGroup:
-    # <a, b : a^m = b^2 = 1, b a b^-1 = a^-1>, order 2m
-    return _cyclic_extension(m, 2, -1, 0)
-
-
-def _dicyclic(m: int) -> FiniteGroup:
-    # <a, b : a^2m = 1, b^2 = a^m, b a b^-1 = a^-1>, order 4m
-    return _cyclic_extension(2 * m, 2, -1, m)
-
-
-def _metacyclic(m: int, n: int) -> FiniteGroup:
-    # <a, b : a^m = b^2n = 1, b a b^-1 = a^-1>, order 2mn
-    return _cyclic_extension(m, 2 * n, -1, 0)
 
 
 def _u6n(n: int) -> FiniteGroup:
@@ -210,7 +179,7 @@ def _exp_p_squared(p: int) -> FiniteGroup:
     # At p = 2 this presentation collapses onto the dihedral group, so the
     # quaternion group is returned instead to cover the second order-8 type.
     if p == 2:
-        return _dicyclic(2)
+        return _cyclic_extension(4, 2, -1, 2)  # dicyclic:2
     return _cyclic_extension(p * p, p, 1 + p, 0)
 
 
@@ -218,10 +187,6 @@ def _cyclic(k: int) -> FiniteGroup:
     table = [[(i + j) % k for j in range(k)] for i in range(k)]
     names = [_word(("z", i)) for i in range(k)]
     return from_cayley_table(table, names)
-
-
-def _zpzp(p: int) -> FiniteGroup:
-    return direct_product(_cyclic(p), _cyclic(p))
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -244,30 +209,118 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     return from_cayley_table(table, names)
 
 
+class _Param(NamedTuple):
+    """One parameter's range: ``name op bound`` for ``op`` ">=" or ">", or prime."""
+
+    name: str
+    op: str
+    bound: int = 2
+
+    @property
+    def least(self) -> int:
+        return self.bound + (self.op == ">")
+
+    def check(self, kind: str, value: int) -> None:
+        if self.op == "prime":
+            if not is_prime(value):
+                raise NotPrimeError(f"{kind} needs a prime, got {value}")
+        elif value < self.least:
+            raise ParameterOutOfRange(
+                f"{kind} needs {self.name} {self.op} {self.bound}, got {value}"
+            )
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One family's entry in ``_FAMILIES``."""
+
+    params: tuple[_Param, ...]
+    order: Callable[..., int]
+    build: Callable[..., FiniteGroup]
+    # the displayed closed form: the parameters give the source name and the
+    # (eigenvalue, multiplicity) pairs of the whole spectrum
+    spectrum: Callable[..., tuple[str, list[tuple[int, int]]]] | None = None
+    # the least parameters where ``spectrum`` holds, where they exceed the
+    # family's own least parameters
+    spectrum_from: tuple[int, ...] = ()
+
+
+def _dihedral_spectrum(m: int) -> tuple[str, list[tuple[int, int]]]:
+    if m % 2:
+        return "dihedral-odd", [(m - 2, 1), (0, m), (-1, m - 2)]
+    return "dihedral-even", [(m - 3, 1), (1, m // 2), (-1, 3 * m // 2 - 3)]
+
+
+def _metacyclic_spectrum(m: int, n: int) -> tuple[str, list[tuple[int, int]]]:
+    if m % 2:
+        return "metacyclic-odd", [
+            (m * n - n - 1, 1),
+            (n - 1, m),
+            (-1, 2 * m * n - m - n - 1),
+        ]
+    return "metacyclic-even", [
+        (m * n - 2 * n - 1, 1),
+        (2 * n - 1, m // 2),
+        (-1, 2 * m * n - 2 * n - m // 2 - 1),
+    ]
+
+
+_AT_LEAST_2 = _Param("m", ">=", 2)
+_PRIME = _Param("p", "prime")
+
+_FAMILIES: dict[str, _Family] = {
+    # <a, b : a^m = b^2 = 1, b a b^-1 = a^-1>
+    "dihedral": _Family(
+        params=(_AT_LEAST_2,),
+        order=lambda m: 2 * m,
+        build=lambda m: _cyclic_extension(m, 2, -1, 0),
+        spectrum=_dihedral_spectrum,
+        spectrum_from=(3,),
+    ),
+    # <a, b : a^2m = 1, b^2 = a^m, b a b^-1 = a^-1>
+    "dicyclic": _Family(
+        params=(_AT_LEAST_2,),
+        order=lambda m: 4 * m,
+        build=lambda m: _cyclic_extension(2 * m, 2, -1, m),
+        spectrum=lambda m: ("dicyclic", [(2 * m - 3, 1), (1, m), (-1, 3 * m - 3)]),
+    ),
+    # <a, b : a^m = b^2n = 1, b a b^-1 = a^-1>
+    "metacyclic": _Family(
+        params=(_Param("m", ">", 2), _Param("n", ">=", 1)),
+        order=lambda m, n: 2 * m * n,
+        build=lambda m, n: _cyclic_extension(m, 2 * n, -1, 0),
+        spectrum=_metacyclic_spectrum,
+    ),
+    "u6n": _Family(
+        params=(_Param("n", ">=", 1),),
+        order=lambda n: 6 * n,
+        build=_u6n,
+        spectrum=lambda n: ("u6n", [(2 * n - 1, 1), (n - 1, 3), (-1, 5 * n - 4)]),
+    ),
+    "heis": _Family(params=(_PRIME,), order=lambda p: p**3, build=_heisenberg),
+    "expp2": _Family(params=(_PRIME,), order=lambda p: p**3, build=_exp_p_squared),
+    "zpzp": _Family(
+        params=(_PRIME,),
+        order=lambda p: p * p,
+        build=lambda p: direct_product(_cyclic(p), _cyclic(p)),
+    ),
+    "cyclic": _Family(params=(_Param("k", ">=", 1),), order=lambda k: k, build=_cyclic),
+}
+
+
+def _params(kind: str, count: int) -> tuple[_Param, ...]:
+    """The parameter ranges of ``kind``, once ``count`` values fit them."""
+    params = _FAMILIES[kind].params
+    if count != len(params):
+        raise ParseError(f"{kind} takes {len(params)} parameter(s), got {count}")
+    return params
+
+
 def build(spec: FamilySpec) -> FiniteGroup:
     """Build and validate the group described by ``spec``."""
-    if spec.kind == "dihedral":
-        return _dihedral(*spec.params)
-    if spec.kind == "dicyclic":
-        return _dicyclic(*spec.params)
-    if spec.kind == "metacyclic":
-        return _metacyclic(*spec.params)
-    if spec.kind == "u6n":
-        return _u6n(*spec.params)
-    if spec.kind == "heis":
-        return _heisenberg(*spec.params)
-    if spec.kind == "expp2":
-        return _exp_p_squared(*spec.params)
-    if spec.kind == "zpzp":
-        return _zpzp(*spec.params)
-    if spec.kind == "cyclic":
-        return _cyclic(*spec.params)
     if spec.kind == "product":
-        group = build(spec.factors[0])
-        for factor in spec.factors[1:]:
-            group = direct_product(group, build(factor))
-        return group
-    raise ParameterOutOfRange(f"unknown family kind {spec.kind!r}")
+        return reduce(direct_product, map(build, spec.factors))
+    return _FAMILIES[spec.kind].build(*spec.params)
 
 
 def list_catalog() -> list[tuple[str, FamilySpec]]:
@@ -297,16 +350,6 @@ def list_catalog() -> list[tuple[str, FamilySpec]]:
 
 _CYCLIC_TOKEN = re.compile(r"z(\d+)")
 
-_INT_ARGS = {
-    "dihedral": 1,
-    "dicyclic": 1,
-    "metacyclic": 2,
-    "u6n": 1,
-    "heis": 1,
-    "expp2": 1,
-    "zpzp": 1,
-}
-
 
 def parse_family(text: str) -> FamilySpec:
     """Parse a CLI family string like ``dicyclic:2`` or ``prod:dihedral:4,z3``."""
@@ -321,20 +364,17 @@ def parse_family(text: str) -> FamilySpec:
         if not sep or not rest:
             raise ParseError("prod: needs comma-separated factors")
         return FamilySpec.product(*_parse_factors(rest))
-    if head in _INT_ARGS:
-        if not sep:
-            raise ParseError(f"{head} needs parameters, e.g. {head}:2")
-        args = rest.split(",")
-        if len(args) != _INT_ARGS[head]:
-            raise ParseError(
-                f"{head} takes {_INT_ARGS[head]} parameter(s), got {len(args)}"
-            )
-        try:
-            values = [int(a) for a in args]
-        except ValueError:
-            raise ParseError(f"non-integer parameter in {text!r}") from None
-        return getattr(FamilySpec, head)(*values)
-    raise ParseError(f"unknown family {head!r}")
+    if head == "cyclic" or head not in _FAMILIES:  # cyclic is spelled z<k>
+        raise ParseError(f"unknown family {head!r}")
+    if not sep:
+        raise ParseError(f"{head} needs parameters, e.g. {head}:2")
+    args = rest.split(",")
+    _params(head, len(args))
+    try:
+        values = tuple(int(a) for a in args)
+    except ValueError:
+        raise ParseError(f"non-integer parameter in {text!r}") from None
+    return FamilySpec(head, values)
 
 
 def _parse_factors(rest: str) -> list[FamilySpec]:

@@ -20,6 +20,7 @@ from .errors import (
     AbelianGroupError,
     AxiomViolation,
     IndexOutOfRange,
+    ParameterOutOfRange,
     ParseError,
     QuotientError,
 )
@@ -401,18 +402,39 @@ def _max_clique(adj: list[int], cand: int, cap: int) -> list[int]:
     return best
 
 
+# Miller-Rabin with the first 12 primes as bases is exact below _MR_BOUND, the
+# least strong pseudoprime to all of them (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality: division by the 12 bases, then Miller-Rabin on them.
+
+    An n at or above ``_MR_BOUND`` (about 3.2 * 10**23) that no base divides
+    raises ``ParameterOutOfRange`` rather than risk a strong pseudoprime.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_BOUND:
+        raise ParameterOutOfRange(f"primes are tested only below {_MR_BOUND}, got {n}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

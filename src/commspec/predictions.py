@@ -3,17 +3,18 @@
 When the quotient of a group by its center is elementary abelian p x p or
 dihedral, the commuting graph is a disjoint union of centralizer cliques
 and its spectrum has a closed form in p (or m) and the center size.  This
-module evaluates those closed forms, plus the per-family specializations,
-and checks every applicable prediction against the brute-force pipeline.
-Each group is analysed once: the centralizer-count corollaries are
-evaluated from its verification report.
+module evaluates those closed forms, plus the per-family specializations
+stated in the catalog's family table, and checks every applicable
+prediction against the brute-force pipeline.  Each group is analysed
+once: the centralizer-count corollaries are evaluated from its
+verification report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import FamilySpec
+from .catalog import _FAMILIES, FamilySpec
 from .errors import AbelianGroupError, NotPrimeError, ParameterOutOfRange, UnsupportedFamilyError
 from .graphs import (
     CommutingGraph,
@@ -125,45 +126,18 @@ def predict_dihedral_quotient(m: int, z: int) -> Prediction:
 
 def predict_family(spec: FamilySpec) -> Prediction:
     """The displayed closed-form spectrum for a supported catalog family."""
-    if spec.kind == "metacyclic":
-        m, n = spec.params
-        if m <= 2:
-            raise UnsupportedFamilyError(f"metacyclic closed form needs m > 2, got {m}")
-        if m % 2 == 1:
-            pairs = [
-                (m * n - n - 1, 1),
-                (n - 1, m),
-                (-1, 2 * m * n - m - n - 1),
-            ]
-            return Prediction("metacyclic-odd", (m, n), spectrum_from_pairs(pairs))
-        pairs = [
-            (m * n - 2 * n - 1, 1),
-            (2 * n - 1, m // 2),
-            (-1, 2 * m * n - 2 * n - m // 2 - 1),
-        ]
-        return Prediction("metacyclic-even", (m, n), spectrum_from_pairs(pairs))
-    if spec.kind == "dihedral":
-        (m,) = spec.params
-        if m <= 2:
-            raise UnsupportedFamilyError(f"dihedral closed form needs m > 2, got {m}")
-        if m % 2 == 1:
-            pairs = [(m - 2, 1), (0, m), (-1, m - 2)]
-            return Prediction("dihedral-odd", (m,), spectrum_from_pairs(pairs))
-        pairs = [(m - 3, 1), (1, m // 2), (-1, 3 * m // 2 - 3)]
-        return Prediction("dihedral-even", (m,), spectrum_from_pairs(pairs))
-    if spec.kind == "dicyclic":
-        (m,) = spec.params
-        if m < 2:
-            raise UnsupportedFamilyError(f"dicyclic closed form needs m >= 2, got {m}")
-        pairs = [(2 * m - 3, 1), (1, m), (-1, 3 * m - 3)]
-        return Prediction("dicyclic", (m,), spectrum_from_pairs(pairs))
-    if spec.kind == "u6n":
-        (n,) = spec.params
-        if n < 1:
-            raise UnsupportedFamilyError(f"u6n closed form needs n >= 1, got {n}")
-        pairs = [(2 * n - 1, 1), (n - 1, 3), (-1, 5 * n - 4)]
-        return Prediction("u6n", (n,), spectrum_from_pairs(pairs))
-    raise UnsupportedFamilyError(f"no closed-form spectrum for family {spec.kind!r}")
+    family = _FAMILIES.get(spec.kind)
+    if family is None or family.spectrum is None:
+        raise UnsupportedFamilyError(
+            f"no closed-form spectrum for family {spec.kind!r}"
+        )
+    if any(v < least for v, least in zip(spec.params, family.spectrum_from)):
+        least = FamilySpec(spec.kind, family.spectrum_from).label()
+        raise UnsupportedFamilyError(
+            f"the closed form holds from {least}, got {spec.label()}"
+        )
+    source, pairs = family.spectrum(*spec.params)
+    return Prediction(source, spec.params, spectrum_from_pairs(pairs))
 
 
 def verify_group(

@@ -38,6 +38,7 @@ from .errors import (
     SpectralCheckError,
 )
 from .graphs import CommutingGraph, connected_components
+from .groups import is_prime
 
 
 @dataclass(frozen=True)
@@ -347,39 +348,10 @@ def _crt_prime(i: int) -> int:
     """The i-th largest prime below 2**62, counting from 0."""
     candidate = _CRT_PRIMES[-1] - 2 if _CRT_PRIMES else (1 << 62) - 1
     while len(_CRT_PRIMES) <= i:
-        if _is_prime_mr(candidate):
+        if is_prime(candidate):
             _CRT_PRIMES.append(candidate)
         candidate -= 2
     return _CRT_PRIMES[i]
-
-
-def _is_prime_mr(n: int) -> bool:
-    """Miller-Rabin with the first 12 primes as bases.
-
-    Deterministic below 3.1 * 10**23 (Sorenson and Webster, 2015), which
-    covers every candidate below 2**62.
-    """
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n < 2:
-        return False
-    for q in bases:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in bases:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _spot_check(coeffs: list[int], a: list[list[int]]) -> None:

@@ -1,14 +1,25 @@
 import pytest
 
-from commspec.catalog import FamilySpec, build, direct_product, list_catalog, parse_family
+from commspec.catalog import (
+    _FAMILIES,
+    FamilySpec,
+    build,
+    direct_product,
+    list_catalog,
+    parse_family,
+)
 from commspec.errors import NotPrimeError, ParameterOutOfRange, ParseError
+from commspec.graphs import build_commuting_graph
 from commspec.groups import (
+    _MR_BOUND,
     Recognition,
     center,
     from_cayley_table,
     quotient_by_center,
     recognize_small,
 )
+from commspec.predictions import predict_family
+from commspec.spectra import is_integral
 
 
 def _order_profile(group):
@@ -157,6 +168,9 @@ def test_zpzp_build_recognized():
         (FamilySpec.metacyclic, (3, 0)),
         (FamilySpec.u6n, (0,)),
         (FamilySpec.cyclic, (0,)),
+        # a spec built directly is checked like one from its constructor
+        (FamilySpec, ("dihedral", (1,))),
+        (FamilySpec, ("metacyclic", (3, -1))),
     ],
 )
 def test_parameter_ranges(factory, args):
@@ -164,10 +178,67 @@ def test_parameter_ranges(factory, args):
         factory(*args)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("foo",), "unknown family 'foo'"),
+        (("dihedral", (3, 4)), "dihedral takes 1 parameter(s), got 2"),
+        (("metacyclic", (3,)), "metacyclic takes 2 parameter(s), got 1"),
+        (("cyclic", ()), "cyclic takes 1 parameter(s), got 0"),
+    ],
+)
+def test_direct_construction_checks_kind_and_arity(args, message):
+    with pytest.raises(ParseError) as info:
+        FamilySpec(*args)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("factory", [FamilySpec.heis, FamilySpec.expp2, FamilySpec.zpzp])
 def test_prime_parameters(factory):
+    # 561 is a Carmichael number, 3215031751 a strong pseudoprime to the
+    # bases 2, 3, 5 and 7, and 10**30 is decided by its factor 2 above the
+    # Miller-Rabin bound
+    for value in (4, 1, 0, -3, 561, 3215031751, (2**31 - 1) ** 2, 10**30):
+        with pytest.raises(NotPrimeError):
+            factory(value)
     with pytest.raises(NotPrimeError):
-        factory(4)
+        FamilySpec(factory.__name__, (4,))
+    # no factor among the bases, so primality is not decided at the bound
+    with pytest.raises(ParameterOutOfRange):
+        factory(_MR_BOUND)
+    # a 17-digit prime is accepted without building anything
+    assert factory(10**16 + 61).params == (10**16 + 61,)
+
+
+def _lowest(kind, above=()):
+    """The least valid parameters of ``kind``, raised to ``above`` where given."""
+    least = [param.least for param in _FAMILIES[kind].params]
+    for i, value in enumerate(above):
+        least[i] = max(least[i], value)
+    return tuple(least)
+
+
+@pytest.mark.parametrize("kind", list(_FAMILIES))
+def test_lowest_parameters_build_at_their_order(kind):
+    spec = FamilySpec(kind, _lowest(kind))
+    assert build(spec).order == spec.order()
+    # one step below the least value of any parameter is refused
+    for i, param in enumerate(_FAMILIES[kind].params):
+        below = list(spec.params)
+        below[i] -= 1
+        error = NotPrimeError if param.op == "prime" else ParameterOutOfRange
+        with pytest.raises(error):
+            FamilySpec(kind, tuple(below))
+
+
+@pytest.mark.parametrize(
+    "kind", [kind for kind, family in _FAMILIES.items() if family.spectrum]
+)
+def test_closed_forms_hold_at_their_lowest_parameters(kind):
+    spec = FamilySpec(kind, _lowest(kind, _FAMILIES[kind].spectrum_from))
+    brute = is_integral(build_commuting_graph(build(spec))).spectrum
+    assert brute.complete
+    assert predict_family(spec).spectrum.pairs == brute.pairs
 
 
 def test_product_needs_two_factors():

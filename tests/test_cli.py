@@ -158,6 +158,8 @@ def test_suite_filter(capsys):
 # in perfbench/references.json
 _SUITE_TEXT_SHA256 = "7c0b1c0c277f3343a4fe7c1aa4112510718ccacbb6dda3b94403367ce2ab2324"
 _SUITE_JSON_SHA256 = "48ce6e1bbac99c694c97c6f826cf3b6835d70f717237d679759251b90806c8a2"
+# sha256 of the `catalog` listing, which prints each spec's order
+_CATALOG_SHA256 = "e3055f36b845ae896553129f7fb4cb5f8d959283ed7c2707a87c4be1267ac74e"
 
 
 def _sha256(text: str) -> str:
@@ -261,6 +263,7 @@ def test_catalog_listing(capsys):
     assert any(line.startswith("Q8 ") for line in out.splitlines())
     assert "dicyclic:2" in out
     assert len(out.splitlines()) == 73
+    assert _sha256(out) == _CATALOG_SHA256
 
 
 def test_usage_error_exit_code(capsys):

@@ -2,8 +2,9 @@
 
 import pytest
 
-from commspec.catalog import FamilySpec, build
-from commspec.errors import AxiomViolation
+from commspec import catalog
+from commspec.catalog import FamilySpec, build, parse_family
+from commspec.errors import AxiomViolation, CommspecError
 from commspec.graphs import build_commuting_graph, connected_components
 from commspec.groups import (
     FiniteGroup,
@@ -269,5 +270,57 @@ def test_relabelling_leaves_the_report_unchanged(grid):
         perm = data.draw(st.permutations(range(group.order)))
         relabelled = _relabel(group, perm)
         assert _label_free_report(relabelled, name, spec) == expected[i], name
+
+    check()
+
+
+_FAMILY_NAMES = [
+    "dihedral", "dicyclic", "metacyclic", "u6n", "heis", "expp2", "zpzp",
+    "cyclic", "product", "prod",
+]
+
+
+def test_parsed_specs_round_trip_and_know_their_order(monkeypatch):
+    # Spec strings joined from family names, separators, signs, underscores,
+    # short digit runs and an Arabic-Indic digit either fail with a typed
+    # error or give a spec whose label parses back to it and whose order is
+    # computed without building a table.  Most strings are a family head
+    # with as many digit runs as it takes parameters, alone or as prod:
+    # factors, so that every family parses and reaches its range checks.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def no_tables(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(catalog, "from_cayley_table", no_tables)
+    digits = st.text("0123456789", min_size=1, max_size=3)
+    tokens = st.lists(
+        st.one_of(st.sampled_from(_FAMILY_NAMES + list("z:, +-_\u0663")), digits),
+        max_size=8,
+    ).map("".join)
+
+    def with_params(head):
+        arity = len(catalog._FAMILIES[head].params) if head in catalog._FAMILIES else 1
+        params = st.lists(digits, min_size=arity, max_size=arity).map(",".join)
+        return params.map(f"{head}:".__add__)
+
+    single = st.one_of(
+        st.sampled_from(_FAMILY_NAMES).flatmap(with_params),
+        digits.map("z".__add__),
+    )
+    factors = st.lists(single, min_size=1, max_size=3).map(",".join)
+    specs = st.one_of(single, factors.map("prod:".__add__), tokens)
+
+    @hypothesis.settings(max_examples=500, deadline=None, derandomize=True)
+    @hypothesis.given(specs)
+    def check(text):
+        try:
+            spec = parse_family(text)
+        except CommspecError:
+            return
+        assert parse_family(spec.label()) == spec, text
+        order = spec.order()
+        assert type(order) is int and order > 0, text
 
     check()

@@ -15,7 +15,7 @@ from commspec.errors import (
     SpectralCheckError,
 )
 from commspec.graphs import build_commuting_graph, connected_components, raw_graph
-from commspec.groups import from_cayley_table, is_prime
+from commspec.groups import _MR_BOUND, from_cayley_table, is_prime
 from commspec.predictions import verify_group
 from commspec.spectra import (
     CharPoly,
@@ -382,13 +382,32 @@ def test_crt_primes_are_the_largest_primes_below_2_62():
     assert [2**62 - spectra._crt_prime(i) for i in range(10)] == list(offsets)
 
 
+def _is_prime_by_trial_division(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def test_miller_rabin_agrees_with_trial_division():
-    assert [n for n in range(3000) if spectra._is_prime_mr(n)] == [
-        n for n in range(3000) if is_prime(n)
+    assert [n for n in range(3000) if is_prime(n)] == [
+        n for n in range(3000) if _is_prime_by_trial_division(n)
     ]
-    # strong pseudoprimes to the bases 2, 3, 5 and 7, and a Carmichael number
-    assert not spectra._is_prime_mr(3215031751)
-    assert not spectra._is_prime_mr(561)
+    assert is_prime(2**61 - 1)
+    assert is_prime(2**62 - 57)
+    # a strong pseudoprime to the bases 2, 3, 5 and 7, a Carmichael number
+    # and the square of a prime
+    assert not is_prime(3215031751)
+    assert not is_prime(561)
+    assert not is_prime((2**31 - 1) ** 2)
+    # the least strong pseudoprime to all 12 bases is past the exact range
+    with pytest.raises(ParameterOutOfRange):
+        is_prime(_MR_BOUND)
+    assert not is_prime(_MR_BOUND + 1)  # even
 
 
 def _permutation_table(degree, even, rng=None):
