@@ -29,7 +29,7 @@ from .groups import FiniteGroup, from_cayley_table, is_prime
 class FamilySpec:
     """Parameters of a group family, checked against its table entry.
 
-    Only ``product`` holds ``factors`` instead of ``params``.
+    Only ``product`` holds ``factors``, and it holds no ``params``.
     """
 
     kind: str
@@ -38,11 +38,15 @@ class FamilySpec:
 
     def __post_init__(self) -> None:
         if self.kind == "product":
+            if self.params:
+                raise ParseError("product takes factors, not parameters")
             if len(self.factors) < 2:
                 raise ParameterOutOfRange("product needs at least two factors")
             return
         if self.kind not in _FAMILIES:
             raise ParseError(f"unknown family {self.kind!r}")
+        if self.factors:
+            raise ParseError(f"{self.kind} takes parameters, not factors")
         for param, value in zip(_params(self.kind, len(self.params)), self.params):
             param.check(self.kind, value)
 

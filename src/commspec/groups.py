@@ -144,6 +144,10 @@ def from_cayley_table(
     for i, row in enumerate(rows):
         if len(row) != n:
             raise IndexOutOfRange(f"row {i} has {len(row)} entries, expected {n}")
+        # a row of plain ints in range passes at once; any other row gets the
+        # per-entry check, which rejects bools, floats and out-of-range values
+        if set(map(type, row)) == {int} and 0 <= min(row) and max(row) < n:
+            continue
         for j, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                 raise IndexOutOfRange(f"entry ({i},{j}) = {v!r} not in 0..{n - 1}")

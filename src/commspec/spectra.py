@@ -14,10 +14,15 @@ method; Dumas, Pernet and Wan, "Efficient computation of the characteristic
 polynomial", ISSAC 2005).  If no entry of some pivot column is a unit
 modulo M, the block is instead reduced once per prime and rebuilt by the
 Chinese remainder theorem.  It is then spot-checked against an independent
-fraction-free Bareiss determinant.  Integer roots are found among the
-divisors of the lowest nonzero coefficient, bounded by the block's largest
-row sum.  The whole graph's polynomial is multiplied out only when it is
-read.
+fraction-free Bareiss determinant at t in {0, 1, -1}.  The elimination
+leaves a row stale while its factor in the pivot column is zero, since such
+a step only rescales it by a ratio of pivots; a stale row keeps the level
+of its last update and is brought up to date in one exact division when it
+is next used (proof in ``exact_determinant``).  On a sparse block most row
+updates are skipped; on a clique block few or none are.  Integer roots are
+found among the divisors of the lowest nonzero coefficient, bounded by the
+block's largest row sum.  The whole graph's polynomial is multiplied out
+only when it is read.
 """
 
 from __future__ import annotations
@@ -371,36 +376,71 @@ def _spot_check(coeffs: list[int], a: list[list[int]]) -> None:
 
 
 def exact_determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Fraction-free Bareiss determinant over the integers."""
+    """Fraction-free Bareiss determinant over the integers, zero factors skipped.
+
+    Bareiss elimination with row swaps: with P_k = a^(k)_kk the k-th pivot
+    and P_-1 = 1, step k sets, for every row i > k and column j > k,
+    a^(k+1)_ij = (P_k a^(k)_ij - a^(k)_ik a^(k)_kj) / P_(k-1).  Every
+    a^(k)_ij is a minor of the row-swapped matrix (rows 0..k-1 and i,
+    columns 0..k-1 and j), so every division is exact, and the determinant
+    is the last pivot times the sign of the swaps.
+
+    When the factor a^(k)_ik is zero the step only rescales row i by
+    P_k / P_(k-1), so such a row is left stale: it keeps its level s, the
+    number of steps that last updated it, and its entries a^(s)_ij.  Over
+    the skipped steps the ratios telescope, a^(k)_ij = a^(s)_ij P_(k-1) /
+    P_(s-1).  Hence:
+
+    - a stale entry is zero exactly when the current one is, the pivots
+      being nonzero, so the pivot search and the factor test read stale
+      entries;
+    - substituted into the step, the P_(k-1) cancels: a row with a nonzero
+      factor becomes a^(k+1)_ij = (P_k a^(s)_ij - a^(s)_ik a^(k)_kj) /
+      P_(s-1);
+    - the pivot row is brought up to date as a^(k)_kj = a^(s)_kj P_(k-1) /
+      P_(s-1); at the last step, k = n - 1, that gives the last pivot.
+
+    Each quotient is a true Bareiss entry, so every division stays exact.
+    A swap exchanges two rows not yet used as pivots, together with their
+    levels, and leaves the minors of the pivot rows unchanged.
+    """
     a = [[_exact_int(v) for v in row] for row in matrix]
     n = len(a)
     for i, row in enumerate(a):
         if len(row) != n:
             raise NotSymmetricError(f"row {i} has {len(row)} entries, expected {n}")
-    if n == 0:
-        return 1
     sign = 1
-    prev = 1
-    for k in range(n - 1):
+    # divisors[s] = P_(s-1), the divisor of a row at level s
+    divisors = [1]
+    levels = [0] * n
+    for k in range(n):
         if a[k][k] == 0:
             for i in range(k + 1, n):
                 if a[i][k] != 0:
                     a[k], a[i] = a[i], a[k]
+                    levels[k], levels[i] = levels[i], levels[k]
                     sign = -sign
                     break
             else:
                 return 0
-        pivot = a[k][k]
         row_k = a[k]
+        if levels[k] < k:
+            scale, divisor = divisors[k], divisors[levels[k]]
+            row_k[k:] = [x * scale // divisor for x in row_k[k:]]
+        pivot = row_k[k]
+        tail = row_k[k + 1 :]
         for i in range(k + 1, n):
             row_i = a[i]
             factor = row_i[k]
-            a[i] = row_i[: k + 1] + [
-                (x * pivot - factor * y) // prev
-                for x, y in zip(row_i[k + 1 :], row_k[k + 1 :])
-            ]
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+            if factor:
+                divisor = divisors[levels[i]]
+                row_i[k + 1 :] = [
+                    (x * pivot - factor * y) // divisor
+                    for x, y in zip(row_i[k + 1 :], tail)
+                ]
+                levels[i] = k + 1
+        divisors.append(pivot)
+    return sign * divisors[-1]
 
 
 def integer_spectrum(

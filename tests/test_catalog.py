@@ -185,6 +185,15 @@ def test_parameter_ranges(factory, args):
         (("dihedral", (3, 4)), "dihedral takes 1 parameter(s), got 2"),
         (("metacyclic", (3,)), "metacyclic takes 2 parameter(s), got 1"),
         (("cyclic", ()), "cyclic takes 1 parameter(s), got 0"),
+        # fields the kind would ignore: the label would not parse back to the spec
+        (
+            ("dihedral", (3,), (FamilySpec.cyclic(2),)),
+            "dihedral takes parameters, not factors",
+        ),
+        (
+            ("product", (7,), (FamilySpec.cyclic(2), FamilySpec.cyclic(3))),
+            "product takes factors, not parameters",
+        ),
     ],
 )
 def test_direct_construction_checks_kind_and_arity(args, message):

@@ -215,6 +215,32 @@ def test_bad_entries_rejected():
         from_cayley_table([])
 
 
+class _Index(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([1, 0.0], "entry (1,1) = 0.0 not in 0..1"),
+        ([1, False], "entry (1,1) = False not in 0..1"),
+        ([True, 0], "entry (1,0) = True not in 0..1"),
+        ([1, -1], "entry (1,1) = -1 not in 0..1"),
+        ([2, 0], "entry (1,0) = 2 not in 0..1"),
+        ([1, "0"], "entry (1,1) = '0' not in 0..1"),
+    ],
+)
+def test_each_bad_entry_is_named(row, message):
+    with pytest.raises(IndexOutOfRange) as info:
+        from_cayley_table([[0, 1], row])
+    assert str(info.value) == message
+
+
+def test_int_subclass_entries_are_accepted():
+    z2 = from_cayley_table([[_Index(0), _Index(1)], [_Index(1), 0]])
+    assert z2.table == ((0, 1), (1, 0))
+
+
 def test_center_of_abelian_group_is_everything():
     z4 = build(FamilySpec.cyclic(4))
     assert center(z4).members == (0, 1, 2, 3)

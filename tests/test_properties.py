@@ -12,7 +12,9 @@ from commspec.groups import (
     center,
     centralizer,
     centralizer_count,
+    format_cayley_text,
     from_cayley_table,
+    from_cayley_text,
     max_noncommuting_set,
     quotient_by_center,
     recognize_small,
@@ -322,5 +324,56 @@ def test_parsed_specs_round_trip_and_know_their_order(monkeypatch):
         assert parse_family(spec.label()) == spec, text
         order = spec.order()
         assert type(order) is int and order > 0, text
+
+    check()
+
+
+def test_fuzzed_cayley_text_gives_a_group_or_a_typed_error(grid):
+    # Texts are lines of numbers and junk tokens, small grid tables with one
+    # token or line edited, dropped or repeated, or raw characters.  Each
+    # parses to a group or fails with a CommspecError, never anything else;
+    # the 5000-digit token exceeds int()'s default digit limit.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    tables = [
+        format_cayley_text(group).splitlines()
+        for _, _, group in grid
+        if group.order <= 8
+    ]
+    junk = ["+1", "1.0", "1_0", "\u0663", "0x1", "x", "names:", "9" * 5000]
+    token = st.one_of(st.integers(-2, 9).map(str), st.sampled_from(junk))
+    line = st.lists(token, max_size=8).map(" ".join)
+
+    @st.composite
+    def edited(draw):
+        lines = list(draw(st.sampled_from(tables)))
+        i = draw(st.integers(0, len(lines) - 1))
+        action = draw(st.sampled_from(["keep", "token", "line", "drop", "repeat"]))
+        if action == "token":
+            tokens = lines[i].split()
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(token)
+            lines[i] = " ".join(tokens)
+        elif action == "line":
+            lines[i] = draw(line)
+        elif action == "drop":
+            del lines[i]
+        elif action == "repeat":
+            lines.insert(i, lines[i])
+        return "\n".join(lines)
+
+    texts = st.one_of(
+        st.lists(line, max_size=10).map("\n".join),
+        edited(),
+        st.text("0123456789 +-_.:\n\tnames\u0663", max_size=60),
+    )
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+    @hypothesis.given(texts)
+    def check(text):
+        try:
+            group = from_cayley_text(text)
+        except CommspecError:
+            return
+        assert isinstance(group, FiniteGroup)
 
     check()

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -89,6 +90,89 @@ def test_exact_determinant_matches_cofactor_expansion():
         for _ in range(8):
             matrix = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
             assert exact_determinant(matrix) == _laplace_det(matrix)
+
+
+def _fraction_det(matrix):
+    # Gaussian elimination over the rationals, sharing no arithmetic with
+    # the fraction-free elimination
+    a = [[Fraction(v) for v in row] for row in matrix]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            ratio = a[i][k] / a[k][k]
+            a[i] = [x - ratio * y for x, y in zip(a[i], a[k])]
+    return int(det)
+
+
+def _sparse_signs(rng, n):
+    return [[rng.choice((0, 0, 0, 0, 1, -1)) for _ in range(n)] for _ in range(n)]
+
+
+def _low_rank_product(rng, n):
+    # B C with B n x r and C r x n, singular whenever r < n
+    r = rng.randint(0, n)
+    b = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+    c = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+    return [[sum(x * y[j] for x, y in zip(row, c)) for j in range(n)] for row in b]
+
+
+def _zero_leading_block(rng, n):
+    # [[0, X], [Y, Z]] with a zero diagonal and sparse entries: the first
+    # h pivots come from rows below, which are often stale when swapped up
+    h = rng.randint(1, n)
+    return [
+        [
+            0 if i == j or (i < h and j < h) else rng.choice((0, 0, 1, -1, 2))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "make", [_sparse_signs, _low_rank_product, _zero_leading_block]
+)
+def test_exact_determinant_matches_oracles_when_rows_stay_stale(make):
+    # rows whose factor in the pivot column is zero skip the step; these
+    # matrices leave many such rows, where small dense ones leave almost none
+    rng = random.Random(13)
+    nonzero = 0
+    for n in range(1, 15):
+        for _ in range(10):
+            matrix = make(rng, n)
+            det = exact_determinant(matrix)
+            assert det == _fraction_det(matrix), matrix
+            if n <= 7:
+                assert det == _laplace_det(matrix), matrix
+            nonzero += det != 0
+    assert nonzero >= 20
+
+
+def test_exact_determinant_matches_sympy_on_the_s5_block():
+    # S5's 95-vertex block of non-central elements, shuffled; most factors
+    # in its pivot columns are zero.  sympy's domain-matrix determinant
+    # stands in for Matrix.det, which takes seconds per point on this block.
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    graph = build_commuting_graph(
+        from_cayley_table(_permutation_table(5, False, random.Random(3)))
+    )
+    matrix = graph.to_matrix()
+    block = max(connected_components(graph), key=len)
+    assert len(block) == 95
+    for t in (0, 1, -1):
+        shifted = [[(t if i == j else 0) - matrix[i][j] for j in block] for i in block]
+        expected = DomainMatrix.from_Matrix(sympy.Matrix(shifted)).det()
+        assert exact_determinant(shifted) == int(expected), t
 
 
 def test_char_poly_agrees_with_determinant_on_c5():
