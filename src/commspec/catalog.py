@@ -1,11 +1,12 @@
 """Constructors for the named group families on the verification grid.
 
 Every fact about a family is stated once, in the ``_FAMILIES`` table keyed
-by kind: its parameters and their ranges, its order, its builder and, where
-the paper displays one, its closed-form spectrum with the least parameters
-where that form holds.  ``FamilySpec`` validates against the table when it
-is constructed; ``order``, ``build``, ``parse_family`` and
-``predictions.predict_family`` read it.
+by kind: its parameters and their ranges, its order, its builder, its
+closed-form spectrum where the paper displays one (with the least
+parameters where it holds) and, for ``zpzp`` and ``dihedral``, the closed
+form of any group with that central quotient.  ``FamilySpec`` validates
+against the table when it is constructed; ``order``, ``build``,
+``parse_family`` and the predictors in ``predictions`` read it.
 
 Each family's elements are normal-form words (a^i b^j, or (x, y, z) for
 the Heisenberg group) at fixed indices, and every table entry is the index
@@ -247,6 +248,9 @@ class _Family:
     # the least parameters where ``spectrum`` holds, where they exceed the
     # family's own least parameters
     spectrum_from: tuple[int, ...] = ()
+    # the same for any group whose central quotient is this family's group,
+    # from the parameter and the center size; it holds for every valid one
+    quotient_spectrum: Callable[..., tuple[str, list[tuple[int, int]]]] | None = None
 
 
 def _dihedral_spectrum(m: int) -> tuple[str, list[tuple[int, int]]]:
@@ -280,6 +284,12 @@ _FAMILIES: dict[str, _Family] = {
         build=lambda m: _cyclic_extension(m, 2, -1, 0),
         spectrum=_dihedral_spectrum,
         spectrum_from=(3,),
+        # one clique of size (m - 1)z and m cliques of size z; at m = 2 the
+        # eigenvalues merge into the square shape's
+        quotient_spectrum=lambda m, z: (
+            "dihedral-quotient",
+            [((m - 1) * z - 1, 1), (z - 1, m), (-1, (2 * m - 1) * z - m - 1)],
+        ),
     ),
     # <a, b : a^2m = 1, b^2 = a^m, b a b^-1 = a^-1>
     "dicyclic": _Family(
@@ -307,6 +317,11 @@ _FAMILIES: dict[str, _Family] = {
         params=(_PRIME,),
         order=lambda p: p * p,
         build=lambda p: direct_product(_cyclic(p), _cyclic(p)),
+        # p + 1 cliques of size (p - 1)z
+        quotient_spectrum=lambda p, z: (
+            "zpzp-quotient",
+            [((p - 1) * z - 1, p + 1), (-1, (p * p - 1) * z - p - 1)],
+        ),
     ),
     "cyclic": _Family(params=(_Param("k", ">=", 1),), order=lambda k: k, build=_cyclic),
 }

@@ -2,11 +2,12 @@
 
 When the quotient of a group by its center is elementary abelian p x p or
 dihedral, the commuting graph is a disjoint union of centralizer cliques
-and its spectrum has a closed form in p (or m) and the center size.  This
-module evaluates those closed forms, plus the per-family specializations
-stated in the catalog's family table, and checks every applicable
-prediction against the brute-force pipeline.  Each group is analysed
-once: the centralizer-count corollaries are evaluated from its
+and its spectrum has a closed form in p (or m) and the center size.  The
+catalog's family table states both kinds of closed form: these two
+quotient-shape forms, on its ``zpzp`` and ``dihedral`` entries, and the
+per-family specializations.  This module evaluates them and checks every
+applicable prediction against the brute-force pipeline.  Each group is
+analysed once: the centralizer-count corollaries read the verdicts of its
 verification report.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import _FAMILIES, FamilySpec
-from .errors import AbelianGroupError, NotPrimeError, ParameterOutOfRange, UnsupportedFamilyError
+from .errors import AbelianGroupError, ParameterOutOfRange, UnsupportedFamilyError
 from .graphs import (
     CommutingGraph,
     build_commuting_graph,
@@ -27,7 +28,6 @@ from .groups import (
     Recognition,
     center,
     centralizer_count,
-    is_prime,
     max_noncommuting_set,
     prime_power,
     quotient_by_center,
@@ -90,38 +90,22 @@ class CorollaryCheck:
 
 
 def predict_zpzp(p: int, z: int) -> Prediction:
-    """Spectrum for a group whose central quotient is Z_p x Z_p.
-
-    The commuting graph is p+1 cliques of size (p-1)z, so the spectrum is
-    ((p-1)z - 1) with multiplicity p+1 and -1 with the rest.
-    """
-    if not is_prime(p):
-        raise NotPrimeError(f"quotient shape needs a prime, got {p}")
-    if z < 1:
-        raise ParameterOutOfRange(f"center size must be positive, got {z}")
-    pairs = [
-        ((p - 1) * z - 1, p + 1),
-        (-1, (p * p - 1) * z - p - 1),
-    ]
-    return Prediction("zpzp-quotient", (p, z), spectrum_from_pairs(pairs))
+    """Spectrum for a group whose central quotient is Z_p x Z_p."""
+    return _predict_quotient("zpzp", p, z)
 
 
 def predict_dihedral_quotient(m: int, z: int) -> Prediction:
-    """Spectrum for a group whose central quotient is dihedral of order 2m.
+    """Spectrum for a group whose central quotient is dihedral of order 2m."""
+    return _predict_quotient("dihedral", m, z)
 
-    One clique of size (m-1)z plus m cliques of size z; duplicate
-    eigenvalues (the m = 2 overlap with the p = 2 square shape) merge.
-    """
-    if m < 2:
-        raise ParameterOutOfRange(f"dihedral quotient needs m >= 2, got {m}")
+
+def _predict_quotient(kind: str, param: int, z: int) -> Prediction:
+    """The catalog's quotient-shape closed form for ``kind`` at ``param``."""
+    FamilySpec(kind, (param,))  # checks param against the family's ranges
     if z < 1:
         raise ParameterOutOfRange(f"center size must be positive, got {z}")
-    pairs = [
-        ((m - 1) * z - 1, 1),
-        (z - 1, m),
-        (-1, (2 * m - 1) * z - m - 1),
-    ]
-    return Prediction("dihedral-quotient", (m, z), spectrum_from_pairs(pairs))
+    source, pairs = _FAMILIES[kind].quotient_spectrum(param, z)
+    return Prediction(source, (param, z), spectrum_from_pairs(pairs))
 
 
 def predict_family(spec: FamilySpec) -> Prediction:
@@ -161,10 +145,9 @@ def verify_group(
     analysis = is_integral(graph)
 
     predictions: list[Prediction] = []
-    if recognition.kind == "zpzp":
-        predictions.append(predict_zpzp(recognition.param, z))
-    elif recognition.kind == "dihedral":
-        predictions.append(predict_dihedral_quotient(recognition.param, z))
+    shape = _FAMILIES.get(recognition.kind)
+    if shape is not None and shape.quotient_spectrum is not None:
+        predictions.append(_predict_quotient(recognition.kind, recognition.param, z))
     if family is not None:
         try:
             predictions.append(predict_family(family))
@@ -208,90 +191,52 @@ def verify_centralizer_corollaries(
     Each check states a hypothesis about the number of distinct centralizers
     (or the largest pairwise non-commuting set) and, when it holds, verifies
     the promised quotient shape and the integrality of the spectrum.  The
-    center, count, quotient shape and spectrum are read from ``report``,
-    which ``verify_group`` produced for ``group``; only the non-commuting
-    search needs the group itself.
+    verdicts are read from ``report``, which ``verify_group`` produced for
+    ``group``: a promised shape is verified when it is the recognized one
+    and the report's quotient-shape check, its first, matched.  Only the
+    non-commuting search needs the group itself.
     """
-    z = report.center_size
     count = report.centralizer_count
-    recognition = report.recognition
-    analysis = report.analysis
-    spectrum = report.spectrum
-
-    def matches(prediction: Prediction) -> bool:
-        return spectrum.complete and spectra_agree(prediction.spectrum, spectrum)
-
-    checks: list[CorollaryCheck] = []
-
-    held = count == 4
-    verified = None
-    if held:
-        verified = (
-            recognition == Recognition("zpzp", 2)
-            and matches(predict_zpzp(2, z))
-            and analysis.integral
-        )
-    checks.append(
-        CorollaryCheck(
-            "four-centralizer",
-            held,
-            verified,
-            "count = 4 forces the square quotient shape and an integral spectrum",
-        )
-    )
-
     pp = prime_power(report.order)
-    held = pp is not None and count == pp[0] + 2
-    verified = None
-    if held:
-        p = pp[0]
-        verified = (
-            recognition == Recognition("zpzp", p)
-            and matches(predict_zpzp(p, z))
-            and analysis.integral
-        )
-    checks.append(
-        CorollaryCheck(
+    p = pp[0] if pp else None
+    # label, hypothesis, the central quotient shapes it forces, detail
+    rules = (
+        (
+            "four-centralizer",
+            count == 4,
+            [Recognition("zpzp", 2)],
+            "count = 4 forces the square quotient shape and an integral spectrum",
+        ),
+        (
             "p-plus-two-centralizer",
-            held,
-            verified,
+            p is not None and count == p + 2,
+            [Recognition("zpzp", p)],
             "a prime-power group with p + 2 centralizers has the p x p quotient",
-        )
-    )
-
-    held = count == 5
-    verified = None
-    if held:
-        if recognition == Recognition("zpzp", 3):
-            verified = matches(predict_zpzp(3, z)) and analysis.integral
-        elif recognition == Recognition("dihedral", 3):
-            verified = matches(predict_dihedral_quotient(3, z)) and analysis.integral
-        else:
-            verified = False
-    checks.append(
-        CorollaryCheck(
+        ),
+        (
             "five-centralizer",
-            held,
-            verified,
+            count == 5,
+            [Recognition("zpzp", 3), Recognition("dihedral", 3)],
             "count = 5 forces a 3 x 3 or order-6 dihedral quotient, both integral",
-        )
+        ),
     )
+    checks = []
+    for label, held, shapes, detail in rules:
+        verified = None
+        if held:
+            verified = (
+                report.recognition in shapes
+                and report.checks[0].verdict == "match"
+                and report.integral
+            )
+        checks.append(CorollaryCheck(label, held, verified, detail))
 
     # the hypothesis asks only whether r is 3 or 4, so a 5-set settles it
     r = len(max_noncommuting_set(group, cap=5))
     held = r in (3, 4)
-    verified = None
-    if held:
-        verified = count == (4 if r == 3 else 5) and analysis.integral
-    checks.append(
-        CorollaryCheck(
-            "max-noncommuting-bound",
-            held,
-            verified,
-            "a largest pairwise non-commuting set of size 3 or 4 pins the count",
-        )
-    )
-
+    verified = count == (4 if r == 3 else 5) and report.integral if held else None
+    detail = "a largest pairwise non-commuting set of size 3 or 4 pins the count"
+    checks.append(CorollaryCheck("max-noncommuting-bound", held, verified, detail))
     return tuple(checks)
 
 

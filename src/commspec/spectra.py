@@ -133,16 +133,11 @@ class SpectralAnalysis:
     integral: bool
     spectrum: Spectrum
     remainder: CharPoly
-    max_degree: int
     factors: tuple[tuple[CharPoly, int], ...] = field(compare=False, repr=False)
 
     @cached_property
     def char_poly(self) -> CharPoly:
-        product = [1]
-        for factor, count in self.factors:
-            for _ in range(count):
-                product = _poly_mul(product, factor.coeffs)
-        return CharPoly(tuple(product))
+        return CharPoly(tuple(_power_product((f.coeffs, c) for f, c in self.factors)))
 
 
 def char_poly(matrix: Sequence[Sequence[int]]) -> CharPoly:
@@ -171,12 +166,8 @@ def char_poly(matrix: Sequence[Sequence[int]]) -> CharPoly:
         tuple(range(n)), masks, sum(m.bit_count() for m in masks) // 2
     )
     blocks = _distinct_blocks(support, lambda i, block: tuple(a[i][j] for j in block))
-    product = [1]
-    for key, count in blocks.items():
-        coeffs = _block_char_poly(key)
-        for _ in range(count):
-            product = _poly_mul(product, coeffs)
-    return CharPoly(tuple(product))
+    factors = [(_block_char_poly(key).coeffs, count) for key, count in blocks.items()]
+    return CharPoly(tuple(_power_product(factors)))
 
 
 def _distinct_blocks(
@@ -200,18 +191,18 @@ def _distinct_blocks(
     return counts
 
 
-def _block_char_poly(key: tuple[tuple[int, ...], ...]) -> list[int]:
-    """Coefficients of det(xI - B) for one block B, ascending.
+def _block_char_poly(key: tuple[tuple[int, ...], ...]) -> CharPoly:
+    """det(xI - B) for one block B.
 
-    They are computed modulo word-size primes from a Hessenberg form and
-    rebuilt under a proven coefficient bound, so they are exact by proof,
-    and then verified at t in {0, 1, -1} against an independent Bareiss
-    determinant.  A failed check raises :class:`SpectralCheckError`.
+    Its coefficients are computed modulo word-size primes from a Hessenberg
+    form and rebuilt under a proven coefficient bound, so they are exact by
+    proof, and then verified at t in {0, 1, -1} against an independent
+    Bareiss determinant.  A failed check raises :class:`SpectralCheckError`.
     """
     sub = [list(r) for r in key]
-    coeffs = _multimodular_char_poly(sub)
-    _spot_check(coeffs, sub)
-    return coeffs
+    poly = CharPoly(tuple(_multimodular_char_poly(sub)))
+    _spot_check(poly, sub)
+    return poly
 
 
 def _multimodular_char_poly(a: list[list[int]]) -> list[int]:
@@ -359,17 +350,13 @@ def _crt_prime(i: int) -> int:
     return _CRT_PRIMES[i]
 
 
-def _spot_check(coeffs: list[int], a: list[list[int]]) -> None:
+def _spot_check(poly: CharPoly, a: list[list[int]]) -> None:
     n = len(a)
     for t in (0, 1, -1):
         shifted = [
             [(t if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)
         ]
-        expected = exact_determinant(shifted)
-        acc = 0
-        for c in reversed(coeffs):
-            acc = acc * t + c
-        if acc != expected:
+        if poly.evaluate(t) != exact_determinant(shifted):
             raise SpectralCheckError(
                 f"characteristic polynomial failed determinant check at t={t}"
             )
@@ -512,23 +499,19 @@ def is_integral(graph: CommutingGraph) -> SpectralAnalysis:
     )
     pairs: list[tuple[int, int]] = []
     factors = []
-    remainder = [1]
-    max_degree = 0
+    rests = []
     for key, count in blocks.items():
-        bound = max(sum(r) for r in key)
-        poly = CharPoly(tuple(_block_char_poly(key)))
-        spectrum, rest = integer_spectrum(poly, bound)
+        poly = _block_char_poly(key)
+        spectrum, rest = integer_spectrum(poly, max(sum(r) for r in key))
         pairs.extend((value, mult * count) for value, mult in spectrum.pairs)
-        for _ in range(count):
-            remainder = _poly_mul(remainder, rest.coeffs)
+        rests.append((rest.coeffs, count))
         factors.append((poly, count))
-        max_degree = max(max_degree, bound)
+    remainder = _power_product(rests)
     spectrum = spectrum_from_pairs(pairs, complete=len(remainder) == 1)
     return SpectralAnalysis(
         integral=spectrum.complete,
         spectrum=spectrum,
         remainder=CharPoly(tuple(remainder)),
-        max_degree=max_degree,
         factors=tuple(factors),
     )
 
@@ -555,6 +538,15 @@ def spectra_agree(a: Spectrum, b: Spectrum) -> bool:
     if not a.complete or not b.complete:
         raise IncompleteSpectrumError("can only compare complete spectra")
     return a.pairs == b.pairs
+
+
+def _power_product(factors: Iterable[tuple[Sequence[int], int]]) -> list[int]:
+    """The product of each coefficient list taken ``count`` times, ascending."""
+    product = [1]
+    for coeffs, count in factors:
+        for _ in range(count):
+            product = _poly_mul(product, coeffs)
+    return product
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -1,0 +1,26 @@
+"""Cayley tables of the symmetric and alternating groups, for the tests."""
+
+import itertools
+
+from commspec.groups import from_cayley_table
+
+
+def permutation_table(degree, even, rng=None):
+    """Cayley table of the symmetric or alternating group.
+
+    The elements are in lexicographic order, identity first, unless rng is
+    given; then they are shuffled.  The product is composition,
+    (a*b)(x) = a(b(x)).
+    """
+    perms = list(itertools.permutations(range(degree)))
+    if even:
+        pairs = list(itertools.combinations(range(degree), 2))
+        perms = [p for p in perms if sum(p[i] > p[j] for i, j in pairs) % 2 == 0]
+    if rng is not None:
+        rng.shuffle(perms)
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(a[x] for x in b)] for b in perms] for a in perms]
+
+
+def permutation_group(degree, even):
+    return from_cayley_table(permutation_table(degree, even))

@@ -12,8 +12,8 @@ from commspec import cli, errors, groups, predictions, spectra
 from commspec.cli import main
 from commspec.groups import format_cayley_text, from_cayley_table
 
+from permutation_groups import permutation_table
 from test_groups import Z5_SWAPPED, s3_table
-from test_spectra import _permutation_table
 
 
 @pytest.fixture()
@@ -282,7 +282,7 @@ def test_console_entry_point():
 
 
 def test_verify_of_a_shuffled_s5_table_finishes_within_budget(tmp_path):
-    table = _permutation_table(5, False, random.Random(5))
+    table = permutation_table(5, False, random.Random(5))
     assert table[0][0] != 0  # the identity is not element 0
     path = tmp_path / "s5.cayley"
     text = "\n".join(" ".join(map(str, row)) for row in table)

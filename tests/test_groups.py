@@ -31,7 +31,7 @@ from commspec.groups import (
     recognize_small,
 )
 
-from test_spectra import _permutation_group, _permutation_table
+from permutation_groups import permutation_group, permutation_table
 
 
 def s3_table():
@@ -390,7 +390,7 @@ def test_max_noncommuting_set_sizes(spec, expected):
 
 def test_capped_noncommuting_search_agrees_with_uncapped(grid):
     named = [(name, group) for name, _, group in grid]
-    named += [("S4", _permutation_group(4, False)), ("A5", _permutation_group(5, True))]
+    named += [("S4", permutation_group(4, False)), ("A5", permutation_group(5, True))]
     for name, group in named:
         full = max_noncommuting_set(group)
         capped = max_noncommuting_set(group, cap=5)
@@ -409,7 +409,7 @@ def _commutes(group, a, b):
 def _shuffled_permutation_groups():
     # identity not at index 0, so from_cayley_table relabels the elements
     rng = random.Random(7)
-    tables = [_permutation_table(4, False, rng), _permutation_table(5, True, rng)]
+    tables = [permutation_table(4, False, rng), permutation_table(5, True, rng)]
     assert all(table[0][0] != 0 for table in tables)
     return [("S4", from_cayley_table(tables[0])), ("A5", from_cayley_table(tables[1]))]
 

@@ -1,14 +1,17 @@
-import itertools
+import dataclasses
 
 import pytest
 
+from commspec import predictions
 from commspec.catalog import FamilySpec, build
+from commspec.cli import main
 from commspec.errors import (
     AbelianGroupError,
     NotPrimeError,
     ParameterOutOfRange,
     UnsupportedFamilyError,
 )
+from commspec.groups import Recognition
 from commspec.predictions import (
     predict_dihedral_quotient,
     predict_family,
@@ -17,7 +20,9 @@ from commspec.predictions import (
     verify_centralizer_corollaries,
     verify_group,
 )
-from commspec.spectra import spectra_agree
+from commspec.spectra import monic_linear, spectra_agree, spectrum_from_pairs
+
+from permutation_groups import permutation_group
 
 
 def test_predict_zpzp_values():
@@ -137,19 +142,7 @@ def test_verify_group_outside_the_predicted_shapes():
     # alternating group on 4 letters: the central quotient is neither the
     # square shape nor dihedral, so no prediction applies, yet the
     # commuting graph (one triangle, four disjoint edges) is integral
-    from commspec.groups import from_cayley_table
-
-    perms = [
-        p
-        for p in itertools.permutations(range(4))
-        if sum(1 for i, j in itertools.combinations(range(4), 2) if p[i] > p[j]) % 2
-        == 0
-    ]
-    index = {p: i for i, p in enumerate(perms)}
-    table = [
-        [index[tuple(p[q[x]] for x in range(4))] for q in perms] for p in perms
-    ]
-    a4 = from_cayley_table(table)
+    a4 = permutation_group(4, True)
     report = verify_group(a4, "A4")
     assert report.recognition.kind == "other"
     assert report.checks == ()
@@ -241,3 +234,90 @@ def test_family_and_quotient_routes_agree_when_both_apply(grid_reports):
             continue
         specs = list(sources.values())
         assert spectra_agree(specs[0].spectrum, specs[1].spectrum), name
+
+
+def _incomplete(analysis):
+    # the same analysis with its least eigenvalue moved into the remainder
+    *kept, (value, mult) = analysis.spectrum.pairs
+    remainder = analysis.remainder
+    for _ in range(mult):
+        remainder = remainder * monic_linear(value)
+    return dataclasses.replace(
+        analysis,
+        integral=False,
+        spectrum=spectrum_from_pairs(kept, complete=False),
+        remainder=remainder,
+    )
+
+
+def _lowered(analysis):
+    # a complete integral spectrum with one largest eigenvalue lowered by 1
+    (value, mult), *rest = analysis.spectrum.pairs
+    pairs = [(value, mult - 1), (value - 1, 1), *rest]
+    return dataclasses.replace(analysis, spectrum=spectrum_from_pairs(pairs))
+
+
+@pytest.mark.parametrize(
+    "spec, shape, spectrum, expected",
+    [
+        # D8: count 4, p = 2, r = 3; D12: count 5, not a prime power, r = 4
+        (FamilySpec.dihedral(4), None, _incomplete, (False, False, None, False)),
+        (FamilySpec.dihedral(6), None, _incomplete, (None, None, False, False)),
+        (FamilySpec.dihedral(4), None, _lowered, (False, False, None, True)),
+        (FamilySpec.dihedral(6), None, _lowered, (None, None, False, True)),
+        (
+            FamilySpec.dihedral(4),
+            Recognition("dihedral", 4),
+            None,
+            (False, False, None, True),
+        ),
+        (
+            FamilySpec.dihedral(6),
+            Recognition("zpzp", 5),
+            None,
+            (None, None, False, True),
+        ),
+    ],
+    ids=[
+        "D8-incomplete",
+        "D12-incomplete",
+        "D8-lowered",
+        "D12-lowered",
+        "D8-as-dihedral-quotient",
+        "D12-as-square-quotient",
+    ],
+)
+def test_corollaries_fail_when_the_shape_or_the_spectrum_is_wrong(
+    monkeypatch, spec, shape, spectrum, expected
+):
+    # the report stays self-consistent: its quotient prediction is made from
+    # the patched shape and compared with the patched spectrum
+    if shape is not None:
+        monkeypatch.setattr(predictions, "recognize_small", lambda quotient: shape)
+    if spectrum is not None:
+        real = predictions.is_integral
+        monkeypatch.setattr(predictions, "is_integral", lambda g: spectrum(real(g)))
+    group = build(spec)
+    report = verify_group(group, spec.label(), spec)
+    assert report.integral is (spectrum is not _incomplete)
+    assert report.checks[0].verdict == "mismatch"
+    got = tuple(
+        c.conclusion_verified if c.hypothesis_held else None
+        for c in verify_centralizer_corollaries(group, report)
+    )
+    assert got == expected
+
+
+def test_verify_compares_each_prediction_once(monkeypatch, capsys):
+    calls = []
+    real = predictions.spectra_agree
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(predictions, "spectra_agree", counted)
+    assert main(["verify", "dihedral:4"]) == 0
+    assert "result: ok" in capsys.readouterr().out
+    # the square-quotient prediction and the dihedral-even family form
+    assert len(calls) == 2

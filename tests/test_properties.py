@@ -27,7 +27,7 @@ from commspec.spectra import (
     spectra_agree,
 )
 
-from test_spectra import _permutation_group
+from permutation_groups import permutation_group
 
 
 def _is_subgroup(group, members):
@@ -260,8 +260,8 @@ def test_relabelling_leaves_the_report_unchanged(grid):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     cases = [(name, spec, group) for name, spec, group in grid]
-    cases += [("S4", None, _permutation_group(4, False))]
-    cases += [("A5", None, _permutation_group(5, True))]
+    cases += [("S4", None, permutation_group(4, False))]
+    cases += [("A5", None, permutation_group(5, True))]
     expected = [_label_free_report(g, name, spec) for name, spec, g in cases]
 
     @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -30,6 +29,8 @@ from commspec.spectra import (
     spectra_agree,
     spectrum_from_pairs,
 )
+
+from permutation_groups import permutation_group, permutation_table
 
 K3 = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 P3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
@@ -164,7 +165,7 @@ def test_exact_determinant_matches_sympy_on_the_s5_block():
     from sympy.polys.matrices import DomainMatrix
 
     graph = build_commuting_graph(
-        from_cayley_table(_permutation_table(5, False, random.Random(3)))
+        from_cayley_table(permutation_table(5, False, random.Random(3)))
     )
     matrix = graph.to_matrix()
     block = max(connected_components(graph), key=len)
@@ -423,8 +424,8 @@ def _distinct_blocks(group):
 def test_single_pass_agrees_with_per_prime_path(grid, monkeypatch):
     blocks = set()
     for group in [g for _, _, g in grid] + [
-        _permutation_group(4, False),
-        _permutation_group(5, True),
+        permutation_group(4, False),
+        permutation_group(5, True),
     ]:
         blocks |= _distinct_blocks(group)
     blocks = [[list(row) for row in key] for key in sorted(blocks)]
@@ -446,7 +447,7 @@ def test_single_pass_agrees_with_per_prime_path(grid, monkeypatch):
     [
         (lambda: build(FamilySpec.heis(7)), 1),
         (lambda: build(FamilySpec.dihedral(40)), 2),
-        (lambda: _permutation_group(5, False), 2),
+        (lambda: permutation_group(5, False), 2),
     ],
     ids=["heis:7", "dihedral:40", "S5"],
 )
@@ -494,31 +495,11 @@ def test_miller_rabin_agrees_with_trial_division():
     assert not is_prime(_MR_BOUND + 1)  # even
 
 
-def _permutation_table(degree, even, rng=None):
-    """Cayley table of the symmetric or alternating group.
-
-    The elements are in lexicographic order, identity first, unless rng is
-    given; then they are shuffled.
-    """
-    perms = list(itertools.permutations(range(degree)))
-    if even:
-        pairs = list(itertools.combinations(range(degree), 2))
-        perms = [p for p in perms if sum(p[i] > p[j] for i, j in pairs) % 2 == 0]
-    if rng is not None:
-        rng.shuffle(perms)
-    index = {p: i for i, p in enumerate(perms)}
-    return [[index[tuple(a[x] for x in b)] for b in perms] for a in perms]
-
-
-def _permutation_group(degree, even):
-    return from_cayley_table(_permutation_table(degree, even))
-
-
 @pytest.mark.parametrize("degree, even", [(4, False), (5, True)])
 def test_char_poly_matches_sympy_on_s4_and_a5(degree, even):
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
-    graph = build_commuting_graph(_permutation_group(degree, even))
+    graph = build_commuting_graph(permutation_group(degree, even))
     matrix = graph.to_matrix()
     expected = sympy.Poly(1, x)
     for component in connected_components(graph):
@@ -717,7 +698,7 @@ _RAW_GRAPHS = {
 def _differential_cases(grid):
     cases = [(name, build_commuting_graph(group)) for name, _, group in grid]
     for label, degree, even, seed in (("S4", 4, False, 11), ("A5", 5, True, 12)):
-        table = _permutation_table(degree, even, random.Random(seed))
+        table = permutation_table(degree, even, random.Random(seed))
         cases.append((label, build_commuting_graph(from_cayley_table(table))))
     return cases + list(_RAW_GRAPHS.items())
 
