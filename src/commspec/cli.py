@@ -217,7 +217,7 @@ def _run_suite(args) -> int:
                 )
             )
             results.append((name, ok, report, None))
-        except CommspecError as exc:
+        except (CommspecError, OSError) as exc:
             results.append((name, False, None, str(exc)))
 
     passed = sum(1 for _, ok, _, _ in results if ok)

@@ -5,7 +5,13 @@ involved anywhere, so an "integral" verdict is a certificate rather than an
 estimate.  A graph's spectrum is analysed one connected component at a
 time: det(xI - A) is the product of the blocks' polynomials, so the
 spectrum is the union of the blocks' spectra, and each distinct block is
-computed, spot-checked and searched for integer roots once.  A block is
+computed, spot-checked and searched for integer roots once.  In
+``is_integral`` a block's true twins (equal rows of A + I; in a commuting
+graph, elements with the same centralizer) are merged first: with k
+vertices in r classes of sizes s_i, det(xI - A) = (x + 1)^(k - r)
+det(xI - Q) for the r x r matrix Q = B' diag(s) - I, whose row sums are
+vertex degrees (proof in ``is_integral``), so a clique becomes one row.
+``char_poly(matrix)`` keeps computing whole blocks.  A block, or its Q, is
 reduced to upper Hessenberg form in one pass modulo M, the product of
 enough word-size primes to exceed twice a proven bound on the
 coefficients, and the symmetric residues are the integer coefficients
@@ -13,23 +19,27 @@ coefficients, and the symmetric residues are the integer coefficients
 method; Dumas, Pernet and Wan, "Efficient computation of the characteristic
 polynomial", ISSAC 2005).  If no entry of some pivot column is a unit
 modulo M, the block is instead reduced once per prime and rebuilt by the
-Chinese remainder theorem.  It is then spot-checked against an independent
-fraction-free Bareiss determinant at t in {0, 1, -1}.  The elimination
-leaves a row stale while its factor in the pivot column is zero, since such
-a step only rescales it by a ratio of pivots; a stale row keeps the level
-of its last update and is brought up to date in one exact division when it
-is next used (proof in ``exact_determinant``).  On a sparse block most row
-updates are skipped; on a clique block few or none are.  Integer roots are
-found among the divisors of the lowest nonzero coefficient, bounded by the
-block's largest row sum.  The whole graph's polynomial is multiplied out
-only when it is read.
+Chinese remainder theorem.  The polynomial is then spot-checked against an
+independent fraction-free Bareiss determinant of the whole block at t in
+{0, 1, -1}.  Each row of tI - A first has the row of the previous member of
+its twin class subtracted: a unit lower-triangular change that keeps the
+determinant whatever the classes are, so the check does not rely on the
+quotient, and that turns each twin row into (t + 1)(e_i - e_j).  The
+elimination leaves a row stale while its factor in the pivot column is
+zero, since such a step only rescales it by a ratio of pivots; a stale row
+keeps the level of its last update and is brought up to date in one exact
+division when it is next used (proof in ``exact_determinant``).  On a
+sparse block most row updates are skipped, and a twin row is updated once.
+Integer roots are found among the divisors of the lowest nonzero
+coefficient, bounded by the block's largest row sum.  The whole graph's
+polynomial is multiplied out only when it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd
+from math import comb, gcd
 from operator import index as _exact_int
 from typing import Iterable, Sequence
 
@@ -201,7 +211,7 @@ def _block_char_poly(key: tuple[tuple[int, ...], ...]) -> CharPoly:
     """
     sub = [list(r) for r in key]
     poly = CharPoly(tuple(_multimodular_char_poly(sub)))
-    _spot_check(poly, sub)
+    _spot_check(poly, sub, _twin_classes(sub))
     return poly
 
 
@@ -350,13 +360,65 @@ def _crt_prime(i: int) -> int:
     return _CRT_PRIMES[i]
 
 
-def _spot_check(poly: CharPoly, a: list[list[int]]) -> None:
+def _twin_classes(a: Sequence[Sequence[int]]) -> list[int]:
+    """Each row's class, numbered by first appearance.
+
+    Rows i and j share a class when rows i and j of A + I are equal.  On an
+    adjacency matrix those rows are closed neighbourhoods, so the classes
+    are the true twins.
+    """
+    first: dict[tuple[int, ...], int] = {}
+    return [
+        first.setdefault((*row[:i], row[i] + 1, *row[i + 1 :]), len(first))
+        for i, row in enumerate(a)
+    ]
+
+
+def _twin_quotient(
+    a: Sequence[Sequence[int]], labels: Sequence[int]
+) -> list[list[int]]:
+    """Q = B'·diag(s) - I over A's twin classes ``labels`` (see ``is_integral``)."""
+    first: dict[int, int] = {}
+    sizes: list[int] = []
+    for i, c in enumerate(labels):
+        if first.setdefault(c, i) == i:
+            sizes.append(0)
+        sizes[c] += 1
+    return [
+        [(a[i][j] + (i == j)) * s - (i == j) for j, s in zip(first.values(), sizes)]
+        for i in first.values()
+    ]
+
+
+def _spot_check(
+    poly: CharPoly, a: Sequence[Sequence[int]], labels: Sequence[int]
+) -> None:
+    """Check poly(t) = det(tI - A) at t in {0, 1, -1} by Bareiss on A itself.
+
+    Before each determinant, each row of tI - A has the row of the previous
+    member of its class in ``labels`` (the twin classes) subtracted, both
+    taken from tI - A.  That is a product by a unit lower-triangular
+    matrix, so the determinant is the same whatever the labels are: wrong
+    classes cannot hide a wrong polynomial, and the check stays independent
+    of the twin quotient.  For true twins j < i the difference row is
+    (t + 1)(e_i - e_j), which the lazy elimination updates once, at step j,
+    before it becomes the pivot.
+    """
     n = len(a)
+    last: dict[int, int] = {}
+    previous = []
+    for i, c in enumerate(labels):
+        previous.append(last.get(c, -1))
+        last[c] = i
     for t in (0, 1, -1):
         shifted = [
             [(t if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)
         ]
-        if poly.evaluate(t) != exact_determinant(shifted):
+        reduced = [
+            row if p < 0 else [x - y for x, y in zip(row, shifted[p])]
+            for row, p in zip(shifted, previous)
+        ]
+        if poly.evaluate(t) != exact_determinant(reduced):
             raise SpectralCheckError(
                 f"characteristic polynomial failed determinant check at t={t}"
             )
@@ -486,12 +548,22 @@ def _divide_linear(desc: list[int], r: int) -> tuple[list[int], int]:
 def is_integral(graph: CommutingGraph) -> SpectralAnalysis:
     """Decide integrality of the graph's adjacency spectrum, exactly.
 
-    Each distinct connected block, read from the adjacency bitmasks, gets
-    its exact polynomial and its integer roots up to its largest degree,
-    which bounds its eigenvalues.  The multiplicities add up over the
-    blocks, and the remainder is the product of the block remainders: by
-    unique factorisation of monic polynomials in Z[x] it is the product
-    polynomial with every integer root divided out.
+    Each distinct connected block, read from the adjacency bitmasks, is
+    reduced to its twin quotient.  Let the block A have k vertices in r
+    twin classes of sizes s_1..s_r, P the k x r class-indicator matrix and
+    B' the r x r matrix of A + I on one member per class.  Then A + I =
+    P B' P^T, whose nonzero eigenvalues are those of B' P^T P = B' diag(s),
+    so det(xI - A) = (x + 1)^(k - r) det(xI - Q) with Q = B' diag(s) - I:
+    Q_ii = s_i - 1 and Q_ij = s_j for adjacent classes.  Row i of Q sums to
+    the degree of a member of class i, so the largest degree bounds Q's
+    eigenvalues and the coefficient bound of ``_multimodular_char_poly``,
+    which needs no symmetry.  Q's polynomial and its integer roots are
+    computed, -1 gains k - r, and the product is the block's factor; it is
+    spot-checked against the whole block (``_spot_check``).  The
+    multiplicities add up over the blocks, and the remainder is the product
+    of the block remainders: by unique factorisation of monic polynomials
+    in Z[x] it is the product polynomial with every integer root divided
+    out.
     """
     adjacency = graph.adjacency
     blocks = _distinct_blocks(
@@ -501,8 +573,14 @@ def is_integral(graph: CommutingGraph) -> SpectralAnalysis:
     factors = []
     rests = []
     for key, count in blocks.items():
-        poly = _block_char_poly(key)
-        spectrum, rest = integer_spectrum(poly, max(sum(r) for r in key))
+        labels = _twin_classes(key)
+        quotient = _twin_quotient(key, labels)
+        twins = len(key) - len(quotient)
+        reduced = CharPoly(tuple(_multimodular_char_poly(quotient)))
+        poly = reduced * CharPoly(tuple(comb(twins, i) for i in range(twins + 1)))
+        _spot_check(poly, key, labels)
+        spectrum, rest = integer_spectrum(reduced, max(sum(r) for r in quotient))
+        pairs.append((-1, twins * count))
         pairs.extend((value, mult * count) for value, mult in spectrum.pairs)
         rests.append((rest.coeffs, count))
         factors.append((poly, count))

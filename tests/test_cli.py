@@ -221,6 +221,20 @@ def test_suite_reports_axiom_failure(corrupted_file, capsys):
     assert "6/7 groups passed" in out
 
 
+def test_suite_reports_a_missing_extra_file_and_keeps_the_rest(tmp_path, capsys):
+    missing = str(tmp_path / "missing.cayley")
+    code = main(["suite", "--only", "dihedral:3", "--extra", f"file:{missing}"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[0].startswith("PASS D6: ")
+    assert lines[1].startswith(f"FAIL file:{missing}: ")
+    assert "No such file" in lines[1]
+    assert lines[2:] == ["1/2 groups passed"]
+    # a single group has no report to keep: a missing file stays exit 2
+    for verb in ("analyze", "verify"):
+        assert main([verb, f"file:{missing}"]) == 2
+
+
 def test_suite_json(capsys):
     code = main(["suite", "--only", "u6n", "--format", "json"])
     out = capsys.readouterr().out

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from commspec import spectra
-from commspec.catalog import FamilySpec, build
+from commspec.catalog import FamilySpec, build, parse_family
 from commspec.errors import (
     EmptyInputError,
     IncompleteSpectrumError,
@@ -697,20 +697,33 @@ _RAW_GRAPHS = {
 
 def _differential_cases(grid):
     cases = [(name, build_commuting_graph(group)) for name, _, group in grid]
-    for label, degree, even, seed in (("S4", 4, False, 11), ("A5", 5, True, 12)):
+    for label, degree, even, seed in (
+        ("S4", 4, False, 11),
+        ("A5", 5, True, 12),
+        ("S5", 5, False, 13),
+    ):
         table = permutation_table(degree, even, random.Random(seed))
         cases.append((label, build_commuting_graph(from_cayley_table(table))))
+    rng = random.Random(22)
+    for i in range(40):
+        blown_up = _blow_up(rng, rng.randint(1, 6), rng.random(), 4)[0]
+        plain = _random_graph(rng, rng.randint(0, 12), rng.random())
+        cases += [(f"blow-up {i}", blown_up), (f"random {i}", plain)]
     return cases + list(_RAW_GRAPHS.items())
+
+
+def _assert_matches_the_whole_polynomial(name, graph):
+    poly, (spectrum, remainder) = _oracle_analysis(graph)
+    analysis = is_integral(graph)
+    assert analysis.spectrum == spectrum, name
+    assert analysis.integral == spectrum.complete, name
+    assert analysis.remainder.coeffs == remainder.coeffs, name
+    assert analysis.char_poly == poly, name
 
 
 def test_factored_analysis_matches_the_whole_polynomial(grid):
     for name, graph in _differential_cases(grid):
-        poly, (spectrum, remainder) = _oracle_analysis(graph)
-        analysis = is_integral(graph)
-        assert analysis.spectrum == spectrum, name
-        assert analysis.integral == spectrum.complete, name
-        assert analysis.remainder.coeffs == remainder.coeffs, name
-        assert analysis.char_poly == poly, name
+        _assert_matches_the_whole_polynomial(name, graph)
 
 
 def test_repeated_non_integral_block_repeats_in_the_remainder():
@@ -760,3 +773,205 @@ def test_is_integral_proves_and_checks_each_distinct_block_once(
     is_integral(graph)
     assert len(modular) == distinct
     assert len(determinants) == 3 * distinct
+
+
+# Twin quotient: is_integral reduces each block to one row per twin class,
+# while char_poly(matrix) and the Bareiss oracle keep the whole block.
+
+
+def _blow_up(rng, base_size, edge_chance, max_part):
+    """A random graph with each vertex replaced by a clique or an independent set.
+
+    Returns the graph, shuffled, with its clique parts (true twins) and its
+    independent parts (false twins) as lists of vertex positions.
+    """
+    base = [
+        (u, v)
+        for u in range(base_size)
+        for v in range(u + 1, base_size)
+        if rng.random() < edge_chance
+    ]
+    parts = [list(range(rng.randint(1, max_part))) for _ in range(base_size)]
+    cliques = [rng.random() < 0.5 for _ in range(base_size)]
+    names = [(b, i) for b, part in enumerate(parts) for i in part]
+    rng.shuffle(names)
+    position = {name: p for p, name in enumerate(names)}
+    edges = [
+        (position[b, i], position[c, j])
+        for b, c in base
+        for i in parts[b]
+        for j in parts[c]
+    ]
+    edges += [
+        (position[b, i], position[b, j])
+        for b, part in enumerate(parts)
+        if cliques[b]
+        for i in part
+        for j in part[i + 1 :]
+    ]
+    grouped = [[position[b, i] for i in part] for b, part in enumerate(parts)]
+    return (
+        raw_graph(len(names), edges),
+        [g for g, c in zip(grouped, cliques) if c],
+        [g for g, c in zip(grouped, cliques) if not c],
+    )
+
+
+def _random_graph(rng, n, edge_chance):
+    return raw_graph(
+        n,
+        [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < edge_chance
+        ],
+    )
+
+
+def test_twin_classes_merge_true_twins_and_keep_false_twins_apart():
+    rng = random.Random(21)
+    for _ in range(40):
+        graph, cliques, independents = _blow_up(rng, rng.randint(1, 6), 0.4, 4)
+        labels = spectra._twin_classes(graph.to_matrix())
+        for part in cliques:
+            assert len({labels[v] for v in part}) == 1
+        for part in independents:
+            assert len({labels[v] for v in part}) == len(part)
+        closed = [graph.adjacency[v] | 1 << v for v in range(graph.vertex_count)]
+        pairs = [(u, v) for u in range(len(closed)) for v in range(u)]
+        assert [labels[u] == labels[v] for u, v in pairs] == [
+            closed[u] == closed[v] for u, v in pairs
+        ]
+
+
+def test_quotient_matches_the_whole_polynomial_on_generated_graphs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+        st.floats(0, 1),
+        st.integers(1, 5),
+        st.booleans(),
+    )
+    def check(seed, base_size, edge_chance, max_part, blown_up):
+        rng = random.Random(seed)
+        if blown_up:
+            graph = _blow_up(rng, base_size, edge_chance, max_part)[0]
+        else:
+            graph = _random_graph(rng, base_size * max_part, edge_chance)
+        _assert_matches_the_whole_polynomial(seed, graph)
+
+    check()
+
+
+def test_subtracting_earlier_rows_keeps_the_determinant():
+    # the oracle's twin preconditioning, under arbitrary maps i -> p < i
+    rng = random.Random(23)
+    for n in range(1, 12):
+        for _ in range(10):
+            matrix = rng.choice([_sparse_signs, _low_rank_product])(rng, n)
+            previous = [rng.randint(-1, i - 1) for i in range(n)]
+            reduced = [
+                row if p < 0 else [x - y for x, y in zip(row, matrix[p])]
+                for row, p in zip(matrix, previous)
+            ]
+            det = exact_determinant(matrix)
+            assert exact_determinant(reduced) == det == _fraction_det(matrix)
+
+
+def test_spot_check_accepts_the_true_polynomial_under_any_class_map():
+    rng = random.Random(24)
+    graphs = (
+        _blow_up(rng, 5, 0.5, 3)[0],
+        _RAW_GRAPHS["k3-c5-mixed"],
+        build_commuting_graph(build(FamilySpec.dihedral(6))),
+    )
+    cases = [(graph.to_matrix(), is_integral(graph).char_poly) for graph in graphs]
+    for _ in range(20):
+        for matrix, poly in cases:
+            spectra._spot_check(poly, matrix, [rng.randint(0, 2) for _ in matrix])
+
+
+def _s4_graph():
+    return build_commuting_graph(
+        from_cayley_table(permutation_table(4, False, random.Random(11)))
+    )
+
+
+@pytest.mark.parametrize(
+    "make_graph",
+    [lambda: raw_graph(4, [(0, 1), (1, 2), (2, 3)]), _s4_graph],
+    ids=["P4", "S4"],
+)
+def test_merging_non_twins_fails_the_determinant_check(make_graph, monkeypatch):
+    graph = make_graph()
+    block = max(connected_components(graph), key=len)
+    matrix = graph.to_matrix()
+    labels = spectra._twin_classes([[matrix[i][j] for j in block] for i in block])
+    assert labels[:2] == [0, 1]  # the block's first two vertices are not twins
+    original = spectra._twin_classes
+
+    def merge_the_first_two_classes(a):
+        labels = original(a)
+        if len(a) == len(block):
+            labels = [0 if c == 1 else c - (c > 1) for c in labels]
+        return labels
+
+    monkeypatch.setattr(spectra, "_twin_classes", merge_the_first_two_classes)
+    with pytest.raises(SpectralCheckError):
+        is_integral(graph)
+
+
+def test_wrong_quotient_coefficient_fails_the_determinant_check(monkeypatch):
+    original = spectra._multimodular_char_poly
+
+    def off_by_one(a):
+        coeffs = original(a)
+        coeffs[-2] += 1
+        return coeffs
+
+    monkeypatch.setattr(spectra, "_multimodular_char_poly", off_by_one)
+    for graph in (build_commuting_graph(build(FamilySpec.heis(3))), _s4_graph()):
+        with pytest.raises(SpectralCheckError):
+            is_integral(graph)
+
+
+def _modular_sizes(monkeypatch):
+    sizes = []
+    original = spectra._multimodular_char_poly
+    monkeypatch.setattr(
+        spectra,
+        "_multimodular_char_poly",
+        lambda a: sizes.append((len(a), len(a[0]))) or original(a),
+    )
+    return sizes
+
+
+def test_clique_blocks_reduce_to_one_row(grid, monkeypatch):
+    specs = ("heis:7", "metacyclic:12,6", "dihedral:40")
+    groups = [g for _, _, g in grid] + [build(parse_family(s)) for s in specs]
+    sizes = _modular_sizes(monkeypatch)
+    for group in groups:
+        is_integral(build_commuting_graph(group))
+    assert sizes and set(sizes) == {(1, 1)}
+
+
+def test_s5_block_reduces_to_fifty_rows(monkeypatch):
+    graph = build_commuting_graph(permutation_group(5, False))
+    sizes = _modular_sizes(monkeypatch)
+    is_integral(graph)
+    # the 95-vertex block and six copies of K_4
+    assert sorted(sizes) == [(1, 1), (50, 50)]
+
+
+def test_char_poly_of_a_matrix_keeps_whole_blocks(monkeypatch):
+    heis = build_commuting_graph(build(FamilySpec.heis(7)))
+    s5 = build_commuting_graph(permutation_group(5, False))
+    sizes = _modular_sizes(monkeypatch)
+    char_poly(heis.to_matrix())
+    char_poly(s5.to_matrix())
+    assert sorted(sizes) == [(4, 4), (42, 42), (95, 95)]
