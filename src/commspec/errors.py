@@ -73,7 +73,8 @@ class SpectralCheckError(CommspecError):
 
 
 class QuotientError(CommspecError):
-    """A coset product depends on the representatives chosen."""
+    """The subgroup to divide by is not normal, so coset products would
+    depend on the representatives chosen."""
 
 
 class ParseError(CommspecError):

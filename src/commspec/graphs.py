@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import AbelianGroupError, IndexOutOfRange
-from .groups import FiniteGroup, _bits, center
+from .groups import FiniteGroup, _bits
 
 
 @dataclass(frozen=True)
@@ -51,19 +51,21 @@ class CliqueDecomposition:
 def build_commuting_graph(group: FiniteGroup) -> CommutingGraph:
     """Graph on the non-central elements, adjacent iff they commute.
 
-    Each vertex's row is its commutation mask restricted to the non-central
-    elements, without its own bit, renumbered to vertex positions.
+    The vertices are the members of the non-central cosets of the center Z.
+    Commutation is constant on pairs of Z-cosets, so each coset gets one row:
+    the union, over vertex positions, of the non-central cosets that commute
+    with it.  Each vertex takes its coset's row without its own bit.
     """
     if group.is_abelian():
         raise AbelianGroupError("commuting graph is undefined for abelian groups")
-    central = set(center(group).members)
-    verts = tuple(x for x in range(group.order) if x not in central)
-    position = {x: i for i, x in enumerate(verts)}
-    masks = group.commuting_masks
-    adj = tuple(
-        sum(1 << position[y] for y in _bits(masks[x]) if y in position and y != x)
-        for x in verts
-    )
+    decomposition = group.center_cosets
+    coset_of = decomposition.coset_of
+    verts = tuple(x for x in range(group.order) if coset_of[x])
+    bits = [0] * len(decomposition.cosets)  # coset 0, the center, has no vertices
+    for i, x in enumerate(verts):
+        bits[coset_of[x]] |= 1 << i
+    rows = decomposition.commuting_unions(bits)
+    adj = tuple(rows[coset_of[x]] & ~(1 << i) for i, x in enumerate(verts))
     return CommutingGraph(verts, adj, sum(row.bit_count() for row in adj) // 2)
 
 

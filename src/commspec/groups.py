@@ -3,17 +3,28 @@
 Element 0 is always the identity; the constructor relabels elements when the
 identity sits elsewhere.  Every value here is immutable after construction
 and all operations are pure functions, so groups and derived data can be
-shared freely between workers.  A group's commutation relation is scanned
-once, on first use, into one bitmask per element and kept on the group; the
-center, the centralizers, the commuting graph and the non-commuting search
-all read those masks.
+shared freely between workers.
+
+Commutation is read off the cosets of the center Z, never off all n^2
+pairs.  The center comes from the generating set S that the constructor
+already builds for Light's test: x is central iff x*g == g*x for every g in
+S, because the centralizer C(x) is a subgroup, so holding S means holding
+the group S generates, which is all of it.  That costs O(n*|S|) lookups,
+with |S| <= log2(n).  Commutation is constant on pairs of Z-cosets:
+(xz)(yz') == (xy)(zz') and (yz')(xz) == (yx)(zz'), so xz and yz' commute
+iff x and y do.  So the cosets are built once, on first use, and q^2 table
+lookups over their representatives (q = n/|Z|) decide which pairs of cosets
+commute; the result is kept on the group.  The center, the centralizers,
+the central quotient, the commuting graph and the non-commuting search all
+read that one decomposition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import isqrt
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import (
@@ -32,10 +43,13 @@ class FiniteGroup:
 
     ``table[i][j]`` is the index of the product of elements i and j.
     Use :func:`from_cayley_table` to build one; it enforces the axioms.
+    ``generators`` is a set of elements whose products give every element;
+    it is derived from the table, so equality and hashing leave it out.
     """
 
     table: tuple[tuple[int, ...], ...]
     names: tuple[str, ...]
+    generators: tuple[int, ...] = field(compare=False)
 
     @property
     def order(self) -> int:
@@ -56,18 +70,52 @@ class FiniteGroup:
         return k
 
     def is_abelian(self) -> bool:
-        full = (1 << self.order) - 1
-        return all(mask == full for mask in self.commuting_masks)
+        return len(self.center_cosets.cosets) == 1
+
+    @cached_property
+    def center_cosets(self) -> CenterCosets:
+        """The cosets of the center and which of them commute.
+
+        Stored in the instance dict on first use, so each group's relation
+        is decomposed once however many callers ask for it; it is not a
+        field, so equality and hashing see the table only.
+        """
+        return _center_cosets(self.table, self.generators)
 
     @cached_property
     def commuting_masks(self) -> tuple[int, ...]:
         """Bit y of entry x is set iff x*y == y*x.
 
-        Stored in the instance dict on first use, so each group's relation
-        is scanned once however many callers ask for it; it is not a field,
-        so equality and hashing see the table only.
+        A coset's mask is the union of the cosets that commute with it; all
+        members of a coset share that one int.
         """
-        return _commuting_masks(self.table)
+        decomposition = self.center_cosets
+        coset_masks = decomposition.commuting_unions(
+            [sum(1 << m for m in coset) for coset in decomposition.cosets]
+        )
+        return tuple(coset_masks[c] for c in decomposition.coset_of)
+
+
+@dataclass(frozen=True)
+class CenterCosets:
+    """A group's partition into the cosets of its center Z.
+
+    ``cosets[0]`` is Z; the other cosets follow in order of their smallest
+    member, which is their representative.  Each coset is sorted, and
+    ``coset_of[x]`` is the index of the coset holding x.  Bit j of
+    ``commuting[i]`` is set iff the representatives of cosets i and j
+    commute, which by the coset identity means every member of one commutes
+    with every member of the other.
+    """
+
+    coset_of: tuple[int, ...]
+    cosets: tuple[tuple[int, ...], ...]
+    commuting: tuple[int, ...]
+
+    def commuting_unions(self, bits: Sequence[int]) -> list[int]:
+        """For each coset i, the union of ``bits[j]`` over the cosets j that
+        commute with it: q^2 bit tests in all."""
+        return [sum(bits[j] for j in _bits(row)) for row in self.commuting]
 
 
 @dataclass(frozen=True)
@@ -135,9 +183,10 @@ def from_cayley_table(
     == x*((a*b)*y).  So A holds the span of S, which is every element, and
     the table is associative.  In a group each new generator at least
     doubles the span, so |S| <= log2(n) and the test costs O(n^2 log n)
-    instead of O(n^3); on other tables |S| only grows, up to n.
+    instead of O(n^3); on other tables |S| only grows, up to n.  The set S
+    is kept on the group as its ``generators``.
     """
-    rows = [list(row) for row in table]
+    rows = [tuple(row) for row in table]
     n = len(rows)
     if n == 0:
         raise IndexOutOfRange("table is empty")
@@ -172,24 +221,26 @@ def from_cayley_table(
                 "inverse", f"element {i} has {hits} right inverses, expected 1"
             )
 
-    for g in _generating_set(rows):
-        row_g = rows[g]
-        for x in range(n):
-            row_x = rows[x]
+    gens = tuple(_generating_set(rows))
+    for g in gens:
+        # x*(g*y) for every y, as one tuple; a generator means n >= 2, so
+        # itemgetter returns a tuple rather than a single entry
+        right_of = itemgetter(*rows[g])
+        for x, row_x in enumerate(rows):
             left = rows[row_x[g]]
-            right = [row_x[v] for v in row_g]
+            right = right_of(row_x)
             if left != right:
                 y = next(y for y in range(n) if left[y] != right[y])
                 raise AxiomViolation(
                     "associativity", f"({x}*{g})*{y} != {x}*({g}*{y})"
                 )
 
-    return FiniteGroup(tuple(tuple(r) for r in rows), tuple(name_list))
+    return FiniteGroup(tuple(rows), tuple(name_list), gens)
 
 
-def _find_identity(rows: list[list[int]]) -> int | None:
+def _find_identity(rows: list[tuple[int, ...]]) -> int | None:
     n = len(rows)
-    straight = list(range(n))
+    straight = tuple(range(n))
     for e in range(n):
         if rows[e] == straight and all(rows[i][e] == i for i in range(n)):
             return e
@@ -197,22 +248,47 @@ def _find_identity(rows: list[list[int]]) -> int | None:
 
 
 def _swap_to_front(
-    rows: list[list[int]], names: list[str], e: int
-) -> tuple[list[list[int]], list[str]]:
+    rows: list[tuple[int, ...]], names: list[str], e: int
+) -> tuple[list[tuple[int, ...]], list[str]]:
     n = len(rows)
     perm = list(range(n))
     perm[0], perm[e] = e, 0
-    new_rows = [[perm[rows[perm[i]][perm[j]]] for j in range(n)] for i in range(n)]
+    new_rows = [tuple(perm[rows[perm[i]][perm[j]]] for j in range(n)) for i in range(n)]
     new_names = [names[perm[i]] for i in range(n)]
     return new_rows, new_names
 
 
-def _commuting_masks(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    # one O(n^2) pass: row x against column x
-    return tuple(
-        sum(1 << y for y, (xy, yx) in enumerate(zip(row, column)) if xy == yx)
-        for row, column in zip(table, zip(*table))
+def _center_cosets(
+    table: tuple[tuple[int, ...], ...], gens: Sequence[int]
+) -> CenterCosets:
+    """The center from the generators, its cosets, and q^2 commutation lookups."""
+    z = tuple(
+        x for x, row in enumerate(table) if all(row[g] == table[g][x] for g in gens)
     )
+    coset_of, cosets = _cosets(table, z)
+    reps = [coset[0] for coset in cosets]
+    commuting = tuple(
+        sum(1 << j for j, b in enumerate(reps) if table[a][b] == table[b][a])
+        for a in reps
+    )
+    return CenterCosets(coset_of, cosets, commuting)
+
+
+def _cosets(
+    table: Sequence[Sequence[int]], z: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The cosets xZ of a subgroup Z, each sorted, and the element-to-coset
+    map; Z itself is coset 0 and the rest follow their smallest member."""
+    coset_of = [-1] * len(table)
+    cosets: list[tuple[int, ...]] = []
+    for x, row in enumerate(table):
+        if coset_of[x] >= 0:
+            continue
+        members = tuple(sorted(row[zi] for zi in z))
+        for m in members:
+            coset_of[m] = len(cosets)
+        cosets.append(members)
+    return tuple(coset_of), tuple(cosets)
 
 
 def _bits(mask: int) -> list[int]:
@@ -225,10 +301,8 @@ def _bits(mask: int) -> list[int]:
 
 
 def center(group: FiniteGroup) -> Center:
-    """The elements whose commutation mask is full."""
-    full = (1 << group.order) - 1
-    masks = group.commuting_masks
-    return Center(tuple(x for x, mask in enumerate(masks) if mask == full))
+    """The elements commuting with every generator: the first coset."""
+    return Center(group.center_cosets.cosets[0])
 
 
 def centralizer(group: FiniteGroup, x: int) -> Centralizer:
@@ -244,46 +318,51 @@ def centralizer_count(group: FiniteGroup) -> int:
 
 
 def quotient_by_center(group: FiniteGroup) -> QuotientGroup:
-    """Quotient by the center, with well-definedness checked per coset pair.
+    """Quotient by the center, on the cosets the group already holds.
 
     The coset of the identity is index 0; the remaining cosets are ordered
-    by their smallest element, so construction is deterministic.
+    by their smallest element, so construction is deterministic.  Entry
+    (i, j) of the quotient's table is the coset of r_i * r_j, where r_i is
+    coset i's smallest member.
+
+    That is well defined when Z is a normal subgroup, which is checked
+    without touching all n^2 products.  A nonempty finite set closed under
+    products is a subgroup, and closure costs |Z|^2 lookups.  If
+    g*Z*g^-1 lies in Z for every generator g, it does for every element:
+    each element is a product g_1*...*g_k of generators, and conjugating by
+    it conjugates by g_k, then g_(k-1), and so on, each step staying in Z.
+    Then (xZ)(yZ) == xyZ whatever the representatives.  A designated Z that
+    fails either check raises ``QuotientError``.
     """
     z = center(group).members
+    _check_normal_subgroup(group, z)
     table = group.table
-    n = group.order
-    coset_of = [-1] * n
-    cosets: list[tuple[int, ...]] = []
-    for x in range(n):
-        if coset_of[x] >= 0:
-            continue
-        row = table[x]
-        members = tuple(sorted(row[zi] for zi in z))
-        idx = len(cosets)
-        cosets.append(members)
-        for m in members:
-            coset_of[m] = idx
+    decomposition = group.center_cosets
+    coset_of, cosets = decomposition.coset_of, decomposition.cosets
+    if cosets[0] != z:  # center() was replaced and names another subgroup
+        coset_of, cosets = _cosets(table, z)
 
-    q = len(cosets)
-    q_table = [[0] * q for _ in range(q)]
-    for i, ci in enumerate(cosets):
-        rows = [table[a] for a in ci]
-        for j, cj in enumerate(cosets):
-            expected = coset_of[rows[0][cj[0]]]
-            for row in rows:
-                for b in cj:
-                    if coset_of[row[b]] != expected:
-                        raise QuotientError(
-                            "coset product depends on representatives; "
-                            "the designated subgroup is not the center"
-                        )
-            q_table[i][j] = expected
-
+    reps = [coset[0] for coset in cosets]
+    q_table = [[coset_of[table[a][b]] for b in reps] for a in reps]
     q_names = tuple(
-        "Z" if i == 0 else f"{group.names[c[0]]}Z" for i, c in enumerate(cosets)
+        "Z" if i == 0 else f"{group.names[r]}Z" for i, r in enumerate(reps)
     )
     quotient = from_cayley_table(q_table, q_names)
-    return QuotientGroup(quotient, tuple(coset_of), tuple(cosets))
+    return QuotientGroup(quotient, coset_of, cosets)
+
+
+def _check_normal_subgroup(group: FiniteGroup, z: Sequence[int]) -> None:
+    table = group.table
+    inside = set(z)
+    if not inside or any(table[a][b] not in inside for a in z for b in z):
+        raise QuotientError("the designated subgroup is not closed under products")
+    for g in group.generators:
+        row_g, g_inv = table[g], group.inverse(g)
+        if any(table[row_g[a]][g_inv] not in inside for a in z):
+            raise QuotientError(
+                "the designated subgroup is not normal, so coset products "
+                "depend on representatives"
+            )
 
 
 def recognize_small(group: FiniteGroup) -> Recognition:

@@ -1,4 +1,5 @@
-"""Cayley tables of the symmetric and alternating groups, for the tests."""
+"""Cayley tables of the symmetric and alternating groups, and relabelled
+tables of any group, for the tests."""
 
 import itertools
 
@@ -24,3 +25,18 @@ def permutation_table(degree, even, rng=None):
 
 def permutation_group(degree, even):
     return from_cayley_table(permutation_table(degree, even))
+
+
+def relabelled_table(table, rng):
+    """The same group with its elements renamed by a random permutation that
+    moves element 0, the identity of a table from from_cayley_table, off
+    index 0."""
+    n = len(table)
+    assert n > 1, "a trivial group has no other labelling"
+    perm = list(range(n))  # element a becomes perm[a]
+    while perm[0] == 0:
+        rng.shuffle(perm)
+    old = [0] * n
+    for a, new in enumerate(perm):
+        old[new] = a
+    return [[perm[table[a][b]] for b in old] for a in old]

@@ -382,12 +382,14 @@ def test_each_group_is_analysed_once(argv, groups, monkeypatch, capsys):
     ids=["verify", "suite", "quotient"],
 )
 def test_each_center_is_scanned_once(argv, orders, monkeypatch, capsys):
-    # the center, the centralizer count, the commuting graph and the
-    # non-commuting search all read one commutation scan per group
+    # the center, the centralizer count, the quotient, the commuting graph
+    # and the non-commuting search all read one coset decomposition per group
     seen = []
-    original = groups._commuting_masks
+    original = groups._center_cosets
     monkeypatch.setattr(
-        groups, "_commuting_masks", lambda table: seen.append(len(table)) or original(table)
+        groups,
+        "_center_cosets",
+        lambda table, gens: seen.append(len(table)) or original(table, gens),
     )
     assert main(argv) == 0
     capsys.readouterr()

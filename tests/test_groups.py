@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -5,7 +6,7 @@ import re
 import pytest
 
 from commspec import groups
-from commspec.catalog import FamilySpec, build
+from commspec.catalog import FamilySpec, build, parse_family
 from commspec.errors import (
     AbelianGroupError,
     AxiomViolation,
@@ -31,7 +32,7 @@ from commspec.groups import (
     recognize_small,
 )
 
-from permutation_groups import permutation_group, permutation_table
+from permutation_groups import permutation_group, permutation_table, relabelled_table
 
 
 def s3_table():
@@ -258,19 +259,29 @@ def test_center_of_u6_is_trivial():
 
 def test_center_is_kept_on_its_group_only(monkeypatch):
     scans = []
-    original = groups._commuting_masks
+    original = groups._center_cosets
     monkeypatch.setattr(
-        groups, "_commuting_masks", lambda table: scans.append(len(table)) or original(table)
+        groups,
+        "_center_cosets",
+        lambda table, gens: scans.append(len(table)) or original(table, gens),
     )
     first = build(FamilySpec.dihedral(4))
     second = build(FamilySpec.dihedral(4))
     assert center(first) == center(first) == Center((0, 2))
     assert centralizer_count(first) == 4 and first.is_abelian() is False
+    assert quotient_by_center(first).group.order == 4
     assert scans == [8]
-    # the kept masks are not a field: equality and hashing see the table only
+    # the kept cosets are not a field: equality and hashing see the table only
     assert first == second and hash(first) == hash(second)
     assert center(second) == center(first)
     assert scans == [8, 8]
+
+
+def test_generators_do_not_affect_equality_or_hash():
+    group = build(FamilySpec.dihedral(4))
+    other = dataclasses.replace(group, generators=tuple(range(1, group.order)))
+    assert other.generators != group.generators
+    assert other == group and hash(other) == hash(group)
 
 
 def test_centralizer_of_identity_is_whole_group(d6):
@@ -315,6 +326,25 @@ def test_quotient_by_non_normal_subgroup_raises(monkeypatch):
     monkeypatch.setattr(groups, "center", lambda group: Center((0, reflection)))
     with pytest.raises(QuotientError):
         quotient_by_center(s3)
+
+
+def test_quotient_by_non_subgroup_raises(monkeypatch):
+    s3 = from_cayley_table(s3_table())
+    # {1, r} with r of order 3 is not closed under products: r*r is missing
+    rotation = next(x for x in range(1, 6) if s3.element_order(x) == 3)
+    monkeypatch.setattr(groups, "center", lambda group: Center((0, rotation)))
+    with pytest.raises(QuotientError):
+        quotient_by_center(s3)
+
+
+def test_quotient_by_normal_non_central_subgroup(monkeypatch):
+    s3 = from_cayley_table(s3_table())
+    # the designated subgroup decides the quotient: S3 / A3 has order 2
+    rotations = tuple(x for x in range(6) if s3.element_order(x) in (1, 3))
+    monkeypatch.setattr(groups, "center", lambda group: Center(rotations))
+    quotient = quotient_by_center(s3)
+    assert quotient.cosets[0] == rotations
+    assert quotient.group.table == ((0, 1), (1, 0))
 
 
 def test_quotient_of_q8(q8):
@@ -406,16 +436,27 @@ def _commutes(group, a, b):
     return group.table[a][b] == group.table[b][a]
 
 
-def _shuffled_permutation_groups():
+def _shuffled_groups():
     # identity not at index 0, so from_cayley_table relabels the elements
     rng = random.Random(7)
-    tables = [permutation_table(4, False, rng), permutation_table(5, True, rng)]
-    assert all(table[0][0] != 0 for table in tables)
-    return [("S4", from_cayley_table(tables[0])), ("A5", from_cayley_table(tables[1]))]
+    tables = {
+        "S4": permutation_table(4, False, rng),
+        "A5": permutation_table(5, True, rng),
+    }
+    for label in ("heis:3", "prod:dicyclic:3,z4", "expp2:3"):
+        tables[label] = relabelled_table(build(parse_family(label)).table, rng)
+    assert all(table[0][0] != 0 for table in tables.values())
+    named = [(name, from_cayley_table(table)) for name, table in tables.items()]
+    # the relabelled catalog groups have large centers (|Z| = 3, 8 and 3)
+    # scattered over the indices, not on the first |Z| as the catalog has them
+    for name, group in named[2:]:
+        z = center(group).members
+        assert len(z) in (3, 8) and z != tuple(range(len(z))), name
+    return named
 
 
 def test_commutation_masks_agree_with_pairwise_oracle(grid):
-    named = [(name, group) for name, _, group in grid] + _shuffled_permutation_groups()
+    named = [(name, group) for name, _, group in grid] + _shuffled_groups()
     for name, group in named:
         n = group.order
         members = [tuple(y for y in range(n) if _commutes(group, x, y)) for x in range(n)]
@@ -441,6 +482,26 @@ def test_commutation_masks_agree_with_pairwise_oracle(grid):
         for witness in (max_noncommuting_set(group), max_noncommuting_set(group, cap=5)):
             assert witness == sorted(set(witness)), name
             _assert_pairwise_noncommuting(group, witness)
+
+
+def test_quotient_tables_agree_with_coset_products(grid):
+    named = [(name, group) for name, _, group in grid] + _shuffled_groups()
+    for name, group in named:
+        quotient = quotient_by_center(group)
+        coset_of = quotient.coset_of
+        z = center(group).members
+        assert quotient.cosets[0] == z, name
+        assert sorted(itertools.chain(*quotient.cosets)) == list(range(group.order))
+        for i, coset in enumerate(quotient.cosets):
+            assert coset == tuple(sorted(group.table[coset[0]][c] for c in z)), name
+            assert [coset_of[x] for x in coset] == [i] * len(coset), name
+        # the per-pair definition: the coset of a*b, for every a and b
+        q_table = quotient.group.table
+        for a, row in enumerate(group.table):
+            q_row = q_table[coset_of[a]]
+            assert all(
+                q_row[coset_of[b]] == coset_of[ab] for b, ab in enumerate(row)
+            ), name
 
 
 @pytest.mark.parametrize(
