@@ -1,7 +1,7 @@
 """Constructors for the named group families on the verification grid.
 
 Every fact about a family is stated once, in the ``_FAMILIES`` table keyed
-by kind: its parameters and their ranges, its order, its builder, its
+by kind: its parameters and their ranges, its order, its product rule, its
 closed-form spectrum where the paper displays one (with the least
 parameters where it holds) and, for ``zpzp`` and ``dihedral``, the closed
 form of any group with that central quotient.  ``FamilySpec`` validates
@@ -9,9 +9,11 @@ against the table when it is constructed; ``order``, ``build``,
 ``parse_family`` and the predictors in ``predictions`` read it.
 
 Each family's elements are normal-form words (a^i b^j, or (x, y, z) for
-the Heisenberg group) at fixed indices, and every table entry is the index
-of a product, written by index arithmetic from the defining relations.
-The table then runs through full axiom validation.
+the Heisenberg group) at fixed indices.  Its product rule is stated once,
+as ``mul(u, v)`` on element indices, written by index arithmetic from the
+defining relations.  ``_table`` calls it for the rows of a few generators
+only and composes every other row from those at C speed; the table then
+runs through full axiom validation.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 from math import prod
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .errors import NotPrimeError, ParameterOutOfRange, ParseError
@@ -106,80 +109,107 @@ def _word(*terms: tuple[str, int]) -> str:
     return "".join(sym if e == 1 else f"{sym}^{e}" for sym, e in terms if e) or "1"
 
 
+# A product rule: the index of the product of the elements at two indices.
+_Mul = Callable[[int, int], int]
+
+
+def _table(n: int, mul: _Mul) -> list[tuple[int, ...]]:
+    """The Cayley table of the product ``mul`` on indices 0..n-1, where 0 is
+    the identity, calling ``mul`` for the rows of a few generators only.
+
+    Walk the indices in order; one that has no row yet becomes a generator
+    g, and its row is mul(g, y) for every y.  Every other row is composed
+    from rows already known: row(x*g)[m] = x*(g*m) = row_x[row_g[m]], so
+    the row of x*g is one ``itemgetter(*row_g)`` call on the row of x, and
+    x*g sits at row_x[g].  A breadth-first closure from the identity row
+    (0, 1, ..., n-1) under right multiplication by the generators reaches
+    every product of generators.  In a finite group those products form a
+    subgroup, since they are closed under products, so the walk's next
+    index without a row lies outside it and becomes the next generator;
+    thus every index gets a row.  The new subgroup holds the old one and
+    more, so it is at least twice as large (Lagrange's theorem): there are
+    at most log2(n) generators, and ``mul`` runs at most n*log2(n) times.
+    """
+    rows: list[tuple[int, ...] | None] = [None] * n
+    rows[0] = tuple(range(n))
+    reached = [0]
+    right: list[tuple[int, itemgetter]] = []
+    for g in range(1, n):
+        if rows[g] is not None:
+            continue
+        rows[g] = row_g = tuple([mul(g, y) for y in range(n)])
+        # n >= 2 here, so itemgetter returns a tuple rather than one entry
+        right.append((g, itemgetter(*row_g)))
+        reached.append(g)
+        for x in reached:  # the loop also visits what it appends
+            row_x = rows[x]
+            for h, compose in right:
+                xh = row_x[h]
+                if rows[xh] is None:
+                    rows[xh] = compose(row_x)
+                    reached.append(xh)
+    return rows
+
+
+def _group(mul: _Mul, names: list[str]) -> FiniteGroup:
+    """Build the table of ``mul`` on the named elements and validate it."""
+    return from_cayley_table(_table(len(names), mul), names)
+
+
 def _cyclic_extension(
     a_order: int, b_order: int, twist: int, b_power: int
-) -> FiniteGroup:
+) -> tuple[_Mul, list[str]]:
     """The group of words a^i b^j, element a^i b^j at index j*|a| + i.
 
     Relations: a^|a| = 1, b a b^-1 = a^twist and b^|b| = a^b_power.  Moving
     b^j1 past a^i2 gives a^i1 b^j1 a^i2 b^j2 = a^(i1 + twist^j1 i2) b^(j1 + j2),
-    and b^(j1 + j2) picks up a^b_power when j1 + j2 reaches |b|.  Entries
-    are drawn from one list of indices, so the table shares its int objects.
+    and b^(j1 + j2) picks up a^b_power when j1 + j2 reaches |b|.
     """
-    n = a_order * b_order
-    idx = list(range(n))
-    # act[j][i]: the exponent of b^j a^i b^-j
-    act = [
-        [pow(twist, j, a_order) * i % a_order for i in range(a_order)]
-        for j in range(b_order)
-    ]
-    table = []
-    for j1 in range(b_order):
-        for i1 in range(a_order):
-            row = []
-            for j2 in range(b_order):
-                j = j1 + j2
-                shift = i1 + b_power if j >= b_order else i1
-                base = j % b_order * a_order
-                row += [idx[base + (shift + k) % a_order] for k in act[j1]]
-            table.append(row)
+
+    def mul(u: int, v: int) -> int:
+        j1, i1 = divmod(u, a_order)
+        j2, i2 = divmod(v, a_order)
+        i = i1 + pow(twist, j1, a_order) * i2
+        j = j1 + j2
+        if j >= b_order:
+            i += b_power
+            j -= b_order
+        return j * a_order + i % a_order
+
     names = [_word(("a", i), ("b", j)) for j in range(b_order) for i in range(a_order)]
-    return from_cayley_table(table, names)
+    return mul, names
 
 
-def _u6n(n: int) -> FiniteGroup:
+def _u6n(n: int) -> tuple[_Mul, list[str]]:
     # <a, b : a^2n = b^3 = 1, a^-1 b a = b^-1>, order 6n; a^j b^i at 3j + i,
     # and a^j1 b^i1 a^j2 b^i2 = a^(j1 + j2) b^((-1)^j2 i1 + i2)
     order_a = 2 * n
-    idx = list(range(3 * order_a))
-    table = [
-        [
-            idx[(j1 + j2) % order_a * 3 + ((i2 - i1) if j2 % 2 else (i1 + i2)) % 3]
-            for j2 in range(order_a)
-            for i2 in range(3)
-        ]
-        for j1 in range(order_a)
-        for i1 in range(3)
-    ]
+
+    def mul(u: int, v: int) -> int:
+        j1, i1 = divmod(u, 3)
+        j2, i2 = divmod(v, 3)
+        return (j1 + j2) % order_a * 3 + ((i2 - i1) if j2 % 2 else (i1 + i2)) % 3
+
     names = [_word(("a", j), ("b", i)) for j in range(order_a) for i in range(3)]
-    return from_cayley_table(table, names)
+    return mul, names
 
 
-def _heisenberg(p: int) -> FiniteGroup:
+def _heisenberg(p: int) -> tuple[_Mul, list[str]]:
     # upper unitriangular 3x3 matrices over Z_p as (x, y, z) triples, at
     # x*p^2 + y*p + z; (x1, y1, z1)(x2, y2, z2) = (x1 + x2, y1 + y2,
-    # z1 + z2 + x1*y2).  For fixed x2 and y2 the p products run through z
-    # cyclically from z1 + x1*y2, so each is two slices of one shared index
-    # list.
+    # z1 + z2 + x1*y2)
     pp = p * p
-    idx = list(range(pp * p))
-    table = []
-    for x1 in range(p):
-        for y1 in range(p):
-            for z1 in range(p):
-                row = []
-                for x2 in range(p):
-                    for y2 in range(p):
-                        base = (x1 + x2) % p * pp + (y1 + y2) % p * p
-                        z = (z1 + x1 * y2) % p
-                        row += idx[base + z : base + p]
-                        row += idx[base : base + z]
-                table.append(row)
+
+    def mul(u: int, v: int) -> int:
+        x1, y1, z1 = u // pp, u // p % p, u % p
+        x2, y2, z2 = v // pp, v // p % p, v % p
+        return (x1 + x2) % p * pp + (y1 + y2) % p * p + (z1 + z2 + x1 * y2) % p
+
     names = [f"({x},{y},{z})" for x in range(p) for y in range(p) for z in range(p)]
-    return from_cayley_table(table, names)
+    return mul, names
 
 
-def _exp_p_squared(p: int) -> FiniteGroup:
+def _exp_p_squared(p: int) -> tuple[_Mul, list[str]]:
     # <a, b : a^(p^2) = 1, b^p = 1, b a b^-1 = a^(1+p)>, order p^3.
     # At p = 2 this presentation collapses onto the dihedral group, so the
     # quaternion group is returned instead to cover the second order-8 type.
@@ -188,30 +218,32 @@ def _exp_p_squared(p: int) -> FiniteGroup:
     return _cyclic_extension(p * p, p, 1 + p, 0)
 
 
-def _cyclic(k: int) -> FiniteGroup:
-    table = [[(i + j) % k for j in range(k)] for i in range(k)]
-    names = [_word(("z", i)) for i in range(k)]
-    return from_cayley_table(table, names)
+def _cyclic(k: int) -> tuple[_Mul, list[str]]:
+    return (lambda u, v: (u + v) % k), [_word(("z", i)) for i in range(k)]
+
+
+def _zpzp(p: int) -> tuple[_Mul, list[str]]:
+    z = _group(*_cyclic(p))
+    return _product(z, z)
+
+
+def _product(g: FiniteGroup, h: FiniteGroup) -> tuple[_Mul, list[str]]:
+    # (a, b) at a*|H| + b, multiplied componentwise in both tables
+    hn = h.order
+    g_table, h_table = g.table, h.table
+
+    def mul(u: int, v: int) -> int:
+        return g_table[u // hn][v // hn] * hn + h_table[u % hn][v % hn]
+
+    names = [
+        f"({g.names[a]},{h.names[b]})" for a in range(g.order) for b in range(hn)
+    ]
+    return mul, names
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Componentwise product; element (a, b) is encoded as a*|H| + b."""
-    hn = h.order
-    n = g.order * hn
-    table = [[0] * n for _ in range(n)]
-    for a1 in range(g.order):
-        for b1 in range(hn):
-            row = table[a1 * hn + b1]
-            ga = g.table[a1]
-            hb = h.table[b1]
-            for a2 in range(g.order):
-                base = ga[a2] * hn
-                for b2 in range(hn):
-                    row[a2 * hn + b2] = base + hb[b2]
-    names = [
-        f"({g.names[a]},{h.names[b]})" for a in range(g.order) for b in range(hn)
-    ]
-    return from_cayley_table(table, names)
+    return _group(*_product(g, h))
 
 
 class _Param(NamedTuple):
@@ -241,7 +273,8 @@ class _Family:
 
     params: tuple[_Param, ...]
     order: Callable[..., int]
-    build: Callable[..., FiniteGroup]
+    # the product rule and the element names, in index order
+    rule: Callable[..., tuple[_Mul, list[str]]]
     # the displayed closed form: the parameters give the source name and the
     # (eigenvalue, multiplicity) pairs of the whole spectrum
     spectrum: Callable[..., tuple[str, list[tuple[int, int]]]] | None = None
@@ -281,7 +314,7 @@ _FAMILIES: dict[str, _Family] = {
     "dihedral": _Family(
         params=(_AT_LEAST_2,),
         order=lambda m: 2 * m,
-        build=lambda m: _cyclic_extension(m, 2, -1, 0),
+        rule=lambda m: _cyclic_extension(m, 2, -1, 0),
         spectrum=_dihedral_spectrum,
         spectrum_from=(3,),
         # one clique of size (m - 1)z and m cliques of size z; at m = 2 the
@@ -295,35 +328,35 @@ _FAMILIES: dict[str, _Family] = {
     "dicyclic": _Family(
         params=(_AT_LEAST_2,),
         order=lambda m: 4 * m,
-        build=lambda m: _cyclic_extension(2 * m, 2, -1, m),
+        rule=lambda m: _cyclic_extension(2 * m, 2, -1, m),
         spectrum=lambda m: ("dicyclic", [(2 * m - 3, 1), (1, m), (-1, 3 * m - 3)]),
     ),
     # <a, b : a^m = b^2n = 1, b a b^-1 = a^-1>
     "metacyclic": _Family(
         params=(_Param("m", ">", 2), _Param("n", ">=", 1)),
         order=lambda m, n: 2 * m * n,
-        build=lambda m, n: _cyclic_extension(m, 2 * n, -1, 0),
+        rule=lambda m, n: _cyclic_extension(m, 2 * n, -1, 0),
         spectrum=_metacyclic_spectrum,
     ),
     "u6n": _Family(
         params=(_Param("n", ">=", 1),),
         order=lambda n: 6 * n,
-        build=_u6n,
+        rule=_u6n,
         spectrum=lambda n: ("u6n", [(2 * n - 1, 1), (n - 1, 3), (-1, 5 * n - 4)]),
     ),
-    "heis": _Family(params=(_PRIME,), order=lambda p: p**3, build=_heisenberg),
-    "expp2": _Family(params=(_PRIME,), order=lambda p: p**3, build=_exp_p_squared),
+    "heis": _Family(params=(_PRIME,), order=lambda p: p**3, rule=_heisenberg),
+    "expp2": _Family(params=(_PRIME,), order=lambda p: p**3, rule=_exp_p_squared),
     "zpzp": _Family(
         params=(_PRIME,),
         order=lambda p: p * p,
-        build=lambda p: direct_product(_cyclic(p), _cyclic(p)),
+        rule=_zpzp,
         # p + 1 cliques of size (p - 1)z
         quotient_spectrum=lambda p, z: (
             "zpzp-quotient",
             [((p - 1) * z - 1, p + 1), (-1, (p * p - 1) * z - p - 1)],
         ),
     ),
-    "cyclic": _Family(params=(_Param("k", ">=", 1),), order=lambda k: k, build=_cyclic),
+    "cyclic": _Family(params=(_Param("k", ">=", 1),), order=lambda k: k, rule=_cyclic),
 }
 
 
@@ -339,7 +372,7 @@ def build(spec: FamilySpec) -> FiniteGroup:
     """Build and validate the group described by ``spec``."""
     if spec.kind == "product":
         return reduce(direct_product, map(build, spec.factors))
-    return _FAMILIES[spec.kind].build(*spec.params)
+    return _group(*_FAMILIES[spec.kind].rule(*spec.params))
 
 
 def list_catalog() -> list[tuple[str, FamilySpec]]:

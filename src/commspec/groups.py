@@ -190,12 +190,15 @@ def from_cayley_table(
     n = len(rows)
     if n == 0:
         raise IndexOutOfRange("table is empty")
+    valid = frozenset(range(n))
     for i, row in enumerate(rows):
         if len(row) != n:
             raise IndexOutOfRange(f"row {i} has {len(row)} entries, expected {n}")
         # a row of plain ints in range passes at once; any other row gets the
-        # per-entry check, which rejects bools, floats and out-of-range values
-        if set(map(type, row)) == {int} and 0 <= min(row) and max(row) < n:
+        # per-entry check, which rejects bools, floats and out-of-range values.
+        # The set test is exact because every entry's type is exactly int, so
+        # hashing and equality are int's own.
+        if set(map(type, row)) == {int} and valid.issuperset(row):
             continue
         for j, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
@@ -250,12 +253,14 @@ def _find_identity(rows: list[tuple[int, ...]]) -> int | None:
 def _swap_to_front(
     rows: list[tuple[int, ...]], names: list[str], e: int
 ) -> tuple[list[tuple[int, ...]], list[str]]:
-    n = len(rows)
-    perm = list(range(n))
+    # new entry (i, j) is perm[rows[perm[i]][perm[j]]]: ``pick`` reads a
+    # row at the permuted columns, and one itemgetter maps that through perm;
+    # e != 0 means n >= 2, so both return tuples
+    perm = list(range(len(rows)))
     perm[0], perm[e] = e, 0
-    new_rows = [tuple(perm[rows[perm[i]][perm[j]]] for j in range(n)) for i in range(n)]
-    new_names = [names[perm[i]] for i in range(n)]
-    return new_rows, new_names
+    pick = itemgetter(*perm)
+    new_rows = [itemgetter(*pick(row))(perm) for row in pick(rows)]
+    return new_rows, list(pick(names))
 
 
 def _center_cosets(

@@ -1,8 +1,12 @@
+from functools import reduce
+
 import pytest
 
 from commspec.catalog import (
     _FAMILIES,
     FamilySpec,
+    _product,
+    _table,
     build,
     direct_product,
     list_catalog,
@@ -14,7 +18,6 @@ from commspec.groups import (
     _MR_BOUND,
     Recognition,
     center,
-    from_cayley_table,
     quotient_by_center,
     recognize_small,
 )
@@ -404,6 +407,25 @@ def _reference_expp2(p):
     return _by_tuples(elements, mul, _ab_name)
 
 
+def _reference_cyclic(k):
+    elements = [(i,) for i in range(k)]
+    return _by_tuples(
+        elements, lambda x, y: ((x[0] + y[0]) % k,), lambda e: _word(("z", e[0]))
+    )
+
+
+def _reference_product(g, h):
+    """Pairs of the factors' elements, multiplied componentwise in their
+    tables; ``g`` and ``h`` are (table, names) pairs."""
+    (g_table, g_names), (h_table, h_names) = g, h
+    elements = [(a, b) for a in range(len(g_table)) for b in range(len(h_table))]
+    return _by_tuples(
+        elements,
+        lambda x, y: (g_table[x[0]][y[0]], h_table[x[1]][y[1]]),
+        lambda e: f"({g_names[e[0]]},{h_names[e[1]]})",
+    )
+
+
 _REFERENCE = {
     "dihedral": _reference_dihedral,
     "dicyclic": _reference_dicyclic,
@@ -411,23 +433,24 @@ _REFERENCE = {
     "u6n": _reference_u6n,
     "heis": _reference_heis,
     "expp2": _reference_expp2,
+    "zpzp": lambda p: _reference_product(_reference_cyclic(p), _reference_cyclic(p)),
+    "cyclic": _reference_cyclic,
 }
 
 
-def _reference_group(spec):
-    """The group with each family table built by multiplying element tuples
-    and looking every product up in a tuple -> index dict."""
+def _reference_table(spec):
+    """The (table, names) of ``spec``, each family table built by
+    multiplying element tuples and looking every product up in a
+    tuple -> index dict; nothing here calls the catalog's builders."""
     if spec.kind == "product":
-        group = _reference_group(spec.factors[0])
-        for factor in spec.factors[1:]:
-            group = direct_product(group, _reference_group(factor))
-        return group
-    if spec.kind not in _REFERENCE:
-        return build(spec)  # cyclic and zpzp tables are built directly
-    return from_cayley_table(*_REFERENCE[spec.kind](*spec.params))
+        return reduce(_reference_product, map(_reference_table, spec.factors))
+    return _REFERENCE[spec.kind](*spec.params)
 
 
-_OFF_GRID = "heis:7 metacyclic:12,6 dihedral:40 dicyclic:12 u6n:6 expp2:5".split()
+_OFF_GRID = (
+    "heis:7 metacyclic:12,6 dihedral:40 dicyclic:12 u6n:6 expp2:5 zpzp:5 "
+    "prod:dihedral:4,z3,z2"
+).split()
 _PINNED = [spec for _, spec in list_catalog()] + [parse_family(t) for t in _OFF_GRID]
 
 
@@ -441,6 +464,31 @@ def test_family_tables_match_the_tuple_construction(spec):
     # the index layouts keep the element order and names of normal-form
     # words multiplied as tuples
     group = build(spec)
-    expected = _reference_group(spec)
-    assert group.table == expected.table
-    assert group.names == expected.names
+    table, names = _reference_table(spec)
+    assert group.table == tuple(map(tuple, table))
+    assert group.names == tuple(names)
+
+
+def _rule(spec):
+    """The product rule and names that ``build`` tabulates last for ``spec``."""
+    if spec.kind == "product":
+        *first, last = spec.factors
+        head = first[0] if len(first) == 1 else FamilySpec.product(*first)
+        return _product(build(head), build(last))
+    return _FAMILIES[spec.kind].rule(*spec.params)
+
+
+@pytest.mark.parametrize(
+    "label",
+    # z1 is the one-element table, whose identity row needs no product rule
+    "dihedral:5 dicyclic:3 metacyclic:4,2 u6n:2 heis:3 expp2:3 expp2:2 zpzp:3 "
+    "z6 z1 prod:dihedral:4,z3,z2".split(),
+)
+def test_composed_rows_match_the_product_rule(label):
+    mul, names = _rule(parse_family(label))
+    n = len(names)
+    calls = []
+    table = _table(n, lambda x, y: calls.append(x) or mul(x, y))
+    assert all(table[x][y] == mul(x, y) for x in range(n) for y in range(n))
+    # only the rows of at most log2(n) generators call the rule
+    assert len(calls) <= n * (n.bit_length() - 1)

@@ -207,6 +207,20 @@ def test_identity_relabelled_to_front():
     assert all(group.table[i][0] == i for i in range(3))
 
 
+@pytest.mark.parametrize("degree, even", [(4, False), (5, True), (5, False)])
+def test_relabelling_matches_the_per_entry_formula(degree, even):
+    # shuffled S4, A5 and S5 with the identity off index 0
+    table = permutation_table(degree, even, random.Random(degree + even))
+    e = next(i for i, row in enumerate(table) if row == sorted(row))
+    assert e != 0
+    names = [f"p{i}" for i in range(len(table))]
+    group = from_cayley_table(table, names)
+    expected = _identity_to_front(table, e)
+    assert group.table == tuple(tuple(row) for row in expected)
+    names[0], names[e] = names[e], names[0]
+    assert group.names == tuple(names)
+
+
 def test_bad_entries_rejected():
     with pytest.raises(IndexOutOfRange):
         from_cayley_table([[0, 5], [5, 0]])
