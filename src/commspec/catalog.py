@@ -12,8 +12,11 @@ Each family's elements are normal-form words (a^i b^j, or (x, y, z) for
 the Heisenberg group) at fixed indices.  Its product rule is stated once,
 as ``mul(u, v)`` on element indices, written by index arithmetic from the
 defining relations.  ``_table`` calls it for the rows of a few generators
-only and composes every other row from those at C speed; the table then
-runs through full axiom validation.
+only and composes every other row from those at C speed.  Only the
+generator rows are checked entry by entry; the construction proves that
+every composed row holds exact ints in range, permutes the elements and
+keeps 0 as the identity, so the finished table goes only through the last
+stage of ``groups.from_cayley_table``, Light's associativity test.
 """
 
 from __future__ import annotations
@@ -25,8 +28,14 @@ from math import prod
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-from .errors import NotPrimeError, ParameterOutOfRange, ParseError
-from .groups import FiniteGroup, from_cayley_table, is_prime
+from .errors import (
+    AxiomViolation,
+    IndexOutOfRange,
+    NotPrimeError,
+    ParameterOutOfRange,
+    ParseError,
+)
+from .groups import FiniteGroup, _associative_group, is_prime
 
 
 @dataclass(frozen=True)
@@ -129,7 +138,25 @@ def _table(n: int, mul: _Mul) -> list[tuple[int, ...]]:
     thus every index gets a row.  The new subgroup holds the old one and
     more, so it is at least twice as large (Lagrange's theorem): there are
     at most log2(n) generators, and ``mul`` runs at most n*log2(n) times.
+
+    Each generator row is checked as it is computed: every entry is an
+    exact int in 0..n-1 (``IndexOutOfRange``), row_g[0] == g
+    (``AxiomViolation("identity")``) and the row is a permutation of
+    0..n-1 (``AxiomViolation("inverse")``).  The rest of what
+    ``from_cayley_table`` checks follows from the construction, so the
+    table goes to Light's test alone:
+
+    - Entries: every entry object of a composed row is picked out of a row
+      already known, so by induction out of the identity row or a
+      generator row; each is an exact int in 0..n-1.
+    - Inverses: a composed row is row_x composed with the permutation
+      row_g, and the identity row is a permutation, so by induction every
+      row is a permutation of 0..n-1 and holds exactly one 0.
+    - Identity: row 0 is (0, 1, ..., n-1) by construction, and column 0
+      is the identity column: row_g[0] == g is checked, and by induction
+      the row of x*g has row_x[row_g[0]] = row_x[g] = x*g at column 0.
     """
+    valid = frozenset(range(n))
     rows: list[tuple[int, ...] | None] = [None] * n
     rows[0] = tuple(range(n))
     reached = [0]
@@ -138,6 +165,7 @@ def _table(n: int, mul: _Mul) -> list[tuple[int, ...]]:
         if rows[g] is not None:
             continue
         rows[g] = row_g = tuple([mul(g, y) for y in range(n)])
+        _check_generator_row(g, row_g, valid)
         # n >= 2 here, so itemgetter returns a tuple rather than one entry
         right.append((g, itemgetter(*row_g)))
         reached.append(g)
@@ -151,9 +179,32 @@ def _table(n: int, mul: _Mul) -> list[tuple[int, ...]]:
     return rows
 
 
+def _check_generator_row(
+    g: int, row: tuple[int, ...], valid: frozenset[int]
+) -> None:
+    """Raise unless ``row`` holds exact ints, starts with g and permutes 0..n-1."""
+    n = len(valid)
+    # the set test is exact because every entry's type is exactly int, so
+    # hashing and equality are int's own
+    if set(map(type, row)) != {int} or not valid.issuperset(row):
+        j, v = next(
+            (j, v)
+            for j, v in enumerate(row)
+            if type(v) is not int or not 0 <= v < n
+        )
+        raise IndexOutOfRange(f"entry ({g},{j}) = {v!r} not in 0..{n - 1}")
+    if row[0] != g:
+        raise AxiomViolation("identity", f"{g}*0 = {row[0]}, expected {g}")
+    if len(set(row)) != n:
+        raise AxiomViolation(
+            "inverse", f"row {g} is not a permutation of 0..{n - 1}"
+        )
+
+
 def _group(mul: _Mul, names: list[str]) -> FiniteGroup:
-    """Build the table of ``mul`` on the named elements and validate it."""
-    return from_cayley_table(_table(len(names), mul), names)
+    """Build the table of ``mul`` on the named elements and check it by
+    Light's test; ``_table`` proves the other axioms."""
+    return _associative_group(_table(len(names), mul), names)
 
 
 def _cyclic_extension(

@@ -165,26 +165,17 @@ class Recognition:
 def from_cayley_table(
     table: Sequence[Sequence[int]], names: Sequence[str] | None = None
 ) -> FiniteGroup:
-    """Validate a multiplication table and wrap it.
+    """Validate a multiplication table from outside and wrap it.
 
-    The identity and inverse axioms are checked on every element.  If the
-    two-sided identity is not element 0, the table is relabelled so that it
-    is; messages name elements by their relabelled indices.
-
-    Associativity uses Light's test (Clifford & Preston, *The Algebraic
-    Theory of Semigroups* I, section 1.2): walk the elements in index order
-    and add each one that is not yet in the span (the closure of {identity}
-    under right multiplication) to a generating set S, then check
-    (x*g)*y == x*(g*y) for every x, every y and every g in S only, one row
-    comparison per (x, g).  This is exact for any table with a two-sided
-    identity.  Let A be the set of a with (x*a)*y == x*(a*y) for all x, y.
-    A holds the identity, and A is closed under products: for a, b in A,
-    (x*(a*b))*y == ((x*a)*b)*y == (x*a)*(b*y) == x*(a*(b*y))
-    == x*((a*b)*y).  So A holds the span of S, which is every element, and
-    the table is associative.  In a group each new generator at least
-    doubles the span, so |S| <= log2(n) and the test costs O(n^2 log n)
-    instead of O(n^3); on other tables |S| only grows, up to n.  The set S
-    is kept on the group as its ``generators``.
+    Every check runs here, in this order: each row has n entries, each
+    entry is an exact int (not a bool or a float) in 0..n-1, there are n
+    names, there is a two-sided identity, and each element has exactly one
+    right inverse.  If the two-sided identity is not element 0, the table
+    is relabelled so that it is; messages name elements by their relabelled
+    indices.  Associativity is then checked by Light's test in
+    ``_associative_group``, which also builds the group.  The catalog's
+    tables skip the earlier checks, which their construction already proves
+    (see ``catalog._table``), and go through that last stage alone.
     """
     rows = [tuple(row) for row in table]
     n = len(rows)
@@ -224,6 +215,34 @@ def from_cayley_table(
                 "inverse", f"element {i} has {hits} right inverses, expected 1"
             )
 
+    return _associative_group(rows, name_list)
+
+
+def _associative_group(
+    rows: Sequence[tuple[int, ...]], names: Sequence[str]
+) -> FiniteGroup:
+    """Check associativity by Light's test and wrap the table.
+
+    ``rows`` must be an n x n table of exact ints in 0..n-1 with element 0
+    as its two-sided identity and exactly one 0 in each row (one right
+    inverse per element), and ``names`` its n names; ``from_cayley_table``
+    checks that and ``catalog._table`` proves it before either calls here.
+
+    Light's test (Clifford & Preston, *The Algebraic Theory of Semigroups*
+    I, section 1.2): walk the elements in index order and add each one
+    that is not yet in the span (the closure of {identity} under right
+    multiplication) to a generating set S, then check
+    (x*g)*y == x*(g*y) for every x, every y and every g in S only, one row
+    comparison per (x, g).  This is exact for any table with a two-sided
+    identity.  Let A be the set of a with (x*a)*y == x*(a*y) for all x, y.
+    A holds the identity, and A is closed under products: for a, b in A,
+    (x*(a*b))*y == ((x*a)*b)*y == (x*a)*(b*y) == x*(a*(b*y))
+    == x*((a*b)*y).  So A holds the span of S, which is every element, and
+    the table is associative.  In a group each new generator at least
+    doubles the span, so |S| <= log2(n) and the test costs O(n^2 log n)
+    instead of O(n^3); on other tables |S| only grows, up to n.  The set S
+    is kept on the group as its ``generators``.
+    """
     gens = tuple(_generating_set(rows))
     for g in gens:
         # x*(g*y) for every y, as one tuple; a generator means n >= 2, so
@@ -233,12 +252,12 @@ def from_cayley_table(
             left = rows[row_x[g]]
             right = right_of(row_x)
             if left != right:
-                y = next(y for y in range(n) if left[y] != right[y])
+                y = next(y for y in range(len(left)) if left[y] != right[y])
                 raise AxiomViolation(
                     "associativity", f"({x}*{g})*{y} != {x}*({g}*{y})"
                 )
 
-    return FiniteGroup(tuple(rows), tuple(name_list), gens)
+    return FiniteGroup(tuple(rows), tuple(names), gens)
 
 
 def _find_identity(rows: list[tuple[int, ...]]) -> int | None:

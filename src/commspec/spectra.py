@@ -41,7 +41,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb, gcd
 from operator import index as _exact_int
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     EmptyInputError,
@@ -175,28 +176,32 @@ def char_poly(matrix: Sequence[Sequence[int]]) -> CharPoly:
     support = CommutingGraph(
         tuple(range(n)), masks, sum(m.bit_count() for m in masks) // 2
     )
-    blocks = _distinct_blocks(support, lambda i, block: tuple(a[i][j] for j in block))
+    blocks = _distinct_blocks(
+        support, lambda block: (tuple(a[i][j] for j in block) for i in block)
+    )
     factors = [(_block_char_poly(key).coeffs, count) for key, count in blocks.items()]
     return CharPoly(tuple(_power_product(factors)))
 
 
 def _distinct_blocks(
-    graph: CommutingGraph, row
-) -> dict[tuple[tuple[int, ...], ...], int]:
+    graph: CommutingGraph,
+    rows: Callable[[tuple[int, ...]], Iterable[Sequence[int]]],
+) -> dict[tuple[Sequence[int], ...], int]:
     """Each connected block's submatrix, with the number of blocks that have it.
 
-    ``row(i, block)`` is row i of the matrix restricted to the block's
-    columns.  Blocks are keyed by their exact submatrix, rows and columns in
-    the block's sorted vertex order.  det(xI - B) is a function of B's
-    entries, so two blocks with equal keys are the same matrix and share the
-    coefficients that were proved and checked for it; a key never merges
-    two different matrices.  Isomorphic blocks whose vertex orders give
-    different submatrices get different keys and are computed separately.
-    The keys live only for the caller's call.
+    ``rows(block)`` yields the block's rows of the matrix restricted to the
+    block's columns, as tuples or bytes of the entries.  Blocks are keyed by
+    their exact submatrix, rows and columns in the block's sorted vertex
+    order.  det(xI - B) is a function of B's entries, so two blocks with
+    equal keys are the same matrix and share the coefficients that were
+    proved and checked for it; a key never merges two different matrices.
+    Isomorphic blocks whose vertex orders give different submatrices get
+    different keys and are computed separately.  The keys live only for the
+    caller's call.
     """
-    counts: dict[tuple[tuple[int, ...], ...], int] = {}
+    counts: dict[tuple[Sequence[int], ...], int] = {}
     for block in connected_components(graph):
-        key = tuple(row(i, block) for i in block)
+        key = tuple(rows(block))
         counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -404,16 +409,18 @@ def _spot_check(
     (t + 1)(e_i - e_j), which the lazy elimination updates once, at step j,
     before it becomes the pivot.
     """
-    n = len(a)
     last: dict[int, int] = {}
     previous = []
     for i, c in enumerate(labels):
         previous.append(last.get(c, -1))
         last[c] = i
+    negated = [[-x for x in row] for row in a]
     for t in (0, 1, -1):
-        shifted = [
-            [(t if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)
-        ]
+        shifted = []
+        for i, row in enumerate(negated):
+            row = row.copy()
+            row[i] += t
+            shifted.append(row)
         reduced = [
             row if p < 0 else [x - y for x, y in zip(row, shifted[p])]
             for row, p in zip(shifted, previous)
@@ -453,7 +460,7 @@ def exact_determinant(matrix: Sequence[Sequence[int]]) -> int:
     A swap exchanges two rows not yet used as pivots, together with their
     levels, and leaves the minors of the pivot rows unchanged.
     """
-    a = [[_exact_int(v) for v in row] for row in matrix]
+    a = [list(map(_exact_int, row)) for row in matrix]
     n = len(a)
     for i, row in enumerate(a):
         if len(row) != n:
@@ -566,9 +573,7 @@ def is_integral(graph: CommutingGraph) -> SpectralAnalysis:
     out.
     """
     adjacency = graph.adjacency
-    blocks = _distinct_blocks(
-        graph, lambda i, block: tuple(adjacency[i] >> j & 1 for j in block)
-    )
+    blocks = _distinct_blocks(graph, lambda block: _bit_rows(adjacency, block))
     pairs: list[tuple[int, int]] = []
     factors = []
     rests = []
@@ -592,6 +597,29 @@ def is_integral(graph: CommutingGraph) -> SpectralAnalysis:
         remainder=CharPoly(tuple(remainder)),
         factors=tuple(factors),
     )
+
+
+# maps the ASCII digits of a binary string to the bytes 0 and 1
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bit_rows(adjacency: Sequence[int], block: tuple[int, ...]) -> Iterator[bytes]:
+    """The block's rows of the 0/1 matrix of ``adjacency`` on its columns.
+
+    Bit j of ``adjacency[i]`` is character n - 1 - j of its n-digit binary
+    string, so one ``itemgetter`` per block picks the block's columns out of
+    each row's digits, translated to the bytes 0 and 1.  A row's string is
+    built only when the row is read.
+    """
+    n = len(adjacency)
+    columns = [n - 1 - j for j in block]
+    if len(columns) > 1:
+        pick = itemgetter(*columns)
+    else:  # itemgetter would return the one entry bare
+        pick = lambda digits, c=columns[0]: digits[c : c + 1]  # noqa: E731
+    for i in block:
+        digits = format(adjacency[i], f"0{n}b").encode().translate(_BINARY_DIGITS)
+        yield bytes(pick(digits))
 
 
 def clique_union_spectrum(sizes: Iterable[int]) -> Spectrum:

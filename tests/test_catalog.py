@@ -2,6 +2,7 @@ from functools import reduce
 
 import pytest
 
+from commspec import catalog
 from commspec.catalog import (
     _FAMILIES,
     FamilySpec,
@@ -12,12 +13,19 @@ from commspec.catalog import (
     list_catalog,
     parse_family,
 )
-from commspec.errors import NotPrimeError, ParameterOutOfRange, ParseError
+from commspec.errors import (
+    AxiomViolation,
+    IndexOutOfRange,
+    NotPrimeError,
+    ParameterOutOfRange,
+    ParseError,
+)
 from commspec.graphs import build_commuting_graph
 from commspec.groups import (
     _MR_BOUND,
     Recognition,
     center,
+    from_cayley_table,
     quotient_by_center,
     recognize_small,
 )
@@ -492,3 +500,83 @@ def test_composed_rows_match_the_product_rule(label):
     assert all(table[x][y] == mul(x, y) for x in range(n) for y in range(n))
     # only the rows of at most log2(n) generators call the rule
     assert len(calls) <= n * (n.bit_length() - 1)
+
+
+@pytest.mark.parametrize(
+    "spec", list(dict.fromkeys(_PINNED)), ids=lambda spec: spec.label()
+)
+def test_the_full_validator_accepts_each_catalog_table(spec):
+    # the catalog skips the checks its construction proves; the outside
+    # path runs them all and returns the same group and generating set
+    group = build(spec)
+    checked = from_cayley_table(group.table, group.names)
+    assert checked == group
+    assert checked.generators == group.generators
+
+
+def _cyclic_4_except(bad, value):
+    return lambda x, y: value if (x, y) == bad else (x + y) % 4
+
+
+def _klein_except(bad, value):
+    return lambda x, y: value if (x, y) == bad else x ^ y
+
+
+@pytest.mark.parametrize(
+    "mul, error, message",
+    [
+        (
+            _cyclic_4_except((1, 2), True),
+            IndexOutOfRange,
+            "entry (1,2) = True not in 0..3",
+        ),
+        (
+            _cyclic_4_except((1, 3), 3.0),
+            IndexOutOfRange,
+            "entry (1,3) = 3.0 not in 0..3",
+        ),
+        (
+            _cyclic_4_except((1, 1), 4),
+            IndexOutOfRange,
+            "entry (1,1) = 4 not in 0..3",
+        ),
+        (
+            _cyclic_4_except((1, 1), -1),
+            IndexOutOfRange,
+            "entry (1,1) = -1 not in 0..3",
+        ),
+        # 2 is the second generator of the Klein four-group's table
+        (_klein_except((2, 3), 5), IndexOutOfRange, "entry (2,3) = 5 not in 0..3"),
+        (
+            _cyclic_4_except((1, 0), 2),
+            AxiomViolation,
+            "identity axiom violated: 1*0 = 2, expected 1",
+        ),
+        (
+            _klein_except((2, 0), 3),
+            AxiomViolation,
+            "identity axiom violated: 2*0 = 3, expected 2",
+        ),
+        (
+            _cyclic_4_except((1, 3), 1),
+            AxiomViolation,
+            "inverse axiom violated: row 1 is not a permutation of 0..3",
+        ),
+    ],
+)
+def test_generator_rows_are_checked(mul, error, message):
+    with pytest.raises(error) as caught:
+        _table(4, mul)
+    assert str(caught.value) == message
+
+
+def test_only_generator_rows_are_checked(monkeypatch):
+    checked = []
+    original = catalog._check_generator_row
+    monkeypatch.setattr(
+        catalog,
+        "_check_generator_row",
+        lambda g, row, valid: checked.append(g) or original(g, row, valid),
+    )
+    group = build(FamilySpec.heis(7))
+    assert checked == list(group.generators) == [1, 7, 49]

@@ -63,6 +63,11 @@ def test_char_poly_rejects_floats():
         char_poly([[0.0, 1.0], [1.0, 0.0]])
 
 
+def test_exact_determinant_rejects_floats():
+    with pytest.raises(TypeError):
+        exact_determinant([[1, 0], [0, 1.0]])
+
+
 def _laplace_det(matrix):
     n = len(matrix)
     if n == 0:
@@ -773,6 +778,45 @@ def test_is_integral_proves_and_checks_each_distinct_block_once(
     is_integral(graph)
     assert len(modular) == distinct
     assert len(determinants) == 3 * distinct
+
+
+def _random_raw_graphs():
+    rng = random.Random(25)
+    return [_random_graph(rng, rng.randint(1, 40), rng.random()) for _ in range(20)]
+
+
+@pytest.mark.parametrize(
+    "make_graphs",
+    [
+        lambda: [_s4_graph()],
+        lambda: [build_commuting_graph(permutation_group(5, True))],
+        lambda: [build_commuting_graph(permutation_group(5, False))],
+        lambda: [build_commuting_graph(build(FamilySpec.heis(5)))],
+        # the reflections of D6 and D10 are isolated vertices
+        lambda: [build_commuting_graph(build(FamilySpec.dihedral(m))) for m in (3, 5)],
+        lambda: [_RAW_GRAPHS["isolated"], _RAW_GRAPHS["empty"]],
+        _random_raw_graphs,
+    ],
+    ids=["S4", "A5", "S5", "heis:5", "singletons", "raw-singletons", "random"],
+)
+def test_block_keys_are_the_bitwise_submatrices(make_graphs, monkeypatch):
+    keys = []
+    original = spectra._distinct_blocks
+    monkeypatch.setattr(
+        spectra,
+        "_distinct_blocks",
+        lambda graph, rows: keys.append(original(graph, rows)) or keys[-1],
+    )
+    for graph in make_graphs():
+        is_integral(graph)
+        adjacency = graph.adjacency
+        expected = {}
+        for block in connected_components(graph):
+            key = tuple(tuple(adjacency[i] >> j & 1 for j in block) for i in block)
+            expected[key] = expected.get(key, 0) + 1
+        blocks = keys.pop()
+        assert all(type(row) is bytes for key in blocks for row in key)
+        assert {tuple(map(tuple, k)): c for k, c in blocks.items()} == expected
 
 
 # Twin quotient: is_integral reduces each block to one row per twin class,
