@@ -15,8 +15,11 @@ defining relations.  ``_table`` calls it for the rows of a few generators
 only and composes every other row from those at C speed.  Only the
 generator rows are checked entry by entry; the construction proves that
 every composed row holds exact ints in range, permutes the elements and
-keeps 0 as the identity, so the finished table goes only through the last
-stage of ``groups.from_cayley_table``, Light's associativity test.
+keeps 0 as the identity, and every composed row is the composition of the
+rows along its walk's tree edge.  So the finished table goes only through
+the last stage of ``groups.from_cayley_table``, the associativity check,
+and only through its generator pairs: |S|^2 column comparisons for the
+walk's generating set S.
 """
 
 from __future__ import annotations
@@ -122,9 +125,10 @@ def _word(*terms: tuple[str, int]) -> str:
 _Mul = Callable[[int, int], int]
 
 
-def _table(n: int, mul: _Mul) -> list[tuple[int, ...]]:
+def _table(n: int, mul: _Mul) -> tuple[list[tuple[int, ...]], list[int]]:
     """The Cayley table of the product ``mul`` on indices 0..n-1, where 0 is
-    the identity, calling ``mul`` for the rows of a few generators only.
+    the identity, calling ``mul`` for the rows of a few generators only, and
+    those generators.
 
     Walk the indices in order; one that has no row yet becomes a generator
     g, and its row is mul(g, y) for every y.  Every other row is composed
@@ -144,7 +148,7 @@ def _table(n: int, mul: _Mul) -> list[tuple[int, ...]]:
     (``AxiomViolation("identity")``) and the row is a permutation of
     0..n-1 (``AxiomViolation("inverse")``).  The rest of what
     ``from_cayley_table`` checks follows from the construction, so the
-    table goes to Light's test alone:
+    table goes to ``groups._associative_group`` alone:
 
     - Entries: every entry object of a composed row is picked out of a row
       already known, so by induction out of the identity row or a
@@ -155,6 +159,14 @@ def _table(n: int, mul: _Mul) -> list[tuple[int, ...]]:
     - Identity: row 0 is (0, 1, ..., n-1) by construction, and column 0
       is the identity column: row_g[0] == g is checked, and by induction
       the row of x*g has row_x[row_g[0]] = row_x[g] = x*g at column 0.
+    - Tree edges: every row but row 0 is a generator row g, which is
+      row_0 o row_g as row 0 is the identity map, or was composed as
+      row_x o row_h for the entry x*h = row_x[h] it fills, with x already
+      reached.  Those are the tree edges of a walk from 0 by right
+      multiplication by the generators, so check (a) of
+      ``groups._associative_group`` holds by construction, and the
+      generators go to its check (b) alone.  They are Light's generating
+      set: each is the first index outside the span of those before it.
     """
     valid = frozenset(range(n))
     rows: list[tuple[int, ...] | None] = [None] * n
@@ -176,7 +188,7 @@ def _table(n: int, mul: _Mul) -> list[tuple[int, ...]]:
                 if rows[xh] is None:
                     rows[xh] = compose(row_x)
                     reached.append(xh)
-    return rows
+    return rows, [g for g, _ in right]
 
 
 def _check_generator_row(
@@ -202,9 +214,10 @@ def _check_generator_row(
 
 
 def _group(mul: _Mul, names: list[str]) -> FiniteGroup:
-    """Build the table of ``mul`` on the named elements and check it by
-    Light's test; ``_table`` proves the other axioms."""
-    return _associative_group(_table(len(names), mul), names)
+    """Build the table of ``mul`` on the named elements and check its
+    generator pairs for associativity; ``_table`` proves the rest."""
+    rows, gens = _table(len(names), mul)
+    return _associative_group(rows, names, gens)
 
 
 def _cyclic_extension(

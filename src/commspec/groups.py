@@ -5,24 +5,29 @@ identity sits elsewhere.  Every value here is immutable after construction
 and all operations are pure functions, so groups and derived data can be
 shared freely between workers.
 
+Associativity is checked at the size of a generating set S: the
+constructor walks the table to find S, checks each row it reaches along
+the walk's tree edges, and checks that multiplying by a generator on the
+left commutes with multiplying by one on the right (``_associative_group``).
 Commutation is read off the cosets of the center Z, never off all n^2
-pairs.  The center comes from the generating set S that the constructor
-already builds for Light's test: x is central iff x*g == g*x for every g in
-S, because the centralizer C(x) is a subgroup, so holding S means holding
-the group S generates, which is all of it.  That costs O(n*|S|) lookups,
-with |S| <= log2(n).  Commutation is constant on pairs of Z-cosets:
-(xz)(yz') == (xy)(zz') and (yz')(xz) == (yx)(zz'), so xz and yz' commute
-iff x and y do.  So the cosets are built once, on first use, and q^2 table
-lookups over their representatives (q = n/|Z|) decide which pairs of cosets
-commute; the result is kept on the group.  The center, the centralizers,
-the central quotient, the commuting graph and the non-commuting search all
-read that one decomposition.
+pairs.  The center comes from S: x is central iff x*g == g*x for every g
+in S, because the centralizer C(x) is a subgroup, so holding S means
+holding the group S generates, which is all of it.  That costs O(n*|S|)
+lookups, with |S| <= log2(n).  Commutation is constant on pairs of
+Z-cosets: (xz)(yz') == (xy)(zz') and (yz')(xz) == (yx)(zz'), so xz and yz'
+commute iff x and y do.  So the cosets are built once, on first use, and
+q^2 table lookups over their representatives (q = n/|Z|) decide which
+pairs of cosets commute; the result is kept on the group.  The center, the
+centralizers, the central quotient, the commuting graph and the
+non-commuting search all read that one decomposition; none of them holds
+a mask per element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from math import isqrt
 from operator import itemgetter
 from typing import Sequence
@@ -81,19 +86,6 @@ class FiniteGroup:
         field, so equality and hashing see the table only.
         """
         return _center_cosets(self.table, self.generators)
-
-    @cached_property
-    def commuting_masks(self) -> tuple[int, ...]:
-        """Bit y of entry x is set iff x*y == y*x.
-
-        A coset's mask is the union of the cosets that commute with it; all
-        members of a coset share that one int.
-        """
-        decomposition = self.center_cosets
-        coset_masks = decomposition.commuting_unions(
-            [sum(1 << m for m in coset) for coset in decomposition.cosets]
-        )
-        return tuple(coset_masks[c] for c in decomposition.coset_of)
 
 
 @dataclass(frozen=True)
@@ -172,10 +164,12 @@ def from_cayley_table(
     names, there is a two-sided identity, and each element has exactly one
     right inverse.  If the two-sided identity is not element 0, the table
     is relabelled so that it is; messages name elements by their relabelled
-    indices.  Associativity is then checked by Light's test in
-    ``_associative_group``, which also builds the group.  The catalog's
-    tables skip the earlier checks, which their construction already proves
-    (see ``catalog._table``), and go through that last stage alone.
+    indices.  Associativity is then checked in ``_associative_group``, on
+    the tree edges of the walk that finds a generating set and on the
+    generator pairs, which also builds the group.  The catalog's tables
+    skip the earlier checks and the tree edges, which their construction
+    already proves (see ``catalog._table``), and go through the generator
+    pairs alone.
     """
     rows = [tuple(row) for row in table]
     n = len(rows)
@@ -219,45 +213,101 @@ def from_cayley_table(
 
 
 def _associative_group(
-    rows: Sequence[tuple[int, ...]], names: Sequence[str]
+    rows: Sequence[tuple[int, ...]],
+    names: Sequence[str],
+    generators: Sequence[int] | None = None,
 ) -> FiniteGroup:
-    """Check associativity by Light's test and wrap the table.
+    """Check associativity from commuting actions and wrap the table.
 
     ``rows`` must be an n x n table of exact ints in 0..n-1 with element 0
-    as its two-sided identity and exactly one 0 in each row (one right
-    inverse per element), and ``names`` its n names; ``from_cayley_table``
-    checks that and ``catalog._table`` proves it before either calls here.
+    as its two-sided identity, and ``names`` its n names;
+    ``from_cayley_table`` checks that (and one right inverse per element)
+    and ``catalog._table`` proves it before either calls here.
 
-    Light's test (Clifford & Preston, *The Algebraic Theory of Semigroups*
-    I, section 1.2): walk the elements in index order and add each one
-    that is not yet in the span (the closure of {identity} under right
-    multiplication) to a generating set S, then check
-    (x*g)*y == x*(g*y) for every x, every y and every g in S only, one row
-    comparison per (x, g).  This is exact for any table with a two-sided
-    identity.  Let A be the set of a with (x*a)*y == x*(a*y) for all x, y.
-    A holds the identity, and A is closed under products: for a, b in A,
-    (x*(a*b))*y == ((x*a)*b)*y == (x*a)*(b*y) == x*(a*(b*y))
-    == x*((a*b)*y).  So A holds the span of S, which is every element, and
-    the table is associative.  In a group each new generator at least
-    doubles the span, so |S| <= log2(n) and the test costs O(n^2 log n)
-    instead of O(n^3); on other tables |S| only grows, up to n.  The set S
-    is kept on the group as its ``generators``.
+    Write L_x for the map y -> x*y (row x) and R_h for y -> y*h (column h).
+    Walk the elements in index order; each one that the walk has not yet
+    reached becomes a generator, and the reached set is closed under right
+    multiplication by the generators so far.  This gives Light's generating
+    set S (Clifford & Preston, *The Algebraic Theory of Semigroups* I,
+    section 1.2), and every element x != 0 is reached along a tree edge
+    x = y*h with h in S and y reached before x.  Two checks follow:
+
+    (a) L_(y*h) == L_y o L_h on each of the n - 1 tree edges, one
+        ``itemgetter`` composition per edge;
+    (b) L_g o R_h == R_h o L_g, that is g*(y*h) == (g*y)*h for every y,
+        for every g and h in S: |S|^2 tuple comparisons.
+
+    They are exact.  By (a) and induction along the tree, every row is a
+    composition of generator rows (L_0 is the identity map).  By (b) every
+    such composition p commutes with every R_h, so with every composition
+    R_w of them.  Every z is R_w(0) for the word w that spells its tree
+    path, so two compositions p and p' with p(0) == p'(0) agree everywhere:
+    p(z) = R_w(p(0)) = R_w(p'(0)) = p'(z).  For any x and y, L_(x*y) and
+    L_x o L_y are both compositions of generator rows, and both send 0 to
+    x*y, so they are equal: (x*y)*z == x*(y*z) for every z.  Conversely an
+    associative table passes both checks, and a failing comparison names a
+    triple that does not associate.  Only the two-sided identity is used.
+
+    In a group each new generator at least doubles the reached set, so
+    |S| <= log2(n), and the checks cost n - 1 row compositions plus |S|^2
+    comparisons of n-tuples, all at C speed, against the n*|S| row
+    comparisons of Light's test; on other tables |S| only grows, up to n.
+
+    A caller that built every row along its own walk of this kind, as
+    row(y*h) = row_y o row_h, passes that walk's ``generators``: (a) then
+    holds by construction, and only (b) runs.  The set S is kept on the
+    group as its ``generators``.
     """
-    gens = tuple(_generating_set(rows))
+    if generators is None:
+        generators = _walk_tree_edges(rows)
+    gens = tuple(generators)
+    # a generator means n >= 2, so each itemgetter returns a tuple
+    columns = [tuple(map(itemgetter(h), rows)) for h in gens]
+    right_of = [itemgetter(*column) for column in columns]
     for g in gens:
-        # x*(g*y) for every y, as one tuple; a generator means n >= 2, so
-        # itemgetter returns a tuple rather than a single entry
-        right_of = itemgetter(*rows[g])
-        for x, row_x in enumerate(rows):
-            left = rows[row_x[g]]
-            right = right_of(row_x)
-            if left != right:
-                y = next(y for y in range(len(left)) if left[y] != right[y])
+        row_g = rows[g]
+        left_of = itemgetter(*row_g)
+        for h, column, right in zip(gens, columns, right_of):
+            left = left_of(column)  # (g*y)*h for every y
+            if left != right(row_g):  # g*(y*h)
+                y = next(y for y, v in enumerate(left) if v != row_g[column[y]])
                 raise AxiomViolation(
-                    "associativity", f"({x}*{g})*{y} != {x}*({g}*{y})"
+                    "associativity", f"({g}*{y})*{h} != {g}*({y}*{h})"
                 )
-
     return FiniteGroup(tuple(rows), tuple(names), gens)
+
+
+def _walk_tree_edges(rows: Sequence[tuple[int, ...]]) -> list[int]:
+    """Light's generating set, checking L_(x*h) == L_x o L_h on each tree
+    edge of the walk that finds it (check (a) of ``_associative_group``)."""
+    n = len(rows)
+    reached = [0]
+    seen = bytearray(n)
+    seen[0] = 1
+    steps: list[tuple[int, itemgetter]] = []
+    for g in range(1, n):
+        if seen[g]:
+            continue
+        step = (g, itemgetter(*rows[g]))  # n >= 2 here, so it returns tuples
+        steps.append(step)
+        # the reached set is closed under the older generators: multiply it
+        # by g, then close whatever is new under all of them
+        old = len(reached)
+        for i, x in enumerate(reached):  # the loop also visits what it appends
+            row_x = rows[x]
+            for h, compose in (step,) if i < old else steps:
+                xh = row_x[h]
+                if seen[xh]:
+                    continue
+                seen[xh] = 1
+                reached.append(xh)
+                row_xh = compose(row_x)
+                if rows[xh] != row_xh:
+                    m = next(m for m, v in enumerate(row_xh) if v != rows[xh][m])
+                    raise AxiomViolation(
+                        "associativity", f"({x}*{h})*{m} != {x}*({h}*{m})"
+                    )
+    return [g for g, _ in steps]
 
 
 def _find_identity(rows: list[tuple[int, ...]]) -> int | None:
@@ -330,15 +380,25 @@ def center(group: FiniteGroup) -> Center:
 
 
 def centralizer(group: FiniteGroup, x: int) -> Centralizer:
-    """All elements commuting with ``x``: the bits of its commutation mask."""
-    if not 0 <= x < group.order:
-        raise IndexOutOfRange(f"element {x} not in 0..{group.order - 1}")
-    return Centralizer(x, tuple(_bits(group.commuting_masks[x])))
+    """All elements commuting with ``x``: the members of the cosets that
+    commute with x's coset.  ``x`` must be an exact int (not a bool)."""
+    if type(x) is not int or not 0 <= x < group.order:
+        raise IndexOutOfRange(f"element {x!r} not in 0..{group.order - 1}")
+    decomposition = group.center_cosets
+    cosets = decomposition.cosets
+    row = decomposition.commuting[decomposition.coset_of[x]]
+    members = chain.from_iterable(cosets[j] for j in _bits(row))
+    return Centralizer(x, tuple(sorted(members)))
 
 
 def centralizer_count(group: FiniteGroup) -> int:
-    """Number of distinct centralizer subgroups (distinct commutation masks)."""
-    return len(set(group.commuting_masks))
+    """Number of distinct centralizer subgroups.
+
+    C(x) is the union of the cosets that commute with x's coset, and the
+    cosets are disjoint and nonempty, so two centralizers are equal iff
+    their cosets' rows of ``CenterCosets.commuting`` are.
+    """
+    return len(set(group.center_cosets.commuting))
 
 
 def quotient_by_center(group: FiniteGroup) -> QuotientGroup:
@@ -418,21 +478,6 @@ def _generates(group: FiniteGroup, gens: Sequence[int]) -> bool:
     return len(_close(group.table, gens, {0})) == group.order
 
 
-def _generating_set(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Greedy generating set: each element not yet in the span, in index order.
-
-    The span is the closure of {0} (the identity) under right
-    multiplication by the generators chosen so far.
-    """
-    gens: list[int] = []
-    span = {0}
-    for x in range(len(rows)):
-        if x not in span:
-            gens.append(x)
-            _close(rows, gens, span)
-    return gens
-
-
 def _close(
     rows: Sequence[Sequence[int]], gens: Sequence[int], span: set[int]
 ) -> set[int]:
@@ -452,9 +497,13 @@ def _close(
 def max_noncommuting_set(group: FiniteGroup, cap: int | None = None) -> list[int]:
     """A maximum set of pairwise non-commuting elements.
 
-    Exact branch-and-bound maximum clique in the non-commuting graph on the
-    non-central elements (the complemented commutation masks), with a
-    greedy-coloring bound.  Returns one witness as sorted element indices.
+    Two members of one coset of the center commute, and commutation is
+    constant on pairs of cosets, so a non-commuting set holds at most one
+    member per coset and its size is that of a set of pairwise
+    non-commuting cosets.  The search is an exact branch-and-bound maximum
+    clique on the q - 1 non-central cosets (the complemented rows of
+    ``CenterCosets.commuting``), with a greedy-coloring bound.  Returns one
+    witness: the smallest member of each chosen coset, sorted.
 
     With a ``cap`` the search stops as soon as the best set found has at
     least ``cap`` elements.  The result is still pairwise non-commuting, and
@@ -462,11 +511,12 @@ def max_noncommuting_set(group: FiniteGroup, cap: int | None = None) -> list[int
     """
     if group.is_abelian():
         raise AbelianGroupError("every pair of elements commutes")
-    full = (1 << group.order) - 1
-    noncentral = full & ~sum(1 << z for z in center(group).members)
-    adj = [noncentral & ~mask for mask in group.commuting_masks]
-    best = _max_clique(adj, noncentral, group.order if cap is None else cap)
-    return sorted(best)
+    decomposition = group.center_cosets
+    q = len(decomposition.cosets)
+    noncentral = (1 << q) - 2  # every coset but the center, coset 0
+    adj = [noncentral & ~row for row in decomposition.commuting]
+    best = _max_clique(adj, noncentral, q if cap is None else cap)
+    return sorted(decomposition.cosets[i][0] for i in best)
 
 
 def _max_clique(adj: list[int], cand: int, cap: int) -> list[int]:

@@ -32,6 +32,8 @@ from commspec.groups import (
 from commspec.predictions import predict_family
 from commspec.spectra import is_integral
 
+from light import generating_set
+
 
 def _order_profile(group):
     return sorted(group.element_order(x) for x in range(group.order))
@@ -496,8 +498,9 @@ def test_composed_rows_match_the_product_rule(label):
     mul, names = _rule(parse_family(label))
     n = len(names)
     calls = []
-    table = _table(n, lambda x, y: calls.append(x) or mul(x, y))
+    table, gens = _table(n, lambda x, y: calls.append(x) or mul(x, y))
     assert all(table[x][y] == mul(x, y) for x in range(n) for y in range(n))
+    assert gens == generating_set(table)
     # only the rows of at most log2(n) generators call the rule
     assert len(calls) <= n * (n.bit_length() - 1)
 

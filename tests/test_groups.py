@@ -32,6 +32,7 @@ from commspec.groups import (
     recognize_small,
 )
 
+from light import generating_set, identity_to_front
 from permutation_groups import permutation_group, permutation_table, relabelled_table
 
 
@@ -91,7 +92,7 @@ def test_associativity_violation_away_from_the_first_generator():
         for m in range(5)
         for a in (0, 1)
     ]
-    assert groups._generating_set(table)[0] == 1
+    assert generating_set(table)[0] == 1
     with pytest.raises(AxiomViolation) as exc:
         from_cayley_table(table)
     assert exc.value.axiom == "associativity"
@@ -107,14 +108,6 @@ def _is_associative(table):
             if table[row_x[y]] != [row_x[v] for v in table[y]]:
                 return False
     return True
-
-
-def _identity_to_front(table, e):
-    """The relabelling from_cayley_table applies: swap elements 0 and e."""
-    n = len(table)
-    perm = list(range(n))
-    perm[0], perm[e] = e, 0
-    return [[perm[table[perm[i]][perm[j]]] for j in range(n)] for i in range(n)]
 
 
 def _relabelled_d8(seed):
@@ -168,7 +161,7 @@ def test_validation_agrees_with_exhaustive_scan(make_table, seed):
             if expected == "associativity":
                 x, g, y, x2, g2, y2 = map(int, _WITNESS.search(str(exc)).groups())
                 assert (x, g, y) == (x2, g2, y2)
-                t = _identity_to_front(bad, e)
+                t = identity_to_front(bad, e)
                 assert t[t[x][g]][y] != t[x][t[g][y]], str(exc)
                 witnesses += 1
         else:
@@ -178,14 +171,14 @@ def test_validation_agrees_with_exhaustive_scan(make_table, seed):
 
 def test_generating_set_is_logarithmic(grid):
     for name, _, group in grid:
-        gens = groups._generating_set(group.table)
+        gens = group.generators
         assert len(gens) <= group.order.bit_length() - 1, name  # floor(log2 n)
         assert groups._generates(group, gens), name
 
 
 def test_heisenberg_7_needs_three_generators():
     heis7 = build(FamilySpec.heis(7))
-    assert len(groups._generating_set(heis7.table)) == 3
+    assert len(heis7.generators) == 3
 
 
 def test_no_identity_detected():
@@ -215,7 +208,7 @@ def test_relabelling_matches_the_per_entry_formula(degree, even):
     assert e != 0
     names = [f"p{i}" for i in range(len(table))]
     group = from_cayley_table(table, names)
-    expected = _identity_to_front(table, e)
+    expected = identity_to_front(table, e)
     assert group.table == tuple(tuple(row) for row in expected)
     names[0], names[e] = names[e], names[0]
     assert group.names == tuple(names)
@@ -318,6 +311,15 @@ def test_centralizer_in_q8(q8):
 def test_centralizer_index_out_of_range(d6):
     with pytest.raises(IndexOutOfRange):
         centralizer(d6, 6)
+
+
+@pytest.mark.parametrize("x", [True, False, 1.0, "1", None, -1])
+def test_centralizer_rejects_anything_but_an_index(d6, x):
+    # a bool would pass for 0 or 1, and a float or a string would reach the
+    # range test or the coset lookup and fail there with a TypeError
+    with pytest.raises(IndexOutOfRange) as info:
+        centralizer(d6, x)
+    assert str(info.value) == f"element {x!r} not in 0..5"
 
 
 def test_centralizer_count():
@@ -496,6 +498,30 @@ def test_commutation_masks_agree_with_pairwise_oracle(grid):
         for witness in (max_noncommuting_set(group), max_noncommuting_set(group, cap=5)):
             assert witness == sorted(set(witness)), name
             _assert_pairwise_noncommuting(group, witness)
+
+
+def _element_level_max_size(group):
+    """Oracle: the branch-and-bound search on the non-central elements, with
+    adjacency from the pairwise oracle rather than from the cosets."""
+    n = group.order
+    masks = [sum(1 << y for y in range(n) if _commutes(group, x, y)) for x in range(n)]
+    noncentral = sum(1 << x for x in range(n) if masks[x] != (1 << n) - 1)
+    adj = [noncentral & ~mask for mask in masks]
+    return len(groups._max_clique(adj, noncentral, n))
+
+
+def test_noncommuting_witnesses_take_the_least_member_of_distinct_cosets(grid):
+    named = [(name, group) for name, _, group in grid] + _shuffled_groups()
+    named += [("S4", permutation_group(4, False)), ("A5", permutation_group(5, True))]
+    for name, group in named:
+        decomposition = group.center_cosets
+        full = max_noncommuting_set(group)
+        assert len(full) == _element_level_max_size(group), name
+        for witness in (full, max_noncommuting_set(group, cap=5)):
+            _assert_pairwise_noncommuting(group, witness)
+            chosen = [decomposition.coset_of[x] for x in witness]
+            assert 0 not in chosen and len(set(chosen)) == len(chosen), name
+            assert all(decomposition.cosets[c][0] == x for c, x in zip(chosen, witness))
 
 
 def test_quotient_tables_agree_with_coset_products(grid):
