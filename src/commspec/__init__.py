@@ -65,7 +65,6 @@ from .predictions import (
 from .spectra import (
     CharPoly,
     char_poly,
-    char_poly_json,
     clique_union_spectrum,
     exact_determinant,
     integer_spectrum,

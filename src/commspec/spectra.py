@@ -5,21 +5,20 @@ involved anywhere, so an "integral" verdict is a certificate rather than an
 estimate.  A graph's spectrum is analysed one connected component at a
 time: det(xI - A) is the product of the blocks' polynomials, so the
 spectrum is the union of the blocks' spectra, and each distinct block is
-computed, spot-checked and searched for integer roots once.  In
-``is_integral`` a block's true twins (equal rows of A + I; in a commuting
-graph, elements with the same centralizer) are merged first: with k
-vertices in r classes of sizes s_i, det(xI - A) = (x + 1)^(k - r)
-det(xI - Q) for the r x r matrix Q = B' diag(s) - I, whose row sums are
-vertex degrees (proof in ``is_integral``), so a clique becomes one row.
-``char_poly(matrix)`` keeps computing whole blocks.  A block, or its Q, is
-reduced to upper Hessenberg form in one pass modulo M, the product of
-enough word-size primes to exceed twice a proven bound on the
-coefficients, and the symmetric residues are the integer coefficients
-(Cohen, "A Course in Computational Algebraic Number Theory", the Hessenberg
-method; Dumas, Pernet and Wan, "Efficient computation of the characteristic
-polynomial", ISSAC 2005).  If no entry of some pivot column is a unit
-modulo M, the block is instead reduced once per prime and rebuilt by the
-Chinese remainder theorem.  The polynomial is then spot-checked against an
+computed, spot-checked and searched for integer roots once.  A block's
+true twins (equal rows of A + I; in a commuting graph, elements with the
+same centralizer) are merged first: with k vertices in r classes of sizes
+s_i, det(xI - A) = (x + 1)^(k - r) det(xI - Q) for the r x r matrix
+Q = B' diag(s) - I, whose absolute row sums are those of A (proof in
+``_block_factor``), so a clique becomes one row.  Q is reduced to upper
+Hessenberg form in one pass modulo M, the product of enough word-size
+primes to exceed twice a proven bound on the coefficients, and the
+symmetric residues are the integer coefficients (Cohen, "A Course in
+Computational Algebraic Number Theory", the Hessenberg method; Dumas,
+Pernet and Wan, "Efficient computation of the characteristic polynomial",
+ISSAC 2005).  If no entry of some pivot column is a unit modulo M, Q is
+instead reduced once per prime and rebuilt by the Chinese remainder
+theorem.  The polynomial is then spot-checked against an
 independent fraction-free Bareiss determinant of the whole block at t in
 {0, 1, -1}.  Each row of tI - A first has the row of the previous member of
 its twin class subtracted: a unit lower-triangular change that keeps the
@@ -126,11 +125,6 @@ def spectrum_json(spectrum: Spectrum) -> list[dict]:
     return [{"value": v, "multiplicity": k} for v, k in spectrum.pairs]
 
 
-def char_poly_json(poly: CharPoly) -> list[int]:
-    """Coefficient array, constant term first."""
-    return list(poly.coeffs)
-
-
 @dataclass(frozen=True)
 class SpectralAnalysis:
     """Outcome of the exact integrality decision for one graph.
@@ -155,9 +149,10 @@ def char_poly(matrix: Sequence[Sequence[int]]) -> CharPoly:
     """Exact characteristic polynomial det(xI - A) of a symmetric matrix.
 
     The matrix is split into the connected blocks of its support, and each
-    distinct block is computed and spot-checked once (``_block_char_poly``).
-    The block polynomials are then multiplied together, one factor per
-    block.  A failed check raises :class:`SpectralCheckError`.
+    distinct block is computed through its twin quotient and spot-checked
+    once (``_block_factor``).  The block polynomials are then multiplied
+    together, one factor per block.  A failed check raises
+    :class:`SpectralCheckError`.
     """
     # operator.index rejects floats, keeping the arithmetic exact
     a = [[_exact_int(v) for v in row] for row in matrix]
@@ -179,7 +174,7 @@ def char_poly(matrix: Sequence[Sequence[int]]) -> CharPoly:
     blocks = _distinct_blocks(
         support, lambda block: (tuple(a[i][j] for j in block) for i in block)
     )
-    factors = [(_block_char_poly(key).coeffs, count) for key, count in blocks.items()]
+    factors = [(_block_factor(key)[0].coeffs, count) for key, count in blocks.items()]
     return CharPoly(tuple(_power_product(factors)))
 
 
@@ -206,18 +201,31 @@ def _distinct_blocks(
     return counts
 
 
-def _block_char_poly(key: tuple[tuple[int, ...], ...]) -> CharPoly:
-    """det(xI - B) for one block B.
+def _block_factor(key: tuple[Sequence[int], ...]) -> tuple[CharPoly, CharPoly, int]:
+    """det(xI - A) and det(xI - Q) for one block A and its twin quotient Q.
 
-    Its coefficients are computed modulo word-size primes from a Hessenberg
-    form and rebuilt under a proven coefficient bound, so they are exact by
-    proof, and then verified at t in {0, 1, -1} against an independent
-    Bareiss determinant.  A failed check raises :class:`SpectralCheckError`.
+    A is any symmetric integer matrix with a zero diagonal, given by its
+    rows.  Let it have k rows in r twin classes (equal rows of M = A + I) of
+    sizes s_1..s_r, P the k x r class-indicator matrix and B' the r x r
+    matrix of M on one member per class.  M is symmetric, so equal rows
+    give equal columns and M = P B' P^T, whose nonzero eigenvalues are
+    those of B' P^T P = B' diag(s).  So det(xI - A) = (x + 1)^(k - r)
+    det(xI - Q) with Q = B' diag(s) - I: Q_ii = s_i - 1, and Q_ij = s_j A_uv
+    for members u, v of classes i != j.  A member u's twins v have A_uv =
+    M_vv = 1, so row i of Q has the absolute sum of row u of A; the largest,
+    returned third, bounds Q's eigenvalues and the coefficient bound of
+    ``_multimodular_char_poly``, which needs no symmetry.  The block's
+    polynomial, Q's times (x + 1)^(k - r), is spot-checked against the whole
+    block (``_spot_check``); a failed check raises
+    :class:`SpectralCheckError`.
     """
-    sub = [list(r) for r in key]
-    poly = CharPoly(tuple(_multimodular_char_poly(sub)))
-    _spot_check(poly, sub, _twin_classes(sub))
-    return poly
+    labels = _twin_classes(key)
+    quotient = _twin_quotient(key, labels)
+    twins = len(key) - len(quotient)
+    reduced = CharPoly(tuple(_multimodular_char_poly(quotient)))
+    poly = reduced * CharPoly(tuple(comb(twins, i) for i in range(twins + 1)))
+    _spot_check(poly, key, labels)
+    return poly, reduced, max(sum(map(abs, row)) for row in quotient)
 
 
 def _multimodular_char_poly(a: list[list[int]]) -> list[int]:
@@ -382,7 +390,7 @@ def _twin_classes(a: Sequence[Sequence[int]]) -> list[int]:
 def _twin_quotient(
     a: Sequence[Sequence[int]], labels: Sequence[int]
 ) -> list[list[int]]:
-    """Q = B'·diag(s) - I over A's twin classes ``labels`` (see ``is_integral``)."""
+    """Q = B'·diag(s) - I over A's twin classes ``labels`` (see ``_block_factor``)."""
     first: dict[int, int] = {}
     sizes: list[int] = []
     for i, c in enumerate(labels):
@@ -556,21 +564,13 @@ def is_integral(graph: CommutingGraph) -> SpectralAnalysis:
     """Decide integrality of the graph's adjacency spectrum, exactly.
 
     Each distinct connected block, read from the adjacency bitmasks, is
-    reduced to its twin quotient.  Let the block A have k vertices in r
-    twin classes of sizes s_1..s_r, P the k x r class-indicator matrix and
-    B' the r x r matrix of A + I on one member per class.  Then A + I =
-    P B' P^T, whose nonzero eigenvalues are those of B' P^T P = B' diag(s),
-    so det(xI - A) = (x + 1)^(k - r) det(xI - Q) with Q = B' diag(s) - I:
-    Q_ii = s_i - 1 and Q_ij = s_j for adjacent classes.  Row i of Q sums to
-    the degree of a member of class i, so the largest degree bounds Q's
-    eigenvalues and the coefficient bound of ``_multimodular_char_poly``,
-    which needs no symmetry.  Q's polynomial and its integer roots are
-    computed, -1 gains k - r, and the product is the block's factor; it is
-    spot-checked against the whole block (``_spot_check``).  The
-    multiplicities add up over the blocks, and the remainder is the product
-    of the block remainders: by unique factorisation of monic polynomials
-    in Z[x] it is the product polynomial with every integer root divided
-    out.
+    reduced to its twin quotient Q, computed and spot-checked once
+    (``_block_factor``).  Q's integer roots are found within its largest
+    row sum, a vertex degree, and -1 gains the k - r roots that the k
+    vertices lost to their r twin classes.  The multiplicities add up over
+    the blocks, and the remainder is the product of the block remainders:
+    by unique factorisation of monic polynomials in Z[x] it is the product
+    polynomial with every integer root divided out.
     """
     adjacency = graph.adjacency
     blocks = _distinct_blocks(graph, lambda block: _bit_rows(adjacency, block))
@@ -578,14 +578,9 @@ def is_integral(graph: CommutingGraph) -> SpectralAnalysis:
     factors = []
     rests = []
     for key, count in blocks.items():
-        labels = _twin_classes(key)
-        quotient = _twin_quotient(key, labels)
-        twins = len(key) - len(quotient)
-        reduced = CharPoly(tuple(_multimodular_char_poly(quotient)))
-        poly = reduced * CharPoly(tuple(comb(twins, i) for i in range(twins + 1)))
-        _spot_check(poly, key, labels)
-        spectrum, rest = integer_spectrum(reduced, max(sum(r) for r in quotient))
-        pairs.append((-1, twins * count))
+        poly, reduced, bound = _block_factor(key)
+        spectrum, rest = integer_spectrum(reduced, bound)
+        pairs.append((-1, (poly.degree - reduced.degree) * count))
         pairs.extend((value, mult * count) for value, mult in spectrum.pairs)
         rests.append((rest.coeffs, count))
         factors.append((poly, count))

@@ -254,8 +254,8 @@ def _label_free_report(group, name, spec):
 
 def test_relabelling_leaves_the_report_unchanged(grid):
     # Relabelling permutes the commuting graph's vertices, so the connected
-    # blocks reach char_poly as different submatrices and hit its per-call
-    # block cache in a different pattern; S4's non-integral remainder and
+    # blocks reach is_integral as different submatrices, get different
+    # per-call block keys and twin labels; S4's non-integral remainder and
     # A5's non-clique blocks cover what the grid's clique unions do not.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

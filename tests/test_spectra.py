@@ -20,7 +20,6 @@ from commspec.predictions import verify_group
 from commspec.spectra import (
     CharPoly,
     char_poly,
-    char_poly_json,
     clique_union_spectrum,
     exact_determinant,
     integer_spectrum,
@@ -226,10 +225,6 @@ def test_char_poly_multiplication_and_linear_factors():
     assert poly.coeffs == char_poly(K3).coeffs
 
 
-def test_char_poly_json_is_constant_term_first():
-    assert char_poly_json(char_poly(K3)) == [-2, -3, 0, 1]
-
-
 def test_clique_union_spectrum_single_clique():
     assert clique_union_spectrum([5]).pairs == ((4, 1), (-1, 4))
 
@@ -381,11 +376,14 @@ def _crt_factors(modulus):
     return primes
 
 
+# The modular engine is called directly: char_poly would hand it the twin
+# quotient, a 1 x 1 matrix for K30 and a 3 x 3 one for the pivot matrices.
+
+
 def test_char_poly_of_k30_needs_three_primes(monkeypatch):
     k30 = [[int(i != j) for j in range(30)] for i in range(30)]
     calls = _spy_char_poly_mod(monkeypatch)
-    poly = char_poly(k30)
-    assert list(poly.coeffs) == _faddeev_leverrier(k30)
+    assert spectra._multimodular_char_poly(k30) == _faddeev_leverrier(k30)
     # one pass, modulo a product of distinct CRT primes; B = 30**30 is about
     # 2**147, so 2B exceeds any product of two of them
     [(modulus, gave_up)] = calls
@@ -400,7 +398,7 @@ def test_pivot_column_without_a_unit_falls_back_to_one_pass_per_prime(monkeypatc
     # column 0 below the diagonal holds only p: nonzero modulo M, not a unit
     a = [[0, p, 0, 0], [p, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]]
     calls = _spy_char_poly_mod(monkeypatch)
-    assert list(char_poly(a).coeffs) == _faddeev_leverrier(a)
+    assert spectra._multimodular_char_poly(a) == _faddeev_leverrier(a)
     (modulus, gave_up), *per_prime = calls
     assert gave_up
     assert per_prime == [(q, False) for q in _crt_factors(modulus)]
@@ -411,7 +409,7 @@ def test_pivot_skips_an_entry_that_is_not_a_unit(monkeypatch):
     # column 0 below the diagonal holds p and then 1, which becomes the pivot
     a = [[0, p, 1, 0], [p, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]]
     calls = _spy_char_poly_mod(monkeypatch)
-    assert list(char_poly(a).coeffs) == _faddeev_leverrier(a)
+    assert spectra._multimodular_char_poly(a) == _faddeev_leverrier(a)
     [(modulus, gave_up)] = calls
     assert not gave_up
     assert p in _crt_factors(modulus)
@@ -670,10 +668,24 @@ def test_divisor_candidates_match_full_scan_on_random_polynomials():
         assert integer_spectrum(poly, bound) == _full_scan_integer_spectrum(poly, bound)
 
 
+def _dense_char_poly(graph):
+    """The product of the modular engine's polynomials of the whole blocks.
+
+    No twin quotient is taken, so this reference shares nothing with the
+    reduction that is_integral and char_poly apply before the engine.
+    """
+    matrix = graph.to_matrix()
+    poly = CharPoly((1,))
+    for block in connected_components(graph):
+        dense = [[matrix[i][j] for j in block] for i in block]
+        poly = poly * CharPoly(tuple(spectra._multimodular_char_poly(dense)))
+    return poly
+
+
 def _oracle_analysis(graph):
-    """The whole graph's polynomial from its dense matrix, roots divided out."""
+    """The whole graph's polynomial from its dense blocks, roots divided out."""
     bound = max((graph.degree(i) for i in range(graph.vertex_count)), default=0)
-    poly = char_poly(graph.to_matrix())
+    poly = _dense_char_poly(graph)
     return poly, integer_spectrum(poly, bound)
 
 
@@ -749,7 +761,7 @@ def test_verify_group_never_forms_the_whole_polynomial(d12, monkeypatch):
     report = verify_group(d12, "D12", FamilySpec.dihedral(6))
     assert calls == []
     assert "char_poly" not in vars(report.analysis)
-    assert report.analysis.char_poly == original(report.graph.to_matrix())
+    assert report.analysis.char_poly == _dense_char_poly(report.graph)
     assert "char_poly" in vars(report.analysis)
 
 
@@ -819,8 +831,8 @@ def test_block_keys_are_the_bitwise_submatrices(make_graphs, monkeypatch):
         assert {tuple(map(tuple, k)): c for k, c in blocks.items()} == expected
 
 
-# Twin quotient: is_integral reduces each block to one row per twin class,
-# while char_poly(matrix) and the Bareiss oracle keep the whole block.
+# Twin quotient: is_integral and char_poly(matrix) reduce each block to one
+# row per twin class, while the Bareiss oracle keeps the whole block.
 
 
 def _blow_up(rng, base_size, edge_chance, max_part):
@@ -995,27 +1007,73 @@ def _modular_sizes(monkeypatch):
     return sizes
 
 
+# each graph goes through both entry points, which share the block helper
+_ANALYSES = (is_integral, lambda graph: char_poly(graph.to_matrix()))
+
+
 def test_clique_blocks_reduce_to_one_row(grid, monkeypatch):
     specs = ("heis:7", "metacyclic:12,6", "dihedral:40")
     groups = [g for _, _, g in grid] + [build(parse_family(s)) for s in specs]
+    graphs = [build_commuting_graph(group) for group in groups]
     sizes = _modular_sizes(monkeypatch)
-    for group in groups:
-        is_integral(build_commuting_graph(group))
-    assert sizes and set(sizes) == {(1, 1)}
+    for analyse in _ANALYSES:
+        sizes.clear()
+        for graph in graphs:
+            analyse(graph)
+        assert sizes and set(sizes) == {(1, 1)}
 
 
 def test_s5_block_reduces_to_fifty_rows(monkeypatch):
     graph = build_commuting_graph(permutation_group(5, False))
     sizes = _modular_sizes(monkeypatch)
-    is_integral(graph)
-    # the 95-vertex block and six copies of K_4
-    assert sorted(sizes) == [(1, 1), (50, 50)]
+    for analyse in _ANALYSES:
+        sizes.clear()
+        analyse(graph)
+        # the 95-vertex block and six copies of K_4
+        assert sorted(sizes) == [(1, 1), (50, 50)]
 
 
-def test_char_poly_of_a_matrix_keeps_whole_blocks(monkeypatch):
-    heis = build_commuting_graph(build(FamilySpec.heis(7)))
-    s5 = build_commuting_graph(permutation_group(5, False))
-    sizes = _modular_sizes(monkeypatch)
-    char_poly(heis.to_matrix())
-    char_poly(s5.to_matrix())
-    assert sorted(sizes) == [(4, 4), (42, 42), (95, 95)]
+def _weighted_blow_up(rng, base_size, max_part):
+    """A symmetric matrix whose rows repeat a random weighted base's rows.
+
+    The base is connected, has a zero diagonal and weights in -3..3.  Each
+    base vertex becomes a class of members joined to each other by weight 1
+    that share its base row; the members are shuffled.
+    """
+    base = [[0] * base_size for _ in range(base_size)]
+    for i in range(1, base_size):
+        j = rng.randrange(i)  # a spanning tree of nonzero weights
+        base[i][j] = base[j][i] = rng.choice([-3, -2, -1, 1, 2, 3])
+    for i in range(base_size):
+        for j in range(i + 1, base_size):
+            if not base[i][j]:
+                base[i][j] = base[j][i] = rng.randint(-3, 3)
+    owner = [b for b in range(base_size) for _ in range(rng.randint(1, max_part))]
+    rng.shuffle(owner)
+    return [
+        [int(u != v) if b == c else base[b][c] for v, c in enumerate(owner)]
+        for u, b in enumerate(owner)
+    ]
+
+
+def test_twin_quotient_of_weighted_rows(monkeypatch):
+    rng = random.Random(26)
+    quotients = []
+    original = spectra._multimodular_char_poly
+    monkeypatch.setattr(
+        spectra,
+        "_multimodular_char_poly",
+        lambda a: quotients.append(a) or original(a),
+    )
+    for _ in range(60):
+        a = _weighted_blow_up(rng, rng.randint(1, 5), 4)
+        closed = {
+            tuple(x + (i == j) for j, x in enumerate(row)) for i, row in enumerate(a)
+        }
+        quotients.clear()
+        assert list(char_poly(a).coeffs) == _faddeev_leverrier(a)
+        [q] = quotients
+        assert len(q) == len(closed) and {len(row) for row in q} == {len(closed)}
+        assert max(sum(map(abs, row)) for row in q) == max(
+            sum(map(abs, row)) for row in a
+        )
