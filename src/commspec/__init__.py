@@ -69,7 +69,6 @@ from .spectra import (
     exact_determinant,
     integer_spectrum,
     is_integral,
-    monic_linear,
     spectra_agree,
     spectrum_from_pairs,
 )

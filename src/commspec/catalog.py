@@ -11,15 +11,12 @@ against the table when it is constructed; ``order``, ``build``,
 Each family's elements are normal-form words (a^i b^j, or (x, y, z) for
 the Heisenberg group) at fixed indices.  Its product rule is stated once,
 as ``mul(u, v)`` on element indices, written by index arithmetic from the
-defining relations.  ``_table`` calls it for the rows of a few generators
-only and composes every other row from those at C speed.  Only the
-generator rows are checked entry by entry; the construction proves that
-every composed row holds exact ints in range, permutes the elements and
-keeps 0 as the identity, and every composed row is the composition of the
-rows along its walk's tree edge.  So the finished table goes only through
-the last stage of ``groups.from_cayley_table``, the associativity check,
-and only through its generator pairs: |S|^2 column comparisons for the
-walk's generating set S.
+defining relations.  ``groups._walk`` builds the table: it calls ``mul``
+for the rows of at most log2(n) generators and composes every other row
+from those at C speed.  Each generator row is checked entry by entry as
+it is computed (``_check_generator_row``); ``_walk`` shows that every row
+then passes the checks an outside table gets, so the table goes only to
+the associativity check on the walk's generator pairs.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 from math import prod
-from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .errors import (
@@ -38,7 +34,7 @@ from .errors import (
     ParameterOutOfRange,
     ParseError,
 )
-from .groups import FiniteGroup, _associative_group, is_prime
+from .groups import FiniteGroup, _associative_group, _walk, is_prime
 
 
 @dataclass(frozen=True)
@@ -125,72 +121,6 @@ def _word(*terms: tuple[str, int]) -> str:
 _Mul = Callable[[int, int], int]
 
 
-def _table(n: int, mul: _Mul) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The Cayley table of the product ``mul`` on indices 0..n-1, where 0 is
-    the identity, calling ``mul`` for the rows of a few generators only, and
-    those generators.
-
-    Walk the indices in order; one that has no row yet becomes a generator
-    g, and its row is mul(g, y) for every y.  Every other row is composed
-    from rows already known: row(x*g)[m] = x*(g*m) = row_x[row_g[m]], so
-    the row of x*g is one ``itemgetter(*row_g)`` call on the row of x, and
-    x*g sits at row_x[g].  A breadth-first closure from the identity row
-    (0, 1, ..., n-1) under right multiplication by the generators reaches
-    every product of generators.  In a finite group those products form a
-    subgroup, since they are closed under products, so the walk's next
-    index without a row lies outside it and becomes the next generator;
-    thus every index gets a row.  The new subgroup holds the old one and
-    more, so it is at least twice as large (Lagrange's theorem): there are
-    at most log2(n) generators, and ``mul`` runs at most n*log2(n) times.
-
-    Each generator row is checked as it is computed: every entry is an
-    exact int in 0..n-1 (``IndexOutOfRange``), row_g[0] == g
-    (``AxiomViolation("identity")``) and the row is a permutation of
-    0..n-1 (``AxiomViolation("inverse")``).  The rest of what
-    ``from_cayley_table`` checks follows from the construction, so the
-    table goes to ``groups._associative_group`` alone:
-
-    - Entries: every entry object of a composed row is picked out of a row
-      already known, so by induction out of the identity row or a
-      generator row; each is an exact int in 0..n-1.
-    - Inverses: a composed row is row_x composed with the permutation
-      row_g, and the identity row is a permutation, so by induction every
-      row is a permutation of 0..n-1 and holds exactly one 0.
-    - Identity: row 0 is (0, 1, ..., n-1) by construction, and column 0
-      is the identity column: row_g[0] == g is checked, and by induction
-      the row of x*g has row_x[row_g[0]] = row_x[g] = x*g at column 0.
-    - Tree edges: every row but row 0 is a generator row g, which is
-      row_0 o row_g as row 0 is the identity map, or was composed as
-      row_x o row_h for the entry x*h = row_x[h] it fills, with x already
-      reached.  Those are the tree edges of a walk from 0 by right
-      multiplication by the generators, so check (a) of
-      ``groups._associative_group`` holds by construction, and the
-      generators go to its check (b) alone.  They are Light's generating
-      set: each is the first index outside the span of those before it.
-    """
-    valid = frozenset(range(n))
-    rows: list[tuple[int, ...] | None] = [None] * n
-    rows[0] = tuple(range(n))
-    reached = [0]
-    right: list[tuple[int, itemgetter]] = []
-    for g in range(1, n):
-        if rows[g] is not None:
-            continue
-        rows[g] = row_g = tuple([mul(g, y) for y in range(n)])
-        _check_generator_row(g, row_g, valid)
-        # n >= 2 here, so itemgetter returns a tuple rather than one entry
-        right.append((g, itemgetter(*row_g)))
-        reached.append(g)
-        for x in reached:  # the loop also visits what it appends
-            row_x = rows[x]
-            for h, compose in right:
-                xh = row_x[h]
-                if rows[xh] is None:
-                    rows[xh] = compose(row_x)
-                    reached.append(xh)
-    return rows, [g for g, _ in right]
-
-
 def _check_generator_row(
     g: int, row: tuple[int, ...], valid: frozenset[int]
 ) -> None:
@@ -214,9 +144,17 @@ def _check_generator_row(
 
 
 def _group(mul: _Mul, names: list[str]) -> FiniteGroup:
-    """Build the table of ``mul`` on the named elements and check its
-    generator pairs for associativity; ``_table`` proves the rest."""
-    rows, gens = _table(len(names), mul)
+    """Build the table of ``mul`` on the named elements from checked
+    generator rows, and check its generator pairs for associativity."""
+    n = len(names)
+    valid = frozenset(range(n))
+
+    def generator_row(g: int) -> tuple[int, ...]:
+        row = tuple([mul(g, y) for y in range(n)])
+        _check_generator_row(g, row, valid)
+        return row
+
+    rows, gens, _ = _walk(n, generator_row)
     return _associative_group(rows, names, gens)
 
 

@@ -5,10 +5,12 @@ identity sits elsewhere.  Every value here is immutable after construction
 and all operations are pure functions, so groups and derived data can be
 shared freely between workers.
 
-Associativity is checked at the size of a generating set S: the
-constructor walks the table to find S, checks each row it reaches along
-the walk's tree edges, and checks that multiplying by a generator on the
-left commutes with multiplying by one on the right (``_associative_group``).
+One walk (``_walk``) builds every table from the rows of a generating set
+S: the catalog's tables from their product rules, and a table from
+outside from its own generator rows, which must give back the table.
+Associativity is then checked at the size of S: multiplying by a
+generator on the left must commute with multiplying by one on the right
+(``_associative_group``).
 Commutation is read off the cosets of the center Z, never off all n^2
 pairs.  The center comes from S: x is central iff x*g == g*x for every g
 in S, because the centralizer C(x) is a subgroup, so holding S means
@@ -30,7 +32,7 @@ from functools import cached_property
 from itertools import chain
 from math import isqrt
 from operator import itemgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     AbelianGroupError,
@@ -164,12 +166,8 @@ def from_cayley_table(
     names, there is a two-sided identity, and each element has exactly one
     right inverse.  If the two-sided identity is not element 0, the table
     is relabelled so that it is; messages name elements by their relabelled
-    indices.  Associativity is then checked in ``_associative_group``, on
-    the tree edges of the walk that finds a generating set and on the
-    generator pairs, which also builds the group.  The catalog's tables
-    skip the earlier checks and the tree edges, which their construction
-    already proves (see ``catalog._table``), and go through the generator
-    pairs alone.
+    indices.  Associativity is then checked in
+    ``_outside_associative_group``, which also builds the group.
     """
     rows = [tuple(row) for row in table]
     n = len(rows)
@@ -209,33 +207,122 @@ def from_cayley_table(
                 "inverse", f"element {i} has {hits} right inverses, expected 1"
             )
 
-    return _associative_group(rows, name_list)
+    return _outside_associative_group(rows, name_list)
+
+
+def _outside_associative_group(
+    rows: list[tuple[int, ...]], names: Sequence[str]
+) -> FiniteGroup:
+    """Check an outside table's associativity and wrap it.
+
+    ``rows`` must be an n x n table of exact ints in 0..n-1 with element 0
+    as its two-sided identity.  ``_walk`` rebuilds the table from its own
+    generator rows, and the result must equal ``rows``: that is check (a)
+    of ``_associative_group``, which then makes check (b).  A mismatch is
+    reported at the first tree edge whose row differs; every row reached
+    before that edge agrees, so the walk up to it is the same on both
+    tables.
+    """
+    walked, gens, edges = _walk(len(rows), rows.__getitem__)
+    if walked != rows:
+        for x, h in edges:
+            xh = rows[x][h]
+            if walked[xh] != rows[xh]:
+                m = next(m for m, v in enumerate(walked[xh]) if v != rows[xh][m])
+                raise AxiomViolation(
+                    "associativity", f"({x}*{h})*{m} != {x}*({h}*{m})"
+                )
+    return _associative_group(rows, names, gens)
+
+
+def _walk(
+    n: int, generator_row: Callable[[int], tuple[int, ...]]
+) -> tuple[list[tuple[int, ...]], list[int], list[tuple[int, int]]]:
+    """The rows of a table on 0..n-1 from the rows of a few generators.
+
+    Returns the rows, the generators and the tree edges.  Row 0 is the
+    identity row (0, 1, ..., n-1).  Walk the indices in order; one that has
+    no row yet becomes a generator g, with row ``generator_row(g)``.  Every
+    other row is composed from rows already known: row(x*h)[m] =
+    x*(h*m) = row_x[row_h[m]], so the row of x*h is one ``itemgetter(*row_h)``
+    call on the row of x, and x*h sits at row_x[h].  A breadth-first
+    closure from 0 under right multiplication by the generators reaches
+    every product of generators; the set reached before g is closed under
+    the older generators, so it is multiplied by g first and only what is
+    new is closed under all of them.  Each element x != 0 is reached along
+    one tree edge (x', h) with x = x'*h and x' reached first; a generator g
+    along (0, g).  ``edges`` lists them in the order the walk takes them,
+    and every row but row 0 is row_x' o row_h on its tree edge (row 0 is
+    the identity map), which is check (a) of ``_associative_group``.  The
+    generators are Light's generating set (Clifford & Preston, *The
+    Algebraic Theory of Semigroups* I, section 1.2): each is the first
+    index outside the span of those before it.
+
+    In a group the products of generators form a subgroup, since they are
+    closed under products, so the next index without a row lies outside it
+    and the new subgroup is at least twice as large (Lagrange's theorem):
+    there are at most log2(n) generators, and ``generator_row`` runs at
+    most log2(n) times.
+
+    If every generator row holds exact ints in 0..n-1, permutes 0..n-1 and
+    has g at column 0, so does every row, with column 0 the identity
+    column:
+
+    - Entries: every entry object of a composed row is picked out of a row
+      already known, so by induction out of the identity row or a
+      generator row; each is an exact int in 0..n-1.
+    - Permutations: a composed row is row_x composed with the permutation
+      row_h, and the identity row is a permutation, so by induction every
+      row is a permutation of 0..n-1 and holds exactly one 0.
+    - Identity: row 0 is (0, 1, ..., n-1), and by induction the row of
+      x*h has row_x[row_h[0]] = row_x[h] = x*h at column 0.
+    """
+    rows: list[tuple[int, ...] | None] = [None] * n
+    rows[0] = tuple(range(n))
+    reached = [0]
+    steps: list[tuple[int, itemgetter]] = []
+    edges: list[tuple[int, int]] = []
+    for g in range(1, n):
+        if rows[g] is not None:
+            continue
+        rows[g] = generator_row(g)
+        step = (g, itemgetter(*rows[g]))  # n >= 2 here, so it returns tuples
+        steps.append(step)
+        old = len(reached)
+        reached.append(g)
+        edges.append((0, g))
+        for i, x in enumerate(reached):  # the loop also visits what it appends
+            row_x = rows[x]
+            for h, compose in (step,) if i < old else steps:
+                xh = row_x[h]
+                if rows[xh] is None:
+                    rows[xh] = compose(row_x)
+                    reached.append(xh)
+                    edges.append((x, h))
+    return rows, [g for g, _ in steps], edges
 
 
 def _associative_group(
     rows: Sequence[tuple[int, ...]],
     names: Sequence[str],
-    generators: Sequence[int] | None = None,
+    generators: Sequence[int],
 ) -> FiniteGroup:
     """Check associativity from commuting actions and wrap the table.
 
     ``rows`` must be an n x n table of exact ints in 0..n-1 with element 0
-    as its two-sided identity, and ``names`` its n names;
-    ``from_cayley_table`` checks that (and one right inverse per element)
-    and ``catalog._table`` proves it before either calls here.
+    as its two-sided identity, and ``names`` its n names; ``rows`` and
+    ``generators`` must be the rows and the generating set S of a
+    ``_walk``, so that every element x != 0 is reached along a tree edge
+    x = y*h with h in S and y reached before x.
 
     Write L_x for the map y -> x*y (row x) and R_h for y -> y*h (column h).
-    Walk the elements in index order; each one that the walk has not yet
-    reached becomes a generator, and the reached set is closed under right
-    multiplication by the generators so far.  This gives Light's generating
-    set S (Clifford & Preston, *The Algebraic Theory of Semigroups* I,
-    section 1.2), and every element x != 0 is reached along a tree edge
-    x = y*h with h in S and y reached before x.  Two checks follow:
+    Associativity follows from two checks:
 
-    (a) L_(y*h) == L_y o L_h on each of the n - 1 tree edges, one
-        ``itemgetter`` composition per edge;
+    (a) L_(y*h) == L_y o L_h on each of the n - 1 tree edges, which
+        ``_walk`` makes true and ``_outside_associative_group`` checks by
+        comparing an outside table with the walk's rows;
     (b) L_g o R_h == R_h o L_g, that is g*(y*h) == (g*y)*h for every y,
-        for every g and h in S: |S|^2 tuple comparisons.
+        for every g and h in S: |S|^2 tuple comparisons, made here.
 
     They are exact.  By (a) and induction along the tree, every row is a
     composition of generator rows (L_0 is the identity map).  By (b) every
@@ -248,18 +335,11 @@ def _associative_group(
     associative table passes both checks, and a failing comparison names a
     triple that does not associate.  Only the two-sided identity is used.
 
-    In a group each new generator at least doubles the reached set, so
-    |S| <= log2(n), and the checks cost n - 1 row compositions plus |S|^2
-    comparisons of n-tuples, all at C speed, against the n*|S| row
-    comparisons of Light's test; on other tables |S| only grows, up to n.
-
-    A caller that built every row along its own walk of this kind, as
-    row(y*h) = row_y o row_h, passes that walk's ``generators``: (a) then
-    holds by construction, and only (b) runs.  The set S is kept on the
-    group as its ``generators``.
+    In a group |S| <= log2(n) (see ``_walk``), so (b) costs |S|^2
+    comparisons of n-tuples at C speed, against the n*|S| row comparisons
+    of Light's test; on other tables |S| only grows, up to n.  The set S is
+    kept on the group as its ``generators``.
     """
-    if generators is None:
-        generators = _walk_tree_edges(rows)
     gens = tuple(generators)
     # a generator means n >= 2, so each itemgetter returns a tuple
     columns = [tuple(map(itemgetter(h), rows)) for h in gens]
@@ -275,39 +355,6 @@ def _associative_group(
                     "associativity", f"({g}*{y})*{h} != {g}*({y}*{h})"
                 )
     return FiniteGroup(tuple(rows), tuple(names), gens)
-
-
-def _walk_tree_edges(rows: Sequence[tuple[int, ...]]) -> list[int]:
-    """Light's generating set, checking L_(x*h) == L_x o L_h on each tree
-    edge of the walk that finds it (check (a) of ``_associative_group``)."""
-    n = len(rows)
-    reached = [0]
-    seen = bytearray(n)
-    seen[0] = 1
-    steps: list[tuple[int, itemgetter]] = []
-    for g in range(1, n):
-        if seen[g]:
-            continue
-        step = (g, itemgetter(*rows[g]))  # n >= 2 here, so it returns tuples
-        steps.append(step)
-        # the reached set is closed under the older generators: multiply it
-        # by g, then close whatever is new under all of them
-        old = len(reached)
-        for i, x in enumerate(reached):  # the loop also visits what it appends
-            row_x = rows[x]
-            for h, compose in (step,) if i < old else steps:
-                xh = row_x[h]
-                if seen[xh]:
-                    continue
-                seen[xh] = 1
-                reached.append(xh)
-                row_xh = compose(row_x)
-                if rows[xh] != row_xh:
-                    m = next(m for m, v in enumerate(row_xh) if v != rows[xh][m])
-                    raise AxiomViolation(
-                        "associativity", f"({x}*{h})*{m} != {x}*({h}*{m})"
-                    )
-    return [g for g, _ in steps]
 
 
 def _find_identity(rows: list[tuple[int, ...]]) -> int | None:
@@ -454,6 +501,13 @@ def recognize_small(group: FiniteGroup) -> Recognition:
 
     Order-4 groups of exponent 2 satisfy both shapes; they are reported as
     ``zpzp`` with p = 2.  Everything else is ``other``.
+
+    A group of order 2m is dihedral iff it has an r of order m and an
+    involution s with s*r*s == r^-1 that together generate it.  No closure
+    is needed to test the last condition: s normalises <r>, so <r, s> =
+    <r><s> has 2m/|<r> & <s>| elements.  If s lies in <r>, s commutes with
+    r, so r^-1 = s*r*s = r, hence m = 2 and s = r, the only involution in
+    <r>.  So <r, s> is the whole group exactly when s != r.
     """
     n = group.order
     p = isqrt(n)
@@ -467,31 +521,9 @@ def recognize_small(group: FiniteGroup) -> Recognition:
         for r in rotations:
             r_inv = group.inverse(r)
             for s in involutions:
-                if group.mul(group.mul(s, r), s) != r_inv:
-                    continue
-                if _generates(group, (r, s)):
+                if s != r and group.mul(group.mul(s, r), s) == r_inv:
                     return Recognition("dihedral", m)
     return Recognition("other")
-
-
-def _generates(group: FiniteGroup, gens: Sequence[int]) -> bool:
-    return len(_close(group.table, gens, {0})) == group.order
-
-
-def _close(
-    rows: Sequence[Sequence[int]], gens: Sequence[int], span: set[int]
-) -> set[int]:
-    """Grow ``span`` in place to its closure under right multiplication by
-    ``gens`` (breadth-first search) and return it."""
-    queue = list(span)
-    for x in queue:  # the loop also visits what it appends
-        row = rows[x]
-        for g in gens:
-            y = row[g]
-            if y not in span:
-                span.add(y)
-                queue.append(y)
-    return span
 
 
 def max_noncommuting_set(group: FiniteGroup, cap: int | None = None) -> list[int]:
@@ -520,9 +552,17 @@ def max_noncommuting_set(group: FiniteGroup, cap: int | None = None) -> list[int
 
 
 def _max_clique(adj: list[int], cand: int, cap: int) -> list[int]:
-    best: list[int] = []
+    """Branch and bound on the vertex bitmask ``cand`` with a greedy
+    coloring bound.
 
-    def color_order(cand: int) -> tuple[list[int], list[int]]:
+    Each frame of the stack extends one clique: the color order of its
+    candidates, their color bounds and the candidates still open.  The
+    last vertex in color order is tried first, as a recursive search would
+    try it, so the witness is the same; the stack is as deep as the clique,
+    and no recursion limit caps it.
+    """
+
+    def frame(cand: int) -> list:
         order: list[int] = []
         bounds: list[int] = []
         color = 0
@@ -537,25 +577,26 @@ def _max_clique(adj: list[int], cand: int, cap: int) -> list[int]:
                 rest &= ~bit
                 order.append(v)
                 bounds.append(color)
-        return order, bounds
+        return [order, bounds, cand]
 
-    def expand(clique: list[int], cand: int) -> None:
-        nonlocal best
-        order, bounds = color_order(cand)
-        for i in range(len(order) - 1, -1, -1):
-            if len(best) >= cap or len(clique) + bounds[i] <= len(best):
-                return
-            v = order[i]
-            clique.append(v)
-            if len(clique) > len(best):
-                best = clique[:]
-            nxt = cand & adj[v]
-            if nxt:
-                expand(clique, nxt)
-            clique.pop()
-            cand &= ~(1 << v)
-
-    expand([], cand)
+    best: list[int] = []
+    clique: list[int] = []
+    frames = [frame(cand)]  # frames[k + 1] extends clique[:k + 1]
+    while frames:
+        top = frames[-1]
+        order, bounds, cand = top
+        if not order or len(best) >= cap or len(clique) + bounds[-1] <= len(best):
+            frames.pop()
+            if frames:
+                clique.pop()
+            continue
+        v = order.pop()
+        bounds.pop()
+        top[2] = cand & ~(1 << v)
+        clique.append(v)
+        if len(clique) > len(best):
+            best = clique[:]
+        frames.append(frame(cand & adj[v]))
     return best
 
 

@@ -85,11 +85,6 @@ class CharPoly:
         return CharPoly(tuple(_poly_mul(self.coeffs, other.coeffs)))
 
 
-def monic_linear(root: int) -> CharPoly:
-    """The polynomial x - root."""
-    return CharPoly((-root, 1))
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalue/multiplicity pairs, eigenvalues strictly decreasing.
@@ -100,12 +95,6 @@ class Spectrum:
 
     pairs: tuple[tuple[int, int], ...]
     complete: bool
-
-    def multiplicity_sum(self) -> int:
-        return sum(k for _, k in self.pairs)
-
-    def moment(self, power: int) -> int:
-        return sum(k * v**power for v, k in self.pairs)
 
 
 def spectrum_from_pairs(

@@ -1,9 +1,20 @@
-"""Light's associativity test and its generating set, kept as an oracle for
-the check that ``groups._associative_group`` makes."""
+"""Light's associativity test, its generating set and a closure of its own,
+kept as an oracle for the walk and the checks in ``groups``."""
 
 from operator import itemgetter
 
-from commspec.groups import _close
+
+def close(rows, gens, span):
+    """Grow ``span`` in place to its closure under right multiplication by
+    ``gens`` (breadth-first search) and return it."""
+    queue = list(span)
+    for x in queue:  # the loop also visits what it appends
+        for g in gens:
+            y = rows[x][g]
+            if y not in span:
+                span.add(y)
+                queue.append(y)
+    return span
 
 
 def generating_set(rows):
@@ -17,7 +28,7 @@ def generating_set(rows):
     for x in range(len(rows)):
         if x not in span:
             gens.append(x)
-            _close(rows, gens, span)
+            close(rows, gens, span)
     return gens
 
 

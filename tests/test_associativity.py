@@ -1,6 +1,7 @@
 """The associativity check against Light's test, on catalog tables built
-from random product rules, on tables from outside and on a magma whose
-generating set is nearly every element."""
+from random product rules, on the same rows handed in from outside, on
+tables from outside and on a magma whose generating set is nearly every
+element."""
 
 import random
 import re
@@ -8,8 +9,8 @@ from functools import partial
 
 import pytest
 
-from commspec import groups
-from commspec.catalog import _table, build, parse_family
+from commspec import catalog, groups
+from commspec.catalog import build, parse_family
 from commspec.errors import AxiomViolation
 from commspec.groups import from_cayley_table
 
@@ -59,7 +60,7 @@ def _relabel_fixing_identity(table, rng):
 
 
 def _random_rule_rows(rng):
-    """Rows for a product rule on 0..n-1 that passes ``_table``'s generator
+    """Rows for a product rule on 0..n-1 that passes the catalog's generator
     row checks: a relabelled small group, the same with one row's entries
     swapped, or a random permutation with g first in each row g."""
     kind = rng.randrange(3)
@@ -83,13 +84,14 @@ def test_catalog_tables_from_random_rules_agree_with_light():
     accepted = rejected = 0
     for _ in range(3000):
         rule = _random_rule_rows(rng)
-        rows, gens = _table(len(rule), lambda u, v: rule[u][v])
+        n = len(rule)
+        rows, gens, _ = groups._walk(n, lambda g: tuple(rule[g]))
         assert gens == generating_set(rows)
-        names = [str(i) for i in range(len(rows))]
+        names = [str(i) for i in range(n)]
         light = light_witness(rows) is None
-        handed = _verdict(lambda: groups._associative_group(rows, names, gens), rows)
-        walked = _verdict(lambda: groups._associative_group(rows, names), rows)
-        assert handed is walked is light, rule
+        built = _verdict(lambda: catalog._group(lambda u, v: rule[u][v], names), rows)
+        outside = _verdict(lambda: from_cayley_table(rows, names), rows)
+        assert built is outside is light, rule
         accepted += light
         rejected += not light
     assert accepted > 500 and rejected > 500
@@ -149,7 +151,7 @@ def test_tables_from_outside_agree_with_light():
 )
 def test_every_generator_pair_is_checked(rows, pair):
     n = len(rows[1])
-    table, gens = _table(n, lambda u, v: rows[u][v])
+    table, gens, _ = groups._walk(n, lambda g: tuple(rows[g]))
     assert gens == [1, 2] and light_witness(table) is not None
     failing = [
         (g, h)
@@ -161,7 +163,7 @@ def test_every_generator_pair_is_checked(rows, pair):
     names = [str(i) for i in range(n)]
     for check in (
         partial(groups._associative_group, table, names, gens),
-        partial(groups._associative_group, table, names),
+        partial(catalog._group, lambda u, v: rows[u][v], names),
         partial(from_cayley_table, table),
     ):
         with pytest.raises(AxiomViolation) as info:
@@ -182,7 +184,8 @@ def test_a_generating_set_of_nearly_every_element(n):
     names = [str(i) for i in range(n)]
     assert generating_set(rows) == list(range(1, n))
     assert light_witness(rows) is None
-    assert groups._associative_group(rows, names).generators == tuple(range(1, n))
+    group = groups._outside_associative_group(rows, names)
+    assert group.generators == tuple(range(1, n))
     for x in range(1, n):
         for y in range(1, n):
             for v in range(1, n):
@@ -192,7 +195,7 @@ def test_a_generating_set_of_nearly_every_element(n):
                 bad[x][y] = v
                 light = light_witness(bad) is None
                 bad_rows = [tuple(row) for row in bad]
-                check = partial(groups._associative_group, bad_rows, names)
+                check = partial(groups._outside_associative_group, bad_rows, names)
                 assert _verdict(check, bad) is light, (x, y, v)
 
 

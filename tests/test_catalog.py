@@ -6,8 +6,8 @@ from commspec import catalog
 from commspec.catalog import (
     _FAMILIES,
     FamilySpec,
+    _group,
     _product,
-    _table,
     build,
     direct_product,
     list_catalog,
@@ -498,9 +498,10 @@ def test_composed_rows_match_the_product_rule(label):
     mul, names = _rule(parse_family(label))
     n = len(names)
     calls = []
-    table, gens = _table(n, lambda x, y: calls.append(x) or mul(x, y))
+    group = _group(lambda x, y: calls.append(x) or mul(x, y), names)
+    table = group.table
     assert all(table[x][y] == mul(x, y) for x in range(n) for y in range(n))
-    assert gens == generating_set(table)
+    assert list(group.generators) == generating_set(table)
     # only the rows of at most log2(n) generators call the rule
     assert len(calls) <= n * (n.bit_length() - 1)
 
@@ -569,7 +570,7 @@ def _klein_except(bad, value):
 )
 def test_generator_rows_are_checked(mul, error, message):
     with pytest.raises(error) as caught:
-        _table(4, mul)
+        _group(mul, ["a", "b", "c", "d"])
     assert str(caught.value) == message
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 import re
 
@@ -32,7 +33,7 @@ from commspec.groups import (
     recognize_small,
 )
 
-from light import generating_set, identity_to_front
+from light import close, generating_set, identity_to_front
 from permutation_groups import permutation_group, permutation_table, relabelled_table
 
 
@@ -173,7 +174,7 @@ def test_generating_set_is_logarithmic(grid):
     for name, _, group in grid:
         gens = group.generators
         assert len(gens) <= group.order.bit_length() - 1, name  # floor(log2 n)
-        assert groups._generates(group, gens), name
+        assert len(close(group.table, gens, {0})) == group.order, name
 
 
 def test_heisenberg_7_needs_three_generators():
@@ -399,6 +400,44 @@ def test_recognize_order_4_overlap_prefers_square_shape():
     assert recognize_small(build(FamilySpec.dihedral(2))) == Recognition("zpzp", 2)
 
 
+def _recognize_by_closure(group):
+    """Oracle: the shapes by brute force, with <r, s> == G tested by closing
+    {r, s} under right multiplication."""
+    n = group.order
+    table = group.table
+    p = math.isqrt(n)
+    commutative = all(table[x][y] == table[y][x] for x in range(n) for y in range(n))
+    if p * p == n and is_prime(p) and commutative:
+        if all(group.element_order(x) == p for x in range(1, n)):
+            return Recognition("zpzp", p)
+    m = n // 2
+    if n >= 4 and n % 2 == 0:
+        for r in range(1, n):
+            for s in range(1, n):
+                if (
+                    group.element_order(r) == m
+                    and group.element_order(s) == 2
+                    and table[table[s][r]][s] == group.inverse(r)
+                    and len(close(table, (r, s), {0})) == n
+                ):
+                    return Recognition("dihedral", m)
+    return Recognition("other")
+
+
+def test_recognize_small_agrees_with_closure(grid):
+    # z4's only element of order 2 is r = s with s*r*s == r^-1, and <r, s>
+    # is then a proper subgroup
+    labels = "z4 prod:z2,z2 dihedral:2 dihedral:3 dihedral:4 dicyclic:2 z6".split()
+    named = [(label, build(parse_family(label))) for label in labels]
+    named += [(name, quotient_by_center(group).group) for name, _, group in grid]
+    shapes = set()
+    for name, group in named:
+        recognition = recognize_small(group)
+        assert recognition == _recognize_by_closure(group), name
+        shapes.add(recognition.kind)
+    assert shapes == {"zpzp", "dihedral", "other"}
+
+
 def _assert_pairwise_noncommuting(group, elements):
     for x, y in itertools.combinations(elements, 2):
         assert group.mul(x, y) != group.mul(y, x)
@@ -558,6 +597,15 @@ def test_commutation_masks_of_abelian_groups(spec):
         build_commuting_graph(group)
     with pytest.raises(AbelianGroupError):
         max_noncommuting_set(group)
+
+
+def test_uncapped_noncommuting_search_on_a_deep_clique():
+    # the 999 reflections and one rotation of dihedral:999: a clique of 1000
+    # cosets, deeper than Python's default recursion limit
+    group = build(FamilySpec.dihedral(999))
+    witness = max_noncommuting_set(group)
+    assert len(witness) == 1000
+    _assert_pairwise_noncommuting(group, witness)
 
 
 def test_max_noncommuting_set_rejects_abelian():

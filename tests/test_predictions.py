@@ -20,7 +20,7 @@ from commspec.predictions import (
     verify_centralizer_corollaries,
     verify_group,
 )
-from commspec.spectra import monic_linear, spectra_agree, spectrum_from_pairs
+from commspec.spectra import CharPoly, spectra_agree, spectrum_from_pairs
 
 from permutation_groups import permutation_group
 
@@ -224,7 +224,8 @@ def test_report_json_shape(q8):
 def test_prediction_spectrum_accounts_for_all_vertices(q8):
     report = verify_group(q8, "Q8", FamilySpec.dicyclic(2))
     for check in report.checks:
-        assert check.prediction.spectrum.multiplicity_sum() == report.vertex_count
+        pairs = check.prediction.spectrum.pairs
+        assert sum(k for _, k in pairs) == report.vertex_count
 
 
 def test_family_and_quotient_routes_agree_when_both_apply(grid_reports):
@@ -241,7 +242,7 @@ def _incomplete(analysis):
     *kept, (value, mult) = analysis.spectrum.pairs
     remainder = analysis.remainder
     for _ in range(mult):
-        remainder = remainder * monic_linear(value)
+        remainder = remainder * CharPoly((-value, 1))
     return dataclasses.replace(
         analysis,
         integral=False,

@@ -24,7 +24,6 @@ from commspec.spectra import (
     exact_determinant,
     integer_spectrum,
     is_integral,
-    monic_linear,
     spectra_agree,
     spectrum_from_pairs,
 )
@@ -221,7 +220,7 @@ def test_non_monic_rejected():
 
 
 def test_char_poly_multiplication_and_linear_factors():
-    poly = monic_linear(2) * monic_linear(-1) * monic_linear(-1)
+    poly = CharPoly((-2, 1)) * CharPoly((1, 1)) * CharPoly((1, 1))  # x - 2, x + 1
     assert poly.coeffs == char_poly(K3).coeffs
 
 
@@ -303,7 +302,7 @@ def test_deflation_reconstructs_char_poly(d12):
     product = analysis.remainder
     for value, mult in analysis.spectrum.pairs:
         for _ in range(mult):
-            product = product * monic_linear(value)
+            product = product * CharPoly((-value, 1))
     assert product.coeffs == analysis.char_poly.coeffs
 
 
@@ -663,7 +662,7 @@ def test_divisor_candidates_match_full_scan_on_random_polynomials():
         degree = rng.randint(0, 4)
         poly = CharPoly(tuple(rng.randint(-6, 6) for _ in range(degree)) + (1,))
         for _ in range(rng.randint(0, 5)):
-            poly = poly * monic_linear(rng.randint(-6, 6))
+            poly = poly * CharPoly((-rng.randint(-6, 6), 1))
         bound = rng.randint(0, 8)
         assert integer_spectrum(poly, bound) == _full_scan_integer_spectrum(poly, bound)
 
