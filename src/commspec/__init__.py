@@ -26,7 +26,6 @@ from .errors import (
     NotSymmetricError,
     ParameterOutOfRange,
     ParseError,
-    QuotientError,
     SpectralCheckError,
     UnsupportedFamilyError,
 )

@@ -11,12 +11,12 @@ against the table when it is constructed; ``order``, ``build``,
 Each family's elements are normal-form words (a^i b^j, or (x, y, z) for
 the Heisenberg group) at fixed indices.  Its product rule is stated once,
 as ``mul(u, v)`` on element indices, written by index arithmetic from the
-defining relations.  ``groups._walk`` builds the table: it calls ``mul``
-for the rows of at most log2(n) generators and composes every other row
-from those at C speed.  Each generator row is checked entry by entry as
-it is computed (``_check_generator_row``); ``_walk`` shows that every row
-then passes the checks an outside table gets, so the table goes only to
-the associativity check on the walk's generator pairs.
+defining relations.  ``groups._group`` builds the table, as it builds
+the central quotient's: it calls ``mul`` for the rows of at most log2(n)
+generators, checks each of them entry by entry, and composes every other
+row from those at C speed.  ``groups._walk`` shows that every row then
+passes the checks an outside table gets, so only the associativity check
+on the walk's generator pairs remains.
 """
 
 from __future__ import annotations
@@ -27,14 +27,8 @@ from functools import reduce
 from math import prod
 from typing import Callable, NamedTuple
 
-from .errors import (
-    AxiomViolation,
-    IndexOutOfRange,
-    NotPrimeError,
-    ParameterOutOfRange,
-    ParseError,
-)
-from .groups import FiniteGroup, _associative_group, _walk, is_prime
+from .errors import NotPrimeError, ParameterOutOfRange, ParseError
+from .groups import FiniteGroup, _group, _Mul, is_prime
 
 
 @dataclass(frozen=True)
@@ -115,47 +109,6 @@ class FamilySpec:
 
 def _word(*terms: tuple[str, int]) -> str:
     return "".join(sym if e == 1 else f"{sym}^{e}" for sym, e in terms if e) or "1"
-
-
-# A product rule: the index of the product of the elements at two indices.
-_Mul = Callable[[int, int], int]
-
-
-def _check_generator_row(
-    g: int, row: tuple[int, ...], valid: frozenset[int]
-) -> None:
-    """Raise unless ``row`` holds exact ints, starts with g and permutes 0..n-1."""
-    n = len(valid)
-    # the set test is exact because every entry's type is exactly int, so
-    # hashing and equality are int's own
-    if set(map(type, row)) != {int} or not valid.issuperset(row):
-        j, v = next(
-            (j, v)
-            for j, v in enumerate(row)
-            if type(v) is not int or not 0 <= v < n
-        )
-        raise IndexOutOfRange(f"entry ({g},{j}) = {v!r} not in 0..{n - 1}")
-    if row[0] != g:
-        raise AxiomViolation("identity", f"{g}*0 = {row[0]}, expected {g}")
-    if len(set(row)) != n:
-        raise AxiomViolation(
-            "inverse", f"row {g} is not a permutation of 0..{n - 1}"
-        )
-
-
-def _group(mul: _Mul, names: list[str]) -> FiniteGroup:
-    """Build the table of ``mul`` on the named elements from checked
-    generator rows, and check its generator pairs for associativity."""
-    n = len(names)
-    valid = frozenset(range(n))
-
-    def generator_row(g: int) -> tuple[int, ...]:
-        row = tuple([mul(g, y) for y in range(n)])
-        _check_generator_row(g, row, valid)
-        return row
-
-    rows, gens, _ = _walk(n, generator_row)
-    return _associative_group(rows, names, gens)
 
 
 def _cyclic_extension(

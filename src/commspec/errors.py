@@ -72,11 +72,6 @@ class SpectralCheckError(CommspecError):
     """A characteristic polynomial disagrees with an independent determinant."""
 
 
-class QuotientError(CommspecError):
-    """The subgroup to divide by is not normal, so coset products would
-    depend on the representatives chosen."""
-
-
 class ParseError(CommspecError):
     """Malformed group spec string or Cayley-table text."""
 

@@ -6,10 +6,13 @@ and all operations are pure functions, so groups and derived data can be
 shared freely between workers.
 
 One walk (``_walk``) builds every table from the rows of a generating set
-S: the catalog's tables from their product rules, and a table from
-outside from its own generator rows, which must give back the table.
-Associativity is then checked at the size of S: multiplying by a
-generator on the left must commute with multiplying by one on the right
+S.  A table the program makes itself (a catalog family, a direct product,
+the central quotient) comes from its product rule through ``_group``,
+which computes and checks only the generator rows.  A table from outside
+goes through ``from_cayley_table``, which rebuilds it from its own
+generator rows; the result must give back the table.  Associativity is
+then checked at the size of S: multiplying by a generator on the left
+must commute with multiplying by one on the right
 (``_associative_group``).
 Commutation is read off the cosets of the center Z, never off all n^2
 pairs.  The center comes from S: x is central iff x*g == g*x for every g
@@ -40,7 +43,6 @@ from .errors import (
     IndexOutOfRange,
     ParameterOutOfRange,
     ParseError,
-    QuotientError,
 )
 
 
@@ -49,7 +51,8 @@ class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     ``table[i][j]`` is the index of the product of elements i and j.
-    Use :func:`from_cayley_table` to build one; it enforces the axioms.
+    Use :func:`from_cayley_table` to build one from a table from outside;
+    it enforces the axioms.
     ``generators`` is a set of elements whose products give every element;
     it is derived from the table, so equality and hashing leave it out.
     """
@@ -133,15 +136,6 @@ class Centralizer:
     @property
     def size(self) -> int:
         return len(self.members)
-
-
-@dataclass(frozen=True)
-class QuotientGroup:
-    """The quotient by the center, plus the element-to-coset map."""
-
-    group: FiniteGroup
-    coset_of: tuple[int, ...]
-    cosets: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -302,6 +296,47 @@ def _walk(
     return rows, [g for g, _ in steps], edges
 
 
+# A product rule: the index of the product of the elements at two indices.
+_Mul = Callable[[int, int], int]
+
+
+def _group(mul: _Mul, names: Sequence[str]) -> FiniteGroup:
+    """Build the table of ``mul`` on the named elements from checked
+    generator rows, and check its generator pairs for associativity."""
+    n = len(names)
+    valid = frozenset(range(n))
+
+    def generator_row(g: int) -> tuple[int, ...]:
+        row = tuple([mul(g, y) for y in range(n)])
+        _check_generator_row(g, row, valid)
+        return row
+
+    rows, gens, _ = _walk(n, generator_row)
+    return _associative_group(rows, names, gens)
+
+
+def _check_generator_row(
+    g: int, row: tuple[int, ...], valid: frozenset[int]
+) -> None:
+    """Raise unless ``row`` holds exact ints, starts with g and permutes 0..n-1."""
+    n = len(valid)
+    # the set test is exact because every entry's type is exactly int, so
+    # hashing and equality are int's own
+    if set(map(type, row)) != {int} or not valid.issuperset(row):
+        j, v = next(
+            (j, v)
+            for j, v in enumerate(row)
+            if type(v) is not int or not 0 <= v < n
+        )
+        raise IndexOutOfRange(f"entry ({g},{j}) = {v!r} not in 0..{n - 1}")
+    if row[0] != g:
+        raise AxiomViolation("identity", f"{g}*0 = {row[0]}, expected {g}")
+    if len(set(row)) != n:
+        raise AxiomViolation(
+            "inverse", f"row {g} is not a permutation of 0..{n - 1}"
+        )
+
+
 def _associative_group(
     rows: Sequence[tuple[int, ...]],
     names: Sequence[str],
@@ -382,24 +417,14 @@ def _swap_to_front(
 def _center_cosets(
     table: tuple[tuple[int, ...], ...], gens: Sequence[int]
 ) -> CenterCosets:
-    """The center from the generators, its cosets, and q^2 commutation lookups."""
+    """The center from the generators, its cosets, and q^2 commutation lookups.
+
+    Each coset xZ is sorted; Z itself is coset 0, since x = 0 comes first,
+    and the rest follow their smallest member.
+    """
     z = tuple(
         x for x, row in enumerate(table) if all(row[g] == table[g][x] for g in gens)
     )
-    coset_of, cosets = _cosets(table, z)
-    reps = [coset[0] for coset in cosets]
-    commuting = tuple(
-        sum(1 << j for j, b in enumerate(reps) if table[a][b] == table[b][a])
-        for a in reps
-    )
-    return CenterCosets(coset_of, cosets, commuting)
-
-
-def _cosets(
-    table: Sequence[Sequence[int]], z: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The cosets xZ of a subgroup Z, each sorted, and the element-to-coset
-    map; Z itself is coset 0 and the rest follow their smallest member."""
     coset_of = [-1] * len(table)
     cosets: list[tuple[int, ...]] = []
     for x, row in enumerate(table):
@@ -409,7 +434,12 @@ def _cosets(
         for m in members:
             coset_of[m] = len(cosets)
         cosets.append(members)
-    return tuple(coset_of), tuple(cosets)
+    reps = [coset[0] for coset in cosets]
+    commuting = tuple(
+        sum(1 << j for j, b in enumerate(reps) if table[a][b] == table[b][a])
+        for a in reps
+    )
+    return CenterCosets(tuple(coset_of), tuple(cosets), commuting)
 
 
 def _bits(mask: int) -> list[int]:
@@ -448,52 +478,25 @@ def centralizer_count(group: FiniteGroup) -> int:
     return len(set(group.center_cosets.commuting))
 
 
-def quotient_by_center(group: FiniteGroup) -> QuotientGroup:
-    """Quotient by the center, on the cosets the group already holds.
+def quotient_by_center(group: FiniteGroup) -> FiniteGroup:
+    """The quotient G/Z by the center, on the cosets the group already holds.
 
-    The coset of the identity is index 0; the remaining cosets are ordered
-    by their smallest element, so construction is deterministic.  Entry
-    (i, j) of the quotient's table is the coset of r_i * r_j, where r_i is
-    coset i's smallest member.
-
-    That is well defined when Z is a normal subgroup, which is checked
-    without touching all n^2 products.  A nonempty finite set closed under
-    products is a subgroup, and closure costs |Z|^2 lookups.  If
-    g*Z*g^-1 lies in Z for every generator g, it does for every element:
-    each element is a product g_1*...*g_k of generators, and conjugating by
-    it conjugates by g_k, then g_(k-1), and so on, each step staying in Z.
-    Then (xZ)(yZ) == xyZ whatever the representatives.  A designated Z that
-    fails either check raises ``QuotientError``.
+    Element i of the quotient is coset i of ``group.center_cosets``: the
+    center Z is element 0, named ``"Z"``, and every other coset is named
+    after its smallest member r_i, as ``"{name}Z"``.  The product rule is
+    mul(i, j) = the coset of r_i * r_j.  It does not depend on the
+    representatives: Z is central, so (r_i z)(r_j z') = (r_i r_j)(z z') for
+    any z and z' in Z, and z z' lies in Z.  The table is built from the
+    rule like a catalog family's (``_group``).
     """
-    z = center(group).members
-    _check_normal_subgroup(group, z)
-    table = group.table
     decomposition = group.center_cosets
-    coset_of, cosets = decomposition.coset_of, decomposition.cosets
-    if cosets[0] != z:  # center() was replaced and names another subgroup
-        coset_of, cosets = _cosets(table, z)
+    coset_of, table = decomposition.coset_of, group.table
+    reps = [coset[0] for coset in decomposition.cosets]
 
-    reps = [coset[0] for coset in cosets]
-    q_table = [[coset_of[table[a][b]] for b in reps] for a in reps]
-    q_names = tuple(
-        "Z" if i == 0 else f"{group.names[r]}Z" for i, r in enumerate(reps)
-    )
-    quotient = from_cayley_table(q_table, q_names)
-    return QuotientGroup(quotient, coset_of, cosets)
+    def mul(a: int, b: int) -> int:
+        return coset_of[table[reps[a]][reps[b]]]
 
-
-def _check_normal_subgroup(group: FiniteGroup, z: Sequence[int]) -> None:
-    table = group.table
-    inside = set(z)
-    if not inside or any(table[a][b] not in inside for a in z for b in z):
-        raise QuotientError("the designated subgroup is not closed under products")
-    for g in group.generators:
-        row_g, g_inv = table[g], group.inverse(g)
-        if any(table[row_g[a]][g_inv] not in inside for a in z):
-            raise QuotientError(
-                "the designated subgroup is not normal, so coset products "
-                "depend on representatives"
-            )
+    return _group(mul, ["Z"] + [f"{group.names[r]}Z" for r in reps[1:]])
 
 
 def recognize_small(group: FiniteGroup) -> Recognition:
@@ -709,6 +712,15 @@ def load_cayley_file(path: str) -> FiniteGroup:
 
 
 def format_cayley_text(group: FiniteGroup) -> str:
+    """The text ``parse_cayley_text`` reads back into the same table and
+    names; a name that is not one token without whitespace raises
+    ``ParseError``, since the names section is split on whitespace."""
+    for i, name in enumerate(group.names):
+        if name.split() != [name]:
+            raise ParseError(
+                f"element {i} has label {name!r}, which is not one token "
+                "without whitespace"
+            )
     lines = [str(group.order)]
     for row in group.table:
         lines.append(" ".join(str(v) for v in row))

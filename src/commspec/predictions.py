@@ -138,8 +138,7 @@ def verify_group(
         raise AbelianGroupError("verification is defined for non-abelian groups only")
     z = center(group).size
     count = centralizer_count(group)
-    quotient = quotient_by_center(group)
-    recognition = recognize_small(quotient.group)
+    recognition = recognize_small(quotient_by_center(group))
     graph = build_commuting_graph(group)
     decomposition = clique_decomposition(graph)
     analysis = is_integral(graph)

@@ -2,11 +2,10 @@ from functools import reduce
 
 import pytest
 
-from commspec import catalog
+from commspec import groups
 from commspec.catalog import (
     _FAMILIES,
     FamilySpec,
-    _group,
     _product,
     build,
     direct_product,
@@ -23,6 +22,7 @@ from commspec.errors import (
 from commspec.graphs import build_commuting_graph
 from commspec.groups import (
     _MR_BOUND,
+    _group,
     Recognition,
     center,
     from_cayley_table,
@@ -64,7 +64,7 @@ def test_family_quotient_tags(grid):
     # order-4 quotients of exponent 2 land on the square shape, larger
     # dihedral quotients keep their half-order parameter
     for name, spec, group in grid:
-        tag = recognize_small(quotient_by_center(group).group)
+        tag = recognize_small(quotient_by_center(group))
         if spec.kind == "dicyclic":
             m = spec.params[0]
             expected = Recognition("zpzp", 2) if m == 2 else Recognition("dihedral", m)
@@ -138,7 +138,7 @@ def test_heisenberg_3():
     group = build(FamilySpec.heis(3))
     assert group.order == 27
     assert center(group).size == 3
-    assert recognize_small(quotient_by_center(group).group) == Recognition("zpzp", 3)
+    assert recognize_small(quotient_by_center(group)) == Recognition("zpzp", 3)
     assert max(_order_profile(group)) == 3  # exponent p for odd p
 
 
@@ -158,7 +158,7 @@ def test_product_d8_z2():
     group = build(FamilySpec.product(FamilySpec.dihedral(4), FamilySpec.cyclic(2)))
     assert group.order == 16
     assert center(group).size == 4
-    assert recognize_small(quotient_by_center(group).group) == Recognition("zpzp", 2)
+    assert recognize_small(quotient_by_center(group)) == Recognition("zpzp", 2)
 
 
 def test_product_center_is_product_of_centers(q8):
@@ -576,9 +576,9 @@ def test_generator_rows_are_checked(mul, error, message):
 
 def test_only_generator_rows_are_checked(monkeypatch):
     checked = []
-    original = catalog._check_generator_row
+    original = groups._check_generator_row
     monkeypatch.setattr(
-        catalog,
+        groups,
         "_check_generator_row",
         lambda g, row, valid: checked.append(g) or original(g, row, valid),
     )

@@ -372,6 +372,31 @@ def test_each_group_is_analysed_once(argv, groups, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "dicyclic:3"],
+        ["suite", "--only", "Q1"],
+        ["analyze", "heis:3", "--format", "json"],
+    ],
+    ids=["verify", "suite", "analyze-json"],
+)
+def test_own_tables_never_take_the_outside_path(argv, monkeypatch, capsys):
+    # catalog tables, direct products and central quotients are built from
+    # their product rules; only tables from outside are rebuilt and compared
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def outside(rows, names):
+        raise AssertionError("a table the program made took the outside path")
+
+    monkeypatch.setattr(groups, "_outside_associative_group", outside)
+    with pytest.raises(AssertionError):
+        from_cayley_table([[0]])
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
     "argv, orders",
     [
         (["verify", "dihedral:5"], [10]),
