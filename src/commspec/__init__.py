@@ -31,7 +31,6 @@ from .errors import (
 )
 from .graphs import (
     build_commuting_graph,
-    clique_decomposition,
     connected_components,
     export_dot,
     graph_json,

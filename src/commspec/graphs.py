@@ -1,8 +1,12 @@
-"""Commuting graphs on non-central elements, and their component structure.
+"""Commuting graphs on non-central elements, their connected components,
+and their DOT and JSON forms.
 
 Adjacency is stored as one bitmask per vertex (dense bit matrix); vertex
 positions index into ``vertices``, which holds the underlying element
-indices in ascending order.
+indices in ascending order.  The component structure that reports state
+(the sizes, and whether every component is complete) is read from the
+per-block records of ``spectra.is_integral``, which walks the components
+once.
 """
 
 from __future__ import annotations
@@ -38,14 +42,6 @@ class CommutingGraph:
         for i in range(self.vertex_count):
             out.extend((i, j) for j in _bits(self.adjacency[i] >> (i + 1) << (i + 1)))
         return out
-
-
-@dataclass(frozen=True)
-class CliqueDecomposition:
-    """Connected-component sizes plus whether every component is complete."""
-
-    component_sizes: tuple[int, ...]
-    all_cliques: bool
 
 
 def build_commuting_graph(group: FiniteGroup) -> CommutingGraph:
@@ -109,23 +105,6 @@ def connected_components(graph: CommutingGraph) -> list[tuple[int, ...]]:
         unseen &= ~comp
         components.append(tuple(_bits(comp)))
     return components
-
-
-def clique_decomposition(graph: CommutingGraph) -> CliqueDecomposition:
-    """Component sizes, checking completeness by the edge-count formula."""
-    sizes = []
-    all_cliques = True
-    for comp in connected_components(graph):
-        k = len(comp)
-        mask = 0
-        for v in comp:
-            mask |= 1 << v
-        internal = sum((graph.adjacency[v] & mask).bit_count() for v in comp) // 2
-        if internal != k * (k - 1) // 2:
-            all_cliques = False
-        sizes.append(k)
-    sizes.sort(reverse=True)
-    return CliqueDecomposition(tuple(sizes), all_cliques)
 
 
 def export_dot(graph: CommutingGraph, names: Sequence[str] | None = None) -> str:

@@ -156,12 +156,14 @@ def from_cayley_table(
     """Validate a multiplication table from outside and wrap it.
 
     Every check runs here, in this order: each row has n entries, each
-    entry is an exact int (not a bool or a float) in 0..n-1, there are n
-    names, there is a two-sided identity, and each element has exactly one
-    right inverse.  If the two-sided identity is not element 0, the table
-    is relabelled so that it is; messages name elements by their relabelled
-    indices.  Associativity is then checked in
-    ``_outside_associative_group``, which also builds the group.
+    entry is an exact int in 0..n-1 (``_check_entries``), there are n
+    distinct names (a repeated name would merge two vertices of the DOT
+    export, and raises ``ParseError``), there is a two-sided identity, and
+    each element has exactly one right inverse.  If the two-sided identity
+    is not element 0, the table is relabelled so that it is; messages from
+    the checks after that name elements by their relabelled indices.
+    Associativity is then checked in ``_outside_associative_group``, which
+    also builds the group.
     """
     rows = [tuple(row) for row in table]
     n = len(rows)
@@ -171,20 +173,17 @@ def from_cayley_table(
     for i, row in enumerate(rows):
         if len(row) != n:
             raise IndexOutOfRange(f"row {i} has {len(row)} entries, expected {n}")
-        # a row of plain ints in range passes at once; any other row gets the
-        # per-entry check, which rejects bools, floats and out-of-range values.
-        # The set test is exact because every entry's type is exactly int, so
-        # hashing and equality are int's own.
-        if set(map(type, row)) == {int} and valid.issuperset(row):
-            continue
-        for j, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                raise IndexOutOfRange(f"entry ({i},{j}) = {v!r} not in 0..{n - 1}")
+        _check_entries(i, row, valid)
 
     if names is not None:
         name_list = [str(s) for s in names]
         if len(name_list) != n:
             raise IndexOutOfRange(f"{len(name_list)} names for {n} elements")
+        first: dict[str, int] = {}
+        for j, name in enumerate(name_list):
+            i = first.setdefault(name, j)
+            if i != j:
+                raise ParseError(f"elements {i} and {j} share the name {name!r}")
     else:
         name_list = [f"g{i}" for i in range(n)]
 
@@ -320,21 +319,29 @@ def _check_generator_row(
 ) -> None:
     """Raise unless ``row`` holds exact ints, starts with g and permutes 0..n-1."""
     n = len(valid)
-    # the set test is exact because every entry's type is exactly int, so
-    # hashing and equality are int's own
-    if set(map(type, row)) != {int} or not valid.issuperset(row):
-        j, v = next(
-            (j, v)
-            for j, v in enumerate(row)
-            if type(v) is not int or not 0 <= v < n
-        )
-        raise IndexOutOfRange(f"entry ({g},{j}) = {v!r} not in 0..{n - 1}")
+    _check_entries(g, row, valid)
     if row[0] != g:
         raise AxiomViolation("identity", f"{g}*0 = {row[0]}, expected {g}")
     if len(set(row)) != n:
         raise AxiomViolation(
             "inverse", f"row {g} is not a permutation of 0..{n - 1}"
         )
+
+
+def _check_entries(i: int, row: Sequence[int], valid: frozenset[int]) -> None:
+    """Raise unless every entry of row ``i`` is an exact int in 0..n-1.
+
+    Exact means of type int itself: a bool, an int subclass such as an
+    ``IntEnum`` member, or a float fails.  A row of such entries in range
+    passes with one set test, which is exact because every entry's type is
+    int, so hashing and equality are int's own.
+    """
+    if set(map(type, row)) != {int} or not valid.issuperset(row):
+        n = len(valid)
+        j, v = next(
+            (j, v) for j, v in enumerate(row) if type(v) is not int or not 0 <= v < n
+        )
+        raise IndexOutOfRange(f"entry ({i},{j}) = {v!r} not in 0..{n - 1}")
 
 
 def _associative_group(
@@ -503,7 +510,15 @@ def recognize_small(group: FiniteGroup) -> Recognition:
     """Recognize elementary abelian p x p and dihedral groups.
 
     Order-4 groups of exponent 2 satisfy both shapes; they are reported as
-    ``zpzp`` with p = 2.  Everything else is ``other``.
+    ``zpzp`` with p = 2.  Everything else is ``other``.  Each element's
+    order is computed once, and the group's center is never asked for.
+
+    A group of order p^2 is Z_p x Z_p iff every element but the identity
+    has order p.  It needs no test of commutativity: a group of order p^2
+    is abelian.  Its center is nontrivial, as the class equation makes the
+    center's order a multiple of p, so G/Z has order 1 or p and is cyclic,
+    say generated by gZ.  Then every element is g^i z with z central, and
+    any two such elements commute, so Z is all of G.
 
     A group of order 2m is dihedral iff it has an r of order m and an
     involution s with s*r*s == r^-1 that together generate it.  No closure
@@ -514,14 +529,14 @@ def recognize_small(group: FiniteGroup) -> Recognition:
     """
     n = group.order
     p = isqrt(n)
-    if p * p == n and is_prime(p) and group.is_abelian():
-        if all(group.element_order(x) == p for x in range(1, n)):
-            return Recognition("zpzp", p)
+    square = p * p == n and is_prime(p)
+    orders = [group.element_order(x) for x in range(n)] if square or n % 2 == 0 else []
+    if square and all(o == p for o in orders[1:]):
+        return Recognition("zpzp", p)
     if n >= 4 and n % 2 == 0:
         m = n // 2
-        rotations = [r for r in range(1, n) if group.element_order(r) == m]
-        involutions = [s for s in range(1, n) if group.element_order(s) == 2]
-        for r in rotations:
+        involutions = [s for s, o in enumerate(orders) if o == 2]
+        for r in (r for r, o in enumerate(orders) if o == m):
             r_inv = group.inverse(r)
             for s in involutions:
                 if s != r and group.mul(group.mul(s, r), s) == r_inv:

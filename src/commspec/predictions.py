@@ -7,8 +7,9 @@ catalog's family table states both kinds of closed form: these two
 quotient-shape forms, on its ``zpzp`` and ``dihedral`` entries, and the
 per-family specializations.  This module evaluates them and checks every
 applicable prediction against the brute-force pipeline.  Each group is
-analysed once: the centralizer-count corollaries read the verdicts of its
-verification report.
+analysed once: the report's component sizes and clique verdict are read
+from the per-block records of the integrality decision, and the
+centralizer-count corollaries read the verdicts of the report.
 """
 
 from __future__ import annotations
@@ -17,12 +18,7 @@ from dataclasses import dataclass
 
 from .catalog import _FAMILIES, FamilySpec
 from .errors import AbelianGroupError, ParameterOutOfRange, UnsupportedFamilyError
-from .graphs import (
-    CommutingGraph,
-    build_commuting_graph,
-    clique_decomposition,
-    graph_json,
-)
+from .graphs import CommutingGraph, build_commuting_graph, graph_json
 from .groups import (
     FiniteGroup,
     Recognition,
@@ -133,6 +129,11 @@ def verify_group(
     the family-based prediction is added when ``family`` names a supported
     catalog family.  A prediction matches when the brute-force spectrum is
     complete and equal to it as a multiset.
+
+    The component sizes and whether every component is complete are read
+    from ``is_integral``'s records of the distinct blocks, so the graph's
+    components are found once; a block is complete exactly when it has one
+    twin class (proof in ``SpectralAnalysis.all_cliques``).
     """
     if group.is_abelian():
         raise AbelianGroupError("verification is defined for non-abelian groups only")
@@ -140,7 +141,6 @@ def verify_group(
     count = centralizer_count(group)
     recognition = recognize_small(quotient_by_center(group))
     graph = build_commuting_graph(group)
-    decomposition = clique_decomposition(graph)
     analysis = is_integral(graph)
 
     predictions: list[Prediction] = []
@@ -170,8 +170,8 @@ def verify_group(
         center_size=z,
         centralizer_count=count,
         vertex_count=graph.vertex_count,
-        component_sizes=decomposition.component_sizes,
-        all_cliques=decomposition.all_cliques,
+        component_sizes=analysis.component_sizes,
+        all_cliques=analysis.all_cliques,
         spectrum=analysis.spectrum,
         integral=analysis.integral,
         checks=checks,

@@ -30,8 +30,13 @@ keeps the level of its last update and is brought up to date in one exact
 division when it is next used (proof in ``exact_determinant``).  On a
 sparse block most row updates are skipped, and a twin row is updated once.
 Integer roots are found among the divisors of the lowest nonzero
-coefficient, bounded by the block's largest row sum.  The whole graph's
-polynomial is multiplied out only when it is read.
+coefficient, bounded by the block's largest row sum.  Each distinct block
+is kept as a record (``Block``): its size k, the number of blocks that
+share its submatrix, its number r of twin classes and det(xI - Q).  A
+block is complete exactly when r = 1, so the records are also the graph's
+component structure.  The whole graph's polynomial is multiplied out from
+them only when it is read, with (x + 1) raised once to the total number of
+merged twins.
 """
 
 from __future__ import annotations
@@ -115,23 +120,55 @@ def spectrum_json(spectrum: Spectrum) -> list[dict]:
 
 
 @dataclass(frozen=True)
+class Block:
+    """One distinct connected block: ``size`` k vertices, the ``count`` of
+    connected blocks with this exact submatrix, and ``quotient``, the
+    polynomial det(xI - Q) of its twin quotient (see ``_block_factor``)."""
+
+    size: int
+    count: int
+    quotient: CharPoly
+
+    @property
+    def classes(self) -> int:
+        """r, the number of twin classes: Q is r x r."""
+        return self.quotient.degree
+
+
+@dataclass(frozen=True)
 class SpectralAnalysis:
     """Outcome of the exact integrality decision for one graph.
 
-    ``factors`` pairs each distinct block polynomial with the number of
-    connected blocks that have it.  ``char_poly``, their product, is
-    multiplied out on first read.  Equality leaves the factors out: the
-    spectrum and the remainder already determine the product.
+    ``blocks`` holds one record per distinct connected block.
+    ``char_poly``, the product of the blocks' polynomials, is multiplied
+    out on first read.  Equality leaves the records out: the spectrum and
+    the remainder already determine the product.
     """
 
     integral: bool
     spectrum: Spectrum
     remainder: CharPoly
-    factors: tuple[tuple[CharPoly, int], ...] = field(compare=False, repr=False)
+    blocks: tuple[Block, ...] = field(compare=False, repr=False)
 
     @cached_property
     def char_poly(self) -> CharPoly:
-        return CharPoly(tuple(_power_product((f.coeffs, c) for f, c in self.factors)))
+        return _blocks_product(self.blocks)
+
+    @property
+    def component_sizes(self) -> tuple[int, ...]:
+        """The connected blocks' sizes, largest first."""
+        sizes = (b.size for b in self.blocks for _ in range(b.count))
+        return tuple(sorted(sizes, reverse=True))
+
+    @property
+    def all_cliques(self) -> bool:
+        """Whether every connected block is complete: has one twin class.
+
+        If every row of M = A + I equals row u, then M_uv = M_vv = 1 for
+        every vertex v, so row u, and with it every row, is all ones;
+        conversely a complete block's M is all ones, one class.
+        """
+        return all(b.classes == 1 for b in self.blocks)
 
 
 def char_poly(matrix: Sequence[Sequence[int]]) -> CharPoly:
@@ -140,8 +177,8 @@ def char_poly(matrix: Sequence[Sequence[int]]) -> CharPoly:
     The matrix is split into the connected blocks of its support, and each
     distinct block is computed through its twin quotient and spot-checked
     once (``_block_factor``).  The block polynomials are then multiplied
-    together, one factor per block.  A failed check raises
-    :class:`SpectralCheckError`.
+    together, one factor per block (``_blocks_product``).  A failed check
+    raises :class:`SpectralCheckError`.
     """
     # operator.index rejects floats, keeping the arithmetic exact
     a = [[_exact_int(v) for v in row] for row in matrix]
@@ -163,8 +200,9 @@ def char_poly(matrix: Sequence[Sequence[int]]) -> CharPoly:
     blocks = _distinct_blocks(
         support, lambda block: (tuple(a[i][j] for j in block) for i in block)
     )
-    factors = [(_block_factor(key)[0].coeffs, count) for key, count in blocks.items()]
-    return CharPoly(tuple(_power_product(factors)))
+    return _blocks_product(
+        [Block(len(key), count, _block_factor(key)[0]) for key, count in blocks.items()]
+    )
 
 
 def _distinct_blocks(
@@ -190,8 +228,8 @@ def _distinct_blocks(
     return counts
 
 
-def _block_factor(key: tuple[Sequence[int], ...]) -> tuple[CharPoly, CharPoly, int]:
-    """det(xI - A) and det(xI - Q) for one block A and its twin quotient Q.
+def _block_factor(key: tuple[Sequence[int], ...]) -> tuple[CharPoly, int]:
+    """det(xI - Q) for the twin quotient Q of one block A, and a root bound.
 
     A is any symmetric integer matrix with a zero diagonal, given by its
     rows.  Let it have k rows in r twin classes (equal rows of M = A + I) of
@@ -202,19 +240,16 @@ def _block_factor(key: tuple[Sequence[int], ...]) -> tuple[CharPoly, CharPoly, i
     det(xI - Q) with Q = B' diag(s) - I: Q_ii = s_i - 1, and Q_ij = s_j A_uv
     for members u, v of classes i != j.  A member u's twins v have A_uv =
     M_vv = 1, so row i of Q has the absolute sum of row u of A; the largest,
-    returned third, bounds Q's eigenvalues and the coefficient bound of
-    ``_multimodular_char_poly``, which needs no symmetry.  The block's
-    polynomial, Q's times (x + 1)^(k - r), is spot-checked against the whole
-    block (``_spot_check``); a failed check raises
-    :class:`SpectralCheckError`.
+    returned second, bounds Q's eigenvalues and the coefficient bound of
+    ``_multimodular_char_poly``, which needs no symmetry.  Q's polynomial is
+    spot-checked against the whole block (``_spot_check``), never expanded
+    by (x + 1)^(k - r); a failed check raises :class:`SpectralCheckError`.
     """
     labels = _twin_classes(key)
     quotient = _twin_quotient(key, labels)
-    twins = len(key) - len(quotient)
     reduced = CharPoly(tuple(_multimodular_char_poly(quotient)))
-    poly = reduced * CharPoly(tuple(comb(twins, i) for i in range(twins + 1)))
-    _spot_check(poly, key, labels)
-    return poly, reduced, max(sum(map(abs, row)) for row in quotient)
+    _spot_check(reduced, key, labels)
+    return reduced, max(sum(map(abs, row)) for row in quotient)
 
 
 def _multimodular_char_poly(a: list[list[int]]) -> list[int]:
@@ -393,9 +428,10 @@ def _twin_quotient(
 
 
 def _spot_check(
-    poly: CharPoly, a: Sequence[Sequence[int]], labels: Sequence[int]
+    quotient: CharPoly, a: Sequence[Sequence[int]], labels: Sequence[int]
 ) -> None:
-    """Check poly(t) = det(tI - A) at t in {0, 1, -1} by Bareiss on A itself.
+    """Check (t + 1)^(k - r) q(t) = det(tI - A) at t in {0, 1, -1} by
+    Bareiss on the k x k matrix A itself, for q = ``quotient`` of degree r.
 
     Before each determinant, each row of tI - A has the row of the previous
     member of its class in ``labels`` (the twin classes) subtracted, both
@@ -406,6 +442,7 @@ def _spot_check(
     (t + 1)(e_i - e_j), which the lazy elimination updates once, at step j,
     before it becomes the pivot.
     """
+    twins = len(a) - quotient.degree
     last: dict[int, int] = {}
     previous = []
     for i, c in enumerate(labels):
@@ -422,7 +459,7 @@ def _spot_check(
             row if p < 0 else [x - y for x, y in zip(row, shifted[p])]
             for row, p in zip(shifted, previous)
         ]
-        if poly.evaluate(t) != exact_determinant(reduced):
+        if (t + 1) ** twins * quotient.evaluate(t) != exact_determinant(reduced):
             raise SpectralCheckError(
                 f"characteristic polynomial failed determinant check at t={t}"
             )
@@ -559,27 +596,28 @@ def is_integral(graph: CommutingGraph) -> SpectralAnalysis:
     vertices lost to their r twin classes.  The multiplicities add up over
     the blocks, and the remainder is the product of the block remainders:
     by unique factorisation of monic polynomials in Z[x] it is the product
-    polynomial with every integer root divided out.
+    polynomial with every integer root divided out.  Each distinct block's
+    record (``Block``) is kept in the result's ``blocks``.
     """
     adjacency = graph.adjacency
     blocks = _distinct_blocks(graph, lambda block: _bit_rows(adjacency, block))
     pairs: list[tuple[int, int]] = []
-    factors = []
+    records = []
     rests = []
     for key, count in blocks.items():
-        poly, reduced, bound = _block_factor(key)
-        spectrum, rest = integer_spectrum(reduced, bound)
-        pairs.append((-1, (poly.degree - reduced.degree) * count))
+        quotient, bound = _block_factor(key)
+        spectrum, rest = integer_spectrum(quotient, bound)
+        pairs.append((-1, (len(key) - quotient.degree) * count))
         pairs.extend((value, mult * count) for value, mult in spectrum.pairs)
         rests.append((rest.coeffs, count))
-        factors.append((poly, count))
+        records.append(Block(len(key), count, quotient))
     remainder = _power_product(rests)
     spectrum = spectrum_from_pairs(pairs, complete=len(remainder) == 1)
     return SpectralAnalysis(
         integral=spectrum.complete,
         spectrum=spectrum,
         remainder=CharPoly(tuple(remainder)),
-        factors=tuple(factors),
+        blocks=tuple(records),
     )
 
 
@@ -628,6 +666,19 @@ def spectra_agree(a: Spectrum, b: Spectrum) -> bool:
     if not a.complete or not b.complete:
         raise IncompleteSpectrumError("can only compare complete spectra")
     return a.pairs == b.pairs
+
+
+def _blocks_product(blocks: Sequence[Block]) -> CharPoly:
+    """det(xI - A) from the records of A's distinct blocks.
+
+    Each block contributes (x + 1)^(k - r) det(xI - Q), ``count`` times.
+    The powers of x + 1 are pooled and expanded once, by the binomial
+    theorem, and multiplied into the product of the Q polynomials.
+    """
+    twins = sum((b.size - b.classes) * b.count for b in blocks)
+    factors = [(b.quotient.coeffs, b.count) for b in blocks]
+    factors.append(([comb(twins, i) for i in range(twins + 1)], 1))
+    return CharPoly(tuple(_power_product(factors)))
 
 
 def _power_product(factors: Iterable[tuple[Sequence[int], int]]) -> list[int]:

@@ -1,3 +1,4 @@
+import enum
 from functools import reduce
 
 import pytest
@@ -526,6 +527,10 @@ def _klein_except(bad, value):
     return lambda x, y: value if (x, y) == bad else x ^ y
 
 
+class _Three(enum.IntEnum):
+    THREE = 3
+
+
 @pytest.mark.parametrize(
     "mul, error, message",
     [
@@ -543,6 +548,12 @@ def _klein_except(bad, value):
             _cyclic_4_except((1, 1), 4),
             IndexOutOfRange,
             "entry (1,1) = 4 not in 0..3",
+        ),
+        # the right value, but not an exact int
+        (
+            _cyclic_4_except((1, 2), _Three.THREE),
+            IndexOutOfRange,
+            "entry (1,2) = <_Three.THREE: 3> not in 0..3",
         ),
         (
             _cyclic_4_except((1, 1), -1),

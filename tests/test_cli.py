@@ -130,6 +130,17 @@ def test_analyze_non_associative_table(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_verify_rejects_duplicate_names(tmp_path, capsys):
+    # the DOT export would merge the two vertices named "a" into one node
+    rows = [" ".join(map(str, row)) for row in s3_table()]
+    path = tmp_path / "twice.cayley"
+    path.write_text("\n".join(["6", *rows, "names: 1 a a^2 b a c"]) + "\n")
+    assert main(["verify", f"file:{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: elements 1 and 4 share the name 'a'\n"
+
+
 def test_analyze_binary_file_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "junk.cayley"
     path.write_bytes(bytes([0xFF, 0xFE, 0x80, 0x81]))
@@ -401,10 +412,13 @@ def test_own_tables_never_take_the_outside_path(argv, monkeypatch, capsys):
     [
         (["verify", "dihedral:5"], [10]),
         (["suite", "--only", "Q1"], [12, 16]),
-        # recognize_small asks whether the order-4 central quotient is abelian
-        (["verify", "dicyclic:2"], [8, 4]),
+        # recognize_small never decomposes the central quotient: a group of
+        # order p^2 is abelian without asking
+        (["verify", "dicyclic:2"], [8]),
+        (["verify", "heis:5"], [125]),
+        (["verify", "prod:dihedral:4,z2"], [16]),
     ],
-    ids=["verify", "suite", "quotient"],
+    ids=["verify", "suite", "quotient", "heis:5", "prod:dihedral:4,z2"],
 )
 def test_each_center_is_scanned_once(argv, orders, monkeypatch, capsys):
     # the center, the centralizer count, the quotient, the commuting graph

@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 import itertools
 import math
 import random
@@ -227,6 +228,10 @@ class _Index(int):
     pass
 
 
+class _Bit(enum.IntEnum):
+    ZERO = 0
+
+
 @pytest.mark.parametrize(
     "row, message",
     [
@@ -236,6 +241,10 @@ class _Index(int):
         ([1, -1], "entry (1,1) = -1 not in 0..1"),
         ([2, 0], "entry (1,0) = 2 not in 0..1"),
         ([1, "0"], "entry (1,1) = '0' not in 0..1"),
+        # an int subclass hashes and compares like its value, but a table
+        # stores exact ints only
+        ([_Index(1), 0], "entry (1,0) = 1 not in 0..1"),
+        ([1, _Bit.ZERO], "entry (1,1) = <_Bit.ZERO: 0> not in 0..1"),
     ],
 )
 def test_each_bad_entry_is_named(row, message):
@@ -244,9 +253,20 @@ def test_each_bad_entry_is_named(row, message):
     assert str(info.value) == message
 
 
-def test_int_subclass_entries_are_accepted():
-    z2 = from_cayley_table([[_Index(0), _Index(1)], [_Index(1), 0]])
-    assert z2.table == ((0, 1), (1, 0))
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        (["x"] * 6, "elements 0 and 1 share the name 'x'"),
+        (["1", "a", "b", "c", "a", "b"], "elements 1 and 4 share the name 'a'"),
+        (["1", "a", "b", "c", "d", 1], "elements 0 and 5 share the name '1'"),
+    ],
+)
+def test_duplicate_names_are_rejected(names, message):
+    # DOT export and the JSON graph identify vertices by name
+    table = build(parse_family("dihedral:3")).table
+    with pytest.raises(ParseError) as info:
+        from_cayley_table(table, names)
+    assert str(info.value) == message
 
 
 def test_center_of_abelian_group_is_everything():
@@ -404,6 +424,19 @@ def test_recognize_small_agrees_with_closure(grid):
         assert recognition == _recognize_by_closure(group), name
         shapes.add(recognition.kind)
     assert shapes == {"zpzp", "dihedral", "other"}
+
+
+def test_each_element_order_is_computed_once(monkeypatch):
+    group = quotient_by_center(build(parse_family("dihedral:12")))  # D_12
+    asked = []
+    original = groups.FiniteGroup.element_order
+    monkeypatch.setattr(
+        groups.FiniteGroup,
+        "element_order",
+        lambda self, a: asked.append(a) or original(self, a),
+    )
+    assert recognize_small(group) == Recognition("dihedral", 6)
+    assert sorted(asked) == list(range(group.order))
 
 
 def _assert_pairwise_noncommuting(group, elements):

@@ -765,6 +765,40 @@ def test_verify_group_never_forms_the_whole_polynomial(d12, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "make_group",
+    [
+        lambda: build(FamilySpec.dihedral(6)),
+        lambda: build(FamilySpec.heis(5)),
+        lambda: build(FamilySpec.dihedral(40)),
+        lambda: from_cayley_table(permutation_table(4, False, random.Random(11))),
+    ],
+    ids=["D12", "heis:5", "dihedral:40", "S4"],
+)
+def test_verify_group_walks_the_components_once_and_expands_nothing(
+    make_group, monkeypatch
+):
+    group = make_group()
+    walks = []
+    original = connected_components
+
+    def counted(graph):
+        walks.append(graph.vertex_count)
+        return original(graph)
+
+    def no_binomials(*args):
+        raise AssertionError("a block polynomial was expanded")
+
+    monkeypatch.setattr("commspec.graphs.connected_components", counted)
+    monkeypatch.setattr(spectra, "connected_components", counted)
+    monkeypatch.setattr(spectra, "comb", no_binomials)
+    report = verify_group(group, "group")
+    assert walks == [report.vertex_count]
+    assert sum(report.component_sizes) == report.vertex_count
+    monkeypatch.undo()
+    assert report.analysis.char_poly == _dense_char_poly(report.graph)
+
+
+@pytest.mark.parametrize(
     "make_graph, distinct",
     [
         (lambda: build_commuting_graph(build(FamilySpec.heis(7))), 1),
@@ -938,6 +972,15 @@ def test_subtracting_earlier_rows_keeps_the_determinant():
             assert exact_determinant(reduced) == det == _fraction_det(matrix)
 
 
+def _quotient_product(analysis):
+    """The product of the records' Q polynomials, each taken count times: q
+    with (x + 1)^(n - deg q) q(x) the whole graph's polynomial."""
+    blocks = analysis.blocks
+    return CharPoly(
+        tuple(spectra._power_product((b.quotient.coeffs, b.count) for b in blocks))
+    )
+
+
 def test_spot_check_accepts_the_true_polynomial_under_any_class_map():
     rng = random.Random(24)
     graphs = (
@@ -945,10 +988,22 @@ def test_spot_check_accepts_the_true_polynomial_under_any_class_map():
         _RAW_GRAPHS["k3-c5-mixed"],
         build_commuting_graph(build(FamilySpec.dihedral(6))),
     )
-    cases = [(graph.to_matrix(), is_integral(graph).char_poly) for graph in graphs]
+    cases = [
+        (graph.to_matrix(), _quotient_product(is_integral(graph))) for graph in graphs
+    ]
+    # where twins were merged, q is of lower degree than the whole polynomial
+    assert [quotient.degree < len(matrix) for matrix, quotient in cases] == [
+        False,
+        True,
+        True,
+    ]
     for _ in range(20):
-        for matrix, poly in cases:
-            spectra._spot_check(poly, matrix, [rng.randint(0, 2) for _ in matrix])
+        for matrix, quotient in cases:
+            labels = [rng.randint(0, 2) for _ in matrix]
+            spectra._spot_check(quotient, matrix, labels)
+            wrong = CharPoly((quotient.coeffs[0] + 1, *quotient.coeffs[1:]))
+            with pytest.raises(SpectralCheckError):
+                spectra._spot_check(wrong, matrix, labels)
 
 
 def _s4_graph():
