@@ -201,7 +201,11 @@ def _suite_entries(args) -> list[tuple[str, str]]:
 
 
 def _run_suite(args) -> int:
-    results = []
+    # each group's entry is rendered as soon as it is verified, so no report,
+    # and no group table, outlives its own iteration
+    as_json = args.format == "json"
+    entries = []
+    passed = 0
     for name, spec_text in _suite_entries(args):
         try:
             _, family, group = _load_group(spec_text)
@@ -216,39 +220,36 @@ def _run_suite(args) -> int:
                     if c.hypothesis_held
                 )
             )
-            results.append((name, ok, report, None))
-        except (CommspecError, OSError) as exc:
-            results.append((name, False, None, str(exc)))
-
-    passed = sum(1 for _, ok, _, _ in results if ok)
-    if args.format == "json":
-        payload = {
-            "schema": 1,
-            "results": [],
-            "passed": passed,
-            "failed": len(results) - passed,
-        }
-        for name, ok, report, error in results:
-            if report is None:
-                payload["results"].append({"group": name, "pass": ok, "error": error})
-            else:
+            if as_json:
                 entry = report_json_dict(report, include_graph=False)
                 entry["pass"] = ok
-                payload["results"].append(entry)
-        _emit(render_json(payload), args.output)
-    else:
-        lines = []
-        for name, ok, report, error in results:
-            if report is None:
-                lines.append(f"FAIL {name}: {error}")
             else:
-                lines.append(
+                entry = (
                     f"{'PASS' if ok else 'FAIL'} {name}: "
                     f"order={report.order} spectrum={_spectrum_text(report.spectrum)}"
                 )
-        lines.append(f"{passed}/{len(results)} groups passed")
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0 if passed == len(results) and results else 1
+        except (CommspecError, OSError) as exc:
+            ok = False
+            if as_json:
+                entry = {"group": name, "pass": ok, "error": str(exc)}
+            else:
+                entry = f"FAIL {name}: {exc}"
+        entries.append(entry)
+        passed += ok
+
+    total = len(entries)
+    if as_json:
+        payload = {
+            "schema": 1,
+            "results": entries,
+            "passed": passed,
+            "failed": total - passed,
+        }
+        _emit(render_json(payload), args.output)
+    else:
+        entries.append(f"{passed}/{total} groups passed")
+        _emit("\n".join(entries) + "\n", args.output)
+    return 0 if passed == total and total else 1
 
 
 def _run_export_dot(args) -> int:

@@ -1,12 +1,15 @@
-"""Commuting graphs on non-central elements, their connected components,
-and their DOT and JSON forms.
+"""Commuting graphs on non-central elements or on the non-central cosets
+of the center, their connected components, and their DOT and JSON forms.
 
 Adjacency is stored as one bitmask per vertex (dense bit matrix); vertex
 positions index into ``vertices``, which holds the underlying element
-indices in ascending order.  The component structure that reports state
-(the sizes, and whether every component is complete) is read from the
-per-block records of ``spectra.is_integral``, which walks the components
-once.
+indices in ascending order (for a coset graph, each coset's smallest
+member).  The spectrum, and with it the component structure that reports
+state (the sizes, and whether every component is complete), is decided on
+the coset graph (``coset_graph``), each coset standing for |Z| elements:
+``spectra.is_integral`` walks its components once and keeps a record per
+block.  The element graph (``build_commuting_graph``) is built only for
+graph output, the DOT export and the JSON report's ``graph``.
 """
 
 from __future__ import annotations
@@ -62,6 +65,27 @@ def build_commuting_graph(group: FiniteGroup) -> CommutingGraph:
         bits[coset_of[x]] |= 1 << i
     rows = decomposition.commuting_unions(bits)
     adj = tuple(rows[coset_of[x]] & ~(1 << i) for i, x in enumerate(verts))
+    return CommutingGraph(verts, adj, sum(row.bit_count() for row in adj) // 2)
+
+
+def coset_graph(group: FiniteGroup) -> CommutingGraph:
+    """Graph on the q - 1 non-central cosets of the center, adjacent iff they
+    commute: the rows of ``CenterCosets.commuting`` without bit 0, the
+    center, and without each coset's own bit.
+
+    Each vertex is its coset's representative, the smallest member, so the
+    vertices ascend.  Each coset stands for |Z| true twins of the commuting
+    graph, and ``spectra.is_integral(coset_graph(group), |Z|)`` decides that
+    graph's spectrum (the coset identity is proved in
+    ``spectra._block_factor``).
+    """
+    if group.is_abelian():
+        raise AbelianGroupError("commuting graph is undefined for abelian groups")
+    decomposition = group.center_cosets
+    adj = tuple(
+        row >> 1 & ~(1 << i) for i, row in enumerate(decomposition.commuting[1:])
+    )
+    verts = tuple(coset[0] for coset in decomposition.cosets[1:])
     return CommutingGraph(verts, adj, sum(row.bit_count() for row in adj) // 2)
 
 

@@ -7,18 +7,21 @@ catalog's family table states both kinds of closed form: these two
 quotient-shape forms, on its ``zpzp`` and ``dihedral`` entries, and the
 per-family specializations.  This module evaluates them and checks every
 applicable prediction against the brute-force pipeline.  Each group is
-analysed once: the report's component sizes and clique verdict are read
-from the per-block records of the integrality decision, and the
-centralizer-count corollaries read the verdicts of the report.
+analysed once, on the graph of its center's cosets: the report's component
+sizes and clique verdict are read from the per-block records of the
+integrality decision, and the centralizer-count corollaries read the
+verdicts of the report.  The commuting graph on the elements is built only
+when a report's ``graph`` is read, for graph output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .catalog import _FAMILIES, FamilySpec
 from .errors import AbelianGroupError, ParameterOutOfRange, UnsupportedFamilyError
-from .graphs import CommutingGraph, build_commuting_graph, graph_json
+from .graphs import CommutingGraph, build_commuting_graph, coset_graph, graph_json
 from .groups import (
     FiniteGroup,
     Recognition,
@@ -56,7 +59,11 @@ class PredictionCheck:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Everything the brute-force pipeline found for one group."""
+    """Everything the brute-force pipeline found for one group.
+
+    ``graph``, the commuting graph on the elements, is built from ``group``
+    on first read: only graph output needs it.
+    """
 
     name: str
     order: int
@@ -70,8 +77,11 @@ class VerificationReport:
     checks: tuple[PredictionCheck, ...]
     recognition: Recognition
     analysis: SpectralAnalysis
-    graph: CommutingGraph
-    element_names: tuple[str, ...]
+    group: FiniteGroup = field(repr=False)
+
+    @cached_property
+    def graph(self) -> CommutingGraph:
+        return build_commuting_graph(self.group)
 
     def all_match(self) -> bool:
         return all(c.verdict == "match" for c in self.checks)
@@ -130,18 +140,20 @@ def verify_group(
     catalog family.  A prediction matches when the brute-force spectrum is
     complete and equal to it as a multiset.
 
-    The component sizes and whether every component is complete are read
-    from ``is_integral``'s records of the distinct blocks, so the graph's
-    components are found once; a block is complete exactly when it has one
-    twin class (proof in ``SpectralAnalysis.all_cliques``).
+    The spectrum is decided on the graph of the center's cosets, each
+    standing for |Z| elements (``graphs.coset_graph``); the element graph
+    is not built.  The component sizes and whether every component is
+    complete are read from ``is_integral``'s records of the distinct
+    blocks, so the graph's components are found once; a block is complete
+    exactly when it has one twin class (proof in
+    ``SpectralAnalysis.all_cliques``).
     """
     if group.is_abelian():
         raise AbelianGroupError("verification is defined for non-abelian groups only")
     z = center(group).size
     count = centralizer_count(group)
     recognition = recognize_small(quotient_by_center(group))
-    graph = build_commuting_graph(group)
-    analysis = is_integral(graph)
+    analysis = is_integral(coset_graph(group), z)
 
     predictions: list[Prediction] = []
     shape = _FAMILIES.get(recognition.kind)
@@ -169,7 +181,7 @@ def verify_group(
         order=group.order,
         center_size=z,
         centralizer_count=count,
-        vertex_count=graph.vertex_count,
+        vertex_count=group.order - z,
         component_sizes=analysis.component_sizes,
         all_cliques=analysis.all_cliques,
         spectrum=analysis.spectrum,
@@ -177,8 +189,7 @@ def verify_group(
         checks=checks,
         recognition=recognition,
         analysis=analysis,
-        graph=graph,
-        element_names=group.names,
+        group=group,
     )
 
 
@@ -261,5 +272,5 @@ def report_json_dict(report: VerificationReport, include_graph: bool = True) -> 
         ],
     }
     if include_graph:
-        out["graph"] = graph_json(report.graph, report.element_names)
+        out["graph"] = graph_json(report.graph, report.group.names)
     return out

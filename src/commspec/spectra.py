@@ -5,11 +5,16 @@ involved anywhere, so an "integral" verdict is a certificate rather than an
 estimate.  A graph's spectrum is analysed one connected component at a
 time: det(xI - A) is the product of the blocks' polynomials, so the
 spectrum is the union of the blocks' spectra, and each distinct block is
-computed, spot-checked and searched for integer roots once.  A block's
-true twins (equal rows of A + I; in a commuting graph, elements with the
-same centralizer) are merged first: with k vertices in r classes of sizes
-s_i, det(xI - A) = (x + 1)^(k - r) det(xI - Q) for the r x r matrix
-Q = B' diag(s) - I, whose absolute row sums are those of A (proof in
+computed, spot-checked and searched for integer roots once.  Each vertex
+of the graph that is read may stand for z true twins.  A commuting graph is
+read on the non-central cosets of its center Z, with z = |Z|, because the
+members of a coset are true twins (``graphs.coset_graph``); its element
+graph is never built for the verdict.  So a block C of c vertices stands
+for a block A of k = c z vertices.  A's true twins (equal rows of A + I; in
+a commuting graph, elements with the same centralizer) are merged first:
+with r classes of sizes s_i, det(xI - A) = (x + 1)^(k - r) det(xI - Q) for
+the r x r matrix Q = B' diag(s) - I, whose absolute row sums are those of
+A, and Q is read off C (proof, with the coset identity, in
 ``_block_factor``), so a clique becomes one row.  Q is reduced to upper
 Hessenberg form in one pass modulo M, the product of enough word-size
 primes to exceed twice a proven bound on the coefficients, and the
@@ -18,25 +23,25 @@ Computational Algebraic Number Theory", the Hessenberg method; Dumas,
 Pernet and Wan, "Efficient computation of the characteristic polynomial",
 ISSAC 2005).  If no entry of some pivot column is a unit modulo M, Q is
 instead reduced once per prime and rebuilt by the Chinese remainder
-theorem.  The polynomial is then spot-checked against an
-independent fraction-free Bareiss determinant of the whole block at t in
-{0, 1, -1}.  Each row of tI - A first has the row of the previous member of
-its twin class subtracted: a unit lower-triangular change that keeps the
-determinant whatever the classes are, so the check does not rely on the
-quotient, and that turns each twin row into (t + 1)(e_i - e_j).  The
-elimination leaves a row stale while its factor in the pivot column is
-zero, since such a step only rescales it by a ratio of pivots; a stale row
-keeps the level of its last update and is brought up to date in one exact
-division when it is next used (proof in ``exact_determinant``).  On a
-sparse block most row updates are skipped, and a twin row is updated once.
-Integer roots are found among the divisors of the lowest nonzero
-coefficient, bounded by the block's largest row sum.  Each distinct block
-is kept as a record (``Block``): its size k, the number of blocks that
-share its submatrix, its number r of twin classes and det(xI - Q).  A
-block is complete exactly when r = 1, so the records are also the graph's
-component structure.  The whole graph's polynomial is multiplied out from
-them only when it is read, with (x + 1) raised once to the total number of
-merged twins.
+theorem.  The polynomial is then spot-checked against an independent
+fraction-free Bareiss determinant at t in {0, 1, -1} of the c x c matrix
+W = z(C + I) - I, which is C when z = 1.  Each row of tI - W first has the
+row of the previous member of its twin class subtracted: a unit
+lower-triangular change that keeps the determinant whatever the classes
+are, so the check does not rely on the quotient, and that turns each twin
+row into (t + 1)(e_i - e_j).  The elimination leaves a row stale while its
+factor in the pivot column is zero, since such a step only rescales it by
+a ratio of pivots; a stale row keeps the level of its last update and is
+brought up to date in one exact division when it is next used (proof in
+``exact_determinant``).  On a sparse block most row updates are skipped,
+and a twin row is updated once.  Integer roots are found among the
+divisors of the lowest nonzero coefficient, bounded by Q's largest row
+sum, a degree of A.  Each distinct block is kept as a record (``Block``):
+its size k, the number of blocks that share its submatrix, its number r of
+twin classes and det(xI - Q).  A block is complete exactly when r = 1, so
+the records are also the graph's component structure.  The whole graph's
+polynomial is multiplied out from them only when it is read, with (x + 1)
+raised once to the total number of merged twins.
 """
 
 from __future__ import annotations
@@ -121,9 +126,10 @@ def spectrum_json(spectrum: Spectrum) -> list[dict]:
 
 @dataclass(frozen=True)
 class Block:
-    """One distinct connected block: ``size`` k vertices, the ``count`` of
-    connected blocks with this exact submatrix, and ``quotient``, the
-    polynomial det(xI - Q) of its twin quotient (see ``_block_factor``)."""
+    """One distinct connected block: ``size`` k vertices (c z for c
+    vertices read that stand for z twins each), the ``count`` of connected
+    blocks with this exact submatrix, and ``quotient``, the polynomial
+    det(xI - Q) of its twin quotient (see ``_block_factor``)."""
 
     size: int
     count: int
@@ -228,27 +234,45 @@ def _distinct_blocks(
     return counts
 
 
-def _block_factor(key: tuple[Sequence[int], ...]) -> tuple[CharPoly, int]:
-    """det(xI - Q) for the twin quotient Q of one block A, and a root bound.
+def _block_factor(
+    key: tuple[Sequence[int], ...], z: int = 1
+) -> tuple[CharPoly, int]:
+    """det(xI - Q) for the twin quotient Q of one block, and a root bound.
 
-    A is any symmetric integer matrix with a zero diagonal, given by its
-    rows.  Let it have k rows in r twin classes (equal rows of M = A + I) of
-    sizes s_1..s_r, P the k x r class-indicator matrix and B' the r x r
-    matrix of M on one member per class.  M is symmetric, so equal rows
-    give equal columns and M = P B' P^T, whose nonzero eigenvalues are
-    those of B' P^T P = B' diag(s).  So det(xI - A) = (x + 1)^(k - r)
-    det(xI - Q) with Q = B' diag(s) - I: Q_ii = s_i - 1, and Q_ij = s_j A_uv
-    for members u, v of classes i != j.  A member u's twins v have A_uv =
-    M_vv = 1, so row i of Q has the absolute sum of row u of A; the largest,
-    returned second, bounds Q's eigenvalues and the coefficient bound of
+    The block is A = (C + I) (x) J_z - I: each of the c vertices of C, any
+    symmetric integer matrix with a zero diagonal given by its rows, stands
+    for z true twins (J_z is the z x z all-ones matrix).  With z = 1, A is
+    C.  In a commuting graph, C is the graph on the non-central cosets of
+    the center Z and z = |Z|: the members of a coset commute with each
+    other and with exactly the members of the cosets their coset commutes
+    with, so their rows of A + I are (C + I) (x) J_z.
+
+    Coset identity: det(tI - A) = (t + 1)^(c(z - 1)) det(tI - W), with the
+    c x c matrix W = z(C + I) - I.  Proof: J_z = V diag(z, 0, ..., 0) V^-1,
+    where V's columns are the all-ones vector and e_1 - e_j for 1 < j <= z.
+    Conjugating by I_c (x) V turns A + I into (C + I) (x) diag(z, 0, ..., 0),
+    which a permutation of the basis makes z(C + I) (+) 0, so A is similar
+    to W (+) -I_(c(z - 1)).
+
+    Twin quotient: let W have r twin classes (equal rows of M = W + I =
+    z(C + I), so the twin classes of C) of sizes s_1..s_r, P the c x r
+    class-indicator matrix and B' the r x r matrix of M on one member per
+    class.  M is symmetric, so equal rows give equal columns and M =
+    P B' P^T, whose nonzero eigenvalues are those of B' P^T P = B' diag(s).
+    So det(xI - W) = (x + 1)^(c - r) det(xI - Q), and det(xI - A) =
+    (x + 1)^(cz - r) det(xI - Q), with Q = B' diag(s) - I: Q_ii = z s_i - 1,
+    and Q_ij = z s_j C_uv for members u, v of classes i != j.  A member u's
+    twins v have C_uv = 1, so row i of Q has the absolute sum of a row of A
+    at u, z (sum of |C_uv| over v) + z - 1; the largest, returned second,
+    bounds Q's eigenvalues and the coefficient bound of
     ``_multimodular_char_poly``, which needs no symmetry.  Q's polynomial is
-    spot-checked against the whole block (``_spot_check``), never expanded
-    by (x + 1)^(k - r); a failed check raises :class:`SpectralCheckError`.
+    spot-checked against W (``_spot_check``), never expanded by
+    (x + 1)^(cz - r); a failed check raises :class:`SpectralCheckError`.
     """
     labels = _twin_classes(key)
-    quotient = _twin_quotient(key, labels)
+    quotient = _twin_quotient(key, labels, z)
     reduced = CharPoly(tuple(_multimodular_char_poly(quotient)))
-    _spot_check(reduced, key, labels)
+    _spot_check(reduced, key, labels, z)
     return reduced, max(sum(map(abs, row)) for row in quotient)
 
 
@@ -412,15 +436,16 @@ def _twin_classes(a: Sequence[Sequence[int]]) -> list[int]:
 
 
 def _twin_quotient(
-    a: Sequence[Sequence[int]], labels: Sequence[int]
+    a: Sequence[Sequence[int]], labels: Sequence[int], z: int
 ) -> list[list[int]]:
-    """Q = B'·diag(s) - I over A's twin classes ``labels`` (see ``_block_factor``)."""
+    """Q = z B'·diag(s) - I over C's twin classes ``labels``, C = ``a``
+    (see ``_block_factor``): a class of s vertices holds z s elements."""
     first: dict[int, int] = {}
     sizes: list[int] = []
     for i, c in enumerate(labels):
         if first.setdefault(c, i) == i:
             sizes.append(0)
-        sizes[c] += 1
+        sizes[c] += z
     return [
         [(a[i][j] + (i == j)) * s - (i == j) for j, s in zip(first.values(), sizes)]
         for i in first.values()
@@ -428,14 +453,19 @@ def _twin_quotient(
 
 
 def _spot_check(
-    quotient: CharPoly, a: Sequence[Sequence[int]], labels: Sequence[int]
+    quotient: CharPoly,
+    a: Sequence[Sequence[int]],
+    labels: Sequence[int],
+    z: int = 1,
 ) -> None:
-    """Check (t + 1)^(k - r) q(t) = det(tI - A) at t in {0, 1, -1} by
-    Bareiss on the k x k matrix A itself, for q = ``quotient`` of degree r.
+    """Check (t + 1)^(c - r) q(t) = det(tI - W) at t in {0, 1, -1} by
+    Bareiss on the c x c matrix W = z(C + I) - I, C = ``a``, for
+    q = ``quotient`` of degree r (see ``_block_factor``; with z = 1, W is C
+    itself).
 
-    Before each determinant, each row of tI - A has the row of the previous
+    Before each determinant, each row of tI - W has the row of the previous
     member of its class in ``labels`` (the twin classes) subtracted, both
-    taken from tI - A.  That is a product by a unit lower-triangular
+    taken from tI - W.  That is a product by a unit lower-triangular
     matrix, so the determinant is the same whatever the labels are: wrong
     classes cannot hide a wrong polynomial, and the check stays independent
     of the twin quotient.  For true twins j < i the difference row is
@@ -448,12 +478,14 @@ def _spot_check(
     for i, c in enumerate(labels):
         previous.append(last.get(c, -1))
         last[c] = i
-    negated = [[-x for x in row] for row in a]
+    # -W off the diagonal; the diagonal of tI - W, t + 1 - z, is added per t
+    scale = -z
+    negated = [[scale * x for x in row] for row in a]
     for t in (0, 1, -1):
         shifted = []
         for i, row in enumerate(negated):
             row = row.copy()
-            row[i] += t
+            row[i] += t + 1 - z
             shifted.append(row)
         reduced = [
             row if p < 0 else [x - y for x, y in zip(row, shifted[p])]
@@ -586,18 +618,23 @@ def _divide_linear(desc: list[int], r: int) -> tuple[list[int], int]:
     return out, rem
 
 
-def is_integral(graph: CommutingGraph) -> SpectralAnalysis:
-    """Decide integrality of the graph's adjacency spectrum, exactly.
+def is_integral(graph: CommutingGraph, z: int = 1) -> SpectralAnalysis:
+    """Decide integrality of the adjacency spectrum of the graph in which
+    each vertex of ``graph`` stands for ``z`` true twins, exactly.
 
-    Each distinct connected block, read from the adjacency bitmasks, is
-    reduced to its twin quotient Q, computed and spot-checked once
-    (``_block_factor``).  Q's integer roots are found within its largest
-    row sum, a vertex degree, and -1 gains the k - r roots that the k
+    With z = 1 that is ``graph`` itself.  A commuting graph is decided on
+    its center's cosets (``graphs.coset_graph``) with z = |Z|: each block
+    of c cosets stands for c z elements (``_block_factor``).  Each
+    distinct connected block, read from the adjacency bitmasks, is reduced
+    to its twin quotient Q, computed and spot-checked once.  Q's integer
+    roots are found within its largest row sum, a vertex degree of the
+    element graph, and -1 gains the k - r roots that the k = c z element
     vertices lost to their r twin classes.  The multiplicities add up over
     the blocks, and the remainder is the product of the block remainders:
     by unique factorisation of monic polynomials in Z[x] it is the product
     polynomial with every integer root divided out.  Each distinct block's
-    record (``Block``) is kept in the result's ``blocks``.
+    record (``Block``), sized in element vertices, is kept in the result's
+    ``blocks``.
     """
     adjacency = graph.adjacency
     blocks = _distinct_blocks(graph, lambda block: _bit_rows(adjacency, block))
@@ -605,12 +642,13 @@ def is_integral(graph: CommutingGraph) -> SpectralAnalysis:
     records = []
     rests = []
     for key, count in blocks.items():
-        quotient, bound = _block_factor(key)
+        quotient, bound = _block_factor(key, z)
         spectrum, rest = integer_spectrum(quotient, bound)
-        pairs.append((-1, (len(key) - quotient.degree) * count))
+        size = len(key) * z
+        pairs.append((-1, (size - quotient.degree) * count))
         pairs.extend((value, mult * count) for value, mult in spectrum.pairs)
         rests.append((rest.coeffs, count))
-        records.append(Block(len(key), count, quotient))
+        records.append(Block(size, count, quotient))
     remainder = _power_product(rests)
     spectrum = spectrum_from_pairs(pairs, complete=len(remainder) == 1)
     return SpectralAnalysis(

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import commspec
-from commspec import cli, errors, groups, predictions, spectra
+from commspec import cli, errors, graphs, groups, predictions, spectra
 from commspec.cli import main
 from commspec.groups import format_cayley_text, from_cayley_table
 
@@ -380,6 +380,29 @@ def test_each_group_is_analysed_once(argv, groups, monkeypatch, capsys):
     capsys.readouterr()
     assert len(integral_calls) == groups
     assert len(quotient_calls) == groups
+
+
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        (["verify", "heis:5"], 0),
+        (["suite"], 0),
+        (["suite", "--format", "json"], 0),
+        (["analyze", "heis:5"], 0),
+        # only graph output builds the element graph, once
+        (["analyze", "heis:5", "--format", "json"], 1),
+        (["export-dot", "heis:3"], 1),
+    ],
+    ids=["verify", "suite", "suite-json", "analyze", "analyze-json", "export-dot"],
+)
+def test_only_graph_output_builds_the_element_graph(argv, builds, monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, graphs, "build_commuting_graph")
+    counted = graphs.build_commuting_graph
+    for module in (predictions, cli):
+        monkeypatch.setattr(module, "build_commuting_graph", counted)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == builds
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from commspec.errors import (
     IndexOutOfRange,
     ParseError,
 )
-from commspec.graphs import build_commuting_graph
+from commspec.graphs import build_commuting_graph, coset_graph
 from commspec.groups import (
     Center,
     Recognition,
@@ -588,6 +588,37 @@ def test_quotient_tables_agree_with_coset_products(grid):
             assert all(
                 q_row[coset_of[b]] == coset_of[ab] for b, ab in enumerate(row)
             ), name
+
+
+def test_coset_masks_match_the_pairwise_definition(grid):
+    # bit j of commuting[i] is r_i*r_j == r_j*r_i for the representatives
+    # r_i, r_j of cosets i and j, and the coset graph drops bit 0 and bit i
+    rng = random.Random(8)
+    named = [(name, group) for name, _, group in grid]
+    for name, degree, even in (("S4", 4, False), ("A5", 5, True), ("S5", 5, False)):
+        table = permutation_table(degree, even, rng)
+        # the identity is off index 0, so from_cayley_table relabels
+        assert table[0] != list(range(len(table))), name
+        named.append((name, from_cayley_table(table)))
+    for name, group in named:
+        table = group.table
+        decomposition = group.center_cosets
+        reps = [coset[0] for coset in decomposition.cosets]
+        rows = [[table[a][b] == table[b][a] for b in reps] for a in reps]
+        assert decomposition.commuting == tuple(
+            sum(1 << j for j, commutes in enumerate(row) if commutes) for row in rows
+        ), name
+        graph = coset_graph(group)
+        assert graph.vertices == tuple(reps[1:]), name
+        assert graph.adjacency == tuple(
+            sum(1 << j for j, commutes in enumerate(row[1:]) if commutes and j != i)
+            for i, row in enumerate(rows[1:])
+        ), name
+        assert graph.edge_count == sum(
+            rows[i][j] for i in range(1, len(reps)) for j in range(i + 1, len(reps))
+        ), name
+    # q = 1: one coset, which commutes with itself
+    assert build(FamilySpec.cyclic(6)).center_cosets.commuting == (1,)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -11,8 +12,10 @@ from commspec.errors import (
     ParameterOutOfRange,
     UnsupportedFamilyError,
 )
-from commspec.groups import Recognition
+from commspec.graphs import build_commuting_graph
+from commspec.groups import Recognition, from_cayley_table
 from commspec.predictions import (
+    VerificationReport,
     predict_dihedral_quotient,
     predict_family,
     predict_zpzp,
@@ -22,7 +25,8 @@ from commspec.predictions import (
 )
 from commspec.spectra import CharPoly, spectra_agree, spectrum_from_pairs
 
-from permutation_groups import permutation_group
+from permutation_groups import permutation_group, permutation_table
+from test_spectra import _block_multiset
 
 
 def test_predict_zpzp_values():
@@ -297,7 +301,9 @@ def test_corollaries_fail_when_the_shape_or_the_spectrum_is_wrong(
         monkeypatch.setattr(predictions, "recognize_small", lambda quotient: shape)
     if spectrum is not None:
         real = predictions.is_integral
-        monkeypatch.setattr(predictions, "is_integral", lambda g: spectrum(real(g)))
+        monkeypatch.setattr(
+            predictions, "is_integral", lambda g, z: spectrum(real(g, z))
+        )
     group = build(spec)
     report = verify_group(group, spec.label(), spec)
     assert report.integral is (spectrum is not _incomplete)
@@ -322,3 +328,42 @@ def test_verify_compares_each_prediction_once(monkeypatch, capsys):
     assert "result: ok" in capsys.readouterr().out
     # the square-quotient prediction and the dihedral-even family form
     assert len(calls) == 2
+
+
+def _element_graph_report(group, name, family, monkeypatch):
+    """verify_group deciding the spectrum on the whole element graph, with
+    z = 1: the path the coset graph replaced, kept here as the oracle."""
+    real = predictions.is_integral
+    with monkeypatch.context() as patched:
+        patched.setattr(predictions, "coset_graph", build_commuting_graph)
+        patched.setattr(predictions, "is_integral", lambda graph, z: real(graph))
+        return verify_group(group, name, family)
+
+
+def test_every_report_field_matches_the_element_graph_path(grid, monkeypatch):
+    named = list(grid)
+    for label, degree, even, seed in (
+        ("S4", 4, False, 11),
+        ("A5", 5, True, 12),
+        ("S5", 5, False, 13),
+    ):
+        table = permutation_table(degree, even, random.Random(seed))
+        named.append((label, None, from_cayley_table(table)))
+    for spec in (FamilySpec.heis(13), FamilySpec.dihedral(300)):
+        named.append((spec.label(), spec, build(spec)))
+    for name, spec, group in named:
+        report = verify_group(group, name, spec)
+        assert "graph" not in vars(report), name
+        oracle = _element_graph_report(group, name, spec, monkeypatch)
+        for f in dataclasses.fields(VerificationReport):
+            assert getattr(report, f.name) == getattr(oracle, f.name), (name, f.name)
+        assert report.analysis.char_poly == oracle.analysis.char_poly, name
+        assert _block_multiset(report.analysis) == _block_multiset(
+            oracle.analysis
+        ), name
+        assert report.vertex_count == oracle.graph.vertex_count, name
+        assert report.graph == oracle.graph, name
+        assert report_json_dict(report) == report_json_dict(oracle), name
+        assert verify_centralizer_corollaries(
+            group, report
+        ) == verify_centralizer_corollaries(group, oracle), name

@@ -14,7 +14,12 @@ from commspec.errors import (
     ParameterOutOfRange,
     SpectralCheckError,
 )
-from commspec.graphs import build_commuting_graph, connected_components, raw_graph
+from commspec.graphs import (
+    build_commuting_graph,
+    connected_components,
+    coset_graph,
+    raw_graph,
+)
 from commspec.groups import _MR_BOUND, from_cayley_table, is_prime
 from commspec.predictions import verify_group
 from commspec.spectra import (
@@ -792,26 +797,43 @@ def test_verify_group_walks_the_components_once_and_expands_nothing(
     monkeypatch.setattr(spectra, "connected_components", counted)
     monkeypatch.setattr(spectra, "comb", no_binomials)
     report = verify_group(group, "group")
-    assert walks == [report.vertex_count]
+    # one walk, over the q - 1 non-central cosets of the center
+    cosets = len(group.center_cosets.cosets) - 1
+    assert walks == [cosets]
+    assert report.vertex_count == cosets * report.center_size
     assert sum(report.component_sizes) == report.vertex_count
     monkeypatch.undo()
     assert report.analysis.char_poly == _dense_char_poly(report.graph)
 
 
 @pytest.mark.parametrize(
-    "make_graph, distinct",
+    "make_graph, z, distinct",
     [
-        (lambda: build_commuting_graph(build(FamilySpec.heis(7))), 1),
-        (lambda: build_commuting_graph(build(FamilySpec.dihedral(40))), 2),
-        (lambda: _RAW_GRAPHS["p3-c5-p3"], 2),
+        (lambda: build_commuting_graph(build(FamilySpec.heis(7))), 1, 1),
+        (lambda: build_commuting_graph(build(FamilySpec.dihedral(40))), 1, 2),
+        # the same groups on their cosets: eight K_6 and a K_19 beside
+        # twenty isolated cosets, each coset standing for |Z| elements
+        (lambda: coset_graph(build(FamilySpec.heis(7))), 7, 1),
+        (lambda: coset_graph(build(FamilySpec.dihedral(40))), 2, 2),
+        (lambda: _RAW_GRAPHS["p3-c5-p3"], 1, 2),
+        (lambda: _RAW_GRAPHS["p3-c5-p3"], 3, 2),
         # the same path twice, in two vertex orders: two submatrices
-        (lambda: _RAW_GRAPHS["p3-two-orders"], 2),
-        (lambda: _RAW_GRAPHS["empty"], 0),
+        (lambda: _RAW_GRAPHS["p3-two-orders"], 1, 2),
+        (lambda: _RAW_GRAPHS["empty"], 1, 0),
     ],
-    ids=["heis:7", "dihedral:40", "p3-c5-p3", "p3-two-orders", "empty"],
+    ids=[
+        "heis:7",
+        "dihedral:40",
+        "heis:7-cosets",
+        "dihedral:40-cosets",
+        "p3-c5-p3",
+        "p3-c5-p3-z3",
+        "p3-two-orders",
+        "empty",
+    ],
 )
 def test_is_integral_proves_and_checks_each_distinct_block_once(
-    make_graph, distinct, monkeypatch
+    make_graph, z, distinct, monkeypatch
 ):
     graph = make_graph()
     modular = []
@@ -819,10 +841,86 @@ def test_is_integral_proves_and_checks_each_distinct_block_once(
     monkeypatch.setattr(
         spectra, "_multimodular_char_poly", lambda a: modular.append(1) or original(a)
     )
-    determinants = _count_determinants(monkeypatch)
-    is_integral(graph)
+    determinants = []
+    original_determinant = spectra.exact_determinant
+
+    def counted(m):
+        determinants.append(len(m))
+        return original_determinant(m)
+
+    monkeypatch.setattr(spectra, "exact_determinant", counted)
+    analysis = is_integral(graph, z)
     assert len(modular) == distinct
-    assert len(determinants) == 3 * distinct
+    # each check runs on the block of the given graph, not on its z-fold
+    # blow-up
+    sizes = sorted(b.size // z for b in analysis.blocks)
+    assert sorted(determinants) == sorted(sizes * 3)
+
+
+def _expanded(graph, z, rng):
+    """The element graph (C + I) (x) J_z - I of ``graph`` C: each vertex
+    replaced by z true twins, the members shuffled over the positions."""
+    positions = list(range(graph.vertex_count * z))
+    rng.shuffle(positions)
+
+    def members(u):
+        return positions[u * z : (u + 1) * z]
+
+    edges = [
+        (a, b)
+        for u in range(graph.vertex_count)
+        for i, a in enumerate(members(u))
+        for b in members(u)[i + 1 :]
+    ]
+    edges += [(a, b) for u, v in graph.edges() for a in members(u) for b in members(v)]
+    return raw_graph(len(positions), edges)
+
+
+def _block_multiset(analysis):
+    """(size, twin classes, Q's polynomial) once per connected block."""
+    return sorted(
+        (b.size, b.classes, b.quotient.coeffs)
+        for b in analysis.blocks
+        for _ in range(b.count)
+    )
+
+
+def test_coset_identity_matches_the_expanded_element_graph():
+    rng = random.Random(27)
+    graphs = [_random_graph(rng, rng.randint(0, 9), rng.random()) for _ in range(40)]
+    graphs += [_blow_up(rng, rng.randint(1, 5), rng.random(), 3)[0] for _ in range(20)]
+    graphs += list(_RAW_GRAPHS.values())
+    assert not all(is_integral(graph).all_cliques for graph in graphs)
+    for i, graph in enumerate(graphs):
+        for z in (1, 2, 3, 4):
+            cosets = is_integral(graph, z)
+            elements = is_integral(_expanded(graph, z, rng))
+            # equality covers the verdict, the spectrum and the remainder
+            assert cosets == elements, (i, z)
+            assert cosets.component_sizes == elements.component_sizes, (i, z)
+            assert cosets.all_cliques == elements.all_cliques, (i, z)
+            assert cosets.char_poly == elements.char_poly, (i, z)
+            assert _block_multiset(cosets) == _block_multiset(elements), (i, z)
+
+
+def test_coset_identity_on_weighted_blocks():
+    # det(xI - E) = (x + 1)^(cz - r) det(xI - Q) for E = (C + I) (x) J_z - I,
+    # against Faddeev-LeVerrier on E itself
+    rng = random.Random(28)
+    for _ in range(30):
+        c = _weighted_blow_up(rng, rng.randint(1, 3), 2)
+        z = rng.randint(1, 3)
+        k = len(c) * z
+        e = [
+            [c[i // z][j // z] + (i // z == j // z) - (i == j) for j in range(k)]
+            for i in range(k)
+        ]
+        quotient, bound = spectra._block_factor(tuple(map(tuple, c)), z)
+        poly = quotient
+        for _ in range(len(e) - quotient.degree):
+            poly = poly * CharPoly((1, 1))
+        assert list(poly.coeffs) == _faddeev_leverrier(e)
+        assert bound == max(sum(map(abs, row)) for row in e)
 
 
 def _random_raw_graphs():
