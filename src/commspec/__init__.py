@@ -17,7 +17,6 @@ from .errors import (
     AbelianGroupError,
     AxiomViolation,
     CommspecError,
-    EmptyInputError,
     IncompleteSpectrumError,
     IndexOutOfRange,
     NonzeroDiagonalError,
@@ -34,17 +33,13 @@ from .graphs import (
     connected_components,
     export_dot,
     graph_json,
-    raw_graph,
 )
 from .groups import (
     Center,
-    Centralizer,
     FiniteGroup,
     Recognition,
     center,
-    centralizer,
     centralizer_count,
-    format_cayley_text,
     from_cayley_table,
     from_cayley_text,
     load_cayley_file,
@@ -53,9 +48,7 @@ from .groups import (
     recognize_small,
 )
 from .predictions import (
-    predict_dihedral_quotient,
     predict_family,
-    predict_zpzp,
     report_json_dict,
     verify_centralizer_corollaries,
     verify_group,
@@ -63,7 +56,6 @@ from .predictions import (
 from .spectra import (
     CharPoly,
     char_poly,
-    clique_union_spectrum,
     exact_determinant,
     integer_spectrum,
     is_integral,

@@ -60,10 +60,6 @@ class NotMonicError(CommspecError):
     """The polynomial is not monic."""
 
 
-class EmptyInputError(CommspecError):
-    """The input collection must be non-empty."""
-
-
 class IncompleteSpectrumError(CommspecError):
     """Both spectra must be complete for an exact comparison."""
 

@@ -15,9 +15,9 @@ graph output, the DOT export and the JSON report's ``graph``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import AbelianGroupError, IndexOutOfRange
+from .errors import AbelianGroupError
 from .groups import FiniteGroup, _bits
 
 
@@ -30,9 +30,6 @@ class CommutingGraph:
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
-
-    def degree(self, i: int) -> int:
-        return self.adjacency[i].bit_count()
 
     def to_matrix(self) -> list[list[int]]:
         """Adjacency as a 0/1 matrix over vertex positions."""
@@ -53,7 +50,8 @@ def build_commuting_graph(group: FiniteGroup) -> CommutingGraph:
     The vertices are the members of the non-central cosets of the center Z.
     Commutation is constant on pairs of Z-cosets, so each coset gets one row:
     the union, over vertex positions, of the non-central cosets that commute
-    with it.  Each vertex takes its coset's row without its own bit.
+    with it, q^2 bit tests in all.  Each vertex takes its coset's row without
+    its own bit.
     """
     if group.is_abelian():
         raise AbelianGroupError("commuting graph is undefined for abelian groups")
@@ -63,7 +61,7 @@ def build_commuting_graph(group: FiniteGroup) -> CommutingGraph:
     bits = [0] * len(decomposition.cosets)  # coset 0, the center, has no vertices
     for i, x in enumerate(verts):
         bits[coset_of[x]] |= 1 << i
-    rows = decomposition.commuting_unions(bits)
+    rows = [sum(bits[j] for j in _bits(row)) for row in decomposition.commuting]
     adj = tuple(rows[coset_of[x]] & ~(1 << i) for i, x in enumerate(verts))
     return CommutingGraph(verts, adj, sum(row.bit_count() for row in adj) // 2)
 
@@ -89,27 +87,6 @@ def coset_graph(group: FiniteGroup) -> CommutingGraph:
     return CommutingGraph(verts, adj, sum(row.bit_count() for row in adj) // 2)
 
 
-def raw_graph(
-    vertex_count: int,
-    edges: Iterable[tuple[int, int]],
-    vertices: Sequence[int] | None = None,
-) -> CommutingGraph:
-    """Wrap an arbitrary simple graph in the same container (for probes)."""
-    verts = tuple(vertices) if vertices is not None else tuple(range(vertex_count))
-    if len(verts) != vertex_count:
-        raise IndexOutOfRange("vertex list length does not match vertex count")
-    adj = [0] * vertex_count
-    count = 0
-    for u, v in edges:
-        if u == v or not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise IndexOutOfRange(f"bad edge ({u},{v}) for {vertex_count} vertices")
-        if not adj[u] >> v & 1:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            count += 1
-    return CommutingGraph(verts, tuple(adj), count)
-
-
 def connected_components(graph: CommutingGraph) -> list[tuple[int, ...]]:
     """Partition of the vertex positions by reachability, each sorted."""
     n = graph.vertex_count
@@ -131,31 +108,30 @@ def connected_components(graph: CommutingGraph) -> list[tuple[int, ...]]:
     return components
 
 
+def _labels(graph: CommutingGraph, names: Sequence[str] | None) -> list[str]:
+    """Each vertex position's element name, or its index without names."""
+    if names is None:
+        return [str(element) for element in graph.vertices]
+    return [names[element] for element in graph.vertices]
+
+
 def export_dot(graph: CommutingGraph, names: Sequence[str] | None = None) -> str:
     """Deterministic DOT text; vertices labelled by element names."""
-
-    def label(pos: int) -> str:
-        element = graph.vertices[pos]
-        text = names[element] if names is not None else str(element)
-        return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
-
+    labels = [
+        '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
+        for text in _labels(graph, names)
+    ]
     lines = ["graph commuting {"]
-    for pos in range(graph.vertex_count):
-        lines.append(f"  {label(pos)};")
-    for u, v in graph.edges():
-        lines.append(f"  {label(u)} -- {label(v)};")
+    lines.extend(f"  {label};" for label in labels)
+    lines.extend(f"  {labels[u]} -- {labels[v]};" for u, v in graph.edges())
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def graph_json(graph: CommutingGraph, names: Sequence[str] | None = None) -> dict:
     """Vertex-name / edge-list embedding used inside analysis reports."""
-
-    def label(pos: int) -> str:
-        element = graph.vertices[pos]
-        return names[element] if names is not None else str(element)
-
+    labels = _labels(graph, names)
     return {
-        "vertices": [label(p) for p in range(graph.vertex_count)],
-        "edges": [[label(u), label(v)] for u, v in graph.edges()],
+        "vertices": labels,
+        "edges": [[labels[u], labels[v]] for u, v in graph.edges()],
     }

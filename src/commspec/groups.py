@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from math import isqrt
 from operator import eq, itemgetter
 from typing import Callable, Sequence
@@ -109,28 +108,11 @@ class CenterCosets:
     cosets: tuple[tuple[int, ...], ...]
     commuting: tuple[int, ...]
 
-    def commuting_unions(self, bits: Sequence[int]) -> list[int]:
-        """For each coset i, the union of ``bits[j]`` over the cosets j that
-        commute with it: q^2 bit tests in all."""
-        return [sum(bits[j] for j in _bits(row)) for row in self.commuting]
-
 
 @dataclass(frozen=True)
 class Center:
     """Sorted indices of the elements commuting with everything."""
 
-    members: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-@dataclass(frozen=True)
-class Centralizer:
-    """Sorted indices of the elements commuting with element ``of``."""
-
-    of: int
     members: tuple[int, ...]
 
     @property
@@ -476,18 +458,6 @@ def center(group: FiniteGroup) -> Center:
     return Center(group.center_cosets.cosets[0])
 
 
-def centralizer(group: FiniteGroup, x: int) -> Centralizer:
-    """All elements commuting with ``x``: the members of the cosets that
-    commute with x's coset.  ``x`` must be an exact int (not a bool)."""
-    if type(x) is not int or not 0 <= x < group.order:
-        raise IndexOutOfRange(f"element {x!r} not in 0..{group.order - 1}")
-    decomposition = group.center_cosets
-    cosets = decomposition.cosets
-    row = decomposition.commuting[decomposition.coset_of[x]]
-    members = chain.from_iterable(cosets[j] for j in _bits(row))
-    return Centralizer(x, tuple(sorted(members)))
-
-
 def centralizer_count(group: FiniteGroup) -> int:
     """Number of distinct centralizer subgroups.
 
@@ -737,20 +707,3 @@ def load_cayley_file(path: str) -> FiniteGroup:
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
     return from_cayley_text(text)
-
-
-def format_cayley_text(group: FiniteGroup) -> str:
-    """The text ``parse_cayley_text`` reads back into the same table and
-    names; a name that is not one token without whitespace raises
-    ``ParseError``, since the names section is split on whitespace."""
-    for i, name in enumerate(group.names):
-        if name.split() != [name]:
-            raise ParseError(
-                f"element {i} has label {name!r}, which is not one token "
-                "without whitespace"
-            )
-    lines = [str(group.order)]
-    for row in group.table:
-        lines.append(" ".join(str(v) for v in row))
-    lines.append("names: " + " ".join(group.names))
-    return "\n".join(lines) + "\n"

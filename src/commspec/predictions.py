@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .catalog import _FAMILIES, FamilySpec
-from .errors import AbelianGroupError, ParameterOutOfRange, UnsupportedFamilyError
+from .errors import AbelianGroupError, UnsupportedFamilyError
 from .graphs import CommutingGraph, build_commuting_graph, coset_graph, graph_json
 from .groups import (
     FiniteGroup,
@@ -95,25 +95,6 @@ class CorollaryCheck:
     detail: str
 
 
-def predict_zpzp(p: int, z: int) -> Prediction:
-    """Spectrum for a group whose central quotient is Z_p x Z_p."""
-    return _predict_quotient("zpzp", p, z)
-
-
-def predict_dihedral_quotient(m: int, z: int) -> Prediction:
-    """Spectrum for a group whose central quotient is dihedral of order 2m."""
-    return _predict_quotient("dihedral", m, z)
-
-
-def _predict_quotient(kind: str, param: int, z: int) -> Prediction:
-    """The catalog's quotient-shape closed form for ``kind`` at ``param``."""
-    FamilySpec(kind, (param,))  # checks param against the family's ranges
-    if z < 1:
-        raise ParameterOutOfRange(f"center size must be positive, got {z}")
-    source, pairs = _FAMILIES[kind].quotient_spectrum(param, z)
-    return Prediction(source, (param, z), spectrum_from_pairs(pairs))
-
-
 def predict_family(spec: FamilySpec) -> Prediction:
     """The displayed closed-form spectrum for a supported catalog family."""
     family = _FAMILIES.get(spec.kind)
@@ -158,7 +139,11 @@ def verify_group(
     predictions: list[Prediction] = []
     shape = _FAMILIES.get(recognition.kind)
     if shape is not None and shape.quotient_spectrum is not None:
-        predictions.append(_predict_quotient(recognition.kind, recognition.param, z))
+        # recognize_small gives a prime p or an m >= 2, and z >= 1, so the
+        # closed form's parameters are in range
+        source, pairs = shape.quotient_spectrum(recognition.param, z)
+        params = (recognition.param, z)
+        predictions.append(Prediction(source, params, spectrum_from_pairs(pairs)))
     if family is not None:
         try:
             predictions.append(predict_family(family))

@@ -54,12 +54,10 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
-    EmptyInputError,
     IncompleteSpectrumError,
     NonzeroDiagonalError,
     NotMonicError,
     NotSymmetricError,
-    ParameterOutOfRange,
     SpectralCheckError,
 )
 from .graphs import CommutingGraph, connected_components
@@ -87,12 +85,6 @@ class CharPoly:
         for c in reversed(self.coeffs):
             acc = acc * t + c
         return acc
-
-    def coefficient(self, power: int) -> int:
-        return self.coeffs[power] if 0 <= power < len(self.coeffs) else 0
-
-    def __mul__(self, other: "CharPoly") -> "CharPoly":
-        return CharPoly(tuple(_poly_mul(self.coeffs, other.coeffs)))
 
 
 @dataclass(frozen=True)
@@ -579,8 +571,6 @@ def integer_spectrum(
     the bound, and the spectrum is complete exactly when the remainder is
     constant.
     """
-    if poly.coeffs[-1] != 1:
-        raise NotMonicError("integer root extraction needs a monic polynomial")
     desc = list(reversed(poly.coeffs))
     found: list[tuple[int, int]] = []
 
@@ -680,23 +670,6 @@ def _bit_rows(adjacency: Sequence[int], block: tuple[int, ...]) -> Iterator[byte
     for i in block:
         digits = format(adjacency[i], f"0{n}b").encode().translate(_BINARY_DIGITS)
         yield bytes(pick(digits))
-
-
-def clique_union_spectrum(sizes: Iterable[int]) -> Spectrum:
-    """Closed-form spectrum of a disjoint union of complete graphs.
-
-    Each K_m contributes (m-1) once; the eigenvalue -1 is pooled with
-    multiplicity sum(m_i) - l over the l cliques.
-    """
-    size_list = list(sizes)
-    if not size_list:
-        raise EmptyInputError("need at least one clique size")
-    for m in size_list:
-        if m < 1:
-            raise ParameterOutOfRange(f"clique sizes must be positive, got {m}")
-    pairs = [(m - 1, 1) for m in size_list]
-    pairs.append((-1, sum(size_list) - len(size_list)))
-    return spectrum_from_pairs(pairs)
 
 
 def spectra_agree(a: Spectrum, b: Spectrum) -> bool:

@@ -3,18 +3,18 @@ import random
 import pytest
 
 from commspec.catalog import FamilySpec, build
-from commspec.errors import AbelianGroupError, IndexOutOfRange
+from commspec.errors import AbelianGroupError
 from commspec.graphs import (
     build_commuting_graph,
     connected_components,
     export_dot,
     graph_json,
-    raw_graph,
 )
-from commspec.groups import center, centralizer, from_cayley_table
+from commspec.groups import center, from_cayley_table
 from commspec.predictions import verify_group
 from commspec.spectra import is_integral
 
+from oracles import centralizer, raw_graph
 from permutation_groups import permutation_table
 from test_spectra import _random_graph
 
@@ -93,7 +93,8 @@ def test_vertex_count_and_degree_identity(d12):
     z = center(d12)
     assert graph.vertex_count == d12.order - z.size
     for pos, element in enumerate(graph.vertices):
-        assert graph.degree(pos) == centralizer(d12, element).size - z.size - 1
+        degree = graph.adjacency[pos].bit_count()
+        assert degree == len(centralizer(d12, element)) - z.size - 1
 
 
 def test_edgeless_components():
@@ -164,13 +165,6 @@ def test_records_agree_with_the_edge_count_rule_on_raw_graphs():
         graphs.append(_side_by_side(*parts, raw_graph(rng.randint(0, 2), [])))
     for graph in graphs:
         assert _from_records(graph) == _edge_count_oracle(graph), graph.edges()
-
-
-def test_raw_graph_rejects_bad_edges():
-    with pytest.raises(IndexOutOfRange):
-        raw_graph(3, [(0, 3)])
-    with pytest.raises(IndexOutOfRange):
-        raw_graph(3, [(1, 1)])
 
 
 def test_export_dot_d6(d6):

@@ -4,66 +4,51 @@ import random
 import pytest
 
 from commspec import predictions
-from commspec.catalog import FamilySpec, build
+from commspec.catalog import _FAMILIES, FamilySpec, build
 from commspec.cli import main
-from commspec.errors import (
-    AbelianGroupError,
-    NotPrimeError,
-    ParameterOutOfRange,
-    UnsupportedFamilyError,
-)
+from commspec.errors import AbelianGroupError, UnsupportedFamilyError
 from commspec.graphs import build_commuting_graph
 from commspec.groups import Recognition, from_cayley_table
 from commspec.predictions import (
     VerificationReport,
-    predict_dihedral_quotient,
     predict_family,
-    predict_zpzp,
     report_json_dict,
     verify_centralizer_corollaries,
     verify_group,
 )
 from commspec.spectra import CharPoly, spectra_agree, spectrum_from_pairs
 
+from oracles import poly_product
 from permutation_groups import permutation_group, permutation_table
 from test_spectra import _block_multiset
 
 
+def quotient_spectrum(kind, param, z):
+    """The catalog's closed form for a central quotient of shape ``kind``
+    (``zpzp`` or ``dihedral``) at ``param`` and center size z, the entry
+    ``verify_group`` reads."""
+    _, pairs = _FAMILIES[kind].quotient_spectrum(param, z)
+    return spectrum_from_pairs(pairs)
+
+
 def test_predict_zpzp_values():
-    assert predict_zpzp(2, 2).spectrum.pairs == ((1, 3), (-1, 3))
-    assert predict_zpzp(3, 3).spectrum.pairs == ((5, 4), (-1, 20))
+    assert quotient_spectrum("zpzp", 2, 2).pairs == ((1, 3), (-1, 3))
+    assert quotient_spectrum("zpzp", 3, 3).pairs == ((5, 4), (-1, 20))
 
 
 def test_predict_zpzp_degenerate_center():
     # p = 2, z = 1: the -1 exponent evaluates to zero and is dropped
-    assert predict_zpzp(2, 1).spectrum.pairs == ((0, 3),)
-
-
-def test_predict_zpzp_validation():
-    with pytest.raises(NotPrimeError):
-        predict_zpzp(4, 1)
-    with pytest.raises(ParameterOutOfRange):
-        predict_zpzp(2, 0)
+    assert quotient_spectrum("zpzp", 2, 1).pairs == ((0, 3),)
 
 
 @pytest.mark.parametrize("z", range(1, 11))
 def test_dihedral_quotient_m2_equals_square_shape(z):
-    assert (
-        predict_dihedral_quotient(2, z).spectrum.pairs
-        == predict_zpzp(2, z).spectrum.pairs
-    )
+    assert quotient_spectrum("dihedral", 2, z) == quotient_spectrum("zpzp", 2, z)
 
 
 def test_predict_dihedral_quotient_values():
-    assert predict_dihedral_quotient(3, 1).spectrum.pairs == ((1, 1), (0, 3), (-1, 1))
-    assert predict_dihedral_quotient(6, 2).spectrum.pairs == ((9, 1), (1, 6), (-1, 15))
-
-
-def test_predict_dihedral_quotient_validation():
-    with pytest.raises(ParameterOutOfRange):
-        predict_dihedral_quotient(1, 1)
-    with pytest.raises(ParameterOutOfRange):
-        predict_dihedral_quotient(3, 0)
+    assert quotient_spectrum("dihedral", 3, 1).pairs == ((1, 1), (0, 3), (-1, 1))
+    assert quotient_spectrum("dihedral", 6, 2).pairs == ((9, 1), (1, 6), (-1, 15))
 
 
 def test_predict_family_metacyclic_odd():
@@ -246,7 +231,7 @@ def _incomplete(analysis):
     *kept, (value, mult) = analysis.spectrum.pairs
     remainder = analysis.remainder
     for _ in range(mult):
-        remainder = remainder * CharPoly((-value, 1))
+        remainder = poly_product(remainder, CharPoly((-value, 1)))
     return dataclasses.replace(
         analysis,
         integral=False,

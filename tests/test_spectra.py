@@ -6,7 +6,6 @@ import pytest
 from commspec import spectra
 from commspec.catalog import FamilySpec, build, parse_family
 from commspec.errors import (
-    EmptyInputError,
     IncompleteSpectrumError,
     NonzeroDiagonalError,
     NotMonicError,
@@ -14,18 +13,12 @@ from commspec.errors import (
     ParameterOutOfRange,
     SpectralCheckError,
 )
-from commspec.graphs import (
-    build_commuting_graph,
-    connected_components,
-    coset_graph,
-    raw_graph,
-)
+from commspec.graphs import build_commuting_graph, connected_components, coset_graph
 from commspec.groups import _MR_BOUND, from_cayley_table, is_prime
 from commspec.predictions import verify_group
 from commspec.spectra import (
     CharPoly,
     char_poly,
-    clique_union_spectrum,
     exact_determinant,
     integer_spectrum,
     is_integral,
@@ -33,6 +26,7 @@ from commspec.spectra import (
     spectrum_from_pairs,
 )
 
+from oracles import clique_union_spectrum, poly_product, raw_graph
 from permutation_groups import permutation_group, permutation_table
 
 K3 = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
@@ -225,7 +219,7 @@ def test_non_monic_rejected():
 
 
 def test_char_poly_multiplication_and_linear_factors():
-    poly = CharPoly((-2, 1)) * CharPoly((1, 1)) * CharPoly((1, 1))  # x - 2, x + 1
+    poly = poly_product(CharPoly((-2, 1)), CharPoly((1, 1)), CharPoly((1, 1)))
     assert poly.coeffs == char_poly(K3).coeffs
 
 
@@ -239,13 +233,6 @@ def test_clique_union_spectrum_with_singletons():
 
 def test_clique_union_spectrum_merges_equal_cliques():
     assert clique_union_spectrum([6, 6, 6, 6]).pairs == ((5, 4), (-1, 20))
-
-
-def test_clique_union_spectrum_input_validation():
-    with pytest.raises(EmptyInputError):
-        clique_union_spectrum([])
-    with pytest.raises(ParameterOutOfRange):
-        clique_union_spectrum([2, 0])
 
 
 def test_spectra_agree_is_order_independent():
@@ -307,7 +294,7 @@ def test_deflation_reconstructs_char_poly(d12):
     product = analysis.remainder
     for value, mult in analysis.spectrum.pairs:
         for _ in range(mult):
-            product = product * CharPoly((-value, 1))
+            product = poly_product(product, CharPoly((-value, 1)))
     assert product.coeffs == analysis.char_poly.coeffs
 
 
@@ -656,7 +643,7 @@ def test_divisor_candidates_match_full_scan_on_grid(grid):
     for name, _, group in grid:
         graph = build_commuting_graph(group)
         poly = char_poly(graph.to_matrix())
-        bound = max(graph.degree(i) for i in range(graph.vertex_count))
+        bound = max(row.bit_count() for row in graph.adjacency)
         expected = _full_scan_integer_spectrum(poly, bound)
         assert integer_spectrum(poly, bound) == expected, name
 
@@ -667,7 +654,7 @@ def test_divisor_candidates_match_full_scan_on_random_polynomials():
         degree = rng.randint(0, 4)
         poly = CharPoly(tuple(rng.randint(-6, 6) for _ in range(degree)) + (1,))
         for _ in range(rng.randint(0, 5)):
-            poly = poly * CharPoly((-rng.randint(-6, 6), 1))
+            poly = poly_product(poly, CharPoly((-rng.randint(-6, 6), 1)))
         bound = rng.randint(0, 8)
         assert integer_spectrum(poly, bound) == _full_scan_integer_spectrum(poly, bound)
 
@@ -682,13 +669,14 @@ def _dense_char_poly(graph):
     poly = CharPoly((1,))
     for block in connected_components(graph):
         dense = [[matrix[i][j] for j in block] for i in block]
-        poly = poly * CharPoly(tuple(spectra._multimodular_char_poly(dense)))
+        block_poly = CharPoly(tuple(spectra._multimodular_char_poly(dense)))
+        poly = poly_product(poly, block_poly)
     return poly
 
 
 def _oracle_analysis(graph):
     """The whole graph's polynomial from its dense blocks, roots divided out."""
-    bound = max((graph.degree(i) for i in range(graph.vertex_count)), default=0)
+    bound = max((row.bit_count() for row in graph.adjacency), default=0)
     poly = _dense_char_poly(graph)
     return poly, integer_spectrum(poly, bound)
 
@@ -752,7 +740,7 @@ def test_repeated_non_integral_block_repeats_in_the_remainder():
     # P3: x^3 - 2x leaves x^2 - 2; C5: (x - 2)(x^2 + x - 1)^2
     x2_minus_2 = CharPoly((-2, 0, 1))
     golden = CharPoly((-1, 1, 1))
-    assert analysis.remainder == x2_minus_2 * x2_minus_2 * golden * golden
+    assert analysis.remainder == poly_product(x2_minus_2, x2_minus_2, golden, golden)
     assert analysis.spectrum.pairs == ((2, 1), (0, 2))
 
 
@@ -918,7 +906,7 @@ def test_coset_identity_on_weighted_blocks():
         quotient, bound = spectra._block_factor(tuple(map(tuple, c)), z)
         poly = quotient
         for _ in range(len(e) - quotient.degree):
-            poly = poly * CharPoly((1, 1))
+            poly = poly_product(poly, CharPoly((1, 1)))
         assert list(poly.coeffs) == _faddeev_leverrier(e)
         assert bound == max(sum(map(abs, row)) for row in e)
 
