@@ -17,7 +17,6 @@ from .errors import (
     AbelianGroupError,
     AxiomViolation,
     CommspecError,
-    IncompleteSpectrumError,
     IndexOutOfRange,
     NonzeroDiagonalError,
     NotMonicError,
@@ -35,7 +34,6 @@ from .graphs import (
     graph_json,
 )
 from .groups import (
-    Center,
     FiniteGroup,
     Recognition,
     center,
@@ -59,7 +57,6 @@ from .spectra import (
     exact_determinant,
     integer_spectrum,
     is_integral,
-    spectra_agree,
     spectrum_from_pairs,
 )
 

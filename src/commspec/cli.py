@@ -116,21 +116,22 @@ def _spectrum_text(spectrum) -> str:
 
 
 def _report_text(report: VerificationReport) -> str:
+    analysis = report.analysis
     lines = [
         f"group: {report.name}",
-        f"order: {report.order}",
+        f"order: {report.group.order}",
         f"center size: {report.center_size}",
         f"centralizer count: {report.centralizer_count}",
         f"vertices: {report.vertex_count}",
-        "component sizes: " + " ".join(str(s) for s in report.component_sizes),
-        f"all components complete: {'yes' if report.all_cliques else 'no'}",
-        f"spectrum: {_spectrum_text(report.spectrum)}",
-        f"integral: {'yes' if report.integral else 'no'}",
+        "component sizes: " + " ".join(str(s) for s in analysis.component_sizes),
+        f"all components complete: {'yes' if analysis.all_cliques else 'no'}",
+        f"spectrum: {_spectrum_text(analysis.spectrum)}",
+        f"integral: {'yes' if analysis.integral else 'no'}",
     ]
-    if not report.integral:
+    if not analysis.integral:
         lines.append(
             "non-integral remainder: "
-            + " ".join(str(c) for c in report.analysis.remainder.coeffs)
+            + " ".join(str(c) for c in analysis.remainder.coeffs)
         )
     if report.checks:
         lines.append("predictions:")
@@ -159,10 +160,13 @@ def _run_analyze(args) -> int:
     return 0 if report.all_match() else 1
 
 
+_COROLLARY_STATUS = {None: "not applicable", True: "PASS", False: "FAIL"}
+
+
 def _run_verify(args) -> int:
     name, family, group = _load_group(args.group)
     report = verify_group(group, name, family)
-    corollaries = verify_centralizer_corollaries(group, report)
+    corollaries = verify_centralizer_corollaries(report)
     lines = [f"group: {name}"]
     ok = report.all_match()
     for check in report.checks:
@@ -173,14 +177,10 @@ def _run_verify(args) -> int:
     if not report.checks:
         lines.append("prediction: none applicable")
     for cor in corollaries:
-        if not cor.hypothesis_held:
-            lines.append(f"corollary {cor.label}: not applicable")
-            continue
-        status = "PASS" if cor.conclusion_verified else "FAIL"
-        if not cor.conclusion_verified:
-            ok = False
+        status = _COROLLARY_STATUS[cor.conclusion_verified]
+        ok = ok and cor.conclusion_verified is not False
         lines.append(f"corollary {cor.label}: {status}")
-    lines.append(f"integral: {'yes' if report.integral else 'no'}")
+    lines.append(f"integral: {'yes' if report.analysis.integral else 'no'}")
     lines.append(f"result: {'ok' if ok else 'FAIL'}")
     _emit("\n".join(lines) + "\n", args.output)
     return 0 if ok else 1
@@ -210,15 +210,11 @@ def _run_suite(args) -> int:
         try:
             _, family, group = _load_group(spec_text)
             report = verify_group(group, name, family)
-            corollaries = verify_centralizer_corollaries(group, report)
+            corollaries = verify_centralizer_corollaries(report)
             ok = (
                 report.all_match()
-                and report.integral
-                and all(
-                    c.conclusion_verified
-                    for c in corollaries
-                    if c.hypothesis_held
-                )
+                and report.analysis.integral
+                and all(c.conclusion_verified is not False for c in corollaries)
             )
             if as_json:
                 entry = report_json_dict(report, include_graph=False)
@@ -226,7 +222,8 @@ def _run_suite(args) -> int:
             else:
                 entry = (
                     f"{'PASS' if ok else 'FAIL'} {name}: "
-                    f"order={report.order} spectrum={_spectrum_text(report.spectrum)}"
+                    f"order={group.order} "
+                    f"spectrum={_spectrum_text(report.analysis.spectrum)}"
                 )
         except (CommspecError, OSError) as exc:
             ok = False

@@ -60,10 +60,6 @@ class NotMonicError(CommspecError):
     """The polynomial is not monic."""
 
 
-class IncompleteSpectrumError(CommspecError):
-    """Both spectra must be complete for an exact comparison."""
-
-
 class SpectralCheckError(CommspecError):
     """A characteristic polynomial disagrees with an independent determinant."""
 

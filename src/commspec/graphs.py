@@ -108,14 +108,12 @@ def connected_components(graph: CommutingGraph) -> list[tuple[int, ...]]:
     return components
 
 
-def _labels(graph: CommutingGraph, names: Sequence[str] | None) -> list[str]:
-    """Each vertex position's element name, or its index without names."""
-    if names is None:
-        return [str(element) for element in graph.vertices]
+def _labels(graph: CommutingGraph, names: Sequence[str]) -> list[str]:
+    """Each vertex position's element name."""
     return [names[element] for element in graph.vertices]
 
 
-def export_dot(graph: CommutingGraph, names: Sequence[str] | None = None) -> str:
+def export_dot(graph: CommutingGraph, names: Sequence[str]) -> str:
     """Deterministic DOT text; vertices labelled by element names."""
     labels = [
         '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
@@ -128,7 +126,7 @@ def export_dot(graph: CommutingGraph, names: Sequence[str] | None = None) -> str
     return "\n".join(lines) + "\n"
 
 
-def graph_json(graph: CommutingGraph, names: Sequence[str] | None = None) -> dict:
+def graph_json(graph: CommutingGraph, names: Sequence[str]) -> dict:
     """Vertex-name / edge-list embedding used inside analysis reports."""
     labels = _labels(graph, names)
     return {

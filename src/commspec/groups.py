@@ -110,17 +110,6 @@ class CenterCosets:
 
 
 @dataclass(frozen=True)
-class Center:
-    """Sorted indices of the elements commuting with everything."""
-
-    members: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-@dataclass(frozen=True)
 class Recognition:
     """Result of small-catalog shape recognition.
 
@@ -453,9 +442,9 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def center(group: FiniteGroup) -> Center:
-    """The elements commuting with every generator: the first coset."""
-    return Center(group.center_cosets.cosets[0])
+def center(group: FiniteGroup) -> tuple[int, ...]:
+    """The sorted elements commuting with every generator: the first coset."""
+    return group.center_cosets.cosets[0]
 
 
 def centralizer_count(group: FiniteGroup) -> int:

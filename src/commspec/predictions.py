@@ -36,7 +36,6 @@ from .spectra import (
     SpectralAnalysis,
     Spectrum,
     is_integral,
-    spectra_agree,
     spectrum_from_pairs,
     spectrum_json,
 )
@@ -61,23 +60,23 @@ class PredictionCheck:
 class VerificationReport:
     """Everything the brute-force pipeline found for one group.
 
-    ``graph``, the commuting graph on the elements, is built from ``group``
-    on first read: only graph output needs it.
+    The spectral verdict, the spectrum and the component structure live in
+    ``analysis`` alone.  ``graph``, the commuting graph on the elements, is
+    built from ``group`` on first read: only graph output needs it.
     """
 
     name: str
-    order: int
     center_size: int
     centralizer_count: int
-    vertex_count: int
-    component_sizes: tuple[int, ...]
-    all_cliques: bool
-    spectrum: Spectrum
-    integral: bool
     checks: tuple[PredictionCheck, ...]
     recognition: Recognition
     analysis: SpectralAnalysis
     group: FiniteGroup = field(repr=False)
+
+    @property
+    def vertex_count(self) -> int:
+        """The non-central elements: the commuting graph's vertices."""
+        return self.group.order - self.center_size
 
     @cached_property
     def graph(self) -> CommutingGraph:
@@ -89,10 +88,10 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class CorollaryCheck:
+    """``conclusion_verified`` is None when the hypothesis does not hold."""
+
     label: str
-    hypothesis_held: bool
     conclusion_verified: bool | None
-    detail: str
 
 
 def predict_family(spec: FamilySpec) -> Prediction:
@@ -119,7 +118,8 @@ def verify_group(
     Quotient-based predictions come from recognizing the central quotient;
     the family-based prediction is added when ``family`` names a supported
     catalog family.  A prediction matches when the brute-force spectrum is
-    complete and equal to it as a multiset.
+    complete and equal to it as a multiset: a prediction is complete, and
+    ``Spectrum`` equality compares completeness too.
 
     The spectrum is decided on the graph of the center's cosets, each
     standing for |Z| elements (``graphs.coset_graph``); the element graph
@@ -131,7 +131,7 @@ def verify_group(
     """
     if group.is_abelian():
         raise AbelianGroupError("verification is defined for non-abelian groups only")
-    z = center(group).size
+    z = len(center(group))
     count = centralizer_count(group)
     recognition = recognize_small(quotient_by_center(group))
     analysis = is_integral(coset_graph(group), z)
@@ -152,25 +152,15 @@ def verify_group(
 
     checks = tuple(
         PredictionCheck(
-            prediction=pred,
-            verdict="match"
-            if analysis.spectrum.complete
-            and spectra_agree(pred.spectrum, analysis.spectrum)
-            else "mismatch",
+            pred, "match" if pred.spectrum == analysis.spectrum else "mismatch"
         )
         for pred in predictions
     )
 
     return VerificationReport(
         name=name,
-        order=group.order,
         center_size=z,
         centralizer_count=count,
-        vertex_count=group.order - z,
-        component_sizes=analysis.component_sizes,
-        all_cliques=analysis.all_cliques,
-        spectrum=analysis.spectrum,
-        integral=analysis.integral,
         checks=checks,
         recognition=recognition,
         analysis=analysis,
@@ -179,73 +169,67 @@ def verify_group(
 
 
 def verify_centralizer_corollaries(
-    group: FiniteGroup, report: VerificationReport
+    report: VerificationReport,
 ) -> tuple[CorollaryCheck, ...]:
     """Evaluate the centralizer-count consequences on one verified group.
 
     Each check states a hypothesis about the number of distinct centralizers
     (or the largest pairwise non-commuting set) and, when it holds, verifies
     the promised quotient shape and the integrality of the spectrum.  The
-    verdicts are read from ``report``, which ``verify_group`` produced for
-    ``group``: a promised shape is verified when it is the recognized one
-    and the report's quotient-shape check, its first, matched.  Only the
-    non-commuting search needs the group itself.
+    verdicts are read from ``report``: a promised shape is verified when it
+    is the recognized one and the report's quotient-shape check, its first,
+    matched.  Only the non-commuting search needs the group itself.
     """
     count = report.centralizer_count
-    pp = prime_power(report.order)
+    integral = report.analysis.integral
+    pp = prime_power(report.group.order)
     p = pp[0] if pp else None
-    # label, hypothesis, the central quotient shapes it forces, detail
+    # label, hypothesis, the central quotient shapes it forces
     rules = (
-        (
-            "four-centralizer",
-            count == 4,
-            [Recognition("zpzp", 2)],
-            "count = 4 forces the square quotient shape and an integral spectrum",
-        ),
+        ("four-centralizer", count == 4, [Recognition("zpzp", 2)]),
         (
             "p-plus-two-centralizer",
             p is not None and count == p + 2,
             [Recognition("zpzp", p)],
-            "a prime-power group with p + 2 centralizers has the p x p quotient",
         ),
         (
             "five-centralizer",
             count == 5,
             [Recognition("zpzp", 3), Recognition("dihedral", 3)],
-            "count = 5 forces a 3 x 3 or order-6 dihedral quotient, both integral",
         ),
     )
-    checks = []
-    for label, held, shapes, detail in rules:
-        verified = None
-        if held:
-            verified = (
-                report.recognition in shapes
-                and report.checks[0].verdict == "match"
-                and report.integral
-            )
-        checks.append(CorollaryCheck(label, held, verified, detail))
+    checks = [
+        CorollaryCheck(
+            label,
+            report.recognition in shapes
+            and report.checks[0].verdict == "match"
+            and integral
+            if held
+            else None,
+        )
+        for label, held, shapes in rules
+    ]
 
+    # a largest pairwise non-commuting set of size 3 or 4 pins the count;
     # the hypothesis asks only whether r is 3 or 4, so a 5-set settles it
-    r = len(max_noncommuting_set(group, cap=5))
-    held = r in (3, 4)
-    verified = count == (4 if r == 3 else 5) and report.integral if held else None
-    detail = "a largest pairwise non-commuting set of size 3 or 4 pins the count"
-    checks.append(CorollaryCheck("max-noncommuting-bound", held, verified, detail))
+    r = len(max_noncommuting_set(report.group, cap=5))
+    verified = count == (4 if r == 3 else 5) and integral if r in (3, 4) else None
+    checks.append(CorollaryCheck("max-noncommuting-bound", verified))
     return tuple(checks)
 
 
 def report_json_dict(report: VerificationReport, include_graph: bool = True) -> dict:
     """JSON-ready dict for one report, in the documented key order."""
+    analysis = report.analysis
     out: dict = {
         "group": report.name,
-        "order": report.order,
+        "order": report.group.order,
         "center_size": report.center_size,
         "centralizer_count": report.centralizer_count,
         "vertices": report.vertex_count,
-        "component_sizes": list(report.component_sizes),
-        "spectrum": spectrum_json(report.spectrum),
-        "integral": report.integral,
+        "component_sizes": list(analysis.component_sizes),
+        "spectrum": spectrum_json(analysis.spectrum),
+        "integral": analysis.integral,
         "predictions": [
             {
                 "source": check.prediction.source,

@@ -54,7 +54,6 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
-    IncompleteSpectrumError,
     NonzeroDiagonalError,
     NotMonicError,
     NotSymmetricError,
@@ -143,10 +142,14 @@ class SpectralAnalysis:
     the remainder already determine the product.
     """
 
-    integral: bool
     spectrum: Spectrum
     remainder: CharPoly
     blocks: tuple[Block, ...] = field(compare=False, repr=False)
+
+    @property
+    def integral(self) -> bool:
+        """Whether every eigenvalue is an integer: the spectrum is complete."""
+        return self.spectrum.complete
 
     @cached_property
     def char_poly(self) -> CharPoly:
@@ -640,10 +643,8 @@ def is_integral(graph: CommutingGraph, z: int = 1) -> SpectralAnalysis:
         rests.append((rest.coeffs, count))
         records.append(Block(size, count, quotient))
     remainder = _power_product(rests)
-    spectrum = spectrum_from_pairs(pairs, complete=len(remainder) == 1)
     return SpectralAnalysis(
-        integral=spectrum.complete,
-        spectrum=spectrum,
+        spectrum=spectrum_from_pairs(pairs, complete=len(remainder) == 1),
         remainder=CharPoly(tuple(remainder)),
         blocks=tuple(records),
     )
@@ -670,13 +671,6 @@ def _bit_rows(adjacency: Sequence[int], block: tuple[int, ...]) -> Iterator[byte
     for i in block:
         digits = format(adjacency[i], f"0{n}b").encode().translate(_BINARY_DIGITS)
         yield bytes(pick(digits))
-
-
-def spectra_agree(a: Spectrum, b: Spectrum) -> bool:
-    """Exact multiset equality of two complete spectra."""
-    if not a.complete or not b.complete:
-        raise IncompleteSpectrumError("can only compare complete spectra")
-    return a.pairs == b.pairs
 
 
 def _blocks_product(blocks: Sequence[Block]) -> CharPoly:

@@ -13,12 +13,7 @@ from commspec.predictions import (
     verify_centralizer_corollaries,
     verify_group,
 )
-from commspec.spectra import (
-    exact_determinant,
-    is_integral,
-    spectra_agree,
-    spectrum_from_pairs,
-)
+from commspec.spectra import exact_determinant, is_integral, spectrum_from_pairs
 
 from oracles import clique_union_spectrum, coefficient, raw_graph
 from test_predictions import quotient_spectrum
@@ -64,15 +59,13 @@ def test_criterion_1_square_quotient_grid(grid_reports):
     for name, spec, p in _square_quotient_cases():
         report = reports[name]
         predicted = quotient_spectrum("zpzp", p, report.center_size)
-        if not (
-            report.spectrum.complete and spectra_agree(predicted, report.spectrum)
-        ):
-            failures.append((name, report.spectrum.pairs, predicted.pairs))
+        if predicted != report.analysis.spectrum:
+            failures.append((name, report.analysis.spectrum.pairs, predicted.pairs))
         if spec.kind in ("heis", "expp2"):
             literal = spectrum_from_pairs(
                 [(p * p - p - 1, p + 1), (-1, p**3 - 2 * p - 1)]
             )
-            if not spectra_agree(literal, report.spectrum):
+            if literal != report.analysis.spectrum:
                 failures.append((name, "order p^3 closed form", literal.pairs))
     _report(1, "square central-quotient spectra", failures)
 
@@ -84,10 +77,8 @@ def test_criterion_2_dihedral_quotient_grid(grid_reports):
         if spec.kind not in ("dicyclic", "u6n", "metacyclic", "dihedral"):
             continue
         predicted = predict_family(spec).spectrum
-        if not (
-            report.spectrum.complete and spectra_agree(predicted, report.spectrum)
-        ):
-            failures.append((name, report.spectrum.pairs, predicted.pairs))
+        if predicted != report.analysis.spectrum:
+            failures.append((name, report.analysis.spectrum.pairs, predicted.pairs))
     _report(2, "family closed-form spectra", failures)
 
 
@@ -101,9 +92,7 @@ def test_criterion_3_overlap_consistency(grid_reports):
             failures.append(("m=2 overlap", z, a.pairs, b.pairs))
     for name, _, _, report in grid_reports:
         predictions = [c.prediction for c in report.checks]
-        if len(predictions) == 2 and not spectra_agree(
-            predictions[0].spectrum, predictions[1].spectrum
-        ):
+        if len(predictions) == 2 and predictions[0].spectrum != predictions[1].spectrum:
             failures.append((name, "quotient vs family prediction"))
     _report(3, "overlap consistency", failures)
 
@@ -112,7 +101,7 @@ def test_criterion_4_integrality_verdicts(grid_reports):
     """Grid groups are integral; injected path and cycle graphs are not."""
     failures = []
     for name, _, _, report in grid_reports:
-        if not report.integral:
+        if not report.analysis.integral:
             failures.append((name, "expected integral"))
     p3 = is_integral(raw_graph(3, [(0, 1), (1, 2)]))
     if p3.integral or p3.remainder.degree < 1:
@@ -139,20 +128,20 @@ def test_criterion_5_centralizer_corollaries():
             failures.append((name, "witness", len(max_noncommuting_set(group))))
         checks = {
             c.label: c
-            for c in verify_centralizer_corollaries(group, verify_group(group, name))
+            for c in verify_centralizer_corollaries(verify_group(group, name))
         }
-        if not (checks[label].hypothesis_held and checks[label].conclusion_verified):
+        if not checks[label].conclusion_verified:
             failures.append((name, label))
         bound = checks["max-noncommuting-bound"]
-        if not (bound.hypothesis_held and bound.conclusion_verified):
+        if not bound.conclusion_verified:
             failures.append((name, "max-noncommuting-bound"))
     heis3 = build(FamilySpec.heis(3))
     heis3_checks = {
         c.label: c
-        for c in verify_centralizer_corollaries(heis3, verify_group(heis3, "Heis(3)"))
+        for c in verify_centralizer_corollaries(verify_group(heis3, "Heis(3)"))
     }
     extra = heis3_checks["p-plus-two-centralizer"]
-    if not (extra.hypothesis_held and extra.conclusion_verified):
+    if not extra.conclusion_verified:
         failures.append(("Heis(3)", "p-plus-two-centralizer"))
     _report(5, "centralizer corollaries", failures)
 
@@ -161,7 +150,7 @@ def test_criterion_6_spectral_invariants(grid_reports):
     """Moment sums, characteristic coefficients, clique-union agreement."""
     failures = []
     for name, _, group, report in grid_reports:
-        spectrum = report.spectrum
+        spectrum = report.analysis.spectrum
         edges = report.graph.edge_count
         n = report.vertex_count
         if sum(k * v for v, k in spectrum.pairs) != 0:
@@ -175,9 +164,9 @@ def test_criterion_6_spectral_invariants(grid_reports):
             failures.append((name, "x^(n-1) coefficient"))
         if coefficient(poly, n - 2) != -edges:
             failures.append((name, "x^(n-2) coefficient"))
-        if report.all_cliques:
-            closed = clique_union_spectrum(report.component_sizes)
-            if not spectra_agree(closed, spectrum):
+        if report.analysis.all_cliques:
+            closed = clique_union_spectrum(report.analysis.component_sizes)
+            if closed != spectrum:
                 failures.append((name, "clique union closed form"))
         else:
             failures.append((name, "expected clique components"))

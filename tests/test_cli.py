@@ -9,6 +9,7 @@ import pytest
 
 import commspec
 from commspec import cli, errors, graphs, groups, predictions, spectra
+from commspec.catalog import list_catalog
 from commspec.cli import main
 from commspec.groups import from_cayley_table
 
@@ -223,6 +224,43 @@ def test_graph_outputs_are_pinned(command, spec, capsys):
     argv = [command, spec] + (["--format", "json"] if command == "analyze" else [])
     assert main(argv) == 0
     assert _sha256(capsys.readouterr().out) == _GRAPH_OUTPUT_SHA256[command, spec]
+
+
+# sha256 of each command's text output over the 73 grid groups, heis:7 and
+# seed-1 shuffled S4, A5 and S5 tables, joined in that order; a table's
+# `group:` line, which names its temporary file, is left out
+_TEXT_OUTPUT_SHA256 = {
+    "verify": (
+        "b2179ed4ef3920edab7114bb7da7c48cd8f6953ded1472c499987f7791b177d1"
+    ),
+    "analyze": (
+        "2ce68bcc18857082d989dc565bd647d9e98275b92803747bf998378c13dce1ba"
+    ),
+}
+
+
+def _pinned_specs(tmp_path) -> list[str]:
+    specs = [spec.label() for _, spec in list_catalog()] + ["heis:7"]
+    for name, degree, even in (("s4", 4, False), ("a5", 5, True), ("s5", 5, False)):
+        table = permutation_table(degree, even, random.Random(1))
+        path = tmp_path / f"{name}.cayley"
+        text = "\n".join(" ".join(map(str, row)) for row in table)
+        path.write_text(f"{len(table)}\n{text}\n", encoding="utf-8")
+        specs.append(f"file:{path}")
+    return specs
+
+
+@pytest.mark.parametrize("command", sorted(_TEXT_OUTPUT_SHA256))
+def test_text_outputs_are_pinned(command, tmp_path, capsys):
+    outputs = []
+    for spec in _pinned_specs(tmp_path):
+        assert main([command, spec]) == 0, spec
+        out = capsys.readouterr().out
+        if spec.startswith("file:"):
+            assert out.startswith(f"group: {spec[len('file:'):]}\n"), spec
+            out = out.split("\n", 1)[1]
+        outputs.append(out)
+    assert _sha256("".join(outputs)) == _TEXT_OUTPUT_SHA256[command]
 
 
 def test_suite_reports_axiom_failure(corrupted_file, capsys):

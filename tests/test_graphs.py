@@ -90,11 +90,11 @@ def test_d12_component_sizes(d12):
 
 def test_vertex_count_and_degree_identity(d12):
     graph = build_commuting_graph(d12)
-    z = center(d12)
-    assert graph.vertex_count == d12.order - z.size
+    z = len(center(d12))
+    assert graph.vertex_count == d12.order - z
     for pos, element in enumerate(graph.vertices):
         degree = graph.adjacency[pos].bit_count()
-        assert degree == len(centralizer(d12, element)) - z.size - 1
+        assert degree == len(centralizer(d12, element)) - z - 1
 
 
 def test_edgeless_components():
@@ -131,10 +131,11 @@ def test_reports_agree_with_the_edge_count_rule_on_groups(grid_reports):
         reports.append(verify_group(from_cayley_table(table), label))
     for report in reports:
         expected = _edge_count_oracle(report.graph)
-        assert (report.component_sizes, report.all_cliques) == expected, report.name
+        analysis = report.analysis
+        assert (analysis.component_sizes, analysis.all_cliques) == expected, report.name
     # S4 and S5 have components that are not complete; A5's centralizers are
     # abelian, so its components are cliques
-    assert [r.all_cliques for r in reports[-3:]] == [False, True, False]
+    assert [r.analysis.all_cliques for r in reports[-3:]] == [False, True, False]
 
 
 def _star(n):
@@ -192,13 +193,8 @@ def test_export_dot_is_deterministic(d6):
     assert first == second
 
 
-def test_export_dot_without_names():
-    dot = export_dot(raw_graph(2, [(0, 1)]))
-    assert '"0" -- "1";' in dot
-
-
 def test_export_dot_edgeless_graph_has_only_node_statements():
-    dot = export_dot(raw_graph(3, []))
+    dot = export_dot(raw_graph(3, []), ["x", "y", "z"])
     assert " -- " not in dot
     assert dot.count(";") == 3
 
