@@ -15,17 +15,21 @@ a commuting graph, elements with the same centralizer) are merged first:
 with r classes of sizes s_i, det(xI - A) = (x + 1)^(k - r) det(xI - Q) for
 the r x r matrix Q = B' diag(s) - I, whose absolute row sums are those of
 A, and Q is read off C (proof, with the coset identity, in
-``_block_factor``), so a clique becomes one row.  Q is reduced to upper
-Hessenberg form in one pass modulo M, the product of enough word-size
-primes to exceed twice a proven bound on the coefficients, and the
-symmetric residues are the integer coefficients (Cohen, "A Course in
+``_block_factor``), so a clique becomes one row.  Q's eigenvalues are
+real, so its coefficients' absolute values sum to at most (S + 1)^r, with
+r S^2 >= tr(Q^2) (Maclaurin's inequality; proof in ``_block_factor``).  Q
+is reduced to upper Hessenberg form in one pass modulo M, the product of
+enough word-size primes to exceed twice that bound, and the symmetric
+residues are the integer coefficients (Cohen, "A Course in
 Computational Algebraic Number Theory", the Hessenberg method; Dumas,
 Pernet and Wan, "Efficient computation of the characteristic polynomial",
 ISSAC 2005).  If no entry of some pivot column is a unit modulo M, Q is
 instead reduced once per prime and rebuilt by the Chinese remainder
 theorem.  The polynomial is then spot-checked against an independent
 fraction-free Bareiss determinant at t in {0, 1, -1} of the c x c matrix
-W = z(C + I) - I, which is C when z = 1.  Each row of tI - W first has the
+W = z(C + I) - I, which is C when z = 1, its vertices put in ascending
+order of their nonzero counts when the block is not complete, so that the
+sparsest rows are eliminated first.  Each row of tI - W first has the
 row of the previous member of its twin class subtracted: a unit
 lower-triangular change that keeps the determinant whatever the classes
 are, so the check does not rely on the quotient, and that turns each twin
@@ -48,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb, gcd
+from math import comb, gcd, isqrt
 from operator import index as _exact_int
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -230,7 +234,7 @@ def _distinct_blocks(
 
 
 def _block_factor(
-    key: tuple[Sequence[int], ...], z: int = 1
+    key: Sequence[Sequence[int]], z: int = 1
 ) -> tuple[CharPoly, int]:
     """det(xI - Q) for the twin quotient Q of one block, and a root bound.
 
@@ -258,29 +262,68 @@ def _block_factor(
     (x + 1)^(cz - r) det(xI - Q), with Q = B' diag(s) - I: Q_ii = z s_i - 1,
     and Q_ij = z s_j C_uv for members u, v of classes i != j.  A member u's
     twins v have C_uv = 1, so row i of Q has the absolute sum of a row of A
-    at u, z (sum of |C_uv| over v) + z - 1; the largest, returned second,
-    bounds Q's eigenvalues and the coefficient bound of
-    ``_multimodular_char_poly``, which needs no symmetry.  Q's polynomial is
-    spot-checked against W (``_spot_check``), never expanded by
+    at u, z (sum of |C_uv| over v) + z - 1; the largest, R, returned
+    second, bounds Q's eigenvalues and so its integer roots.  Q's polynomial
+    is spot-checked against W (``_spot_check``), never expanded by
     (x + 1)^(cz - r); a failed check raises :class:`SpectralCheckError`.
+
+    Coefficient bound: Q + I = B' diag(s), with B' symmetric and s > 0, is
+    similar to diag(s)^(1/2) B' diag(s)^(1/2), a real symmetric matrix, so
+    Q's eigenvalues lambda_1..lambda_r are real and their squares sum to
+    tr(Q^2).  Let S be the least integer with r S^2 >= tr(Q^2).  By the
+    power-mean inequality the mean m of the |lambda_i| is at most
+    (tr(Q^2)/r)^(1/2) <= S, and by Maclaurin's inequality (Hardy, Littlewood
+    and Polya, "Inequalities", ch. 2) e_i(|lambda|) <= C(r, i) m^i.  The
+    coefficient of x^(r - i) is +-e_i(lambda), at most e_i(|lambda|) in
+    absolute value, so the coefficients' absolute values sum to at most
+    (S + 1)^r, the bound handed to ``_multimodular_char_poly``.  Every
+    |lambda_i| <= R gives tr(Q^2) <= r R^2, so S <= R and the bound is never
+    looser than the engine's own row-sum bound (R + 1)^r.
+
+    Vertex order: when r > 1, C's rows and columns are first permuted alike
+    by ascending number of nonzero entries in a row, a stable sort that
+    keeps ties in the key's order, and the twin classes are found again on
+    the permuted block.  P C P^T is similar to C, so Q's polynomial, R and
+    the check's determinants are unchanged, while the elimination in
+    ``_spot_check``, which updates only the rows with a nonzero entry in the
+    pivot column, takes the sparsest pivots first (a static form of
+    Markowitz's rule).  A complete block, r = 1, is the same matrix in any
+    order and keeps the key's.
     """
     labels = _twin_classes(key)
+    if max(labels):
+        zeros = [row.count(0) for row in key]
+        order = sorted(range(len(key)), key=zeros.__getitem__, reverse=True)
+        pick = itemgetter(*order)
+        key = [pick(key[i]) for i in order]
+        labels = _twin_classes(key)
     quotient = _twin_quotient(key, labels, z)
-    reduced = CharPoly(tuple(_multimodular_char_poly(quotient)))
+    r = len(quotient)
+    trace = sum(
+        x * y for row, col in zip(quotient, zip(*quotient)) for x, y in zip(row, col)
+    )
+    s = isqrt(trace // r)
+    if s * s * r < trace:
+        s += 1
+    reduced = CharPoly(tuple(_multimodular_char_poly(quotient, (s + 1) ** r)))
     _spot_check(reduced, key, labels, z)
     return reduced, max(sum(map(abs, row)) for row in quotient)
 
 
-def _multimodular_char_poly(a: list[list[int]]) -> list[int]:
+def _multimodular_char_poly(
+    a: list[list[int]], bound: int | None = None
+) -> list[int]:
     """Coefficients of det(xI - A), ascending, from their residues modulo M.
 
-    Bound: let R be the largest absolute row sum of the k x k matrix A.
+    Bound: ``bound`` is a B proven by the caller to bound every coefficient's
+    absolute value (``_block_factor`` passes one from Q's real eigenvalues).
+    By default, let R be the largest absolute row sum of the k x k matrix A.
     Every eigenvalue satisfies |lambda| <= R, and c_{k-i} = (-1)^i e_i(lambda)
     is a sum of C(k, i) products of i eigenvalues, so |c_{k-i}| <= C(k, i) R^i.
     These bounds sum to B = (R + 1)^k, which therefore bounds every
-    coefficient.  M is the product of the largest primes below 2**62, taken
-    until M exceeds 2B, so the symmetric residue in (-M/2, M/2] of a true
-    coefficient is the coefficient itself.
+    coefficient, whether A is symmetric or not.  M is the product of the
+    largest primes below 2**62, taken until M exceeds 2B, so the symmetric
+    residue in (-M/2, M/2] of a true coefficient is the coefficient itself.
 
     One Hessenberg pass over the ring Z/M gives every residue at once:
     a similarity by unit pivots preserves det(xI - A) over any commutative
@@ -295,7 +338,8 @@ def _multimodular_char_poly(a: list[list[int]]) -> list[int]:
     algorithm into the same residues modulo M.
     """
     k = len(a)
-    bound = (max((sum(abs(x) for x in row) for row in a), default=0) + 1) ** k
+    if bound is None:
+        bound = (max((sum(abs(x) for x in row) for row in a), default=0) + 1) ** k
     primes = []
     modulus = 1
     while modulus <= 2 * bound:

@@ -88,8 +88,8 @@ def test_analyze_unknown_family(capsys):
 def test_failed_spectral_check_is_an_error_line(monkeypatch, capsys):
     original = spectra._multimodular_char_poly
 
-    def off_by_one(a):
-        coeffs = original(a)
+    def off_by_one(a, bound):
+        coeffs = original(a, bound)
         coeffs[0] += 1
         return coeffs
 

@@ -503,8 +503,8 @@ def test_char_poly_coefficients_within_proven_bound(grid):
 def test_wrong_modular_coefficient_fails_the_determinant_check(monkeypatch):
     original = spectra._multimodular_char_poly
 
-    def off_by_one(a):
-        coeffs = original(a)
+    def off_by_one(a, bound):
+        coeffs = original(a, bound)
         coeffs[0] += 1
         return coeffs
 
@@ -593,8 +593,8 @@ def test_block_cache_does_not_outlive_the_call(monkeypatch):
 def test_wrong_coefficient_in_a_repeated_block_fails_the_check(monkeypatch):
     original = spectra._multimodular_char_poly
 
-    def off_by_one(a):
-        coeffs = original(a)
+    def off_by_one(a, bound):
+        coeffs = original(a, bound)
         coeffs[0] += 1
         return coeffs
 
@@ -817,7 +817,9 @@ def test_is_integral_proves_and_checks_each_distinct_block_once(
     modular = []
     original = spectra._multimodular_char_poly
     monkeypatch.setattr(
-        spectra, "_multimodular_char_poly", lambda a: modular.append(1) or original(a)
+        spectra,
+        "_multimodular_char_poly",
+        lambda a, bound: modular.append(1) or original(a, bound),
     )
     determinants = []
     original_determinant = spectra.exact_determinant
@@ -1088,10 +1090,16 @@ def _s4_graph():
     )
 
 
+def _s5_graph():
+    return build_commuting_graph(permutation_group(5, False))
+
+
+# S5's 95-vertex block reaches the check in ascending nonzero count, not in
+# its key order (test_s5_block_reaches_the_determinant_in_ascending_nonzero_count)
 @pytest.mark.parametrize(
     "make_graph",
-    [lambda: raw_graph(4, [(0, 1), (1, 2), (2, 3)]), _s4_graph],
-    ids=["P4", "S4"],
+    [lambda: raw_graph(4, [(0, 1), (1, 2), (2, 3)]), _s4_graph, _s5_graph],
+    ids=["P4", "S4", "S5"],
 )
 def test_merging_non_twins_fails_the_determinant_check(make_graph, monkeypatch):
     graph = make_graph()
@@ -1115,13 +1123,14 @@ def test_merging_non_twins_fails_the_determinant_check(make_graph, monkeypatch):
 def test_wrong_quotient_coefficient_fails_the_determinant_check(monkeypatch):
     original = spectra._multimodular_char_poly
 
-    def off_by_one(a):
-        coeffs = original(a)
+    def off_by_one(a, bound):
+        coeffs = original(a, bound)
         coeffs[-2] += 1
         return coeffs
 
     monkeypatch.setattr(spectra, "_multimodular_char_poly", off_by_one)
-    for graph in (build_commuting_graph(build(FamilySpec.heis(3))), _s4_graph()):
+    heis3 = build_commuting_graph(build(FamilySpec.heis(3)))
+    for graph in (heis3, _s4_graph(), _s5_graph()):
         with pytest.raises(SpectralCheckError):
             is_integral(graph)
 
@@ -1132,7 +1141,7 @@ def _modular_sizes(monkeypatch):
     monkeypatch.setattr(
         spectra,
         "_multimodular_char_poly",
-        lambda a: sizes.append((len(a), len(a[0]))) or original(a),
+        lambda a, bound: sizes.append((len(a), len(a[0]))) or original(a, bound),
     )
     return sizes
 
@@ -1154,7 +1163,7 @@ def test_clique_blocks_reduce_to_one_row(grid, monkeypatch):
 
 
 def test_s5_block_reduces_to_fifty_rows(monkeypatch):
-    graph = build_commuting_graph(permutation_group(5, False))
+    graph = _s5_graph()
     sizes = _modular_sizes(monkeypatch)
     for analyse in _ANALYSES:
         sizes.clear()
@@ -1193,7 +1202,7 @@ def test_twin_quotient_of_weighted_rows(monkeypatch):
     monkeypatch.setattr(
         spectra,
         "_multimodular_char_poly",
-        lambda a: quotients.append(a) or original(a),
+        lambda a, bound: quotients.append(a) or original(a, bound),
     )
     for _ in range(60):
         a = _weighted_blow_up(rng, rng.randint(1, 5), 4)
@@ -1207,3 +1216,175 @@ def test_twin_quotient_of_weighted_rows(monkeypatch):
         assert max(sum(map(abs, row)) for row in q) == max(
             sum(map(abs, row)) for row in a
         )
+
+
+# Vertex order: a block with more than one twin class reaches the quotient
+# and the check with its rows and columns in ascending nonzero count; a
+# complete block keeps its key order.
+
+
+def _permuted(a, order):
+    return [[a[i][j] for j in order] for i in order]
+
+
+def _group_blocks():
+    """The largest blocks of the commuting graphs of S4, A5 and S5."""
+    blocks = []
+    for degree, even in ((4, False), (5, True), (5, False)):
+        graph = build_commuting_graph(permutation_group(degree, even))
+        matrix = graph.to_matrix()
+        block = max(connected_components(graph), key=len)
+        blocks.append([[matrix[i][j] for j in block] for i in block])
+    return blocks
+
+
+def test_block_factor_does_not_depend_on_the_vertex_order():
+    rng = random.Random(29)
+    cases = [(c, 1) for c in _group_blocks()]
+    cases += [
+        (_weighted_blow_up(rng, rng.randint(1, 5), 4), rng.randint(1, 3))
+        for _ in range(20)
+    ]
+    cases += [(graph.to_matrix(), 1) for graph in _random_raw_graphs()]
+    for c, z in cases:
+        expected = spectra._block_factor(tuple(map(tuple, c)), z)
+        for _ in range(3):
+            order = list(range(len(c)))
+            rng.shuffle(order)
+            key = tuple(map(tuple, _permuted(c, order)))
+            assert spectra._block_factor(key, z) == expected
+
+
+def _shifted_minus_previous_twin(c, t):
+    """tI - C with each row minus the row of the previous vertex that has
+    the same row of C + I: the check's input for z = 1, from its statement."""
+    shifted = [[t * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(c)]
+    last = {}
+    rows = []
+    for i, row in enumerate(c):
+        closed = tuple(x + (i == j) for j, x in enumerate(row))
+        p = last.get(closed)
+        last[closed] = i
+        rows.append(
+            shifted[i] if p is None else [x - y for x, y in zip(shifted[i], shifted[p])]
+        )
+    return rows
+
+
+def _determinant_inputs(monkeypatch):
+    inputs = []
+    original = spectra.exact_determinant
+    monkeypatch.setattr(
+        spectra, "exact_determinant", lambda m: inputs.append(m) or original(m)
+    )
+    return inputs
+
+
+def test_s5_block_reaches_the_determinant_in_ascending_nonzero_count(monkeypatch):
+    graph = _s5_graph()
+    block = max(connected_components(graph), key=len)
+    matrix = graph.to_matrix()
+    c = [[matrix[i][j] for j in block] for i in block]
+    counts = [sum(map(bool, row)) for row in c]
+    order = sorted(range(len(c)), key=counts.__getitem__)  # stable
+    assert order != sorted(order)  # the key order is not ascending
+    ascending = _permuted(c, order)
+    expected = [_shifted_minus_previous_twin(ascending, t) for t in (0, 1, -1)]
+    inputs = _determinant_inputs(monkeypatch)
+    for analyse in _ANALYSES:
+        inputs.clear()
+        analyse(graph)
+        assert [m for m in inputs if len(m) == 95] == expected
+
+
+@pytest.mark.parametrize("spec", ["heis:7", "dihedral:40"])
+def test_complete_blocks_reach_the_determinant_in_key_order(spec, monkeypatch):
+    graph = build_commuting_graph(build(parse_family(spec)))
+    matrix = graph.to_matrix()
+    keys = {
+        tuple(tuple(matrix[i][j] for j in block) for i in block)
+        for block in connected_components(graph)
+    }
+    # a clique is the same matrix in every order, so what shows that no
+    # order was applied is that each block's twins are found once
+    labelled = []
+    original = spectra._twin_classes
+    monkeypatch.setattr(
+        spectra,
+        "_twin_classes",
+        lambda a: labelled.append(tuple(map(tuple, a))) or original(a),
+    )
+    inputs = _determinant_inputs(monkeypatch)
+    assert is_integral(graph).all_cliques
+    assert sorted(labelled) == sorted(keys)
+    expected = [_shifted_minus_previous_twin(k, t) for k in keys for t in (0, 1, -1)]
+    assert sorted(inputs) == sorted(expected)
+
+
+# Coefficient bound: _block_factor hands the engine (S + 1)^r, S the least
+# integer with r S^2 >= tr(Q^2); the engine called directly keeps (R + 1)^k.
+
+
+def _least_rms_bound(q):
+    """The least S >= 0 with r S^2 >= tr(Q^2), counted up from 0."""
+    r = len(q)
+    trace = sum(q[i][j] * q[j][i] for i in range(r) for j in range(r))
+    s = 0
+    while r * s * s < trace:
+        s += 1
+    return s
+
+
+def _engine_calls(monkeypatch):
+    """Record (matrix, bound) for every call of _multimodular_char_poly."""
+    calls = []
+    original = spectra._multimodular_char_poly
+    monkeypatch.setattr(
+        spectra,
+        "_multimodular_char_poly",
+        lambda a, bound: calls.append((a, bound)) or original(a, bound),
+    )
+    return calls
+
+
+def test_eigenvalue_bound_covers_the_coefficients(monkeypatch):
+    rng = random.Random(30)
+    cases = [(_random_symmetric(rng, rng.randint(1, 10)), 1) for _ in range(30)]
+    cases += [
+        (_weighted_blow_up(rng, rng.randint(1, 5), 3), z)
+        for z in (1, 2, 3)
+        for _ in range(10)
+    ]
+    cases += [(c, 1) for c in _group_blocks()]
+    engine = spectra._multimodular_char_poly
+    calls = _engine_calls(monkeypatch)
+    for c, z in cases:
+        spectra._block_factor(tuple(map(tuple, c)), z)
+    assert len(calls) == len(cases)
+    tighter = 0
+    for q, bound in calls:
+        s = _least_rms_bound(q)
+        row_sum = max(sum(map(abs, row)) for row in q)
+        assert bound == (s + 1) ** len(q)
+        assert s <= row_sum
+        assert sum(map(abs, _faddeev_leverrier(q))) <= bound
+        assert engine(q, bound) == engine(q)
+        tighter += s < row_sum
+    assert tighter > len(cases) // 2
+
+
+def test_s5_quotient_needs_two_primes_under_the_eigenvalue_bound(monkeypatch):
+    engine = spectra._multimodular_char_poly
+    calls = _engine_calls(monkeypatch)
+    moduli = _spy_char_poly_mod(monkeypatch)
+    is_integral(_s5_graph())
+    assert not any(gave_up for _, gave_up in moduli)
+    primes = {len(q): len(_crt_factors(m)) for (q, _), (m, _) in zip(calls, moduli)}
+    # the 50-row quotient of the 95-vertex block, and K_4's one row
+    assert primes == {50: 2, 1: 1}
+    # the engine's own row-sum bound (R + 1)^50 would need three
+    [q] = [q for q, _ in calls if len(q) == 50]
+    moduli.clear()
+    engine(q)
+    [(modulus, _)] = moduli
+    assert len(_crt_factors(modulus)) == 3
