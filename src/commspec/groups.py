@@ -661,13 +661,19 @@ def parse_cayley_text(text: str) -> tuple[list[list[int]], list[str] | None]:
         raise ParseError(f"order must be positive, got {n}")
     if len(lines) < n + 1:
         raise ParseError(f"expected {n} table rows, found {len(lines) - 1}")
+    # the canonical spelling of each index, read by lookup; any other token
+    # goes through int(), which also accepts "007", "+3" and "-0"
+    canonical = {str(k): k for k in range(n)}.__getitem__
     table: list[list[int]] = []
     for i in range(1, n + 1):
         parts = lines[i].split()
         try:
-            row = [int(tok) for tok in parts]
-        except ValueError:
-            raise ParseError(f"row {i - 1} contains a non-integer token") from None
+            row = list(map(canonical, parts))
+        except KeyError:
+            try:
+                row = [int(tok) for tok in parts]
+            except ValueError:
+                raise ParseError(f"row {i - 1} contains a non-integer token") from None
         if len(row) != n:
             raise ParseError(f"row {i - 1} has {len(row)} entries, expected {n}")
         table.append(row)

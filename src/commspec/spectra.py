@@ -25,15 +25,18 @@ Computational Algebraic Number Theory", the Hessenberg method; Dumas,
 Pernet and Wan, "Efficient computation of the characteristic polynomial",
 ISSAC 2005).  If no entry of some pivot column is a unit modulo M, Q is
 instead reduced once per prime and rebuilt by the Chinese remainder
-theorem.  The polynomial is then spot-checked against an independent
-fraction-free Bareiss determinant at t in {0, 1, -1} of the c x c matrix
-W = z(C + I) - I, which is C when z = 1, its vertices put in ascending
-order of their nonzero counts when the block is not complete, so that the
-sparsest rows are eliminated first.  Each row of tI - W first has the
-row of the previous member of its twin class subtracted: a unit
-lower-triangular change that keeps the determinant whatever the classes
-are, so the check does not rely on the quotient, and that turns each twin
-row into (t + 1)(e_i - e_j).  The elimination leaves a row stale while its
+theorem.  The pass's row and column operations touch only the nonzero
+entries of the pivot row and of the target columns.  The polynomial is
+then spot-checked against an independent fraction-free Bareiss
+determinant at t in {0, 1, 2} of the c x c matrix W = z(C + I) - I, which
+is C when z = 1, its vertices put in ascending order of their nonzero
+counts when the block is not complete, so that the sparsest rows are
+eliminated first.  Each row of tI - W first has the row of the previous
+member of its twin class subtracted: a unit lower-triangular change that
+keeps the determinant whatever the classes are, so the check does not
+rely on the quotient, and that turns each twin row into (t + 1)(e_i -
+e_j).  So t = -1 would check nothing on a block with twins: both sides
+are 0 there.  The elimination leaves a row stale while its
 factor in the pivot column is zero, since such a step only rescales it by
 a ratio of pivots; a stale row keeps the level of its last update and is
 brought up to date in one exact division when it is next used (proof in
@@ -54,7 +57,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb, gcd, isqrt
 from operator import index as _exact_int
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -369,6 +372,12 @@ def _char_poly_mod(a: list[list[int]], p: int) -> list[int] | None:
     p is any odd modulus.  Each pivot is the first entry of its column that
     is a unit mod p; when a column has nonzero entries but no unit, the
     reduction stops and returns None.  For a prime p that never happens.
+
+    Both operations of step m skip zeros.  The row operation updates a
+    target row only in the columns where the pivot row is nonzero: where
+    the pivot row holds 0 the entry x becomes x - u_i 0 = x.  The column
+    operation updates only the rows with a nonzero entry in some target
+    column: in any other row the sum of u_i times those entries is 0.
     """
     n = len(a)
     h = [[x % p for x in row] for row in a]
@@ -389,22 +398,27 @@ def _char_poly_mod(a: list[list[int]], p: int) -> list[int] | None:
         # u_i * column i to column m.
         row_m = h[m]
         minus_inverse = p - pow(row_m[col], -1, p)
-        tail = row_m[col:]
+        support = [(j, y) for j, y in enumerate(row_m[col:], col) if y]
         targets = []
         factors = []
         for i in range(m + 1, n):
             row_i = h[i]
             if row_i[col]:
                 minus_u = row_i[col] * minus_inverse % p
-                row_i[col:] = [
-                    (x + minus_u * y) % p for x, y in zip(row_i[col:], tail)
-                ]
+                for j, y in support:
+                    row_i[j] = (row_i[j] + minus_u * y) % p
                 targets.append(i)
                 factors.append(p - minus_u)
-        if targets:
-            for row in h:
-                added = sum([u * row[i] for i, u in zip(targets, factors)])
-                row[m] = (row[m] + added) % p
+        if not targets:
+            continue
+        if len(targets) > 1:
+            pick = itemgetter(*targets)
+        else:  # itemgetter would return the one entry bare
+            pick = lambda row, i=targets[0]: (row[i],)  # noqa: E731
+        for row in h:
+            picked = pick(row)
+            if any(picked):
+                row[m] = (row[m] + sum(map(mul, factors, picked))) % p
     # A zero subdiagonal entry splits H into diagonal blocks whose
     # polynomials multiply.
     poly = [1]
@@ -497,7 +511,7 @@ def _spot_check(
     labels: Sequence[int],
     z: int = 1,
 ) -> None:
-    """Check (t + 1)^(c - r) q(t) = det(tI - W) at t in {0, 1, -1} by
+    """Check (t + 1)^(c - r) q(t) = det(tI - W) at t in {0, 1, 2} by
     Bareiss on the c x c matrix W = z(C + I) - I, C = ``a``, for
     q = ``quotient`` of degree r (see ``_block_factor``; with z = 1, W is C
     itself).
@@ -509,7 +523,13 @@ def _spot_check(
     classes cannot hide a wrong polynomial, and the check stays independent
     of the twin quotient.  For true twins j < i the difference row is
     (t + 1)(e_i - e_j), which the lazy elimination updates once, at step j,
-    before it becomes the pivot.
+    before it becomes the pivot.  At t = -1 those rows vanish and so does
+    (t + 1)^(c - r) whenever c > r, so -1 is not a point.
+
+    Off the diagonal, tI - W is -W, so the difference rows of -zC are
+    built once, and each point's matrix is a copy of them with
+    t + 1 - z, the diagonal of tI - W, added at (i, i) and subtracted at
+    (i, j) for the predecessor j of i.
     """
     twins = len(a) - quotient.degree
     last: dict[int, int] = {}
@@ -517,20 +537,20 @@ def _spot_check(
     for i, c in enumerate(labels):
         previous.append(last.get(c, -1))
         last[c] = i
-    # -W off the diagonal; the diagonal of tI - W, t + 1 - z, is added per t
-    scale = -z
-    negated = [[scale * x for x in row] for row in a]
-    for t in (0, 1, -1):
+    base = [
+        [-z * x for x in row] if p < 0 else [z * (y - x) for x, y in zip(row, a[p])]
+        for row, p in zip(a, previous)
+    ]
+    for t in (0, 1, 2):
+        diagonal = t + 1 - z
         shifted = []
-        for i, row in enumerate(negated):
-            row = row.copy()
-            row[i] += t + 1 - z
+        for i, p in enumerate(previous):
+            row = base[i].copy()
+            row[i] += diagonal
+            if p >= 0:
+                row[p] -= diagonal
             shifted.append(row)
-        reduced = [
-            row if p < 0 else [x - y for x, y in zip(row, shifted[p])]
-            for row, p in zip(shifted, previous)
-        ]
-        if (t + 1) ** twins * quotient.evaluate(t) != exact_determinant(reduced):
+        if (t + 1) ** twins * quotient.evaluate(t) != _bareiss(shifted):
             raise SpectralCheckError(
                 f"characteristic polynomial failed determinant check at t={t}"
             )
@@ -570,6 +590,13 @@ def exact_determinant(matrix: Sequence[Sequence[int]]) -> int:
     for i, row in enumerate(a):
         if len(row) != n:
             raise NotSymmetricError(f"row {i} has {len(row)} entries, expected {n}")
+    return _bareiss(a)
+
+
+def _bareiss(a: list[list[int]]) -> int:
+    """The determinant of the square integer matrix ``a``, by the lazy
+    elimination of ``exact_determinant``, which overwrites ``a``."""
+    n = len(a)
     sign = 1
     # divisors[s] = P_(s-1), the divisor of a row at level s
     divisors = [1]

@@ -8,9 +8,16 @@ checks its argument, since a table whose text does not read back would make
 a ``file:`` fixture test something else; the tests pass well-formed input.
 """
 
+from math import gcd
+
 from commspec.errors import ParseError
 from commspec.graphs import CommutingGraph
-from commspec.spectra import CharPoly, spectrum_from_pairs
+from commspec.spectra import (
+    CharPoly,
+    _hessenberg_block_mod,
+    _poly_mul,
+    spectrum_from_pairs,
+)
 
 
 def raw_graph(vertex_count, edges):
@@ -75,3 +82,49 @@ def format_cayley_text(group):
     lines.extend(" ".join(map(str, row)) for row in group.table)
     lines.append("names: " + " ".join(group.names))
     return "\n".join(lines) + "\n"
+
+
+def dense_char_poly_mod(a, p):
+    """det(xI - A) mod p, ascending, or None, by the Hessenberg pass that
+    ``spectra._char_poly_mod`` makes, with every row and column operation
+    applied to whole rows and columns, zeros included."""
+    n = len(a)
+    h = [[x % p for x in row] for row in a]
+    for m in range(1, n - 1):
+        col = m - 1
+        column = [h[i][col] for i in range(m, n)]
+        pivot = next((i for i, x in enumerate(column, m) if gcd(x, p) == 1), None)
+        if pivot is None:
+            if any(column):
+                return None
+            continue
+        if pivot != m:
+            h[m], h[pivot] = h[pivot], h[m]
+            for row in h:
+                row[m], row[pivot] = row[pivot], row[m]
+        row_m = h[m]
+        minus_inverse = p - pow(row_m[col], -1, p)
+        tail = row_m[col:]
+        targets = []
+        factors = []
+        for i in range(m + 1, n):
+            row_i = h[i]
+            if row_i[col]:
+                minus_u = row_i[col] * minus_inverse % p
+                row_i[col:] = [
+                    (x + minus_u * y) % p for x, y in zip(row_i[col:], tail)
+                ]
+                targets.append(i)
+                factors.append(p - minus_u)
+        if targets:
+            for row in h:
+                added = sum([u * row[i] for i, u in zip(targets, factors)])
+                row[m] = (row[m] + added) % p
+    poly = [1]
+    start = 0
+    for end in range(1, n + 1):
+        if end == n or h[end][end - 1] == 0:
+            block = _hessenberg_block_mod(h, start, end, p)
+            poly = [c % p for c in _poly_mul(block, poly)]
+            start = end
+    return poly

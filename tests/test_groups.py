@@ -705,3 +705,55 @@ def test_cayley_text_names_may_wrap_lines():
 def test_cayley_text_parse_errors(text):
     with pytest.raises(ParseError):
         parse_cayley_text(text)
+
+
+def _spelled(table, spell):
+    lines = [str(len(table))] + [" ".join(map(spell, row)) for row in table]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "spell",
+    [
+        lambda k: f"+{k}",
+        lambda k: f"0{k}",
+        lambda k: f"{k:03d}",
+        lambda k: "-0" if k == 0 else str(k),
+        lambda k: "+1" if k == 1 else str(k),  # one odd token per row at most
+    ],
+    ids=["plus", "leading-zero", "three-digits", "minus-zero", "mixed"],
+)
+def test_cayley_text_reads_non_canonical_index_spellings(spell):
+    table = s3_table()
+    assert parse_cayley_text(_spelled(table, spell)) == (table, None)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2\n0 1\n1 x\n", "row 1 contains a non-integer token"),
+        ("2\n0 1\nx 1\n", "row 1 contains a non-integer token"),
+        ("2\n0 1.0\n1 0\n", "row 0 contains a non-integer token"),
+        ("2\n0 +1\n1 0x\n", "row 1 contains a non-integer token"),
+    ],
+)
+def test_cayley_text_names_the_row_of_a_non_integer_token(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_cayley_text(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, row, message",
+    [
+        ("2\n0 1\n1 2\n", [1, 2], "entry (1,1) = 2 not in 0..1"),
+        ("2\n0 1\n-1 0\n", [-1, 0], "entry (1,0) = -1 not in 0..1"),
+        ("2\n0 1\n1 +02\n", [1, 2], "entry (1,1) = 2 not in 0..1"),
+    ],
+)
+def test_cayley_text_keeps_an_out_of_range_index_for_the_validator(text, row, message):
+    table, _ = parse_cayley_text(text)
+    assert table == [[0, 1], row]
+    with pytest.raises(IndexOutOfRange) as info:
+        from_cayley_text(text)
+    assert str(info.value) == message

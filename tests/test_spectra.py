@@ -24,7 +24,7 @@ from commspec.spectra import (
     spectrum_from_pairs,
 )
 
-from oracles import clique_union_spectrum, poly_product, raw_graph
+from oracles import clique_union_spectrum, dense_char_poly_mod, poly_product, raw_graph
 from permutation_groups import permutation_group, permutation_table
 
 K3 = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
@@ -170,7 +170,8 @@ def test_exact_determinant_matches_sympy_on_the_s5_block():
     matrix = graph.to_matrix()
     block = max(connected_components(graph), key=len)
     assert len(block) == 95
-    for t in (0, 1, -1):
+    # the spot check's points, and -1, where the determinant is 0
+    for t in (0, 1, 2, -1):
         shifted = [[(t if i == j else 0) - matrix[i][j] for j in block] for i in block]
         expected = DomainMatrix.from_Matrix(sympy.Matrix(shifted)).det()
         assert exact_determinant(shifted) == int(expected), t
@@ -561,11 +562,10 @@ def test_repeated_random_blocks_give_the_exact_char_poly():
 
 
 def _count_determinants(monkeypatch):
+    """Count the spot check's eliminations."""
     calls = []
-    original = spectra.exact_determinant
-    monkeypatch.setattr(
-        spectra, "exact_determinant", lambda m: calls.append(1) or original(m)
-    )
+    original = spectra._bareiss
+    monkeypatch.setattr(spectra, "_bareiss", lambda m: calls.append(1) or original(m))
     return calls
 
 
@@ -822,13 +822,13 @@ def test_is_integral_proves_and_checks_each_distinct_block_once(
         lambda a, bound: modular.append(1) or original(a, bound),
     )
     determinants = []
-    original_determinant = spectra.exact_determinant
+    original_determinant = spectra._bareiss
 
     def counted(m):
         determinants.append(len(m))
         return original_determinant(m)
 
-    monkeypatch.setattr(spectra, "exact_determinant", counted)
+    monkeypatch.setattr(spectra, "_bareiss", counted)
     analysis = is_integral(graph, z)
     assert len(modular) == distinct
     # each check runs on the block of the given graph, not on its z-fold
@@ -1272,10 +1272,14 @@ def _shifted_minus_previous_twin(c, t):
 
 
 def _determinant_inputs(monkeypatch):
+    """Record a copy of each matrix the spot check eliminates, which the
+    elimination overwrites."""
     inputs = []
-    original = spectra.exact_determinant
+    original = spectra._bareiss
     monkeypatch.setattr(
-        spectra, "exact_determinant", lambda m: inputs.append(m) or original(m)
+        spectra,
+        "_bareiss",
+        lambda m: inputs.append([row.copy() for row in m]) or original(m),
     )
     return inputs
 
@@ -1289,7 +1293,7 @@ def test_s5_block_reaches_the_determinant_in_ascending_nonzero_count(monkeypatch
     order = sorted(range(len(c)), key=counts.__getitem__)  # stable
     assert order != sorted(order)  # the key order is not ascending
     ascending = _permuted(c, order)
-    expected = [_shifted_minus_previous_twin(ascending, t) for t in (0, 1, -1)]
+    expected = [_shifted_minus_previous_twin(ascending, t) for t in (0, 1, 2)]
     inputs = _determinant_inputs(monkeypatch)
     for analyse in _ANALYSES:
         inputs.clear()
@@ -1317,7 +1321,7 @@ def test_complete_blocks_reach_the_determinant_in_key_order(spec, monkeypatch):
     inputs = _determinant_inputs(monkeypatch)
     assert is_integral(graph).all_cliques
     assert sorted(labelled) == sorted(keys)
-    expected = [_shifted_minus_previous_twin(k, t) for k in keys for t in (0, 1, -1)]
+    expected = [_shifted_minus_previous_twin(k, t) for k in keys for t in (0, 1, 2)]
     assert sorted(inputs) == sorted(expected)
 
 
@@ -1388,3 +1392,113 @@ def test_s5_quotient_needs_two_primes_under_the_eigenvalue_bound(monkeypatch):
     engine(q)
     [(modulus, _)] = moduli
     assert len(_crt_factors(modulus)) == 3
+
+
+# The spot check's points: at t = -1 a block with twins has (t + 1)^(c - r)
+# = 0 and difference rows that vanish, so both sides read 0 there.
+
+
+@pytest.mark.parametrize(
+    "degree, size, classes", [(4, 15, 9), (5, 95, 50)], ids=["S4", "S5"]
+)
+def test_a_polynomial_wrong_only_at_minus_one_fails_the_check(
+    degree, size, classes, monkeypatch
+):
+    graph = build_commuting_graph(
+        from_cayley_table(permutation_table(degree, False, random.Random(1)))
+    )
+    [block] = [b for b in is_integral(graph).blocks if b.classes > 1]
+    assert (block.size, block.classes) == (size, classes)
+    # q + 5x^2 - 5x equals q at 0 and 1, and at -1 both sides are 0, so it
+    # passes the points {0, 1, -1}; at 2 it is off by 3^(c - r) 10
+    q = block.quotient.coeffs
+    wrong = CharPoly((q[0], q[1] - 5, q[2] + 5, *q[3:]))
+    vertices = max(connected_components(graph), key=len)
+    matrix = graph.to_matrix()
+    c = [[matrix[i][j] for j in vertices] for i in vertices]
+    for t in (0, 1, -1):
+        shifted = [[t * (i == j) - x for j, x in enumerate(r)] for i, r in enumerate(c)]
+        twins = (t + 1) ** (size - classes)
+        assert twins * wrong.evaluate(t) == exact_determinant(shifted)
+    original = spectra._multimodular_char_poly
+
+    def wrong_only_at_minus_one(a, bound):
+        coeffs = original(a, bound)
+        if len(a) == classes:
+            coeffs[1] -= 5
+            coeffs[2] += 5
+        return coeffs
+
+    monkeypatch.setattr(spectra, "_multimodular_char_poly", wrong_only_at_minus_one)
+    with pytest.raises(SpectralCheckError):
+        is_integral(graph)
+
+
+# Sparse Hessenberg pass: _char_poly_mod touches only the nonzero entries of
+# the pivot row and of the target columns, and must give the residues of the
+# dense pass in tests/oracles.py, or None where that gives None.
+
+
+def _random_square(rng, n, density, symmetric):
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i if symmetric else 0, n):
+            if rng.random() < density:
+                a[i][j] = rng.randint(-5, 5)
+                if symmetric:
+                    a[j][i] = a[i][j]
+    return a
+
+
+def _moduli():
+    """One CRT prime, the products of the first two and three, and a small
+    odd composite whose pivot columns often have nonzero entries but no unit."""
+    p, q, r = (spectra._crt_prime(i) for i in range(3))
+    return [p, p * q, p * q * r, 3 * 5 * 7]
+
+
+def _assert_same_residues(a, modulus):
+    sparse = spectra._char_poly_mod(a, modulus)
+    assert sparse == dense_char_poly_mod(a, modulus), (a, modulus)
+    return sparse
+
+
+def test_sparse_pass_matches_the_dense_pass_on_random_matrices():
+    rng = random.Random(31)
+    gave_up = 0
+    for density in (0.1, 0.3, 1.0):
+        for symmetric in (True, False):
+            for _ in range(15):
+                a = _random_square(rng, rng.randint(0, 12), density, symmetric)
+                for modulus in _moduli():
+                    gave_up += _assert_same_residues(a, modulus) is None
+    # only the composite modulus without CRT factors has non-unit pivots
+    assert gave_up > 0
+
+
+def test_sparse_pass_matches_the_dense_pass_on_weighted_blow_ups():
+    rng = random.Random(32)
+    for _ in range(20):
+        a = _weighted_blow_up(rng, rng.randint(1, 5), 4)
+        for modulus in _moduli():
+            _assert_same_residues(a, modulus)
+
+
+def test_sparse_pass_matches_the_dense_pass_on_the_group_quotients(monkeypatch):
+    calls = _engine_calls(monkeypatch)
+    for c in _group_blocks():
+        spectra._block_factor(tuple(map(tuple, c)), 1)
+    # the twin quotients of S4's, A5's and S5's largest blocks; A5's is a
+    # clique
+    assert [len(q) for q, _ in calls] == [9, 1, 50]
+    for q, _ in calls:
+        for modulus in _moduli():
+            _assert_same_residues(q, modulus)
+
+
+def test_sparse_pass_gives_up_where_the_dense_pass_does():
+    p, q = spectra._crt_prime(0), spectra._crt_prime(1)
+    # column 0 below the diagonal holds only p: nonzero modulo pq, not a unit
+    a = [[0, p, 0, 0], [p, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]]
+    assert _assert_same_residues(a, p * q) is None
+    assert _assert_same_residues(a, q) is not None
