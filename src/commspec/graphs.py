@@ -25,11 +25,14 @@ from .groups import FiniteGroup, _bits
 class CommutingGraph:
     vertices: tuple[int, ...]
     adjacency: tuple[int, ...]
-    edge_count: int
 
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
+
+    @property
+    def edge_count(self) -> int:
+        return sum(row.bit_count() for row in self.adjacency) // 2
 
     def to_matrix(self) -> list[list[int]]:
         """Adjacency as a 0/1 matrix over vertex positions."""
@@ -63,7 +66,7 @@ def build_commuting_graph(group: FiniteGroup) -> CommutingGraph:
         bits[coset_of[x]] |= 1 << i
     rows = [sum(bits[j] for j in _bits(row)) for row in decomposition.commuting]
     adj = tuple(rows[coset_of[x]] & ~(1 << i) for i, x in enumerate(verts))
-    return CommutingGraph(verts, adj, sum(row.bit_count() for row in adj) // 2)
+    return CommutingGraph(verts, adj)
 
 
 def coset_graph(group: FiniteGroup) -> CommutingGraph:
@@ -84,7 +87,7 @@ def coset_graph(group: FiniteGroup) -> CommutingGraph:
         row >> 1 & ~(1 << i) for i, row in enumerate(decomposition.commuting[1:])
     )
     verts = tuple(coset[0] for coset in decomposition.cosets[1:])
-    return CommutingGraph(verts, adj, sum(row.bit_count() for row in adj) // 2)
+    return CommutingGraph(verts, adj)
 
 
 def connected_components(graph: CommutingGraph) -> list[tuple[int, ...]]:

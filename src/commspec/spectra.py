@@ -18,14 +18,15 @@ A, and Q is read off C (proof, with the coset identity, in
 ``_block_factor``), so a clique becomes one row.  Q's eigenvalues are
 real, so its coefficients' absolute values sum to at most (S + 1)^r, with
 r S^2 >= tr(Q^2) (Maclaurin's inequality; proof in ``_block_factor``).  Q
-is reduced to upper Hessenberg form in one pass modulo M, the product of
-enough word-size primes to exceed twice that bound, and the symmetric
-residues are the integer coefficients (Cohen, "A Course in
+is reduced to upper Hessenberg form in one pass modulo M, the least power
+of the Mersenne prime 2^61 - 1 that exceeds twice that bound, and the
+symmetric residues are the integer coefficients (Cohen, "A Course in
 Computational Algebraic Number Theory", the Hessenberg method; Dumas,
 Pernet and Wan, "Efficient computation of the characteristic polynomial",
-ISSAC 2005).  If no entry of some pivot column is a unit modulo M, Q is
-instead reduced once per prime and rebuilt by the Chinese remainder
-theorem.  The pass's row and column operations touch only the nonzero
+ISSAC 2005).  If no entry of some pivot column is a unit modulo M, the
+same pass runs again modulo the next larger odd number that passes
+Fermat's test to base 2, until one does not stall; a prime modulus never
+does.  The pass's row and column operations touch only the nonzero
 entries of the pivot row and of the target columns.  The polynomial is
 then spot-checked against an independent fraction-free Bareiss
 determinant at t in {0, 1, 2} of the c x c matrix W = z(C + I) - I, which
@@ -64,10 +65,10 @@ from .errors import (
     NonzeroDiagonalError,
     NotMonicError,
     NotSymmetricError,
+    ParameterOutOfRange,
     SpectralCheckError,
 )
 from .graphs import CommutingGraph, connected_components
-from .groups import is_prime
 
 
 @dataclass(frozen=True)
@@ -202,9 +203,7 @@ def char_poly(matrix: Sequence[Sequence[int]]) -> CharPoly:
                 raise NotSymmetricError(f"entries ({i},{j}) and ({j},{i}) differ")
 
     masks = tuple(sum(1 << j for j, v in enumerate(row) if v) for row in a)
-    support = CommutingGraph(
-        tuple(range(n)), masks, sum(m.bit_count() for m in masks) // 2
-    )
+    support = CommutingGraph(tuple(range(n)), masks)
     blocks = _distinct_blocks(
         support, lambda block: (tuple(a[i][j] for j in block) for i in block)
     )
@@ -279,9 +278,9 @@ def _block_factor(
     and Polya, "Inequalities", ch. 2) e_i(|lambda|) <= C(r, i) m^i.  The
     coefficient of x^(r - i) is +-e_i(lambda), at most e_i(|lambda|) in
     absolute value, so the coefficients' absolute values sum to at most
-    (S + 1)^r, the bound handed to ``_multimodular_char_poly``.  Every
+    (S + 1)^r, the bound handed to ``_modular_char_poly``.  Every
     |lambda_i| <= R gives tr(Q^2) <= r R^2, so S <= R and the bound is never
-    looser than the engine's own row-sum bound (R + 1)^r.
+    looser than the row-sum bound (R + 1)^r.
 
     Vertex order: when r > 1, C's rows and columns are first permuted alike
     by ascending number of nonzero entries in a row, a stable sort that
@@ -308,25 +307,23 @@ def _block_factor(
     s = isqrt(trace // r)
     if s * s * r < trace:
         s += 1
-    reduced = CharPoly(tuple(_multimodular_char_poly(quotient, (s + 1) ** r)))
+    reduced = CharPoly(tuple(_modular_char_poly(quotient, (s + 1) ** r)))
     _spot_check(reduced, key, labels, z)
     return reduced, max(sum(map(abs, row)) for row in quotient)
 
 
-def _multimodular_char_poly(
-    a: list[list[int]], bound: int | None = None
-) -> list[int]:
+# the Mersenne prime whose least power above twice the bound is the first modulus
+_MERSENNE = (1 << 61) - 1
+
+
+def _modular_char_poly(a: list[list[int]], bound: int) -> list[int]:
     """Coefficients of det(xI - A), ascending, from their residues modulo M.
 
-    Bound: ``bound`` is a B proven by the caller to bound every coefficient's
+    ``bound`` is a B proven by the caller to bound every coefficient's
     absolute value (``_block_factor`` passes one from Q's real eigenvalues).
-    By default, let R be the largest absolute row sum of the k x k matrix A.
-    Every eigenvalue satisfies |lambda| <= R, and c_{k-i} = (-1)^i e_i(lambda)
-    is a sum of C(k, i) products of i eigenvalues, so |c_{k-i}| <= C(k, i) R^i.
-    These bounds sum to B = (R + 1)^k, which therefore bounds every
-    coefficient, whether A is symmetric or not.  M is the product of the
-    largest primes below 2**62, taken until M exceeds 2B, so the symmetric
-    residue in (-M/2, M/2] of a true coefficient is the coefficient itself.
+    M is first the least power of the Mersenne prime 2**61 - 1 that exceeds
+    2B, so the symmetric residue in (-M/2, M/2] of a true coefficient is the
+    coefficient itself.
 
     One Hessenberg pass over the ring Z/M gives every residue at once:
     a similarity by unit pivots preserves det(xI - A) over any commutative
@@ -334,36 +331,29 @@ def _multimodular_char_poly(
     expansion, so it needs no division; and splitting at a zero subdiagonal
     entry leaves a block-triangular determinant, the product of the
     diagonal blocks' determinants over any ring.  So the pass yields the
-    true coefficients modulo M.  When some pivot column has nonzero entries
-    but no unit modulo M, the pass gives up and the block is reduced once
-    per prime instead.  Over the field Z/p every nonzero entry is a unit,
-    so no prime is unlucky, and the residues are combined by Garner's
-    algorithm into the same residues modulo M.
+    true coefficients modulo any M > 2B.  When some pivot column has
+    nonzero entries but no unit modulo M, the pass gives up and runs again
+    modulo ``_fermat_modulus(M)``, a larger M.  Over a prime modulus every
+    nonzero entry is a unit, so the pass never gives up there, and since
+    ``_fermat_modulus`` skips no prime, the retries end.  Primality only
+    makes a stall unlikely; exactness rests on M > 2B and unit pivots alone.
     """
-    k = len(a)
-    if bound is None:
-        bound = (max((sum(abs(x) for x in row) for row in a), default=0) + 1) ** k
-    primes = []
-    modulus = 1
+    modulus = _MERSENNE
     while modulus <= 2 * bound:
-        p = _crt_prime(len(primes))
-        primes.append(p)
-        modulus *= p
-    coeffs = _char_poly_mod(a, modulus)
-    if coeffs is None:
-        coeffs = [0] * (k + 1)
-        partial = 1
-        for p in primes:
-            # Garner step: the c mod partial*p with c = coeffs (mod partial)
-            # and c = residue (mod p)
-            inverse = pow(partial, -1, p)
-            coeffs = [
-                c + partial * ((r - c) * inverse % p)
-                for c, r in zip(coeffs, _char_poly_mod(a, p))
-            ]
-            partial *= p
+        modulus *= _MERSENNE
+    while (coeffs := _char_poly_mod(a, modulus)) is None:
+        modulus = _fermat_modulus(modulus)
     half = modulus // 2
     return [c - modulus if c > half else c for c in coeffs]
+
+
+def _fermat_modulus(m: int) -> int:
+    """The least odd n > m with 2^(n - 1) = 1 (mod n).  Every odd prime
+    passes Fermat's test, so no prime above m is skipped."""
+    n = m + 1 + m % 2
+    while pow(2, n - 1, n) != 1:
+        n += 2
+    return n
 
 
 def _char_poly_mod(a: list[list[int]], p: int) -> list[int] | None:
@@ -458,20 +448,6 @@ def _hessenberg_block_mod(
             lower = last
         columns.append([1])
     return [column[-1] for column in columns]
-
-
-# Odd primes below 2**62, largest first; extended on first use, never at import.
-_CRT_PRIMES: list[int] = []
-
-
-def _crt_prime(i: int) -> int:
-    """The i-th largest prime below 2**62, counting from 0."""
-    candidate = _CRT_PRIMES[-1] - 2 if _CRT_PRIMES else (1 << 62) - 1
-    while len(_CRT_PRIMES) <= i:
-        if is_prime(candidate):
-            _CRT_PRIMES.append(candidate)
-        candidate -= 2
-    return _CRT_PRIMES[i]
 
 
 def _twin_classes(a: Sequence[Sequence[int]]) -> list[int]:
@@ -698,8 +674,11 @@ def is_integral(graph: CommutingGraph, z: int = 1) -> SpectralAnalysis:
     by unique factorisation of monic polynomials in Z[x] it is the product
     polynomial with every integer root divided out.  Each distinct block's
     record (``Block``), sized in element vertices, is kept in the result's
-    ``blocks``.
+    ``blocks``.  A z below 1 raises :class:`ParameterOutOfRange`, and a z
+    that is not an integer, a float included, raises ``TypeError``.
     """
+    if _exact_int(z) < 1:
+        raise ParameterOutOfRange(f"each vertex stands for z >= 1 twins, got {z}")
     adjacency = graph.adjacency
     blocks = _distinct_blocks(graph, lambda block: _bit_rows(adjacency, block))
     pairs: list[tuple[int, int]] = []

@@ -27,8 +27,7 @@ def raw_graph(vertex_count, edges):
     for u, v in edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    edge_count = sum(row.bit_count() for row in adj) // 2
-    return CommutingGraph(tuple(range(vertex_count)), tuple(adj), edge_count)
+    return CommutingGraph(tuple(range(vertex_count)), tuple(adj))
 
 
 def centralizer(group, x):
@@ -82,6 +81,18 @@ def format_cayley_text(group):
     lines.extend(" ".join(map(str, row)) for row in group.table)
     lines.append("names: " + " ".join(group.names))
     return "\n".join(lines) + "\n"
+
+
+def row_sum_bound(a):
+    """B = (R + 1)^k for a k x k matrix whose largest absolute row sum is R.
+
+    Every eigenvalue has |lambda| <= R, and c_(k-i) = (-1)^i e_i(lambda) is
+    a sum of C(k, i) products of i eigenvalues, so |c_(k-i)| <= C(k, i) R^i.
+    These bounds sum to B, which therefore bounds every coefficient of
+    det(xI - A), whether A is symmetric or not.
+    """
+    rows = (sum(abs(x) for x in row) for row in a)
+    return (max(rows, default=0) + 1) ** len(a)
 
 
 def dense_char_poly_mod(a, p):

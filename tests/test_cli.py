@@ -86,14 +86,14 @@ def test_analyze_unknown_family(capsys):
 
 
 def test_failed_spectral_check_is_an_error_line(monkeypatch, capsys):
-    original = spectra._multimodular_char_poly
+    original = spectra._modular_char_poly
 
     def off_by_one(a, bound):
         coeffs = original(a, bound)
         coeffs[0] += 1
         return coeffs
 
-    monkeypatch.setattr(spectra, "_multimodular_char_poly", off_by_one)
+    monkeypatch.setattr(spectra, "_modular_char_poly", off_by_one)
     code = main(["analyze", "dihedral:4"])
     err = capsys.readouterr().err
     assert code == 1

@@ -24,7 +24,13 @@ from commspec.spectra import (
     spectrum_from_pairs,
 )
 
-from oracles import clique_union_spectrum, dense_char_poly_mod, poly_product, raw_graph
+from oracles import (
+    clique_union_spectrum,
+    dense_char_poly_mod,
+    poly_product,
+    raw_graph,
+    row_sum_bound,
+)
 from permutation_groups import permutation_group, permutation_table
 
 K3 = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
@@ -325,6 +331,17 @@ def _random_symmetric(rng, k):
     return a
 
 
+def test_is_integral_rejects_a_twin_count_below_one():
+    # each vertex stands for z twins: z = 0 gave a "complete" spectrum of
+    # blocks of size 0, and z = -1 negative sizes
+    graph = coset_graph(build(parse_family("dihedral:3")))
+    for z in (0, -1):
+        with pytest.raises(ParameterOutOfRange):
+            is_integral(graph, z)
+    with pytest.raises(TypeError):
+        is_integral(graph, 1.0)
+
+
 def test_char_poly_matches_faddeev_leverrier_on_random_matrices():
     rng = random.Random(2016)
     for k in range(13):
@@ -347,54 +364,76 @@ def _spy_char_poly_mod(monkeypatch):
     return calls
 
 
-def _crt_factors(modulus):
-    """The leading CRT primes whose product is modulus."""
-    primes = []
-    product = 1
-    while product < modulus:
-        primes.append(spectra._crt_prime(len(primes)))
-        product *= primes[-1]
-    assert product == modulus
-    return primes
+# the Mersenne prime 2**61 - 1, whose powers are the engine's first moduli
+_P = 2**61 - 1
+
+
+def _mersenne_power(modulus):
+    """The k with modulus = _P**k."""
+    k = 1
+    while _P**k < modulus:
+        k += 1
+    assert _P**k == modulus
+    return k
 
 
 # The modular engine is called directly: char_poly would hand it the twin
 # quotient, a 1 x 1 matrix for K30 and a 3 x 3 one for the pivot matrices.
 
 
-def test_char_poly_of_k30_needs_three_primes(monkeypatch):
+def test_char_poly_of_k30_takes_one_pass_modulo_p_cubed(monkeypatch):
     k30 = [[int(i != j) for j in range(30)] for i in range(30)]
+    bound = row_sum_bound(k30)
+    assert bound == 30**30
     calls = _spy_char_poly_mod(monkeypatch)
-    assert spectra._multimodular_char_poly(k30) == _faddeev_leverrier(k30)
-    # one pass, modulo a product of distinct CRT primes; B = 30**30 is about
-    # 2**147, so 2B exceeds any product of two of them
+    assert spectra._modular_char_poly(k30, bound) == _faddeev_leverrier(k30)
+    # B = 30**30 is about 2**147, so 2B exceeds P**2, about 2**122
     [(modulus, gave_up)] = calls
     assert not gave_up
-    primes = _crt_factors(modulus)
-    assert len(set(primes)) == len(primes) >= 3
-    assert modulus > 2 * 30**30
+    assert modulus == _P**3 > 2 * 30**30
 
 
-def test_pivot_column_without_a_unit_falls_back_to_one_pass_per_prime(monkeypatch):
-    p = spectra._crt_prime(0)
-    # column 0 below the diagonal holds only p: nonzero modulo M, not a unit
-    a = [[0, p, 0, 0], [p, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]]
+def test_pivot_column_without_a_unit_retries_once(monkeypatch):
+    # column 0 below the diagonal holds only P: nonzero modulo P**k, not a unit
+    a = [[0, _P, 0, 0], [_P, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]]
     calls = _spy_char_poly_mod(monkeypatch)
-    assert spectra._multimodular_char_poly(a) == _faddeev_leverrier(a)
-    (modulus, gave_up), *per_prime = calls
-    assert gave_up
-    assert per_prime == [(q, False) for q in _crt_factors(modulus)]
+    assert spectra._modular_char_poly(a, row_sum_bound(a)) == _faddeev_leverrier(a)
+    [(first, gave_up), (retry, retry_gave_up)] = calls
+    assert gave_up and not retry_gave_up
+    _mersenne_power(first)
+    assert retry == spectra._fermat_modulus(first)
 
 
 def test_pivot_skips_an_entry_that_is_not_a_unit(monkeypatch):
-    p = spectra._crt_prime(0)
-    # column 0 below the diagonal holds p and then 1, which becomes the pivot
-    a = [[0, p, 1, 0], [p, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]]
+    # column 0 below the diagonal holds P and then 1, which becomes the pivot
+    a = [[0, _P, 1, 0], [_P, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]]
     calls = _spy_char_poly_mod(monkeypatch)
-    assert spectra._multimodular_char_poly(a) == _faddeev_leverrier(a)
+    assert spectra._modular_char_poly(a, row_sum_bound(a)) == _faddeev_leverrier(a)
     [(modulus, gave_up)] = calls
     assert not gave_up
-    assert p in _crt_factors(modulus)
+    assert _mersenne_power(modulus) > 1
+
+
+def test_fermat_modulus_skips_no_prime():
+    # 341 = 11 * 31 is the least composite that passes Fermat's test to base 2
+    assert spectra._fermat_modulus(340) == 341
+    odd_primes = [n for n in range(3, 3000) if _is_prime_by_trial_division(n)]
+    pseudoprimes = [341, 561, 645, 1105, 1387, 1729, 1905, 2047, 2465, 2701, 2821]
+    passed = []
+    m = 1
+    while (m := spectra._fermat_modulus(m)) < 3000:
+        passed.append(m)
+    assert passed == sorted(odd_primes + pseudoprimes)
+
+
+def test_pass_stalls_modulo_a_pseudoprime_on_a_column_of_its_factor():
+    # 11 divides 341: nonzero modulo 341, not a unit
+    a = [[0, 11, 11], [11, 0, 1], [11, 1, 0]]
+    assert spectra._char_poly_mod(a, 341) is None
+    assert dense_char_poly_mod(a, 341) is None
+    # the next modulus is the prime 347, where the pass goes through
+    assert spectra._fermat_modulus(341) == 347
+    assert spectra._char_poly_mod(a, 347) == [c % 347 for c in _faddeev_leverrier(a)]
 
 
 def _distinct_blocks(group):
@@ -406,25 +445,31 @@ def _distinct_blocks(group):
     }
 
 
-def test_single_pass_agrees_with_per_prime_path(grid, monkeypatch):
+def test_retry_after_a_stall_gives_the_same_coefficients(grid, monkeypatch):
     blocks = set()
     for group in [g for _, _, g in grid] + [
         permutation_group(4, False),
         permutation_group(5, True),
     ]:
         blocks |= _distinct_blocks(group)
-    blocks = [[list(row) for row in key] for key in sorted(blocks)]
+    blocks = [
+        ([list(row) for row in key], row_sum_bound(key)) for key in sorted(blocks)
+    ]
     calls = _spy_char_poly_mod(monkeypatch)
-    single = [spectra._multimodular_char_poly(b) for b in blocks]
+    single = [spectra._modular_char_poly(b, bound) for b, bound in blocks]
     assert len(calls) == len(blocks) and not any(g for _, g in calls)
-    # refuse every composite modulus, forcing the Garner path
+    # stall every power of P, the first modulus of each block, so that each
+    # block is reduced once more modulo a Fermat modulus; a stub that stalled
+    # every modulus would never return
     original = spectra._char_poly_mod
     monkeypatch.setattr(
         spectra,
         "_char_poly_mod",
-        lambda a, modulus: original(a, modulus) if modulus < 2**62 else None,
+        lambda a, modulus: None if modulus % _P == 0 else original(a, modulus),
     )
-    assert [spectra._multimodular_char_poly(b) for b in blocks] == single
+    calls = _spy_char_poly_mod(monkeypatch)
+    assert [spectra._modular_char_poly(b, bound) for b, bound in blocks] == single
+    assert [gave_up for _, gave_up in calls] == [True, False] * len(blocks)
 
 
 @pytest.mark.parametrize(
@@ -444,12 +489,6 @@ def test_one_modular_pass_per_distinct_block(make_group, distinct, monkeypatch):
     char_poly(build_commuting_graph(group).to_matrix())
     assert len(calls) == distinct
     assert not any(gave_up for _, gave_up in calls)
-
-
-def test_crt_primes_are_the_largest_primes_below_2_62():
-    # published offsets of the ten largest primes below 2**62
-    offsets = (57, 87, 117, 143, 153, 167, 171, 195, 203, 273)
-    assert [2**62 - spectra._crt_prime(i) for i in range(10)] == list(offsets)
 
 
 def _is_prime_by_trial_division(n):
@@ -502,14 +541,14 @@ def test_char_poly_coefficients_within_proven_bound(grid):
 
 
 def test_wrong_modular_coefficient_fails_the_determinant_check(monkeypatch):
-    original = spectra._multimodular_char_poly
+    original = spectra._modular_char_poly
 
     def off_by_one(a, bound):
         coeffs = original(a, bound)
         coeffs[0] += 1
         return coeffs
 
-    monkeypatch.setattr(spectra, "_multimodular_char_poly", off_by_one)
+    monkeypatch.setattr(spectra, "_modular_char_poly", off_by_one)
     with pytest.raises(SpectralCheckError):
         char_poly(K3)
 
@@ -591,14 +630,14 @@ def test_block_cache_does_not_outlive_the_call(monkeypatch):
 
 
 def test_wrong_coefficient_in_a_repeated_block_fails_the_check(monkeypatch):
-    original = spectra._multimodular_char_poly
+    original = spectra._modular_char_poly
 
     def off_by_one(a, bound):
         coeffs = original(a, bound)
         coeffs[0] += 1
         return coeffs
 
-    monkeypatch.setattr(spectra, "_multimodular_char_poly", off_by_one)
+    monkeypatch.setattr(spectra, "_modular_char_poly", off_by_one)
     with pytest.raises(SpectralCheckError):
         char_poly(_block_diagonal(K3, K3, K3))
 
@@ -659,7 +698,9 @@ def _dense_char_poly(graph):
     poly = CharPoly((1,))
     for block in connected_components(graph):
         dense = [[matrix[i][j] for j in block] for i in block]
-        block_poly = CharPoly(tuple(spectra._multimodular_char_poly(dense)))
+        block_poly = CharPoly(
+            tuple(spectra._modular_char_poly(dense, row_sum_bound(dense)))
+        )
         poly = poly_product(poly, block_poly)
     return poly
 
@@ -815,10 +856,10 @@ def test_is_integral_proves_and_checks_each_distinct_block_once(
 ):
     graph = make_graph()
     modular = []
-    original = spectra._multimodular_char_poly
+    original = spectra._modular_char_poly
     monkeypatch.setattr(
         spectra,
-        "_multimodular_char_poly",
+        "_modular_char_poly",
         lambda a, bound: modular.append(1) or original(a, bound),
     )
     determinants = []
@@ -1121,14 +1162,14 @@ def test_merging_non_twins_fails_the_determinant_check(make_graph, monkeypatch):
 
 
 def test_wrong_quotient_coefficient_fails_the_determinant_check(monkeypatch):
-    original = spectra._multimodular_char_poly
+    original = spectra._modular_char_poly
 
     def off_by_one(a, bound):
         coeffs = original(a, bound)
         coeffs[-2] += 1
         return coeffs
 
-    monkeypatch.setattr(spectra, "_multimodular_char_poly", off_by_one)
+    monkeypatch.setattr(spectra, "_modular_char_poly", off_by_one)
     heis3 = build_commuting_graph(build(FamilySpec.heis(3)))
     for graph in (heis3, _s4_graph(), _s5_graph()):
         with pytest.raises(SpectralCheckError):
@@ -1137,10 +1178,10 @@ def test_wrong_quotient_coefficient_fails_the_determinant_check(monkeypatch):
 
 def _modular_sizes(monkeypatch):
     sizes = []
-    original = spectra._multimodular_char_poly
+    original = spectra._modular_char_poly
     monkeypatch.setattr(
         spectra,
-        "_multimodular_char_poly",
+        "_modular_char_poly",
         lambda a, bound: sizes.append((len(a), len(a[0]))) or original(a, bound),
     )
     return sizes
@@ -1198,10 +1239,10 @@ def _weighted_blow_up(rng, base_size, max_part):
 def test_twin_quotient_of_weighted_rows(monkeypatch):
     rng = random.Random(26)
     quotients = []
-    original = spectra._multimodular_char_poly
+    original = spectra._modular_char_poly
     monkeypatch.setattr(
         spectra,
-        "_multimodular_char_poly",
+        "_modular_char_poly",
         lambda a, bound: quotients.append(a) or original(a, bound),
     )
     for _ in range(60):
@@ -1340,12 +1381,12 @@ def _least_rms_bound(q):
 
 
 def _engine_calls(monkeypatch):
-    """Record (matrix, bound) for every call of _multimodular_char_poly."""
+    """Record (matrix, bound) for every call of _modular_char_poly."""
     calls = []
-    original = spectra._multimodular_char_poly
+    original = spectra._modular_char_poly
     monkeypatch.setattr(
         spectra,
-        "_multimodular_char_poly",
+        "_modular_char_poly",
         lambda a, bound: calls.append((a, bound)) or original(a, bound),
     )
     return calls
@@ -1360,7 +1401,7 @@ def test_eigenvalue_bound_covers_the_coefficients(monkeypatch):
         for _ in range(10)
     ]
     cases += [(c, 1) for c in _group_blocks()]
-    engine = spectra._multimodular_char_poly
+    engine = spectra._modular_char_poly
     calls = _engine_calls(monkeypatch)
     for c, z in cases:
         spectra._block_factor(tuple(map(tuple, c)), z)
@@ -1372,26 +1413,29 @@ def test_eigenvalue_bound_covers_the_coefficients(monkeypatch):
         assert bound == (s + 1) ** len(q)
         assert s <= row_sum
         assert sum(map(abs, _faddeev_leverrier(q))) <= bound
-        assert engine(q, bound) == engine(q)
+        assert engine(q, bound) == engine(q, row_sum_bound(q))
         tighter += s < row_sum
     assert tighter > len(cases) // 2
 
 
-def test_s5_quotient_needs_two_primes_under_the_eigenvalue_bound(monkeypatch):
-    engine = spectra._multimodular_char_poly
+def test_s5_quotient_needs_p_squared_under_the_eigenvalue_bound(monkeypatch):
+    engine = spectra._modular_char_poly
     calls = _engine_calls(monkeypatch)
     moduli = _spy_char_poly_mod(monkeypatch)
     is_integral(_s5_graph())
     assert not any(gave_up for _, gave_up in moduli)
-    primes = {len(q): len(_crt_factors(m)) for (q, _), (m, _) in zip(calls, moduli)}
+    powers = {len(q): _mersenne_power(m) for (q, _), (m, _) in zip(calls, moduli)}
     # the 50-row quotient of the 95-vertex block, and K_4's one row
-    assert primes == {50: 2, 1: 1}
-    # the engine's own row-sum bound (R + 1)^50 would need three
-    [q] = [q for q, _ in calls if len(q) == 50]
+    assert powers == {50: 2, 1: 1}
+    [(q, bound)] = [(q, bound) for q, bound in calls if len(q) == 50]
+    # S = 3, so 2B has 102 bits, below P**2's 122
+    assert bound == 4**50 and (2 * bound).bit_length() == 102
+    # R = 10: under the row-sum bound (R + 1)^50, 2B has 174 bits and needs P**3
+    assert row_sum_bound(q) == 11**50 and (2 * 11**50).bit_length() == 174
     moduli.clear()
-    engine(q)
+    engine(q, row_sum_bound(q))
     [(modulus, _)] = moduli
-    assert len(_crt_factors(modulus)) == 3
+    assert _mersenne_power(modulus) == 3
 
 
 # The spot check's points: at t = -1 a block with twins has (t + 1)^(c - r)
@@ -1420,7 +1464,7 @@ def test_a_polynomial_wrong_only_at_minus_one_fails_the_check(
         shifted = [[t * (i == j) - x for j, x in enumerate(r)] for i, r in enumerate(c)]
         twins = (t + 1) ** (size - classes)
         assert twins * wrong.evaluate(t) == exact_determinant(shifted)
-    original = spectra._multimodular_char_poly
+    original = spectra._modular_char_poly
 
     def wrong_only_at_minus_one(a, bound):
         coeffs = original(a, bound)
@@ -1429,7 +1473,7 @@ def test_a_polynomial_wrong_only_at_minus_one_fails_the_check(
             coeffs[2] += 5
         return coeffs
 
-    monkeypatch.setattr(spectra, "_multimodular_char_poly", wrong_only_at_minus_one)
+    monkeypatch.setattr(spectra, "_modular_char_poly", wrong_only_at_minus_one)
     with pytest.raises(SpectralCheckError):
         is_integral(graph)
 
@@ -1451,10 +1495,9 @@ def _random_square(rng, n, density, symmetric):
 
 
 def _moduli():
-    """One CRT prime, the products of the first two and three, and a small
-    odd composite whose pivot columns often have nonzero entries but no unit."""
-    p, q, r = (spectra._crt_prime(i) for i in range(3))
-    return [p, p * q, p * q * r, 3 * 5 * 7]
+    """P, P**2, P**3 and a small odd composite whose pivot columns often
+    have nonzero entries but no unit."""
+    return [_P, _P**2, _P**3, 3 * 5 * 7]
 
 
 def _assert_same_residues(a, modulus):
@@ -1472,7 +1515,7 @@ def test_sparse_pass_matches_the_dense_pass_on_random_matrices():
                 a = _random_square(rng, rng.randint(0, 12), density, symmetric)
                 for modulus in _moduli():
                     gave_up += _assert_same_residues(a, modulus) is None
-    # only the composite modulus without CRT factors has non-unit pivots
+    # only the small composite modulus has nonzero entries that are not units
     assert gave_up > 0
 
 
@@ -1497,8 +1540,7 @@ def test_sparse_pass_matches_the_dense_pass_on_the_group_quotients(monkeypatch):
 
 
 def test_sparse_pass_gives_up_where_the_dense_pass_does():
-    p, q = spectra._crt_prime(0), spectra._crt_prime(1)
-    # column 0 below the diagonal holds only p: nonzero modulo pq, not a unit
-    a = [[0, p, 0, 0], [p, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]]
-    assert _assert_same_residues(a, p * q) is None
-    assert _assert_same_residues(a, q) is not None
+    # column 0 below the diagonal holds only P: nonzero modulo P**2, not a unit
+    a = [[0, _P, 0, 0], [_P, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]]
+    assert _assert_same_residues(a, _P**2) is None
+    assert _assert_same_residues(a, spectra._fermat_modulus(_P**2)) is not None
