@@ -32,17 +32,19 @@ then spot-checked against an independent fraction-free Bareiss
 determinant at t in {0, 1, 2} of the c x c matrix W = z(C + I) - I, which
 is C when z = 1, its vertices put in ascending order of their nonzero
 counts when the block is not complete, so that the sparsest rows are
-eliminated first.  Each row of tI - W first has the row of the previous
-member of its twin class subtracted: a unit lower-triangular change that
-keeps the determinant whatever the classes are, so the check does not
-rely on the quotient, and that turns each twin row into (t + 1)(e_i -
-e_j).  So t = -1 would check nothing on a block with twins: both sides
-are 0 there.  The elimination leaves a row stale while its
-factor in the pivot column is zero, since such a step only rescales it by
-a ratio of pivots; a stale row keeps the level of its last update and is
-brought up to date in one exact division when it is next used (proof in
-``exact_determinant``).  On a sparse block most row updates are skipped,
-and a twin row is updated once.  Integer roots are found among the
+eliminated first.  Each row of tI - W first has the row of the next
+member of its twin class subtracted, when the two are true twins: a unit
+upper-triangular change that keeps the determinant whatever the classes
+are, so the check does not rely on the quotient, and that turns each such
+row into (t + 1)(e_i - e_j).  So t = -1 would check nothing on a block
+with twins: both sides are 0 there.  The last member of each class keeps
+its row and is eliminated after the others, so a clique costs O(c)
+updates per point, not O(c^2).  The elimination keeps each row as its
+nonzero entries and updates only the columns where the pivot row is
+nonzero, since a step only rescales every other entry by a ratio of
+pivots; a skipped entry keeps its own level, the step that last wrote it,
+and is brought up to date in one exact division when it is next read
+(proof in ``exact_determinant``).  Integer roots are found among the
 divisors of the lowest nonzero coefficient, bounded by Q's largest row
 sum, a degree of A.  Each distinct block is kept as a record (``Block``):
 its size k, the number of blocks that share its submatrix, its number r of
@@ -56,6 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from math import comb, gcd, isqrt
 from operator import index as _exact_int
 from operator import itemgetter, mul
@@ -492,48 +495,74 @@ def _spot_check(
     q = ``quotient`` of degree r (see ``_block_factor``; with z = 1, W is C
     itself).
 
-    Before each determinant, each row of tI - W has the row of the previous
-    member of its class in ``labels`` (the twin classes) subtracted, both
-    taken from tI - W.  That is a product by a unit lower-triangular
-    matrix, so the determinant is the same whatever the labels are: wrong
-    classes cannot hide a wrong polynomial, and the check stays independent
-    of the twin quotient.  For true twins j < i the difference row is
-    (t + 1)(e_i - e_j), which the lazy elimination updates once, at step j,
-    before it becomes the pivot.  At t = -1 those rows vanish and so does
-    (t + 1)^(c - r) whenever c > r, so -1 is not a point.
+    Before each determinant, each row i of tI - W has the row of j, the
+    next member of its class in ``labels`` (the twin classes), subtracted
+    when rows i and j of C + I are equal (``_true_twins``), both taken from
+    tI - W; any other row is kept.  That is a product by a unit
+    upper-triangular matrix, so the determinant is the same whatever the
+    labels are: wrong classes cannot hide a wrong polynomial, and the check
+    stays independent of the twin quotient.  The difference row is then
+    (t + 1)(e_i - e_j), the pivot row of step i, which reaches only the
+    rows with an entry in column i.  The last member of a class keeps its
+    row of tI - W and is eliminated after the others, so a clique of c
+    vertices costs O(c) updates per point.  At t = -1 the difference rows
+    vanish and so does (t + 1)^(c - r) whenever c > r, so -1 is not a
+    point.
 
-    Off the diagonal, tI - W is -W, so the difference rows of -zC are
-    built once, and each point's matrix is a copy of them with
-    t + 1 - z, the diagonal of tI - W, added at (i, i) and subtracted at
-    (i, j) for the predecessor j of i.
+    Off the diagonal, tI - W is -W, so the rows of -zC and the difference
+    rows z(e_i - e_j) are built once, as their nonzero entries, and each
+    point's matrix is a copy of them with t + 1 - z, the diagonal of
+    tI - W, added at (i, i) and subtracted at (i, j).
     """
-    twins = len(a) - quotient.degree
+    n = len(a)
+    twins = n - quotient.degree
+    successor = [-1] * n
     last: dict[int, int] = {}
-    previous = []
-    for i, c in enumerate(labels):
-        previous.append(last.get(c, -1))
-        last[c] = i
-    base = [
-        [-z * x for x in row] if p < 0 else [z * (y - x) for x, y in zip(row, a[p])]
-        for row, p in zip(a, previous)
-    ]
+    for i in range(n - 1, -1, -1):
+        label = labels[i]
+        successor[i] = last.get(label, -1)
+        last[label] = i
+    columns = range(n)
+    base = []
+    for i, s in enumerate(successor):
+        if s >= 0 and _true_twins(a, i, s):
+            entries = {i: z, s: -z}
+        else:
+            successor[i] = -1
+            row = a[i]
+            entries = {j: -z * row[j] for j in compress(columns, row)}
+            entries.setdefault(i, 0)  # each point adds its diagonal here
+        base.append(entries)
+    index = _column_index(base)
     for t in (0, 1, 2):
         diagonal = t + 1 - z
-        shifted = []
-        for i, p in enumerate(previous):
-            row = base[i].copy()
-            row[i] += diagonal
-            if p >= 0:
-                row[p] -= diagonal
-            shifted.append(row)
-        if (t + 1) ** twins * quotient.evaluate(t) != _bareiss(shifted):
+        shifted = list(map(dict.copy, base))
+        if diagonal:
+            for i, s in enumerate(successor):
+                row = shifted[i]
+                row[i] += diagonal
+                if s >= 0:
+                    row[s] -= diagonal
+        if (t + 1) ** twins * quotient.evaluate(t) != _bareiss(shifted, index):
             raise SpectralCheckError(
                 f"characteristic polynomial failed determinant check at t={t}"
             )
 
 
+def _true_twins(a: Sequence[Sequence[int]], i: int, j: int) -> bool:
+    """Whether rows i < j of A + I are equal, A = ``a``: rows i and j of A
+    agree outside columns i and j, and A_ji - A_ii = 1 = A_ij - A_jj."""
+    x, y = a[i], a[j]
+    return (
+        y[i] - x[i] == 1 == x[j] - y[j]
+        and x[:i] == y[:i]
+        and x[i + 1 : j] == y[i + 1 : j]
+        and x[j + 1 :] == y[j + 1 :]
+    )
+
+
 def exact_determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Fraction-free Bareiss determinant over the integers, zero factors skipped.
+    """Fraction-free Bareiss determinant over the integers, zeros skipped.
 
     Bareiss elimination with row swaps: with P_k = a^(k)_kk the k-th pivot
     and P_-1 = 1, step k sets, for every row i > k and column j > k,
@@ -542,67 +571,121 @@ def exact_determinant(matrix: Sequence[Sequence[int]]) -> int:
     columns 0..k-1 and j), so every division is exact, and the determinant
     is the last pivot times the sign of the swaps.
 
-    When the factor a^(k)_ik is zero the step only rescales row i by
-    P_k / P_(k-1), so such a row is left stale: it keeps its level s, the
-    number of steps that last updated it, and its entries a^(s)_ij.  Over
-    the skipped steps the ratios telescope, a^(k)_ij = a^(s)_ij P_(k-1) /
-    P_(s-1).  Hence:
+    When the factor a^(k)_ik or the pivot row's a^(k)_kj is zero the step
+    only rescales a^(k)_ij by P_k / P_(k-1).  So each row is kept as its
+    entries, and step k writes only the rows with a nonzero factor, in the
+    columns where the pivot row is nonzero.  Every other entry is left
+    stale: it keeps its own level s, the step that last wrote it (0 for an
+    entry of the matrix), and its value a^(s)_ij.  Over the skipped steps
+    the ratios telescope, a^(k)_ij = a^(s)_ij P_(k-1) / P_(s-1).  Hence:
 
     - a stale entry is zero exactly when the current one is, the pivots
       being nonzero, so the pivot search and the factor test read stale
-      entries;
-    - substituted into the step, the P_(k-1) cancels: a row with a nonzero
-      factor becomes a^(k+1)_ij = (P_k a^(s)_ij - a^(s)_ik a^(k)_kj) /
-      P_(s-1);
-    - the pivot row is brought up to date as a^(k)_kj = a^(s)_kj P_(k-1) /
-      P_(s-1); at the last step, k = n - 1, that gives the last pivot.
+      entries; an update that cancels stores 0, which reads as zero;
+    - an entry that a step reads, the factor, the pivot row or an entry
+      under the pivot row's support, is brought up to date as
+      a^(s)_ij P_(k-1) / P_(s-1), one exact division; an absent entry is 0
+      and is filled in;
+    - a pivot row that no step has written holds level-0 entries, so
+      a^(k)_kj = a_kj P_(k-1), and the step becomes
+      a^(k+1)_ij = a_kk a^(k)_ij - a^(k)_ik a_kj, with no division.
 
     Each quotient is a true Bareiss entry, so every division stays exact.
-    A swap exchanges two rows not yet used as pivots, together with their
-    levels, and leaves the minors of the pivot rows unchanged.
+    A swap exchanges two rows not yet used as pivots, with their entries
+    and levels, and leaves the minors of the pivot rows unchanged.
     """
     a = [list(map(_exact_int, row)) for row in matrix]
     n = len(a)
     for i, row in enumerate(a):
         if len(row) != n:
             raise NotSymmetricError(f"row {i} has {len(row)} entries, expected {n}")
-    return _bareiss(a)
+    columns = range(n)
+    rows = [{j: row[j] for j in compress(columns, row)} for row in a]
+    return _bareiss(rows, _column_index(rows))
 
 
-def _bareiss(a: list[list[int]]) -> int:
-    """The determinant of the square integer matrix ``a``, by the lazy
-    elimination of ``exact_determinant``, which overwrites ``a``."""
-    n = len(a)
+def _column_index(rows: Sequence[dict[int, int]]) -> list[list[int]]:
+    """For each column j, the rows with an entry in column j, ascending."""
+    index: list[list[int]] = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for j in row:
+            index[j].append(i)
+    return index
+
+
+def _bareiss(rows: list[dict[int, int]], index: list[list[int]]) -> int:
+    """The determinant of the square integer matrix whose row i holds the
+    entries ``rows[i]``, a dict from column to value in which zeros may
+    appear, by the elimination of ``exact_determinant``.
+
+    ``index[j]`` must list every row with an entry in column j; it may list
+    more rows, or a row twice.  The elimination overwrites ``rows`` and
+    appends the rows it fills in to ``index``, which stays valid for any
+    other matrix it was valid for.  Step k takes the row in position k as
+    the pivot when its entry in column k is nonzero, and otherwise swaps in
+    the first row listed for column k that has one.
+    """
+    n = len(rows)
+    # levels[i] maps a column to the level of row i's entry there, 0 when
+    # absent; None until a step first writes row i
+    levels: list[dict[int, int] | None] = [None] * n
+    # what a row used as a pivot is replaced by: it has no entries left
+    done: dict[int, int] = {}
+    order = None  # row at each position, once a swap has moved one
     sign = 1
-    # divisors[s] = P_(s-1), the divisor of a row at level s
+    # divisors[s] = P_(s-1), the divisor of an entry at level s
     divisors = [1]
-    levels = [0] * n
-    for k in range(n):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    levels[k], levels[i] = levels[i], levels[k]
-                    sign = -sign
+    for k, candidates in enumerate(index):
+        r = k if order is None else order[k]
+        if not rows[r].get(k):
+            for r in candidates:
+                if rows[r].get(k):
                     break
             else:
                 return 0
-        row_k = a[k]
-        if levels[k] < k:
-            scale, divisor = divisors[k], divisors[levels[k]]
-            row_k[k:] = [x * scale // divisor for x in row_k[k:]]
-        pivot = row_k[k]
-        tail = row_k[k + 1 :]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            factor = row_i[k]
-            if factor:
-                divisor = divisors[levels[i]]
-                row_i[k + 1 :] = [
-                    (x * pivot - factor * y) // divisor
-                    for x, y in zip(row_i[k + 1 :], tail)
-                ]
-                levels[i] = k + 1
+            if order is None:
+                order = list(range(n))
+            p = order.index(r, k + 1)
+            order[p] = order[k]
+            order[k] = r
+            sign = -sign
+        row = rows[r]
+        rows[r] = done
+        level = levels[r]
+        scale = divisors[k]
+        pivot = row.pop(k)
+        if level is None:  # no step has written the row: all at level 0
+            multiplier, divisor, support = pivot, 1, row.items()
+            pivot *= scale
+        else:
+            if (s := level.get(k, 0)) != k:
+                pivot = pivot * scale // divisors[s]
+            multiplier, divisor = pivot, scale
+            support = []
+            for j, y in row.items():
+                if y:
+                    if (s := level.get(j, 0)) != k:
+                        y = y * scale // divisors[s]
+                    support.append((j, y))
+        for i in candidates:
+            row_i = rows[i]
+            factor = row_i.pop(k, 0)
+            if not factor:
+                continue
+            level_i = levels[i]
+            if level_i is None:
+                level_i = levels[i] = {}
+            if (s := level_i.get(k, 0)) != k:
+                factor = factor * scale // divisors[s]
+            for j, y in support:
+                x = row_i.get(j)
+                if x is None:
+                    index[j].append(i)
+                    x = 0
+                elif x and (s := level_i.get(j, 0)) != k:
+                    x = x * scale // divisors[s]
+                row_i[j] = (multiplier * x - factor * y) // divisor
+                level_i[j] = k + 1
         divisors.append(pivot)
     return sign * divisors[-1]
 

@@ -95,6 +95,47 @@ def row_sum_bound(a):
     return (max(rows, default=0) + 1) ** len(a)
 
 
+def dense_bareiss(a):
+    """The determinant of the square integer matrix ``a``, by fraction-free
+    Bareiss elimination on dense rows, which overwrites ``a``.  A row whose
+    factor in the pivot column is zero is left stale at the level of its
+    last update and brought up to date in one exact division when it is
+    next used, so every step updates whole rows, zeros included."""
+    n = len(a)
+    sign = 1
+    # divisors[s] = P_(s-1), the divisor of a row at level s
+    divisors = [1]
+    levels = [0] * n
+    for k in range(n):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    levels[k], levels[i] = levels[i], levels[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        row_k = a[k]
+        if levels[k] < k:
+            scale, divisor = divisors[k], divisors[levels[k]]
+            row_k[k:] = [x * scale // divisor for x in row_k[k:]]
+        pivot = row_k[k]
+        tail = row_k[k + 1 :]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            factor = row_i[k]
+            if factor:
+                divisor = divisors[levels[i]]
+                row_i[k + 1 :] = [
+                    (x * pivot - factor * y) // divisor
+                    for x, y in zip(row_i[k + 1 :], tail)
+                ]
+                levels[i] = k + 1
+        divisors.append(pivot)
+    return sign * divisors[-1]
+
+
 def dense_char_poly_mod(a, p):
     """det(xI - A) mod p, ascending, or None, by the Hessenberg pass that
     ``spectra._char_poly_mod`` makes, with every row and column operation

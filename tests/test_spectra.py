@@ -26,6 +26,7 @@ from commspec.spectra import (
 
 from oracles import (
     clique_union_spectrum,
+    dense_bareiss,
     dense_char_poly_mod,
     poly_product,
     raw_graph,
@@ -604,7 +605,11 @@ def _count_determinants(monkeypatch):
     """Count the spot check's eliminations."""
     calls = []
     original = spectra._bareiss
-    monkeypatch.setattr(spectra, "_bareiss", lambda m: calls.append(1) or original(m))
+    monkeypatch.setattr(
+        spectra,
+        "_bareiss",
+        lambda rows, index: calls.append(1) or original(rows, index),
+    )
     return calls
 
 
@@ -865,9 +870,9 @@ def test_is_integral_proves_and_checks_each_distinct_block_once(
     determinants = []
     original_determinant = spectra._bareiss
 
-    def counted(m):
-        determinants.append(len(m))
-        return original_determinant(m)
+    def counted(rows, index):
+        determinants.append(len(rows))
+        return original_determinant(rows, index)
 
     monkeypatch.setattr(spectra, "_bareiss", counted)
     analysis = is_integral(graph, z)
@@ -1296,32 +1301,42 @@ def test_block_factor_does_not_depend_on_the_vertex_order():
             assert spectra._block_factor(key, z) == expected
 
 
-def _shifted_minus_previous_twin(c, t):
-    """tI - C with each row minus the row of the previous vertex that has
-    the same row of C + I: the check's input for z = 1, from its statement."""
+def _shifted_minus_next_twin(c, t):
+    """tI - C with each row minus the row of the next vertex that has the
+    same row of C + I: the check's input for z = 1, from its statement."""
     shifted = [[t * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(c)]
-    last = {}
-    rows = []
-    for i, row in enumerate(c):
-        closed = tuple(x + (i == j) for j, x in enumerate(row))
-        p = last.get(closed)
-        last[closed] = i
-        rows.append(
-            shifted[i] if p is None else [x - y for x, y in zip(shifted[i], shifted[p])]
+    following = {}
+    rows = [None] * len(c)
+    for i in reversed(range(len(c))):
+        closed = tuple(x + (i == j) for j, x in enumerate(c[i]))
+        s = following.get(closed)
+        following[closed] = i
+        rows[i] = (
+            shifted[i] if s is None else [x - y for x, y in zip(shifted[i], shifted[s])]
         )
     return rows
 
 
+def _dense(rows):
+    """The square matrix whose row i holds the entries of the dict rows[i]."""
+    return [[row.get(j, 0) for j in range(len(rows))] for row in rows]
+
+
 def _determinant_inputs(monkeypatch):
-    """Record a copy of each matrix the spot check eliminates, which the
-    elimination overwrites."""
+    """Record each matrix the spot check eliminates, densely, before the
+    elimination overwrites it, and check its determinant against the dense
+    elimination's."""
     inputs = []
     original = spectra._bareiss
-    monkeypatch.setattr(
-        spectra,
-        "_bareiss",
-        lambda m: inputs.append([row.copy() for row in m]) or original(m),
-    )
+
+    def recorded(rows, index):
+        matrix = _dense(rows)
+        inputs.append(matrix)
+        det = original(rows, index)
+        assert det == dense_bareiss([row.copy() for row in matrix])
+        return det
+
+    monkeypatch.setattr(spectra, "_bareiss", recorded)
     return inputs
 
 
@@ -1334,7 +1349,7 @@ def test_s5_block_reaches_the_determinant_in_ascending_nonzero_count(monkeypatch
     order = sorted(range(len(c)), key=counts.__getitem__)  # stable
     assert order != sorted(order)  # the key order is not ascending
     ascending = _permuted(c, order)
-    expected = [_shifted_minus_previous_twin(ascending, t) for t in (0, 1, 2)]
+    expected = [_shifted_minus_next_twin(ascending, t) for t in (0, 1, 2)]
     inputs = _determinant_inputs(monkeypatch)
     for analyse in _ANALYSES:
         inputs.clear()
@@ -1362,7 +1377,7 @@ def test_complete_blocks_reach_the_determinant_in_key_order(spec, monkeypatch):
     inputs = _determinant_inputs(monkeypatch)
     assert is_integral(graph).all_cliques
     assert sorted(labelled) == sorted(keys)
-    expected = [_shifted_minus_previous_twin(k, t) for k in keys for t in (0, 1, 2)]
+    expected = [_shifted_minus_next_twin(k, t) for k in keys for t in (0, 1, 2)]
     assert sorted(inputs) == sorted(expected)
 
 
@@ -1544,3 +1559,204 @@ def test_sparse_pass_gives_up_where_the_dense_pass_does():
     a = [[0, _P, 0, 0], [_P, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]]
     assert _assert_same_residues(a, _P**2) is None
     assert _assert_same_residues(a, spectra._fermat_modulus(_P**2)) is not None
+
+
+# Sparse elimination: _bareiss keeps each row as its entries, updates only
+# the pivot row's support, and gives each entry its own level.  The dense
+# elimination in tests/oracles.py and elimination over the rationals are
+# the oracles.
+
+
+def _elimination_events(matrix):
+    """The cases of Bareiss elimination on ``matrix`` that per-entry levels
+    must get right, found by updating every entry at every step, with the
+    first nonzero at or below the diagonal as pivot:
+
+    - "swap": the pivot position holds 0 and a row below does not;
+    - "stale": two or more steps only rescale a nonzero entry, at least one
+      of them while updating the entry's row, before a step changes it;
+    - "fill": a step makes a zero entry nonzero;
+    - "cancel": a step with a nonzero factor and pivot-row entry makes a
+      nonzero entry 0.
+    """
+    a = [list(row) for row in matrix]
+    n = len(a)
+    ids = list(range(n))
+    skipped = {}  # (row, column) -> (steps that only rescaled it, in its row's update)
+    events = set()
+    previous = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            break
+        if p != k:
+            events.add("swap")
+            a[k], a[p] = a[p], a[k]
+            ids[k], ids[p] = ids[p], ids[k]
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            factor = a[i][k]
+            for j in range(k + 1, n):
+                x, y = a[i][j], a[k][j]
+                new = (pivot * x - factor * y) // previous
+                key = (ids[i], j)
+                if factor and y:
+                    steps, within = skipped.pop(key, (0, False))
+                    if steps >= 2 and within:
+                        events.add("stale")
+                    if not x and new:
+                        events.add("fill")
+                    if x and not new:
+                        events.add("cancel")
+                elif x:
+                    steps, within = skipped.get(key, (0, False))
+                    skipped[key] = (steps + 1, within or bool(factor))
+                a[i][j] = new
+        previous = pivot
+    return events
+
+
+def test_elimination_events_on_hand_cases():
+    # step 0 cancels (1, 1) and leaves (2, 1) nonzero, so step 1 swaps
+    assert _elimination_events([[1, 1, 0], [1, 1, 1], [0, 1, 1]]) == {
+        "cancel",
+        "swap",
+    }
+    # step 0 fills (1, 1)
+    assert _elimination_events([[1, 1], [1, 0]]) == {"fill"}
+    # step 0 updates row 3 and cancels (3, 1), so step 1 skips row 3; the
+    # pivot rows of both steps hold 0 in column 3, and step 2 reads (3, 3)
+    assert _elimination_events(
+        [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 1, 1, 1]]
+    ) == {"cancel", "stale"}
+
+
+def test_exact_determinant_matches_the_dense_elimination_and_fractions():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = set()
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 9))
+        entry = st.sampled_from((0, 0, 0, 1, -1, 2, -3))
+        row = st.lists(entry, min_size=n, max_size=n)
+        matrix = data.draw(st.lists(row, min_size=n, max_size=n))
+        plant = data.draw(st.sampled_from(("none", "repeat", "zero-corner")))
+        if plant == "repeat" and n > 1:
+            # a repeated row cancels to 0 where it meets its copy
+            i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            matrix[i] = list(matrix[j])
+        elif plant == "zero-corner":
+            # the first pivot is 0, so a row below must be swapped up
+            matrix[0][0] = 0
+        seen.update(_elimination_events(matrix))
+        det = exact_determinant(matrix)
+        assert det == dense_bareiss([list(r) for r in matrix]) == _fraction_det(matrix)
+
+    check()
+    assert seen == {"swap", "stale", "fill", "cancel"}
+
+
+def test_spot_check_determinants_match_the_dense_oracles(monkeypatch):
+    # z in {1, 2, 3}: at t = z - 1 the diagonal t + 1 - z of tI - W is 0, so
+    # the last member of each class has a zero diagonal at one point
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    inputs = _determinant_inputs(monkeypatch)
+    zero_diagonal = set()
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.floats(0, 1),
+        st.integers(1, 3),
+        st.integers(1, 3),
+    )
+    def check(seed, base_size, edge_chance, max_part, z):
+        graph = _blow_up(random.Random(seed), base_size, edge_chance, max_part)[0]
+        inputs.clear()
+        is_integral(graph, z)
+        for m in inputs:
+            assert dense_bareiss([row.copy() for row in m]) == _fraction_det(m)
+            if any(m[i][i] == 0 for i in range(len(m))):
+                zero_diagonal.add(z)
+
+    check()
+    assert zero_diagonal == {1, 2, 3}
+
+
+class _CountedRow(dict):
+    """A row of the elimination that counts, in ``touched[0]``, the entries
+    read, written or probed through it."""
+
+    def __init__(self, entries, touched):
+        super().__init__(entries)
+        self.touched = touched
+
+    def get(self, key, default=None):
+        self.touched[0] += 1
+        return super().get(key, default)
+
+    def pop(self, key, *default):
+        self.touched[0] += 1
+        return super().pop(key, *default)
+
+    def __getitem__(self, key):
+        self.touched[0] += 1
+        return super().__getitem__(key)
+
+    def __setitem__(self, key, value):
+        self.touched[0] += 1
+        super().__setitem__(key, value)
+
+    def __contains__(self, key):
+        self.touched[0] += 1
+        return super().__contains__(key)
+
+    def items(self):
+        items = list(super().items())
+        self.touched[0] += len(items)
+        return items
+
+
+def _clique(c):
+    return [[int(i != j) for j in range(c)] for i in range(c)]
+
+
+@pytest.mark.parametrize("c", [50, 100, 200])
+@pytest.mark.parametrize("z", [1, 3])
+def test_clique_check_touches_linearly_many_entries(c, z, monkeypatch):
+    # each class member's difference row reaches only the class's last row,
+    # in one column, so a point costs O(c) entries; the dense elimination
+    # of the same matrix touches c^2 / 2
+    original = spectra._bareiss
+    touched = []
+
+    def counted(rows, index):
+        count = [0]
+        det = original([_CountedRow(row, count) for row in rows], index)
+        touched.append(count[0])
+        return det
+
+    monkeypatch.setattr(spectra, "_bareiss", counted)
+    analysis = is_integral(raw_graph(c, [(u, v) for u in range(c) for v in range(u)]), z)
+    assert analysis.spectrum.pairs == ((c * z - 1, 1), (-1, c * z - 1))
+    assert len(touched) == 3
+    assert c <= min(touched) and max(touched) <= 8 * c
+
+
+@pytest.mark.parametrize("z", [1, 3])
+def test_wrong_polynomial_fails_the_clique_check_under_any_class_map(z):
+    rng = random.Random(26)
+    c = 50
+    key = _clique(c)
+    true = CharPoly((1 - c * z, 1))
+    wrong = CharPoly((2 - c * z, 1))
+    for _ in range(10):
+        labels = [rng.randint(0, 3) for _ in key]
+        spectra._spot_check(true, key, labels, z)
+        with pytest.raises(SpectralCheckError):
+            spectra._spot_check(wrong, key, labels, z)
