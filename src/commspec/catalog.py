@@ -35,7 +35,8 @@ from .groups import FiniteGroup, _group, _Mul, is_prime
 class FamilySpec:
     """Parameters of a group family, checked against its table entry.
 
-    Only ``product`` holds ``factors``, and it holds no ``params``.
+    Only ``product`` holds ``factors``, and it holds no ``params``.  Each
+    parameter must be of type int itself, and each factor a ``FamilySpec``.
     """
 
     kind: str
@@ -46,6 +47,9 @@ class FamilySpec:
         if self.kind == "product":
             if self.params:
                 raise ParseError("product takes factors, not parameters")
+            for factor in self.factors:
+                if not isinstance(factor, FamilySpec):
+                    raise ParseError(f"product factor {factor!r} is not a FamilySpec")
             if len(self.factors) < 2:
                 raise ParameterOutOfRange("product needs at least two factors")
             return
@@ -53,7 +57,15 @@ class FamilySpec:
             raise ParseError(f"unknown family {self.kind!r}")
         if self.factors:
             raise ParseError(f"{self.kind} takes parameters, not factors")
-        for param, value in zip(_params(self.kind, len(self.params)), self.params):
+        params = _params(self.kind, len(self.params))
+        # of type int itself, as ``groups._check_entries`` requires of a table
+        # entry: a bool would be labelled "True", and a float fails in the build
+        for value in self.params:
+            if type(value) is not int:
+                raise ParameterOutOfRange(
+                    f"{self.kind} needs int parameters, got {value!r}"
+                )
+        for param, value in zip(params, self.params):
             param.check(self.kind, value)
 
     @staticmethod

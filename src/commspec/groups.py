@@ -590,39 +590,34 @@ def _max_clique(adj: list[int], cand: int, cap: int) -> list[int]:
     return best
 
 
-# Miller-Rabin with the first 12 primes as bases is exact below _MR_BOUND, the
-# least strong pseudoprime to all of them (Sorenson and Webster, 2015).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_BOUND = 318665857834031151167461
+# Primes are decided by trial division below _PRIME_BOUND: every composite
+# there has a factor below 2**16, so ``is_prime`` makes at most 2**16 - 1
+# divisions.  A prime parameter at or above it would name a group of at
+# least 2**64 elements, which no command can build.
+_PRIME_BOUND = 2**32
+
+
+def _least_factor(n: int, limit: int) -> int:
+    """The least d in 2..limit that divides n, or n if none does."""
+    for d in range(2, limit + 1):
+        if n % d == 0:
+            return d
+    return n
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality: division by the 12 bases, then Miller-Rabin on them.
+    """Exact primality by trial division below ``_PRIME_BOUND`` (2**32).
 
-    An n at or above ``_MR_BOUND`` (about 3.2 * 10**23) that no base divides
-    raises ``ParameterOutOfRange`` rather than risk a strong pseudoprime.
+    Every n is divided by each d in 2..isqrt(min(n, 2**32 - 1)), at most
+    2**16 - 1 divisions.  Below the bound that decides n exactly.  At or
+    above it, an n with a factor below 2**16 is not prime, and any other n
+    raises ``ParameterOutOfRange``: a family with such a prime parameter has
+    at least 2**64 elements.
     """
-    if n < 2:
+    if n < 2 or _least_factor(n, isqrt(min(n, _PRIME_BOUND - 1))) < n:
         return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    if n >= _MR_BOUND:
-        raise ParameterOutOfRange(f"primes are tested only below {_MR_BOUND}, got {n}")
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+    if n >= _PRIME_BOUND:
+        raise ParameterOutOfRange(f"primes are tested only below 2**32, got {n}")
     return True
 
 
@@ -630,17 +625,12 @@ def prime_power(n: int) -> tuple[int, int] | None:
     """Return (p, k) with n = p**k and p prime, or None."""
     if n < 2:
         return None
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            k = 0
-            m = n
-            while m % p == 0:
-                m //= p
-                k += 1
-            return (p, k) if m == 1 else None
-        p += 1
-    return (n, 1)
+    p = _least_factor(n, isqrt(n))
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return (p, k) if n == 1 else None
 
 
 # Cayley-table text format: line 1 holds n, the next n lines hold n

@@ -22,7 +22,6 @@ from commspec.errors import (
 )
 from commspec.graphs import build_commuting_graph
 from commspec.groups import (
-    _MR_BOUND,
     _group,
     Recognition,
     center,
@@ -219,18 +218,21 @@ def test_direct_construction_checks_kind_and_arity(args, message):
 @pytest.mark.parametrize("factory", [FamilySpec.heis, FamilySpec.expp2, FamilySpec.zpzp])
 def test_prime_parameters(factory):
     # 561 is a Carmichael number, 3215031751 a strong pseudoprime to the
-    # bases 2, 3, 5 and 7, and 10**30 is decided by its factor 2 above the
-    # Miller-Rabin bound
-    for value in (4, 1, 0, -3, 561, 3215031751, (2**31 - 1) ** 2, 10**30):
+    # bases 2, 3, 5 and 7, and 10**30 is decided by its factor 2 past the
+    # trial-division bound 2**32
+    for value in (4, 1, 0, -3, 561, 3215031751, 10**30):
         with pytest.raises(NotPrimeError):
             factory(value)
     with pytest.raises(NotPrimeError):
         FamilySpec(factory.__name__, (4,))
-    # no factor among the bases, so primality is not decided at the bound
-    with pytest.raises(ParameterOutOfRange):
-        factory(_MR_BOUND)
-    # a 17-digit prime is accepted without building anything
-    assert factory(10**16 + 61).params == (10**16 + 61,)
+    # past the bound with no factor below 2**16, so primality is not decided:
+    # the square of a prime and a 17-digit prime
+    for value in ((2**31 - 1) ** 2, 10**16 + 61):
+        with pytest.raises(ParameterOutOfRange) as info:
+            factory(value)
+        assert str(info.value) == f"primes are tested only below 2**32, got {value}"
+    # the largest prime below the bound is accepted without building anything
+    assert factory(4294967291).params == (4294967291,)
 
 
 def _lowest(kind, above=()):
@@ -264,9 +266,51 @@ def test_closed_forms_hold_at_their_lowest_parameters(kind):
     assert predict_family(spec).spectrum.pairs == brute.pairs
 
 
+class _Three(enum.IntEnum):
+    THREE = 3
+
+
 def test_product_needs_two_factors():
     with pytest.raises(ParameterOutOfRange):
         FamilySpec.product(FamilySpec.dihedral(3))
+
+
+@pytest.mark.parametrize(
+    "factory, args, message",
+    [
+        # unchecked, a float would be labelled "dihedral:3.0" and fail in the
+        # build
+        (FamilySpec.dihedral, (3.0,), "dihedral needs int parameters, got 3.0"),
+        # unchecked, a bool would build Z1 labelled "zTrue"
+        (FamilySpec.cyclic, (True,), "cyclic needs int parameters, got True"),
+        # the type is checked before primality
+        (FamilySpec.heis, (3.0,), "heis needs int parameters, got 3.0"),
+        (FamilySpec.zpzp, ("5",), "zpzp needs int parameters, got '5'"),
+        (
+            FamilySpec.u6n,
+            (_Three.THREE,),
+            "u6n needs int parameters, got <_Three.THREE: 3>",
+        ),
+        # before any range check: m = 1 is out of range too
+        (FamilySpec.metacyclic, (1, 2.0), "metacyclic needs int parameters, got 2.0"),
+        (FamilySpec, ("dicyclic", (None,)), "dicyclic needs int parameters, got None"),
+    ],
+)
+def test_parameters_must_be_exact_ints(factory, args, message):
+    with pytest.raises(ParameterOutOfRange) as info:
+        factory(*args)
+    assert str(info.value) == message
+
+
+def test_product_factors_must_be_specs():
+    # unchecked, the factor would fail later, in label()
+    with pytest.raises(ParseError) as info:
+        FamilySpec.product("dihedral:3", FamilySpec.cyclic(2))
+    assert str(info.value) == "product factor 'dihedral:3' is not a FamilySpec"
+    # before the count of factors is checked
+    with pytest.raises(ParseError):
+        FamilySpec.product(3)
+
 
 
 def test_catalog_contents():
@@ -525,10 +569,6 @@ def _cyclic_4_except(bad, value):
 
 def _klein_except(bad, value):
     return lambda x, y: value if (x, y) == bad else x ^ y
-
-
-class _Three(enum.IntEnum):
-    THREE = 3
 
 
 @pytest.mark.parametrize(

@@ -285,6 +285,30 @@ def test_suite_reports_a_missing_extra_file_and_keeps_the_rest(tmp_path, capsys)
         assert main([verb, f"file:{missing}"]) == 2
 
 
+def test_suite_json_reports_a_bad_extra_as_an_error_entry(capsys):
+    argv = ["suite", "--only", "dihedral:3", "--format", "json"]
+    argv += ["--extra", "dihedral:1", "--extra", "heis:4294967311"]
+    code = main(argv)
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    first, *errors = payload["results"]
+    assert first["group"] == "D6" and first["pass"] is True
+    assert errors == [
+        {"group": "dihedral:1", "pass": False, "error": "dihedral needs m >= 2, got 1"},
+        {
+            "group": "heis:4294967311",
+            "pass": False,
+            "error": "primes are tested only below 2**32, got 4294967311",
+        },
+    ]
+    assert (payload["passed"], payload["failed"]) == (1, 2)
+
+
+def test_verify_file_needs_a_path(capsys):
+    assert main(["verify", "file:"]) == 2
+    assert capsys.readouterr().err == "error: file: needs a path\n"
+
+
 def test_suite_json(capsys):
     code = main(["suite", "--only", "u6n", "--format", "json"])
     out = capsys.readouterr().out

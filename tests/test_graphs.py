@@ -7,6 +7,7 @@ from commspec.errors import AbelianGroupError
 from commspec.graphs import (
     build_commuting_graph,
     connected_components,
+    coset_graph,
     export_dot,
     graph_json,
 )
@@ -69,6 +70,13 @@ def test_q8_graph(q8):
 def test_abelian_group_rejected():
     with pytest.raises(AbelianGroupError):
         build_commuting_graph(build(FamilySpec.cyclic(6)))
+
+
+def test_coset_graph_rejects_abelian():
+    # one coset, the center: there is no non-central coset to be a vertex
+    with pytest.raises(AbelianGroupError) as info:
+        coset_graph(build(FamilySpec.cyclic(6)))
+    assert str(info.value) == "commuting graph is undefined for abelian groups"
 
 
 def test_heis3_graph_is_four_cliques_of_six(heis3):

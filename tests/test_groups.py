@@ -13,6 +13,7 @@ from commspec.errors import (
     AbelianGroupError,
     AxiomViolation,
     IndexOutOfRange,
+    ParameterOutOfRange,
     ParseError,
 )
 from commspec.graphs import build_commuting_graph, coset_graph
@@ -265,6 +266,14 @@ def test_duplicate_names_are_rejected(names, message):
     with pytest.raises(ParseError) as info:
         from_cayley_table(table, names)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("count", [5, 7, 0])
+def test_a_name_per_element_is_required(count):
+    table = build(parse_family("dihedral:3")).table
+    with pytest.raises(IndexOutOfRange) as info:
+        from_cayley_table(table, [f"x{i}" for i in range(count)])
+    assert str(info.value) == f"{count} names for 6 elements"
 
 
 def test_center_of_abelian_group_is_everything():
@@ -658,6 +667,64 @@ def test_primality_helpers():
     assert prime_power(12) is None
     assert prime_power(1) is None
     assert prime_power(7) == (7, 1)
+
+
+def test_is_prime_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    below = range(10**5)
+    assert list(map(is_prime, below)) == list(map(sympy.isprime, below))
+    # a Carmichael number, a strong pseudoprime to the bases 2, 3, 5 and 7,
+    # the largest square of a prime and the largest prime below 2**32, and
+    # 2**32 + 1 = 641 * 6700417, decided past the bound by its factor 641
+    for n in (561, 3215031751, 65521**2, 4294967291, 2**32 + 1):
+        assert is_prime(n) == sympy.isprime(n), n
+    assert is_prime(4294967291)
+    assert not is_prime(2**32 + 1)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        4294967311,  # the least prime past 2**32
+        2**61 - 1,
+        (2**31 - 1) ** 2,
+        318665857834031151167461,  # a strong pseudoprime to the first 12 primes
+    ],
+)
+def test_is_prime_refuses_what_it_cannot_decide(n):
+    # past 2**32, with no factor below 2**16
+    with pytest.raises(ParameterOutOfRange) as info:
+        is_prime(n)
+    assert str(info.value) == f"primes are tested only below 2**32, got {n}"
+
+
+def test_is_prime_divides_only_below_2_16(monkeypatch):
+    limits = []
+    least_factor = groups._least_factor
+
+    def spy(n, limit):
+        limits.append(limit)
+        return least_factor(n, limit)
+
+    monkeypatch.setattr(groups, "_least_factor", spy)
+    cases = [2, 3, 4, 65521**2, 4294967291, 2**32, 2**32 + 1, 4294967311]
+    cases += [2**61 - 1, 10**30, 10**30 + 57, 318665857834031151167461]
+    for n in cases:
+        try:
+            is_prime(n)
+        except ParameterOutOfRange:
+            pass
+    assert len(limits) == len(cases)
+    assert all(limit < 2**16 for limit in limits)
+    assert max(limits) == 2**16 - 1
+
+
+def test_prime_power_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in range(-2, 10**4):
+        factors = sympy.factorint(n) if n >= 2 else {}
+        expected = next(iter(factors.items())) if len(factors) == 1 else None
+        assert prime_power(n) == expected, n
 
 
 def test_cayley_text_round_trip(d6):

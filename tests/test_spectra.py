@@ -13,7 +13,7 @@ from commspec.errors import (
     SpectralCheckError,
 )
 from commspec.graphs import build_commuting_graph, connected_components, coset_graph
-from commspec.groups import _MR_BOUND, from_cayley_table, is_prime
+from commspec.groups import from_cayley_table
 from commspec.predictions import verify_group
 from commspec.spectra import (
     CharPoly,
@@ -68,6 +68,19 @@ def test_char_poly_rejects_floats():
 def test_exact_determinant_rejects_floats():
     with pytest.raises(TypeError):
         exact_determinant([[1, 0], [0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[1, 0], [0]], "row 1 has 1 entries, expected 2"),
+        ([[1, 0, 0], [0, 1, 0]], "row 0 has 3 entries, expected 2"),
+    ],
+)
+def test_exact_determinant_rejects_a_ragged_matrix(matrix, message):
+    with pytest.raises(NotSymmetricError) as info:
+        exact_determinant(matrix)
+    assert str(info.value) == message
 
 
 def _laplace_det(matrix):
@@ -501,23 +514,6 @@ def _is_prime_by_trial_division(n):
             return False
         d += 1
     return True
-
-
-def test_miller_rabin_agrees_with_trial_division():
-    assert [n for n in range(3000) if is_prime(n)] == [
-        n for n in range(3000) if _is_prime_by_trial_division(n)
-    ]
-    assert is_prime(2**61 - 1)
-    assert is_prime(2**62 - 57)
-    # a strong pseudoprime to the bases 2, 3, 5 and 7, a Carmichael number
-    # and the square of a prime
-    assert not is_prime(3215031751)
-    assert not is_prime(561)
-    assert not is_prime((2**31 - 1) ** 2)
-    # the least strong pseudoprime to all 12 bases is past the exact range
-    with pytest.raises(ParameterOutOfRange):
-        is_prime(_MR_BOUND)
-    assert not is_prime(_MR_BOUND + 1)  # even
 
 
 @pytest.mark.parametrize("degree, even", [(4, False), (5, True)])
