@@ -2,43 +2,47 @@
 
 Everything here runs on arbitrary-precision integers; no floating point is
 involved anywhere, so an "integral" verdict is a certificate rather than an
-estimate.  A graph's spectrum is analysed one connected component at a
-time: det(xI - A) is the product of the blocks' polynomials, so the
-spectrum is the union of the blocks' spectra, and each distinct block is
-computed, spot-checked and searched for integer roots once.  Each vertex
-of the graph that is read may stand for z true twins.  A commuting graph is
-read on the non-central cosets of its center Z, with z = |Z|, because the
-members of a coset are true twins (``graphs.coset_graph``); its element
-graph is never built for the verdict.  So a block C of c vertices stands
-for a block A of k = c z vertices.  A's true twins (equal rows of A + I; in
-a commuting graph, elements with the same centralizer) are merged first:
-with r classes of sizes s_i, det(xI - A) = (x + 1)^(k - r) det(xI - Q) for
-the r x r matrix Q = B' diag(s) - I, whose absolute row sums are those of
-A, and Q is read off C (proof, with the coset identity, in
-``_block_factor``), so a clique becomes one row.  Q's eigenvalues are
-real, so its coefficients' absolute values sum to at most (S + 1)^r, with
-r S^2 >= tr(Q^2) (Maclaurin's inequality; proof in ``_block_factor``).  Q
-is reduced to upper Hessenberg form in one pass modulo M, the least power
-of the Mersenne prime 2^61 - 1 that exceeds twice that bound, and the
-symmetric residues are the integer coefficients (Cohen, "A Course in
-Computational Algebraic Number Theory", the Hessenberg method; Dumas,
-Pernet and Wan, "Efficient computation of the characteristic polynomial",
-ISSAC 2005).  If no entry of some pivot column is a unit modulo M, the
-same pass runs again modulo the next larger odd number that passes
-Fermat's test to base 2, until one does not stall; a prime modulus never
-does.  The pass's row and column operations touch only the nonzero
-entries of the pivot row and of the target columns.  The polynomial is
-then spot-checked against an independent fraction-free Bareiss
-determinant at t in {0, 1, 2} of the c x c matrix W = z(C + I) - I, which
-is C when z = 1, its vertices put in ascending order of their nonzero
-counts when the block is not complete, so that the sparsest rows are
-eliminated first.  Each row of tI - W first has the row of the next
-member of its twin class subtracted, when the two are true twins: a unit
-upper-triangular change that keeps the determinant whatever the classes
-are, so the check does not rely on the quotient, and that turns each such
-row into (t + 1)(e_i - e_j).  So t = -1 would check nothing on a block
-with twins: both sides are 0 there.  The last member of each class keeps
-its row and is eliminated after the others, so a clique costs O(c)
+estimate.  One kernel, ``_block_factor``, takes a symmetric integer matrix
+to the proved and spot-checked polynomial of its twin quotient.
+``is_integral`` reads a graph one connected block at a time: det(xI - A)
+is the product of the blocks' polynomials, so the spectrum is the union of
+the blocks' spectra, and each distinct block goes through the kernel and
+is searched for integer roots once.  ``char_poly`` sends its whole matrix
+through the kernel in one call.  Each vertex of the graph that is read may
+stand for z true twins.  A commuting graph is read on the non-central
+cosets of its center Z, with z = |Z|, because the members of a coset are
+true twins (``graphs.coset_graph``); its element graph is never built for
+the verdict.  So a block C of c vertices stands for a block A of k = c z
+vertices.  A's true twins (equal rows of A + I; in a commuting graph,
+elements with the same centralizer) are merged first: with r classes of
+sizes s_i, det(xI - A) = (x + 1)^(k - r) det(xI - Q) for the r x r matrix
+Q = B' diag(s) - I, whose absolute row sums are those of A, and Q is read
+off C (proof, with the coset identity, in ``_block_factor``), so a clique
+becomes one row.  The classes are lists of C's row indices, each in
+ascending order and the lists in order of their first member.  Q's
+eigenvalues are real, so its coefficients' absolute values sum to at most
+(S + 1)^r, with r S^2 >= tr(Q^2) (Maclaurin's inequality; proof in
+``_block_factor``).  Q is reduced to upper Hessenberg form in one pass
+modulo M, the least power of the Mersenne prime 2^61 - 1 that exceeds
+twice that bound, and the symmetric residues are the integer coefficients
+(Cohen, "A Course in Computational Algebraic Number Theory", the
+Hessenberg method; Dumas, Pernet and Wan, "Efficient computation of the
+characteristic polynomial", ISSAC 2005).  If no entry of some pivot column
+is a unit modulo M, the same pass runs again modulo the next larger odd
+number that passes Fermat's test to base 2, until one does not stall; a
+prime modulus never does.  The pass's row and column operations touch
+only the nonzero entries of the pivot row and of the target columns.  The
+polynomial is then spot-checked against an independent fraction-free
+Bareiss determinant at t in {0, 1, 2} of the c x c matrix W = z(C + I) -
+I, which is C when z = 1, its vertices put in ascending order of their
+nonzero counts when C has more than one twin class, so that the sparsest
+rows are eliminated first.  Each row of tI - W first has the row of the
+next member of its twin class subtracted, when the two are true twins: a
+unit upper-triangular change that keeps the determinant whatever the
+classes are, so the check does not rely on the quotient, and that turns
+each such row into (t + 1)(e_i - e_j).  So t = -1 would check nothing on a
+block with twins: both sides are 0 there.  The last member of each class
+keeps its row and is eliminated after the others, so a clique costs O(c)
 updates per point, not O(c^2).  The elimination keeps each row as its
 nonzero entries and updates only the columns where the pivot row is
 nonzero, since a step only rescales every other entry by a ratio of
@@ -49,20 +53,17 @@ divisors of the lowest nonzero coefficient, bounded by Q's largest row
 sum, a degree of A.  Each distinct block is kept as a record (``Block``):
 its size k, the number of blocks that share its submatrix, its number r of
 twin classes and det(xI - Q).  A block is complete exactly when r = 1, so
-the records are also the graph's component structure.  The whole graph's
-polynomial is multiplied out from them only when it is read, with (x + 1)
-raised once to the total number of merged twins.
+the records are also the graph's component structure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import compress
 from math import comb, gcd, isqrt
 from operator import index as _exact_int
 from operator import itemgetter, mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     NonzeroDiagonalError,
@@ -76,11 +77,18 @@ from .graphs import CommutingGraph, connected_components
 
 @dataclass(frozen=True)
 class CharPoly:
-    """Monic integer polynomial det(xI - A), constant coefficient first."""
+    """Monic integer polynomial det(xI - A), constant coefficient first.
+
+    Every coefficient must have type int itself, so a float or a bool
+    raises ``TypeError`` and the arithmetic on the coefficients stays exact.
+    """
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
+        for c in self.coeffs:
+            if type(c) is not int:
+                raise TypeError(f"coefficients must be of type int, got {c!r}")
         if not self.coeffs:
             raise NotMonicError("a polynomial needs at least one coefficient")
         if self.coeffs[-1] != 1:
@@ -147,10 +155,9 @@ class Block:
 class SpectralAnalysis:
     """Outcome of the exact integrality decision for one graph.
 
-    ``blocks`` holds one record per distinct connected block.
-    ``char_poly``, the product of the blocks' polynomials, is multiplied
-    out on first read.  Equality leaves the records out: the spectrum and
-    the remainder already determine the product.
+    ``blocks`` holds one record per distinct connected block.  Equality
+    leaves the records out: the spectrum and the remainder already
+    determine the graph's polynomial.
     """
 
     spectrum: Spectrum
@@ -161,10 +168,6 @@ class SpectralAnalysis:
     def integral(self) -> bool:
         """Whether every eigenvalue is an integer: the spectrum is complete."""
         return self.spectrum.complete
-
-    @cached_property
-    def char_poly(self) -> CharPoly:
-        return _blocks_product(self.blocks)
 
     @property
     def component_sizes(self) -> tuple[int, ...]:
@@ -186,11 +189,14 @@ class SpectralAnalysis:
 def char_poly(matrix: Sequence[Sequence[int]]) -> CharPoly:
     """Exact characteristic polynomial det(xI - A) of a symmetric matrix.
 
-    The matrix is split into the connected blocks of its support, and each
-    distinct block is computed through its twin quotient and spot-checked
-    once (``_block_factor``).  The block polynomials are then multiplied
-    together, one factor per block (``_blocks_product``).  A failed check
-    raises :class:`SpectralCheckError`.
+    After its checks, the whole matrix goes through ``_block_factor`` in one
+    call, which gives det(xI - Q) for its twin quotient Q of r rows, and
+    that is multiplied by (x + 1)^(n - r), expanded by the binomial
+    theorem.  A disconnected matrix needs no splitting: vertices i and j in
+    different components are never true twins, since row i of A + I holds
+    1 in column i and row j holds A_ji = 0 there, and each step of the
+    kernel holds for any symmetric matrix.  A failed check raises
+    :class:`SpectralCheckError`.
     """
     # operator.index rejects floats, keeping the arithmetic exact
     a = [[_exact_int(v) for v in row] for row in matrix]
@@ -204,49 +210,25 @@ def char_poly(matrix: Sequence[Sequence[int]]) -> CharPoly:
         for j in range(i + 1, n):
             if a[i][j] != a[j][i]:
                 raise NotSymmetricError(f"entries ({i},{j}) and ({j},{i}) differ")
-
-    masks = tuple(sum(1 << j for j, v in enumerate(row) if v) for row in a)
-    support = CommutingGraph(tuple(range(n)), masks)
-    blocks = _distinct_blocks(
-        support, lambda block: (tuple(a[i][j] for j in block) for i in block)
-    )
-    return _blocks_product(
-        [Block(len(key), count, _block_factor(key)[0]) for key, count in blocks.items()]
-    )
-
-
-def _distinct_blocks(
-    graph: CommutingGraph,
-    rows: Callable[[tuple[int, ...]], Iterable[Sequence[int]]],
-) -> dict[tuple[Sequence[int], ...], int]:
-    """Each connected block's submatrix, with the number of blocks that have it.
-
-    ``rows(block)`` yields the block's rows of the matrix restricted to the
-    block's columns, as tuples or bytes of the entries.  Blocks are keyed by
-    their exact submatrix, rows and columns in the block's sorted vertex
-    order.  det(xI - B) is a function of B's entries, so two blocks with
-    equal keys are the same matrix and share the coefficients that were
-    proved and checked for it; a key never merges two different matrices.
-    Isomorphic blocks whose vertex orders give different submatrices get
-    different keys and are computed separately.  The keys live only for the
-    caller's call.
-    """
-    counts: dict[tuple[Sequence[int], ...], int] = {}
-    for block in connected_components(graph):
-        key = tuple(rows(block))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    if not a:
+        return CharPoly((1,))
+    quotient = _block_factor(a)[0]
+    twins = n - quotient.degree
+    binomials = [comb(twins, i) for i in range(twins + 1)]
+    return CharPoly(tuple(_poly_mul(quotient.coeffs, binomials)))
 
 
 def _block_factor(
     key: Sequence[Sequence[int]], z: int = 1
 ) -> tuple[CharPoly, int]:
-    """det(xI - Q) for the twin quotient Q of one block, and a root bound.
+    """det(xI - Q) for the twin quotient Q of A, and a root bound.
 
-    The block is A = (C + I) (x) J_z - I: each of the c vertices of C, any
-    symmetric integer matrix with a zero diagonal given by its rows, stands
-    for z true twins (J_z is the z x z all-ones matrix).  With z = 1, A is
-    C.  In a commuting graph, C is the graph on the non-central cosets of
+    ``key`` gives the rows of C, any symmetric integer matrix with a zero
+    diagonal: ``is_integral`` passes one connected block, ``char_poly`` a
+    whole matrix, and no step below needs C to be connected.  The matrix
+    read is A = (C + I) (x) J_z - I: each of the c vertices of C stands for
+    z true twins (J_z is the z x z all-ones matrix).  With z = 1, A is C.
+    In a commuting graph, C is the graph on the non-central cosets of
     the center Z and z = |Z|: the members of a coset commute with each
     other and with exactly the members of the cosets their coset commutes
     with, so their rows of A + I are (C + I) (x) J_z.
@@ -288,21 +270,22 @@ def _block_factor(
     Vertex order: when r > 1, C's rows and columns are first permuted alike
     by ascending number of nonzero entries in a row, a stable sort that
     keeps ties in the key's order, and the twin classes are found again on
-    the permuted block.  P C P^T is similar to C, so Q's polynomial, R and
+    the permuted matrix.  P C P^T is similar to C, so Q's polynomial, R and
     the check's determinants are unchanged, while the elimination in
     ``_spot_check``, which updates only the rows with a nonzero entry in the
     pivot column, takes the sparsest pivots first (a static form of
     Markowitz's rule).  A complete block, r = 1, is the same matrix in any
-    order and keeps the key's.
+    order and keeps the key's.  The classes (``_twin_classes``) reach the
+    quotient and the check as lists of row indices of the matrix read.
     """
-    labels = _twin_classes(key)
-    if max(labels):
+    classes = _twin_classes(key)
+    if len(classes) > 1:
         zeros = [row.count(0) for row in key]
         order = sorted(range(len(key)), key=zeros.__getitem__, reverse=True)
         pick = itemgetter(*order)
         key = [pick(key[i]) for i in order]
-        labels = _twin_classes(key)
-    quotient = _twin_quotient(key, labels, z)
+        classes = _twin_classes(key)
+    quotient = _twin_quotient(key, classes, z)
     r = len(quotient)
     trace = sum(
         x * y for row, col in zip(quotient, zip(*quotient)) for x, y in zip(row, col)
@@ -311,7 +294,7 @@ def _block_factor(
     if s * s * r < trace:
         s += 1
     reduced = CharPoly(tuple(_modular_char_poly(quotient, (s + 1) ** r)))
-    _spot_check(reduced, key, labels, z)
+    _spot_check(reduced, key, classes, z)
     return reduced, max(sum(map(abs, row)) for row in quotient)
 
 
@@ -453,41 +436,38 @@ def _hessenberg_block_mod(
     return [column[-1] for column in columns]
 
 
-def _twin_classes(a: Sequence[Sequence[int]]) -> list[int]:
-    """Each row's class, numbered by first appearance.
+def _twin_classes(a: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The twin classes of the rows of ``a``, as lists of row indices.
 
     Rows i and j share a class when rows i and j of A + I are equal.  On an
     adjacency matrix those rows are closed neighbourhoods, so the classes
-    are the true twins.
+    are the true twins.  Members ascend, and the classes come in order of
+    their first members.
     """
-    first: dict[tuple[int, ...], int] = {}
-    return [
-        first.setdefault((*row[:i], row[i] + 1, *row[i + 1 :]), len(first))
-        for i, row in enumerate(a)
-    ]
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for i, row in enumerate(a):
+        classes.setdefault((*row[:i], row[i] + 1, *row[i + 1 :]), []).append(i)
+    return list(classes.values())
 
 
 def _twin_quotient(
-    a: Sequence[Sequence[int]], labels: Sequence[int], z: int
+    a: Sequence[Sequence[int]], classes: Sequence[Sequence[int]], z: int
 ) -> list[list[int]]:
-    """Q = z B'·diag(s) - I over C's twin classes ``labels``, C = ``a``
-    (see ``_block_factor``): a class of s vertices holds z s elements."""
-    first: dict[int, int] = {}
-    sizes: list[int] = []
-    for i, c in enumerate(labels):
-        if first.setdefault(c, i) == i:
-            sizes.append(0)
-        sizes[c] += z
+    """Q = z B'·diag(s) - I over C's twin ``classes``, C = ``a`` (see
+    ``_block_factor``): B' is read on each class's first member, and a class
+    of s vertices holds z s elements."""
+    firsts = [members[0] for members in classes]
+    sizes = [z * len(members) for members in classes]
     return [
-        [(a[i][j] + (i == j)) * s - (i == j) for j, s in zip(first.values(), sizes)]
-        for i in first.values()
+        [(a[i][j] + (i == j)) * s - (i == j) for j, s in zip(firsts, sizes)]
+        for i in firsts
     ]
 
 
 def _spot_check(
     quotient: CharPoly,
     a: Sequence[Sequence[int]],
-    labels: Sequence[int],
+    classes: Sequence[Sequence[int]],
     z: int = 1,
 ) -> None:
     """Check (t + 1)^(c - r) q(t) = det(tI - W) at t in {0, 1, 2} by
@@ -495,19 +475,20 @@ def _spot_check(
     q = ``quotient`` of degree r (see ``_block_factor``; with z = 1, W is C
     itself).
 
-    Before each determinant, each row i of tI - W has the row of j, the
-    next member of its class in ``labels`` (the twin classes), subtracted
-    when rows i and j of C + I are equal (``_true_twins``), both taken from
-    tI - W; any other row is kept.  That is a product by a unit
-    upper-triangular matrix, so the determinant is the same whatever the
-    labels are: wrong classes cannot hide a wrong polynomial, and the check
-    stays independent of the twin quotient.  The difference row is then
-    (t + 1)(e_i - e_j), the pivot row of step i, which reaches only the
-    rows with an entry in column i.  The last member of a class keeps its
-    row of tI - W and is eliminated after the others, so a clique of c
-    vertices costs O(c) updates per point.  At t = -1 the difference rows
-    vanish and so does (t + 1)^(c - r) whenever c > r, so -1 is not a
-    point.
+    ``classes`` is any partition of the rows into lists of ascending row
+    indices; ``_block_factor`` passes the twin classes.  Before each
+    determinant, each row i of tI - W has the row of j, the next member of
+    its list, subtracted when rows i and j of C + I are equal
+    (``_true_twins``), both taken from tI - W; any other row is kept.  Since
+    j > i, that is a product by a unit upper-triangular matrix, so the
+    determinant is the same whatever the partition is: wrong classes cannot
+    hide a wrong polynomial, and the check stays independent of the twin
+    quotient.  The difference row is then (t + 1)(e_i - e_j), the pivot row
+    of step i, which reaches only the rows with an entry in column i.  The
+    last member of a class keeps its row of tI - W and is eliminated after
+    the others, so a clique of c vertices costs O(c) updates per point.  At
+    t = -1 the difference rows vanish and so does (t + 1)^(c - r) whenever
+    c > r, so -1 is not a point.
 
     Off the diagonal, tI - W is -W, so the rows of -zC and the difference
     rows z(e_i - e_j) are built once, as their nonzero entries, and each
@@ -517,11 +498,9 @@ def _spot_check(
     n = len(a)
     twins = n - quotient.degree
     successor = [-1] * n
-    last: dict[int, int] = {}
-    for i in range(n - 1, -1, -1):
-        label = labels[i]
-        successor[i] = last.get(label, -1)
-        last[label] = i
+    for members in classes:
+        for i, j in zip(members, members[1:]):
+            successor[i] = j
     columns = range(n)
     base = []
     for i, s in enumerate(successor):
@@ -758,24 +737,36 @@ def is_integral(graph: CommutingGraph, z: int = 1) -> SpectralAnalysis:
     polynomial with every integer root divided out.  Each distinct block's
     record (``Block``), sized in element vertices, is kept in the result's
     ``blocks``.  A z below 1 raises :class:`ParameterOutOfRange`, and a z
-    that is not an integer, a float included, raises ``TypeError``.
+    whose type is not int itself, a float or a bool included, raises
+    ``TypeError``.
     """
-    if _exact_int(z) < 1:
+    if type(z) is not int:
+        raise TypeError(f"z must be of type int, got {z!r}")
+    if z < 1:
         raise ParameterOutOfRange(f"each vertex stands for z >= 1 twins, got {z}")
     adjacency = graph.adjacency
-    blocks = _distinct_blocks(graph, lambda block: _bit_rows(adjacency, block))
+    # Each block is keyed by its exact submatrix, rows and columns in the
+    # block's sorted vertex order.  det(xI - B) is a function of B's entries,
+    # so blocks with equal keys are the same matrix and share the
+    # coefficients proved and checked for it; a key never merges two
+    # different matrices.  Isomorphic blocks whose vertex orders give
+    # different submatrices get different keys and are computed separately.
+    counts: dict[tuple[bytes, ...], int] = {}
+    for block in connected_components(graph):
+        key = tuple(_bit_rows(adjacency, block))
+        counts[key] = counts.get(key, 0) + 1
     pairs: list[tuple[int, int]] = []
     records = []
-    rests = []
-    for key, count in blocks.items():
+    remainder = [1]
+    for key, count in counts.items():
         quotient, bound = _block_factor(key, z)
         spectrum, rest = integer_spectrum(quotient, bound)
         size = len(key) * z
         pairs.append((-1, (size - quotient.degree) * count))
         pairs.extend((value, mult * count) for value, mult in spectrum.pairs)
-        rests.append((rest.coeffs, count))
+        for _ in range(count):
+            remainder = _poly_mul(remainder, rest.coeffs)
         records.append(Block(size, count, quotient))
-    remainder = _power_product(rests)
     return SpectralAnalysis(
         spectrum=spectrum_from_pairs(pairs, complete=len(remainder) == 1),
         remainder=CharPoly(tuple(remainder)),
@@ -804,28 +795,6 @@ def _bit_rows(adjacency: Sequence[int], block: tuple[int, ...]) -> Iterator[byte
     for i in block:
         digits = format(adjacency[i], f"0{n}b").encode().translate(_BINARY_DIGITS)
         yield bytes(pick(digits))
-
-
-def _blocks_product(blocks: Sequence[Block]) -> CharPoly:
-    """det(xI - A) from the records of A's distinct blocks.
-
-    Each block contributes (x + 1)^(k - r) det(xI - Q), ``count`` times.
-    The powers of x + 1 are pooled and expanded once, by the binomial
-    theorem, and multiplied into the product of the Q polynomials.
-    """
-    twins = sum((b.size - b.classes) * b.count for b in blocks)
-    factors = [(b.quotient.coeffs, b.count) for b in blocks]
-    factors.append(([comb(twins, i) for i in range(twins + 1)], 1))
-    return CharPoly(tuple(_power_product(factors)))
-
-
-def _power_product(factors: Iterable[tuple[Sequence[int], int]]) -> list[int]:
-    """The product of each coefficient list taken ``count`` times, ascending."""
-    product = [1]
-    for coeffs, count in factors:
-        for _ in range(count):
-            product = _poly_mul(product, coeffs)
-    return product
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:

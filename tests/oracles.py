@@ -8,7 +8,7 @@ checks its argument, since a table whose text does not read back would make
 a ``file:`` fixture test something else; the tests pass well-formed input.
 """
 
-from math import gcd
+from math import comb, gcd
 
 from commspec.errors import ParseError
 from commspec.graphs import CommutingGraph
@@ -59,6 +59,16 @@ def poly_product(*polys):
                 out[i + j] += a * b
         coeffs = out
     return CharPoly(tuple(coeffs))
+
+
+def expanded_char_poly(analysis):
+    """The analysed graph's det(xI - A), multiplied out from its block
+    records: each block's (x + 1)^(k - r) det(xI - Q), ``count`` times, with
+    the powers of x + 1 pooled and expanded by the binomial theorem."""
+    twins = sum((b.size - b.classes) * b.count for b in analysis.blocks)
+    quotients = [b.quotient for b in analysis.blocks for _ in range(b.count)]
+    binomials = CharPoly(tuple(comb(twins, i) for i in range(twins + 1)))
+    return poly_product(*quotients, binomials)
 
 
 def coefficient(poly, power):

@@ -24,6 +24,7 @@ from oracles import (
     centralizer,
     clique_union_spectrum,
     coefficient,
+    expanded_char_poly,
     format_cayley_text,
     poly_product,
 )
@@ -112,7 +113,7 @@ def test_clique_union_closed_form_matches_char_poly_route(grid_reports):
 
 def test_char_poly_coefficients(grid_reports):
     for name, _, _, report in grid_reports:
-        poly = report.analysis.char_poly
+        poly = expanded_char_poly(report.analysis)
         n = report.vertex_count
         assert poly.degree == n, name
         assert coefficient(poly, n - 1) == 0, name
@@ -135,13 +136,14 @@ def test_deflation_reconstructs_char_poly(grid_reports):
         for value, mult in report.analysis.spectrum.pairs:
             for _ in range(mult):
                 product = poly_product(product, CharPoly((-value, 1)))
-        assert product.coeffs == report.analysis.char_poly.coeffs, name
+        assert product == expanded_char_poly(report.analysis), name
 
 
 def test_char_poly_evaluation_matches_determinant_on_small_groups(grid_reports):
     for name, _, group, report in grid_reports:
         if group.order > 36:
             continue
+        poly = expanded_char_poly(report.analysis)
         matrix = report.graph.to_matrix()
         n = len(matrix)
         for t in (-2, -1, 0, 1, 2):
@@ -149,9 +151,7 @@ def test_char_poly_evaluation_matches_determinant_on_small_groups(grid_reports):
                 [(t if i == j else 0) - matrix[i][j] for j in range(n)]
                 for i in range(n)
             ]
-            assert report.analysis.char_poly.evaluate(t) == exact_determinant(
-                shifted
-            ), (name, t)
+            assert poly.evaluate(t) == exact_determinant(shifted), (name, t)
 
 
 def test_quotient_recognition_on_known_groups():
@@ -240,7 +240,7 @@ def _relabel(group: FiniteGroup, perm: list[int]) -> FiniteGroup:
 def _label_free_report(group, name, spec):
     report = verify_group(group, name, spec)
     return (
-        report.analysis.char_poly,
+        expanded_char_poly(report.analysis),
         report.analysis.spectrum,
         report.analysis.remainder,
         report.center_size,
@@ -257,7 +257,7 @@ def _label_free_report(group, name, spec):
 def test_relabelling_leaves_the_report_unchanged(grid):
     # Relabelling permutes the commuting graph's vertices, so the connected
     # blocks reach is_integral as different submatrices, get different
-    # per-call block keys and twin labels; S4's non-integral remainder and
+    # per-call block keys and twin classes; S4's non-integral remainder and
     # A5's non-clique blocks cover what the grid's clique unions do not.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

@@ -28,6 +28,7 @@ from oracles import (
     clique_union_spectrum,
     dense_bareiss,
     dense_char_poly_mod,
+    expanded_char_poly,
     poly_product,
     raw_graph,
     row_sum_bound,
@@ -237,6 +238,27 @@ def test_non_monic_rejected():
         CharPoly(())
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [(1.0,), (-4.0, 0.0, 1.0), (-4, 0, 1.0), (0, True), (True,), (Fraction(1),)],
+)
+def test_coefficients_must_be_exact_ints(coeffs):
+    # a float, a bool or a Fraction is not an int itself, whatever it equals
+    with pytest.raises(TypeError):
+        CharPoly(coeffs)
+
+
+def test_integer_spectrum_gets_no_float_polynomial():
+    # x^2 - 4 with float coefficients: the root search used to divide out
+    # 2.0 and -2.0 and return the remainder CharPoly((1.0,))
+    with pytest.raises(TypeError):
+        integer_spectrum(CharPoly((-4.0, 0.0, 1.0)), 2)
+    assert integer_spectrum(CharPoly((-4, 0, 1)), 2) == (
+        spectrum_from_pairs([(2, 1), (-2, 1)]),
+        CharPoly((1,)),
+    )
+
+
 def test_char_poly_multiplication_and_linear_factors():
     poly = poly_product(CharPoly((-2, 1)), CharPoly((1, 1)), CharPoly((1, 1)))
     assert poly.coeffs == char_poly(K3).coeffs
@@ -306,7 +328,7 @@ def test_deflation_reconstructs_char_poly(d12):
     for value, mult in analysis.spectrum.pairs:
         for _ in range(mult):
             product = poly_product(product, CharPoly((-value, 1)))
-    assert product.coeffs == analysis.char_poly.coeffs
+    assert product == expanded_char_poly(analysis) == char_poly(graph.to_matrix())
 
 
 def test_char_poly_handles_disconnected_input():
@@ -352,8 +374,10 @@ def test_is_integral_rejects_a_twin_count_below_one():
     for z in (0, -1):
         with pytest.raises(ParameterOutOfRange):
             is_integral(graph, z)
-    with pytest.raises(TypeError):
-        is_integral(graph, 1.0)
+    # z must have type int itself: True used to run as z = 1
+    for z in (1.0, True, Fraction(2)):
+        with pytest.raises(TypeError):
+            is_integral(graph, z)
 
 
 def test_char_poly_matches_faddeev_leverrier_on_random_matrices():
@@ -450,7 +474,7 @@ def test_pass_stalls_modulo_a_pseudoprime_on_a_column_of_its_factor():
     assert spectra._char_poly_mod(a, 347) == [c % 347 for c in _faddeev_leverrier(a)]
 
 
-def _distinct_blocks(group):
+def _block_keys(group):
     graph = build_commuting_graph(group)
     matrix = graph.to_matrix()
     return {
@@ -465,7 +489,7 @@ def test_retry_after_a_stall_gives_the_same_coefficients(grid, monkeypatch):
         permutation_group(4, False),
         permutation_group(5, True),
     ]:
-        blocks |= _distinct_blocks(group)
+        blocks |= _block_keys(group)
     blocks = [
         ([list(row) for row in key], row_sum_bound(key)) for key in sorted(blocks)
     ]
@@ -496,12 +520,16 @@ def test_retry_after_a_stall_gives_the_same_coefficients(grid, monkeypatch):
     ids=["heis:7", "dihedral:40", "S5"],
 )
 def test_one_modular_pass_per_distinct_block(make_group, distinct, monkeypatch):
-    # S5: a 95-vertex block and six copies of K_4
+    # S5: a 95-vertex block and six copies of K_4; char_poly reduces the
+    # whole matrix's twin quotient in one pass
     group = make_group()
-    assert len(_distinct_blocks(group)) == distinct
+    assert len(_block_keys(group)) == distinct
+    graph = build_commuting_graph(group)
     calls = _spy_char_poly_mod(monkeypatch)
-    char_poly(build_commuting_graph(group).to_matrix())
+    is_integral(graph)
     assert len(calls) == distinct
+    char_poly(graph.to_matrix())
+    assert len(calls) == distinct + 1
     assert not any(gave_up for _, gave_up in calls)
 
 
@@ -584,17 +612,52 @@ def test_repeated_blocks_give_the_exact_char_poly(blocks):
     assert list(char_poly(a).coeffs) == _faddeev_leverrier(a)
 
 
+def _block_pool(rng):
+    """Blocks to lay side by side: weighted ones, possibly disconnected
+    themselves, weighted ones with twins, cliques and isolated vertices."""
+    return [
+        _random_symmetric(rng, rng.randint(1, 5)),
+        _weighted_blow_up(rng, rng.randint(1, 3), 3),
+        _complete(rng.randint(2, 4)),
+        [[0]],
+    ]
+
+
 def test_repeated_random_blocks_give_the_exact_char_poly():
     rng = random.Random(5)
-    for _ in range(12):
-        pool = [_random_symmetric(rng, rng.randint(1, 5)) for _ in range(3)]
-        a = _block_diagonal(*(rng.choice(pool) for _ in range(rng.randint(1, 5))))
-        # a random vertex order scatters the copies and changes their keys
+    for _ in range(40):
+        pool = _block_pool(rng)
+        a = _block_diagonal(*(rng.choice(pool) for _ in range(rng.randint(1, 6))))
+        # a random vertex order scatters the copies and their twins
         perm = list(range(len(a)))
         rng.shuffle(perm)
         shuffled = [[a[perm[i]][perm[j]] for j in perm] for i in perm]
-        assert list(char_poly(a).coeffs) == _faddeev_leverrier(a)
-        assert char_poly(shuffled) == char_poly(a)
+        expected = _faddeev_leverrier(a)
+        assert _faddeev_leverrier(shuffled) == expected
+        assert list(char_poly(a).coeffs) == expected
+        assert list(char_poly(shuffled).coeffs) == expected
+
+
+def test_char_poly_makes_one_kernel_call(monkeypatch):
+    calls = []
+    original = spectra._block_factor
+    monkeypatch.setattr(
+        spectra,
+        "_block_factor",
+        lambda key, z=1: calls.append((len(key), z)) or original(key, z),
+    )
+    assert char_poly([]) == CharPoly((1,)) and calls == []
+    rng = random.Random(6)
+    matrices = [K3, P3, [[0]], _block_diagonal(K3, K3, [[0]], P3)]
+    for _ in range(20):
+        pool = _block_pool(rng)
+        matrices.append(
+            _block_diagonal(*(rng.choice(pool) for _ in range(rng.randint(1, 6))))
+        )
+    for a in matrices:
+        calls.clear()
+        char_poly(a)
+        assert calls == [(len(a), 1)]
 
 
 def _count_determinants(monkeypatch):
@@ -619,14 +682,18 @@ def test_each_distinct_block_is_spot_checked_once(spec, blocks, distinct, monkey
     graph = build_commuting_graph(build(spec))
     assert len(connected_components(graph)) == blocks
     calls = _count_determinants(monkeypatch)
-    char_poly(graph.to_matrix())
+    is_integral(graph)
     assert len(calls) == 3 * distinct
+    # char_poly checks the whole matrix once
+    char_poly(graph.to_matrix())
+    assert len(calls) == 3 * distinct + 3
 
 
 def test_block_cache_does_not_outlive_the_call(monkeypatch):
-    a = _block_diagonal(K3, K3, P3)
+    graph = raw_graph(*_edges_of(_K3, _K3, _P3))
     calls = _count_determinants(monkeypatch)
-    assert char_poly(a) == char_poly(a)
+    assert is_integral(graph) == is_integral(graph)
+    # two distinct blocks, three points each, in each of the two calls
     assert len(calls) == 2 * 3 * 2
 
 
@@ -759,7 +826,7 @@ def _assert_matches_the_whole_polynomial(name, graph):
     assert analysis.spectrum == spectrum, name
     assert analysis.integral == spectrum.complete, name
     assert analysis.remainder.coeffs == remainder.coeffs, name
-    assert analysis.char_poly == poly, name
+    assert expanded_char_poly(analysis) == poly, name
 
 
 def test_factored_analysis_matches_the_whole_polynomial(grid):
@@ -784,9 +851,9 @@ def test_verify_group_never_forms_the_whole_polynomial(d12, monkeypatch):
     )
     report = verify_group(d12, "D12", FamilySpec.dihedral(6))
     assert calls == []
-    assert "char_poly" not in vars(report.analysis)
-    assert report.analysis.char_poly == _dense_char_poly(report.graph)
-    assert "char_poly" in vars(report.analysis)
+    # the analysis holds the block records, never the product
+    assert not hasattr(report.analysis, "char_poly")
+    assert expanded_char_poly(report.analysis) == _dense_char_poly(report.graph)
 
 
 @pytest.mark.parametrize(
@@ -823,7 +890,7 @@ def test_verify_group_walks_the_components_once_and_expands_nothing(
     assert report.vertex_count == cosets * report.center_size
     assert sum(report.analysis.component_sizes) == report.vertex_count
     monkeypatch.undo()
-    assert report.analysis.char_poly == _dense_char_poly(report.graph)
+    assert expanded_char_poly(report.analysis) == _dense_char_poly(report.graph)
 
 
 @pytest.mark.parametrize(
@@ -921,7 +988,7 @@ def test_coset_identity_matches_the_expanded_element_graph():
             assert cosets == elements, (i, z)
             assert cosets.component_sizes == elements.component_sizes, (i, z)
             assert cosets.all_cliques == elements.all_cliques, (i, z)
-            assert cosets.char_poly == elements.char_poly, (i, z)
+            assert expanded_char_poly(cosets) == expanded_char_poly(elements), (i, z)
             assert _block_multiset(cosets) == _block_multiset(elements), (i, z)
 
 
@@ -966,26 +1033,30 @@ def _random_raw_graphs():
 )
 def test_block_keys_are_the_bitwise_submatrices(make_graphs, monkeypatch):
     keys = []
-    original = spectra._distinct_blocks
+    original = spectra._block_factor
     monkeypatch.setattr(
         spectra,
-        "_distinct_blocks",
-        lambda graph, rows: keys.append(original(graph, rows)) or keys[-1],
+        "_block_factor",
+        lambda key, z=1: keys.append(key) or original(key, z),
     )
     for graph in make_graphs():
-        is_integral(graph)
+        keys.clear()
+        analysis = is_integral(graph)
         adjacency = graph.adjacency
         expected = {}
         for block in connected_components(graph):
             key = tuple(tuple(adjacency[i] >> j & 1 for j in block) for i in block)
             expected[key] = expected.get(key, 0) + 1
-        blocks = keys.pop()
-        assert all(type(row) is bytes for key in blocks for row in key)
-        assert {tuple(map(tuple, k)): c for k, c in blocks.items()} == expected
+        # one kernel call per distinct key, in the order of the records
+        assert all(type(row) is bytes for key in keys for row in key)
+        counts = [b.count for b in analysis.blocks]
+        assert {tuple(map(tuple, k)): c for k, c in zip(keys, counts)} == expected
+        assert len(keys) == len(expected)
 
 
-# Twin quotient: is_integral and char_poly(matrix) reduce each block to one
-# row per twin class, while the Bareiss oracle keeps the whole block.
+# Twin quotient: the kernel reduces each block that is_integral reads, and
+# the whole matrix that char_poly reads, to one row per twin class, while
+# the Bareiss oracle keeps every row.
 
 
 def _blow_up(rng, base_size, edge_chance, max_part):
@@ -1042,7 +1113,8 @@ def test_twin_classes_merge_true_twins_and_keep_false_twins_apart():
     rng = random.Random(21)
     for _ in range(40):
         graph, cliques, independents = _blow_up(rng, rng.randint(1, 6), 0.4, 4)
-        labels = spectra._twin_classes(graph.to_matrix())
+        classes = spectra._twin_classes(graph.to_matrix())
+        labels = {v: c for c, members in enumerate(classes) for v in members}
         for part in cliques:
             assert len({labels[v] for v in part}) == 1
         for part in independents:
@@ -1052,6 +1124,32 @@ def test_twin_classes_merge_true_twins_and_keep_false_twins_apart():
         assert [labels[u] == labels[v] for u, v in pairs] == [
             closed[u] == closed[v] for u, v in pairs
         ]
+
+
+def test_twin_classes_are_ordered_member_lists():
+    rng = random.Random(33)
+    matrices = [[]]
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        matrices += [
+            _random_symmetric(rng, n),
+            _weighted_blow_up(rng, rng.randint(1, 4), 4),
+            _blow_up(rng, rng.randint(1, 5), rng.random(), 4)[0].to_matrix(),
+            _random_graph(rng, n, rng.random()).to_matrix(),
+        ]
+    for a in matrices:
+        classes = spectra._twin_classes(a)
+        # a partition of range(c) into ascending lists, ordered by first member
+        assert sorted(i for members in classes for i in members) == list(range(len(a)))
+        assert all(members == sorted(members) for members in classes)
+        firsts = [members[0] for members in classes]
+        assert firsts == sorted(firsts)
+        # two rows share a list exactly when their rows of A + I are equal
+        closed = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
+        label = {i: k for k, members in enumerate(classes) for i in members}
+        for i in range(len(a)):
+            for j in range(i):
+                assert (label[i] == label[j]) == (closed[i] == closed[j])
 
 
 def test_quotient_matches_the_whole_polynomial_on_generated_graphs():
@@ -1095,10 +1193,17 @@ def test_subtracting_earlier_rows_keeps_the_determinant():
 def _quotient_product(analysis):
     """The product of the records' Q polynomials, each taken count times: q
     with (x + 1)^(n - deg q) q(x) the whole graph's polynomial."""
-    blocks = analysis.blocks
-    return CharPoly(
-        tuple(spectra._power_product((b.quotient.coeffs, b.count) for b in blocks))
-    )
+    return poly_product(*(b.quotient for b in analysis.blocks for _ in range(b.count)))
+
+
+def _random_partition(rng, n, parts):
+    """range(n) cut at random into at most ``parts`` lists of ascending
+    indices, in order of their first members: a partition that need not be
+    the twin classes."""
+    classes = {}
+    for i in range(n):
+        classes.setdefault(rng.randrange(parts), []).append(i)
+    return sorted(classes.values())
 
 
 def test_spot_check_accepts_the_true_polynomial_under_any_class_map():
@@ -1119,11 +1224,19 @@ def test_spot_check_accepts_the_true_polynomial_under_any_class_map():
     ]
     for _ in range(20):
         for matrix, quotient in cases:
-            labels = [rng.randint(0, 2) for _ in matrix]
-            spectra._spot_check(quotient, matrix, labels)
+            # the true classes, every vertex alone, all in one list, and
+            # random cuts, most of them wrong
+            partitions = [
+                spectra._twin_classes(matrix),
+                [[i] for i in range(len(matrix))],
+                [list(range(len(matrix)))],
+            ]
+            partitions += [_random_partition(rng, len(matrix), p) for p in (2, 3, 5)]
             wrong = CharPoly((quotient.coeffs[0] + 1, *quotient.coeffs[1:]))
-            with pytest.raises(SpectralCheckError):
-                spectra._spot_check(wrong, matrix, labels)
+            for classes in partitions:
+                spectra._spot_check(quotient, matrix, classes)
+                with pytest.raises(SpectralCheckError):
+                    spectra._spot_check(wrong, matrix, classes)
 
 
 def _s4_graph():
@@ -1147,15 +1260,16 @@ def test_merging_non_twins_fails_the_determinant_check(make_graph, monkeypatch):
     graph = make_graph()
     block = max(connected_components(graph), key=len)
     matrix = graph.to_matrix()
-    labels = spectra._twin_classes([[matrix[i][j] for j in block] for i in block])
-    assert labels[:2] == [0, 1]  # the block's first two vertices are not twins
+    classes = spectra._twin_classes([[matrix[i][j] for j in block] for i in block])
+    # the block's first two vertices are not twins
+    assert [members[0] for members in classes[:2]] == [0, 1]
     original = spectra._twin_classes
 
     def merge_the_first_two_classes(a):
-        labels = original(a)
+        classes = original(a)
         if len(a) == len(block):
-            labels = [0 if c == 1 else c - (c > 1) for c in labels]
-        return labels
+            classes = [sorted(classes[0] + classes[1]), *classes[2:]]
+        return classes
 
     monkeypatch.setattr(spectra, "_twin_classes", merge_the_first_two_classes)
     with pytest.raises(SpectralCheckError):
@@ -1188,30 +1302,32 @@ def _modular_sizes(monkeypatch):
     return sizes
 
 
-# each graph goes through both entry points, which share the block helper
-_ANALYSES = (is_integral, lambda graph: char_poly(graph.to_matrix()))
-
-
 def test_clique_blocks_reduce_to_one_row(grid, monkeypatch):
     specs = ("heis:7", "metacyclic:12,6", "dihedral:40")
     groups = [g for _, _, g in grid] + [build(parse_family(s)) for s in specs]
     graphs = [build_commuting_graph(group) for group in groups]
     sizes = _modular_sizes(monkeypatch)
-    for analyse in _ANALYSES:
+    for graph in graphs:
+        is_integral(graph)
+    assert sizes and set(sizes) == {(1, 1)}
+    # char_poly reads the whole matrix: one row per clique component
+    for graph in graphs:
         sizes.clear()
-        for graph in graphs:
-            analyse(graph)
-        assert sizes and set(sizes) == {(1, 1)}
+        char_poly(graph.to_matrix())
+        components = len(connected_components(graph))
+        assert sizes == [(components, components)]
 
 
 def test_s5_block_reduces_to_fifty_rows(monkeypatch):
     graph = _s5_graph()
     sizes = _modular_sizes(monkeypatch)
-    for analyse in _ANALYSES:
-        sizes.clear()
-        analyse(graph)
-        # the 95-vertex block and six copies of K_4
-        assert sorted(sizes) == [(1, 1), (50, 50)]
+    is_integral(graph)
+    # the 95-vertex block and six copies of K_4
+    assert sorted(sizes) == [(1, 1), (50, 50)]
+    sizes.clear()
+    char_poly(graph.to_matrix())
+    # the whole matrix: the block's fifty rows and one row per K_4
+    assert sizes == [(56, 56)]
 
 
 def _weighted_blow_up(rng, base_size, max_part):
@@ -1347,10 +1463,15 @@ def test_s5_block_reaches_the_determinant_in_ascending_nonzero_count(monkeypatch
     ascending = _permuted(c, order)
     expected = [_shifted_minus_next_twin(ascending, t) for t in (0, 1, 2)]
     inputs = _determinant_inputs(monkeypatch)
-    for analyse in _ANALYSES:
-        inputs.clear()
-        analyse(graph)
-        assert [m for m in inputs if len(m) == 95] == expected
+    is_integral(graph)
+    assert [m for m in inputs if len(m) == 95] == expected
+    # char_poly orders the whole matrix the same way
+    counts = [sum(map(bool, row)) for row in matrix]
+    order = sorted(range(len(matrix)), key=counts.__getitem__)
+    ascending = _permuted(matrix, order)
+    inputs.clear()
+    char_poly(matrix)
+    assert inputs == [_shifted_minus_next_twin(ascending, t) for t in (0, 1, 2)]
 
 
 @pytest.mark.parametrize("spec", ["heis:7", "dihedral:40"])
@@ -1751,8 +1872,8 @@ def test_wrong_polynomial_fails_the_clique_check_under_any_class_map(z):
     key = _clique(c)
     true = CharPoly((1 - c * z, 1))
     wrong = CharPoly((2 - c * z, 1))
-    for _ in range(10):
-        labels = [rng.randint(0, 3) for _ in key]
-        spectra._spot_check(true, key, labels, z)
+    for parts in range(1, 11):
+        classes = _random_partition(rng, c, parts)
+        spectra._spot_check(true, key, classes, z)
         with pytest.raises(SpectralCheckError):
-            spectra._spot_check(wrong, key, labels, z)
+            spectra._spot_check(wrong, key, classes, z)
