@@ -377,7 +377,7 @@ def parse_family(text: str) -> FamilySpec:
         raise ParseError("empty group spec")
     match = _CYCLIC_TOKEN.fullmatch(text)
     if match:
-        return FamilySpec.cyclic(int(match.group(1)))
+        return FamilySpec.cyclic(*_int_params(text, [match.group(1)]))
     head, sep, rest = text.partition(":")
     if head == "prod":
         if not sep or not rest:
@@ -389,11 +389,18 @@ def parse_family(text: str) -> FamilySpec:
         raise ParseError(f"{head} needs parameters, e.g. {head}:2")
     args = rest.split(",")
     _params(head, len(args))
+    return FamilySpec(head, _int_params(text, args))
+
+
+def _int_params(text: str, args: list[str]) -> tuple[int, ...]:
+    """The parameter strings of the spec ``text`` as ints, for the ``z<k>``
+    form and the family form alike.  ``int`` refuses a non-integer, and a
+    number with more digits than ``sys.get_int_max_str_digits()``; either is
+    a :class:`ParseError`."""
     try:
-        values = tuple(int(a) for a in args)
+        return tuple(map(int, args))
     except ValueError:
         raise ParseError(f"non-integer parameter in {text!r}") from None
-    return FamilySpec(head, values)
 
 
 def _parse_factors(rest: str) -> list[FamilySpec]:

@@ -14,7 +14,7 @@ import sys
 from . import catalog
 from .catalog import FamilySpec
 from .errors import CommspecError, ParseError
-from .graphs import build_commuting_graph, export_dot
+from .graphs import build_commuting_graph, export_dot, graph_json
 from .groups import FiniteGroup, load_cayley_file
 from .predictions import (
     VerificationReport,
@@ -154,6 +154,7 @@ def _run_analyze(args) -> int:
     if args.format == "json":
         payload = {"schema": 1}
         payload.update(report_json_dict(report))
+        payload["graph"] = graph_json(build_commuting_graph(group), group.names)
         _emit(render_json(payload), args.output)
     else:
         _emit(_report_text(report), args.output)
@@ -217,7 +218,7 @@ def _run_suite(args) -> int:
                 and all(c.conclusion_verified is not False for c in corollaries)
             )
             if as_json:
-                entry = report_json_dict(report, include_graph=False)
+                entry = report_json_dict(report)
                 entry["pass"] = ok
             else:
                 entry = (

@@ -8,8 +8,9 @@ member).  The spectrum, and with it the component structure that reports
 state (the sizes, and whether every component is complete), is decided on
 the coset graph (``coset_graph``), each coset standing for |Z| elements:
 ``spectra.is_integral`` walks its components once and keeps a record per
-block.  The element graph (``build_commuting_graph``) is built only for
-graph output, the DOT export and the JSON report's ``graph``.
+block.  The element graph (``build_commuting_graph``) is built only where
+the CLI prints it: ``export-dot`` and the ``graph`` key of ``analyze
+--format json`` (``graph_json``).
 """
 
 from __future__ import annotations

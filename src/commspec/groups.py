@@ -414,11 +414,7 @@ def _center_cosets(
         for m in members:
             coset_of[m] = len(cosets)
         cosets.append(members)
-    reps = [coset[0] for coset in cosets]
-    if len(reps) > 1:
-        pick = itemgetter(*reps)
-    else:  # itemgetter would return the one entry bare
-        pick = lambda row, r=reps[0]: (row[r],)  # noqa: E731
+    pick = _tuple_picker([coset[0] for coset in cosets])
     products = [pick(row) for row in pick(table)]  # products[i][j] = r_i * r_j
     # bit j of row i is r_i*r_j == r_j*r_i: byte q - 1 - j of the reversed
     # comparison, read as a binary numeral
@@ -431,6 +427,14 @@ def _center_cosets(
 
 # maps the bytes 0 and 1 to the ASCII digits of a binary numeral
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _tuple_picker(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """``itemgetter(*indices)``, but a tuple also for one index, where
+    ``itemgetter`` would return the entry bare."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda seq, i=indices[0]: (seq[i],)
 
 
 def _bits(mask: int) -> list[int]:

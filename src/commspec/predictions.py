@@ -10,18 +10,17 @@ applicable prediction against the brute-force pipeline.  Each group is
 analysed once, on the graph of its center's cosets: the report's component
 sizes and clique verdict are read from the per-block records of the
 integrality decision, and the centralizer-count corollaries read the
-verdicts of the report.  The commuting graph on the elements is built only
-when a report's ``graph`` is read, for graph output.
+verdicts of the report.  A report holds no commuting graph on the
+elements: the CLI builds that graph where it prints it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .catalog import _FAMILIES, FamilySpec
 from .errors import AbelianGroupError, UnsupportedFamilyError
-from .graphs import CommutingGraph, build_commuting_graph, coset_graph, graph_json
+from .graphs import coset_graph
 from .groups import (
     FiniteGroup,
     Recognition,
@@ -61,8 +60,9 @@ class VerificationReport:
     """Everything the brute-force pipeline found for one group.
 
     The spectral verdict, the spectrum and the component structure live in
-    ``analysis`` alone.  ``graph``, the commuting graph on the elements, is
-    built from ``group`` on first read: only graph output needs it.
+    ``analysis`` alone, decided on the graph of the center's cosets.  The
+    commuting graph on the elements is not kept: graph output builds it
+    from ``group``.
     """
 
     name: str
@@ -77,10 +77,6 @@ class VerificationReport:
     def vertex_count(self) -> int:
         """The non-central elements: the commuting graph's vertices."""
         return self.group.order - self.center_size
-
-    @cached_property
-    def graph(self) -> CommutingGraph:
-        return build_commuting_graph(self.group)
 
     def all_match(self) -> bool:
         return all(c.verdict == "match" for c in self.checks)
@@ -218,10 +214,10 @@ def verify_centralizer_corollaries(
     return tuple(checks)
 
 
-def report_json_dict(report: VerificationReport, include_graph: bool = True) -> dict:
+def report_json_dict(report: VerificationReport) -> dict:
     """JSON-ready dict for one report, in the documented key order."""
     analysis = report.analysis
-    out: dict = {
+    return {
         "group": report.name,
         "order": report.group.order,
         "center_size": report.center_size,
@@ -240,6 +236,3 @@ def report_json_dict(report: VerificationReport, include_graph: bool = True) -> 
             for check in report.checks
         ],
     }
-    if include_graph:
-        out["graph"] = graph_json(report.graph, report.group.names)
-    return out

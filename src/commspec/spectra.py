@@ -61,7 +61,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import compress
 from math import comb, gcd, isqrt
-from operator import index as _exact_int
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
@@ -73,6 +72,7 @@ from .errors import (
     SpectralCheckError,
 )
 from .graphs import CommutingGraph, connected_components
+from .groups import _tuple_picker
 
 
 @dataclass(frozen=True)
@@ -198,12 +198,8 @@ def char_poly(matrix: Sequence[Sequence[int]]) -> CharPoly:
     kernel holds for any symmetric matrix.  A failed check raises
     :class:`SpectralCheckError`.
     """
-    # operator.index rejects floats, keeping the arithmetic exact
-    a = [[_exact_int(v) for v in row] for row in matrix]
+    a = _int_rows(matrix)
     n = len(a)
-    for i, row in enumerate(a):
-        if len(row) != n:
-            raise NotSymmetricError(f"row {i} has {len(row)} entries, expected {n}")
     for i in range(n):
         if a[i][i] != 0:
             raise NonzeroDiagonalError(f"diagonal entry ({i},{i}) = {a[i][i]}")
@@ -387,10 +383,7 @@ def _char_poly_mod(a: list[list[int]], p: int) -> list[int] | None:
                 factors.append(p - minus_u)
         if not targets:
             continue
-        if len(targets) > 1:
-            pick = itemgetter(*targets)
-        else:  # itemgetter would return the one entry bare
-            pick = lambda row, i=targets[0]: (row[i],)  # noqa: E731
+        pick = _tuple_picker(targets)
         for row in h:
             picked = pick(row)
             if any(picked):
@@ -573,14 +566,29 @@ def exact_determinant(matrix: Sequence[Sequence[int]]) -> int:
     A swap exchanges two rows not yet used as pivots, with their entries
     and levels, and leaves the minors of the pivot rows unchanged.
     """
-    a = [list(map(_exact_int, row)) for row in matrix]
+    a = _int_rows(matrix)
+    columns = range(len(a))
+    rows = [{j: row[j] for j in compress(columns, row)} for row in a]
+    return _bareiss(rows, _column_index(rows))
+
+
+def _int_rows(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The rows of a square matrix, each as a list, the one input check of
+    ``char_poly`` and ``exact_determinant``.
+
+    Every entry must have type int itself, so a float, a bool or an
+    ``IntEnum`` member raises ``TypeError`` and the arithmetic stays exact;
+    a row of the wrong length raises :class:`NotSymmetricError`.
+    """
+    a = [list(row) for row in matrix]
     n = len(a)
     for i, row in enumerate(a):
         if len(row) != n:
             raise NotSymmetricError(f"row {i} has {len(row)} entries, expected {n}")
-    columns = range(n)
-    rows = [{j: row[j] for j in compress(columns, row)} for row in a]
-    return _bareiss(rows, _column_index(rows))
+        for v in row:
+            if type(v) is not int:
+                raise TypeError(f"matrix entries must be of type int, got {v!r}")
+    return a
 
 
 def _column_index(rows: Sequence[dict[int, int]]) -> list[list[int]]:
@@ -787,11 +795,7 @@ def _bit_rows(adjacency: Sequence[int], block: tuple[int, ...]) -> Iterator[byte
     built only when the row is read.
     """
     n = len(adjacency)
-    columns = [n - 1 - j for j in block]
-    if len(columns) > 1:
-        pick = itemgetter(*columns)
-    else:  # itemgetter would return the one entry bare
-        pick = lambda digits, c=columns[0]: digits[c : c + 1]  # noqa: E731
+    pick = _tuple_picker([n - 1 - j for j in block])
     for i in block:
         digits = format(adjacency[i], f"0{n}b").encode().translate(_BINARY_DIGITS)
         yield bytes(pick(digits))

@@ -7,6 +7,7 @@ determinant identities); there are no tolerances anywhere.
 import random
 
 from commspec.catalog import FamilySpec, build
+from commspec.graphs import build_commuting_graph
 from commspec.groups import centralizer_count, max_noncommuting_set
 from commspec.predictions import (
     predict_family,
@@ -151,7 +152,7 @@ def test_criterion_6_spectral_invariants(grid_reports):
     failures = []
     for name, _, group, report in grid_reports:
         spectrum = report.analysis.spectrum
-        edges = report.graph.edge_count
+        edges = build_commuting_graph(group).edge_count
         n = report.vertex_count
         if sum(k * v for v, k in spectrum.pairs) != 0:
             failures.append((name, "first moment"))
@@ -178,9 +179,9 @@ def test_criterion_7_determinant_oracle(grid_reports):
     rng = random.Random(20250808)
     sample = rng.sample(grid_reports, 20)
     failures = []
-    for name, _, _, report in sample:
+    for name, _, group, report in sample:
         poly = expanded_char_poly(report.analysis)
-        matrix = report.graph.to_matrix()
+        matrix = build_commuting_graph(group).to_matrix()
         n = len(matrix)
         for t in (-2, -1, 0, 1, 2):
             shifted = [

@@ -18,6 +18,16 @@ from permutation_groups import permutation_table
 from test_groups import Z5_SWAPPED, s3_table
 
 
+# one digit past the interpreter's integer-string limit (0, or before Python
+# 3.10.7 absent: no limit); such a spec would name a group far too large to
+# build where there is no limit
+_INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_OVERLONG_Z = "z" + "9" * (_INT_LIMIT + 1)
+needs_int_limit = pytest.mark.skipif(
+    not _INT_LIMIT, reason="the interpreter converts integers of any length"
+)
+
+
 @pytest.fixture()
 def s3_file(tmp_path):
     group = from_cayley_table(s3_table())
@@ -285,9 +295,11 @@ def test_suite_reports_a_missing_extra_file_and_keeps_the_rest(tmp_path, capsys)
         assert main([verb, f"file:{missing}"]) == 2
 
 
+@needs_int_limit
 def test_suite_json_reports_a_bad_extra_as_an_error_entry(capsys):
     argv = ["suite", "--only", "dihedral:3", "--format", "json"]
     argv += ["--extra", "dihedral:1", "--extra", "heis:4294967311"]
+    argv += ["--extra", _OVERLONG_Z]
     code = main(argv)
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
@@ -300,8 +312,29 @@ def test_suite_json_reports_a_bad_extra_as_an_error_entry(capsys):
             "pass": False,
             "error": "primes are tested only below 2**32, got 4294967311",
         },
+        {
+            "group": _OVERLONG_Z,
+            "pass": False,
+            "error": f"non-integer parameter in {_OVERLONG_Z!r}",
+        },
     ]
-    assert (payload["passed"], payload["failed"]) == (1, 2)
+    assert (payload["passed"], payload["failed"]) == (1, 3)
+
+
+@needs_int_limit
+@pytest.mark.parametrize(
+    "spec, piece",
+    [
+        (_OVERLONG_Z, _OVERLONG_Z),
+        ("prod:dihedral:3," + _OVERLONG_Z, _OVERLONG_Z),
+        ("dihedral:" + _OVERLONG_Z[1:], "dihedral:" + _OVERLONG_Z[1:]),
+    ],
+    ids=["z", "prod", "dihedral"],
+)
+def test_verify_rejects_a_parameter_over_the_int_limit(spec, piece, capsys):
+    # int() refuses the number, as it refuses a non-integer: a parse error
+    assert main(["verify", spec]) == 2
+    assert capsys.readouterr() == ("", f"error: non-integer parameter in {piece!r}\n")
 
 
 def test_verify_file_needs_a_path(capsys):
@@ -459,10 +492,11 @@ def test_each_group_is_analysed_once(argv, groups, monkeypatch, capsys):
     ids=["verify", "suite", "suite-json", "analyze", "analyze-json", "export-dot"],
 )
 def test_only_graph_output_builds_the_element_graph(argv, builds, monkeypatch, capsys):
+    # the reports hold no element graph: cli builds every one it prints
+    assert not hasattr(predictions, "build_commuting_graph")
+    assert not hasattr(predictions, "graph_json")
     calls = _count_calls(monkeypatch, graphs, "build_commuting_graph")
-    counted = graphs.build_commuting_graph
-    for module in (predictions, cli):
-        monkeypatch.setattr(module, "build_commuting_graph", counted)
+    monkeypatch.setattr(cli, "build_commuting_graph", graphs.build_commuting_graph)
     assert main(argv) == 0
     capsys.readouterr()
     assert len(calls) == builds

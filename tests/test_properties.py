@@ -112,12 +112,13 @@ def test_clique_union_closed_form_matches_char_poly_route(grid_reports):
 
 
 def test_char_poly_coefficients(grid_reports):
-    for name, _, _, report in grid_reports:
+    for name, _, group, report in grid_reports:
         poly = expanded_char_poly(report.analysis)
         n = report.vertex_count
+        edges = build_commuting_graph(group).edge_count
         assert poly.degree == n, name
         assert coefficient(poly, n - 1) == 0, name
-        assert coefficient(poly, n - 2) == -report.graph.edge_count, name
+        assert coefficient(poly, n - 2) == -edges, name
 
 
 def test_spectrum_moments(grid_reports):
@@ -126,7 +127,7 @@ def test_spectrum_moments(grid_reports):
         assert spectrum.complete, name
         assert sum(k for _, k in spectrum.pairs) == report.vertex_count, name
         assert sum(k * v for v, k in spectrum.pairs) == 0, name
-        edges = report.graph.edge_count
+        edges = build_commuting_graph(group).edge_count
         assert sum(k * v * v for v, k in spectrum.pairs) == 2 * edges, name
 
 
@@ -144,7 +145,7 @@ def test_char_poly_evaluation_matches_determinant_on_small_groups(grid_reports):
         if group.order > 36:
             continue
         poly = expanded_char_poly(report.analysis)
-        matrix = report.graph.to_matrix()
+        matrix = build_commuting_graph(group).to_matrix()
         n = len(matrix)
         for t in (-2, -1, 0, 1, 2):
             shifted = [
@@ -195,7 +196,7 @@ def test_noncommuting_witness_size_pins_centralizer_count(grid):
 def test_component_count_equals_quotient_prediction_shape(grid_reports):
     # p + 1 cliques for the square quotient, m + 1 for the dihedral quotient
     for name, _, group, report in grid_reports:
-        parts = len(connected_components(report.graph))
+        parts = len(connected_components(build_commuting_graph(group)))
         assert parts == report.recognition.param + 1, name
 
 

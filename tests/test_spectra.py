@@ -1,4 +1,5 @@
 import random
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -61,14 +62,25 @@ def test_char_poly_rejects_asymmetry_and_loops():
         char_poly([[1, 0], [0, 0]])
 
 
+class _Entry(IntEnum):
+    ONE = 1
+
+
+# an entry that is not an int itself is refused, whatever it equals: a float,
+# a bool or an IntEnum member
+_NOT_INT_ENTRIES = (1.0, True, _Entry.ONE)
+
+
 def test_char_poly_rejects_floats():
-    with pytest.raises(TypeError):
-        char_poly([[0.0, 1.0], [1.0, 0.0]])
+    for one in _NOT_INT_ENTRIES:
+        with pytest.raises(TypeError):
+            char_poly([[0, one], [one, 0]])
 
 
 def test_exact_determinant_rejects_floats():
-    with pytest.raises(TypeError):
-        exact_determinant([[1, 0], [0, 1.0]])
+    for one in _NOT_INT_ENTRIES:
+        with pytest.raises(TypeError):
+            exact_determinant([[1, 0], [0, one]])
 
 
 @pytest.mark.parametrize(
@@ -853,7 +865,8 @@ def test_verify_group_never_forms_the_whole_polynomial(d12, monkeypatch):
     assert calls == []
     # the analysis holds the block records, never the product
     assert not hasattr(report.analysis, "char_poly")
-    assert expanded_char_poly(report.analysis) == _dense_char_poly(report.graph)
+    graph = build_commuting_graph(d12)
+    assert expanded_char_poly(report.analysis) == _dense_char_poly(graph)
 
 
 @pytest.mark.parametrize(
@@ -890,7 +903,8 @@ def test_verify_group_walks_the_components_once_and_expands_nothing(
     assert report.vertex_count == cosets * report.center_size
     assert sum(report.analysis.component_sizes) == report.vertex_count
     monkeypatch.undo()
-    assert expanded_char_poly(report.analysis) == _dense_char_poly(report.graph)
+    graph = build_commuting_graph(group)
+    assert expanded_char_poly(report.analysis) == _dense_char_poly(graph)
 
 
 @pytest.mark.parametrize(
