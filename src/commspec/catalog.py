@@ -22,6 +22,7 @@ on the walk's generator pairs remains.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from math import prod
@@ -396,11 +397,23 @@ def _int_params(text: str, args: list[str]) -> tuple[int, ...]:
     """The parameter strings of the spec ``text`` as ints, for the ``z<k>``
     form and the family form alike.  ``int`` refuses a non-integer, and a
     number with more digits than ``sys.get_int_max_str_digits()``; either is
-    a :class:`ParseError`."""
-    try:
-        return tuple(map(int, args))
-    except ValueError:
-        raise ParseError(f"non-integer parameter in {text!r}") from None
+    a :class:`ParseError`, which names the limit in the second case and
+    shows at most the first 60 characters of ``text``."""
+    params = []
+    for arg in args:
+        try:
+            params.append(int(arg))
+        except ValueError:
+            shown = repr(text) if len(text) <= 60 else repr(text[:60]) + "..."
+            digits = arg.strip()
+            if digits.isdecimal():  # int() reads any run of digits but a long one
+                raise ParseError(
+                    f"parameter in {shown} has {len(digits)} digits; int() takes "
+                    f"at most {sys.get_int_max_str_digits()} "
+                    "(sys.get_int_max_str_digits())"
+                ) from None
+            raise ParseError(f"non-integer parameter in {shown}") from None
+    return tuple(params)
 
 
 def _parse_factors(rest: str) -> list[FamilySpec]:

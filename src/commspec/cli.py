@@ -8,8 +8,8 @@ runs can be diffed in CI.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import catalog
 from .catalog import FamilySpec
@@ -101,8 +101,47 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def render_json(payload: dict) -> str:
-    """Canonical JSON rendering; re-serializing a parse is byte-identical."""
-    return json.dumps(payload, indent=2) + "\n"
+    """Canonical JSON: exactly ``json.dumps(payload, indent=2) + "\\n"``.
+
+    Re-serializing a parse is byte-identical.  The stdlib is not called
+    because it falls back to its pure-Python encoder whenever ``indent`` is
+    set; here strings go through the C escaper that ``json.dumps`` uses
+    (``encode_basestring_ascii``) and ints through ``int.__repr__``.  The
+    payload holds dicts with str keys, lists, tuples, strs, ints, bools and
+    None, each of exactly that type; any other value raises ``TypeError``.
+    """
+    return _render(payload, "\n") + "\n"
+
+
+def _render(value, newline: str) -> str:
+    # ``newline`` is "\n" plus the indent of the line that holds ``value``
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [
+            encode_basestring_ascii(k) + ": " + _render(v, inner)
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_render(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(f"{kind.__name__} is not rendered as JSON")
 
 
 def _spectrum_text(spectrum) -> str:

@@ -18,11 +18,14 @@ Commutation is read off the cosets of the center Z, never off all n^2
 pairs.  The center comes from S: x is central iff x*g == g*x for every g
 in S, because the centralizer C(x) is a subgroup, so holding S means
 holding the group S generates, which is all of it.  That costs O(n*|S|)
-lookups, with |S| <= log2(n).  Commutation is constant on pairs of
-Z-cosets: (xz)(yz') == (xy)(zz') and (yz')(xz) == (yx)(zz'), so xz and yz'
-commute iff x and y do.  So the cosets are built once, on first use, and
-q^2 table lookups over their representatives (q = n/|Z|) decide which
-pairs of cosets commute; the result is kept on the group.  The center, the
+lookups, with |S| <= log2(n), made by one picker (an ``itemgetter`` over
+S): row x read at S is (x*g for g in S), and ``zip`` turns S's rows into
+the columns (g*x for g in S), so each element costs one tuple comparison
+at C speed.  Commutation is constant on pairs of Z-cosets: (xz)(yz') ==
+(xy)(zz') and (yz')(xz) == (yx)(zz'), so xz and yz' commute iff x and y
+do.  So the cosets are built once, on first use, and q^2 table lookups
+over their representatives (q = n/|Z|) decide which pairs of cosets
+commute; the result is kept on the group.  The center, the
 centralizers, the central quotient, the commuting graph and the
 non-commuting search all read that one decomposition; none of them holds
 a mask per element.
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from math import isqrt
 from operator import eq, itemgetter
 from typing import Callable, Sequence
@@ -397,20 +401,27 @@ def _center_cosets(
 ) -> CenterCosets:
     """The center from the generators, its cosets, and q^2 commutation lookups.
 
-    Each coset xZ is sorted; Z itself is coset 0, since x = 0 comes first,
-    and the rest follow their smallest member.  The q^2 products of the
-    representatives are picked by one ``itemgetter``, transposed by ``zip``
-    and compared element by element, all at C speed.
+    x is central iff row x read at the generators S by one picker equals
+    column x of S's rows, which the same picker takes from the table and
+    ``zip`` transposes; the trivial group has no generators and its center
+    is (0,).  Each coset xZ is Z's picker applied to row x, sorted; Z itself
+    is coset 0, since x = 0 comes first, and the rest follow their smallest
+    member.  The q^2 products of the representatives are picked by one
+    ``itemgetter``, transposed by ``zip`` and compared element by element,
+    all at C speed.
     """
-    z = tuple(
-        x for x, row in enumerate(table) if all(row[g] == table[g][x] for g in gens)
-    )
+    z: tuple[int, ...] = (0,)
+    if gens:
+        pick = _tuple_picker(gens)
+        central = map(eq, map(pick, table), zip(*pick(table)))
+        z = tuple(compress(range(len(table)), central))
+    pick_z = _tuple_picker(z)
     coset_of = [-1] * len(table)
     cosets: list[tuple[int, ...]] = []
     for x, row in enumerate(table):
         if coset_of[x] >= 0:
             continue
-        members = tuple(sorted(row[zi] for zi in z))
+        members = tuple(sorted(pick_z(row)))
         for m in members:
             coset_of[m] = len(cosets)
         cosets.append(members)

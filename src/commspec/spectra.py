@@ -687,9 +687,9 @@ def integer_spectrum(
     divided out by exact synthetic division to full multiplicity.  By the
     rational root theorem only divisors of the current constant term are
     tried; each quotient's constant term divides the one before, so no
-    root is missed.  The returned remainder has no integer roots within
-    the bound, and the spectrum is complete exactly when the remainder is
-    constant.
+    root is missed.  The scan stops once the remainder is constant.  The
+    returned remainder has no integer roots within the bound, and the
+    spectrum is complete exactly when the remainder is constant.
     """
     desc = list(reversed(poly.coeffs))
     found: list[tuple[int, int]] = []
@@ -702,6 +702,8 @@ def integer_spectrum(
         found.append((0, zeros))
 
     for r in range(max_abs_root, -max_abs_root - 1, -1):
+        if len(desc) == 1:
+            break  # the remainder is constant: no root is left to find
         if r == 0 or desc[-1] % r:
             continue
         mult = 0
@@ -772,8 +774,9 @@ def is_integral(graph: CommutingGraph, z: int = 1) -> SpectralAnalysis:
         size = len(key) * z
         pairs.append((-1, (size - quotient.degree) * count))
         pairs.extend((value, mult * count) for value, mult in spectrum.pairs)
-        for _ in range(count):
-            remainder = _poly_mul(remainder, rest.coeffs)
+        if rest.degree:  # a constant remainder of a monic polynomial is 1
+            for _ in range(count):
+                remainder = _poly_mul(remainder, rest.coeffs)
         records.append(Block(size, count, quotient))
     return SpectralAnalysis(
         spectrum=spectrum_from_pairs(pairs, complete=len(remainder) == 1),

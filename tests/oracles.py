@@ -37,6 +37,16 @@ def centralizer(group, x):
     return tuple(y for y in range(group.order) if table[x][y] == table[y][x])
 
 
+def brute_force_center(group):
+    """The elements commuting with every element, ascending, by comparing
+    all n^2 pairs of the table."""
+    table = group.table
+    n = group.order
+    return tuple(
+        x for x in range(n) if all(table[x][y] == table[y][x] for y in range(n))
+    )
+
+
 def clique_union_spectrum(sizes):
     """Closed-form spectrum of a disjoint union of complete graphs.
 

@@ -28,6 +28,15 @@ needs_int_limit = pytest.mark.skipif(
 )
 
 
+def _overlong_message(piece):
+    """The parse error for ``piece``, a spec whose parameter has one digit
+    past the limit: it names the limit and shows the first 60 characters."""
+    return (
+        f"parameter in {piece[:60]!r}... has {_INT_LIMIT + 1} digits; int() "
+        f"takes at most {_INT_LIMIT} (sys.get_int_max_str_digits())"
+    )
+
+
 @pytest.fixture()
 def s3_file(tmp_path):
     group = from_cayley_table(s3_table())
@@ -315,7 +324,7 @@ def test_suite_json_reports_a_bad_extra_as_an_error_entry(capsys):
         {
             "group": _OVERLONG_Z,
             "pass": False,
-            "error": f"non-integer parameter in {_OVERLONG_Z!r}",
+            "error": _overlong_message(_OVERLONG_Z),
         },
     ]
     assert (payload["passed"], payload["failed"]) == (1, 3)
@@ -332,9 +341,9 @@ def test_suite_json_reports_a_bad_extra_as_an_error_entry(capsys):
     ids=["z", "prod", "dihedral"],
 )
 def test_verify_rejects_a_parameter_over_the_int_limit(spec, piece, capsys):
-    # int() refuses the number, as it refuses a non-integer: a parse error
+    # int() refuses the number for its length: a parse error naming the limit
     assert main(["verify", spec]) == 2
-    assert capsys.readouterr() == ("", f"error: non-integer parameter in {piece!r}\n")
+    assert capsys.readouterr() == ("", f"error: {_overlong_message(piece)}\n")
 
 
 def test_verify_file_needs_a_path(capsys):
@@ -352,6 +361,72 @@ def test_suite_json(capsys):
     assert payload["failed"] == 0
     assert all(entry["pass"] for entry in payload["results"])
     assert json.dumps(payload, indent=2) + "\n" == out
+
+
+def test_render_json_is_the_stdlib_rendering_of_whole_reports(
+    monkeypatch, tmp_path, capsys
+):
+    # the full grid, and S5, whose report has a non-integral remainder and
+    # whose graph has 119 vertices
+    table = permutation_table(5, False, random.Random(1))
+    path = tmp_path / "s5.cayley"
+    text = "\n".join(" ".join(map(str, row)) for row in table)
+    path.write_text(f"{len(table)}\n{text}\n", encoding="utf-8")
+    payloads = []
+    render_json = cli.render_json
+
+    def spy(payload):
+        payloads.append(payload)
+        return render_json(payload)
+
+    monkeypatch.setattr(cli, "render_json", spy)
+    for argv in (
+        ["suite", "--format", "json"],
+        ["analyze", f"file:{path}", "--format", "json"],
+    ):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(payloads[-1], indent=2) + "\n", argv[0]
+    assert len(payloads) == 2 and payloads[0]["passed"] == 73
+    assert payloads[1]["graph"] and payloads[1]["integral"] is False
+
+
+def test_render_json_matches_the_stdlib_on_any_json_value():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # quotes, backslashes, control characters, DEL, non-ASCII, a line
+    # separator and an astral code point, which escapes as a surrogate pair
+    special = st.sampled_from('"\\\x00\x08\n\x1f\x7f\xe9\u2028\U0001f600')
+    text = st.text(st.one_of(special, st.characters()), max_size=12)
+    scalars = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(-(2**200), 2**200),
+        text,
+    )
+    values = st.recursive(
+        scalars,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(text, inner, max_size=4),
+        ),
+        max_leaves=25,
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(values)
+    def check(value):
+        assert cli.render_json(value) == json.dumps(value, indent=2) + "\n"
+
+    check()
+    assert cli.render_json({"a": [], "b": {}, "c": ()}) == (
+        '{\n  "a": [],\n  "b": {},\n  "c": []\n}\n'
+    )
+    for value in (1.5, {1: 2}, {"a": {1, 2}}):
+        with pytest.raises(TypeError):
+            cli.render_json(value)
 
 
 def test_export_dot_to_file(tmp_path, capsys):

@@ -32,7 +32,7 @@ from commspec.groups import (
 )
 
 from light import close, generating_set, identity_to_front
-from oracles import centralizer, format_cayley_text
+from oracles import brute_force_center, centralizer, format_cayley_text
 from permutation_groups import permutation_group, permutation_table, relabelled_table
 
 
@@ -535,6 +535,27 @@ def test_commutation_masks_agree_with_pairwise_oracle(grid):
         for witness in (max_noncommuting_set(group), max_noncommuting_set(group, cap=5)):
             assert witness == sorted(set(witness)), name
             _assert_pairwise_noncommuting(group, witness)
+
+
+def test_center_cosets_match_the_brute_force_center(grid):
+    # the grid, the trivial group (no generators), two abelian groups (every
+    # element central) and shuffled S4 and A5 tables (trivial center)
+    named = [(name, group) for name, _, group in grid]
+    named += [("trivial", from_cayley_table([[0]]))]
+    named += [(label, build(parse_family(label))) for label in ("z4", "prod:z2,z2")]
+    rng = random.Random(31)
+    named += [("S4", from_cayley_table(permutation_table(4, False, rng)))]
+    named += [("A5", from_cayley_table(permutation_table(5, True, rng)))]
+    for name, group in named:
+        z = brute_force_center(group)
+        table = group.table
+        cosets = sorted({tuple(sorted(row[c] for c in z)) for row in table})
+        found = groups._center_cosets(table, group.generators)
+        assert found.cosets == tuple(cosets), name
+        assert found.coset_of == tuple(
+            next(i for i, coset in enumerate(cosets) if x in coset)
+            for x in range(group.order)
+        ), name
 
 
 def test_coset_rows_give_the_brute_force_centralizers(grid):

@@ -1,4 +1,5 @@
 import random
+import sys
 from enum import IntEnum
 from fractions import Fraction
 
@@ -766,6 +767,56 @@ def test_divisor_candidates_match_full_scan_on_random_polynomials():
             poly = poly_product(poly, CharPoly((-rng.randint(-6, 6), 1)))
         bound = rng.randint(0, 8)
         assert integer_spectrum(poly, bound) == _full_scan_integer_spectrum(poly, bound)
+
+
+@pytest.mark.parametrize(
+    "coeffs, bound, drawn",
+    [
+        ((-2, -3, 0, 1), 100, range(100, -3, -1)),  # K3: (x - 2)(x + 1)^2
+        ((0, 0, 0, 1), 5, [5]),  # x^3: constant once the zeros are peeled
+        ((0, -2, 0, 1), 5, range(5, -6, -1)),  # P3: x(x^2 - 2) keeps x^2 - 2
+    ],
+    ids=["k3", "x^3", "p3"],
+)
+def test_root_scan_ends_when_the_remainder_is_constant(
+    monkeypatch, coeffs, bound, drawn
+):
+    # the candidates come from one range, from +bound down to -bound; the
+    # scan draws one value past the last root, sees the remainder is
+    # constant and stops, where it used to draw all 2 * bound + 1
+    tried = []
+
+    def counting_range(*args):
+        for r in range(*args):
+            tried.append(r)
+            yield r
+
+    monkeypatch.setattr(spectra, "range", counting_range, raising=False)
+    poly = CharPoly(coeffs)
+    assert integer_spectrum(poly, bound) == _full_scan_integer_spectrum(poly, bound)
+    assert tried == list(drawn)
+
+
+def test_is_integral_multiplies_only_nonconstant_remainders(monkeypatch, grid):
+    # only the calls from is_integral count: the Hessenberg pass calls
+    # _poly_mul too
+    calls = []
+    original = spectra._poly_mul
+
+    def spy(a, b):
+        if sys._getframe(1).f_code is is_integral.__code__:
+            calls.append(tuple(b))
+        return original(a, b)
+
+    monkeypatch.setattr(spectra, "_poly_mul", spy)
+    # every grid block is a clique, whose remainder is 1
+    for name, spec, group in grid:
+        assert verify_group(group, name, spec).analysis.integral, name
+    assert calls == []
+    # K3's remainder is 1; each of the two C5 blocks leaves (x^2 + x - 1)^2
+    analysis = is_integral(_RAW_GRAPHS["k3-c5-mixed"])
+    assert calls == [(1, -2, -1, 2, 1)] * 2
+    assert analysis.remainder == CharPoly((1, -4, 2, 8, -5, -8, 2, 4, 1))
 
 
 def _dense_char_poly(graph):
