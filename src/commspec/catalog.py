@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from functools import reduce
 from math import prod
 from typing import Callable, NamedTuple
@@ -32,42 +31,55 @@ from .errors import NotPrimeError, ParameterOutOfRange, ParseError
 from .groups import FiniteGroup, _group, _Mul, is_prime
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class _SpecFields(NamedTuple):
+    kind: str
+    params: tuple[int, ...]
+    factors: tuple["FamilySpec", ...]
+
+
+class FamilySpec(_SpecFields):
     """Parameters of a group family, checked against its table entry.
 
     Only ``product`` holds ``factors``, and it holds no ``params``.  Each
     parameter must be of type int itself, and each factor a ``FamilySpec``.
+    The checks run in ``__new__``, which ``_make``, ``_replace``, ``pickle``
+    and ``copy`` all go through.
     """
 
-    kind: str
-    params: tuple[int, ...] = ()
-    factors: tuple["FamilySpec", ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind == "product":
-            if self.params:
+    def __new__(
+        cls,
+        kind: str,
+        params: tuple[int, ...] = (),
+        factors: tuple["FamilySpec", ...] = (),
+    ):
+        if kind == "product":
+            if params:
                 raise ParseError("product takes factors, not parameters")
-            for factor in self.factors:
+            for factor in factors:
                 if not isinstance(factor, FamilySpec):
                     raise ParseError(f"product factor {factor!r} is not a FamilySpec")
-            if len(self.factors) < 2:
+            if len(factors) < 2:
                 raise ParameterOutOfRange("product needs at least two factors")
-            return
-        if self.kind not in _FAMILIES:
-            raise ParseError(f"unknown family {self.kind!r}")
-        if self.factors:
-            raise ParseError(f"{self.kind} takes parameters, not factors")
-        params = _params(self.kind, len(self.params))
+            return super().__new__(cls, kind, params, factors)
+        if kind not in _FAMILIES:
+            raise ParseError(f"unknown family {kind!r}")
+        if factors:
+            raise ParseError(f"{kind} takes parameters, not factors")
+        ranges = _params(kind, len(params))
         # of type int itself, as ``groups._check_entries`` requires of a table
         # entry: a bool would be labelled "True", and a float fails in the build
-        for value in self.params:
+        for value in params:
             if type(value) is not int:
-                raise ParameterOutOfRange(
-                    f"{self.kind} needs int parameters, got {value!r}"
-                )
-        for param, value in zip(params, self.params):
-            param.check(self.kind, value)
+                raise ParameterOutOfRange(f"{kind} needs int parameters, got {value!r}")
+        for param, value in zip(ranges, params):
+            param.check(kind, value)
+        return super().__new__(cls, kind, params, factors)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @staticmethod
     def dihedral(m: int) -> "FamilySpec":
@@ -235,8 +247,7 @@ class _Param(NamedTuple):
             )
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(NamedTuple):
     """One family's entry in ``_FAMILIES``."""
 
     params: tuple[_Param, ...]

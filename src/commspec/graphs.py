@@ -15,15 +15,13 @@ the CLI prints it: ``export-dot`` and the ``graph`` key of ``analyze
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import AbelianGroupError
 from .groups import FiniteGroup, _bits
 
 
-@dataclass(frozen=True)
-class CommutingGraph:
+class CommutingGraph(NamedTuple):
     vertices: tuple[int, ...]
     adjacency: tuple[int, ...]
 

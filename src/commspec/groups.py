@@ -1,9 +1,9 @@
 """Finite groups as validated Cayley tables with 0-based element indices.
 
 Element 0 is always the identity; the constructor relabels elements when the
-identity sits elsewhere.  Every value here is immutable after construction
-and all operations are pure functions, so groups and derived data can be
-shared freely between workers.
+identity sits elsewhere.  Every record here is an immutable
+``typing.NamedTuple`` and all operations are pure functions, so groups and
+derived data can be shared freely between workers.
 
 One walk (``_walk``) builds every table from the rows of a generating set
 S.  A table the program makes itself (a catalog family, a direct product,
@@ -25,20 +25,19 @@ at C speed.  Commutation is constant on pairs of Z-cosets: (xz)(yz') ==
 (xy)(zz') and (yz')(xz) == (yx)(zz'), so xz and yz' commute iff x and y
 do.  So the cosets are built once, on first use, and q^2 table lookups
 over their representatives (q = n/|Z|) decide which pairs of cosets
-commute; the result is kept on the group.  The center, the
-centralizers, the central quotient, the commuting graph and the
+commute; the result is cached in the group's instance dict.  The center,
+the centralizers, the central quotient, the commuting graph and the
 non-commuting search all read that one decomposition; none of them holds
 a mask per element.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from math import isqrt
 from operator import eq, itemgetter
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     AbelianGroupError,
@@ -49,20 +48,34 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class _GroupFields(NamedTuple):
+    table: tuple[tuple[int, ...], ...]
+    names: tuple[str, ...]
+    generators: tuple[int, ...]
+
+
+class FiniteGroup(_GroupFields):
     """A finite group given by its full multiplication table.
 
     ``table[i][j]`` is the index of the product of elements i and j.
     Use :func:`from_cayley_table` to build one from a table from outside;
     it enforces the axioms.
     ``generators`` is a set of elements whose products give every element;
-    it is derived from the table, so equality and hashing leave it out.
+    it is derived from the table, so ``==``, ``!=`` and ``hash`` read
+    ``table`` and ``names`` only.  The three fields are an immutable tuple;
+    the class also keeps an instance dict, which caches ``center_cosets``.
     """
 
-    table: tuple[tuple[int, ...], ...]
-    names: tuple[str, ...]
-    generators: tuple[int, ...] = field(compare=False)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.table == other.table and self.names == other.names
+
+    # tuple's != compares every field; object's negates __eq__
+    __ne__ = object.__ne__
+
+    def __hash__(self) -> int:
+        return hash((self.table, self.names))
 
     @property
     def order(self) -> int:
@@ -90,14 +103,13 @@ class FiniteGroup:
         """The cosets of the center and which of them commute.
 
         Stored in the instance dict on first use, so each group's relation
-        is decomposed once however many callers ask for it; it is not a
-        field, so equality and hashing see the table only.
+        is decomposed once however many callers ask for it; it is not one
+        of the record's fields, so equality and hashing never see it.
         """
         return _center_cosets(self.table, self.generators)
 
 
-@dataclass(frozen=True)
-class CenterCosets:
+class CenterCosets(NamedTuple):
     """A group's partition into the cosets of its center Z.
 
     ``cosets[0]`` is Z; the other cosets follow in order of their smallest
@@ -113,8 +125,7 @@ class CenterCosets:
     commuting: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Recognition:
+class Recognition(NamedTuple):
     """Result of small-catalog shape recognition.
 
     ``kind`` is ``"zpzp"`` (elementary abelian p x p, ``param`` = p),

@@ -16,7 +16,7 @@ elements: the CLI builds that graph where it prints it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .catalog import _FAMILIES, FamilySpec
 from .errors import AbelianGroupError, UnsupportedFamilyError
@@ -40,8 +40,7 @@ from .spectra import (
 )
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """A predicted complete spectrum with its source formula and parameters."""
 
     source: str
@@ -49,20 +48,19 @@ class Prediction:
     spectrum: Spectrum
 
 
-@dataclass(frozen=True)
-class PredictionCheck:
+class PredictionCheck(NamedTuple):
     prediction: Prediction
     verdict: str  # "match" | "mismatch"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Everything the brute-force pipeline found for one group.
 
     The spectral verdict, the spectrum and the component structure live in
     ``analysis`` alone, decided on the graph of the center's cosets.  The
-    commuting graph on the elements is not kept: graph output builds it
-    from ``group``.
+    commuting graph on the elements is not one of the fields: graph output
+    builds it from ``group``.  Reports compare field by field, so ``group``
+    compares by its table and names and ``analysis`` without its blocks.
     """
 
     name: str
@@ -71,7 +69,7 @@ class VerificationReport:
     checks: tuple[PredictionCheck, ...]
     recognition: Recognition
     analysis: SpectralAnalysis
-    group: FiniteGroup = field(repr=False)
+    group: FiniteGroup
 
     @property
     def vertex_count(self) -> int:
@@ -82,8 +80,7 @@ class VerificationReport:
         return all(c.verdict == "match" for c in self.checks)
 
 
-@dataclass(frozen=True)
-class CorollaryCheck:
+class CorollaryCheck(NamedTuple):
     """``conclusion_verified`` is None when the hypothesis does not hold."""
 
     label: str

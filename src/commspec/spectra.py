@@ -58,11 +58,10 @@ the records are also the graph's component structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import compress
 from math import comb, gcd, isqrt
 from operator import itemgetter, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     NonzeroDiagonalError,
@@ -75,24 +74,34 @@ from .graphs import CommutingGraph, connected_components
 from .groups import _tuple_picker
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class _CharPolyFields(NamedTuple):
+    coeffs: tuple[int, ...]
+
+
+class CharPoly(_CharPolyFields):
     """Monic integer polynomial det(xI - A), constant coefficient first.
 
     Every coefficient must have type int itself, so a float or a bool
     raises ``TypeError`` and the arithmetic on the coefficients stays exact.
+    The checks run in ``__new__``, which ``_make``, ``_replace``, ``pickle``
+    and ``copy`` all go through.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for c in self.coeffs:
+    def __new__(cls, coeffs: tuple[int, ...]):
+        for c in coeffs:
             if type(c) is not int:
                 raise TypeError(f"coefficients must be of type int, got {c!r}")
-        if not self.coeffs:
+        if not coeffs:
             raise NotMonicError("a polynomial needs at least one coefficient")
-        if self.coeffs[-1] != 1:
-            raise NotMonicError(f"leading coefficient is {self.coeffs[-1]}, not 1")
+        if coeffs[-1] != 1:
+            raise NotMonicError(f"leading coefficient is {coeffs[-1]}, not 1")
+        return super().__new__(cls, coeffs)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def degree(self) -> int:
@@ -105,8 +114,7 @@ class CharPoly:
         return acc
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Eigenvalue/multiplicity pairs, eigenvalues strictly decreasing.
 
     ``complete`` is True when the multiplicities account for the whole
@@ -134,8 +142,7 @@ def spectrum_json(spectrum: Spectrum) -> list[dict]:
     return [{"value": v, "multiplicity": k} for v, k in spectrum.pairs]
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """One distinct connected block: ``size`` k vertices (c z for c
     vertices read that stand for z twins each), the ``count`` of connected
     blocks with this exact submatrix, and ``quotient``, the polynomial
@@ -151,18 +158,32 @@ class Block:
         return self.quotient.degree
 
 
-@dataclass(frozen=True)
-class SpectralAnalysis:
-    """Outcome of the exact integrality decision for one graph.
-
-    ``blocks`` holds one record per distinct connected block.  Equality
-    leaves the records out: the spectrum and the remainder already
-    determine the graph's polynomial.
-    """
-
+class _AnalysisFields(NamedTuple):
     spectrum: Spectrum
     remainder: CharPoly
-    blocks: tuple[Block, ...] = field(compare=False, repr=False)
+    blocks: tuple[Block, ...]
+
+
+class SpectralAnalysis(_AnalysisFields):
+    """Outcome of the exact integrality decision for one graph.
+
+    ``blocks`` holds one record per distinct connected block.  ``==``,
+    ``!=`` and ``hash`` leave the records out and read ``spectrum`` and
+    ``remainder`` only: those two already determine the graph's polynomial.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.spectrum == other.spectrum and self.remainder == other.remainder
+
+    # tuple's != compares every field; object's negates __eq__
+    __ne__ = object.__ne__
+
+    def __hash__(self) -> int:
+        return hash((self.spectrum, self.remainder))
 
     @property
     def integral(self) -> bool:
@@ -389,14 +410,12 @@ def _char_poly_mod(a: list[list[int]], p: int) -> list[int] | None:
             if any(picked):
                 row[m] = (row[m] + sum(map(mul, factors, picked))) % p
     # A zero subdiagonal entry splits H into diagonal blocks whose
-    # polynomials multiply.
-    poly = [1]
-    start = 0
-    for end in range(1, n + 1):
-        if end == n or h[end][end - 1] == 0:
-            block = _hessenberg_block_mod(h, start, end, p)
-            poly = [c % p for c in _poly_mul(block, poly)]
-            start = end
+    # polynomials multiply; the first block's is the starting product.
+    cuts = [0, *(end for end in range(1, n) if h[end][end - 1] == 0), n]
+    poly = _hessenberg_block_mod(h, 0, cuts[1], p)
+    for start, end in zip(cuts[1:], cuts[2:]):
+        block = _hessenberg_block_mod(h, start, end, p)
+        poly = [c % p for c in _poly_mul(block, poly)]
     return poly
 
 

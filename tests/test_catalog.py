@@ -1,4 +1,6 @@
+import copy
 import enum
+import pickle
 from functools import reduce
 
 import pytest
@@ -233,6 +235,43 @@ def test_prime_parameters(factory):
         assert str(info.value) == f"primes are tested only below 2**32, got {value}"
     # the largest prime below the bound is accepted without building anything
     assert factory(4294967291).params == (4294967291,)
+
+
+@pytest.mark.parametrize(
+    "kind, params, factors, error",
+    [
+        ("dihedral", (1,), (), ParameterOutOfRange),
+        ("dihedral", (3.0,), (), ParameterOutOfRange),
+        ("heis", (4,), (), NotPrimeError),
+        ("foo", (3,), (), ParseError),
+        ("dihedral", (3,), (FamilySpec.cyclic(2),), ParseError),
+        ("product", (), (FamilySpec.cyclic(2),), ParameterOutOfRange),
+    ],
+)
+def test_family_spec_checks_every_way_a_record_is_made(kind, params, factors, error):
+    # _replace and _make route through the checks; a record that bypassed
+    # them is refused again when copied or unpickled
+    fields = (kind, params, factors)
+    with pytest.raises(error):
+        FamilySpec(*fields)
+    with pytest.raises(error):
+        FamilySpec.dihedral(3)._replace(kind=kind, params=params, factors=factors)
+    with pytest.raises(error):
+        FamilySpec._make(fields)
+    smuggled = tuple.__new__(FamilySpec, fields)
+    with pytest.raises(error):
+        copy.copy(smuggled)
+    with pytest.raises(error):
+        pickle.loads(pickle.dumps(smuggled))
+
+
+def test_family_spec_round_trips_keep_the_record():
+    spec = FamilySpec.product(FamilySpec.heis(3), FamilySpec.cyclic(4))
+    same = [spec._replace(), FamilySpec._make(spec), copy.copy(spec)]
+    same += [copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))]
+    for other in same:
+        assert type(other) is FamilySpec and other == spec
+        assert other.label() == spec.label()
 
 
 def _lowest(kind, above=()):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 from enum import IntEnum
@@ -259,6 +261,49 @@ def test_coefficients_must_be_exact_ints(coeffs):
     # a float, a bool or a Fraction is not an int itself, whatever it equals
     with pytest.raises(TypeError):
         CharPoly(coeffs)
+
+
+@pytest.mark.parametrize(
+    "coeffs, error",
+    [
+        ((1.0,), TypeError),
+        ((-4, 0, True), TypeError),
+        ((1, 2), NotMonicError),
+        ((), NotMonicError),
+    ],
+)
+def test_charpoly_checks_every_way_a_record_is_made(coeffs, error):
+    # _replace and _make route through the checks; a record that bypassed
+    # them is refused again when copied or unpickled
+    with pytest.raises(error):
+        CharPoly(coeffs)
+    with pytest.raises(error):
+        CharPoly((1,))._replace(coeffs=coeffs)
+    with pytest.raises(error):
+        CharPoly._make([coeffs])
+    smuggled = tuple.__new__(CharPoly, (coeffs,))
+    with pytest.raises(error):
+        copy.copy(smuggled)
+    with pytest.raises(error):
+        pickle.loads(pickle.dumps(smuggled))
+
+
+def test_charpoly_round_trips_keep_the_record():
+    poly = CharPoly((2, -3, 1))
+    same = [poly._replace(), CharPoly._make(poly), copy.copy(poly)]
+    same += [copy.deepcopy(poly), pickle.loads(pickle.dumps(poly))]
+    for other in same:
+        assert type(other) is CharPoly and other == poly
+
+
+def test_spectral_analysis_equality_leaves_the_blocks_out():
+    analysis = is_integral(build_commuting_graph(build(FamilySpec.dihedral(4))))
+    other = analysis._replace(blocks=())
+    assert other.blocks != analysis.blocks
+    assert other == analysis and not (other != analysis)
+    assert hash(other) == hash(analysis)
+    moved = analysis._replace(spectrum=spectrum_from_pairs([(1, 1)]))
+    assert moved != analysis and not (moved == analysis)
 
 
 def test_integer_spectrum_gets_no_float_polynomial():
@@ -817,6 +862,50 @@ def test_is_integral_multiplies_only_nonconstant_remainders(monkeypatch, grid):
     analysis = is_integral(_RAW_GRAPHS["k3-c5-mixed"])
     assert calls == [(1, -2, -1, 2, 1)] * 2
     assert analysis.remainder == CharPoly((1, -4, 2, 8, -5, -8, 2, 4, 1))
+
+
+def test_hessenberg_pass_multiplies_only_the_blocks_after_the_first(
+    monkeypatch, grid
+):
+    # the first diagonal block's polynomial starts the product, so each pass
+    # makes one _poly_mul per block after it, where it used to multiply the
+    # first block by [1] too
+    passes = []
+    original_pass = spectra._char_poly_mod
+
+    def counted_pass(a, p):
+        passes.append({"blocks": 0, "products": 0})
+        return original_pass(a, p)
+
+    def counter(original, key):
+        def spy(*args):
+            if sys._getframe(1).f_code is original_pass.__code__:
+                passes[-1][key] += 1
+            return original(*args)
+
+        return spy
+
+    monkeypatch.setattr(spectra, "_char_poly_mod", counted_pass)
+    monkeypatch.setattr(
+        spectra,
+        "_hessenberg_block_mod",
+        counter(spectra._hessenberg_block_mod, "blocks"),
+    )
+    monkeypatch.setattr(spectra, "_poly_mul", counter(spectra._poly_mul, "products"))
+    for name, spec, group in grid:
+        verify_group(group, name, spec)
+    # a weight-2 edge on vertices 1 and 3 and a triangle on 0, 2 and 4: the
+    # twin quotient's Hessenberg form splits
+    weighted = [
+        [0, 0, 1, 0, 1],
+        [0, 0, 0, 2, 0],
+        [1, 0, 0, 0, 1],
+        [0, 2, 0, 0, 0],
+        [1, 0, 1, 0, 0],
+    ]
+    assert char_poly(weighted) == CharPoly((8, 12, -2, -7, 0, 1))
+    assert passes[-1]["blocks"] > 1
+    assert [c["products"] for c in passes] == [c["blocks"] - 1 for c in passes]
 
 
 def _dense_char_poly(graph):

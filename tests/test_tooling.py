@@ -1,10 +1,13 @@
 """Checks on the sources and the docs that no linter in CI makes: README's
-API list and error table match the package, and no module keeps an import
-it never uses."""
+API list and error table match the package, no module keeps an import it
+never uses, and starting the CLI loads none of the introspection modules."""
 
 import ast
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +81,27 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_module_imports_a_name_it_never_uses(path):
     # __init__.py is left out: its imports are the package's exports
     assert _unused_imports(path) == []
+
+
+# ``dataclasses`` imports ``inspect``, which imports the other three; in a
+# fresh process they were about a third of the CLI's start-up time
+_STARTUP_CHECK = """
+import sys
+from commspec import cli
+cli.main(["--help"])
+print(*[m for m in ("dataclasses", "inspect", "ast", "dis", "tokenize")
+        if m in sys.modules])
+"""
+
+
+def test_the_cli_starts_without_the_introspection_modules():
+    env = {**os.environ, "PYTHONPATH": str(_PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", _STARTUP_CHECK],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == ""
