@@ -27,10 +27,10 @@ modulo M, the least power of the Mersenne prime 2^61 - 1 that exceeds
 twice that bound, and the symmetric residues are the integer coefficients
 (Cohen, "A Course in Computational Algebraic Number Theory", the
 Hessenberg method; Dumas, Pernet and Wan, "Efficient computation of the
-characteristic polynomial", ISSAC 2005).  If no entry of some pivot column
-is a unit modulo M, the same pass runs again modulo the next larger odd
-number that passes Fermat's test to base 2, until one does not stall; a
-prime modulus never does.  The pass's row and column operations touch
+characteristic polynomial", ISSAC 2005).  Modulo a prime power every
+nonzero entry is a power of the prime times a unit, so a column without a
+unit pivots on its entry of least power, which divides the rest, and the
+pass never stalls.  The pass's row and column operations touch
 only the nonzero entries of the pivot row and of the target columns.  The
 polynomial is then spot-checked against an independent fraction-free
 Bareiss determinant at t in {0, 1, 2} of the c x c matrix W = z(C + I) -
@@ -315,7 +315,7 @@ def _block_factor(
     return reduced, max(sum(map(abs, row)) for row in quotient)
 
 
-# the Mersenne prime whose least power above twice the bound is the first modulus
+# the Mersenne prime whose least power above twice the bound is the modulus
 _MERSENNE = (1 << 61) - 1
 
 
@@ -324,47 +324,40 @@ def _modular_char_poly(a: list[list[int]], bound: int) -> list[int]:
 
     ``bound`` is a B proven by the caller to bound every coefficient's
     absolute value (``_block_factor`` passes one from Q's real eigenvalues).
-    M is first the least power of the Mersenne prime 2**61 - 1 that exceeds
-    2B, so the symmetric residue in (-M/2, M/2] of a true coefficient is the
+    M is the least power of the Mersenne prime 2**61 - 1 that exceeds 2B, so
+    the symmetric residue in (-M/2, M/2] of a true coefficient is the
     coefficient itself.
 
     One Hessenberg pass over the ring Z/M gives every residue at once:
-    a similarity by unit pivots preserves det(xI - A) over any commutative
-    ring; the recurrence of ``_hessenberg_block_mod`` is a determinant
-    expansion, so it needs no division; and splitting at a zero subdiagonal
-    entry leaves a block-triangular determinant, the product of the
-    diagonal blocks' determinants over any ring.  So the pass yields the
-    true coefficients modulo any M > 2B.  When some pivot column has
-    nonzero entries but no unit modulo M, the pass gives up and runs again
-    modulo ``_fermat_modulus(M)``, a larger M.  Over a prime modulus every
-    nonzero entry is a unit, so the pass never gives up there, and since
-    ``_fermat_modulus`` skips no prime, the retries end.  Primality only
-    makes a stall unlikely; exactness rests on M > 2B and unit pivots alone.
+    the pass is a similarity, which preserves det(xI - A) over any
+    commutative ring; the recurrence of ``_hessenberg_block_mod`` is a
+    determinant expansion, so it needs no division; and splitting at a zero
+    subdiagonal entry leaves a block-triangular determinant, the product of
+    the diagonal blocks' determinants over any ring.  So the pass yields the
+    true coefficients modulo any prime power M > 2B (``_char_poly_mod``).
     """
     modulus = _MERSENNE
     while modulus <= 2 * bound:
         modulus *= _MERSENNE
-    while (coeffs := _char_poly_mod(a, modulus)) is None:
-        modulus = _fermat_modulus(modulus)
     half = modulus // 2
-    return [c - modulus if c > half else c for c in coeffs]
+    return [c - modulus if c > half else c for c in _char_poly_mod(a, modulus)]
 
 
-def _fermat_modulus(m: int) -> int:
-    """The least odd n > m with 2^(n - 1) = 1 (mod n).  Every odd prime
-    passes Fermat's test, so no prime above m is skipped."""
-    n = m + 1 + m % 2
-    while pow(2, n - 1, n) != 1:
-        n += 2
-    return n
-
-
-def _char_poly_mod(a: list[list[int]], p: int) -> list[int] | None:
+def _char_poly_mod(a: list[list[int]], p: int) -> list[int]:
     """det(xI - A) mod p, ascending, from an upper Hessenberg form of A.
 
-    p is any odd modulus.  Each pivot is the first entry of its column that
-    is a unit mod p; when a column has nonzero entries but no unit, the
-    reduction stops and returns None.  For a prime p that never happens.
+    p must be a prime power P^e; the program passes powers of
+    ``_MERSENNE``.  The pivot is the first unit of its column, else the
+    first entry of least g = gcd(x, p).  Step m subtracts u_i times the
+    pivot row from each row i > m, u_i = (x_i / g) (pivot / g)^-1 mod p,
+    and adds u_i times column i to column m.  A nonzero x is P^v times a
+    unit and gcd(x, p) = P^v, so g, the least such P^v, divides every x_i
+    exactly; pivot / g is prime to P, so a unit, and u_i pivot = x_i mod p
+    clears row i.  The step is the similarity by L (below), valid over any
+    commutative ring; a unit pivot has g = 1.  So the pass never stops, and
+    a non-unit subdiagonal entry is harmless: ``_hessenberg_block_mod``
+    never divides.  Modulo a composite such as 105 the least gcd need not
+    divide the column: 3 and 5 do not.
 
     Both operations of step m skip zeros.  The row operation updates a
     target row only in the columns where the pivot row is nonzero: where
@@ -378,26 +371,27 @@ def _char_poly_mod(a: list[list[int]], p: int) -> list[int] | None:
         col = m - 1
         column = [h[i][col] for i in range(m, n)]
         pivot = next((i for i, x in enumerate(column, m) if gcd(x, p) == 1), None)
+        g = 1
         if pivot is None:
-            if any(column):
-                return None
-            continue
+            if not any(column):
+                continue
+            g, pivot = min((gcd(x, p), i) for i, x in enumerate(column, m) if x)
         if pivot != m:
             h[m], h[pivot] = h[pivot], h[m]
             for row in h:
                 row[m], row[pivot] = row[pivot], row[m]
-        # Similarity by L = I - sum_i u_i e_i e_m^T: subtract u_i * row m from
-        # each row i > m to clear column m-1 below the subdiagonal, then add
-        # u_i * column i to column m.
+        # Similarity by the unit lower-triangular L = I - sum_i u_i e_i e_m^T:
+        # subtract u_i * row m from each row i > m to clear column m-1 below
+        # the subdiagonal, then add u_i * column i to column m.
         row_m = h[m]
-        minus_inverse = p - pow(row_m[col], -1, p)
+        minus_inverse = p - pow(row_m[col] // g, -1, p)
         support = [(j, y) for j, y in enumerate(row_m[col:], col) if y]
         targets = []
         factors = []
         for i in range(m + 1, n):
             row_i = h[i]
             if row_i[col]:
-                minus_u = row_i[col] * minus_inverse % p
+                minus_u = row_i[col] // g * minus_inverse % p
                 for j, y in support:
                     row_i[j] = (row_i[j] + minus_u * y) % p
                 targets.append(i)

@@ -156,33 +156,36 @@ def dense_bareiss(a):
     return sign * divisors[-1]
 
 
-def dense_char_poly_mod(a, p):
-    """det(xI - A) mod p, ascending, or None, by the Hessenberg pass that
-    ``spectra._char_poly_mod`` makes, with every row and column operation
-    applied to whole rows and columns, zeros included."""
+def dense_char_poly_mod(a, p, pivots=None):
+    """det(xI - A) mod p, ascending, for a prime power p, by the Hessenberg
+    pass that ``spectra._char_poly_mod`` makes, with every row and column
+    operation applied to whole rows and columns, zeros included.  The pivot
+    is the first unit of its column, or else the first entry of least
+    g = gcd(x, p), which divides the column.  When ``pivots`` is a list,
+    each step's g is appended to it."""
     n = len(a)
     h = [[x % p for x in row] for row in a]
     for m in range(1, n - 1):
         col = m - 1
         column = [h[i][col] for i in range(m, n)]
-        pivot = next((i for i, x in enumerate(column, m) if gcd(x, p) == 1), None)
-        if pivot is None:
-            if any(column):
-                return None
+        if not any(column):
             continue
+        g, pivot = min((gcd(x, p), i) for i, x in enumerate(column, m) if x)
+        if pivots is not None:
+            pivots.append(g)
         if pivot != m:
             h[m], h[pivot] = h[pivot], h[m]
             for row in h:
                 row[m], row[pivot] = row[pivot], row[m]
         row_m = h[m]
-        minus_inverse = p - pow(row_m[col], -1, p)
+        minus_inverse = p - pow(row_m[col] // g, -1, p)
         tail = row_m[col:]
         targets = []
         factors = []
         for i in range(m + 1, n):
             row_i = h[i]
             if row_i[col]:
-                minus_u = row_i[col] * minus_inverse % p
+                minus_u = row_i[col] // g * minus_inverse % p
                 row_i[col:] = [
                     (x + minus_u * y) % p for x, y in zip(row_i[col:], tail)
                 ]

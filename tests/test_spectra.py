@@ -447,16 +447,14 @@ def test_char_poly_matches_faddeev_leverrier_on_random_matrices():
 
 
 def _spy_char_poly_mod(monkeypatch):
-    """Record (modulus, gave up) for every call of _char_poly_mod."""
+    """Record the modulus of every call of _char_poly_mod."""
     calls = []
     original = spectra._char_poly_mod
-
-    def spy(a, modulus):
-        residues = original(a, modulus)
-        calls.append((modulus, residues is None))
-        return residues
-
-    monkeypatch.setattr(spectra, "_char_poly_mod", spy)
+    monkeypatch.setattr(
+        spectra,
+        "_char_poly_mod",
+        lambda a, modulus: calls.append(modulus) or original(a, modulus),
+    )
     return calls
 
 
@@ -484,20 +482,24 @@ def test_char_poly_of_k30_takes_one_pass_modulo_p_cubed(monkeypatch):
     calls = _spy_char_poly_mod(monkeypatch)
     assert spectra._modular_char_poly(k30, bound) == _faddeev_leverrier(k30)
     # B = 30**30 is about 2**147, so 2B exceeds P**2, about 2**122
-    [(modulus, gave_up)] = calls
-    assert not gave_up
+    [modulus] = calls
     assert modulus == _P**3 > 2 * 30**30
 
 
-def test_pivot_column_without_a_unit_retries_once(monkeypatch):
-    # column 0 below the diagonal holds only P: nonzero modulo P**k, not a unit
+def test_pivot_column_without_a_unit_takes_one_pass(monkeypatch):
+    # column 0 below the diagonal holds only P: nonzero modulo P**k, not a
+    # unit, so P is the pivot
     a = [[0, _P, 0, 0], [_P, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]]
     calls = _spy_char_poly_mod(monkeypatch)
     assert spectra._modular_char_poly(a, row_sum_bound(a)) == _faddeev_leverrier(a)
-    [(first, gave_up), (retry, retry_gave_up)] = calls
-    assert gave_up and not retry_gave_up
-    _mersenne_power(first)
-    assert retry == spectra._fermat_modulus(first)
+    [modulus] = calls
+    assert _mersenne_power(modulus) > 1
+    # char_poly merges the twins 2 and 3; column 0 of the 3 x 3 quotient
+    # still holds only P below the diagonal
+    calls.clear()
+    assert char_poly(a) == CharPoly((_P**2, -2, -_P**2 - 3, 0, 1))
+    [modulus] = calls
+    _mersenne_power(modulus)
 
 
 def test_pivot_skips_an_entry_that_is_not_a_unit(monkeypatch):
@@ -505,31 +507,20 @@ def test_pivot_skips_an_entry_that_is_not_a_unit(monkeypatch):
     a = [[0, _P, 1, 0], [_P, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]]
     calls = _spy_char_poly_mod(monkeypatch)
     assert spectra._modular_char_poly(a, row_sum_bound(a)) == _faddeev_leverrier(a)
-    [(modulus, gave_up)] = calls
-    assert not gave_up
+    [modulus] = calls
     assert _mersenne_power(modulus) > 1
 
 
-def test_fermat_modulus_skips_no_prime():
-    # 341 = 11 * 31 is the least composite that passes Fermat's test to base 2
-    assert spectra._fermat_modulus(340) == 341
-    odd_primes = [n for n in range(3, 3000) if _is_prime_by_trial_division(n)]
-    pseudoprimes = [341, 561, 645, 1105, 1387, 1729, 1905, 2047, 2465, 2701, 2821]
-    passed = []
-    m = 1
-    while (m := spectra._fermat_modulus(m)) < 3000:
-        passed.append(m)
-    assert passed == sorted(odd_primes + pseudoprimes)
-
-
-def test_pass_stalls_modulo_a_pseudoprime_on_a_column_of_its_factor():
-    # 11 divides 341: nonzero modulo 341, not a unit
-    a = [[0, 11, 11], [11, 0, 1], [11, 1, 0]]
-    assert spectra._char_poly_mod(a, 341) is None
-    assert dense_char_poly_mod(a, 341) is None
-    # the next modulus is the prime 347, where the pass goes through
-    assert spectra._fermat_modulus(341) == 347
-    assert spectra._char_poly_mod(a, 347) == [c % 347 for c in _faddeev_leverrier(a)]
+def test_pivot_is_the_entry_of_least_valuation():
+    # column 0 below the diagonal holds 9 and then 3 modulo 3**5, no unit:
+    # 3 divides 9 and becomes the pivot, while 9 could not clear the 3
+    a = [[0, 9, 3, 0], [9, 0, 1, 1], [3, 1, 0, 1], [0, 1, 1, 0]]
+    expected = [36, 187, 150, 0, 1]
+    assert [c % 3**5 for c in _faddeev_leverrier(a)] == expected
+    pivots = []
+    assert dense_char_poly_mod(a, 3**5, pivots) == expected
+    assert pivots[0] == 3
+    assert spectra._char_poly_mod(a, 3**5) == expected
 
 
 def _block_keys(group):
@@ -541,7 +532,7 @@ def _block_keys(group):
     }
 
 
-def test_retry_after_a_stall_gives_the_same_coefficients(grid, monkeypatch):
+def test_every_grid_s4_and_a5_block_takes_one_pass(grid, monkeypatch):
     blocks = set()
     for group in [g for _, _, g in grid] + [
         permutation_group(4, False),
@@ -552,20 +543,11 @@ def test_retry_after_a_stall_gives_the_same_coefficients(grid, monkeypatch):
         ([list(row) for row in key], row_sum_bound(key)) for key in sorted(blocks)
     ]
     calls = _spy_char_poly_mod(monkeypatch)
-    single = [spectra._modular_char_poly(b, bound) for b, bound in blocks]
-    assert len(calls) == len(blocks) and not any(g for _, g in calls)
-    # stall every power of P, the first modulus of each block, so that each
-    # block is reduced once more modulo a Fermat modulus; a stub that stalled
-    # every modulus would never return
-    original = spectra._char_poly_mod
-    monkeypatch.setattr(
-        spectra,
-        "_char_poly_mod",
-        lambda a, modulus: None if modulus % _P == 0 else original(a, modulus),
-    )
-    calls = _spy_char_poly_mod(monkeypatch)
-    assert [spectra._modular_char_poly(b, bound) for b, bound in blocks] == single
-    assert [gave_up for _, gave_up in calls] == [True, False] * len(blocks)
+    coeffs = [spectra._modular_char_poly(b, bound) for b, bound in blocks]
+    assert len(calls) == len(blocks)
+    for (b, _), modulus, c in zip(blocks, calls, coeffs):
+        _mersenne_power(modulus)
+        assert [x % modulus for x in c] == dense_char_poly_mod(b, modulus)
 
 
 @pytest.mark.parametrize(
@@ -588,18 +570,8 @@ def test_one_modular_pass_per_distinct_block(make_group, distinct, monkeypatch):
     assert len(calls) == distinct
     char_poly(graph.to_matrix())
     assert len(calls) == distinct + 1
-    assert not any(gave_up for _, gave_up in calls)
-
-
-def _is_prime_by_trial_division(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    for modulus in calls:
+        _mersenne_power(modulus)
 
 
 @pytest.mark.parametrize("degree, even", [(4, False), (5, True)])
@@ -1709,8 +1681,7 @@ def test_s5_quotient_needs_p_squared_under_the_eigenvalue_bound(monkeypatch):
     calls = _engine_calls(monkeypatch)
     moduli = _spy_char_poly_mod(monkeypatch)
     is_integral(_s5_graph())
-    assert not any(gave_up for _, gave_up in moduli)
-    powers = {len(q): _mersenne_power(m) for (q, _), (m, _) in zip(calls, moduli)}
+    powers = {len(q): _mersenne_power(m) for (q, _), m in zip(calls, moduli)}
     # the 50-row quotient of the 95-vertex block, and K_4's one row
     assert powers == {50: 2, 1: 1}
     [(q, bound)] = [(q, bound) for q, bound in calls if len(q) == 50]
@@ -1720,7 +1691,7 @@ def test_s5_quotient_needs_p_squared_under_the_eigenvalue_bound(monkeypatch):
     assert row_sum_bound(q) == 11**50 and (2 * 11**50).bit_length() == 174
     moduli.clear()
     engine(q, row_sum_bound(q))
-    [(modulus, _)] = moduli
+    [modulus] = moduli
     assert _mersenne_power(modulus) == 3
 
 
@@ -1766,7 +1737,7 @@ def test_a_polynomial_wrong_only_at_minus_one_fails_the_check(
 
 # Sparse Hessenberg pass: _char_poly_mod touches only the nonzero entries of
 # the pivot row and of the target columns, and must give the residues of the
-# dense pass in tests/oracles.py, or None where that gives None.
+# dense pass in tests/oracles.py modulo any prime power.
 
 
 def _random_square(rng, n, density, symmetric):
@@ -1781,28 +1752,55 @@ def _random_square(rng, n, density, symmetric):
 
 
 def _moduli():
-    """P, P**2, P**3 and a small odd composite whose pivot columns often
+    """P, P**2, P**3 and two small prime powers whose pivot columns often
     have nonzero entries but no unit."""
-    return [_P, _P**2, _P**3, 3 * 5 * 7]
+    return [_P, _P**2, _P**3, 3**5, 2**10]
 
 
 def _assert_same_residues(a, modulus):
+    """The sparse pass's residues, which must equal the dense pass's, and
+    the number of pivots of the dense pass that are not units."""
+    pivots = []
     sparse = spectra._char_poly_mod(a, modulus)
-    assert sparse == dense_char_poly_mod(a, modulus), (a, modulus)
-    return sparse
+    assert sparse == dense_char_poly_mod(a, modulus, pivots), (a, modulus)
+    return sparse, sum(g > 1 for g in pivots)
 
 
 def test_sparse_pass_matches_the_dense_pass_on_random_matrices():
     rng = random.Random(31)
-    gave_up = 0
+    non_units = 0
     for density in (0.1, 0.3, 1.0):
         for symmetric in (True, False):
             for _ in range(15):
                 a = _random_square(rng, rng.randint(0, 12), density, symmetric)
                 for modulus in _moduli():
-                    gave_up += _assert_same_residues(a, modulus) is None
-    # only the small composite modulus has nonzero entries that are not units
-    assert gave_up > 0
+                    non_units += _assert_same_residues(a, modulus)[1]
+    # only the small prime powers have nonzero entries that are not units
+    assert non_units > 0
+
+
+def test_passes_match_faddeev_leverrier_modulo_prime_powers():
+    # each entry of a matrix read modulo q**e is q**v times a number in
+    # -2..2, for a random v <= e, so that many pivot columns have nonzero
+    # entries but no unit and several valuations
+    rng = random.Random(33)
+    non_units = 0
+    for q, e in ((3, 5), (5, 3), (7, 2), (2, 10), (_P, 1), (_P, 2)):
+        modulus = q**e
+        for symmetric in (True, False):
+            for _ in range(20):
+                n = rng.randint(0, 10)
+                a = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i if symmetric else 0, n):
+                        a[i][j] = q ** rng.randint(0, e) * rng.randint(-2, 2)
+                        if symmetric:
+                            a[j][i] = a[i][j]
+                expected = [c % modulus for c in _faddeev_leverrier(a)]
+                residues, count = _assert_same_residues(a, modulus)
+                assert residues == expected, (a, modulus)
+                non_units += count
+    assert non_units >= 100
 
 
 def test_sparse_pass_matches_the_dense_pass_on_weighted_blow_ups():
@@ -1825,11 +1823,12 @@ def test_sparse_pass_matches_the_dense_pass_on_the_group_quotients(monkeypatch):
             _assert_same_residues(q, modulus)
 
 
-def test_sparse_pass_gives_up_where_the_dense_pass_does():
+def test_sparse_and_dense_passes_agree_on_a_column_without_a_unit():
     # column 0 below the diagonal holds only P: nonzero modulo P**2, not a unit
     a = [[0, _P, 0, 0], [_P, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]]
-    assert _assert_same_residues(a, _P**2) is None
-    assert _assert_same_residues(a, spectra._fermat_modulus(_P**2)) is not None
+    residues, non_units = _assert_same_residues(a, _P**2)
+    assert residues == [c % _P**2 for c in _faddeev_leverrier(a)]
+    assert non_units == 1
 
 
 # Sparse elimination: _bareiss keeps each row as its entries, updates only

@@ -1,6 +1,8 @@
 """Checks on the sources and the docs that no linter in CI makes: README's
-API list and error table match the package, no module keeps an import it
-never uses, and starting the CLI loads none of the introspection modules."""
+API list and error table match the package, every underscore name that a
+docstring or README cites is defined in the package, no module keeps an
+import it never uses, and starting the CLI loads none of the introspection
+modules."""
 
 import ast
 import inspect
@@ -81,6 +83,47 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_module_imports_a_name_it_never_uses(path):
     # __init__.py is left out: its imports are the package's exports
     assert _unused_imports(path) == []
+
+
+# an underscore name cited in a docstring as ``_name`` or ``module._name``,
+# or in README as `_name`; dunder names are Python's, not the package's
+_CITED_DOCSTRING = re.compile(r"``(?:\w+\.)*(_[^\W_]\w*)``")
+_CITED_README = re.compile(r"`(?:\w+\.)*(_[^\W_]\w*)`")
+# the methods that NamedTuple gives every record
+_NAMEDTUPLE_METHODS = {"_replace", "_make", "_fields"}
+
+
+def _defined_names(tree: ast.Module) -> set[str]:
+    """The names a def, a class or an assignment binds at the top level of
+    a module or in a class body."""
+    names = set()
+    bodies = [tree.body]
+    while bodies:
+        for node in bodies.pop():
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+                if isinstance(node, ast.ClassDef):
+                    bodies.append(node.body)
+            elif isinstance(node, ast.Assign):
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names.add(node.target.id)
+    return names
+
+
+def test_every_cited_underscore_name_is_defined():
+    # a docstring or README that still names a deleted helper is stale
+    defined = set(_NAMEDTUPLE_METHODS)
+    cited = set(_CITED_README.findall(_README.read_text(encoding="utf-8")))
+    for path in _PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined |= _defined_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                doc = ast.get_docstring(node, clean=False) or ""
+                cited.update(_CITED_DOCSTRING.findall(doc))
+    assert cited, "the pattern found no citation at all"
+    assert sorted(cited - defined) == []
 
 
 # ``dataclasses`` imports ``inspect``, which imports the other three; in a
