@@ -242,14 +242,17 @@ def _suite_entries(args) -> list[tuple[str, str]]:
 
 def _run_suite(args) -> int:
     # each group's entry is rendered as soon as it is verified, so no report,
-    # and no group table, outlives its own iteration
+    # and no group table, outlives its own iteration; only the block keys
+    # and their polynomials do, in one memo shared by the run's groups and
+    # keyed on z = |Z| too, so that each distinct block is proved once
     as_json = args.format == "json"
+    memo: dict = {}
     entries = []
     passed = 0
     for name, spec_text in _suite_entries(args):
         try:
             _, family, group = _load_group(spec_text)
-            report = verify_group(group, name, family)
+            report = verify_group(group, name, family, memo)
             corollaries = verify_centralizer_corollaries(report)
             ok = (
                 report.all_match()

@@ -104,7 +104,10 @@ def predict_family(spec: FamilySpec) -> Prediction:
 
 
 def verify_group(
-    group: FiniteGroup, name: str, family: FamilySpec | None = None
+    group: FiniteGroup,
+    name: str,
+    family: FamilySpec | None = None,
+    memo: dict | None = None,
 ) -> VerificationReport:
     """Run the full pipeline on one group and check every applicable formula.
 
@@ -120,14 +123,17 @@ def verify_group(
     complete are read from ``is_integral``'s records of the distinct
     blocks, so the graph's components are found once; a block is complete
     exactly when it has one twin class (proof in
-    ``SpectralAnalysis.all_cliques``).
+    ``SpectralAnalysis.all_cliques``).  ``memo`` goes to ``is_integral``:
+    callers that verify several groups pass one dict to all of them, so
+    that each distinct block, keyed on its submatrix and on z = |Z|, is
+    proved once across the groups; without it, each call starts afresh.
     """
     if group.is_abelian():
         raise AbelianGroupError("verification is defined for non-abelian groups only")
     z = len(center(group))
     count = centralizer_count(group)
     recognition = recognize_small(quotient_by_center(group))
-    analysis = is_integral(coset_graph(group), z)
+    analysis = is_integral(coset_graph(group), z, memo)
 
     predictions: list[Prediction] = []
     shape = _FAMILIES.get(recognition.kind)

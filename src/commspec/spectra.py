@@ -53,7 +53,10 @@ divisors of the lowest nonzero coefficient, bounded by Q's largest row
 sum, a degree of A.  Each distinct block is kept as a record (``Block``):
 its size k, the number of blocks that share its submatrix, its number r of
 twin classes and det(xI - Q).  A block is complete exactly when r = 1, so
-the records are also the graph's component structure.
+the records are also the graph's component structure.  Calls that share a
+``memo`` share their blocks too, keyed on the block and on z, since the
+matrix read depends on both: one ``suite`` run proves each distinct block
+once across all its groups.
 """
 
 from __future__ import annotations
@@ -743,7 +746,11 @@ def _divide_linear(desc: list[int], r: int) -> tuple[list[int], int]:
     return out, rem
 
 
-def is_integral(graph: CommutingGraph, z: int = 1) -> SpectralAnalysis:
+def is_integral(
+    graph: CommutingGraph,
+    z: int = 1,
+    memo: dict | None = None,
+) -> SpectralAnalysis:
     """Decide integrality of the adjacency spectrum of the graph in which
     each vertex of ``graph`` stands for ``z`` true twins, exactly.
 
@@ -762,6 +769,16 @@ def is_integral(graph: CommutingGraph, z: int = 1) -> SpectralAnalysis:
     ``blocks``.  A z below 1 raises :class:`ParameterOutOfRange`, and a z
     whose type is not int itself, a float or a bool included, raises
     ``TypeError``.
+
+    ``memo``, a dict the caller owns, maps (block key, z) to Q's
+    polynomial, its integer spectrum and its remainder, so that calls
+    sharing it share their common blocks: a miss proves, spot-checks and
+    searches the block and stores the result, and a hit reuses it.  That is
+    exact by the argument that lets equal blocks of one graph share a
+    result: the key is the block's exact submatrix C, and an equal C with
+    an equal z is the same matrix W = z(C + I) - I, with the same proved
+    and checked polynomial and the same roots.  z must be in the key, since
+    Q depends on it.  Without a ``memo``, each call starts an empty one.
     """
     if type(z) is not int:
         raise TypeError(f"z must be of type int, got {z!r}")
@@ -778,12 +795,17 @@ def is_integral(graph: CommutingGraph, z: int = 1) -> SpectralAnalysis:
     for block in connected_components(graph):
         key = tuple(_bit_rows(adjacency, block))
         counts[key] = counts.get(key, 0) + 1
+    if memo is None:
+        memo = {}
     pairs: list[tuple[int, int]] = []
     records = []
     remainder = [1]
     for key, count in counts.items():
-        quotient, bound = _block_factor(key, z)
-        spectrum, rest = integer_spectrum(quotient, bound)
+        found = memo.get((key, z))
+        if found is None:
+            quotient, bound = _block_factor(key, z)
+            found = memo[key, z] = (quotient, *integer_spectrum(quotient, bound))
+        quotient, spectrum, rest = found
         size = len(key) * z
         pairs.append((-1, (size - quotient.degree) * count))
         pairs.extend((value, mult * count) for value, mult in spectrum.pairs)

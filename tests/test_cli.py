@@ -9,9 +9,11 @@ import pytest
 
 import commspec
 from commspec import cli, errors, graphs, groups, predictions, spectra
-from commspec.catalog import list_catalog
+from commspec.catalog import build, list_catalog, parse_family
 from commspec.cli import main
-from commspec.groups import from_cayley_table
+from commspec.graphs import connected_components, coset_graph
+from commspec.groups import center, from_cayley_table
+from commspec.predictions import report_json_dict, verify_group
 
 from oracles import format_cayley_text
 from permutation_groups import permutation_table
@@ -628,3 +630,65 @@ def test_each_center_is_scanned_once(argv, orders, monkeypatch, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert seen == orders
+
+
+def _block_keys(group):
+    """The (block key, z) pairs that is_integral reads on the group's coset
+    graph: each connected block's exact submatrix, and z = |Z|."""
+    graph = coset_graph(group)
+    z = len(center(group))
+    return {
+        (tuple(spectra._bit_rows(graph.adjacency, block)), z)
+        for block in connected_components(graph)
+    }
+
+
+# one 35-coset block in 24 twin classes, read with z = 2 and with z = 1
+_SAME_BLOCK_EXTRAS = ("prod:dicyclic:3,dihedral:3", "prod:dihedral:3,dihedral:3")
+
+
+def test_suite_entries_equal_isolated_analyses(grid, capsys):
+    # the suite shares one memo across its groups; a memo keyed on the block
+    # alone would give the second extra the first's spectrum
+    named = list(grid)
+    argv = ["suite", "--format", "json"]
+    for text in _SAME_BLOCK_EXTRAS:
+        spec = parse_family(text)
+        named.append((text, spec, build(spec)))
+        argv += ["--extra", text]
+    (key, z), (other_key, other_z) = (_block_keys(g).pop() for *_, g in named[-2:])
+    assert key == other_key and (z, other_z) == (2, 1)
+    assert main(argv) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert len(results) == len(named)
+    for entry, (name, spec, group) in zip(results, named):
+        # every grid group passes; neither extra has an integral spectrum
+        assert entry.pop("pass") is (name not in _SAME_BLOCK_EXTRAS)
+        assert entry == report_json_dict(verify_group(group, name, spec))
+    assert {"value": 0, "multiplicity": 4} in results[-1]["spectrum"]
+    assert {"value": 0, "multiplicity": 4} not in results[-2]["spectrum"]
+
+
+def test_a_suite_run_proves_each_distinct_block_once(grid, monkeypatch, capsys):
+    factored = _count_calls(monkeypatch, spectra, "_block_factor")
+    checked = _count_calls(monkeypatch, spectra, "_spot_check")
+    distinct = set().union(*(_block_keys(group) for *_, group in grid))
+    per_group = sum(len(_block_keys(group)) for *_, group in grid)
+    # the grid's groups share blocks: 39 distinct pairs, 126 counted by group
+    assert len(distinct) < per_group
+    for runs in (1, 2):
+        assert main(["suite", "--format", "json"]) == 0
+        capsys.readouterr()
+        # a second run proves every block again: nothing outlives a run
+        assert len(factored) == len(checked) == runs * len(distinct)
+
+
+def test_verify_proves_each_distinct_block_of_its_group_once(monkeypatch, capsys):
+    factored = _count_calls(monkeypatch, spectra, "_block_factor")
+    # dicyclic:6 has 7 connected blocks on its cosets, 2 of them distinct
+    distinct = len(_block_keys(build(parse_family("dicyclic:6"))))
+    assert distinct == 2
+    for runs in (1, 2):
+        assert main(["verify", "dicyclic:6"]) == 0
+        capsys.readouterr()
+        assert len(factored) == runs * distinct

@@ -281,7 +281,9 @@ def test_corollaries_fail_when_the_shape_or_the_spectrum_is_wrong(
     if spectrum is not None:
         real = predictions.is_integral
         monkeypatch.setattr(
-            predictions, "is_integral", lambda g, z: spectrum(real(g, z))
+            predictions,
+            "is_integral",
+            lambda g, z, memo: spectrum(real(g, z, memo)),
         )
     group = build(spec)
     report = verify_group(group, spec.label(), spec)
@@ -312,7 +314,9 @@ def _element_graph_report(group, name, family, monkeypatch):
     real = predictions.is_integral
     with monkeypatch.context() as patched:
         patched.setattr(predictions, "coset_graph", build_commuting_graph)
-        patched.setattr(predictions, "is_integral", lambda graph, z: real(graph))
+        patched.setattr(
+            predictions, "is_integral", lambda graph, z, memo: real(graph)
+        )
         return verify_group(group, name, family)
 
 

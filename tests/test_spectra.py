@@ -1072,6 +1072,30 @@ def test_is_integral_proves_and_checks_each_distinct_block_once(
     assert sorted(determinants) == sorted(sizes * 3)
 
 
+def test_a_shared_memo_changes_no_analysis(monkeypatch):
+    # one memo over many graphs and z values: each (block key, z) is proved
+    # once, and every analysis, records included, equals the unshared one
+    rng = random.Random(29)
+    graphs = [_random_graph(rng, rng.randint(0, 7), rng.random()) for _ in range(30)]
+    graphs += [_blow_up(rng, rng.randint(1, 4), rng.random(), 3)[0] for _ in range(10)]
+    graphs += list(_RAW_GRAPHS.values())
+    runs = [(graph, z, is_integral(graph, z)) for graph in graphs for z in (1, 2, 3)]
+    proved = []
+    original = spectra._block_factor
+    monkeypatch.setattr(
+        spectra,
+        "_block_factor",
+        lambda key, z: proved.append((key, z)) or original(key, z),
+    )
+    memo = {}
+    for graph, z, alone in runs:
+        shared = is_integral(graph, z, memo)
+        assert shared == alone and shared.blocks == alone.blocks
+    assert len(proved) == len(set(proved)) == len(memo)
+    # the graphs share blocks, so some calls were answered from the memo
+    assert len(memo) < sum(len(alone.blocks) for _, _, alone in runs)
+
+
 def _expanded(graph, z, rng):
     """The element graph (C + I) (x) J_z - I of ``graph`` C: each vertex
     replaced by z true twins, the members shuffled over the positions."""
