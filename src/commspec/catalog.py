@@ -11,12 +11,13 @@ against the table when it is constructed; ``order``, ``build``,
 Each family's elements are normal-form words (a^i b^j, or (x, y, z) for
 the Heisenberg group) at fixed indices.  Its product rule is stated once,
 as ``mul(u, v)`` on element indices, written by index arithmetic from the
-defining relations.  ``groups._group`` builds the table, as it builds
-the central quotient's: it calls ``mul`` for the rows of at most log2(n)
-generators, checks each of them entry by entry, and composes every other
-row from those at C speed.  ``groups._walk`` shows that every row then
-passes the checks an outside table gets, so only the associativity check
-on the walk's generator pairs remains.
+defining relations, and its names join per-symbol power lists
+(``_powers``).  ``groups._group`` builds the table: it calls ``mul`` for
+the rows of at most log2(n) generators, checks each of them entry by
+entry, and composes every other row from those at C speed.
+``groups._walk`` shows that every row then passes the checks an outside
+table gets, so only the associativity check on the walk's generator pairs
+remains.
 """
 
 from __future__ import annotations
@@ -132,8 +133,11 @@ class FamilySpec(_SpecFields):
         return _FAMILIES[self.kind].order(*self.params)
 
 
-def _word(*terms: tuple[str, int]) -> str:
-    return "".join(sym if e == 1 else f"{sym}^{e}" for sym, e in terms if e) or "1"
+def _powers(sym: str, k: int) -> list[str]:
+    """The factors sym^e of a normal-form word for e in 0..k-1: "" for
+    e = 0, ``sym`` for e = 1 and ``sym^e`` above.  A word joins one factor
+    per symbol, and the empty word is "1"."""
+    return [sym * e if e < 2 else f"{sym}^{e}" for e in range(k)]
 
 
 def _cyclic_extension(
@@ -156,8 +160,8 @@ def _cyclic_extension(
             j -= b_order
         return j * a_order + i % a_order
 
-    names = [_word(("a", i), ("b", j)) for j in range(b_order) for i in range(a_order)]
-    return mul, names
+    a, b = _powers("a", a_order), _powers("b", b_order)
+    return mul, [(x + y) or "1" for y in b for x in a]
 
 
 def _u6n(n: int) -> tuple[_Mul, list[str]]:
@@ -170,8 +174,8 @@ def _u6n(n: int) -> tuple[_Mul, list[str]]:
         j2, i2 = divmod(v, 3)
         return (j1 + j2) % order_a * 3 + ((i2 - i1) if j2 % 2 else (i1 + i2)) % 3
 
-    names = [_word(("a", j), ("b", i)) for j in range(order_a) for i in range(3)]
-    return mul, names
+    a, b = _powers("a", order_a), _powers("b", 3)
+    return mul, [(x + y) or "1" for x in a for y in b]
 
 
 def _heisenberg(p: int) -> tuple[_Mul, list[str]]:
@@ -199,7 +203,7 @@ def _exp_p_squared(p: int) -> tuple[_Mul, list[str]]:
 
 
 def _cyclic(k: int) -> tuple[_Mul, list[str]]:
-    return (lambda u, v: (u + v) % k), [_word(("z", i)) for i in range(k)]
+    return (lambda u, v: (u + v) % k), [x or "1" for x in _powers("z", k)]
 
 
 def _zpzp(p: int) -> tuple[_Mul, list[str]]:

@@ -5,10 +5,12 @@ identity sits elsewhere.  Every record here is an immutable
 ``typing.NamedTuple`` and all operations are pure functions, so groups and
 derived data can be shared freely between workers.
 
-One walk (``_walk``) builds every table from the rows of a generating set
-S.  A table the program makes itself (a catalog family, a direct product,
-the central quotient) comes from its product rule through ``_group``,
-which computes and checks only the generator rows.  A table from outside
+One walk (``_walk``) builds every group's table from the rows of a
+generating set S.  A table the program makes itself (a catalog family, a
+direct product) comes from its product rule through ``_group``, which
+computes and checks only the generator rows.  The central quotient walks
+nothing: its table is read off the products of the center's coset
+representatives (``quotient_by_center``).  A table from outside
 goes through ``from_cayley_table``, which rebuilds it from its own
 generator rows; the result must give back the table.  Associativity is
 then checked at the size of S: multiplying by a generator on the left
@@ -60,10 +62,12 @@ class FiniteGroup(_GroupFields):
     ``table[i][j]`` is the index of the product of elements i and j.
     Use :func:`from_cayley_table` to build one from a table from outside;
     it enforces the axioms.
-    ``generators`` is a set of elements whose products give every element;
-    it is derived from the table, so ``==``, ``!=`` and ``hash`` read
-    ``table`` and ``names`` only.  The three fields are an immutable tuple;
-    the class also keeps an instance dict, which caches ``center_cosets``.
+    ``generators`` is a set of elements whose products give every element:
+    the walk's generating set S (see ``_walk``), or for a central quotient
+    the cosets of the group's generators.  Other sets would serve as well,
+    so ``==``, ``!=`` and ``hash`` read ``table`` and ``names`` only.  The
+    three fields are an immutable tuple; the class also keeps an instance
+    dict, which caches ``center_cosets``.
     """
 
     def __eq__(self, other):
@@ -488,20 +492,22 @@ def quotient_by_center(group: FiniteGroup) -> FiniteGroup:
 
     Element i of the quotient is coset i of ``group.center_cosets``: the
     center Z is element 0, named ``"Z"``, and every other coset is named
-    after its smallest member r_i, as ``"{name}Z"``.  The product rule is
-    mul(i, j) = the coset of r_i * r_j.  It does not depend on the
-    representatives: Z is central, so (r_i z)(r_j z') = (r_i r_j)(z z') for
-    any z and z' in Z, and z z' lies in Z.  The table is built from the
-    rule like a catalog family's (``_group``).
+    after its smallest member r_i, as ``"{name}Z"``.  Entry (i, j) of the
+    table is the coset of r_i * r_j, read from the q^2 products of the
+    representatives that ``_center_cosets`` picks.  It does not depend on
+    the representatives: Z is central, so (r_i z)(r_j z') = (r_i r_j)(z z')
+    for any z and z' in Z, and z z' lies in Z.  G is a verified group and Z
+    its center, so G/Z is a group and its table needs no check of its own.
+    The generators are the distinct non-central cosets of G's generators:
+    G's generators give every element, so their cosets give every coset.
     """
     decomposition = group.center_cosets
-    coset_of, table = decomposition.coset_of, group.table
-    reps = [coset[0] for coset in decomposition.cosets]
-
-    def mul(a: int, b: int) -> int:
-        return coset_of[table[reps[a]][reps[b]]]
-
-    return _group(mul, ["Z"] + [f"{group.names[r]}Z" for r in reps[1:]])
+    coset_of = decomposition.coset_of
+    pick = _tuple_picker([coset[0] for coset in decomposition.cosets])
+    table = tuple(_tuple_picker(pick(row))(coset_of) for row in pick(group.table))
+    names = ("Z", *(f"{group.names[c[0]]}Z" for c in decomposition.cosets[1:]))
+    generators = {coset_of[g] for g in group.generators} - {0}
+    return FiniteGroup(table, names, tuple(sorted(generators)))
 
 
 def recognize_small(group: FiniteGroup) -> Recognition:

@@ -10,7 +10,8 @@ applicable prediction against the brute-force pipeline.  Each group is
 analysed once, on the graph of its center's cosets: the report's component
 sizes and clique verdict are read from the per-block records of the
 integrality decision, and the centralizer-count corollaries read the
-verdicts of the report.  A report holds no commuting graph on the
+verdicts of the report, and on a union of cliques the size of the largest
+non-commuting set too.  A report holds no commuting graph on the
 elements: the CLI builds that graph where it prints it.
 """
 
@@ -177,10 +178,18 @@ def verify_centralizer_corollaries(
     the promised quotient shape and the integrality of the spectrum.  The
     verdicts are read from ``report``: a promised shape is verified when it
     is the recognized one and the report's quotient-shape check, its first,
-    matched.  Only the non-commuting search needs the group itself.
+    matched.
+
+    The largest pairwise non-commuting set has one member per connected
+    block when every block is complete (``analysis.all_cliques``): two
+    members of one block commute, and members of different blocks do not,
+    so r is the number of blocks.  Only on another graph does the capped
+    search (``max_noncommuting_set``) run, and only it multiplies in the
+    group.
     """
     count = report.centralizer_count
-    integral = report.analysis.integral
+    analysis = report.analysis
+    integral = analysis.integral
     pp = prime_power(report.group.order)
     p = pp[0] if pp else None
     # label, hypothesis, the central quotient shapes it forces
@@ -210,8 +219,12 @@ def verify_centralizer_corollaries(
     ]
 
     # a largest pairwise non-commuting set of size 3 or 4 pins the count;
-    # the hypothesis asks only whether r is 3 or 4, so a 5-set settles it
-    r = len(max_noncommuting_set(report.group, cap=5))
+    # the hypothesis asks only whether r is 3 or 4, so the search may stop
+    # at a 5-set
+    if analysis.all_cliques:
+        r = sum(block.count for block in analysis.blocks)
+    else:
+        r = len(max_noncommuting_set(report.group, cap=5))
     verified = count == (4 if r == 3 else 5) and integral if r in (3, 4) else None
     checks.append(CorollaryCheck("max-noncommuting-bound", verified))
     return tuple(checks)

@@ -779,6 +779,15 @@ def is_integral(
     an equal z is the same matrix W = z(C + I) - I, with the same proved
     and checked polynomial and the same roots.  z must be in the key, since
     Q depends on it.  Without a ``memo``, each call starts an empty one.
+
+    A block is a clique exactly when every row, with its own bit set,
+    equals the first such row: that row then holds every vertex of the
+    block, since each row holds its own bit, and no other, since a row
+    holds only neighbours in the block.  Its key, the c x c all-ones rows
+    with a zero diagonal (``_clique_rows``), is built once per size c in a
+    call and equals ``_bit_rows``'s, so a clique shares the memo entry and
+    the proof of any other clique of its size; any other block's key is
+    read from its rows (``_bit_rows``).
     """
     if type(z) is not int:
         raise TypeError(f"z must be of type int, got {z!r}")
@@ -792,8 +801,15 @@ def is_integral(
     # different matrices.  Isomorphic blocks whose vertex orders give
     # different submatrices get different keys and are computed separately.
     counts: dict[tuple[bytes, ...], int] = {}
+    cliques: dict[int, tuple[bytes, ...]] = {}
     for block in connected_components(graph):
-        key = tuple(_bit_rows(adjacency, block))
+        first = block[0]
+        mask = adjacency[first] | 1 << first
+        if all(adjacency[i] | 1 << i == mask for i in block):
+            c = len(block)
+            key = cliques.get(c) or cliques.setdefault(c, _clique_rows(c))
+        else:
+            key = tuple(_bit_rows(adjacency, block))
         counts[key] = counts.get(key, 0) + 1
     if memo is None:
         memo = {}
@@ -837,6 +853,11 @@ def _bit_rows(adjacency: Sequence[int], block: tuple[int, ...]) -> Iterator[byte
     for i in block:
         digits = format(adjacency[i], f"0{n}b").encode().translate(_BINARY_DIGITS)
         yield bytes(pick(digits))
+
+
+def _clique_rows(c: int) -> tuple[bytes, ...]:
+    """``_bit_rows`` of a clique of c vertices: all ones but the diagonal."""
+    return tuple(b"\x01" * i + b"\x00" + b"\x01" * (c - 1 - i) for i in range(c))
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:

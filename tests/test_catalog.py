@@ -563,6 +563,68 @@ def test_family_tables_match_the_tuple_construction(spec):
     assert group.names == tuple(names)
 
 
+def _formula_names(spec):
+    """Each element's name by the per-element formula: the word of its
+    exponents at its index (``_word``), or the pair of its factors' names."""
+    if spec.kind == "product":
+        return reduce(
+            lambda g, h: [f"({x},{y})" for x in g for y in h],
+            map(_formula_names, spec.factors),
+        )
+    if spec.kind == "cyclic":
+        return [_word(("z", i)) for i in range(spec.params[0])]
+    if spec.kind == "u6n":  # a^j b^i at 3j + i
+        a_order = 2 * spec.params[0]
+        return [_word(("a", j), ("b", i)) for j in range(a_order) for i in range(3)]
+    # a^i b^j at j |a| + i
+    a_order, b_order = {
+        "dihedral": lambda m: (m, 2),
+        "dicyclic": lambda m: (2 * m, 2),
+        "metacyclic": lambda m, n: (m, 2 * n),
+        "expp2": lambda p: (4, 2) if p == 2 else (p * p, p),
+    }[spec.kind](*spec.params)
+    return [_word(("a", i), ("b", j)) for j in range(b_order) for i in range(a_order)]
+
+
+_NAMED = (
+    [f"dihedral:{m}" for m in range(2, 13)]
+    + [f"dicyclic:{m}" for m in range(2, 13)]
+    + [f"metacyclic:{m},{n}" for m in range(3, 9) for n in range(1, 5)]
+    + [f"u6n:{n}" for n in range(1, 7)]
+    + [f"expp2:{p}" for p in (2, 3, 5)]
+    + [f"z{k}" for k in range(1, 7)]
+    + ["prod:dihedral:4,z1", "prod:dicyclic:2,z3", "prod:u6n:1,dihedral:2,z2"]
+)
+
+
+@pytest.mark.parametrize("label", _NAMED)
+def test_names_follow_the_word_formula(label):
+    spec = parse_family(label)
+    assert build(spec).names == tuple(_formula_names(spec))
+
+
+@pytest.mark.parametrize(
+    "label, names",
+    [
+        # one power: the exponent 0 only
+        ("z1", "1"),
+        ("z3", "1 z z^2"),
+        ("dihedral:2", "1 a b ab"),
+        # the dicyclic branch of expp2
+        ("expp2:2", "1 a a^2 a^3 b ab a^2b a^3b"),
+        ("u6n:1", "1 b b^2 a ab ab^2"),
+        ("metacyclic:3,1", "1 a a^2 b ab a^2b"),
+        # D8xZ1 on the grid
+        (
+            "prod:dihedral:4,z1",
+            "(1,1) (a,1) (a^2,1) (a^3,1) (b,1) (ab,1) (a^2b,1) (a^3b,1)",
+        ),
+    ],
+)
+def test_names_at_the_edges(label, names):
+    assert build(parse_family(label)).names == tuple(names.split())
+
+
 def _rule(spec):
     """The product rule and names that ``build`` tabulates last for ``spec``."""
     if spec.kind == "product":

@@ -632,6 +632,89 @@ def test_each_center_is_scanned_once(argv, orders, monkeypatch, capsys):
     assert seen == orders
 
 
+def _walked_orders(spec):
+    """The orders of the tables that building ``spec`` walks: a family's
+    own, and for a product each factor's and then each partial product's."""
+    if spec.kind != "product":
+        return [spec.order()]
+    first, *rest = spec.factors
+    orders, order = _walked_orders(first), first.order()
+    for factor in rest:
+        order *= factor.order()
+        orders += _walked_orders(factor) + [order]
+    return orders
+
+
+def _spy_walk(monkeypatch):
+    """The order n of each ``groups._walk`` call, in call order."""
+    walked = []
+    original = groups._walk
+    monkeypatch.setattr(
+        groups, "_walk", lambda n, row: walked.append(n) or original(n, row)
+    )
+    return walked
+
+
+_GRID_LABELS = [spec.label() for _, spec in list_catalog()]
+
+
+@pytest.mark.parametrize(
+    "argv, specs",
+    [
+        (["suite"], _GRID_LABELS),
+        (["suite", "--format", "json"], _GRID_LABELS),
+        (["verify", "heis:5"], ["heis:5"]),
+        (["verify", "prod:dihedral:4,z2,z3"], ["prod:dihedral:4,z2,z3"]),
+        (["verify", "dihedral:1000"], ["dihedral:1000"]),
+    ],
+    ids=["suite", "suite-json", "heis:5", "product", "dihedral:1000"],
+)
+def test_the_walk_runs_once_per_built_group(argv, specs, monkeypatch, capsys):
+    # the central quotient is read off the coset products, not walked
+    walked = _spy_walk(monkeypatch)
+    assert main(argv) == 0
+    capsys.readouterr()
+    expected = [n for label in specs for n in _walked_orders(parse_family(label))]
+    assert walked == expected
+
+
+@pytest.fixture()
+def s4_file(tmp_path):
+    """The seed-1 shuffled S4 table as a ``file:`` spec."""
+    group = from_cayley_table(permutation_table(4, False, random.Random(1)))
+    path = tmp_path / "s4.cayley"
+    path.write_text(format_cayley_text(group), encoding="utf-8")
+    return f"file:{path}"
+
+
+def test_a_table_from_outside_is_walked_once(s4_file, monkeypatch, capsys):
+    walked = _spy_walk(monkeypatch)
+    assert main(["verify", s4_file]) == 0
+    capsys.readouterr()
+    assert walked == [24]
+
+
+def test_a_suite_run_makes_no_noncommuting_search(monkeypatch, capsys):
+    # every grid group's coset graph is a union of cliques, so the blocks
+    # give the largest non-commuting set
+    searches = _count_calls(monkeypatch, predictions, "max_noncommuting_set")
+    for argv in (["suite"], ["suite", "--format", "json"]):
+        assert main(argv) == 0
+        capsys.readouterr()
+    assert searches == []
+
+
+def test_verify_searches_once_where_a_block_is_not_a_clique(
+    s4_file, monkeypatch, capsys
+):
+    searches = _count_calls(monkeypatch, predictions, "max_noncommuting_set")
+    for spec in (s4_file, "prod:dihedral:3,dihedral:3", "heis:7"):
+        del searches[:]
+        assert main(["verify", spec]) == 0
+        capsys.readouterr()
+        assert len(searches) == (spec != "heis:7"), spec
+
+
 def _block_keys(group):
     """The (block key, z) pairs that is_integral reads on the group's coset
     graph: each connected block's exact submatrix, and z = |Z|."""

@@ -620,6 +620,24 @@ def test_quotient_tables_agree_with_coset_products(grid):
             ), name
 
 
+def test_quotient_generators_generate_it(grid):
+    # the cosets of the group's generators: a walk from Z under right
+    # multiplication by them reaches every coset
+    rng = random.Random(1)
+    named = [(name, group) for name, _, group in grid]
+    for name, degree, even in (("S4", 4, False), ("A5", 5, True), ("S5", 5, False)):
+        named.append((name, from_cayley_table(permutation_table(degree, even, rng))))
+    named.append(("dihedral:1000", build(FamilySpec.dihedral(1000))))
+    for name, group in named:
+        quotient = quotient_by_center(group)
+        coset_of = group.center_cosets.coset_of
+        expected = sorted({coset_of[g] for g in group.generators} - {0})
+        assert list(quotient.generators) == expected, name
+        assert len(close(quotient.table, quotient.generators, {0})) == quotient.order
+    # an abelian group's quotient is trivial, with no generators
+    assert quotient_by_center(build(FamilySpec.cyclic(6))).generators == ()
+
+
 def test_coset_masks_match_the_pairwise_definition(grid):
     # bit j of commuting[i] is r_i*r_j == r_j*r_i for the representatives
     # r_i, r_j of cosets i and j, and the coset graph drops bit 0 and bit i

@@ -4,11 +4,11 @@ import random
 import pytest
 
 from commspec import predictions
-from commspec.catalog import _FAMILIES, FamilySpec, build
+from commspec.catalog import _FAMILIES, FamilySpec, build, parse_family
 from commspec.cli import main
 from commspec.errors import AbelianGroupError, UnsupportedFamilyError
 from commspec.graphs import build_commuting_graph
-from commspec.groups import Recognition, from_cayley_table
+from commspec.groups import Recognition, from_cayley_table, max_noncommuting_set
 from commspec.predictions import (
     VerificationReport,
     predict_family,
@@ -20,6 +20,7 @@ from commspec.spectra import CharPoly, Spectrum, spectrum_from_pairs
 
 from oracles import expanded_char_poly, poly_product
 from permutation_groups import permutation_group, permutation_table
+from test_groups import _shuffled_groups
 from test_spectra import _block_multiset
 
 
@@ -165,6 +166,46 @@ def test_corollaries_heis3(heis3):
     # p = 3, count = 5
     assert checks["p-plus-two-centralizer"].conclusion_verified is True
     assert checks["five-centralizer"].conclusion_verified is True
+
+
+def _searched_bound(report):
+    """The max-noncommuting-bound verdict with r from the capped search."""
+    r = len(max_noncommuting_set(report.group, cap=5))
+    count, integral = report.centralizer_count, report.analysis.integral
+    return count == (4 if r == 3 else 5) and integral if r in (3, 4) else None
+
+
+def test_complete_blocks_give_the_largest_noncommuting_set(grid):
+    named = [(name, group) for name, _, group in grid]
+    clique_unions = {name for name, _ in named}
+    for label in (
+        "heis:7 metacyclic:12,6 dihedral:40 dihedral:300 prod:heis:3,z2 "
+        "expp2:5 prod:dicyclic:2,dihedral:2"
+    ).split():
+        named.append((label, build(parse_family(label))))
+        clique_unions.add(label)
+    # A5's centralizers of non-identity elements are abelian, so its
+    # commuting graph is a union of 21 cliques too, with no closed form
+    named += _shuffled_groups()
+    clique_unions.update(("A5", "heis:3", "prod:dicyclic:3,z4", "expp2:3"))
+    s5 = permutation_table(5, False, random.Random(1))
+    named.append(("S5", from_cayley_table(s5)))
+    for label in ("prod:dihedral:3,dihedral:3", "prod:dicyclic:3,dihedral:3"):
+        named.append((label, build(parse_family(label))))
+    found = set()
+    for name, group in named:
+        report = verify_group(group, name)
+        analysis = report.analysis
+        (bound,) = (
+            c for c in verify_centralizer_corollaries(report)
+            if c.label == "max-noncommuting-bound"
+        )
+        assert bound.conclusion_verified is _searched_bound(report), name
+        if analysis.all_cliques:
+            found.add(name)
+            r = sum(block.count for block in analysis.blocks)
+            assert r == len(max_noncommuting_set(group)), name
+    assert found == clique_unions
 
 
 def test_corollaries_reject_abelian():

@@ -1096,6 +1096,83 @@ def test_a_shared_memo_changes_no_analysis(monkeypatch):
     assert len(memo) < sum(len(alone.blocks) for _, _, alone in runs)
 
 
+def _placed(n, blocks):
+    """A graph on n positions: each block a list of (u, v) edges on the
+    positions it names; a position in no edge is an isolated vertex."""
+    return raw_graph(n, [edge for edges in blocks for edge in edges])
+
+
+def _clique_on(positions):
+    return [(u, v) for i, u in enumerate(positions) for v in positions[i + 1 :]]
+
+
+def test_clique_keys_equal_the_keys_read_from_the_rows():
+    # cliques of 1, 2, 3 and 60 vertices on scattered positions
+    rng = random.Random(31)
+    n = 100
+    positions = rng.sample(range(n), 66)
+    cliques = [sorted(positions[:1]), sorted(positions[1:3])]
+    cliques += [sorted(positions[3:6]), sorted(positions[6:])]
+    graph = _placed(n, [_clique_on(c) for c in cliques])
+    blocks = connected_components(graph)
+    for clique in cliques:
+        assert tuple(clique) in blocks
+    for block in blocks:
+        read = tuple(spectra._bit_rows(graph.adjacency, block))
+        assert spectra._clique_rows(len(block)) == read, block
+    # is_integral keys every block so: its memo holds the keys read
+    memo = {}
+    is_integral(graph, 2, memo)
+    expected = {
+        (tuple(spectra._bit_rows(graph.adjacency, block)), 2) for block in blocks
+    }
+    assert set(memo) == expected
+    assert {len(key) for key, _ in memo} == {1, 2, 3, 60}
+
+
+def test_a_shared_memo_proves_a_clique_once_wherever_it_sits(monkeypatch):
+    # a 5-clique first on positions 0..4, then scattered among a 7-path
+    first = _placed(5, [_clique_on(range(5))])
+    clique = [1, 4, 6, 9, 11]
+    path = [p for p in range(12) if p not in clique]
+    second = _placed(12, [_clique_on(clique), list(zip(path, path[1:]))])
+    alone = {graph: is_integral(graph, 3) for graph in (first, second)}
+    proved = []
+    original = spectra._block_factor
+    monkeypatch.setattr(
+        spectra,
+        "_block_factor",
+        lambda key, z: proved.append(len(key)) or original(key, z),
+    )
+    memo = {}
+    # the clique, then only the path, then nothing new
+    for graph, sizes in ((first, [5]), (second, [5, 7]), (first, [5, 7])):
+        shared = is_integral(graph, 3, memo)
+        assert proved == sizes
+        assert shared == alone[graph] and shared.blocks == alone[graph].blocks
+
+
+def test_blocks_that_are_not_cliques_are_read_from_the_rows(monkeypatch):
+    # a star with its center first, a 4-clique less one edge whose first
+    # vertex is adjacent to all, and a path; each row of a clique with its
+    # own bit is the block, and only these blocks fail that test
+    star = [(2, 5), (2, 8), (2, 11)]
+    almost = [(u, v) for u, v in _clique_on([0, 3, 6, 9]) if (u, v) != (6, 9)]
+    path = [(1, 4), (4, 7)]
+    graph = _placed(14, [star, almost, path, _clique_on([10, 12, 13])])
+    read = []
+    original = spectra._bit_rows
+    monkeypatch.setattr(
+        spectra,
+        "_bit_rows",
+        lambda adjacency, block: read.append(block) or original(adjacency, block),
+    )
+    analysis = is_integral(graph)
+    assert sorted(read) == [(0, 3, 6, 9), (1, 4, 7), (2, 5, 8, 11)]
+    assert not analysis.all_cliques
+    assert sorted(b.classes for b in analysis.blocks) == [1, 3, 3, 4]
+
+
 def _expanded(graph, z, rng):
     """The element graph (C + I) (x) J_z - I of ``graph`` C: each vertex
     replaced by z true twins, the members shuffled over the positions."""
