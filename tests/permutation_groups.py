@@ -3,8 +3,6 @@ tables of any group, for the tests."""
 
 import itertools
 
-from commspec.groups import from_cayley_table
-
 
 def permutation_table(degree, even, rng=None):
     """Cayley table of the symmetric or alternating group.
@@ -24,6 +22,10 @@ def permutation_table(degree, even, rng=None):
 
 
 def permutation_group(degree, even):
+    # imported here: console_checks reads only the tables, and runs commspec
+    # in processes of its own
+    from commspec.groups import from_cayley_table
+
     return from_cayley_table(permutation_table(degree, even))
 
 

@@ -1,15 +1,13 @@
 """Checks on the sources and the docs that no linter in CI makes: README's
 API list and error table match the package, every underscore name that a
-docstring or README cites is defined in the package, no module keeps an
-import it never uses, and starting the CLI loads none of the introspection
-modules."""
+docstring or README cites is defined in the package, and no module keeps an
+import it never uses.  That starting the CLI loads none of the introspection
+modules is checked in a fresh process, by
+``console_checks.check_startup_loads_no_introspection_module``."""
 
 import ast
 import inspect
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -124,27 +122,3 @@ def test_every_cited_underscore_name_is_defined():
                 cited.update(_CITED_DOCSTRING.findall(doc))
     assert cited, "the pattern found no citation at all"
     assert sorted(cited - defined) == []
-
-
-# ``dataclasses`` imports ``inspect``, which imports the other three; in a
-# fresh process they were about a third of the CLI's start-up time
-_STARTUP_CHECK = """
-import sys
-from commspec import cli
-cli.main(["--help"])
-print(*[m for m in ("dataclasses", "inspect", "ast", "dis", "tokenize")
-        if m in sys.modules])
-"""
-
-
-def test_the_cli_starts_without_the_introspection_modules():
-    env = {**os.environ, "PYTHONPATH": str(_PACKAGE.parent)}
-    done = subprocess.run(
-        [sys.executable, "-c", _STARTUP_CHECK],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-        check=True,
-    )
-    assert done.stdout.splitlines()[-1] == ""
