@@ -10,11 +10,11 @@ generating set S.  A table the program makes itself (a catalog family, a
 direct product) comes from its product rule through ``_group``, which
 computes and checks only the generator rows.  The central quotient walks
 nothing: its table is read off the products of the center's coset
-representatives (``quotient_by_center``).  A table from outside
-goes through ``from_cayley_table``, which rebuilds it from its own
-generator rows; the result must give back the table.  Associativity is
-then checked at the size of S: multiplying by a generator on the left
-must commute with multiplying by one on the right
+representatives that the decomposition keeps (``quotient_by_center``).  A
+table from outside goes through ``from_cayley_table``, which rebuilds it
+from its own generator rows; the result must give back the table.
+Associativity is then checked at the size of S: multiplying by a
+generator on the left must commute with multiplying by one on the right
 (``_associative_group``).
 Commutation is read off the cosets of the center Z, never off all n^2
 pairs.  The center comes from S: x is central iff x*g == g*x for every g
@@ -25,11 +25,12 @@ S): row x read at S is (x*g for g in S), and ``zip`` turns S's rows into
 the columns (g*x for g in S), so each element costs one tuple comparison
 at C speed.  Commutation is constant on pairs of Z-cosets: (xz)(yz') ==
 (xy)(zz') and (yz')(xz) == (yx)(zz'), so xz and yz' commute iff x and y
-do.  So the cosets are built once, on first use, and q^2 table lookups
-over their representatives (q = n/|Z|) decide which pairs of cosets
-commute; the result is cached in the group's instance dict.  The center,
-the centralizers, the central quotient, the commuting graph and the
-non-commuting search all read that one decomposition; none of them holds
+do.  So the cosets are built once, on first use, and the q^2 products of
+their representatives (q = n/|Z|) are picked from the table once; they
+decide which pairs of cosets commute, and they are kept with the cosets
+in the group's instance dict.  The center, the centralizers, the central
+quotient, the commuting graph and the non-commuting search all read that
+one decomposition, and none of them reads the table after it; none holds
 a mask per element.
 """
 
@@ -121,12 +122,16 @@ class CenterCosets(NamedTuple):
     ``coset_of[x]`` is the index of the coset holding x.  Bit j of
     ``commuting[i]`` is set iff the representatives of cosets i and j
     commute, which by the coset identity means every member of one commutes
-    with every member of the other.
+    with every member of the other.  ``products[i][j]`` is the element
+    r_i * r_j for the representatives r_i and r_j of cosets i and j: the
+    q^2 products from which both ``commuting`` and the central quotient's
+    table are read.
     """
 
     coset_of: tuple[int, ...]
     cosets: tuple[tuple[int, ...], ...]
     commuting: tuple[int, ...]
+    products: tuple[tuple[int, ...], ...]
 
 
 class Recognition(NamedTuple):
@@ -422,8 +427,8 @@ def _center_cosets(
     is (0,).  Each coset xZ is Z's picker applied to row x, sorted; Z itself
     is coset 0, since x = 0 comes first, and the rest follow their smallest
     member.  The q^2 products of the representatives are picked by one
-    ``itemgetter``, transposed by ``zip`` and compared element by element,
-    all at C speed.
+    ``itemgetter`` and kept; they are transposed by ``zip`` and compared
+    element by element, all at C speed.
     """
     z: tuple[int, ...] = (0,)
     if gens:
@@ -441,14 +446,14 @@ def _center_cosets(
             coset_of[m] = len(cosets)
         cosets.append(members)
     pick = _tuple_picker([coset[0] for coset in cosets])
-    products = [pick(row) for row in pick(table)]  # products[i][j] = r_i * r_j
+    products = tuple(map(pick, pick(table)))  # products[i][j] = r_i * r_j
     # bit j of row i is r_i*r_j == r_j*r_i: byte q - 1 - j of the reversed
     # comparison, read as a binary numeral
     commuting = tuple(
         int(bytes(map(eq, row, column))[::-1].translate(_DIGITS), 2)
         for row, column in zip(products, zip(*products))
     )
-    return CenterCosets(tuple(coset_of), tuple(cosets), commuting)
+    return CenterCosets(tuple(coset_of), tuple(cosets), commuting, products)
 
 
 # maps the bytes 0 and 1 to the ASCII digits of a binary numeral
@@ -494,7 +499,8 @@ def quotient_by_center(group: FiniteGroup) -> FiniteGroup:
     center Z is element 0, named ``"Z"``, and every other coset is named
     after its smallest member r_i, as ``"{name}Z"``.  Entry (i, j) of the
     table is the coset of r_i * r_j, read from the q^2 products of the
-    representatives that ``_center_cosets`` picks.  It does not depend on
+    representatives that the decomposition keeps (``CenterCosets.products``),
+    so the group's own table is not read.  It does not depend on
     the representatives: Z is central, so (r_i z)(r_j z') = (r_i r_j)(z z')
     for any z and z' in Z, and z z' lies in Z.  G is a verified group and Z
     its center, so G/Z is a group and its table needs no check of its own.
@@ -503,8 +509,7 @@ def quotient_by_center(group: FiniteGroup) -> FiniteGroup:
     """
     decomposition = group.center_cosets
     coset_of = decomposition.coset_of
-    pick = _tuple_picker([coset[0] for coset in decomposition.cosets])
-    table = tuple(_tuple_picker(pick(row))(coset_of) for row in pick(group.table))
+    table = tuple(_tuple_picker(row)(coset_of) for row in decomposition.products)
     names = ("Z", *(f"{group.names[c[0]]}Z" for c in decomposition.cosets[1:]))
     generators = {coset_of[g] for g in group.generators} - {0}
     return FiniteGroup(table, names, tuple(sorted(generators)))

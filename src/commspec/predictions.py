@@ -184,8 +184,9 @@ def verify_centralizer_corollaries(
     block when every block is complete (``analysis.all_cliques``): two
     members of one block commute, and members of different blocks do not,
     so r is the number of blocks.  Only on another graph does the capped
-    search (``max_noncommuting_set``) run, and only it multiplies in the
-    group.
+    search (``max_noncommuting_set``) run, and it reads only which cosets
+    of the center commute (``CenterCosets.commuting``), never the group's
+    table.
     """
     count = report.centralizer_count
     analysis = report.analysis

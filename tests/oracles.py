@@ -3,15 +3,17 @@
 None of it is part of the package: each function computes, by the plainest
 route, something the program reads off its own data (centralizers off the
 center's cosets, spectra off the block records), or builds inputs that no
-group yields (arbitrary graphs, Cayley-table text).  Only the text writer
-checks its argument, since a table whose text does not read back would make
-a ``file:`` fixture test something else; the tests pass well-formed input.
+group yields (arbitrary graphs, Cayley-table text, a group whose table
+cannot be read).  Only the text writer checks its argument, since a table
+whose text does not read back would make a ``file:`` fixture test something
+else; the tests pass well-formed input.
 """
 
 from math import comb, gcd
 
 from commspec.errors import ParseError
 from commspec.graphs import CommutingGraph
+from commspec.groups import FiniteGroup
 from commspec.spectra import (
     CharPoly,
     _hessenberg_block_mod,
@@ -28,6 +30,31 @@ def raw_graph(vertex_count, edges):
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return CommutingGraph(tuple(range(vertex_count)), tuple(adj))
+
+
+class _UnreadableTable:
+    """Stands for an n-row table: it answers ``len()`` and raises on any
+    read of a row, by index or by iteration, which goes through
+    ``__getitem__`` for want of an ``__iter__``."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, index):
+        raise AssertionError(f"the table was read at {index!r}")
+
+
+def table_free(group):
+    """A copy of ``group`` with the same names and generators whose table
+    cannot be read, holding the group's coset decomposition in its instance
+    dict, where ``center_cosets`` finds it: what runs on the copy reads only
+    the decomposition, the names, the generators and the order."""
+    copy = FiniteGroup(_UnreadableTable(group.order), group.names, group.generators)
+    copy.__dict__["center_cosets"] = group.center_cosets
+    return copy
 
 
 def centralizer(group, x):

@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from commspec import predictions
+from commspec import cli, predictions
 from commspec.catalog import _FAMILIES, FamilySpec, build, parse_family
 from commspec.cli import main
 from commspec.errors import AbelianGroupError, UnsupportedFamilyError
-from commspec.graphs import build_commuting_graph
+from commspec.graphs import build_commuting_graph, graph_json
 from commspec.groups import Recognition, from_cayley_table, max_noncommuting_set
 from commspec.predictions import (
     VerificationReport,
@@ -18,7 +18,7 @@ from commspec.predictions import (
 )
 from commspec.spectra import CharPoly, Spectrum, spectrum_from_pairs
 
-from oracles import expanded_char_poly, poly_product
+from oracles import expanded_char_poly, poly_product, table_free
 from permutation_groups import permutation_group, permutation_table
 from test_groups import _shuffled_groups
 from test_spectra import _block_multiset
@@ -390,3 +390,26 @@ def test_every_report_field_matches_the_element_graph_path(grid, monkeypatch):
         assert verify_centralizer_corollaries(
             report
         ) == verify_centralizer_corollaries(oracle), name
+
+
+def test_nothing_after_the_decomposition_reads_the_table(grid):
+    # verify, analyze (text and JSON), export-dot's graph and the
+    # corollaries, on a copy whose table raises when read
+    named = list(grid)
+    heis7 = FamilySpec.heis(7)
+    named.append((heis7.label(), heis7, build(heis7)))
+    for name, degree, even in (("S4", 4, False), ("A5", 5, True), ("S5", 5, False)):
+        table = permutation_table(degree, even, random.Random(1))
+        named.append((name, None, from_cayley_table(table)))
+    for name, spec, group in named:
+        copy = table_free(group)
+        report = verify_group(group, name, spec)
+        blind = verify_group(copy, name, spec)
+        assert report_json_dict(blind) == report_json_dict(report), name
+        assert cli._report_text(blind) == cli._report_text(report), name
+        assert verify_centralizer_corollaries(
+            blind
+        ) == verify_centralizer_corollaries(report), name
+        assert graph_json(build_commuting_graph(copy), copy.names) == graph_json(
+            build_commuting_graph(group), group.names
+        ), name
