@@ -6,13 +6,7 @@ spectrum in exact integer arithmetic, and verify the closed-form spectrum
 predictions for groups whose central quotient is Z_p x Z_p or dihedral.
 """
 
-from .catalog import (
-    FamilySpec,
-    build,
-    direct_product,
-    list_catalog,
-    parse_family,
-)
+from .catalog import FamilySpec, build, list_catalog, parse_family
 from .errors import (
     AbelianGroupError,
     AxiomViolation,

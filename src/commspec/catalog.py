@@ -12,12 +12,15 @@ Each family's elements are normal-form words (a^i b^j, or (x, y, z) for
 the Heisenberg group) at fixed indices.  Its product rule is stated once,
 as ``mul(u, v)`` on element indices, written by index arithmetic from the
 defining relations, and its names join per-symbol power lists
-(``_powers``).  ``groups._group`` builds the table: it calls ``mul`` for
-the rows of at most log2(n) generators, checks each of them entry by
+(``_powers``).  A direct product's rule is made from its factors' rules
+(``_product``): (a, b) sits at a*|H| + b and multiplies componentwise, and
+its name is "(a,b)".  ``build`` hands the rule of the whole spec to
+``groups._group``, once: no factor is tabulated.  ``_group`` calls ``mul``
+for the rows of at most log2(n) generators, checks each of them entry by
 entry, and composes every other row from those at C speed.
 ``groups._walk`` shows that every row then passes the checks an outside
 table gets, so only the associativity check on the walk's generator pairs
-remains.
+remains; a product is thus proved a group without its factors.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ from typing import Callable, NamedTuple
 
 from .errors import NotPrimeError, ParameterOutOfRange, ParseError
 from .groups import FiniteGroup, _group, _Mul, is_prime
+
+# A product rule on element indices and the element names, in index order.
+_Rule = tuple[_Mul, list[str]]
 
 
 class _SpecFields(NamedTuple):
@@ -140,9 +146,7 @@ def _powers(sym: str, k: int) -> list[str]:
     return [sym * e if e < 2 else f"{sym}^{e}" for e in range(k)]
 
 
-def _cyclic_extension(
-    a_order: int, b_order: int, twist: int, b_power: int
-) -> tuple[_Mul, list[str]]:
+def _cyclic_extension(a_order: int, b_order: int, twist: int, b_power: int) -> _Rule:
     """The group of words a^i b^j, element a^i b^j at index j*|a| + i.
 
     Relations: a^|a| = 1, b a b^-1 = a^twist and b^|b| = a^b_power.  Moving
@@ -164,7 +168,7 @@ def _cyclic_extension(
     return mul, [(x + y) or "1" for y in b for x in a]
 
 
-def _u6n(n: int) -> tuple[_Mul, list[str]]:
+def _u6n(n: int) -> _Rule:
     # <a, b : a^2n = b^3 = 1, a^-1 b a = b^-1>, order 6n; a^j b^i at 3j + i,
     # and a^j1 b^i1 a^j2 b^i2 = a^(j1 + j2) b^((-1)^j2 i1 + i2)
     order_a = 2 * n
@@ -178,7 +182,7 @@ def _u6n(n: int) -> tuple[_Mul, list[str]]:
     return mul, [(x + y) or "1" for x in a for y in b]
 
 
-def _heisenberg(p: int) -> tuple[_Mul, list[str]]:
+def _heisenberg(p: int) -> _Rule:
     # upper unitriangular 3x3 matrices over Z_p as (x, y, z) triples, at
     # x*p^2 + y*p + z; (x1, y1, z1)(x2, y2, z2) = (x1 + x2, y1 + y2,
     # z1 + z2 + x1*y2)
@@ -193,7 +197,7 @@ def _heisenberg(p: int) -> tuple[_Mul, list[str]]:
     return mul, names
 
 
-def _exp_p_squared(p: int) -> tuple[_Mul, list[str]]:
+def _exp_p_squared(p: int) -> _Rule:
     # <a, b : a^(p^2) = 1, b^p = 1, b a b^-1 = a^(1+p)>, order p^3.
     # At p = 2 this presentation collapses onto the dihedral group, so the
     # quaternion group is returned instead to cover the second order-8 type.
@@ -202,32 +206,23 @@ def _exp_p_squared(p: int) -> tuple[_Mul, list[str]]:
     return _cyclic_extension(p * p, p, 1 + p, 0)
 
 
-def _cyclic(k: int) -> tuple[_Mul, list[str]]:
+def _cyclic(k: int) -> _Rule:
     return (lambda u, v: (u + v) % k), [x or "1" for x in _powers("z", k)]
 
 
-def _zpzp(p: int) -> tuple[_Mul, list[str]]:
-    z = _group(*_cyclic(p))
-    return _product(z, z)
+def _zpzp(p: int) -> _Rule:
+    return _product(_cyclic(p), _cyclic(p))
 
 
-def _product(g: FiniteGroup, h: FiniteGroup) -> tuple[_Mul, list[str]]:
-    # (a, b) at a*|H| + b, multiplied componentwise in both tables
-    hn = h.order
-    g_table, h_table = g.table, h.table
+def _product(g: _Rule, h: _Rule) -> _Rule:
+    # (a, b) at a*|H| + b, multiplied componentwise by both rules
+    (g_mul, g_names), (h_mul, h_names) = g, h
+    hn = len(h_names)
 
     def mul(u: int, v: int) -> int:
-        return g_table[u // hn][v // hn] * hn + h_table[u % hn][v % hn]
+        return g_mul(u // hn, v // hn) * hn + h_mul(u % hn, v % hn)
 
-    names = [
-        f"({g.names[a]},{h.names[b]})" for a in range(g.order) for b in range(hn)
-    ]
-    return mul, names
-
-
-def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    """Componentwise product; element (a, b) is encoded as a*|H| + b."""
-    return _group(*_product(g, h))
+    return mul, [f"({a},{b})" for a in g_names for b in h_names]
 
 
 class _Param(NamedTuple):
@@ -256,8 +251,7 @@ class _Family(NamedTuple):
 
     params: tuple[_Param, ...]
     order: Callable[..., int]
-    # the product rule and the element names, in index order
-    rule: Callable[..., tuple[_Mul, list[str]]]
+    rule: Callable[..., _Rule]
     # the displayed closed form: the parameters give the source name and the
     # (eigenvalue, multiplicity) pairs of the whole spectrum
     spectrum: Callable[..., tuple[str, list[tuple[int, int]]]] | None = None
@@ -351,11 +345,16 @@ def _params(kind: str, count: int) -> tuple[_Param, ...]:
     return params
 
 
+def _rule(spec: FamilySpec) -> _Rule:
+    """The product rule and element names of ``spec``."""
+    if spec.kind == "product":
+        return reduce(_product, map(_rule, spec.factors))
+    return _FAMILIES[spec.kind].rule(*spec.params)
+
+
 def build(spec: FamilySpec) -> FiniteGroup:
     """Build and validate the group described by ``spec``."""
-    if spec.kind == "product":
-        return reduce(direct_product, map(build, spec.factors))
-    return _group(*_FAMILIES[spec.kind].rule(*spec.params))
+    return _group(*_rule(spec))
 
 
 def list_catalog() -> list[tuple[str, FamilySpec]]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from . import catalog
@@ -40,6 +41,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="commspec",

@@ -6,13 +6,14 @@ identity sits elsewhere.  Every record here is an immutable
 derived data can be shared freely between workers.
 
 One walk (``_walk``) builds every group's table from the rows of a
-generating set S.  A table the program makes itself (a catalog family, a
-direct product) comes from its product rule through ``_group``, which
-computes and checks only the generator rows.  The central quotient walks
-nothing: its table is read off the products of the center's coset
-representatives that the decomposition keeps (``quotient_by_center``).  A
-table from outside goes through ``from_cayley_table``, which rebuilds it
-from its own generator rows; the result must give back the table.
+generating set S.  A table the program makes itself (a catalog family, or
+a direct product of them, whose rule is made from its factors' rules) comes
+from its product rule through ``_group``, which computes and checks only the
+generator rows.  The central quotient walks nothing: its table is read
+off the products of the center's coset representatives that the
+decomposition keeps (``quotient_by_center``).  A table from outside goes
+through ``from_cayley_table``, which rebuilds it from its own generator
+rows; the result must give back the table.
 Associativity is then checked at the size of S: multiplying by a
 generator on the left must commute with multiplying by one on the right
 (``_associative_group``).

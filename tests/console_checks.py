@@ -332,7 +332,8 @@ def check_verify_large_groups(tmp):
         # 2000 elements: decided on the graph of the 999 non-central cosets;
         # the element graph is not built
         "dicyclic:500",
-        # 500 elements, built through direct_product
+        # 500 elements, one walk over the product rule made from the
+        # rules of heis:5 and z4
         "prod:heis:5,z4",
         # 360 elements
         "u6n:60",

@@ -1,5 +1,6 @@
 import copy
 import enum
+import itertools
 import pickle
 from functools import reduce
 
@@ -9,9 +10,8 @@ from commspec import groups
 from commspec.catalog import (
     _FAMILIES,
     FamilySpec,
-    _product,
+    _rule,
     build,
-    direct_product,
     list_catalog,
     parse_family,
 )
@@ -152,8 +152,8 @@ def test_exp_p_squared_3():
 
 
 def test_product_with_trivial_group_is_identity_operation(q8):
-    trivial = build(FamilySpec.cyclic(1))
-    assert direct_product(q8, trivial).table == q8.table
+    product = build(FamilySpec.product(FamilySpec.dicyclic(2), FamilySpec.cyclic(1)))
+    assert product.table == q8.table
 
 
 def test_product_d8_z2():
@@ -163,11 +163,36 @@ def test_product_d8_z2():
     assert recognize_small(quotient_by_center(group)) == Recognition("zpzp", 2)
 
 
-def test_product_center_is_product_of_centers(q8):
-    z2 = build(FamilySpec.cyclic(2))
-    product = direct_product(q8, z2)
-    expected = tuple(sorted(a * 2 + b for a in center(q8) for b in (0, 1)))
-    assert center(product) == expected
+def _factor_specs(spec):
+    """The specs G and H of the two groups that ``spec`` multiplies: for a
+    product, all factors but the last and the last; for zpzp:p, z_p twice."""
+    if spec.kind == "zpzp":
+        return (FamilySpec.cyclic(*spec.params),) * 2
+    *first, last = spec.factors
+    return first[0] if len(first) == 1 else FamilySpec.product(*first), last
+
+
+_PRODUCTS = [spec for _, spec in list_catalog() if spec.kind == "product"] + [
+    parse_family(t)
+    for t in "prod:dihedral:4,z2,z3 prod:heis:3,z2 zpzp:2 zpzp:3 zpzp:5".split()
+]
+
+
+def test_product_center_is_product_of_centers():
+    # each product is built from its factors' rules alone; G and H are built
+    # on their own here, and (a, b) sits at a*|H| + b
+    for spec in _PRODUCTS:
+        g, h = map(build, _factor_specs(spec))
+        product = build(spec)
+        hn = h.order
+        g_range, h_range = range(g.order), range(hn)
+        for a, b, c, d in itertools.product(g_range, h_range, g_range, h_range):
+            entry = product.table[a * hn + b][c * hn + d]
+            assert entry == g.table[a][c] * hn + h.table[b][d], spec.label()
+        names = tuple(f"({x},{y})" for x in g.names for y in h.names)
+        assert product.names == names, spec.label()
+        expected = tuple(sorted(a * hn + b for a in center(g) for b in center(h)))
+        assert center(product) == expected, spec.label()
 
 
 def test_zpzp_build_recognized():
@@ -623,15 +648,6 @@ def test_names_follow_the_word_formula(label):
 )
 def test_names_at_the_edges(label, names):
     assert build(parse_family(label)).names == tuple(names.split())
-
-
-def _rule(spec):
-    """The product rule and names that ``build`` tabulates last for ``spec``."""
-    if spec.kind == "product":
-        *first, last = spec.factors
-        head = first[0] if len(first) == 1 else FamilySpec.product(*first)
-        return _product(build(head), build(last))
-    return _FAMILIES[spec.kind].rule(*spec.params)
 
 
 @pytest.mark.parametrize(
