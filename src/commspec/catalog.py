@@ -48,7 +48,8 @@ class FamilySpec(_SpecFields):
     """Parameters of a group family, checked against its table entry.
 
     Only ``product`` holds ``factors``, and it holds no ``params``.  Each
-    parameter must be of type int itself, and each factor a ``FamilySpec``.
+    parameter must be of type int itself, and each factor a ``FamilySpec``
+    that is not itself a product, so that every ``label`` parses back.
     The checks run in ``__new__``, which ``_make``, ``_replace``, ``pickle``
     and ``copy`` all go through.
     """
@@ -67,6 +68,8 @@ class FamilySpec(_SpecFields):
             for factor in factors:
                 if not isinstance(factor, FamilySpec):
                     raise ParseError(f"product factor {factor!r} is not a FamilySpec")
+                if factor.kind == "product":
+                    raise ParseError(_NESTED_PRODUCT)
             if len(factors) < 2:
                 raise ParameterOutOfRange("product needs at least two factors")
             return super().__new__(cls, kind, params, factors)
@@ -384,6 +387,10 @@ def list_catalog() -> list[tuple[str, FamilySpec]]:
 
 _CYCLIC_TOKEN = re.compile(r"z(\d+)")
 
+# A factor that is itself a product cannot be written: the comma split of
+# the outer spec would leave it a single factor.
+_NESTED_PRODUCT = "a product factor cannot itself be a product"
+
 
 def parse_family(text: str) -> FamilySpec:
     """Parse a CLI family string like ``dicyclic:2`` or ``prod:dihedral:4,z3``."""
@@ -441,6 +448,8 @@ def _parse_factors(rest: str) -> list[FamilySpec]:
             raise ParseError("empty factor in prod spec")
         if token.isdigit() and pieces:
             pieces[-1] += "," + token
+        elif token.partition(":")[0] == "prod":
+            raise ParseError(_NESTED_PRODUCT)
         else:
             pieces.append(token)
     return [parse_family(piece) for piece in pieces]

@@ -2,61 +2,66 @@
 
 Everything here runs on arbitrary-precision integers; no floating point is
 involved anywhere, so an "integral" verdict is a certificate rather than an
-estimate.  One kernel, ``_block_factor``, takes a symmetric integer matrix
-to the proved and spot-checked polynomial of its twin quotient.
-``is_integral`` reads a graph one connected block at a time: det(xI - A)
-is the product of the blocks' polynomials, so the spectrum is the union of
-the blocks' spectra, and each distinct block goes through the kernel and
-is searched for integer roots once.  ``char_poly`` sends its whole matrix
-through the kernel in one call.  Each vertex of the graph that is read may
-stand for z true twins.  A commuting graph is read on the non-central
-cosets of its center Z, with z = |Z|, because the members of a coset are
-true twins (``graphs.coset_graph``); its element graph is never built for
-the verdict.  So a block C of c vertices stands for a block A of k = c z
-vertices.  A's true twins (equal rows of A + I; in a commuting graph,
-elements with the same centralizer) are merged first: with r classes of
-sizes s_i, det(xI - A) = (x + 1)^(k - r) det(xI - Q) for the r x r matrix
-Q = B' diag(s) - I, whose absolute row sums are those of A, and Q is read
-off C (proof, with the coset identity, in ``_block_factor``), so a clique
-becomes one row.  The classes are lists of C's row indices, each in
-ascending order and the lists in order of their first member.  Q's
-eigenvalues are real, so its coefficients' absolute values sum to at most
-(S + 1)^r, with r S^2 >= tr(Q^2) (Maclaurin's inequality; proof in
-``_block_factor``).  Q is reduced to upper Hessenberg form in one pass
-modulo M, the least power of the Mersenne prime 2^61 - 1 that exceeds
-twice that bound, and the symmetric residues are the integer coefficients
-(Cohen, "A Course in Computational Algebraic Number Theory", the
-Hessenberg method; Dumas, Pernet and Wan, "Efficient computation of the
-characteristic polynomial", ISSAC 2005).  Modulo a prime power every
-nonzero entry is a power of the prime times a unit, so a column without a
-unit pivots on its entry of least power, which divides the rest, and the
-pass never stalls.  The pass's row and column operations touch
-only the nonzero entries of the pivot row and of the target columns.  The
-polynomial is then spot-checked against an independent fraction-free
-Bareiss determinant at t in {0, 1, 2} of the c x c matrix W = z(C + I) -
-I, which is C when z = 1, its vertices put in ascending order of their
-nonzero counts when C has more than one twin class, so that the sparsest
-rows are eliminated first.  Each row of tI - W first has the row of the
-next member of its twin class subtracted, when the two are true twins: a
-unit upper-triangular change that keeps the determinant whatever the
-classes are, so the check does not rely on the quotient, and that turns
-each such row into (t + 1)(e_i - e_j).  So t = -1 would check nothing on a
-block with twins: both sides are 0 there.  The last member of each class
-keeps its row and is eliminated after the others, so a clique costs O(c)
-updates per point, not O(c^2).  The elimination keeps each row as its
-nonzero entries and updates only the columns where the pivot row is
-nonzero, since a step only rescales every other entry by a ratio of
-pivots; a skipped entry keeps its own level, the step that last wrote it,
-and is brought up to date in one exact division when it is next read
-(proof in ``exact_determinant``).  Integer roots are found among the
-divisors of the lowest nonzero coefficient, bounded by Q's largest row
-sum, a degree of A.  Each distinct block is kept as a record (``Block``):
-its size k, the number of blocks that share its submatrix, its number r of
-twin classes and det(xI - Q).  A block is complete exactly when r = 1, so
-the records are also the graph's component structure.  Calls that share a
-``memo`` share their blocks too, keyed on the block and on z, since the
-matrix read depends on both: one ``suite`` run proves each distinct block
-once across all its groups.
+estimate.  One kernel, ``_block_factor``, takes the rows of M = C + I, for
+C a symmetric integer matrix with a zero diagonal, to the proved and
+spot-checked polynomial of C's twin quotient.  In a commuting graph x and
+y are adjacent when xy = yx, a reflexive relation: M is that relation, and
+each row of M is an element's centralizer, its closed neighbourhood.
+Every step of the kernel reads M, so each caller builds M once and no step
+corrects the diagonal.  ``is_integral`` reads a graph one connected block
+at a time: det(xI - A) is the product of the blocks' polynomials, so the
+spectrum is the union of the blocks' spectra, and each distinct block goes
+through the kernel and is searched for integer roots once.  ``char_poly``
+sends its whole matrix through the kernel in one call.  Each vertex of the
+graph that is read may stand for z true twins.  A commuting graph is read
+on the non-central cosets of its center Z, with z = |Z|, because the
+members of a coset are true twins (``graphs.coset_graph``); its element
+graph is never built for the verdict.  So a block C of c vertices stands
+for a block A of k = c z vertices, with A + I = M (x) J_z.  A's true twins
+(equal rows of A + I; in a commuting graph, elements with the same
+centralizer) are merged first, and they are the equal rows of M: with r
+classes of sizes s_i, det(xI - A) = (x + 1)^(k - r) det(xI - Q) for the
+r x r matrix Q = z B' diag(s) - I, B' the rows of M on one member per
+class, whose absolute row sums are those of A (proof, with the coset
+identity, in ``_block_factor``), so a clique becomes one row.  The classes
+are lists of M's row indices, each in ascending order and the lists in
+order of their first member.  Q's eigenvalues are real, so its
+coefficients' absolute values sum to at most (S + 1)^r, with
+r S^2 >= tr(Q^2) (Maclaurin's inequality; proof in ``_block_factor``).  Q
+is reduced to upper Hessenberg form in one pass modulo the least power of
+the Mersenne prime 2^61 - 1 that exceeds twice that bound, and the
+symmetric residues are the integer coefficients (Cohen, "A Course in
+Computational Algebraic Number Theory", the Hessenberg method; Dumas,
+Pernet and Wan, "Efficient computation of the characteristic polynomial",
+ISSAC 2005).  Modulo a prime power every nonzero entry is a power of the
+prime times a unit, so a column without a unit pivots on its entry of
+least power, which divides the rest, and the pass never stalls.  The
+pass's row and column operations touch only the nonzero entries of the
+pivot row and of the target columns.  The polynomial is then spot-checked
+against an independent fraction-free Bareiss determinant at t in
+{0, 1, 2} of the c x c matrix W = zM - I, which is C when z = 1, its
+vertices put in ascending order of their nonzero counts when M has more
+than one twin class, so that the sparsest rows are eliminated first.  Each
+row of tI - W first has the row of the next member of its twin class
+subtracted, when the two rows of M are equal: a unit upper-triangular
+change that keeps the determinant whatever the classes are, so the check
+does not rely on the quotient, and that turns each such row into
+(t + 1)(e_i - e_j).  So t = -1 would check nothing on a block with twins:
+both sides are 0 there.  The last member of each class keeps its row and
+is eliminated after the others, so a clique costs O(c) updates per point,
+not O(c^2).  The elimination keeps each row as its nonzero entries and
+updates only the columns where the pivot row is nonzero, since a step only
+rescales every other entry by a ratio of pivots; a skipped entry keeps its
+own level, the step that last wrote it, and is brought up to date in one
+exact division when it is next read (proof in ``exact_determinant``).
+Integer roots are found among the divisors of the lowest nonzero
+coefficient, bounded by Q's largest row sum, a degree of A.  Each distinct
+block is kept as a record (``Block``): its size k, the number of blocks
+that share its submatrix, its number r of twin classes and det(xI - Q).  A
+block is complete exactly when r = 1, so the records are also the graph's
+component structure.  Calls that share a ``memo`` share their blocks too,
+keyed on the block's M and on z, since the matrix read depends on both:
+one ``suite`` run proves each distinct block once across all its groups.
 """
 
 from __future__ import annotations
@@ -161,13 +166,7 @@ class Block(NamedTuple):
         return self.quotient.degree
 
 
-class _AnalysisFields(NamedTuple):
-    spectrum: Spectrum
-    remainder: CharPoly
-    blocks: tuple[Block, ...]
-
-
-class SpectralAnalysis(_AnalysisFields):
+class SpectralAnalysis(NamedTuple):
     """Outcome of the exact integrality decision for one graph.
 
     ``blocks`` holds one record per distinct connected block.  ``==``,
@@ -175,7 +174,9 @@ class SpectralAnalysis(_AnalysisFields):
     ``remainder`` only: those two already determine the graph's polynomial.
     """
 
-    __slots__ = ()
+    spectrum: Spectrum
+    remainder: CharPoly
+    blocks: tuple[Block, ...]
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -213,13 +214,14 @@ class SpectralAnalysis(_AnalysisFields):
 def char_poly(matrix: Sequence[Sequence[int]]) -> CharPoly:
     """Exact characteristic polynomial det(xI - A) of a symmetric matrix.
 
-    After its checks, the whole matrix goes through ``_block_factor`` in one
-    call, which gives det(xI - Q) for its twin quotient Q of r rows, and
-    that is multiplied by (x + 1)^(n - r), expanded by the binomial
-    theorem.  A disconnected matrix needs no splitting: vertices i and j in
-    different components are never true twins, since row i of A + I holds
-    1 in column i and row j holds A_ji = 0 there, and each step of the
-    kernel holds for any symmetric matrix.  A failed check raises
+    After its checks, the diagonal is set to 1 and the rows of A + I go
+    through ``_block_factor`` in one call, which gives det(xI - Q) for the
+    twin quotient Q of r rows, and that is multiplied by (x + 1)^(n - r),
+    expanded by the binomial theorem.  A disconnected matrix needs no
+    splitting: vertices i and j in different components are never true
+    twins, since row i of A + I holds 1 in column i and row j holds
+    A_ji = 0 there, and each step of the kernel holds for any symmetric
+    matrix.  A failed check raises
     :class:`SpectralCheckError`.
     """
     a = _int_rows(matrix)
@@ -232,7 +234,9 @@ def char_poly(matrix: Sequence[Sequence[int]]) -> CharPoly:
                 raise NotSymmetricError(f"entries ({i},{j}) and ({j},{i}) differ")
     if not a:
         return CharPoly((1,))
-    quotient = _block_factor(a)[0]
+    for i, row in enumerate(a):
+        row[i] = 1
+    quotient = _block_factor(list(map(tuple, a)))[0]
     twins = n - quotient.degree
     binomials = [comb(twins, i) for i in range(twins + 1)]
     return CharPoly(tuple(_poly_mul(quotient.coeffs, binomials)))
@@ -243,36 +247,38 @@ def _block_factor(
 ) -> tuple[CharPoly, int]:
     """det(xI - Q) for the twin quotient Q of A, and a root bound.
 
-    ``key`` gives the rows of C, any symmetric integer matrix with a zero
-    diagonal: ``is_integral`` passes one connected block, ``char_poly`` a
-    whole matrix, and no step below needs C to be connected.  The matrix
-    read is A = (C + I) (x) J_z - I: each of the c vertices of C stands for
-    z true twins (J_z is the z x z all-ones matrix).  With z = 1, A is C.
-    In a commuting graph, C is the graph on the non-central cosets of
-    the center Z and z = |Z|: the members of a coset commute with each
-    other and with exactly the members of the cosets their coset commutes
-    with, so their rows of A + I are (C + I) (x) J_z.
+    ``key`` gives the rows of M = C + I, for C any symmetric integer matrix
+    with a zero diagonal, each row a tuple or bytes: ``is_integral`` passes
+    one connected block, ``char_poly`` a whole matrix, and no step below
+    needs C to be connected.  The matrix read is A with A + I = M (x) J_z:
+    each of the c vertices of C stands for z true twins (J_z is the z x z
+    all-ones matrix).  With z = 1, A is C.  In a commuting graph, C is the
+    graph on the non-central cosets of the center Z and z = |Z|: the
+    members of a coset commute with each other and with exactly the
+    members of the cosets their coset commutes with, so their rows of
+    A + I are M (x) J_z.
 
     Coset identity: det(tI - A) = (t + 1)^(c(z - 1)) det(tI - W), with the
-    c x c matrix W = z(C + I) - I.  Proof: J_z = V diag(z, 0, ..., 0) V^-1,
-    where V's columns are the all-ones vector and e_1 - e_j for 1 < j <= z.
-    Conjugating by I_c (x) V turns A + I into (C + I) (x) diag(z, 0, ..., 0),
-    which a permutation of the basis makes z(C + I) (+) 0, so A is similar
-    to W (+) -I_(c(z - 1)).
+    c x c matrix W = zM - I.  Proof: J_z = V diag(z, 0, ..., 0) V^-1, where
+    V's columns are the all-ones vector and e_1 - e_j for 1 < j <= z.
+    Conjugating by I_c (x) V turns A + I = M (x) J_z into
+    M (x) diag(z, 0, ..., 0), which a permutation of the basis makes
+    zM (+) 0, so A is similar to W (+) -I_(c(z - 1)).
 
-    Twin quotient: let W have r twin classes (equal rows of M = W + I =
-    z(C + I), so the twin classes of C) of sizes s_1..s_r, P the c x r
+    Twin quotient: the twin classes of W are the equal rows of W + I = zM,
+    so of M.  Let there be r of them, of sizes s_1..s_r, P the c x r
     class-indicator matrix and B' the r x r matrix of M on one member per
-    class.  M is symmetric, so equal rows give equal columns and M =
-    P B' P^T, whose nonzero eigenvalues are those of B' P^T P = B' diag(s).
-    So det(xI - W) = (x + 1)^(c - r) det(xI - Q), and det(xI - A) =
-    (x + 1)^(cz - r) det(xI - Q), with Q = B' diag(s) - I: Q_ii = z s_i - 1,
-    and Q_ij = z s_j C_uv for members u, v of classes i != j.  A member u's
-    twins v have C_uv = 1, so row i of Q has the absolute sum of a row of A
-    at u, z (sum of |C_uv| over v) + z - 1; the largest, R, returned
-    second, bounds Q's eigenvalues and so its integer roots.  Q's polynomial
-    is spot-checked against W (``_spot_check``), never expanded by
-    (x + 1)^(cz - r); a failed check raises :class:`SpectralCheckError`.
+    class.  M is symmetric, so equal rows give equal columns and zM =
+    P zB' P^T, whose nonzero eigenvalues are those of zB' P^T P =
+    zB' diag(s).  So det(xI - W) = (x + 1)^(c - r) det(xI - Q), and
+    det(xI - A) = (x + 1)^(cz - r) det(xI - Q), with Q = zB' diag(s) - I:
+    Q_ii = z s_i - 1, and Q_ij = z s_j M_uv for members u, v of classes
+    i != j.  A member u's twins v have M_uv = 1, so row i of Q has the
+    absolute sum of a row of A at u, z (sum of |M_uv| over v) - 1; the
+    largest, R, returned second, bounds Q's eigenvalues and so its integer
+    roots.  Q's polynomial is spot-checked against W (``_spot_check``),
+    never expanded by (x + 1)^(cz - r); a failed check raises
+    :class:`SpectralCheckError`.
 
     Coefficient bound: Q + I = B' diag(s), with B' symmetric and s > 0, is
     similar to diag(s)^(1/2) B' diag(s)^(1/2), a real symmetric matrix, so
@@ -287,10 +293,10 @@ def _block_factor(
     |lambda_i| <= R gives tr(Q^2) <= r R^2, so S <= R and the bound is never
     looser than the row-sum bound (R + 1)^r.
 
-    Vertex order: when r > 1, C's rows and columns are first permuted alike
+    Vertex order: when r > 1, M's rows and columns are first permuted alike
     by ascending number of nonzero entries in a row, a stable sort that
     keeps ties in the key's order, and the twin classes are found again on
-    the permuted matrix.  P C P^T is similar to C, so Q's polynomial, R and
+    the permuted matrix.  P M P^T is similar to M, so Q's polynomial, R and
     the check's determinants are unchanged, while the elimination in
     ``_spot_check``, which updates only the rows with a nonzero entry in the
     pivot column, takes the sparsest pivots first (a static form of
@@ -446,29 +452,29 @@ def _hessenberg_block_mod(
 
 
 def _twin_classes(a: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The twin classes of the rows of ``a``, as lists of row indices.
+    """The twin classes of the rows of M = ``a``, as lists of row indices.
 
-    Rows i and j share a class when rows i and j of A + I are equal.  On an
-    adjacency matrix those rows are closed neighbourhoods, so the classes
+    Rows i and j share a class when they are equal.  When M = A + I for an
+    adjacency matrix A, the rows are closed neighbourhoods, so the classes
     are the true twins.  Members ascend, and the classes come in order of
-    their first members.
+    their first members.  The rows are tuples or bytes, so they are keys.
     """
-    classes: dict[tuple[int, ...], list[int]] = {}
+    classes: dict[Sequence[int], list[int]] = {}
     for i, row in enumerate(a):
-        classes.setdefault((*row[:i], row[i] + 1, *row[i + 1 :]), []).append(i)
+        classes.setdefault(row, []).append(i)
     return list(classes.values())
 
 
 def _twin_quotient(
     a: Sequence[Sequence[int]], classes: Sequence[Sequence[int]], z: int
 ) -> list[list[int]]:
-    """Q = z B'·diag(s) - I over C's twin ``classes``, C = ``a`` (see
-    ``_block_factor``): B' is read on each class's first member, and a class
-    of s vertices holds z s elements."""
+    """Q = z B'·diag(s) - I over M's twin ``classes``, M = ``a`` (see
+    ``_block_factor``): B' is M read on each class's first member, and a
+    class of s vertices holds z s elements."""
     firsts = [members[0] for members in classes]
     sizes = [z * len(members) for members in classes]
     return [
-        [(a[i][j] + (i == j)) * s - (i == j) for j, s in zip(firsts, sizes)]
+        [a[i][j] * s - (i == j) for j, s in zip(firsts, sizes)]
         for i in firsts
     ]
 
@@ -480,29 +486,27 @@ def _spot_check(
     z: int = 1,
 ) -> None:
     """Check (t + 1)^(c - r) q(t) = det(tI - W) at t in {0, 1, 2} by
-    Bareiss on the c x c matrix W = z(C + I) - I, C = ``a``, for
-    q = ``quotient`` of degree r (see ``_block_factor``; with z = 1, W is C
-    itself).
+    Bareiss on the c x c matrix W = zM - I, M = ``a``, for q = ``quotient``
+    of degree r (see ``_block_factor``; with z = 1, W is C = M - I).
 
     ``classes`` is any partition of the rows into lists of ascending row
     indices; ``_block_factor`` passes the twin classes.  Before each
     determinant, each row i of tI - W has the row of j, the next member of
-    its list, subtracted when rows i and j of C + I are equal
-    (``_true_twins``), both taken from tI - W; any other row is kept.  Since
-    j > i, that is a product by a unit upper-triangular matrix, so the
-    determinant is the same whatever the partition is: wrong classes cannot
-    hide a wrong polynomial, and the check stays independent of the twin
-    quotient.  The difference row is then (t + 1)(e_i - e_j), the pivot row
-    of step i, which reaches only the rows with an entry in column i.  The
-    last member of a class keeps its row of tI - W and is eliminated after
-    the others, so a clique of c vertices costs O(c) updates per point.  At
-    t = -1 the difference rows vanish and so does (t + 1)^(c - r) whenever
-    c > r, so -1 is not a point.
+    its list, subtracted when rows i and j of M are equal, both taken from
+    tI - W; any other row is kept.  Since j > i, that is a product by a
+    unit upper-triangular matrix, so the determinant is the same whatever
+    the partition is: wrong classes cannot hide a wrong polynomial, and the
+    check stays independent of the twin quotient.  The difference row is
+    then (t + 1)(e_i - e_j), the pivot row of step i, which reaches only the
+    rows with an entry in column i.  The last member of a class keeps its
+    row of tI - W and is eliminated after the others, so a clique of c
+    vertices costs O(c) updates per point.  At t = -1 the difference rows
+    vanish and so does (t + 1)^(c - r) whenever c > r, so -1 is not a point.
 
-    Off the diagonal, tI - W is -W, so the rows of -zC and the difference
-    rows z(e_i - e_j) are built once, as their nonzero entries, and each
-    point's matrix is a copy of them with t + 1 - z, the diagonal of
-    tI - W, added at (i, i) and subtracted at (i, j).
+    tI - W = (t + 1)I - zM, so the rows of -zM, whose diagonal is -z, and
+    the difference rows, zero at (i, i) and (i, j), are built once, as
+    their entries, and each point's matrix is a copy of them with t + 1
+    added at (i, i) and subtracted at (i, j).
     """
     n = len(a)
     twins = n - quotient.degree
@@ -513,40 +517,25 @@ def _spot_check(
     columns = range(n)
     base = []
     for i, s in enumerate(successor):
-        if s >= 0 and _true_twins(a, i, s):
-            entries = {i: z, s: -z}
+        row = a[i]
+        if s >= 0 and row == a[s]:
+            entries = {i: 0, s: 0}
         else:
             successor[i] = -1
-            row = a[i]
             entries = {j: -z * row[j] for j in compress(columns, row)}
-            entries.setdefault(i, 0)  # each point adds its diagonal here
         base.append(entries)
     index = _column_index(base)
     for t in (0, 1, 2):
-        diagonal = t + 1 - z
         shifted = list(map(dict.copy, base))
-        if diagonal:
-            for i, s in enumerate(successor):
-                row = shifted[i]
-                row[i] += diagonal
-                if s >= 0:
-                    row[s] -= diagonal
+        for i, s in enumerate(successor):
+            row = shifted[i]
+            row[i] += t + 1
+            if s >= 0:
+                row[s] -= t + 1
         if (t + 1) ** twins * quotient.evaluate(t) != _bareiss(shifted, index):
             raise SpectralCheckError(
                 f"characteristic polynomial failed determinant check at t={t}"
             )
-
-
-def _true_twins(a: Sequence[Sequence[int]], i: int, j: int) -> bool:
-    """Whether rows i < j of A + I are equal, A = ``a``: rows i and j of A
-    agree outside columns i and j, and A_ji - A_ii = 1 = A_ij - A_jj."""
-    x, y = a[i], a[j]
-    return (
-        y[i] - x[i] == 1 == x[j] - y[j]
-        and x[:i] == y[:i]
-        and x[i + 1 : j] == y[i + 1 : j]
-        and x[j + 1 :] == y[j + 1 :]
-    )
 
 
 def exact_determinant(matrix: Sequence[Sequence[int]]) -> int:
@@ -757,10 +746,11 @@ def is_integral(
     With z = 1 that is ``graph`` itself.  A commuting graph is decided on
     its center's cosets (``graphs.coset_graph``) with z = |Z|: each block
     of c cosets stands for c z elements (``_block_factor``).  Each
-    distinct connected block, read from the adjacency bitmasks, is reduced
-    to its twin quotient Q, computed and spot-checked once.  Q's integer
-    roots are found within its largest row sum, a vertex degree of the
-    element graph, and -1 gains the k - r roots that the k = c z element
+    distinct connected block, read from the adjacency bitmasks as the rows
+    of M = C + I, each vertex's own bit set, is reduced to its twin
+    quotient Q, computed and spot-checked once.  Q's integer roots are
+    found within its largest row sum, a vertex degree of the element graph,
+    and -1 gains the k - r roots that the k = c z element
     vertices lost to their r twin classes.  The multiplicities add up over
     the blocks, and the remainder is the product of the block remainders:
     by unique factorisation of monic polynomials in Z[x] it is the product
@@ -775,28 +765,29 @@ def is_integral(
     sharing it share their common blocks: a miss proves, spot-checks and
     searches the block and stores the result, and a hit reuses it.  That is
     exact by the argument that lets equal blocks of one graph share a
-    result: the key is the block's exact submatrix C, and an equal C with
-    an equal z is the same matrix W = z(C + I) - I, with the same proved
-    and checked polynomial and the same roots.  z must be in the key, since
-    Q depends on it.  Without a ``memo``, each call starts an empty one.
+    result: the key is the block's exact submatrix of M, equal exactly when
+    the submatrices of C are, and an equal M with an equal z is the same
+    matrix W = zM - I, with the same proved and checked polynomial and the
+    same roots.  z must be in the key, since Q depends on it.  Without a
+    ``memo``, each call starts an empty one.
 
     A block is a clique exactly when every row, with its own bit set,
     equals the first such row: that row then holds every vertex of the
     block, since each row holds its own bit, and no other, since a row
     holds only neighbours in the block.  Its key, the c x c all-ones rows
-    with a zero diagonal (``_clique_rows``), is built once per size c in a
-    call and equals ``_bit_rows``'s, so a clique shares the memo entry and
-    the proof of any other clique of its size; any other block's key is
-    read from its rows (``_bit_rows``).
+    (``_clique_rows``), is built once per size c in a call and equals
+    ``_bit_rows``'s, so a clique shares the memo entry and the proof of any
+    other clique of its size; any other block's key is read from its rows
+    (``_bit_rows``).
     """
     if type(z) is not int:
         raise TypeError(f"z must be of type int, got {z!r}")
     if z < 1:
         raise ParameterOutOfRange(f"each vertex stands for z >= 1 twins, got {z}")
     adjacency = graph.adjacency
-    # Each block is keyed by its exact submatrix, rows and columns in the
-    # block's sorted vertex order.  det(xI - B) is a function of B's entries,
-    # so blocks with equal keys are the same matrix and share the
+    # Each block is keyed by its exact submatrix of M, rows and columns in
+    # the block's sorted vertex order.  det(xI - B) is a function of B's
+    # entries, so blocks with equal keys are the same matrix and share the
     # coefficients proved and checked for it; a key never merges two
     # different matrices.  Isomorphic blocks whose vertex orders give
     # different submatrices get different keys and are computed separately.
@@ -841,23 +832,25 @@ _BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _bit_rows(adjacency: Sequence[int], block: tuple[int, ...]) -> Iterator[bytes]:
-    """The block's rows of the 0/1 matrix of ``adjacency`` on its columns.
+    """The block's rows of M = C + I on its columns, C the 0/1 matrix of
+    ``adjacency``: row i is ``adjacency[i]`` with its own bit i set.
 
-    Bit j of ``adjacency[i]`` is character n - 1 - j of its n-digit binary
-    string, so one ``itemgetter`` per block picks the block's columns out of
-    each row's digits, translated to the bytes 0 and 1.  A row's string is
-    built only when the row is read.
+    Bit j of a row is character n - 1 - j of its n-digit binary string, so
+    one ``itemgetter`` per block picks the block's columns out of each
+    row's digits, translated to the bytes 0 and 1.  A row's string is built
+    only when the row is read.
     """
     n = len(adjacency)
     pick = _tuple_picker([n - 1 - j for j in block])
     for i in block:
-        digits = format(adjacency[i], f"0{n}b").encode().translate(_BINARY_DIGITS)
+        row = adjacency[i] | 1 << i
+        digits = format(row, f"0{n}b").encode().translate(_BINARY_DIGITS)
         yield bytes(pick(digits))
 
 
 def _clique_rows(c: int) -> tuple[bytes, ...]:
-    """``_bit_rows`` of a clique of c vertices: all ones but the diagonal."""
-    return tuple(b"\x01" * i + b"\x00" + b"\x01" * (c - 1 - i) for i in range(c))
+    """``_bit_rows`` of a clique of c vertices: all ones."""
+    return (b"\x01" * c,) * c
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -277,6 +277,15 @@ def check_reject_a_repeated_element_name(tmp):
     _expect(err, "error: elements 1 and 4 share the name 'a'\n", "stderr")
 
 
+def check_reject_a_nested_product(tmp):
+    # a product factor that is a product can never parse, since the comma
+    # split leaves it one factor; 2000 levels of prod: used to recurse past
+    # the interpreter's limit, a RecursionError traceback and exit 1
+    spec = "prod:" * 2000 + "z2"
+    _, err = _cli(tmp, "verify", spec, code=2, timeout=10)
+    _expect(err, "error: a product factor cannot itself be a product\n", "stderr")
+
+
 def check_reject_primes_past_the_trial_division_bound(tmp):
     # 4294967311, the least prime past 2^32, and the 17-digit prime
     # 10^16 + 61 have no factor below 2^16, so the prime test refuses them
@@ -369,6 +378,7 @@ CHECKS = (
     check_verify_shuffled_s5_and_s6_tables,
     check_reject_a_non_associative_table,
     check_reject_a_repeated_element_name,
+    check_reject_a_nested_product,
     check_reject_primes_past_the_trial_division_bound,
     check_export_dot_heis_7,
     check_analyze_heis_5_json,

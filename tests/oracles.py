@@ -130,6 +130,15 @@ def format_cayley_text(group):
     return "\n".join(lines) + "\n"
 
 
+def closed_rows(a):
+    """The rows of C + I for the square matrix C = ``a``, as a tuple of
+    tuples: the matrix M that the spectral kernel reads, whose rows are
+    closed neighbourhoods when C is an adjacency matrix."""
+    return tuple(
+        tuple(x + (i == j) for j, x in enumerate(row)) for i, row in enumerate(a)
+    )
+
+
 def row_sum_bound(a):
     """B = (R + 1)^k for a k x k matrix whose largest absolute row sum is R.
 

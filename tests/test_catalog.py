@@ -218,6 +218,10 @@ def test_parameter_ranges(factory, args):
         factory(*args)
 
 
+# a product, refused as a factor of another product
+_D6_TIMES_Z2 = FamilySpec.product(FamilySpec.dihedral(3), FamilySpec.cyclic(2))
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -233,6 +237,11 @@ def test_parameter_ranges(factory, args):
         (
             ("product", (7,), (FamilySpec.cyclic(2), FamilySpec.cyclic(3))),
             "product takes factors, not parameters",
+        ),
+        # its label, prod:prod:dihedral:3,z2,z3, would not parse
+        (
+            ("product", (), (_D6_TIMES_Z2, FamilySpec.cyclic(3))),
+            "a product factor cannot itself be a product",
         ),
     ],
 )
@@ -271,6 +280,7 @@ def test_prime_parameters(factory):
         ("foo", (3,), (), ParseError),
         ("dihedral", (3,), (FamilySpec.cyclic(2),), ParseError),
         ("product", (), (FamilySpec.cyclic(2),), ParameterOutOfRange),
+        ("product", (), (FamilySpec.cyclic(3), _D6_TIMES_Z2), ParseError),
     ],
 )
 def test_family_spec_checks_every_way_a_record_is_made(kind, params, factors, error):
@@ -412,6 +422,19 @@ def test_parse_family_round_trips_catalog_labels():
 )
 def test_parse_family(text, spec):
     assert parse_family(text) == spec
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["prod:prod:z2,z3", "prod:z2,prod:z3,z4", "prod:z2,prod", "prod:" * 2000 + "z2"],
+    ids=["first", "second", "bare", "2000-deep"],
+)
+def test_a_product_factor_cannot_be_a_product(text):
+    # the comma split leaves a nested product one factor, so no nesting can
+    # parse; 2000 levels used to recurse past the interpreter's limit
+    with pytest.raises(ParseError) as info:
+        parse_family(text)
+    assert str(info.value) == "a product factor cannot itself be a product"
 
 
 @pytest.mark.parametrize(

@@ -356,6 +356,21 @@ def test_verify_rejects_a_parameter_over_the_int_limit(spec, piece, capsys):
     assert capsys.readouterr() == ("", f"error: {_overlong_message(piece)}\n")
 
 
+_NESTED_PRODUCT = "prod:" * 2000 + "z2"
+
+
+def test_a_nested_product_spec_is_one_error_line(capsys):
+    # 2000 levels used to recurse past the interpreter's limit: a raw
+    # RecursionError from verify, and from the suite, which reports only
+    # typed errors of an extra
+    message = "a product factor cannot itself be a product"
+    assert main(["verify", _NESTED_PRODUCT]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert main(["suite", "--only", "dihedral:3", "--extra", _NESTED_PRODUCT]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [f"FAIL {_NESTED_PRODUCT}: {message}", "1/2 groups passed"]
+
+
 def test_verify_file_needs_a_path(capsys):
     assert main(["verify", "file:"]) == 2
     assert capsys.readouterr().err == "error: file: needs a path\n"

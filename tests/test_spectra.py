@@ -30,6 +30,7 @@ from commspec.spectra import (
 
 from oracles import (
     clique_union_spectrum,
+    closed_rows,
     dense_bareiss,
     dense_char_poly_mod,
     expanded_char_poly,
@@ -1120,6 +1121,7 @@ def test_clique_keys_equal_the_keys_read_from_the_rows():
     for block in blocks:
         read = tuple(spectra._bit_rows(graph.adjacency, block))
         assert spectra._clique_rows(len(block)) == read, block
+        assert read == (b"\x01" * len(block),) * len(block), block
     # is_integral keys every block so: its memo holds the keys read
     memo = {}
     is_integral(graph, 2, memo)
@@ -1231,7 +1233,7 @@ def test_coset_identity_on_weighted_blocks():
             [c[i // z][j // z] + (i // z == j // z) - (i == j) for j in range(k)]
             for i in range(k)
         ]
-        quotient, bound = spectra._block_factor(tuple(map(tuple, c)), z)
+        quotient, bound = spectra._block_factor(closed_rows(c), z)
         poly = quotient
         for _ in range(len(e) - quotient.degree):
             poly = poly_product(poly, CharPoly((1, 1)))
@@ -1272,7 +1274,7 @@ def test_block_keys_are_the_bitwise_submatrices(make_graphs, monkeypatch):
         adjacency = graph.adjacency
         expected = {}
         for block in connected_components(graph):
-            key = tuple(tuple(adjacency[i] >> j & 1 for j in block) for i in block)
+            key = closed_rows([[adjacency[i] >> j & 1 for j in block] for i in block])
             expected[key] = expected.get(key, 0) + 1
         # one kernel call per distinct key, in the order of the records
         assert all(type(row) is bytes for key in keys for row in key)
@@ -1340,7 +1342,7 @@ def test_twin_classes_merge_true_twins_and_keep_false_twins_apart():
     rng = random.Random(21)
     for _ in range(40):
         graph, cliques, independents = _blow_up(rng, rng.randint(1, 6), 0.4, 4)
-        classes = spectra._twin_classes(graph.to_matrix())
+        classes = spectra._twin_classes(closed_rows(graph.to_matrix()))
         labels = {v: c for c, members in enumerate(classes) for v in members}
         for part in cliques:
             assert len({labels[v] for v in part}) == 1
@@ -1365,14 +1367,14 @@ def test_twin_classes_are_ordered_member_lists():
             _random_graph(rng, n, rng.random()).to_matrix(),
         ]
     for a in matrices:
-        classes = spectra._twin_classes(a)
+        closed = closed_rows(a)
+        classes = spectra._twin_classes(closed)
         # a partition of range(c) into ascending lists, ordered by first member
         assert sorted(i for members in classes for i in members) == list(range(len(a)))
         assert all(members == sorted(members) for members in classes)
         firsts = [members[0] for members in classes]
         assert firsts == sorted(firsts)
         # two rows share a list exactly when their rows of A + I are equal
-        closed = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
         label = {i: k for k, members in enumerate(classes) for i in members}
         for i in range(len(a)):
             for j in range(i):
@@ -1441,7 +1443,8 @@ def test_spot_check_accepts_the_true_polynomial_under_any_class_map():
         build_commuting_graph(build(FamilySpec.dihedral(6))),
     )
     cases = [
-        (graph.to_matrix(), _quotient_product(is_integral(graph))) for graph in graphs
+        (closed_rows(graph.to_matrix()), _quotient_product(is_integral(graph)))
+        for graph in graphs
     ]
     # where twins were merged, q is of lower degree than the whole polynomial
     assert [quotient.degree < len(matrix) for matrix, quotient in cases] == [
@@ -1487,7 +1490,9 @@ def test_merging_non_twins_fails_the_determinant_check(make_graph, monkeypatch):
     graph = make_graph()
     block = max(connected_components(graph), key=len)
     matrix = graph.to_matrix()
-    classes = spectra._twin_classes([[matrix[i][j] for j in block] for i in block])
+    classes = spectra._twin_classes(
+        closed_rows([[matrix[i][j] for j in block] for i in block])
+    )
     # the block's first two vertices are not twins
     assert [members[0] for members in classes[:2]] == [0, 1]
     original = spectra._twin_classes
@@ -1591,9 +1596,7 @@ def test_twin_quotient_of_weighted_rows(monkeypatch):
     )
     for _ in range(60):
         a = _weighted_blow_up(rng, rng.randint(1, 5), 4)
-        closed = {
-            tuple(x + (i == j) for j, x in enumerate(row)) for i, row in enumerate(a)
-        }
+        closed = set(closed_rows(a))
         quotients.clear()
         assert list(char_poly(a).coeffs) == _faddeev_leverrier(a)
         [q] = quotients
@@ -1632,11 +1635,11 @@ def test_block_factor_does_not_depend_on_the_vertex_order():
     ]
     cases += [(graph.to_matrix(), 1) for graph in _random_raw_graphs()]
     for c, z in cases:
-        expected = spectra._block_factor(tuple(map(tuple, c)), z)
+        expected = spectra._block_factor(closed_rows(c), z)
         for _ in range(3):
             order = list(range(len(c)))
             rng.shuffle(order)
-            key = tuple(map(tuple, _permuted(c, order)))
+            key = closed_rows(_permuted(c, order))
             assert spectra._block_factor(key, z) == expected
 
 
@@ -1646,10 +1649,10 @@ def _shifted_minus_next_twin(c, t):
     shifted = [[t * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(c)]
     following = {}
     rows = [None] * len(c)
+    closed = closed_rows(c)
     for i in reversed(range(len(c))):
-        closed = tuple(x + (i == j) for j, x in enumerate(c[i]))
-        s = following.get(closed)
-        following[closed] = i
+        s = following.get(closed[i])
+        following[closed[i]] = i
         rows[i] = (
             shifted[i] if s is None else [x - y for x, y in zip(shifted[i], shifted[s])]
         )
@@ -1720,7 +1723,7 @@ def test_complete_blocks_reach_the_determinant_in_key_order(spec, monkeypatch):
     )
     inputs = _determinant_inputs(monkeypatch)
     assert is_integral(graph).all_cliques
-    assert sorted(labelled) == sorted(keys)
+    assert sorted(labelled) == sorted(map(closed_rows, keys))
     expected = [_shifted_minus_next_twin(k, t) for k in keys for t in (0, 1, 2)]
     assert sorted(inputs) == sorted(expected)
 
@@ -1763,7 +1766,7 @@ def test_eigenvalue_bound_covers_the_coefficients(monkeypatch):
     engine = spectra._modular_char_poly
     calls = _engine_calls(monkeypatch)
     for c, z in cases:
-        spectra._block_factor(tuple(map(tuple, c)), z)
+        spectra._block_factor(closed_rows(c), z)
     assert len(calls) == len(cases)
     tighter = 0
     for q, bound in calls:
@@ -1915,7 +1918,7 @@ def test_sparse_pass_matches_the_dense_pass_on_weighted_blow_ups():
 def test_sparse_pass_matches_the_dense_pass_on_the_group_quotients(monkeypatch):
     calls = _engine_calls(monkeypatch)
     for c in _group_blocks():
-        spectra._block_factor(tuple(map(tuple, c)), 1)
+        spectra._block_factor(closed_rows(c), 1)
     # the twin quotients of S4's, A5's and S5's largest blocks; A5's is a
     # clique
     assert [len(q) for q, _ in calls] == [9, 1, 50]
@@ -2123,7 +2126,7 @@ def test_clique_check_touches_linearly_many_entries(c, z, monkeypatch):
 def test_wrong_polynomial_fails_the_clique_check_under_any_class_map(z):
     rng = random.Random(26)
     c = 50
-    key = _clique(c)
+    key = closed_rows(_clique(c))
     true = CharPoly((1 - c * z, 1))
     wrong = CharPoly((2 - c * z, 1))
     for parts in range(1, 11):
