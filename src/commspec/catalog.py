@@ -32,7 +32,7 @@ from math import prod
 from typing import Callable, NamedTuple
 
 from .errors import NotPrimeError, ParameterOutOfRange, ParseError
-from .groups import FiniteGroup, _group, _Mul, is_prime
+from .groups import FiniteGroup, _check_order, _group, _Mul, is_prime
 
 # A product rule on element indices and the element names, in index order.
 _Rule = tuple[_Mul, list[str]]
@@ -356,7 +356,12 @@ def _rule(spec: FamilySpec) -> _Rule:
 
 
 def build(spec: FamilySpec) -> FiniteGroup:
-    """Build and validate the group described by ``spec``."""
+    """Build and validate the group described by ``spec``.
+
+    A spec whose order is above ``groups._MAX_ORDER`` raises
+    ``ParameterOutOfRange`` before any product rule is made.
+    """
+    _check_order(spec.order())
     return _group(*_rule(spec))
 
 

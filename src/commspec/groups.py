@@ -66,22 +66,10 @@ class FiniteGroup(_GroupFields):
     it enforces the axioms.
     ``generators`` is a set of elements whose products give every element:
     the walk's generating set S (see ``_walk``), or for a central quotient
-    the cosets of the group's generators.  Other sets would serve as well,
-    so ``==``, ``!=`` and ``hash`` read ``table`` and ``names`` only.  The
-    three fields are an immutable tuple; the class also keeps an instance
-    dict, which caches ``center_cosets``.
+    the cosets of the group's generators.  The three fields are an
+    immutable tuple, compared and hashed as one; the class also keeps an
+    instance dict, which caches ``center_cosets``.
     """
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.table == other.table and self.names == other.names
-
-    # tuple's != compares every field; object's negates __eq__
-    __ne__ = object.__ne__
-
-    def __hash__(self) -> int:
-        return hash((self.table, self.names))
 
     @property
     def order(self) -> int:
@@ -628,6 +616,21 @@ def _max_clique(adj: list[int], cand: int, cap: int) -> list[int]:
     return best
 
 
+# Tables are built only up to _MAX_ORDER elements.  A table of n elements
+# holds n^2 entries, 2**26 at the bound, and larger groups would end in a
+# MemoryError inside ``_walk`` rather than in a typed error.
+_MAX_ORDER = 2**13
+
+
+def _check_order(n: int) -> None:
+    """Raise ``ParameterOutOfRange`` if a group of order n is too large to
+    tabulate: n above ``_MAX_ORDER``."""
+    if n > _MAX_ORDER:
+        raise ParameterOutOfRange(
+            f"groups are built only up to {_MAX_ORDER} elements, got {n}"
+        )
+
+
 # Primes are decided by trial division below _PRIME_BOUND: every composite
 # there has a factor below 2**16, so ``is_prime`` makes at most 2**16 - 1
 # divisions.  A prime parameter at or above it would name a group of at
@@ -687,6 +690,7 @@ def parse_cayley_text(text: str) -> tuple[list[list[int]], list[str] | None]:
         raise ParseError(f"first line must be the order, got {lines[0]!r}") from None
     if n <= 0:
         raise ParseError(f"order must be positive, got {n}")
+    _check_order(n)
     if len(lines) < n + 1:
         raise ParseError(f"expected {n} table rows, found {len(lines) - 1}")
     # the canonical spelling of each index, read by lookup; any other token

@@ -6,7 +6,9 @@ and its spectrum has a closed form in p (or m) and the center size.  The
 catalog's family table states both kinds of closed form: these two
 quotient-shape forms, on its ``zpzp`` and ``dihedral`` entries, and the
 per-family specializations.  This module evaluates them and checks every
-applicable prediction against the brute-force pipeline.  Each group is
+applicable prediction against the brute-force pipeline: a predicted
+spectrum is all integers, so it matches when the analysis is integral, its
+remainder 1, and the two spectra are equal.  Each group is
 analysed once, on the graph of its center's cosets: the report's component
 sizes and clique verdict are read from the per-block records of the
 integrality decision, and the centralizer-count corollaries read the
@@ -42,7 +44,8 @@ from .spectra import (
 
 
 class Prediction(NamedTuple):
-    """A predicted complete spectrum with its source formula and parameters."""
+    """A predicted spectrum, every eigenvalue an integer, with its source
+    formula and parameters."""
 
     source: str
     params: tuple[int, ...]
@@ -60,8 +63,8 @@ class VerificationReport(NamedTuple):
     The spectral verdict, the spectrum and the component structure live in
     ``analysis`` alone, decided on the graph of the center's cosets.  The
     commuting graph on the elements is not one of the fields: graph output
-    builds it from ``group``.  Reports compare field by field, so ``group``
-    compares by its table and names and ``analysis`` without its blocks.
+    builds it from ``group``.  Reports compare and hash field by field, the
+    group's generators and the analysis's blocks included.
     """
 
     name: str
@@ -115,8 +118,8 @@ def verify_group(
     Quotient-based predictions come from recognizing the central quotient;
     the family-based prediction is added when ``family`` names a supported
     catalog family.  A prediction matches when the brute-force spectrum is
-    complete and equal to it as a multiset: a prediction is complete, and
-    ``Spectrum`` equality compares completeness too.
+    integral (``SpectralAnalysis.integral``: its remainder is 1) and equal
+    to it as a multiset.
 
     The spectrum is decided on the graph of the center's cosets, each
     standing for |Z| elements (``graphs.coset_graph``); the element graph
@@ -152,7 +155,10 @@ def verify_group(
 
     checks = tuple(
         PredictionCheck(
-            pred, "match" if pred.spectrum == analysis.spectrum else "mismatch"
+            pred,
+            "match"
+            if analysis.integral and pred.spectrum == analysis.spectrum
+            else "mismatch",
         )
         for pred in predictions
     )

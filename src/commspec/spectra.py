@@ -123,19 +123,18 @@ class CharPoly(_CharPolyFields):
 
 
 class Spectrum(NamedTuple):
-    """Eigenvalue/multiplicity pairs, eigenvalues strictly decreasing.
+    """Integer eigenvalue/multiplicity pairs, eigenvalues strictly decreasing.
 
-    ``complete`` is True when the multiplicities account for the whole
-    polynomial degree.  Use :func:`spectrum_from_pairs` to canonicalize.
+    A spectrum holds only the integer roots it was given; whether they are
+    all of a polynomial's roots is read off the remainder that goes with
+    it (``SpectralAnalysis.integral``).  Use :func:`spectrum_from_pairs` to
+    canonicalize.
     """
 
     pairs: tuple[tuple[int, int], ...]
-    complete: bool
 
 
-def spectrum_from_pairs(
-    pairs: Iterable[tuple[int, int]], complete: bool = True
-) -> Spectrum:
+def spectrum_from_pairs(pairs: Iterable[tuple[int, int]]) -> Spectrum:
     """Merge duplicate eigenvalues, drop empty entries, sort descending."""
     acc: dict[int, int] = {}
     for value, mult in pairs:
@@ -143,7 +142,7 @@ def spectrum_from_pairs(
             continue
         acc[value] = acc.get(value, 0) + mult
     ordered = tuple(sorted(acc.items(), key=lambda p: -p[0]))
-    return Spectrum(ordered, complete)
+    return Spectrum(ordered)
 
 
 def spectrum_json(spectrum: Spectrum) -> list[dict]:
@@ -169,30 +168,19 @@ class Block(NamedTuple):
 class SpectralAnalysis(NamedTuple):
     """Outcome of the exact integrality decision for one graph.
 
-    ``blocks`` holds one record per distinct connected block.  ``==``,
-    ``!=`` and ``hash`` leave the records out and read ``spectrum`` and
-    ``remainder`` only: those two already determine the graph's polynomial.
+    ``spectrum`` holds the integer eigenvalues and ``remainder`` the
+    factor of the polynomial that has no integer root; ``blocks`` holds one
+    record per distinct connected block.
     """
 
     spectrum: Spectrum
     remainder: CharPoly
     blocks: tuple[Block, ...]
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.spectrum == other.spectrum and self.remainder == other.remainder
-
-    # tuple's != compares every field; object's negates __eq__
-    __ne__ = object.__ne__
-
-    def __hash__(self) -> int:
-        return hash((self.spectrum, self.remainder))
-
     @property
     def integral(self) -> bool:
-        """Whether every eigenvalue is an integer: the spectrum is complete."""
-        return self.spectrum.complete
+        """Whether every eigenvalue is an integer: the remainder is 1."""
+        return self.remainder.degree == 0
 
     @property
     def component_sizes(self) -> tuple[int, ...]:
@@ -694,7 +682,8 @@ def integer_spectrum(
     tried; each quotient's constant term divides the one before, so no
     root is missed.  The scan stops once the remainder is constant.  The
     returned remainder has no integer roots within the bound, and the
-    spectrum is complete exactly when the remainder is constant.
+    roots found are all of the polynomial's roots exactly when the
+    remainder is constant.
     """
     desc = list(reversed(poly.coeffs))
     found: list[tuple[int, int]] = []
@@ -721,9 +710,7 @@ def integer_spectrum(
         if mult:
             found.append((r, mult))
 
-    remainder = CharPoly(tuple(reversed(desc)))
-    spectrum = spectrum_from_pairs(found, complete=remainder.degree == 0)
-    return spectrum, remainder
+    return spectrum_from_pairs(found), CharPoly(tuple(reversed(desc)))
 
 
 def _divide_linear(desc: list[int], r: int) -> tuple[list[int], int]:
@@ -821,7 +808,7 @@ def is_integral(
                 remainder = _poly_mul(remainder, rest.coeffs)
         records.append(Block(size, count, quotient))
     return SpectralAnalysis(
-        spectrum=spectrum_from_pairs(pairs, complete=len(remainder) == 1),
+        spectrum=spectrum_from_pairs(pairs),
         remainder=CharPoly(tuple(remainder)),
         blocks=tuple(records),
     )

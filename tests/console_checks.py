@@ -303,6 +303,16 @@ def check_reject_primes_past_the_trial_division_bound(tmp):
         _expect(err, f"error: {message}\n", f"heis:{p}")
 
 
+def check_reject_a_group_past_the_order_bound(tmp):
+    # 200000 and 65537^3 elements: the order is read off the closed form and
+    # refused before any table is built, where each build used to end in a
+    # MemoryError traceback from the walk or the name list, exit 1
+    for spec in "dihedral:100000", "heis:65537":
+        _, err = _cli(tmp, "verify", spec, code=2, timeout=10)
+        _expect(err.count("\n"), 1, f"lines of stderr of {spec}")
+        _require(err.startswith("error: "), f"stderr of {spec}: {err!r}")
+
+
 def check_export_dot_heis_7(tmp):
     # 8 cliques of 42 non-central elements: 336 nodes, 8 * 42 * 41 / 2 edges
     _cli(tmp, "export-dot", "heis:7", "heis7.dot")
@@ -380,6 +390,7 @@ CHECKS = (
     check_reject_a_repeated_element_name,
     check_reject_a_nested_product,
     check_reject_primes_past_the_trial_division_bound,
+    check_reject_a_group_past_the_order_bound,
     check_export_dot_heis_7,
     check_analyze_heis_5_json,
     check_verify_large_groups,

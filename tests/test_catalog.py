@@ -6,7 +6,7 @@ from functools import reduce
 
 import pytest
 
-from commspec import groups
+from commspec import catalog, groups
 from commspec.catalog import (
     _FAMILIES,
     FamilySpec,
@@ -272,6 +272,36 @@ def test_prime_parameters(factory):
 
 
 @pytest.mark.parametrize(
+    "text", ["dihedral:100000", "heis:65537", "prod:heis:17,heis:17"]
+)
+def test_a_group_past_the_order_bound_is_refused_before_it_is_built(
+    text, monkeypatch
+):
+    # the order comes from the closed form, so neither the product rule nor
+    # the walk over it is made
+    calls = []
+    monkeypatch.setattr(groups, "_walk", lambda *args: calls.append("walk"))
+    monkeypatch.setattr(catalog, "_rule", lambda spec: calls.append("rule"))
+    spec = parse_family(text)
+    with pytest.raises(ParameterOutOfRange) as info:
+        build(spec)
+    assert str(info.value) == (
+        f"groups are built only up to 8192 elements, got {spec.order()}"
+    )
+    assert calls == []
+
+
+def test_the_order_bound_admits_groups_up_to_it(monkeypatch):
+    groups._check_order(2**13)
+    with pytest.raises(ParameterOutOfRange):
+        groups._check_order(2**13 + 1)
+    monkeypatch.setattr(groups, "_MAX_ORDER", 8)
+    assert build(FamilySpec.dihedral(4)).order == 8
+    with pytest.raises(ParameterOutOfRange):
+        build(FamilySpec.dihedral(5))
+
+
+@pytest.mark.parametrize(
     "kind, params, factors, error",
     [
         ("dihedral", (1,), (), ParameterOutOfRange),
@@ -335,9 +365,9 @@ def test_lowest_parameters_build_at_their_order(kind):
 )
 def test_closed_forms_hold_at_their_lowest_parameters(kind):
     spec = FamilySpec(kind, _lowest(kind, _FAMILIES[kind].spectrum_from))
-    brute = is_integral(build_commuting_graph(build(spec))).spectrum
-    assert brute.complete
-    assert predict_family(spec).spectrum.pairs == brute.pairs
+    brute = is_integral(build_commuting_graph(build(spec)))
+    assert brute.integral
+    assert predict_family(spec).spectrum.pairs == brute.spectrum.pairs
 
 
 class _Three(enum.IntEnum):

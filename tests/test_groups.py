@@ -304,18 +304,20 @@ def test_center_is_kept_on_its_group_only(monkeypatch):
     assert centralizer_count(first) == 4 and first.is_abelian() is False
     assert quotient_by_center(first).order == 4
     assert scans == [8]
-    # the kept cosets are not a field: equality and hashing see the table only
+    # the kept cosets are not a field: equality and hashing never see them
     assert first == second and hash(first) == hash(second)
     assert center(second) == center(first)
     assert scans == [8, 8]
 
 
-def test_generators_do_not_affect_equality_or_hash():
+def test_groups_with_different_generators_differ():
+    # a plain record compares and hashes by all of its fields
     group = build(FamilySpec.dihedral(4))
     other = group._replace(generators=tuple(range(1, group.order)))
-    assert other.generators != group.generators
-    assert other == group and hash(other) == hash(group)
-    assert not (other != group)
+    assert other.table == group.table and other.names == group.names
+    assert other != group and not (other == group)
+    assert group._replace() == group
+    assert hash(group._replace()) == hash(group)
 
 
 def _coset_centralizer(group, x):
@@ -850,6 +852,18 @@ def test_cayley_text_names_the_row_of_a_non_integer_token(text, message):
     with pytest.raises(ParseError) as info:
         parse_cayley_text(text)
     assert str(info.value) == message
+
+
+def test_cayley_text_past_the_order_bound_is_refused_before_its_rows(monkeypatch):
+    # the header alone decides: the junk rows are never read
+    monkeypatch.setattr(groups, "_MAX_ORDER", 8)
+    with pytest.raises(ParameterOutOfRange) as info:
+        parse_cayley_text("9\n" + "junk\n" * 9)
+    assert str(info.value) == "groups are built only up to 8 elements, got 9"
+    # at the bound the rows are read, and junk is a row error
+    with pytest.raises(ParseError) as info:
+        parse_cayley_text("8\n" + "junk\n" * 8)
+    assert str(info.value) == "row 0 contains a non-integer token"
 
 
 @pytest.mark.parametrize(

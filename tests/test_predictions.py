@@ -270,13 +270,13 @@ def _incomplete(analysis):
     for _ in range(mult):
         remainder = poly_product(remainder, CharPoly((-value, 1)))
     return analysis._replace(
-        spectrum=spectrum_from_pairs(kept, complete=False),
+        spectrum=spectrum_from_pairs(kept),
         remainder=remainder,
     )
 
 
 def _lowered(analysis):
-    # a complete integral spectrum with one largest eigenvalue lowered by 1
+    # an integral spectrum with one largest eigenvalue lowered by 1
     (value, mult), *rest = analysis.spectrum.pairs
     pairs = [(value, mult - 1), (value - 1, 1), *rest]
     return analysis._replace(spectrum=spectrum_from_pairs(pairs))

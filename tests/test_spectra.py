@@ -228,14 +228,14 @@ def test_char_poly_agrees_with_determinant_on_c5():
 def test_integer_spectrum_of_k3():
     spectrum, remainder = integer_spectrum(char_poly(K3), 2)
     assert spectrum.pairs == ((2, 1), (-1, 2))
-    assert spectrum.complete
+    assert remainder.degree == 0
     assert remainder.coeffs == (1,)
 
 
 def test_integer_spectrum_with_irrational_part():
     spectrum, remainder = integer_spectrum(char_poly(P3), 2)
     assert spectrum.pairs == ((0, 1),)
-    assert not spectrum.complete
+    assert remainder.degree == 2
     assert remainder.coeffs == (-2, 0, 1)  # x^2 - 2
 
 
@@ -243,7 +243,7 @@ def test_integer_spectrum_of_power_of_x():
     poly = CharPoly((0, 0, 0, 0, 1))  # x^4
     spectrum, remainder = integer_spectrum(poly, 0)
     assert spectrum.pairs == ((0, 4),)
-    assert spectrum.complete
+    assert remainder.degree == 0
     assert remainder.coeffs == (1,)
 
 
@@ -297,12 +297,15 @@ def test_charpoly_round_trips_keep_the_record():
         assert type(other) is CharPoly and other == poly
 
 
-def test_spectral_analysis_equality_leaves_the_blocks_out():
+def test_spectral_analyses_with_different_blocks_differ():
+    # a plain record compares and hashes by all of its fields
     analysis = is_integral(build_commuting_graph(build(FamilySpec.dihedral(4))))
     other = analysis._replace(blocks=())
-    assert other.blocks != analysis.blocks
-    assert other == analysis and not (other != analysis)
-    assert hash(other) == hash(analysis)
+    assert other.spectrum == analysis.spectrum
+    assert other.remainder == analysis.remainder
+    assert other != analysis and not (other == analysis)
+    assert analysis._replace() == analysis
+    assert hash(analysis._replace()) == hash(analysis)
     moved = analysis._replace(spectrum=spectrum_from_pairs([(1, 1)]))
     assert moved != analysis and not (moved == analysis)
 
@@ -763,8 +766,7 @@ def _full_scan_integer_spectrum(poly, max_abs_root):
             mult += 1
         if mult:
             found.append((r, mult))
-    remainder = CharPoly(tuple(reversed(desc)))
-    return spectrum_from_pairs(found, complete=remainder.degree == 0), remainder
+    return spectrum_from_pairs(found), CharPoly(tuple(reversed(desc)))
 
 
 def test_divisor_candidates_match_full_scan_on_grid(grid):
@@ -949,7 +951,7 @@ def _assert_matches_the_whole_polynomial(name, graph):
     poly, (spectrum, remainder) = _oracle_analysis(graph)
     analysis = is_integral(graph)
     assert analysis.spectrum == spectrum, name
-    assert analysis.integral == spectrum.complete, name
+    assert analysis.integral == (remainder.degree == 0), name
     assert analysis.remainder.coeffs == remainder.coeffs, name
     assert expanded_char_poly(analysis) == poly, name
 
@@ -1213,8 +1215,12 @@ def test_coset_identity_matches_the_expanded_element_graph():
         for z in (1, 2, 3, 4):
             cosets = is_integral(graph, z)
             elements = is_integral(_expanded(graph, z, rng))
-            # equality covers the verdict, the spectrum and the remainder
-            assert cosets == elements, (i, z)
+            # the spectrum and the remainder decide the verdict; the blocks
+            # are listed in different orders, and are compared below
+            assert (cosets.spectrum, cosets.remainder) == (
+                elements.spectrum,
+                elements.remainder,
+            ), (i, z)
             assert cosets.component_sizes == elements.component_sizes, (i, z)
             assert cosets.all_cliques == elements.all_cliques, (i, z)
             assert expanded_char_poly(cosets) == expanded_char_poly(elements), (i, z)
