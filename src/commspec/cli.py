@@ -271,11 +271,12 @@ def _run_suite(args) -> int:
                     f"spectrum={_spectrum_text(report.analysis.spectrum)}"
                 )
         except (CommspecError, OSError) as exc:
+            # an extra's name is its spec, which may be of any length
             ok = False
             if as_json:
-                entry = {"group": name, "pass": ok, "error": str(exc)}
+                entry = {"group": catalog._clip(name), "pass": ok, "error": str(exc)}
             else:
-                entry = f"FAIL {name}: {exc}"
+                entry = f"FAIL {catalog._clip(name)}: {exc}"
         entries.append(entry)
         passed += ok
 

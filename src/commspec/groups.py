@@ -1,38 +1,39 @@
-"""Finite groups as validated Cayley tables with 0-based element indices.
+"""Finite groups on 0-based element indices, given by the rows of a
+generating set.
 
 Element 0 is always the identity; the constructor relabels elements when the
 identity sits elsewhere.  Every record here is an immutable
 ``typing.NamedTuple`` and all operations are pure functions, so groups and
 derived data can be shared freely between workers.
 
-One walk (``_walk``) builds every group's table from the rows of a
-generating set S.  A table the program makes itself (a catalog family, or
-a direct product of them, whose rule is made from its factors' rules) comes
-from its product rule through ``_group``, which computes and checks only the
-generator rows.  The central quotient walks nothing: its table is read
-off the products of the center's coset representatives that the
-decomposition keeps (``quotient_by_center``).  A table from outside goes
-through ``from_cayley_table``, which rebuilds it from its own generator
-rows; the result must give back the table.
-Associativity is then checked at the size of S: multiplying by a
-generator on the left must commute with multiplying by one on the right
-(``_associative_group``).
+A group is its names, Light's generating set S and the rows of S; the full
+n x n table is composed only when asked for (``FiniteGroup.table``).  A
+group the program makes itself (a catalog family, or a direct product of
+them, whose rule is made from its factors' rules) is proved a group from
+the rows of S alone by ``catalog._group``, and never tabulated.  A table
+from outside goes through ``from_cayley_table``, which rebuilds it from its
+own generator rows (``_walk``); the result must give back the table, which
+the group then holds.  The central quotient walks nothing: its table is
+read off the products of the center's coset representatives that the
+decomposition keeps (``quotient_by_center``).  Associativity is checked at
+the size of S: multiplying by a generator on the left must commute with
+multiplying by one on the right (``_noncommuting_pair``).
 Commutation is read off the cosets of the center Z, never off all n^2
 pairs.  The center comes from S: x is central iff x*g == g*x for every g
 in S, because the centralizer C(x) is a subgroup, so holding S means
 holding the group S generates, which is all of it.  That costs O(n*|S|)
-lookups, with |S| <= log2(n), made by one picker (an ``itemgetter`` over
-S): row x read at S is (x*g for g in S), and ``zip`` turns S's rows into
-the columns (g*x for g in S), so each element costs one tuple comparison
-at C speed.  Commutation is constant on pairs of Z-cosets: (xz)(yz') ==
-(xy)(zz') and (yz')(xz) == (yx)(zz'), so xz and yz' commute iff x and y
-do.  So the cosets are built once, on first use, and the q^2 products of
-their representatives (q = n/|Z|) are picked from the table once; they
-decide which pairs of cosets commute, and they are kept with the cosets
-in the group's instance dict.  The center, the centralizers, the central
-quotient, the commuting graph and the non-commuting search all read that
-one decomposition, and none of them reads the table after it; none holds
-a mask per element.
+lookups, with |S| <= log2(n): ``zip`` turns S's rows into the tuples
+(g*x for g in S) and S's columns into the tuples (x*g for g in S), so each
+element costs one tuple comparison at C speed.  Commutation is constant on
+pairs of Z-cosets: (xz)(yz') == (xy)(zz') and (yz')(xz) == (yx)(zz'), so
+xz and yz' commute iff x and y do.  So the cosets are built once, on first
+use, by a walk over them that composes the q = n/|Z| representatives' rows
+(``_center_cosets``), and the q^2 products of the representatives are
+picked from those rows once; they decide which pairs of cosets commute, and
+they are kept with the cosets in the group's instance dict.  The center,
+the centralizers, the central quotient, the commuting graph and the
+non-commuting search all read that one decomposition, and none of them
+reads a table after it; none holds a mask per element.
 """
 
 from __future__ import annotations
@@ -53,27 +54,42 @@ from .errors import (
 
 
 class _GroupFields(NamedTuple):
-    table: tuple[tuple[int, ...], ...]
     names: tuple[str, ...]
     generators: tuple[int, ...]
+    generator_rows: tuple[tuple[int, ...], ...]
 
 
 class FiniteGroup(_GroupFields):
-    """A finite group given by its full multiplication table.
+    """A finite group given by the rows of a generating set.
 
-    ``table[i][j]`` is the index of the product of elements i and j.
-    Use :func:`from_cayley_table` to build one from a table from outside;
-    it enforces the axioms.
-    ``generators`` is a set of elements whose products give every element:
-    the walk's generating set S (see ``_walk``), or for a central quotient
-    the cosets of the group's generators.  The three fields are an
-    immutable tuple, compared and hashed as one; the class also keeps an
-    instance dict, which caches ``center_cosets``.
+    Elements are the indices 0..n-1, named by ``names``, with 0 the
+    identity.  ``generator_rows[i]`` is the row of ``generators[i]``: the
+    products generators[i]*y for y in 0..n-1.  ``generators`` is Light's
+    generating set S, which the walks find (``catalog._orbit``,
+    ``_walk``), or for a central quotient the cosets of the group's
+    generators.  Use :func:`from_cayley_table` to build one from a table
+    from outside, and ``catalog.build`` for a named family; both enforce the
+    axioms.  The three fields are an immutable tuple, compared and hashed as
+    one; the class also keeps an instance dict, which caches
+    ``center_cosets`` and, once asked for, ``table``; a catalog group also
+    keeps there the columns its proof derived.
     """
 
     @property
     def order(self) -> int:
-        return len(self.table)
+        return len(self.names)
+
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The full n x n table: ``table[i][j]`` is the index of i*j.
+
+        Composed on first use by ``_walk`` from the generator rows, and
+        kept; a table from outside and a central quotient hold theirs from
+        the start.  Only ``mul``, ``inverse``, ``element_order`` and the
+        central quotient's shape recognition read it.
+        """
+        rows = dict(zip(self.generators, self.generator_rows))
+        return tuple(_walk(self.order, rows.__getitem__)[0])
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -100,7 +116,7 @@ class FiniteGroup(_GroupFields):
         is decomposed once however many callers ask for it; it is not one
         of the record's fields, so equality and hashing never see it.
         """
-        return _center_cosets(self.table, self.generators)
+        return _center_cosets(self)
 
 
 class CenterCosets(NamedTuple):
@@ -279,37 +295,23 @@ def _walk(
     return rows, [g for g, _ in steps], edges
 
 
-# A product rule: the index of the product of the elements at two indices.
-_Mul = Callable[[int, int], int]
+def _noncommuting_pair(
+    rows: Sequence[tuple[int, ...]], columns: Sequence[tuple[int, ...]]
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The first row lambda_g and column rho_h, in order, with
+    lambda_g o rho_h != rho_h o lambda_g, or None if every pair commutes.
 
-
-def _group(mul: _Mul, names: Sequence[str]) -> FiniteGroup:
-    """Build the table of ``mul`` on the named elements from checked
-    generator rows, and check its generator pairs for associativity."""
-    n = len(names)
-    valid = frozenset(range(n))
-
-    def generator_row(g: int) -> tuple[int, ...]:
-        row = tuple([mul(g, y) for y in range(n)])
-        _check_generator_row(g, row, valid)
-        return row
-
-    rows, gens, _ = _walk(n, generator_row)
-    return _associative_group(rows, names, gens)
-
-
-def _check_generator_row(
-    g: int, row: tuple[int, ...], valid: frozenset[int]
-) -> None:
-    """Raise unless ``row`` holds exact ints, starts with g and permutes 0..n-1."""
-    n = len(valid)
-    _check_entries(g, row, valid)
-    if row[0] != g:
-        raise AxiomViolation("identity", f"{g}*0 = {row[0]}, expected {g}")
-    if len(set(row)) != n:
-        raise AxiomViolation(
-            "inverse", f"row {g} is not a permutation of 0..{n - 1}"
-        )
+    Each side is one ``itemgetter`` call on an n-tuple: (g*y)*h for every
+    y is the column picked at the row, g*(y*h) the row picked at the
+    column.  There are rows only when n >= 2, so each returns a tuple.
+    """
+    right_of = [itemgetter(*column) for column in columns]
+    for row in rows:
+        left_of = itemgetter(*row)
+        for column, right in zip(columns, right_of):
+            if left_of(column) != right(row):
+                return row, column
+    return None
 
 
 def _check_entries(i: int, row: Sequence[int], valid: frozenset[int]) -> None:
@@ -333,7 +335,8 @@ def _associative_group(
     names: Sequence[str],
     generators: Sequence[int],
 ) -> FiniteGroup:
-    """Check associativity from commuting actions and wrap the table.
+    """Check associativity from commuting actions, and wrap the table in a
+    group that holds it.
 
     ``rows`` must be an n x n table of exact ints in 0..n-1 with element 0
     as its two-sided identity, and ``names`` its n names; ``rows`` and
@@ -348,7 +351,8 @@ def _associative_group(
         ``_walk`` makes true and ``_outside_associative_group`` checks by
         comparing an outside table with the walk's rows;
     (b) L_g o R_h == R_h o L_g, that is g*(y*h) == (g*y)*h for every y,
-        for every g and h in S: |S|^2 tuple comparisons, made here.
+        for every g and h in S: |S|^2 tuple comparisons, made here by
+        ``_noncommuting_pair`` on the columns of S picked from the table.
 
     They are exact.  By (a) and induction along the tree, every row is a
     composition of generator rows (L_0 is the identity map).  By (b) every
@@ -367,20 +371,23 @@ def _associative_group(
     kept on the group as its ``generators``.
     """
     gens = tuple(generators)
-    # a generator means n >= 2, so each itemgetter returns a tuple
     columns = [tuple(map(itemgetter(h), rows)) for h in gens]
-    right_of = [itemgetter(*column) for column in columns]
-    for g in gens:
-        row_g = rows[g]
-        left_of = itemgetter(*row_g)
-        for h, column, right in zip(gens, columns, right_of):
-            left = left_of(column)  # (g*y)*h for every y
-            if left != right(row_g):  # g*(y*h)
-                y = next(y for y, v in enumerate(left) if v != row_g[column[y]])
-                raise AxiomViolation(
-                    "associativity", f"({g}*{y})*{h} != {g}*({y}*{h})"
-                )
-    return FiniteGroup(tuple(rows), tuple(names), gens)
+    pair = _noncommuting_pair([rows[g] for g in gens], columns)
+    if pair:
+        row, column = pair
+        g, h = row[0], column[0]  # g*0 == g and 0*h == h
+        y = next(y for y, v in enumerate(column) if row[v] != column[row[y]])
+        raise AxiomViolation("associativity", f"({g}*{y})*{h} != {g}*({y}*{h})")
+    return _holding(tuple(rows), names, gens)
+
+
+def _holding(
+    table: tuple[tuple[int, ...], ...], names: Sequence[str], gens: Sequence[int]
+) -> FiniteGroup:
+    """The group of a checked table, holding it for ``FiniteGroup.table``."""
+    group = FiniteGroup(tuple(names), tuple(gens), tuple(table[g] for g in gens))
+    group.__dict__["table"] = table
+    return group
 
 
 def _find_identity(rows: list[tuple[int, ...]]) -> int | None:
@@ -405,56 +412,96 @@ def _swap_to_front(
     return new_rows, list(pick(names))
 
 
-def _center_cosets(
-    table: tuple[tuple[int, ...], ...], gens: Sequence[int]
-) -> CenterCosets:
+def _center_cosets(group: FiniteGroup) -> CenterCosets:
     """The center from the generators, its cosets, and q^2 commutation lookups.
 
-    x is central iff row x read at the generators S by one picker equals
-    column x of S's rows, which the same picker takes from the table and
-    ``zip`` transposes; the trivial group has no generators and its center
-    is (0,).  Each coset xZ is Z's picker applied to row x, sorted; Z itself
-    is coset 0, since x = 0 comes first, and the rest follow their smallest
-    member.  The q^2 products of the representatives are picked by one
-    ``itemgetter`` and kept; they are transposed by ``zip`` and compared
+    One routine for every group; only the source of x*h, of x*c for a
+    central c, and of the representatives' rows differs.  A catalog group
+    keeps the columns x -> x*h of its generators h that its proof derived,
+    and a function that derives any other column (``catalog._column``);
+    it composes each row it needs from the generator rows: q compositions
+    of n-tuples at C speed, not n.  Any other group reads all three off its
+    table, which it holds (a table from outside, or a central quotient) or
+    walks on first use.
+
+    x is central iff (x*h for h in S) equals (h*x for h in S), the column of
+    x in S's rows, which ``zip`` transposes; the trivial group has no
+    generators and its center is (0,).  The cosets are found by a
+    breadth-first walk from Z under right multiplication by S, which
+    reaches every coset, as S generates G.  From the row of a coset's
+    representative r, y = r*h starts a new coset unless it lies in one
+    already found; the row of y is row_r composed with row_h, and its
+    members are y*c = row_y[c] for c in Z, sorted.  The representative is
+    the smallest member r' = y*c, and its row is row_y composed with the
+    column x -> x*c, since (y*c)*m = y*(m*c) for central c; that column is
+    made once per c that is needed, and not at all when y is the smallest
+    member.  The cosets are then put in order of their representatives, Z
+    first, and the q^2 products of the representatives are picked from
+    their rows and kept; they are transposed by ``zip`` and compared
     element by element, all at C speed.
     """
-    z: tuple[int, ...] = (0,)
-    if gens:
-        pick = _tuple_picker(gens)
-        central = map(eq, map(pick, table), zip(*pick(table)))
-        z = tuple(compress(range(len(table)), central))
+    n, gens, rows = group.order, group.generators, group.generator_rows
+    derived = group.__dict__.get("_columns")
+    table = None if derived else group.table
+    if derived:
+        columns, column = derived
+    else:
+
+        def column(c: int) -> tuple[int, ...]:
+            return tuple(map(itemgetter(c), table))
+
+        columns = list(map(column, gens))
+    # row_r o row_h is the row of r*h; n >= 2 where S is not empty
+    steps = list(zip(gens, [itemgetter(*row) for row in rows]))
+    z = tuple(compress(range(n), map(eq, zip(*columns), zip(*rows)))) if gens else (0,)
     pick_z = _tuple_picker(z)
-    coset_of = [-1] * len(table)
-    cosets: list[tuple[int, ...]] = []
-    for x, row in enumerate(table):
-        if coset_of[x] >= 0:
-            continue
-        members = tuple(sorted(pick_z(row)))
-        for m in members:
-            coset_of[m] = len(cosets)
-        cosets.append(members)
-    pick = _tuple_picker([coset[0] for coset in cosets])
-    products = tuple(map(pick, pick(table)))  # products[i][j] = r_i * r_j
+    coset_of = [-1] * n
+    for c in z:
+        coset_of[c] = 0
+    found = [(z, 0, tuple(range(n)))]  # members, index in the walk, row of r
+    shifts: dict[int, itemgetter] = {}
+    for _, _, row in found:  # the loop also visits what it appends
+        for h, step in steps:
+            if coset_of[row[h]] < 0:
+                row_y = table[row[h]] if table else step(row)
+                ys = pick_z(row_y)
+                members = tuple(sorted(ys))
+                if members[0] != row[h]:
+                    c = z[ys.index(members[0])]
+                    if c not in shifts:
+                        shifts[c] = itemgetter(*column(c))
+                    row_y = shifts[c](row_y)
+                k = len(found)
+                for m in members:
+                    coset_of[m] = k
+                found.append((members, k, row_y))
+    found.sort()
+    order = [0] * len(found)
+    for i, (_, k, _) in enumerate(found):
+        order[k] = i
+    pick = _tuple_picker([members[0] for members, _, _ in found])
+    products = tuple(pick(row) for _, _, row in found)  # products[i][j] = r_i * r_j
     # bit j of row i is r_i*r_j == r_j*r_i: byte q - 1 - j of the reversed
     # comparison, read as a binary numeral
     commuting = tuple(
         int(bytes(map(eq, row, column))[::-1].translate(_DIGITS), 2)
         for row, column in zip(products, zip(*products))
     )
-    return CenterCosets(tuple(coset_of), tuple(cosets), commuting, products)
+    coset_of = tuple(map(order.__getitem__, coset_of))
+    return CenterCosets(coset_of, tuple(m for m, _, _ in found), commuting, products)
 
 
 # maps the bytes 0 and 1 to the ASCII digits of a binary numeral
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _tuple_picker(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """``itemgetter(*indices)``, but a tuple also for one index, where
-    ``itemgetter`` would return the entry bare."""
+def _tuple_picker(indices: Sequence[int]) -> Callable[[Sequence], Sequence]:
+    """``itemgetter(*indices)``, but a sequence also for one index, where
+    ``itemgetter`` would return the entry bare: the slice of that entry, a
+    tuple when the sequence read is one."""
     if len(indices) > 1:
         return itemgetter(*indices)
-    return lambda seq, i=indices[0]: (seq[i],)
+    return itemgetter(slice(indices[0], indices[0] + 1))
 
 
 def _bits(mask: int) -> list[int]:
@@ -501,7 +548,7 @@ def quotient_by_center(group: FiniteGroup) -> FiniteGroup:
     table = tuple(_tuple_picker(row)(coset_of) for row in decomposition.products)
     names = ("Z", *(f"{group.names[c[0]]}Z" for c in decomposition.cosets[1:]))
     generators = {coset_of[g] for g in group.generators} - {0}
-    return FiniteGroup(table, names, tuple(sorted(generators)))
+    return _holding(table, names, sorted(generators))
 
 
 def recognize_small(group: FiniteGroup) -> Recognition:
@@ -616,18 +663,21 @@ def _max_clique(adj: list[int], cand: int, cap: int) -> list[int]:
     return best
 
 
-# Tables are built only up to _MAX_ORDER elements.  A table of n elements
-# holds n^2 entries, 2**26 at the bound, and larger groups would end in a
-# MemoryError inside ``_walk`` rather than in a typed error.
+# Groups are built only up to _MAX_ORDER elements.  A table from outside
+# holds n^2 entries, 2**26 at the bound, and larger tables would end in a
+# MemoryError rather than in a typed error.  A catalog group holds no table,
+# but keeps the same bound until a workload measures a larger one.
 _MAX_ORDER = 2**13
 
 
 def _check_order(n: int) -> None:
     """Raise ``ParameterOutOfRange`` if a group of order n is too large to
-    tabulate: n above ``_MAX_ORDER``."""
+    build: n above ``_MAX_ORDER``.  An n of more than 64 bits is shown
+    as the power of 2 it reaches, as its digits may be too many to print."""
     if n > _MAX_ORDER:
+        shown = n if n.bit_length() <= 64 else f"at least 2**{n.bit_length() - 1}"
         raise ParameterOutOfRange(
-            f"groups are built only up to {_MAX_ORDER} elements, got {n}"
+            f"groups are built only up to {_MAX_ORDER} elements, got {shown}"
         )
 
 

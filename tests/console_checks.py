@@ -336,11 +336,11 @@ def check_verify_large_groups(tmp):
         # 1331 elements: 12 cliques of 110 non-central elements, one
         # distinct block
         "heis:11",
-        # 2197 elements: table composed from three checked generator rows,
-        # commutation from the 169 cosets of the center
+        # 2197 elements: three checked generator rows and the rows of the
+        # 169 coset representatives, no table; commutation from the cosets
         "heis:13",
-        # 4913 elements, the scale target: building the table is the
-        # largest part
+        # 4913 elements, the scale target: its 4913 points are walked and
+        # 289 rows composed; check_verify_heis_17_within_80_mb bounds its memory
         "heis:17",
         # 600 elements: the twin quotient turns the clique of 298
         # non-central rotations into one row
@@ -373,6 +373,24 @@ def check_verify_large_groups(tmp):
             _require("integral: no" in lines, f"verify {spec} printed {lines}")
 
 
+def check_verify_heis_17_within_80_mb(tmp):
+    # no table of heis:17 is built: its decomposition reads three generator
+    # rows and composes the 289 representatives' rows, so the process peaks
+    # near 27 MB, where composing the 4913-row table first took 201 MB.  A
+    # process of its own runs the command, so that the peak of its children
+    # is that command's alone.
+    source = (
+        "import resource, subprocess, sys\n"
+        "argv = [sys.executable, '-m', 'commspec.cli', 'verify', 'heis:17']\n"
+        "subprocess.run(argv, check=True, stdout=subprocess.DEVNULL)\n"
+        "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        # kilobytes on Linux, bytes on macOS
+        "print(peak >> 20 if sys.platform == 'darwin' else peak >> 10)\n"
+    )
+    peak = int(_run(tmp, ["-c", source], 0, 60)[0])
+    _require(peak < 80, f"verify heis:17 peaked at {peak} MB, over 80 MB")
+
+
 CHECKS = (
     check_catalog,
     check_verify_dicyclic_3,
@@ -394,6 +412,7 @@ CHECKS = (
     check_export_dot_heis_7,
     check_analyze_heis_5_json,
     check_verify_large_groups,
+    check_verify_heis_17_within_80_mb,
 )
 
 

@@ -13,7 +13,7 @@ from math import comb, gcd
 
 from commspec.errors import ParseError
 from commspec.graphs import CommutingGraph
-from commspec.groups import FiniteGroup
+from commspec.groups import CenterCosets, FiniteGroup
 from commspec.spectra import (
     CharPoly,
     _hessenberg_block_mod,
@@ -49,12 +49,37 @@ class _UnreadableTable:
 
 def table_free(group):
     """A copy of ``group`` with the same names and generators whose table
-    cannot be read, holding the group's coset decomposition in its instance
-    dict, where ``center_cosets`` finds it: what runs on the copy reads only
-    the decomposition, the names, the generators and the order."""
-    copy = FiniteGroup(_UnreadableTable(group.order), group.names, group.generators)
+    and generator rows cannot be read, holding the group's coset
+    decomposition in its instance dict, where ``center_cosets`` finds it:
+    what runs on the copy reads only the decomposition, the names, the
+    generators and the order."""
+    rows = _UnreadableTable(len(group.generators))
+    copy = FiniteGroup(group.names, group.generators, rows)
+    copy.__dict__["table"] = _UnreadableTable(group.order)
     copy.__dict__["center_cosets"] = group.center_cosets
     return copy
+
+
+def table_center_cosets(table, gens):
+    """The ``CenterCosets`` of a group read off its whole table: the center
+    from the generators, each coset xZ from row x, in order of its
+    smallest member, and the q^2 products of the smallest members."""
+    n = len(table)
+    z = tuple(x for x in range(n) if all(table[x][g] == table[g][x] for g in gens))
+    coset_of = [-1] * n
+    cosets = []
+    for x in range(n):
+        if coset_of[x] < 0:
+            cosets.append(tuple(sorted(table[x][c] for c in z)))
+            for m in cosets[-1]:
+                coset_of[m] = len(cosets) - 1
+    reps = [coset[0] for coset in cosets]
+    products = tuple(tuple(table[r][s] for s in reps) for r in reps)
+    commuting = tuple(
+        sum(1 << j for j, s in enumerate(reps) if table[r][s] == table[s][r])
+        for r in reps
+    )
+    return CenterCosets(tuple(coset_of), tuple(cosets), commuting, products)
 
 
 def centralizer(group, x):

@@ -9,7 +9,7 @@ from functools import partial
 
 import pytest
 
-from commspec import groups
+from commspec import catalog, groups
 from commspec.catalog import build, parse_family
 from commspec.errors import AxiomViolation
 from commspec.groups import from_cayley_table
@@ -89,7 +89,7 @@ def test_catalog_tables_from_random_rules_agree_with_light():
         assert gens == generating_set(rows)
         names = [str(i) for i in range(n)]
         light = light_witness(rows) is None
-        built = _verdict(lambda: groups._group(lambda u, v: rule[u][v], names), rows)
+        built = _verdict(lambda: catalog._group(lambda u, v: rule[u][v], names), rows)
         outside = _verdict(lambda: from_cayley_table(rows, names), rows)
         assert built is outside is light, rule
         accepted += light
@@ -163,7 +163,7 @@ def test_every_generator_pair_is_checked(rows, pair):
     names = [str(i) for i in range(n)]
     for check in (
         partial(groups._associative_group, table, names, gens),
-        partial(groups._group, lambda u, v: rows[u][v], names),
+        partial(catalog._group, lambda u, v: rows[u][v], names),
         partial(from_cayley_table, table),
     ):
         with pytest.raises(AxiomViolation) as info:

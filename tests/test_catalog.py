@@ -2,6 +2,7 @@ import copy
 import enum
 import itertools
 import pickle
+import random
 from functools import reduce
 
 import pytest
@@ -10,6 +11,7 @@ from commspec import catalog, groups
 from commspec.catalog import (
     _FAMILIES,
     FamilySpec,
+    _group,
     _rule,
     build,
     list_catalog,
@@ -24,7 +26,6 @@ from commspec.errors import (
 )
 from commspec.graphs import build_commuting_graph
 from commspec.groups import (
-    _group,
     Recognition,
     center,
     from_cayley_table,
@@ -35,6 +36,8 @@ from commspec.predictions import predict_family
 from commspec.spectra import is_integral
 
 from light import generating_set
+from oracles import table_center_cosets
+from permutation_groups import permutation_table
 
 
 def _order_profile(group):
@@ -721,6 +724,38 @@ def test_composed_rows_match_the_product_rule(label):
     assert len(calls) <= n * (n.bit_length() - 1)
 
 
+def test_the_table_free_decomposition_matches_the_table_oracle():
+    # the grid, three larger groups and the shuffled S4, A5 and S5 tables
+    # as product rules: generators and every CenterCosets field, against
+    # the whole table that is walked only afterwards
+    labels = [spec.label() for _, spec in list_catalog()]
+    labels += ["heis:13", "dihedral:300", "prod:heis:5,z4"]
+    named = [(label, build(parse_family(label))) for label in labels]
+    for name, degree, even in (("S4", 4, False), ("A5", 5, True), ("S5", 5, False)):
+        table = from_cayley_table(permutation_table(degree, even, random.Random(1))).table
+        names = [str(i) for i in range(len(table))]
+        named.append((name, _group(lambda u, v, t=table: t[u][v], names)))
+    for name, group in named:
+        found = group.center_cosets
+        assert "table" not in vars(group), name
+        table = group.table
+        assert list(group.generators) == generating_set(table), name
+        expected = table_center_cosets(table, group.generators)
+        for field, value, oracle in zip(found._fields, found, expected):
+            assert value == oracle, (name, field)
+
+
+def test_a_non_associative_rule_of_permutation_rows_is_refused():
+    # rows 1 and 3 permute 0..5 and start with 1 and 3, so they pass the
+    # generator row checks, but row 3 fixes the points 4 and 5: the group
+    # they generate is not regular
+    rows = {1: (1, 2, 0, 4, 5, 3), 3: (3, 0, 1, 2, 4, 5)}
+    with pytest.raises(AxiomViolation) as info:
+        _group(lambda u, v: rows[u][v], list("abcdef"))
+    assert info.value.axiom == "associativity"
+    assert str(info.value) == "associativity axiom violated: (3*2)*1 != 3*(2*1)"
+
+
 @pytest.mark.parametrize(
     "spec", list(dict.fromkeys(_PINNED)), ids=lambda spec: spec.label()
 )
@@ -797,9 +832,9 @@ def test_generator_rows_are_checked(mul, error, message):
 
 def test_only_generator_rows_are_checked(monkeypatch):
     checked = []
-    original = groups._check_generator_row
+    original = catalog._check_generator_row
     monkeypatch.setattr(
-        groups,
+        catalog,
         "_check_generator_row",
         lambda g, row, valid: checked.append(g) or original(g, row, valid),
     )

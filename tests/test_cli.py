@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import commspec
-from commspec import cli, errors, graphs, groups, predictions, spectra
+from commspec import catalog, cli, errors, graphs, groups, predictions, spectra
 from commspec.catalog import build, list_catalog, parse_family
 from commspec.cli import main
 from commspec.graphs import connected_components, coset_graph
@@ -33,7 +33,7 @@ def _overlong_message(piece):
     """The parse error for ``piece``, a spec whose parameter has one digit
     past the limit: it names the limit and shows the first 60 characters."""
     return (
-        f"parameter in {piece[:60]!r}... has {_INT_LIMIT + 1} digits; int() "
+        f"parameter in {piece[:60] + '...'!r} has {_INT_LIMIT + 1} digits; int() "
         f"takes at most {_INT_LIMIT} (sys.get_int_max_str_digits())"
     )
 
@@ -306,8 +306,11 @@ def test_suite_reports_a_missing_extra_file_and_keeps_the_rest(tmp_path, capsys)
     lines = capsys.readouterr().out.splitlines()
     assert code == 1
     assert lines[0].startswith("PASS D6: ")
-    assert lines[1].startswith(f"FAIL file:{missing}: ")
-    assert "No such file" in lines[1]
+    # the spec is cut to 60 characters; the error names the whole path
+    spec = f"file:{missing}"
+    shown = spec if len(spec) <= 60 else spec[:60] + "..."
+    assert lines[1].startswith(f"FAIL {shown}: ")
+    assert "No such file" in lines[1] and lines[1].endswith(f"{missing!r}")
     assert lines[2:] == ["1/2 groups passed"]
     # a single group has no report to keep: a missing file stays exit 2
     for verb in ("analyze", "verify"):
@@ -332,7 +335,7 @@ def test_suite_json_reports_a_bad_extra_as_an_error_entry(capsys):
             "error": "primes are tested only below 2**32, got 4294967311",
         },
         {
-            "group": _OVERLONG_Z,
+            "group": _OVERLONG_Z[:60] + "...",
             "pass": False,
             "error": _overlong_message(_OVERLONG_Z),
         },
@@ -368,7 +371,45 @@ def test_a_nested_product_spec_is_one_error_line(capsys):
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert main(["suite", "--only", "dihedral:3", "--extra", _NESTED_PRODUCT]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1:] == [f"FAIL {_NESTED_PRODUCT}: {message}", "1/2 groups passed"]
+    shown = _NESTED_PRODUCT[:60] + "..."
+    assert lines[1:] == [f"FAIL {shown}: {message}", "1/2 groups passed"]
+
+
+_LONG_PRODUCT = "prod:" + ",".join(["z2"] * 2000)
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_the_suite_shows_at_most_60_characters_of_a_bad_spec(as_json, capsys):
+    # a product of 2000 factors is 6004 characters long and names a group of
+    # 2**2000 elements, 603 digits; the suite's line for it used to hold both
+    argv = ["suite", "--only", "dihedral:3", "--extra", _LONG_PRODUCT]
+    argv += ["--format", "json"] if as_json else []
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    shown = _LONG_PRODUCT[:60] + "..."
+    error = "groups are built only up to 8192 elements, got at least 2**2000"
+    if as_json:
+        entry = json.loads(out)["results"][1]
+        assert entry == {"group": shown, "pass": False, "error": error}
+    else:
+        line = out.splitlines()[1]
+        assert line == f"FAIL {shown}: {error}"
+        assert len(line) == 133
+
+
+def test_a_long_unknown_family_is_shown_cut(capsys):
+    assert main(["verify", "x" * 10000 + ":2"]) == 2
+    assert capsys.readouterr().err == f"error: unknown family {'x' * 60 + '...'!r}\n"
+
+
+def test_an_order_past_the_int_string_limit_is_one_error_line(capsys):
+    # 2**15000 has 4516 digits, more than str() prints by default; the
+    # refusal used to end in a ValueError traceback
+    assert main(["verify", "prod:" + ",".join(["z2"] * 15000)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: groups are built only up to 8192 elements, got at least 2**15000\n",
+    )
 
 
 def test_verify_file_needs_a_path(capsys):
@@ -636,19 +677,20 @@ def test_each_center_is_scanned_once(argv, orders, monkeypatch, capsys):
     monkeypatch.setattr(
         groups,
         "_center_cosets",
-        lambda table, gens: seen.append(len(table)) or original(table, gens),
+        lambda group: seen.append(group.order) or original(group),
     )
     assert main(argv) == 0
     capsys.readouterr()
     assert seen == orders
 
 
-def _spy_walk(monkeypatch):
-    """The order n of each ``groups._walk`` call, in call order."""
+def _spy_walk(monkeypatch, module=groups, name="_walk"):
+    """The order n of each call of a walk, ``groups._walk`` by default, in
+    call order."""
     walked = []
-    original = groups._walk
+    original = getattr(module, name)
     monkeypatch.setattr(
-        groups, "_walk", lambda n, row: walked.append(n) or original(n, row)
+        module, name, lambda n, row: walked.append(n) or original(n, row)
     )
     return walked
 
@@ -668,10 +710,14 @@ _GRID_LABELS = [spec.label() for _, spec in list_catalog()]
     ids=["suite", "suite-json", "heis:5", "product", "dihedral:1000"],
 )
 def test_the_walk_runs_once_per_built_group(argv, specs, monkeypatch, capsys):
-    # the central quotient is read off the coset products, not walked
-    walked = _spy_walk(monkeypatch)
+    # a catalog group's points are walked once and its table never: the
+    # decomposition composes only the representatives' rows, and the
+    # central quotient is read off the coset products
+    tables = _spy_walk(monkeypatch)
+    walked = _spy_walk(monkeypatch, catalog, "_orbit")
     assert main(argv) == 0
     capsys.readouterr()
+    assert tables == []
     # a product is walked as a whole, never its factors
     assert walked == [parse_family(label).order() for label in specs]
 
@@ -687,9 +733,10 @@ def s4_file(tmp_path):
 
 def test_a_table_from_outside_is_walked_once(s4_file, monkeypatch, capsys):
     walked = _spy_walk(monkeypatch)
+    points = _spy_walk(monkeypatch, catalog, "_orbit")
     assert main(["verify", s4_file]) == 0
     capsys.readouterr()
-    assert walked == [24]
+    assert walked == [24] and points == []
 
 
 def test_a_suite_run_makes_no_noncommuting_search(monkeypatch, capsys):

@@ -296,7 +296,7 @@ def test_center_is_kept_on_its_group_only(monkeypatch):
     monkeypatch.setattr(
         groups,
         "_center_cosets",
-        lambda table, gens: scans.append(len(table)) or original(table, gens),
+        lambda group: scans.append(group.order) or original(group),
     )
     first = build(FamilySpec.dihedral(4))
     second = build(FamilySpec.dihedral(4))
@@ -313,7 +313,10 @@ def test_center_is_kept_on_its_group_only(monkeypatch):
 def test_groups_with_different_generators_differ():
     # a plain record compares and hashes by all of its fields
     group = build(FamilySpec.dihedral(4))
-    other = group._replace(generators=tuple(range(1, group.order)))
+    # every element but 0 as the generators, with their rows
+    other = group._replace(
+        generators=tuple(range(1, group.order)), generator_rows=group.table[1:]
+    )
     assert other.table == group.table and other.names == group.names
     assert other != group and not (other == group)
     assert group._replace() == group
@@ -550,9 +553,8 @@ def test_center_cosets_match_the_brute_force_center(grid):
     named += [("A5", from_cayley_table(permutation_table(5, True, rng)))]
     for name, group in named:
         z = brute_force_center(group)
-        table = group.table
-        cosets = sorted({tuple(sorted(row[c] for c in z)) for row in table})
-        found = groups._center_cosets(table, group.generators)
+        cosets = sorted({tuple(sorted(row[c] for c in z)) for row in group.table})
+        found = group.center_cosets
         assert found.cosets == tuple(cosets), name
         assert found.coset_of == tuple(
             next(i for i, coset in enumerate(cosets) if x in coset)

@@ -1,7 +1,7 @@
 """Checks on the sources and the docs that no linter in CI makes: README's
 API list and error table match the package, every underscore name that a
-docstring or README cites is defined in the package, and no module keeps an
-import it never uses.  That starting the CLI loads none of the introspection
+docstring or README cites is defined in the package, no module keeps an
+import it never uses, and no module brings floating point in.  That starting the CLI loads none of the introspection
 modules is checked in a fresh process, by
 ``console_checks.check_startup_loads_no_introspection_module``."""
 
@@ -122,3 +122,87 @@ def test_every_cited_underscore_name_is_defined():
                 cited.update(_CITED_DOCSTRING.findall(doc))
     assert cited, "the pattern found no citation at all"
     assert sorted(cited - defined) == []
+
+
+# the functions of ``math`` that map ints to ints exactly; every other name
+# in it returns a float or is one (sqrt, log, pi, ...)
+_EXACT_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
+
+
+def _negative_literal(node: ast.expr) -> bool:
+    return (
+        isinstance(node, ast.UnaryOp)
+        and isinstance(node.op, ast.USub)
+        and isinstance(node.operand, ast.Constant)
+    ) or (isinstance(node, ast.Constant) and type(node.value) is int and node.value < 0)
+
+
+def _float_sites(source: str) -> list[tuple[int, str]]:
+    """The lines of ``source`` that bring floating point in, and why: true
+    division, a float or complex literal, a call of ``float`` or
+    ``complex``, a ``math`` name outside ``_EXACT_MATH``, or a power with a
+    negative literal exponent (``x ** -1``, or ``pow`` with two
+    arguments)."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            sites.append((node.lineno, "true division"))
+        elif isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            sites.append((node.lineno, f"{type(node.value).__name__} literal"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            name = node.func.id
+            if name in ("float", "complex"):
+                sites.append((node.lineno, f"{name}()"))
+            elif name == "pow" and len(node.args) == 2 and _negative_literal(node.args[1]):
+                sites.append((node.lineno, "negative power"))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            if _negative_literal(node.right):
+                sites.append((node.lineno, "negative power"))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "math" and node.attr not in _EXACT_MATH:
+                sites.append((node.lineno, f"math.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            for alias in node.names:
+                if alias.name not in _EXACT_MATH:
+                    sites.append((node.lineno, f"math.{alias.name}"))
+    return sorted(sites)
+
+
+def test_the_float_guard_finds_each_kind_of_site():
+    source = "\n".join(
+        [
+            "a = 1 / 2",
+            "a /= 2",
+            "b = 0.5",
+            "c = 2j",
+            "d = float(3)",
+            "e = complex(1, 2)",
+            "import math",
+            "f = math.sqrt(4)",
+            "from math import isqrt, log",
+            "g = 2 ** -1",
+            "h = pow(2, -1)",
+            # exact: floor division, int powers, a modular inverse, isqrt
+            "i = 7 // 2 + 2 ** 3 + pow(3, -1, 7) + math.isqrt(9)",
+        ]
+    )
+    assert _float_sites(source) == [
+        (1, "true division"),
+        (2, "true division"),
+        (3, "float literal"),
+        (4, "complex literal"),
+        (5, "float()"),
+        (6, "complex()"),
+        (8, "math.sqrt"),
+        (9, "math.log"),
+        (10, "negative power"),
+        (11, "negative power"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(_PACKAGE.glob("*.py")), ids=lambda p: p.name
+)
+def test_no_module_uses_floating_point(path):
+    # the package computes in exact integers only
+    assert _float_sites(path.read_text(encoding="utf-8")) == []
