@@ -420,21 +420,21 @@ def _center_cosets(group: FiniteGroup) -> CenterCosets:
     keeps the columns x -> x*h of its generators h that its proof derived,
     and a function that derives any other column (``catalog._column``);
     it composes each row it needs from the generator rows: q compositions
-    of n-tuples at C speed, not n.  Any other group reads all three off its
-    table, which it holds (a table from outside, or a central quotient) or
-    walks on first use.
+    of n-tuples at C speed, not n.  Any other group picks the columns from
+    its table, which it holds (a table from outside, or a central
+    quotient) or walks on first use, and reads the rows there.
 
     x is central iff (x*h for h in S) equals (h*x for h in S), the column of
     x in S's rows, which ``zip`` transposes; the trivial group has no
     generators and its center is (0,).  The cosets are found by a
     breadth-first walk from Z under right multiplication by S, which
     reaches every coset, as S generates G.  From the row of a coset's
-    representative r, y = r*h starts a new coset unless it lies in one
+    representative, y = r*h starts a new coset unless it lies in one
     already found; the row of y is row_r composed with row_h, and its
-    members are y*c = row_y[c] for c in Z, sorted.  The representative is
-    the smallest member r' = y*c, and its row is row_y composed with the
-    column x -> x*c, since (y*c)*m = y*(m*c) for central c; that column is
-    made once per c that is needed, and not at all when y is the smallest
+    members are y*c = row_y[c] for c in Z.  The representative is the
+    smallest member r' = y*c, and its row is row_y composed with the column
+    x -> x*c, since (y*c)*m = y*(m*c) for central c; that column is made
+    once per c that is needed, and not at all when y is the smallest
     member.  The cosets are then put in order of their representatives, Z
     first, and the q^2 products of the representatives are picked from
     their rows and kept; they are transposed by ``zip`` and compared
@@ -444,51 +444,55 @@ def _center_cosets(group: FiniteGroup) -> CenterCosets:
     derived = group.__dict__.get("_columns")
     table = None if derived else group.table
     if derived:
-        columns, column = derived
+        columns, column_of = derived
     else:
 
-        def column(c: int) -> tuple[int, ...]:
+        def column_of(c: int) -> tuple[int, ...]:
             return tuple(map(itemgetter(c), table))
 
-        columns = list(map(column, gens))
+        columns = list(map(column_of, gens))
     # row_r o row_h is the row of r*h; n >= 2 where S is not empty
     steps = list(zip(gens, [itemgetter(*row) for row in rows]))
     z = tuple(compress(range(n), map(eq, zip(*columns), zip(*rows)))) if gens else (0,)
     pick_z = _tuple_picker(z)
-    coset_of = [-1] * n
+    coset_of = [-1] * n  # the representative of each element's coset, once found
     for c in z:
         coset_of[c] = 0
-    found = [(z, 0, tuple(range(n)))]  # members, index in the walk, row of r
+    row_of = {0: tuple(range(n))}  # the row of each representative
+    walk = [row_of[0]]
     shifts: dict[int, itemgetter] = {}
-    for _, _, row in found:  # the loop also visits what it appends
+    for row in walk:  # the loop also visits what it appends
         for h, step in steps:
-            if coset_of[row[h]] < 0:
-                row_y = table[row[h]] if table else step(row)
+            y = row[h]
+            if coset_of[y] < 0:
+                row_y = table[y] if table else step(row)
                 ys = pick_z(row_y)
-                members = tuple(sorted(ys))
-                if members[0] != row[h]:
-                    c = z[ys.index(members[0])]
+                r = min(ys)
+                if r != y:
+                    c = z[ys.index(r)]
                     if c not in shifts:
-                        shifts[c] = itemgetter(*column(c))
+                        shifts[c] = itemgetter(*column_of(c))
                     row_y = shifts[c](row_y)
-                k = len(found)
-                for m in members:
-                    coset_of[m] = k
-                found.append((members, k, row_y))
-    found.sort()
-    order = [0] * len(found)
-    for i, (_, k, _) in enumerate(found):
-        order[k] = i
-    pick = _tuple_picker([members[0] for members, _, _ in found])
-    products = tuple(pick(row) for _, _, row in found)  # products[i][j] = r_i * r_j
+                for m in ys:
+                    coset_of[m] = r
+                row_of[r] = row_y
+                walk.append(row_y)
+    reps = sorted(row_of)
+    index = [0] * n
+    for i, r in enumerate(reps):
+        index[r] = i
+    rep_rows = list(map(row_of.__getitem__, reps))
+    pick = _tuple_picker(reps)
+    products = tuple(map(pick, rep_rows))  # products[i][j] = r_i * r_j
     # bit j of row i is r_i*r_j == r_j*r_i: byte q - 1 - j of the reversed
     # comparison, read as a binary numeral
     commuting = tuple(
         int(bytes(map(eq, row, column))[::-1].translate(_DIGITS), 2)
         for row, column in zip(products, zip(*products))
     )
-    coset_of = tuple(map(order.__getitem__, coset_of))
-    return CenterCosets(coset_of, tuple(m for m, _, _ in found), commuting, products)
+    coset_of = tuple(map(index.__getitem__, coset_of))
+    cosets = tuple(tuple(sorted(pick_z(row))) for row in rep_rows)
+    return CenterCosets(coset_of, cosets, commuting, products)
 
 
 # maps the bytes 0 and 1 to the ASCII digits of a binary numeral

@@ -706,8 +706,10 @@ _GRID_LABELS = [spec.label() for _, spec in list_catalog()]
         (["verify", "heis:5"], ["heis:5"]),
         (["verify", "prod:dihedral:4,z2,z3"], ["prod:dihedral:4,z2,z3"]),
         (["verify", "dihedral:1000"], ["dihedral:1000"]),
+        (["analyze", "heis:5", "--format", "json"], ["heis:5"]),
+        (["export-dot", "prod:dihedral:4,z3"], ["prod:dihedral:4,z3"]),
     ],
-    ids=["suite", "suite-json", "heis:5", "product", "dihedral:1000"],
+    ids=["suite", "suite-json", "heis:5", "product", "dihedral:1000", "analyze", "dot"],
 )
 def test_the_walk_runs_once_per_built_group(argv, specs, monkeypatch, capsys):
     # a catalog group's points are walked once and its table never: the
