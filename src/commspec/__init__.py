@@ -10,6 +10,7 @@ from .catalog import FamilySpec, build, list_catalog, parse_family
 from .errors import (
     AbelianGroupError,
     AxiomViolation,
+    BudgetExceeded,
     CommspecError,
     IndexOutOfRange,
     NonzeroDiagonalError,

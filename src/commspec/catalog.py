@@ -15,33 +15,23 @@ defining relations, and its names join per-symbol power lists
 (``_powers``).  A direct product's rule is made from its factors' rules
 (``_product``): (a, b) sits at a*|H| + b and multiplies componentwise, and
 its name is "(a,b)".  ``build`` hands the rule of the whole spec to
-``_group``, once: no factor is built.  ``_group`` calls ``mul`` for the
-rows of at most log2(n) generators, checks each of them entry by entry,
-walks the points under them (``_orbit``) and derives the generators'
-columns along that walk (``_column``).  That left and right multiplication
-by generators commute then proves the rule a group law, with no other row
-composed; a product is thus proved a group without its factors, and no
-catalog group is tabulated.
+``groups._group``, once: no factor is built.  The proof there asks for the
+rows of at most log2(n) generators, which ``_generator_row`` makes by
+calling ``mul`` and checks entry by entry (``_check_generator_row``); no
+other row is composed.  A product is thus proved a group without its
+factors, and no catalog group is tabulated.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from functools import partial, reduce
+from functools import reduce
 from math import prod
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from .errors import AxiomViolation, NotPrimeError, ParameterOutOfRange, ParseError
-from .groups import (
-    FiniteGroup,
-    _associative_group,
-    _check_entries,
-    _check_order,
-    _noncommuting_pair,
-    _walk,
-    is_prime,
-)
+from .groups import FiniteGroup, _check_entries, _check_order, _group, is_prime
 
 # A product rule: the index of the product of the elements at two indices.
 _Mul = Callable[[int, int], int]
@@ -368,55 +358,20 @@ def _rule(spec: FamilySpec) -> _Rule:
 
 def build(spec: FamilySpec) -> FiniteGroup:
     """Build and validate the group described by ``spec``, from the rows of
-    its generators alone; no table is made (the proof is ``_group``'s).
+    its generators alone; no table is made (the proof is
+    ``groups._group``'s).
 
     A spec whose order is above ``groups._MAX_ORDER`` raises
     ``ParameterOutOfRange`` before any product rule is made.
     """
     _check_order(spec.order())
-    return _group(*_rule(spec))
+    mul, names = _rule(spec)
+    return _group(names, _generator_row(mul, len(names)))
 
 
-def _group(mul: _Mul, names: Sequence[str]) -> FiniteGroup:
-    """Prove ``mul`` a group law on the named elements from checked
-    generator rows alone, and wrap those rows; no table is made.
-
-    ``_orbit`` asks ``mul`` for the rows of Light's generating set S,
-    checks each (``_check_generator_row``), and walks the points 0..n-1
-    under them.  Write L = <lambda_g : g in S> for the group of
-    permutations the rows lambda_g: y -> g*y generate.  The walk reaches
-    every point, so L is transitive.  Along the walk's tree each column
-    rho_h: x -> x*h of a generator h is derived from rho_h(0) = h by
-    rho_h(g*x) = lambda_g(rho_h(x)) (``_column``), and then
-    lambda_g o rho_h == rho_h o lambda_g is checked for every g and h in
-    S: |S|^2 compositions of n-tuples at C speed
-    (``groups._noncommuting_pair``).  That is the whole proof, the
-    argument by which the centralizer of a transitive group is semiregular
-    (Dixon & Mortimer, *Permutation Groups*, Thm 4.2A):
-
-    - Each rho_h commutes with every element of L, which the lambda_g
-      generate.  So the stabilizer L_0 of the point 0 fixes every h in S:
-      for s in L_0, s(h) = s(rho_h(0)) = rho_h(s(0)) = rho_h(0) = h.
-    - A point x = t(0), with t in L, has stabilizer L_x = t L_0 t^-1, as
-      large as L_0, so L_0 fixes x iff L_x = L_0 iff t normalizes L_0.  So
-      the points L_0 fixes, a block of L, are the images of 0 under the
-      normalizer N of L_0 in L.  Each lambda_h sends 0 to h, which L_0
-      fixes, so it lies in N; the lambda_h generate L, so N = L and L_0
-      fixes every point.  Hence L_0 is trivial and L is regular.
-    - Then x*y := l_x(y), with l_x the one element of L sending 0 to x, is
-      a group law on 0..n-1 with identity 0: l_x o l_y sends 0 to l_x(y),
-      so l_(x*y) = l_x o l_y.  It agrees with ``mul`` on the rows of S,
-      since l_g = lambda_g, and every rho_h derived above is its column h.
-
-    Conversely the rows of a group pass: the derivation follows its law,
-    and left and right multiplication commute.  If the check fails, the
-    table composed from the same generator rows by ``_walk`` is not
-    associative, and ``groups._associative_group`` names a triple of it,
-    as for a table from outside.  The columns of S, and the means to derive
-    any other column along the same tree, are kept on the group, where the
-    decomposition reads them (``groups._center_cosets``).
-    """
-    n = len(names)
+def _generator_row(mul: _Mul, n: int) -> Callable[[int], tuple[int, ...]]:
+    """The row y -> mul(g, y) of each g that ``groups._group`` asks for,
+    checked by ``_check_generator_row``."""
     valid = frozenset(range(n))
 
     def generator_row(g: int) -> tuple[int, ...]:
@@ -424,65 +379,7 @@ def _group(mul: _Mul, names: Sequence[str]) -> FiniteGroup:
         _check_generator_row(g, row, valid)
         return row
 
-    gens, rows, edges = _orbit(n, generator_row)
-    columns = [_column(n, edges, h) for h in gens]
-    if _noncommuting_pair(rows, columns):
-        table, gens, _ = _walk(n, generator_row)
-        return _associative_group(table, names, gens)
-    group = FiniteGroup(tuple(names), tuple(gens), tuple(rows))
-    group.__dict__["_columns"] = columns, partial(_column, n, edges)
-    return group
-
-
-def _orbit(
-    n: int, generator_row: Callable[[int], tuple[int, ...]]
-) -> tuple[list[int], list[tuple[int, ...]], list[tuple[int, tuple[int, ...]]]]:
-    """Light's generating set S, its rows, and a spanning tree of the
-    points 0..n-1 under left multiplication by them.
-
-    Walk the indices in order; one not yet reached becomes a generator g,
-    with row ``generator_row(g)``.  A breadth-first closure from 0 maps
-    each reached point x to g*x = row_g[x] for every generator g.  As in
-    ``_walk``, the set reached before g is closed under the older
-    generators, so it is mapped by g first and only what is new is closed
-    under all of them; in a group it is the subgroup they generate, so S
-    is the same set as ``_walk`` finds and |S| <= log2(n).  Each point
-    y != 0 is reached along one edge (x, row_g), with y = row_g[x] and x
-    reached first; ``edges`` lists them in the order the walk takes them.
-    Only points are visited: n*|S| lookups and no row is composed.
-    """
-    seen = [False] * n
-    seen[0] = True
-    reached = [0]
-    gens: list[int] = []
-    rows: list[tuple[int, ...]] = []
-    edges: list[tuple[int, tuple[int, ...]]] = []
-    for g in range(1, n):
-        if seen[g]:
-            continue
-        row = generator_row(g)
-        gens.append(g)
-        rows.append(row)
-        old = len(reached)
-        for i, x in enumerate(reached):  # the loop also visits what it appends
-            for step in (row,) if i < old else rows:
-                y = step[x]
-                if not seen[y]:
-                    seen[y] = True
-                    reached.append(y)
-                    edges.append((x, step))
-    return gens, rows, edges
-
-
-def _column(
-    n: int, edges: list[tuple[int, tuple[int, ...]]], t: int
-) -> tuple[int, ...]:
-    """The column x -> x*t, derived along the tree of ``_orbit`` from
-    0*t = t by (g*x)*t = g*(x*t): one lookup per point."""
-    column = [t] * n
-    for x, row in edges:
-        column[row[x]] = row[column[x]]
-    return tuple(column)
+    return generator_row
 
 
 def _check_generator_row(

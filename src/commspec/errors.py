@@ -64,6 +64,10 @@ class SpectralCheckError(CommspecError):
     """A characteristic polynomial disagrees with an independent determinant."""
 
 
+class BudgetExceeded(CommspecError):
+    """An exact computation is past the size its stated budget admits."""
+
+
 class ParseError(CommspecError):
     """Malformed group spec string or Cayley-table text."""
 

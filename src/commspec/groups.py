@@ -7,17 +7,18 @@ identity sits elsewhere.  Every record here is an immutable
 derived data can be shared freely between workers.
 
 A group is its names, Light's generating set S and the rows of S; the full
-n x n table is composed only when asked for (``FiniteGroup.table``).  A
-group the program makes itself (a catalog family, or a direct product of
-them, whose rule is made from its factors' rules) is proved a group from
-the rows of S alone by ``catalog._group``, and never tabulated.  A table
-from outside goes through ``from_cayley_table``, which rebuilds it from its
-own generator rows (``_walk``); the result must give back the table, which
-the group then holds.  The central quotient walks nothing: its table is
-read off the products of the center's coset representatives that the
-decomposition keeps (``quotient_by_center``).  Associativity is checked at
-the size of S: multiplying by a generator on the left must commute with
-multiplying by one on the right (``_noncommuting_pair``).
+n x n table is composed only when asked for (``FiniteGroup.table``).  Every
+group that is checked, whether the program makes it (a catalog family, or a
+direct product of them, whose rule is made from its factors' rules) or a
+table comes from outside (``from_cayley_table``), is proved a group by one
+proof, ``_group``: ``_orbit`` walks the points under the rows of S, each
+generator's column is derived along that walk (``_column``), and
+multiplying by a generator on the left must commute with multiplying by
+one on the right.  A table from outside must also give back, row by row,
+what the walk composes, and the group then holds it; a catalog group is
+never tabulated.  The central quotient needs no proof: its table is read
+off the products of the center's coset representatives that the
+decomposition keeps (``quotient_by_center``).
 Commutation is read off the cosets of the center Z, never off all n^2
 pairs.  The center comes from S: x is central iff x*g == g*x for every g
 in S, because the centralizer C(x) is a subgroup, so holding S means
@@ -42,7 +43,7 @@ from functools import cached_property
 from itertools import compress
 from math import isqrt
 from operator import eq, itemgetter
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, TextIO
 
 from .errors import (
     AbelianGroupError,
@@ -51,6 +52,11 @@ from .errors import (
     ParameterOutOfRange,
     ParseError,
 )
+
+
+# a tree edge of ``_orbit``: a point x and the row of a generator g, by
+# which the walk reaches g*x
+_Edge = tuple[int, tuple[int, ...]]
 
 
 class _GroupFields(NamedTuple):
@@ -65,14 +71,21 @@ class FiniteGroup(_GroupFields):
     Elements are the indices 0..n-1, named by ``names``, with 0 the
     identity.  ``generator_rows[i]`` is the row of ``generators[i]``: the
     products generators[i]*y for y in 0..n-1.  ``generators`` is Light's
-    generating set S, which the walks find (``catalog._orbit``,
-    ``_walk``), or for a central quotient the cosets of the group's
-    generators.  Use :func:`from_cayley_table` to build one from a table
-    from outside, and ``catalog.build`` for a named family; both enforce the
-    axioms.  The three fields are an immutable tuple, compared and hashed as
-    one; the class also keeps an instance dict, which caches
-    ``center_cosets`` and, once asked for, ``table``; a catalog group also
-    keeps there the columns its proof derived.
+    generating set S, which ``_orbit`` finds, or for a central quotient the
+    cosets of the group's generators.  Use :func:`from_cayley_table` to
+    build one from a table from outside, and ``catalog.build`` for a named
+    family; both prove it a group in ``_group``.  The three fields are an
+    immutable tuple, compared and hashed as one; the class also keeps an
+    instance dict, which caches ``center_cosets``, the tree, the columns of
+    the generators and, once asked for, ``table``.
+
+    Every group has one tree, the edges of an ``_orbit`` walk of its
+    points: ``table`` composes its rows along it, and every column is
+    derived from it (``_column``).  A group ``_group`` proved keeps the tree
+    of its proof and the generators' columns the proof derived.  Any other
+    group walks on first use the rows it reads products from: its table if
+    it holds one, as a central quotient does, and otherwise its generator
+    rows, which must then hold those of Light's set.
     """
 
     @property
@@ -80,16 +93,30 @@ class FiniteGroup(_GroupFields):
         return len(self.names)
 
     @cached_property
+    def _tree(self) -> list[_Edge]:
+        held = self.__dict__.get("table")
+        rows = held or dict(zip(self.generators, self.generator_rows))
+        return _orbit(self.order, rows.__getitem__)[2]
+
+    @cached_property
+    def _columns(self) -> list[tuple[int, ...]]:
+        return [_column(self.order, self._tree, h) for h in self.generators]
+
+    @cached_property
     def table(self) -> tuple[tuple[int, ...], ...]:
         """The full n x n table: ``table[i][j]`` is the index of i*j.
 
-        Composed on first use by ``_walk`` from the generator rows, and
-        kept; a table from outside and a central quotient hold theirs from
-        the start.  Only ``mul``, ``inverse``, ``element_order`` and the
-        central quotient's shape recognition read it.
+        Composed on first use along the tree, and kept: row 0 is
+        (0, 1, ..., n-1), and on each edge (x, row_g) the row of g*x is
+        row_g o row_x, one ``itemgetter`` call.  A table from outside and a
+        central quotient hold theirs from the start.  Only ``mul``,
+        ``inverse``, ``element_order`` and the central quotient's shape
+        recognition read it.
         """
-        rows = dict(zip(self.generators, self.generator_rows))
-        return tuple(_walk(self.order, rows.__getitem__)[0])
+        rows = [tuple(range(self.order))] * self.order  # row 0; the tree sets the rest
+        for x, row in self._tree:
+            rows[row[x]] = itemgetter(*rows[x])(row)  # edges exist only for n >= 2
+        return tuple(rows)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -162,8 +189,11 @@ def from_cayley_table(
     each element has exactly one right inverse.  If the two-sided identity
     is not element 0, the table is relabelled so that it is; messages from
     the checks after that name elements by their relabelled indices.
-    Associativity is then checked in ``_outside_associative_group``, which
-    also builds the group.
+    Associativity is then proved by ``_group``, which also builds the
+    group.  The table's generator rows reach it only if they are
+    permutations: a row g that is not names (g*g')*m != g*(g'*m), for g'
+    the one right inverse of g and m a value missing from the row, since
+    (g*g')*m = 0*m = m while g*(g'*m) lies in the row.
     """
     rows = [tuple(row) for row in table]
     n = len(rows)
@@ -200,118 +230,153 @@ def from_cayley_table(
                 "inverse", f"element {i} has {hits} right inverses, expected 1"
             )
 
-    return _outside_associative_group(rows, name_list)
+    def generator_row(g: int) -> tuple[int, ...]:
+        row = rows[g]
+        if len(set(row)) < n:
+            raise _associativity(g, row.index(0), min(valid.difference(row)))
+        return row
+
+    return _group(name_list, generator_row, tuple(rows))
 
 
-def _outside_associative_group(
-    rows: list[tuple[int, ...]], names: Sequence[str]
+def _group(
+    names: Sequence[str],
+    generator_row: Callable[[int], tuple[int, ...]],
+    table: tuple[tuple[int, ...], ...] | None = None,
 ) -> FiniteGroup:
-    """Check an outside table's associativity and wrap it.
+    """Prove the named elements a group from the rows of a generating set,
+    and wrap those rows: the one proof for every group that is checked.
 
-    ``rows`` must be an n x n table of exact ints in 0..n-1 with element 0
-    as its two-sided identity.  ``_walk`` rebuilds the table from its own
-    generator rows, and the result must equal ``rows``: that is check (a)
-    of ``_associative_group``, which then makes check (b).  A mismatch is
-    reported at the first tree edge whose row differs; every row reached
-    before that edge agrees, so the walk up to it is the same on both
-    tables.
+    ``generator_row(g)`` is the row y -> g*y of g, and raises unless it
+    holds exact ints, has g at column 0 and permutes 0..n-1.  Each source
+    makes those checks in its own ``generator_row``: a catalog rule in
+    ``catalog._check_generator_row``, a table from outside in
+    ``from_cayley_table``, after the checks on the whole table.
+    ``_orbit`` asks it for the rows of Light's generating set S and walks
+    the points 0..n-1 under them.  Write L = <lambda_g : g in S> for the
+    group of permutations the rows lambda_g: y -> g*y generate.  The walk
+    reaches every point, so L is transitive.  Along the walk's tree each
+    column rho_h: x -> x*h of a generator h is derived from rho_h(0) = h by
+    rho_h(g*x) = lambda_g(rho_h(x)) (``_column``), and then
+    lambda_g o rho_h == rho_h o lambda_g is checked for every g and h in S,
+    rows in order and for each row the columns in order: |S|^2 pairs, each
+    side one ``itemgetter`` call on an n-tuple at C speed, (g*y)*h for
+    every y the column picked at the row and g*(y*h) the row picked at the
+    column (there are generators only when n >= 2, so each call returns a
+    tuple).  That proves the group, by the argument by which the
+    centralizer of a transitive group is semiregular (Dixon & Mortimer,
+    *Permutation Groups*, Thm 4.2A):
+
+    - Each rho_h commutes with every element of L, which the lambda_g
+      generate.  So the stabilizer L_0 of the point 0 fixes every h in S:
+      for s in L_0, s(h) = s(rho_h(0)) = rho_h(s(0)) = rho_h(0) = h.
+    - A point x = t(0), with t in L, has stabilizer L_x = t L_0 t^-1, as
+      large as L_0, so L_0 fixes x iff L_x = L_0 iff t normalizes L_0.  So
+      the points L_0 fixes, a block of L, are the images of 0 under the
+      normalizer N of L_0 in L.  Each lambda_h sends 0 to h, which L_0
+      fixes, so it lies in N; the lambda_h generate L, so N = L and L_0
+      fixes every point.  Hence L_0 is trivial and L is regular.
+    - Then x*y := l_x(y), with l_x the one element of L sending 0 to x, is
+      a group law on 0..n-1 with identity 0: l_x o l_y sends 0 to l_x(y),
+      so l_(x*y) = l_x o l_y.  It agrees with the rows of S, since
+      l_g = lambda_g, and every rho_h derived above is its column h.
+
+    A ``table`` must also be what the walk composes: on each tree edge
+    (x, row_g) its row of g*x must be row_g o row_x, one ``itemgetter`` call
+    compared and dropped, so no second table is built.  By induction along
+    the tree every row of the table is then l_x, so the table is the law
+    above and its columns of S are the derived ones.  A mismatch at m names
+    (g*x)*m != g*(x*m).
+
+    Conversely the rows of a group pass: the derivation follows its law,
+    and left and right multiplication commute.  A failing commutation
+    check names (g*y)*h != g*(y*h) in the table composed from the rows of S
+    along the tree, as ``FiniteGroup.table`` composes it: the ``table``
+    itself when one is given.  In a group |S| <= log2(n) (see ``_orbit``);
+    on other tables |S| only grows, up to n.  The group keeps the tree, the
+    derived columns and the ``table`` if one is given.
     """
-    walked, gens, edges = _walk(len(rows), rows.__getitem__)
-    if walked != rows:
-        for x, h in edges:
-            xh = rows[x][h]
-            if walked[xh] != rows[xh]:
-                m = next(m for m, v in enumerate(walked[xh]) if v != rows[xh][m])
-                raise AxiomViolation(
-                    "associativity", f"({x}*{h})*{m} != {x}*({h}*{m})"
-                )
-    return _associative_group(rows, names, gens)
-
-
-def _walk(
-    n: int, generator_row: Callable[[int], tuple[int, ...]]
-) -> tuple[list[tuple[int, ...]], list[int], list[tuple[int, int]]]:
-    """The rows of a table on 0..n-1 from the rows of a few generators.
-
-    Returns the rows, the generators and the tree edges.  Row 0 is the
-    identity row (0, 1, ..., n-1).  Walk the indices in order; one that has
-    no row yet becomes a generator g, with row ``generator_row(g)``.  Every
-    other row is composed from rows already known: row(x*h)[m] =
-    x*(h*m) = row_x[row_h[m]], so the row of x*h is one ``itemgetter(*row_h)``
-    call on the row of x, and x*h sits at row_x[h].  A breadth-first
-    closure from 0 under right multiplication by the generators reaches
-    every product of generators; the set reached before g is closed under
-    the older generators, so it is multiplied by g first and only what is
-    new is closed under all of them.  Each element x != 0 is reached along
-    one tree edge (x', h) with x = x'*h and x' reached first; a generator g
-    along (0, g).  ``edges`` lists them in the order the walk takes them,
-    and every row but row 0 is row_x' o row_h on its tree edge (row 0 is
-    the identity map), which is check (a) of ``_associative_group``.  The
-    generators are Light's generating set (Clifford & Preston, *The
-    Algebraic Theory of Semigroups* I, section 1.2): each is the first
-    index outside the span of those before it.
-
-    In a group the products of generators form a subgroup, since they are
-    closed under products, so the next index without a row lies outside it
-    and the new subgroup is at least twice as large (Lagrange's theorem):
-    there are at most log2(n) generators, and ``generator_row`` runs at
-    most log2(n) times.
-
-    If every generator row holds exact ints in 0..n-1, permutes 0..n-1 and
-    has g at column 0, so does every row, with column 0 the identity
-    column:
-
-    - Entries: every entry object of a composed row is picked out of a row
-      already known, so by induction out of the identity row or a
-      generator row; each is an exact int in 0..n-1.
-    - Permutations: a composed row is row_x composed with the permutation
-      row_h, and the identity row is a permutation, so by induction every
-      row is a permutation of 0..n-1 and holds exactly one 0.
-    - Identity: row 0 is (0, 1, ..., n-1), and by induction the row of
-      x*h has row_x[row_h[0]] = row_x[h] = x*h at column 0.
-    """
-    rows: list[tuple[int, ...] | None] = [None] * n
-    rows[0] = tuple(range(n))
-    reached = [0]
-    steps: list[tuple[int, itemgetter]] = []
-    edges: list[tuple[int, int]] = []
-    for g in range(1, n):
-        if rows[g] is not None:
-            continue
-        rows[g] = generator_row(g)
-        step = (g, itemgetter(*rows[g]))  # n >= 2 here, so it returns tuples
-        steps.append(step)
-        old = len(reached)
-        reached.append(g)
-        edges.append((0, g))
-        for i, x in enumerate(reached):  # the loop also visits what it appends
-            row_x = rows[x]
-            for h, compose in (step,) if i < old else steps:
-                xh = row_x[h]
-                if rows[xh] is None:
-                    rows[xh] = compose(row_x)
-                    reached.append(xh)
-                    edges.append((x, h))
-    return rows, [g for g, _ in steps], edges
-
-
-def _noncommuting_pair(
-    rows: Sequence[tuple[int, ...]], columns: Sequence[tuple[int, ...]]
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """The first row lambda_g and column rho_h, in order, with
-    lambda_g o rho_h != rho_h o lambda_g, or None if every pair commutes.
-
-    Each side is one ``itemgetter`` call on an n-tuple: (g*y)*h for every
-    y is the column picked at the row, g*(y*h) the row picked at the
-    column.  There are rows only when n >= 2, so each returns a tuple.
-    """
+    n = len(names)
+    gens, rows, edges = _orbit(n, generator_row)
+    if table is not None:
+        for x, row in edges:
+            composed = itemgetter(*table[x])(row)  # edges exist only for n >= 2
+            if table[row[x]] != composed:
+                m = next(m for m, v in enumerate(table[row[x]]) if v != composed[m])
+                raise _associativity(row[0], x, m)
+    columns = [_column(n, edges, h) for h in gens]
     right_of = [itemgetter(*column) for column in columns]
     for row in rows:
         left_of = itemgetter(*row)
         for column, right in zip(columns, right_of):
             if left_of(column) != right(row):
-                return row, column
-    return None
+                y = next(y for y, v in enumerate(column) if row[v] != column[row[y]])
+                raise _associativity(row[0], y, column[0])  # g*0 == g, 0*h == h
+    group = FiniteGroup(tuple(names), tuple(gens), tuple(rows))
+    group.__dict__.update(_tree=edges, _columns=columns)
+    if table is not None:
+        group.__dict__["table"] = table
+    return group
+
+
+def _associativity(x: int, y: int, z: int) -> AxiomViolation:
+    """The error that names the triple (x*y)*z != x*(y*z)."""
+    return AxiomViolation("associativity", f"({x}*{y})*{z} != {x}*({y}*{z})")
+
+
+def _orbit(
+    n: int, generator_row: Callable[[int], tuple[int, ...]]
+) -> tuple[list[int], list[tuple[int, ...]], list[_Edge]]:
+    """Light's generating set S, its rows, and a spanning tree of the
+    points 0..n-1 under left multiplication by them.
+
+    Walk the indices in order; one not yet reached becomes a generator g,
+    with row ``generator_row(g)``.  A breadth-first closure from 0 maps
+    each reached point x to g*x = row_g[x] for every generator g.  The set
+    reached before g is closed under the older generators, so it is mapped
+    by g first and only what is new is closed under all of them.  Each
+    point y != 0 is reached along one edge (x, row_g), with y = row_g[x]
+    and x reached first; ``edges`` lists them in the order the walk takes
+    them.  Only points are visited: n*|S| lookups and no row is composed.
+
+    The generators are Light's generating set (Clifford & Preston, *The
+    Algebraic Theory of Semigroups* I, section 1.2): each is the first
+    index outside the span of those before it.  In a group that span is
+    the subgroup they generate, so the next index without a row lies
+    outside it and the new subgroup is at least twice as large (Lagrange's
+    theorem): |S| <= log2(n), and ``generator_row`` runs at most log2(n)
+    times.
+    """
+    seen = [False] * n
+    seen[0] = True
+    reached = [0]
+    gens: list[int] = []
+    rows: list[tuple[int, ...]] = []
+    edges: list[_Edge] = []
+    for g in range(1, n):
+        if seen[g]:
+            continue
+        row = generator_row(g)
+        gens.append(g)
+        rows.append(row)
+        old = len(reached)
+        for i, x in enumerate(reached):  # the loop also visits what it appends
+            for step in (row,) if i < old else rows:
+                y = step[x]
+                if not seen[y]:
+                    seen[y] = True
+                    reached.append(y)
+                    edges.append((x, step))
+    return gens, rows, edges
+
+
+def _column(n: int, edges: list[_Edge], t: int) -> tuple[int, ...]:
+    """The column x -> x*t, derived along the tree of ``_orbit`` from
+    0*t = t by (g*x)*t = g*(x*t): one lookup per point."""
+    column = [t] * n
+    for x, row in edges:
+        column[row[x]] = row[column[x]]
+    return tuple(column)
 
 
 def _check_entries(i: int, row: Sequence[int], valid: frozenset[int]) -> None:
@@ -328,66 +393,6 @@ def _check_entries(i: int, row: Sequence[int], valid: frozenset[int]) -> None:
             (j, v) for j, v in enumerate(row) if type(v) is not int or not 0 <= v < n
         )
         raise IndexOutOfRange(f"entry ({i},{j}) = {v!r} not in 0..{n - 1}")
-
-
-def _associative_group(
-    rows: Sequence[tuple[int, ...]],
-    names: Sequence[str],
-    generators: Sequence[int],
-) -> FiniteGroup:
-    """Check associativity from commuting actions, and wrap the table in a
-    group that holds it.
-
-    ``rows`` must be an n x n table of exact ints in 0..n-1 with element 0
-    as its two-sided identity, and ``names`` its n names; ``rows`` and
-    ``generators`` must be the rows and the generating set S of a
-    ``_walk``, so that every element x != 0 is reached along a tree edge
-    x = y*h with h in S and y reached before x.
-
-    Write L_x for the map y -> x*y (row x) and R_h for y -> y*h (column h).
-    Associativity follows from two checks:
-
-    (a) L_(y*h) == L_y o L_h on each of the n - 1 tree edges, which
-        ``_walk`` makes true and ``_outside_associative_group`` checks by
-        comparing an outside table with the walk's rows;
-    (b) L_g o R_h == R_h o L_g, that is g*(y*h) == (g*y)*h for every y,
-        for every g and h in S: |S|^2 tuple comparisons, made here by
-        ``_noncommuting_pair`` on the columns of S picked from the table.
-
-    They are exact.  By (a) and induction along the tree, every row is a
-    composition of generator rows (L_0 is the identity map).  By (b) every
-    such composition p commutes with every R_h, so with every composition
-    R_w of them.  Every z is R_w(0) for the word w that spells its tree
-    path, so two compositions p and p' with p(0) == p'(0) agree everywhere:
-    p(z) = R_w(p(0)) = R_w(p'(0)) = p'(z).  For any x and y, L_(x*y) and
-    L_x o L_y are both compositions of generator rows, and both send 0 to
-    x*y, so they are equal: (x*y)*z == x*(y*z) for every z.  Conversely an
-    associative table passes both checks, and a failing comparison names a
-    triple that does not associate.  Only the two-sided identity is used.
-
-    In a group |S| <= log2(n) (see ``_walk``), so (b) costs |S|^2
-    comparisons of n-tuples at C speed, against the n*|S| row comparisons
-    of Light's test; on other tables |S| only grows, up to n.  The set S is
-    kept on the group as its ``generators``.
-    """
-    gens = tuple(generators)
-    columns = [tuple(map(itemgetter(h), rows)) for h in gens]
-    pair = _noncommuting_pair([rows[g] for g in gens], columns)
-    if pair:
-        row, column = pair
-        g, h = row[0], column[0]  # g*0 == g and 0*h == h
-        y = next(y for y, v in enumerate(column) if row[v] != column[row[y]])
-        raise AxiomViolation("associativity", f"({g}*{y})*{h} != {g}*({y}*{h})")
-    return _holding(tuple(rows), names, gens)
-
-
-def _holding(
-    table: tuple[tuple[int, ...], ...], names: Sequence[str], gens: Sequence[int]
-) -> FiniteGroup:
-    """The group of a checked table, holding it for ``FiniteGroup.table``."""
-    group = FiniteGroup(tuple(names), tuple(gens), tuple(table[g] for g in gens))
-    group.__dict__["table"] = table
-    return group
 
 
 def _find_identity(rows: list[tuple[int, ...]]) -> int | None:
@@ -415,14 +420,13 @@ def _swap_to_front(
 def _center_cosets(group: FiniteGroup) -> CenterCosets:
     """The center from the generators, its cosets, and q^2 commutation lookups.
 
-    One routine for every group; only the source of x*h, of x*c for a
-    central c, and of the representatives' rows differs.  A catalog group
-    keeps the columns x -> x*h of its generators h that its proof derived,
-    and a function that derives any other column (``catalog._column``);
-    it composes each row it needs from the generator rows: q compositions
-    of n-tuples at C speed, not n.  Any other group picks the columns from
-    its table, which it holds (a table from outside, or a central
-    quotient) or walks on first use, and reads the rows there.
+    One routine for every group.  Each column x -> x*c it needs, for c a
+    generator or a central element, is derived along the group's tree
+    (``_column``); the generators' columns are kept on the group.  The
+    rows of the coset representatives are read from the table where the
+    group holds one (a table from outside, or a central quotient), and
+    otherwise composed from the generator rows: q compositions of n-tuples
+    at C speed, not n.
 
     x is central iff (x*h for h in S) equals (h*x for h in S), the column of
     x in S's rows, which ``zip`` transposes; the trivial group has no
@@ -441,16 +445,8 @@ def _center_cosets(group: FiniteGroup) -> CenterCosets:
     element by element, all at C speed.
     """
     n, gens, rows = group.order, group.generators, group.generator_rows
-    derived = group.__dict__.get("_columns")
-    table = None if derived else group.table
-    if derived:
-        columns, column_of = derived
-    else:
-
-        def column_of(c: int) -> tuple[int, ...]:
-            return tuple(map(itemgetter(c), table))
-
-        columns = list(map(column_of, gens))
+    table = group.__dict__.get("table")
+    edges, columns = group._tree, group._columns
     # row_r o row_h is the row of r*h; n >= 2 where S is not empty
     steps = list(zip(gens, [itemgetter(*row) for row in rows]))
     z = tuple(compress(range(n), map(eq, zip(*columns), zip(*rows)))) if gens else (0,)
@@ -471,7 +467,7 @@ def _center_cosets(group: FiniteGroup) -> CenterCosets:
                 if r != y:
                     c = z[ys.index(r)]
                     if c not in shifts:
-                        shifts[c] = itemgetter(*column_of(c))
+                        shifts[c] = itemgetter(*_column(n, edges, c))
                     row_y = shifts[c](row_y)
                 for m in ys:
                     coset_of[m] = r
@@ -551,8 +547,11 @@ def quotient_by_center(group: FiniteGroup) -> FiniteGroup:
     coset_of = decomposition.coset_of
     table = tuple(_tuple_picker(row)(coset_of) for row in decomposition.products)
     names = ("Z", *(f"{group.names[c[0]]}Z" for c in decomposition.cosets[1:]))
-    generators = {coset_of[g] for g in group.generators} - {0}
-    return _holding(table, names, sorted(generators))
+    generators = sorted({coset_of[g] for g in group.generators} - {0})
+    rows = tuple(table[g] for g in generators)
+    quotient = FiniteGroup(names, tuple(generators), rows)
+    quotient.__dict__["table"] = table
+    return quotient
 
 
 def recognize_small(group: FiniteGroup) -> Recognition:
@@ -734,17 +733,10 @@ def prime_power(n: int) -> tuple[int, int] | None:
 
 
 def parse_cayley_text(text: str) -> tuple[list[list[int]], list[str] | None]:
-    lines = [line.strip() for line in text.splitlines()]
-    lines = [line for line in lines if line]
+    lines = [line for line in map(str.strip, text.splitlines()) if line]
     if not lines:
         raise ParseError("empty Cayley-table text")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise ParseError(f"first line must be the order, got {lines[0]!r}") from None
-    if n <= 0:
-        raise ParseError(f"order must be positive, got {n}")
-    _check_order(n)
+    n = _order(lines[0])
     if len(lines) < n + 1:
         raise ParseError(f"expected {n} table rows, found {len(lines) - 1}")
     # the canonical spelling of each index, read by lookup; any other token
@@ -768,12 +760,22 @@ def parse_cayley_text(text: str) -> tuple[list[list[int]], list[str] | None]:
         return table, None
     if not rest[0].startswith("names:"):
         raise ParseError(f"unexpected trailing line {rest[0]!r}")
-    tokens = rest[0][len("names:") :].split()
-    for line in rest[1:]:
-        tokens.extend(line.split())
+    tokens = " ".join(rest)[len("names:") :].split()
     if len(tokens) != n:
         raise ParseError(f"names section has {len(tokens)} labels, expected {n}")
     return table, tokens
+
+
+def _order(line: str) -> int:
+    """The order on the first line of a Cayley-table text, checked."""
+    try:
+        n = int(line)
+    except ValueError:
+        raise ParseError(f"first line must be the order, got {line!r}") from None
+    if n <= 0:
+        raise ParseError(f"order must be positive, got {n}")
+    _check_order(n)
+    return n
 
 
 def from_cayley_text(text: str) -> FiniteGroup:
@@ -784,7 +786,47 @@ def from_cayley_text(text: str) -> FiniteGroup:
 def load_cayley_file(path: str) -> FiniteGroup:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            text = handle.read()
+            text = _read_cayley_text(handle)
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
     return from_cayley_text(text)
+
+
+# A Cayley-table file of order n is read no further than a cap of
+# n^2 (d + 2) + n (_NAME_CHARS + 1) + _TEXT_SLACK characters: n^2 indices
+# of at most d + 1 characters each, d the digits of n - 1 (so "+k" and "0k"
+# fit), each with one blank or line end after it; n names of _NAME_CHARS
+# characters each on average, each with a blank; and _TEXT_SLACK characters
+# of whitespace slack for the order line, blank lines, the "names:" head
+# and line ends.
+_NAME_CHARS = 64
+_TEXT_SLACK = 4096
+
+
+def _read_cayley_text(handle: TextIO) -> str:
+    """The text of a Cayley-table file, read no further than its order
+    admits.
+
+    Lines are read with ``readline(_TEXT_SLACK)`` up to the first that is
+    not blank, which must come within the first _TEXT_SLACK characters and
+    hold the order n (``_order``, which reads '' after only blanks).  The
+    rest is read up to the cap for n in all; one more character raises
+    ``ParseError``, so no file, however long, is read past the cap.  A text
+    that ends before any line that is not blank is returned for
+    ``parse_cayley_text`` to refuse.
+    """
+    head = ""
+    while not head.strip() and len(head) < _TEXT_SLACK:
+        line = handle.readline(_TEXT_SLACK)
+        if not line:
+            return head
+        head += line
+    n = _order(next(filter(None, map(str.strip, head.splitlines())), ""))
+    cap = n * n * (len(str(n - 1)) + 2) + n * (_NAME_CHARS + 1) + _TEXT_SLACK
+    text = head + handle.read(cap + 1 - len(head))
+    if len(text) > cap:
+        raise ParseError(
+            f"a Cayley table of order {n} takes at most {cap} characters, "
+            "and the text holds more"
+        )
+    return text

@@ -72,6 +72,7 @@ from operator import itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
+    BudgetExceeded,
     NonzeroDiagonalError,
     NotMonicError,
     NotSymmetricError,
@@ -291,8 +292,16 @@ def _block_factor(
     Markowitz's rule).  A complete block, r = 1, is the same matrix in any
     order and keeps the key's.  The classes (``_twin_classes``) reach the
     quotient and the check as lists of row indices of the matrix read.
+
+    A matrix of more than ``_MAX_TWIN_CLASSES`` twin classes raises
+    :class:`BudgetExceeded` before its quotient is built.
     """
     classes = _twin_classes(key)
+    if len(classes) > _MAX_TWIN_CLASSES:
+        raise BudgetExceeded(
+            f"the twin quotient has {len(classes)} rows; the Hessenberg pass "
+            f"takes at most {_MAX_TWIN_CLASSES}"
+        )
     if len(classes) > 1:
         zeros = [row.count(0) for row in key]
         order = sorted(range(len(key)), key=zeros.__getitem__, reverse=True)
@@ -311,6 +320,14 @@ def _block_factor(
     _spot_check(reduced, key, classes, z)
     return reduced, max(sum(map(abs, row)) for row in quotient)
 
+
+# The Hessenberg pass costs O(r^3) operations on residues whose width grows
+# with r, so ``_block_factor`` refuses a twin quotient of more than
+# _MAX_TWIN_CLASSES rows before the pass.  The largest quotient any
+# benchmark workload or console check reads is S6's, r = 280, which takes
+# about 2 s (2 vCPU, Python 3.11.7); a dense random one of that size takes
+# about 120 s.  S7's largest block has r = 1687, whose pass would take hours.
+_MAX_TWIN_CLASSES = 400
 
 # the Mersenne prime whose least power above twice the bound is the modulus
 _MERSENNE = (1 << 61) - 1

@@ -254,13 +254,24 @@ def check_verify_shuffled_s5_and_s6_tables(tmp):
 def check_reject_a_non_associative_table(tmp):
     # Z5 with two entries of row 3 swapped: every row is still a
     # permutation, so only associativity fails, at the first tree edge of
-    # the walk whose rebuilt row differs
+    # the walk whose row differs from the composed one: the row of 1*2 = 3
+    # is not row 1 composed with row 2, first at column 3
     path = tmp / "z5-swapped.cayley"
     path.write_text(
         "5\n0 1 2 3 4\n1 2 3 4 0\n2 3 4 0 1\n3 4 0 2 1\n4 0 1 2 3\n", encoding="utf-8"
     )
     _, err = _cli(tmp, "verify", f"file:{path}", code=1)
-    _expect(err, "error: associativity axiom violated: (2*1)*3 != 2*(1*3)\n", "stderr")
+    _expect(err, "error: associativity axiom violated: (1*2)*3 != 1*(2*3)\n", "stderr")
+
+
+def check_reject_a_table_whose_generator_row_is_no_permutation(tmp):
+    # x*x = 0 and x*y = x otherwise: one right inverse per element, but row
+    # 1 = 1 0 1 1 misses 2 and 3.  With 1*1 = 0, (1*1)*2 = 2 while
+    # 1*(1*2) = 1*1 = 0 lies in row 1
+    path = tmp / "square-zero.cayley"
+    path.write_text("4\n0 1 2 3\n1 0 1 1\n2 2 0 2\n3 3 3 0\n", encoding="utf-8")
+    _, err = _cli(tmp, "verify", f"file:{path}", code=1)
+    _expect(err, "error: associativity axiom violated: (1*1)*2 != 1*(1*2)\n", "stderr")
 
 
 def check_reject_a_repeated_element_name(tmp):
@@ -405,6 +416,7 @@ CHECKS = (
     check_element_names,
     check_verify_shuffled_s5_and_s6_tables,
     check_reject_a_non_associative_table,
+    check_reject_a_table_whose_generator_row_is_no_permutation,
     check_reject_a_repeated_element_name,
     check_reject_a_nested_product,
     check_reject_primes_past_the_trial_division_bound,

@@ -1,11 +1,10 @@
-"""The associativity check against Light's test, on catalog tables built
-from random product rules, on the same rows handed in from outside, on
-tables from outside and on a magma whose generating set is nearly every
-element."""
+"""The associativity proof against Light's test, on random product rules
+and the tables composed from them along the walk, on the same tables
+handed in from outside, on tables from outside and on a magma whose
+generating set is nearly every element."""
 
 import random
 import re
-from functools import partial
 
 import pytest
 
@@ -59,6 +58,24 @@ def _relabel_fixing_identity(table, rng):
     return [[perm[table[a][b]] for b in old] for a in old]
 
 
+def _orbit_table(n, generator_row):
+    """Light's generating set and the table composed from its rows along
+    the tree of ``groups._orbit``, row by row as ``FiniteGroup.table``
+    composes it: row 0 is the identity, and the row of g*x is row_g o
+    row_x."""
+    gens, _, edges = groups._orbit(n, generator_row)
+    table = [tuple(range(n))] * n
+    for x, row in edges:
+        table[row[x]] = tuple(row[v] for v in table[x])
+    return table, gens
+
+
+def _rule_group(rule, names):
+    """``catalog.build``'s proof of the product rule whose rows are ``rule``."""
+    generator_row = catalog._generator_row(lambda u, v: rule[u][v], len(names))
+    return groups._group(names, generator_row)
+
+
 def _random_rule_rows(rng):
     """Rows for a product rule on 0..n-1 that passes the catalog's generator
     row checks: a relabelled small group, the same with one row's entries
@@ -85,11 +102,12 @@ def test_catalog_tables_from_random_rules_agree_with_light():
     for _ in range(3000):
         rule = _random_rule_rows(rng)
         n = len(rule)
-        rows, gens, _ = groups._walk(n, lambda g: tuple(rule[g]))
-        assert gens == generating_set(rows)
+        rows, gens = _orbit_table(n, lambda g: tuple(rule[g]))
         names = [str(i) for i in range(n)]
         light = light_witness(rows) is None
-        built = _verdict(lambda: catalog._group(lambda u, v: rule[u][v], names), rows)
+        if light:  # in a group the walk finds Light's set
+            assert gens == generating_set(rows)
+        built = _verdict(lambda: _rule_group(rule, names), rows)
         outside = _verdict(lambda: from_cayley_table(rows, names), rows)
         assert built is outside is light, rule
         accepted += light
@@ -151,7 +169,7 @@ def test_tables_from_outside_agree_with_light():
 )
 def test_every_generator_pair_is_checked(rows, pair):
     n = len(rows[1])
-    table, gens, _ = groups._walk(n, lambda g: tuple(rows[g]))
+    table, gens = _orbit_table(n, lambda g: tuple(rows[g]))
     assert gens == [1, 2] and light_witness(table) is not None
     failing = [
         (g, h)
@@ -161,42 +179,49 @@ def test_every_generator_pair_is_checked(rows, pair):
     ]
     assert failing == [pair]
     names = [str(i) for i in range(n)]
-    for check in (
-        partial(groups._associative_group, table, names, gens),
-        partial(catalog._group, lambda u, v: rows[u][v], names),
-        partial(from_cayley_table, table),
-    ):
+    for check in (lambda: _rule_group(rows, names), lambda: from_cayley_table(table)):
         with pytest.raises(AxiomViolation) as info:
             check()
         assert _violates(table, info.value)
 
 
-def _left_zero_band(n):
-    """{1, ..., n-1} with x*y = x, plus an identity 0: associative, and
-    nothing but 0 is a product of other elements, so every other element is
-    a generator."""
-    return [list(range(n))] + [[x] * n for x in range(1, n)]
+def _square_zero_magma(n):
+    """x*x = 0 and x*y = x otherwise, with 0 the identity: it passes the
+    identity and inverse checks, and every element but 0 is a generator.
+    At n = 2 it is the group Z2; above, row 1 is not a permutation."""
+    table = [[0 if x == y else x for y in range(n)] for x in range(n)]
+    table[0] = list(range(n))
+    return table
 
 
 @pytest.mark.parametrize("n", [2, 5, 9])
 def test_a_generating_set_of_nearly_every_element(n):
-    rows = [tuple(row) for row in _left_zero_band(n)]
-    names = [str(i) for i in range(n)]
-    assert generating_set(rows) == list(range(1, n))
-    assert light_witness(rows) is None
-    group = groups._outside_associative_group(rows, names)
-    assert group.generators == tuple(range(1, n))
+    # every table one entry away from the magma, outside its identity row
+    # and column: refused at the inverse check, or else with a true triple
+    # exactly when Light's test finds one
+    table = _square_zero_magma(n)
+    assert generating_set(table) == list(range(1, n))
+    assert (light_witness(table) is None) is (n == 2)
+    assert from_cayley_table(_square_zero_magma(2)).generators == (1,)
+    inverse = witnessed = 0
     for x in range(1, n):
         for y in range(1, n):
-            for v in range(1, n):
-                if v == x:
+            for v in range(n):
+                if v == table[x][y]:
                     continue
-                bad = [list(row) for row in rows]
+                bad = [list(row) for row in table]
                 bad[x][y] = v
+                if any(row.count(0) != 1 for row in bad):
+                    with pytest.raises(AxiomViolation) as info:
+                        from_cayley_table(bad)
+                    assert info.value.axiom == "inverse", (x, y, v)
+                    inverse += 1
+                    continue
                 light = light_witness(bad) is None
-                bad_rows = [tuple(row) for row in bad]
-                check = partial(groups._outside_associative_group, bad_rows, names)
-                assert _verdict(check, bad) is light, (x, y, v)
+                assert _verdict(lambda: from_cayley_table(bad), bad) is light, (x, y, v)
+                witnessed += not light
+    # past Z2 no table one entry away is a group
+    assert inverse > 0 and witnessed == (n - 1) ** 3 - inverse
 
 
 def test_a_magma_with_inverses_and_no_small_generating_set():
@@ -209,3 +234,12 @@ def test_a_magma_with_inverses_and_no_small_generating_set():
     assert light_witness(table) is not None
     assert not _verdict(lambda: from_cayley_table(table), table)
 
+
+def test_a_table_row_that_is_no_permutation_is_refused_with_a_true_triple():
+    # row 1 holds its one 0 at column 1 and misses 2 and 3: (1*1)*2 = 0*2
+    # = 2, while 1*(1*2) = 1*1 lies in row 1
+    table = [[0, 1, 2, 3], [1, 0, 1, 1], [2, 2, 0, 2], [3, 3, 3, 0]]
+    with pytest.raises(AxiomViolation) as info:
+        from_cayley_table(table)
+    assert str(info.value) == "associativity axiom violated: (1*1)*2 != 1*(1*2)"
+    assert _violates(table, info.value)

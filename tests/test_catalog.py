@@ -11,7 +11,6 @@ from commspec import catalog, groups
 from commspec.catalog import (
     _FAMILIES,
     FamilySpec,
-    _group,
     _rule,
     build,
     list_catalog,
@@ -38,6 +37,11 @@ from commspec.spectra import is_integral
 from light import generating_set
 from oracles import table_center_cosets
 from permutation_groups import permutation_table
+
+
+def _rule_group(mul, names):
+    """``build``'s proof of the product rule ``mul`` on the named elements."""
+    return groups._group(names, catalog._generator_row(mul, len(names)))
 
 
 def _order_profile(group):
@@ -283,7 +287,7 @@ def test_a_group_past_the_order_bound_is_refused_before_it_is_built(
     # the order comes from the closed form, so neither the product rule nor
     # the walk over it is made
     calls = []
-    monkeypatch.setattr(groups, "_walk", lambda *args: calls.append("walk"))
+    monkeypatch.setattr(groups, "_orbit", lambda *args: calls.append("walk"))
     monkeypatch.setattr(catalog, "_rule", lambda spec: calls.append("rule"))
     spec = parse_family(text)
     with pytest.raises(ParameterOutOfRange) as info:
@@ -716,7 +720,7 @@ def test_composed_rows_match_the_product_rule(label):
     mul, names = _rule(parse_family(label))
     n = len(names)
     calls = []
-    group = _group(lambda x, y: calls.append(x) or mul(x, y), names)
+    group = _rule_group(lambda x, y: calls.append(x) or mul(x, y), names)
     table = group.table
     assert all(table[x][y] == mul(x, y) for x in range(n) for y in range(n))
     assert list(group.generators) == generating_set(table)
@@ -734,7 +738,7 @@ def test_the_table_free_decomposition_matches_the_table_oracle():
     for name, degree, even in (("S4", 4, False), ("A5", 5, True), ("S5", 5, False)):
         table = from_cayley_table(permutation_table(degree, even, random.Random(1))).table
         names = [str(i) for i in range(len(table))]
-        named.append((name, _group(lambda u, v, t=table: t[u][v], names)))
+        named.append((name, _rule_group(lambda u, v, t=table: t[u][v], names)))
     for name, group in named:
         found = group.center_cosets
         assert "table" not in vars(group), name
@@ -751,7 +755,7 @@ def test_a_non_associative_rule_of_permutation_rows_is_refused():
     # they generate is not regular
     rows = {1: (1, 2, 0, 4, 5, 3), 3: (3, 0, 1, 2, 4, 5)}
     with pytest.raises(AxiomViolation) as info:
-        _group(lambda u, v: rows[u][v], list("abcdef"))
+        _rule_group(lambda u, v: rows[u][v], list("abcdef"))
     assert info.value.axiom == "associativity"
     assert str(info.value) == "associativity axiom violated: (3*2)*1 != 3*(2*1)"
 
@@ -826,7 +830,7 @@ def _klein_except(bad, value):
 )
 def test_generator_rows_are_checked(mul, error, message):
     with pytest.raises(error) as caught:
-        _group(mul, ["a", "b", "c", "d"])
+        _rule_group(mul, ["a", "b", "c", "d"])
     assert str(caught.value) == message
 
 

@@ -641,19 +641,28 @@ def test_only_graph_output_builds_the_element_graph(argv, builds, monkeypatch, c
 )
 def test_own_tables_never_take_the_outside_path(argv, monkeypatch, capsys):
     # catalog tables, direct products (one rule made from the factors'
-    # rules) and central quotients are made by the program; only tables from
-    # outside are rebuilt and compared
+    # rules) and central quotients are made by the program; only a table
+    # from outside is handed to the proof, which compares it row by row
     assert main(argv) == 0
     expected = capsys.readouterr().out
+    tables = []
+    original = catalog._group
 
-    def outside(rows, names):
+    def outside(names, generator_row, table=None):
         raise AssertionError("a table the program made took the outside path")
 
-    monkeypatch.setattr(groups, "_outside_associative_group", outside)
+    def built(names, generator_row, table=None):
+        tables.append(table)
+        return original(names, generator_row, table)
+
+    monkeypatch.setattr(groups, "_group", outside)
+    monkeypatch.setattr(catalog, "_group", built)
     with pytest.raises(AssertionError):
         from_cayley_table([[0]])
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
+    # a catalog build passes no table
+    assert tables and tables == [None] * len(tables)
 
 
 @pytest.mark.parametrize(
@@ -684,15 +693,29 @@ def test_each_center_is_scanned_once(argv, orders, monkeypatch, capsys):
     assert seen == orders
 
 
-def _spy_walk(monkeypatch, module=groups, name="_walk"):
-    """The order n of each call of a walk, ``groups._walk`` by default, in
-    call order."""
+def _spy_orbit(monkeypatch):
+    """The order n of each call of ``groups._orbit``, in call order."""
     walked = []
-    original = getattr(module, name)
+    original = groups._orbit
     monkeypatch.setattr(
-        module, name, lambda n, row: walked.append(n) or original(n, row)
+        groups, "_orbit", lambda n, row: walked.append(n) or original(n, row)
     )
     return walked
+
+
+def _spy_composed_tables(monkeypatch):
+    """The order of each group whose table ``FiniteGroup.table`` composes,
+    in call order; a table that a group holds is read without a record."""
+    composed = []
+    original = groups.FiniteGroup.table
+
+    def table(group):
+        if "table" not in vars(group):
+            composed.append(group.order)
+        return original.__get__(group, type(group))
+
+    monkeypatch.setattr(groups.FiniteGroup, "table", property(table))
+    return composed
 
 
 _GRID_LABELS = [spec.label() for _, spec in list_catalog()]
@@ -712,14 +735,14 @@ _GRID_LABELS = [spec.label() for _, spec in list_catalog()]
     ids=["suite", "suite-json", "heis:5", "product", "dihedral:1000", "analyze", "dot"],
 )
 def test_the_walk_runs_once_per_built_group(argv, specs, monkeypatch, capsys):
-    # a catalog group's points are walked once and its table never: the
-    # decomposition composes only the representatives' rows, and the
-    # central quotient is read off the coset products
-    tables = _spy_walk(monkeypatch)
-    walked = _spy_walk(monkeypatch, catalog, "_orbit")
+    # a catalog group's points are walked once and its table never
+    # composed: the decomposition composes only the representatives' rows,
+    # and the central quotient is read off the coset products
+    walked = _spy_orbit(monkeypatch)
+    composed = _spy_composed_tables(monkeypatch)
     assert main(argv) == 0
     capsys.readouterr()
-    assert tables == []
+    assert composed == []
     # a product is walked as a whole, never its factors
     assert walked == [parse_family(label).order() for label in specs]
 
@@ -734,11 +757,11 @@ def s4_file(tmp_path):
 
 
 def test_a_table_from_outside_is_walked_once(s4_file, monkeypatch, capsys):
-    walked = _spy_walk(monkeypatch)
-    points = _spy_walk(monkeypatch, catalog, "_orbit")
+    walked = _spy_orbit(monkeypatch)
+    composed = _spy_composed_tables(monkeypatch)
     assert main(["verify", s4_file]) == 0
     capsys.readouterr()
-    assert walked == [24] and points == []
+    assert walked == [24] and composed == []
 
 
 def test_a_suite_run_makes_no_noncommuting_search(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import enum
+import io
 import itertools
 import math
 import random
@@ -7,7 +8,7 @@ import re
 import pytest
 
 from commspec import groups
-from commspec.catalog import FamilySpec, build, parse_family
+from commspec.catalog import FamilySpec, build, list_catalog, parse_family
 from commspec.errors import (
     AbelianGroupError,
     AxiomViolation,
@@ -23,6 +24,7 @@ from commspec.groups import (
     from_cayley_table,
     from_cayley_text,
     is_prime,
+    load_cayley_file,
     max_noncommuting_set,
     parse_cayley_text,
     prime_power,
@@ -31,7 +33,12 @@ from commspec.groups import (
 )
 
 from light import close, generating_set, identity_to_front
-from oracles import brute_force_center, centralizer, format_cayley_text
+from oracles import (
+    brute_force_center,
+    centralizer,
+    format_cayley_text,
+    table_center_cosets,
+)
 from permutation_groups import permutation_group, permutation_table, relabelled_table
 
 
@@ -321,6 +328,23 @@ def test_groups_with_different_generators_differ():
     assert other != group and not (other == group)
     assert group._replace() == group
     assert hash(group._replace()) == hash(group)
+
+
+def test_a_group_without_a_tree_walks_its_table_or_its_generator_rows():
+    # a central quotient walks the table it holds, and a record built
+    # directly its generator rows: either gives the table and the cosets
+    # that the proved group and the table oracle give
+    for label in ("heis:3", "dihedral:6", "prod:dicyclic:3,z2"):
+        group = build(parse_family(label))
+        direct = groups.FiniteGroup(group.names, group.generators, group.generator_rows)
+        assert "_tree" not in vars(direct) and "table" not in vars(direct)
+        assert direct.center_cosets == group.center_cosets, label
+        assert direct.table == group.table, label
+        quotient = quotient_by_center(group)
+        assert "_tree" not in vars(quotient)
+        found = quotient.center_cosets
+        assert len(quotient._tree) == quotient.order - 1
+        assert found == table_center_cosets(quotient.table, quotient.generators), label
 
 
 def _coset_centralizer(group, x):
@@ -882,3 +906,91 @@ def test_cayley_text_keeps_an_out_of_range_index_for_the_validator(text, row, me
     with pytest.raises(IndexOutOfRange) as info:
         from_cayley_text(text)
     assert str(info.value) == message
+
+
+class _EndlessText:
+    """A text file that never ends: ``head``, then ``unit`` over and over.
+    Reading past ``budget`` characters in all fails the test, so a reader
+    that does not stop fails at once instead of filling memory; so does a
+    read or a line without a size limit."""
+
+    def __init__(self, head, unit, budget):
+        self.head, self.unit, self.budget = head, unit, budget
+        self.position = 0
+
+    def _take(self, size, end):
+        chars = []
+        while len(chars) < size:
+            i = self.position
+            self.position += 1
+            assert self.position <= self.budget, f"read past {self.budget} characters"
+            k = i - len(self.head)
+            chars.append(self.head[i] if k < 0 else self.unit[k % len(self.unit)])
+            if chars[-1] == end:
+                break
+        return "".join(chars)
+
+    def read(self, size=-1):
+        assert size >= 0, "a read without a size limit"
+        return self._take(size, None)
+
+    def readline(self, limit=-1):
+        assert limit >= 0, "a line read without a size limit"
+        return self._take(limit, "\n")
+
+
+@pytest.mark.parametrize(
+    "head, unit, budget, message",
+    [
+        # the rows of Z5 over and over: refused one character past the cap,
+        # 25 * 3 + 5 * 65 + 4096 characters
+        (
+            "5\n",
+            "0 1 2 3 4\n",
+            4497,
+            "a Cayley table of order 5 takes at most 4496 characters, and the "
+            "text holds more",
+        ),
+        # what /dev/zero holds: no order in the first line read
+        ("", "\0", groups._TEXT_SLACK, None),
+        # blank lines, or blanks, that never end: no order in 4096 characters
+        ("", "\n", groups._TEXT_SLACK, "first line must be the order, got ''"),
+        ("\n\n", " ", groups._TEXT_SLACK + 2, "first line must be the order, got ''"),
+    ],
+    ids=["rows", "zeros", "newlines", "blanks"],
+)
+def test_an_endless_cayley_file_is_refused_within_its_cap(head, unit, budget, message):
+    handle = _EndlessText(head, unit, budget)
+    with pytest.raises(ParseError) as info:
+        groups._read_cayley_text(handle)
+    if message is None:
+        assert str(info.value).startswith("first line must be the order, got '\\x00")
+    else:
+        assert str(info.value) == message
+    assert handle.position == budget
+
+
+def test_the_text_cap_admits_every_written_table():
+    # every text format_cayley_text writes for the grid, for a product with
+    # long names and for the shuffled S5 table, and the S5 table with
+    # every index spelled "+k" or "0k", reads back whole
+    groups_ = [build(spec) for _, spec in list_catalog()]
+    groups_ += [build(parse_family("prod:" + ",".join(["z2"] * 8)))]
+    s5 = permutation_table(5, False, random.Random(1))
+    groups_ += [from_cayley_table(s5)]
+    texts = [format_cayley_text(group) for group in groups_]
+    texts += [_spelled(s5, lambda k: ("+%d", "0%d")[k % 2] % k)]
+    for text in texts:
+        assert groups._read_cayley_text(io.StringIO(text)) == text
+
+
+def test_a_cayley_file_past_its_cap_is_a_parse_error(tmp_path, d6):
+    path = tmp_path / "long.cayley"
+    text = format_cayley_text(d6)
+    cap = 36 * 3 + 6 * 65 + 4096
+    path.write_text(text + " " * (cap - len(text)), encoding="utf-8")
+    assert load_cayley_file(str(path)) == d6
+    path.write_text(text + " " * (cap - len(text) + 1), encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        load_cayley_file(str(path))
+    assert info.value.exit_code == 2

@@ -298,7 +298,7 @@ def test_parsed_specs_round_trip_and_know_their_order(monkeypatch):
     def no_tables(*args, **kwargs):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(groups, "_walk", no_tables)
+    monkeypatch.setattr(groups, "_orbit", no_tables)
     digits = st.text("0123456789", min_size=1, max_size=3)
     tokens = st.lists(
         st.one_of(st.sampled_from(_FAMILY_NAMES + list("z:, +-_\u0663")), digits),

@@ -9,7 +9,9 @@ import pytest
 
 from commspec import spectra
 from commspec.catalog import FamilySpec, build, parse_family
+from commspec.cli import main
 from commspec.errors import (
+    BudgetExceeded,
     NonzeroDiagonalError,
     NotMonicError,
     NotSymmetricError,
@@ -2140,3 +2142,47 @@ def test_wrong_polynomial_fails_the_clique_check_under_any_class_map(z):
         spectra._spot_check(true, key, classes, z)
         with pytest.raises(SpectralCheckError):
             spectra._spot_check(wrong, key, classes, z)
+
+
+def _path_matrix(k):
+    """The path on k vertices: its k rows of C + I are k twin classes."""
+    return [[int(abs(i - j) == 1) for j in range(k)] for i in range(k)]
+
+
+def test_a_twin_quotient_past_the_budget_is_refused_before_the_pass(monkeypatch):
+    # with the budget patched to 4 rows: a path on 5 vertices has 5 twin
+    # classes and is refused before any Hessenberg pass, and one on 4 is
+    # admitted; a clique of any size is one class
+    passes = []
+    original = spectra._modular_char_poly
+
+    def counted(a, bound):
+        passes.append(len(a))
+        return original(a, bound)
+
+    monkeypatch.setattr(spectra, "_modular_char_poly", counted)
+    monkeypatch.setattr(spectra, "_MAX_TWIN_CLASSES", 4)
+    message = "the twin quotient has 5 rows; the Hessenberg pass takes at most 4"
+    with pytest.raises(BudgetExceeded) as info:
+        char_poly(_path_matrix(5))
+    assert str(info.value) == message
+    path = raw_graph(5, [(i, i + 1) for i in range(4)])
+    with pytest.raises(BudgetExceeded):
+        is_integral(path)
+    assert passes == []
+    assert char_poly(_path_matrix(4)) == CharPoly((1, 0, -3, 0, 1))
+    assert is_integral(raw_graph(9, [(i, j) for i in range(9) for j in range(i)])).integral
+    assert passes == [4, 1]
+
+
+def test_verify_reports_a_block_past_the_budget_as_one_error_line(monkeypatch, capsys):
+    # prod:dihedral:3,dihedral:3 decides one block of 35 cosets in 24 twin
+    # classes: with the budget patched to 23, verify ends with exit 1
+    monkeypatch.setattr(spectra, "_MAX_TWIN_CLASSES", 23)
+    assert main(["verify", "prod:dihedral:3,dihedral:3"]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: the twin quotient has 24 rows; the Hessenberg pass takes at most 23\n"
+    )
+    monkeypatch.setattr(spectra, "_MAX_TWIN_CLASSES", 24)
+    assert main(["verify", "prod:dihedral:3,dihedral:3"]) == 0

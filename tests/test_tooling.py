@@ -206,3 +206,51 @@ def test_the_float_guard_finds_each_kind_of_site():
 def test_no_module_uses_floating_point(path):
     # the package computes in exact integers only
     assert _float_sites(path.read_text(encoding="utf-8")) == []
+
+
+def _module_level_names(tree: ast.Module) -> set[str]:
+    """The underscore names a def, a class or an assignment binds at the
+    top level of a module; dunder names are Python's."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """The names that code reads: every ``Name`` that is not bound there,
+    and every attribute."""
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    } | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_every_module_level_underscore_name_is_used_by_code():
+    # a helper that only a docstring still names is dead code
+    defined: set[str] = set()
+    referenced: set[str] = set()
+    for path in _PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined |= _module_level_names(tree)
+        referenced |= _referenced_names(tree)
+    assert defined, "no module-level underscore name found"
+    assert sorted(defined - referenced) == []
+
+
+def test_the_dead_code_guard_finds_an_unused_helper():
+    tree = ast.parse(
+        "_USED = 1\n_UNUSED = 2\n"
+        "def _helper():\n    '''``_orphan`` is cited here only.'''\n    return _USED\n"
+        "def _orphan():\n    pass\n"
+        "class _Record:\n    pass\n"
+        "x = _helper() + len([_Record])\n"
+    )
+    unused = _module_level_names(tree) - _referenced_names(tree)
+    assert unused == {"_UNUSED", "_orphan"}
