@@ -31,7 +31,14 @@ from math import prod
 from typing import Callable, NamedTuple
 
 from .errors import AxiomViolation, NotPrimeError, ParameterOutOfRange, ParseError
-from .groups import FiniteGroup, _check_entries, _check_order, _group, is_prime
+from .groups import (
+    FiniteGroup,
+    _check_entries,
+    _check_order,
+    _clip,
+    _group,
+    is_prime,
+)
 
 # A product rule: the index of the product of the elements at two indices.
 _Mul = Callable[[int, int], int]
@@ -448,12 +455,6 @@ def parse_family(text: str) -> FamilySpec:
     args = rest.split(",")
     _params(head, len(args))
     return FamilySpec(head, _int_params(text, args))
-
-
-def _clip(text: str) -> str:
-    """``text`` as a message shows a spec, which may be of any length: at
-    most its first 60 characters, and "..." after them if it is longer."""
-    return text if len(text) <= 60 else text[:60] + "..."
 
 
 def _int_params(text: str, args: list[str]) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ from . import catalog
 from .catalog import FamilySpec
 from .errors import CommspecError, ParseError
 from .graphs import build_commuting_graph, export_dot, graph_json
-from .groups import FiniteGroup, load_cayley_file
+from .groups import FiniteGroup, _clip, load_cayley_file
 from .predictions import (
     VerificationReport,
     report_json_dict,
@@ -274,9 +274,9 @@ def _run_suite(args) -> int:
             # an extra's name is its spec, which may be of any length
             ok = False
             if as_json:
-                entry = {"group": catalog._clip(name), "pass": ok, "error": str(exc)}
+                entry = {"group": _clip(name), "pass": ok, "error": str(exc)}
             else:
-                entry = f"FAIL {catalog._clip(name)}: {exc}"
+                entry = f"FAIL {_clip(name)}: {exc}"
         entries.append(entry)
         passed += ok
 

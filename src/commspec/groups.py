@@ -767,15 +767,25 @@ def parse_cayley_text(text: str) -> tuple[list[list[int]], list[str] | None]:
 
 
 def _order(line: str) -> int:
-    """The order on the first line of a Cayley-table text, checked."""
+    """The order on the first line of a Cayley-table text, checked; the
+    error shows the line's ``repr`` cut by ``_clip``, as the line may be of
+    any length."""
     try:
         n = int(line)
     except ValueError:
-        raise ParseError(f"first line must be the order, got {line!r}") from None
+        shown = _clip(repr(line), 50)
+        raise ParseError(f"first line must be the order, got {shown}") from None
     if n <= 0:
         raise ParseError(f"order must be positive, got {n}")
     _check_order(n)
     return n
+
+
+def _clip(text: str, width: int = 60) -> str:
+    """``text`` as a message shows what it was given, which may be of any
+    length: at most its first ``width`` characters, and "..." after them if
+    it is longer."""
+    return text if len(text) <= width else text[:width] + "..."
 
 
 def from_cayley_text(text: str) -> FiniteGroup:

@@ -25,11 +25,19 @@ r x r matrix Q = z B' diag(s) - I, B' the rows of M on one member per
 class, whose absolute row sums are those of A (proof, with the coset
 identity, in ``_block_factor``), so a clique becomes one row.  The classes
 are lists of M's row indices, each in ascending order and the lists in
-order of their first member.  Q's eigenvalues are real, so its
+order of their first member.  A caller may pass candidate symmetries of
+the graph; ``verify_group`` passes the conjugations of G/Z by commuting
+involutions.  Those that are involutions of Q commuting with Q and with
+each other generate an elementary abelian 2-group E, and Q splits into
+one integer part per character of E whose polynomials multiply to Q's
+(the isotypic decomposition; proof in ``_block_factor``): S5's 50-row
+quotient into parts of 22, 10, 10 and 8 rows, S6's 280-row one into parts
+of 73, 21 and six of 31.  Each part's eigenvalues are real, so its
 coefficients' absolute values sum to at most (S + 1)^r, with
-r S^2 >= tr(Q^2) (Maclaurin's inequality; proof in ``_block_factor``).  Q
-is reduced to upper Hessenberg form in one pass modulo the least power of
-the Mersenne prime 2^61 - 1 that exceeds twice that bound, and the
+r S^2 >= tr(Q^2) for the part's r rows (Maclaurin's inequality; proof in
+``_block_factor``).  Each part is reduced to upper Hessenberg form in one
+pass modulo the least power of the Mersenne prime 2^61 - 1 that exceeds
+twice that bound, and the
 symmetric residues are the integer coefficients (Cohen, "A Course in
 Computational Algebraic Number Theory", the Hessenberg method; Dumas,
 Pernet and Wan, "Efficient computation of the characteristic polynomial",
@@ -69,7 +77,7 @@ from __future__ import annotations
 from itertools import compress
 from math import comb, gcd, isqrt
 from operator import itemgetter, mul
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -232,7 +240,7 @@ def char_poly(matrix: Sequence[Sequence[int]]) -> CharPoly:
 
 
 def _block_factor(
-    key: Sequence[Sequence[int]], z: int = 1
+    key: Sequence[Sequence[int]], z: int = 1, symmetries: Iterable = ()
 ) -> tuple[CharPoly, int]:
     """det(xI - Q) for the twin quotient Q of A, and a root bound.
 
@@ -282,6 +290,33 @@ def _block_factor(
     |lambda_i| <= R gives tr(Q^2) <= r R^2, so S <= R and the bound is never
     looser than the row-sum bound (R + 1)^r.
 
+    Split: ``symmetries`` holds candidate permutations of the key's rows
+    (``is_integral`` passes a group's, restricted to the block).  Each is
+    put in the sorted order (below) and read on the classes' first rows as
+    a map sigma of the r classes.  It is kept only if sigma is an
+    involution, Q_sigma(i)sigma(j) = Q_ij for all i and j, sigma commutes
+    with every element of the group E that the kept ones generate, and
+    sigma is not in E: each test is one ``itemgetter`` per row.  So E is
+    elementary abelian of order 2^k, its element e the product of the kept
+    sigma_t over the bits t of e, and its permutation matrices P_e commute
+    with Q.  For each character chi_c(e) = (-1)^(bits of c & e) of E let
+    V_c hold the v with P_e v = chi_c(e) v for every e.  C^r is the direct
+    sum of the V_c (Serre, "Linear Representations of Finite Groups", 2.6),
+    and Q keeps each, so det(xI - Q) is the product of the polynomials of Q
+    on the V_c.  Take an orbit O of E with representative i, and for each m
+    in O some e_m taking i to m.  The projection of e_i onto V_c is 0 unless
+    chi_c is trivial on the stabilizer of i, and a multiple of b_O = sum of
+    chi_c(e_m) e_m over m in O if it is; so the b_O of those orbits, whose
+    supports are disjoint, are a basis of V_c.  Q b_O' read at each
+    representative i gives the integer matrix of Q on V_c,
+    Q_c[O, O'] = sum of chi_c(e_m) Q_im over m in O' (``_isotypic_parts``).
+    An orbit is in the parts of the |O| characters trivial on its
+    stabilizer, so the parts have r rows in all.  Each Q_c is Q on an
+    invariant subspace: its eigenvalues are real and a sub-multiset of Q's,
+    so the coefficient bound holds for each part with its own S and r.  A
+    wrong candidate fails a test and only costs the split, the spot check
+    still reads the whole block, and R stays Q's largest row sum.
+
     Vertex order: when r > 1, M's rows and columns are first permuted alike
     by ascending number of nonzero entries in a row, a stable sort that
     keeps ties in the key's order, and the twin classes are found again on
@@ -297,36 +332,96 @@ def _block_factor(
     :class:`BudgetExceeded` before its quotient is built.
     """
     classes = _twin_classes(key)
-    if len(classes) > _MAX_TWIN_CLASSES:
+    r = len(classes)
+    if r > _MAX_TWIN_CLASSES:
         raise BudgetExceeded(
-            f"the twin quotient has {len(classes)} rows; the Hessenberg pass "
+            f"the twin quotient has {r} rows; the Hessenberg pass "
             f"takes at most {_MAX_TWIN_CLASSES}"
         )
-    if len(classes) > 1:
+    if r > 1:
         zeros = [row.count(0) for row in key]
         order = sorted(range(len(key)), key=zeros.__getitem__, reverse=True)
         pick = itemgetter(*order)
         key = [pick(key[i]) for i in order]
         classes = _twin_classes(key)
     quotient = _twin_quotient(key, classes, z)
-    r = len(quotient)
-    trace = sum(
-        x * y for row, col in zip(quotient, zip(*quotient)) for x, y in zip(row, col)
-    )
-    s = isqrt(trace // r)
-    if s * s * r < trace:
-        s += 1
-    reduced = CharPoly(tuple(_modular_char_poly(quotient, (s + 1) ** r)))
+    elements = [tuple(range(r))]  # E, element e at index e
+    if symmetries and r > 1:
+        # each candidate in the sorted order, read on the classes' first rows
+        class_of = [0] * len(key)
+        for c, members in enumerate(classes):
+            for m in members:
+                class_of[order[m]] = c
+        firsts = _tuple_picker([order[members[0]] for members in classes])
+        rows = list(map(tuple, quotient))
+        for perm in symmetries:
+            sigma = itemgetter(*firsts(perm))(class_of)
+            pick = itemgetter(*sigma)
+            if (
+                pick(sigma) == elements[0]
+                and list(map(pick, pick(rows))) == rows
+                and all(pick(e) == itemgetter(*e)(sigma) for e in elements)
+                and sigma not in elements
+            ):
+                elements += [pick(e) for e in elements]
+    reduced = [1]
+    for part in _isotypic_parts(quotient, elements) if elements[1:] else [quotient]:
+        trace = sum(
+            x * y for row, col in zip(part, zip(*part)) for x, y in zip(row, col)
+        )
+        r = len(part)
+        s = isqrt(trace // r)
+        if s * s * r < trace:
+            s += 1
+        reduced = _poly_mul(_modular_char_poly(part, (s + 1) ** r), reduced)
+    reduced = CharPoly(tuple(reduced))
     _spot_check(reduced, key, classes, z)
     return reduced, max(sum(map(abs, row)) for row in quotient)
 
 
+def _isotypic_parts(
+    q: list[list[int]], elements: list[tuple[int, ...]]
+) -> Iterator[list[list[int]]]:
+    """The nonempty parts Q_c of Q = ``q``, one for each character chi_c of
+    E, whose element e is the permutation ``elements[e]`` of Q's rows (see
+    ``_block_factor``); e_m is the least e taking its orbit's
+    representative to m."""
+    mask = [-1] * len(q)  # e_m
+    orbit = [0] * len(q)  # the representative of m's orbit
+    stabilizers = []
+    for i in range(len(q)):
+        if mask[i] < 0:
+            for e, g in enumerate(elements):
+                if mask[g[i]] < 0:
+                    mask[g[i]], orbit[g[i]] = e, i
+            stabilizers.append((i, [e for e, g in enumerate(elements) if g[i] == i]))
+    for c in range(len(elements)):
+        kept = [
+            i
+            for i, stab in stabilizers
+            if not any((c & e).bit_count() & 1 for e in stab)
+        ]
+        column = dict(zip(kept, range(len(kept))))
+        part = [[0] * len(kept) for _ in kept]
+        for row, i in zip(part, kept):
+            for m, x in enumerate(q[i]):
+                if x and orbit[m] in column:
+                    row[column[orbit[m]]] += -x if (c & mask[m]).bit_count() & 1 else x
+        if part:
+            yield part
+
+
 # The Hessenberg pass costs O(r^3) operations on residues whose width grows
 # with r, so ``_block_factor`` refuses a twin quotient of more than
-# _MAX_TWIN_CLASSES rows before the pass.  The largest quotient any
-# benchmark workload or console check reads is S6's, r = 280, which takes
-# about 2 s (2 vCPU, Python 3.11.7); a dense random one of that size takes
-# about 120 s.  S7's largest block has r = 1687, whose pass would take hours.
+# _MAX_TWIN_CLASSES rows before the pass.  The budget is on the whole r, not
+# on the largest part of a split, because the spot check reads the whole
+# block whatever the parts are.  The largest quotient any benchmark workload
+# or console check reads is S6's, r = 280: unsplit, its whole ``verify``
+# took about 2.5 s (2 vCPU, Python 3.11.7), most of it the pass; split into
+# parts of at most 73 rows it takes about 0.5 s, the spot check the larger
+# share.  A dense random 280-row quotient, which no symmetry splits, takes
+# about 120 s.
+# S7's largest block has r = 1687.
 _MAX_TWIN_CLASSES = 400
 
 # the Mersenne prime whose least power above twice the bound is the modulus
@@ -743,6 +838,7 @@ def is_integral(
     graph: CommutingGraph,
     z: int = 1,
     memo: dict | None = None,
+    symmetries: Callable[[], Iterable[Sequence[int]]] | None = None,
 ) -> SpectralAnalysis:
     """Decide integrality of the adjacency spectrum of the graph in which
     each vertex of ``graph`` stands for ``z`` true twins, exactly.
@@ -783,6 +879,15 @@ def is_integral(
     ``_bit_rows``'s, so a clique shares the memo entry and the proof of any
     other clique of its size; any other block's key is read from its rows
     (``_bit_rows``).
+
+    ``symmetries``, if given, returns permutations of the graph's vertex
+    positions for the kernel to split twin quotients by.  It is called once,
+    at the first block that is not a clique and misses the memo, and never
+    when there is none.  Each permutation that maps a block onto itself is
+    passed on in the block's order; any other is left out for that block.
+    The kernel keeps only those that pass its tests, so a permutation that
+    is no symmetry costs time, never a wrong polynomial, and the memo needs
+    no key for them.
     """
     if type(z) is not int:
         raise TypeError(f"z must be of type int, got {z!r}")
@@ -797,6 +902,7 @@ def is_integral(
     # different submatrices get different keys and are computed separately.
     counts: dict[tuple[bytes, ...], int] = {}
     cliques: dict[int, tuple[bytes, ...]] = {}
+    blocks: dict[tuple[bytes, ...], tuple[int, ...]] = {}  # the first of each key
     for block in connected_components(graph):
         first = block[0]
         mask = adjacency[first] | 1 << first
@@ -805,16 +911,27 @@ def is_integral(
             key = cliques.get(c) or cliques.setdefault(c, _clique_rows(c))
         else:
             key = tuple(_bit_rows(adjacency, block))
+            blocks.setdefault(key, block)
         counts[key] = counts.get(key, 0) + 1
     if memo is None:
         memo = {}
     pairs: list[tuple[int, int]] = []
     records = []
     remainder = [1]
+    candidates = None  # what ``symmetries`` returns, once asked
     for key, count in counts.items():
         found = memo.get((key, z))
         if found is None:
-            quotient, bound = _block_factor(key, z)
+            local = []
+            if key in blocks and symmetries:
+                if candidates is None:
+                    candidates = list(symmetries())
+                where = dict(zip(blocks[key], range(len(key))))
+                for perm in candidates:
+                    image = [where.get(perm[v], -1) for v in blocks[key]]
+                    if -1 not in image:
+                        local.append(image)
+            quotient, bound = _block_factor(key, z, local)
             found = memo[key, z] = (quotient, *integer_spectrum(quotient, bound))
         quotient, spectrum, rest = found
         size = len(key) * z

@@ -223,9 +223,10 @@ def check_verify_shuffled_s5_and_s6_tables(tmp):
     # non-commuting search did not finish on S5 in 200 s; the capped one
     # takes well under a second. The loader must find the identity off
     # index 0, and read canonical indices by lookup and any other spelling
-    # through int(). S6's 575-vertex block has 280 twin classes; verify
-    # takes about 3.5 s on 2 vCPUs, most of it the Hessenberg pass on the
-    # 280-row quotient modulo (2^61 - 1)^12
+    # through int(). S6's 575-vertex block has 280 twin classes; its
+    # commuting involutions split the quotient into parts of at most 73
+    # rows, and verify takes about 0.5 s on 2 vCPUs, most of it the spot
+    # check on the whole block
     s5 = permutation_table(5, False, random.Random(1))
     s5_seed_5 = permutation_table(5, False, random.Random(5))
     s6 = permutation_table(6, False, random.Random(1))

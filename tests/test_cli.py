@@ -845,3 +845,20 @@ def test_verify_proves_each_distinct_block_of_its_group_once(monkeypatch, capsys
         assert main(["verify", "dicyclic:6"]) == 0
         capsys.readouterr()
         assert len(factored) == runs * distinct
+
+
+def test_the_split_candidates_are_asked_for_only_at_a_block_that_is_no_clique(
+    monkeypatch, capsys, tmp_path
+):
+    # every block of the grid and of the three large groups is a clique, so
+    # none of their runs asks for the candidates; the S4 table's run does
+    asked = _count_calls(monkeypatch, predictions, "_commuting_involutions")
+    assert main(["suite", "--format", "json"]) == 0
+    for spec in ("heis:7", "metacyclic:12,6", "dihedral:40"):
+        assert main(["verify", spec]) == 0
+    capsys.readouterr()
+    assert asked == []
+    path = tmp_path / "s4.cayley"
+    path.write_text(format_cayley_text(from_cayley_table(permutation_table(4, False))))
+    assert main(["verify", f"file:{path}"]) == 0
+    assert len(asked) == 1

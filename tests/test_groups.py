@@ -4,11 +4,13 @@ import itertools
 import math
 import random
 import re
+from contextlib import nullcontext
 
 import pytest
 
 from commspec import groups
 from commspec.catalog import FamilySpec, build, list_catalog, parse_family
+from commspec.cli import main
 from commspec.errors import (
     AbelianGroupError,
     AxiomViolation,
@@ -994,3 +996,19 @@ def test_a_cayley_file_past_its_cap_is_a_parse_error(tmp_path, d6):
     with pytest.raises(ParseError) as info:
         load_cayley_file(str(path))
     assert info.value.exit_code == 2
+
+
+def test_an_endless_nul_file_is_one_short_error_line(monkeypatch, capsys):
+    # what verify file:/dev/zero reads: the first line's repr is cut, so the
+    # error is one line of at most 100 characters, with exit 2
+    endless = _EndlessText("", "\0", groups._TEXT_SLACK)
+    monkeypatch.setattr(
+        groups, "open", lambda *args, **kwargs: nullcontext(endless), raising=False
+    )
+    assert main(["verify", "file:zeros"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert len(line) <= 100
+    assert line.startswith("error: first line must be the order, got '\\x00")
+    assert line.endswith("...")

@@ -324,7 +324,7 @@ def test_corollaries_fail_when_the_shape_or_the_spectrum_is_wrong(
         monkeypatch.setattr(
             predictions,
             "is_integral",
-            lambda g, z, memo: spectrum(real(g, z, memo)),
+            lambda g, z, memo, symmetries: spectrum(real(g, z, memo, symmetries)),
         )
     group = build(spec)
     report = verify_group(group, spec.label(), spec)
@@ -356,7 +356,9 @@ def _element_graph_report(group, name, family, monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(predictions, "coset_graph", build_commuting_graph)
         patched.setattr(
-            predictions, "is_integral", lambda graph, z, memo: real(graph)
+            predictions,
+            "is_integral",
+            lambda graph, z, memo, symmetries: real(graph),
         )
         return verify_group(group, name, family)
 

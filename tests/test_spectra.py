@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 import sys
@@ -19,8 +20,8 @@ from commspec.errors import (
     SpectralCheckError,
 )
 from commspec.graphs import build_commuting_graph, connected_components, coset_graph
-from commspec.groups import from_cayley_table
-from commspec.predictions import verify_group
+from commspec.groups import center, from_cayley_table, quotient_by_center
+from commspec.predictions import _commuting_involutions, verify_group
 from commspec.spectra import (
     CharPoly,
     char_poly,
@@ -1090,7 +1091,8 @@ def test_a_shared_memo_changes_no_analysis(monkeypatch):
     monkeypatch.setattr(
         spectra,
         "_block_factor",
-        lambda key, z: proved.append((key, z)) or original(key, z),
+        lambda key, z, symmetries: proved.append((key, z))
+        or original(key, z, symmetries),
     )
     memo = {}
     for graph, z, alone in runs:
@@ -1148,7 +1150,8 @@ def test_a_shared_memo_proves_a_clique_once_wherever_it_sits(monkeypatch):
     monkeypatch.setattr(
         spectra,
         "_block_factor",
-        lambda key, z: proved.append(len(key)) or original(key, z),
+        lambda key, z, symmetries: proved.append(len(key))
+        or original(key, z, symmetries),
     )
     memo = {}
     # the clique, then only the path, then nothing new
@@ -1274,7 +1277,7 @@ def test_block_keys_are_the_bitwise_submatrices(make_graphs, monkeypatch):
     monkeypatch.setattr(
         spectra,
         "_block_factor",
-        lambda key, z=1: keys.append(key) or original(key, z),
+        lambda key, z, symmetries: keys.append(key) or original(key, z, symmetries),
     )
     for graph in make_graphs():
         keys.clear()
@@ -1776,15 +1779,25 @@ def test_eigenvalue_bound_covers_the_coefficients(monkeypatch):
     for c, z in cases:
         spectra._block_factor(closed_rows(c), z)
     assert len(calls) == len(cases)
+    # each part of a split takes the bound from its own S and rows: parts
+    # of planted matrices, and of the S4 and S5 quotients
+    unsplit = len(calls)
+    for z in (1, 2, 3):
+        for _ in range(10):
+            a, gens = _planted_symmetries(rng, rng.randint(1, 3), rng.random())
+            spectra._block_factor(closed_rows(a), z, gens)
+    for degree in (4, 5):
+        _split_analysis(permutation_group(degree, False))
+    assert len(calls) > unsplit + 60
     tighter = 0
-    for q, bound in calls:
+    for k, (q, bound) in enumerate(calls):
         s = _least_rms_bound(q)
         row_sum = max(sum(map(abs, row)) for row in q)
         assert bound == (s + 1) ** len(q)
         assert s <= row_sum
         assert sum(map(abs, _faddeev_leverrier(q))) <= bound
         assert engine(q, bound) == engine(q, row_sum_bound(q))
-        tighter += s < row_sum
+        tighter += k < unsplit and s < row_sum
     assert tighter > len(cases) // 2
 
 
@@ -2186,3 +2199,253 @@ def test_verify_reports_a_block_past_the_budget_as_one_error_line(monkeypatch, c
     )
     monkeypatch.setattr(spectra, "_MAX_TWIN_CLASSES", 24)
     assert main(["verify", "prod:dihedral:3,dihedral:3"]) == 0
+
+
+# Split: _block_factor splits Q by the commuting involutions among its
+# candidates; without candidates it makes the unsplit pass, the oracle here.
+
+
+def _planted_symmetries(rng, k, density):
+    """A random symmetric 0/1 matrix with a zero diagonal, on shuffled rows,
+    and k commuting involutions of its rows that keep it.
+
+    Each orbit of E = (Z/2)^k is the subgroup of the generators t it lets
+    act, on which t flips bit t; the others fix it.  Each orbit of E on the
+    pairs of points gets one random bit.
+    """
+    orbits = [
+        [t for t in range(k) if rng.random() < 0.6] for _ in range(rng.randint(1, 4))
+    ]
+    points = [
+        (o, bits)
+        for o, acting in enumerate(orbits)
+        for bits in range(1 << k)
+        if all(t in acting for t in range(k) if bits >> t & 1)
+    ]
+    index = {p: i for i, p in enumerate(points)}
+    gens = [
+        [index[o, bits ^ (t in orbits[o]) << t] for o, bits in points]
+        for t in range(k)
+    ]
+    elements = [list(range(len(points)))]
+    for g in gens:
+        elements += [[g[x] for x in e] for e in elements]
+    n = len(points)
+    a = [[None] * n for _ in range(n)]
+    for u in range(n):
+        a[u][u] = 0
+        for v in range(u + 1, n):
+            if a[u][v] is None:
+                bit = int(rng.random() < density)
+                for e in elements:
+                    a[e[u]][e[v]] = a[e[v]][e[u]] = bit
+    place = list(range(n))  # point x becomes row place[x]
+    rng.shuffle(place)
+    shuffled = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            shuffled[place[x]][place[y]] = a[x][y]
+    moved = []
+    for g in gens:
+        image = [0] * n
+        for x in range(n):
+            image[place[x]] = place[g[x]]
+        moved.append(image)
+    return shuffled, moved
+
+
+def _part_sizes(monkeypatch):
+    """Record the rows of every matrix _modular_char_poly receives."""
+    sizes = []
+    original = spectra._modular_char_poly
+    monkeypatch.setattr(
+        spectra,
+        "_modular_char_poly",
+        lambda a, bound: sizes.append(len(a)) or original(a, bound),
+    )
+    return sizes
+
+
+@pytest.mark.parametrize("z", [1, 2, 3])
+def test_planted_involutions_split_to_the_unsplit_polynomial(z, monkeypatch):
+    rng = random.Random(43 + z)
+    sizes = _part_sizes(monkeypatch)
+    split = 0
+    for _ in range(40):
+        a, gens = _planted_symmetries(rng, rng.randint(1, 3), rng.random())
+        key = closed_rows(a)
+        sizes.clear()
+        unsplit = spectra._block_factor(key, z)
+        assert len(sizes) == 1
+        r = sizes[0]
+        sizes.clear()
+        assert spectra._block_factor(key, z, gens) == unsplit
+        assert sum(sizes) == r
+        split += len(sizes) > 1
+    # most planted matrices split: the others are one class, or their
+    # involutions only swap twins
+    assert split > 20
+
+
+def _conjugations(group, elements):
+    """For each coset a of G/Z in ``elements``, the map b -> a b a^-1 of
+    the coset graph's vertices."""
+    table = quotient_by_center(group).table
+    inverse = [row.index(0) for row in table]
+    return [
+        tuple(table[table[a][b]][inverse[a]] - 1 for b in range(1, len(table)))
+        for a in elements
+    ]
+
+
+def _split_analysis(group, candidates=None):
+    """is_integral on the coset graph, split by ``candidates`` or, when
+    None, by the candidates verify_group passes."""
+    if candidates is None:
+        candidates = _commuting_involutions(group)
+    return is_integral(coset_graph(group), len(center(group)), None, lambda: candidates)
+
+
+@pytest.mark.parametrize(
+    "degree, parts",
+    [(4, [6, 3]), (5, [22, 10, 10, 8]), (6, [73, 31, 31, 31, 31, 31, 31, 21])],
+    ids=["S4", "S5", "S6"],
+)
+def test_group_quotients_split_to_the_unsplit_polynomial(degree, parts, monkeypatch):
+    # the seed-1 tables: the S4 quotient of 9 rows, S5's of 50 and S6's of
+    # 280, each from the block that is not a clique
+    group = from_cayley_table(permutation_table(degree, False, random.Random(1)))
+    sizes = _part_sizes(monkeypatch)
+    split = _split_analysis(group)
+    assert sorted(s for s in sizes if s > 1) == sorted(parts)
+    [block] = [b for b in split.blocks if b.classes > 1]
+    assert block.classes == sum(parts)
+    sizes.clear()
+    assert is_integral(coset_graph(group), len(center(group))) == split
+    assert sorted(s for s in sizes if s > 1) == [sum(parts)]
+
+
+def test_each_candidate_that_fails_a_test_is_dropped(monkeypatch):
+    # S4's seed-1 table: one involution splits its 9-row quotient into parts
+    # of 6 and 3 rows, and adding a candidate that fails a test changes
+    # nothing; each failure is checked here on the maps of the twin classes
+    group = from_cayley_table(permutation_table(4, False, random.Random(1)))
+    table = quotient_by_center(group).table
+    graph = coset_graph(group)
+    block = max(connected_components(graph), key=len)
+    row = {v: graph.adjacency[v] | 1 << v for v in block}
+    classes = {}
+    for v in block:
+        classes.setdefault(row[v], []).append(v)
+
+    def class_map(perm):
+        return {row[v]: row[perm[v]] for v in block}
+
+    def compose(f, g):
+        return {c: f[g[c]] for c in g}
+
+    candidates = _commuting_involutions(group)
+    good = next(p for p in candidates if any(a != b for a, b in class_map(p).items()))
+    involutions = [a for a in range(1, len(table)) if table[a][a] == 0]
+    other = next(
+        p
+        for p in _conjugations(group, involutions)
+        if compose(class_map(p), class_map(good)) != compose(class_map(good), class_map(p))
+    )
+    three = next(a for a in range(1, len(table)) if _power(table, a, 3) == 0)
+    [turn] = _conjugations(group, [three])
+    assert any(a != b for a, b in compose(class_map(turn), class_map(turn)).items())
+    # two classes of one size whose swap is no automorphism of the block
+    swap = next(
+        perm
+        for a, b in itertools.combinations(classes.values(), 2)
+        if len(a) == len(b)
+        for perm in [_swapped(len(graph.vertices), a, b)]
+        if any(
+            (graph.adjacency[perm[x]] >> perm[y] & 1) != (graph.adjacency[x] >> y & 1)
+            for x in block
+            for y in block
+        )
+    )
+    sizes = _part_sizes(monkeypatch)
+    unsplit = is_integral(graph, len(center(group)))
+    assert sorted(sizes) == [1, 9]
+    sizes.clear()
+    assert _split_analysis(group, [good]) == unsplit
+    assert sorted(sizes) == [1, 3, 6]
+    bad = {
+        "not an automorphism": swap,
+        "not an involution": turn,
+        "not commuting": other,
+        "the identity": tuple(range(len(graph.vertices))),
+        "a duplicate": good,
+    }
+    for name, extra in bad.items():
+        sizes.clear()
+        assert _split_analysis(group, [good, extra]) == unsplit, name
+        assert sorted(sizes) == [1, 3, 6], name
+        # alone, a candidate that is no involution of Q splits nothing, and
+        # the other two split as the good one does
+        sizes.clear()
+        assert _split_analysis(group, [extra]) == unsplit, name
+        alone = [1, 3, 6] if name in ("not commuting", "a duplicate") else [1, 9]
+        assert sorted(sizes) == alone, name
+
+
+def _power(table, a, k):
+    x = 0
+    for _ in range(k):
+        x = table[x][a]
+    return x
+
+
+def _swapped(n, a, b):
+    """The permutation of range(n) that swaps the members of the equally
+    long lists a and b in order."""
+    perm = list(range(n))
+    for x, y in zip(a, b):
+        perm[x], perm[y] = y, x
+    return perm
+
+
+@pytest.mark.parametrize("degree", [4, 5])
+def test_a_wrong_part_fails_the_spot_check(degree, monkeypatch):
+    # one coefficient of the largest part off by one
+    group = from_cayley_table(permutation_table(degree, False, random.Random(1)))
+    largest = {4: 6, 5: 22}[degree]
+    original = spectra._modular_char_poly
+
+    def off_by_one(a, bound):
+        coeffs = original(a, bound)
+        if len(a) == largest:
+            coeffs[1] += 1
+        return coeffs
+
+    monkeypatch.setattr(spectra, "_modular_char_poly", off_by_one)
+    with pytest.raises(SpectralCheckError):
+        _split_analysis(group)
+
+
+def test_the_candidate_source_is_asked_at_most_once():
+    # two blocks that are not cliques, a path of 3 and one of 4, and a
+    # triangle: the source is asked at the first of the paths only, and a
+    # map that swaps two blocks reaches neither
+    graph = raw_graph(10, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (7, 8), (8, 9), (7, 9)])
+    asked = []
+    flip = (2, 1, 0, 6, 5, 4, 3, 7, 8, 9)
+    swap = (7, 8, 9, 3, 4, 5, 6, 0, 1, 2)
+
+    def source():
+        asked.append(1)
+        return [flip, swap]
+
+    memo = {}
+    assert is_integral(graph, 2, memo, source) == is_integral(graph, 2)
+    assert asked == [1]
+    # every block from the memo: not asked
+    assert is_integral(graph, 2, memo, source) == is_integral(graph, 2)
+    assert asked == [1]
+    # cliques only: not asked
+    triangle = raw_graph(3, [(0, 1), (1, 2), (0, 2)])
+    assert is_integral(triangle, 1, None, source).all_cliques
+    assert asked == [1]
