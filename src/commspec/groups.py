@@ -16,9 +16,8 @@ generator's column is derived along that walk (``_column``), and
 multiplying by a generator on the left must commute with multiplying by
 one on the right.  A table from outside must also give back, row by row,
 what the walk composes, and the group then holds it; a catalog group is
-never tabulated.  The central quotient needs no proof: its table is read
-off the products of the center's coset representatives that the
-decomposition keeps (``quotient_by_center``).
+never tabulated.  The central quotient needs no proof: its table is the
+one the decomposition keeps (``quotient_by_center``).
 Commutation is read off the cosets of the center Z, never off all n^2
 pairs.  The center comes from S: x is central iff x*g == g*x for every g
 in S, because the centralizer C(x) is a subgroup, so holding S means
@@ -27,13 +26,15 @@ lookups, with |S| <= log2(n): ``zip`` turns S's rows into the tuples
 (g*x for g in S) and S's columns into the tuples (x*g for g in S), so each
 element costs one tuple comparison at C speed.  Commutation is constant on
 pairs of Z-cosets: (xz)(yz') == (xy)(zz') and (yz')(xz) == (yx)(zz'), so
-xz and yz' commute iff x and y do.  So the cosets are built once, on first
-use, by a walk over them that composes the q = n/|Z| representatives' rows
-(``_center_cosets``), and the q^2 products of the representatives are
-picked from those rows once; they decide which pairs of cosets commute, and
-they are kept with the cosets in the group's instance dict.  The center,
-the centralizers, the central quotient, the commuting graph and the
-non-commuting search all read that one decomposition, and none of them
+xz and yz' commute iff x and y do, and xz*yz' lies in the coset of x*y.
+So the cosets are built once, on first use, by a walk over them that
+composes the row of one member of each, the first it reaches: q = n/|Z|
+rows (``_center_cosets``).  The q^2 products of those members are picked
+from their rows once; they decide which pairs of cosets commute, and their
+cosets are G/Z's table.  The commuting bits and that table are kept with
+the cosets in the group's instance dict, and the products are dropped.  The
+center, the centralizers, the central quotient, the commuting graph and
+the non-commuting search all read that one decomposition, and none of them
 reads a table after it; none holds a mask per element.
 """
 
@@ -154,16 +155,15 @@ class CenterCosets(NamedTuple):
     ``coset_of[x]`` is the index of the coset holding x.  Bit j of
     ``commuting[i]`` is set iff the representatives of cosets i and j
     commute, which by the coset identity means every member of one commutes
-    with every member of the other.  ``products[i][j]`` is the element
-    r_i * r_j for the representatives r_i and r_j of cosets i and j: the
-    q^2 products from which both ``commuting`` and the central quotient's
-    table are read.
+    with every member of the other.  ``quotient[i][j]`` is the index of the
+    coset of x * y, for any x in coset i and y in coset j: the q x q table
+    of G/Z, which ``quotient_by_center`` wraps.
     """
 
     coset_of: tuple[int, ...]
     cosets: tuple[tuple[int, ...], ...]
     commuting: tuple[int, ...]
-    products: tuple[tuple[int, ...], ...]
+    quotient: tuple[tuple[int, ...], ...]
 
 
 class Recognition(NamedTuple):
@@ -420,43 +420,41 @@ def _swap_to_front(
 def _center_cosets(group: FiniteGroup) -> CenterCosets:
     """The center from the generators, its cosets, and q^2 commutation lookups.
 
-    One routine for every group.  Each column x -> x*c it needs, for c a
-    generator or a central element, is derived along the group's tree
-    (``_column``); the generators' columns are kept on the group.  The
-    rows of the coset representatives are read from the table where the
-    group holds one (a table from outside, or a central quotient), and
-    otherwise composed from the generator rows: q compositions of n-tuples
-    at C speed, not n.
+    One routine for every group.  The columns x -> x*h of the generators h
+    are the group's, derived along its tree (``_column``) by the proof or
+    on first use; no other column is derived.  The rows it needs are read
+    from the table where the group holds one (a table from outside, or a
+    central quotient), and otherwise composed from the generator rows: q
+    compositions of n-tuples at C speed, not n.
 
     x is central iff (x*h for h in S) equals (h*x for h in S), the column of
     x in S's rows, which ``zip`` transposes; the trivial group has no
     generators and its center is (0,).  The cosets are found by a
     breadth-first walk from Z under right multiplication by S, which
     reaches every coset, as S generates G.  From the row of a coset's
-    representative, y = r*h starts a new coset unless it lies in one
-    already found; the row of y is row_r composed with row_h, and its
-    members are y*c = row_y[c] for c in Z.  The representative is the
-    smallest member r' = y*c, and its row is row_y composed with the column
-    x -> x*c, since (y*c)*m = y*(m*c) for central c; that column is made
-    once per c that is needed, and not at all when y is the smallest
-    member.  The cosets are then put in order of their representatives, Z
-    first, and the q^2 products of the representatives are picked from
-    their rows and kept; they are transposed by ``zip`` and compared
-    element by element, all at C speed.
+    member x, y = x*h starts a new coset unless it lies in one already
+    found; the row of y is row_x composed with row_h, and the members of
+    its coset are y*c = row_y[c] for c in Z.  The walk keeps the row of y,
+    the first member it reaches, whichever member that is: by the coset
+    identity neither commutation nor the coset of a product depends on the
+    member.  The cosets are then put in order of their smallest members, Z
+    first, and the q^2 products y_i * y_j of the kept members are picked
+    from their rows, which are then dropped.  The products are transposed
+    by ``zip`` and compared element by element for the commuting bits, and
+    mapped to their cosets for G/Z's table, all at C speed; then they are
+    dropped too.  So the rows are never held with G/Z's table.
     """
     n, gens, rows = group.order, group.generators, group.generator_rows
-    table = group.__dict__.get("table")
-    edges, columns = group._tree, group._columns
-    # row_r o row_h is the row of r*h; n >= 2 where S is not empty
+    table, columns = group.__dict__.get("table"), group._columns
+    # row_y o row_h is the row of y*h; n >= 2 where S is not empty
     steps = list(zip(gens, [itemgetter(*row) for row in rows]))
     z = tuple(compress(range(n), map(eq, zip(*columns), zip(*rows)))) if gens else (0,)
     pick_z = _tuple_picker(z)
-    coset_of = [-1] * n  # the representative of each element's coset, once found
+    coset_of = [-1] * n  # the smallest member of each element's coset, once found
     for c in z:
         coset_of[c] = 0
-    row_of = {0: tuple(range(n))}  # the row of each representative
-    walk = [row_of[0]]
-    shifts: dict[int, itemgetter] = {}
+    reached = {0: (0, tuple(range(n)))}  # the member first reached and its row
+    walk = [reached[0][1]]
     for row in walk:  # the loop also visits what it appends
         for h, step in steps:
             y = row[h]
@@ -464,31 +462,27 @@ def _center_cosets(group: FiniteGroup) -> CenterCosets:
                 row_y = table[y] if table else step(row)
                 ys = pick_z(row_y)
                 r = min(ys)
-                if r != y:
-                    c = z[ys.index(r)]
-                    if c not in shifts:
-                        shifts[c] = itemgetter(*_column(n, edges, c))
-                    row_y = shifts[c](row_y)
                 for m in ys:
                     coset_of[m] = r
-                row_of[r] = row_y
+                reached[r] = (y, row_y)
                 walk.append(row_y)
-    reps = sorted(row_of)
+    reps = sorted(reached)
     index = [0] * n
     for i, r in enumerate(reps):
         index[r] = i
-    rep_rows = list(map(row_of.__getitem__, reps))
-    pick = _tuple_picker(reps)
-    products = tuple(map(pick, rep_rows))  # products[i][j] = r_i * r_j
-    # bit j of row i is r_i*r_j == r_j*r_i: byte q - 1 - j of the reversed
+    coset_of = tuple(map(index.__getitem__, coset_of))
+    members, member_rows = zip(*map(reached.__getitem__, reps))
+    products = list(map(_tuple_picker(members), member_rows))  # y_i * y_j
+    cosets = tuple(tuple(sorted(pick_z(row))) for row in member_rows)
+    del walk, reached, member_rows  # free the q*n row entries before G/Z's table
+    # bit j of row i is y_i*y_j == y_j*y_i: byte q - 1 - j of the reversed
     # comparison, read as a binary numeral
     commuting = tuple(
         int(bytes(map(eq, row, column))[::-1].translate(_DIGITS), 2)
         for row, column in zip(products, zip(*products))
     )
-    coset_of = tuple(map(index.__getitem__, coset_of))
-    cosets = tuple(tuple(sorted(pick_z(row))) for row in rep_rows)
-    return CenterCosets(coset_of, cosets, commuting, products)
+    quotient = tuple(_tuple_picker(row)(coset_of) for row in products)
+    return CenterCosets(coset_of, cosets, commuting, quotient)
 
 
 # maps the bytes 0 and 1 to the ASCII digits of a binary numeral
@@ -533,21 +527,19 @@ def quotient_by_center(group: FiniteGroup) -> FiniteGroup:
 
     Element i of the quotient is coset i of ``group.center_cosets``: the
     center Z is element 0, named ``"Z"``, and every other coset is named
-    after its smallest member r_i, as ``"{name}Z"``.  Entry (i, j) of the
-    table is the coset of r_i * r_j, read from the q^2 products of the
-    representatives that the decomposition keeps (``CenterCosets.products``),
-    so the group's own table is not read.  It does not depend on
-    the representatives: Z is central, so (r_i z)(r_j z') = (r_i r_j)(z z')
-    for any z and z' in Z, and z z' lies in Z.  G is a verified group and Z
-    its center, so G/Z is a group and its table needs no check of its own.
-    The generators are the distinct non-central cosets of G's generators:
-    G's generators give every element, so their cosets give every coset.
+    after its smallest member r_i, as ``"{name}Z"``.  Its table is the
+    decomposition's (``CenterCosets.quotient``), held as it is: entry
+    (i, j) is the coset of x * y for any x in coset i and y in coset j, so
+    the group's own table is not read and no second q x q table is made.
+    G is a verified group and Z its center, so G/Z is a group and its
+    table needs no check of its own.  The generators are the distinct
+    non-central cosets of G's generators: G's generators give every
+    element, so their cosets give every coset.
     """
     decomposition = group.center_cosets
-    coset_of = decomposition.coset_of
-    table = tuple(_tuple_picker(row)(coset_of) for row in decomposition.products)
+    table = decomposition.quotient
     names = ("Z", *(f"{group.names[c[0]]}Z" for c in decomposition.cosets[1:]))
-    generators = sorted({coset_of[g] for g in group.generators} - {0})
+    generators = sorted({decomposition.coset_of[g] for g in group.generators} - {0})
     rows = tuple(table[g] for g in generators)
     quotient = FiniteGroup(names, tuple(generators), rows)
     quotient.__dict__["table"] = table

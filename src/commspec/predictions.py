@@ -131,17 +131,19 @@ def verify_group(
     callers that verify several groups pass one dict to all of them, so
     that each distinct block, keyed on its submatrix and on z = |Z|, is
     proved once across the groups; without it, each call starts afresh.
-    ``is_integral`` splits each twin quotient by the conjugations that
-    ``_commuting_involutions`` reads off the center's cosets, which the
-    group keeps; it asks for them only at a block that is not a clique.
+    The central quotient is wrapped once (``quotient_by_center``): its
+    shape is recognized on it, and ``is_integral`` splits each twin
+    quotient by the conjugations that ``_commuting_involutions`` reads off
+    its table, asking for them only at a block that is not a clique.
     """
     if group.is_abelian():
         raise AbelianGroupError("verification is defined for non-abelian groups only")
     z = len(center(group))
     count = centralizer_count(group)
-    recognition = recognize_small(quotient_by_center(group))
+    quotient = quotient_by_center(group)
+    recognition = recognize_small(quotient)
     analysis = is_integral(
-        coset_graph(group), z, memo, lambda: _commuting_involutions(group)
+        coset_graph(group), z, memo, lambda: _commuting_involutions(quotient)
     )
 
     predictions: list[Prediction] = []
@@ -179,36 +181,29 @@ def verify_group(
     )
 
 
-def _commuting_involutions(group: FiniteGroup) -> list[tuple[int, ...]]:
+def _commuting_involutions(quotient: FiniteGroup) -> list[tuple[int, ...]]:
     """Permutations of the coset graph's vertices for ``is_integral`` to
-    split its twin quotients by: for each kept coset a of G/Z, b -> a b a.
+    split its twin quotients by: for each kept element a of G/Z, b -> a b a.
 
-    A coset a != Z with a a = Z is kept, in index order, when it commutes
-    in G/Z with every coset kept before it and lies outside the group they
-    generate.  Then b -> a b a = a b a^-1 is conjugation by a, an
-    automorphism of G that fixes Z and so keeps which cosets commute; a a = Z
-    makes it an involution, and cosets that commute give maps that commute.
-    The cosets' products are read from ``CenterCosets.products``, which the
-    group keeps, rather than from G/Z's table, which is not kept.  Coset i
-    is vertex i - 1 of the coset graph.
+    An element a != Z of ``quotient``, G/Z, with a a = Z is kept, in index
+    order, when it commutes with every element kept before it and lies
+    outside the group they generate.  Then b -> a b a = a b a^-1 is
+    conjugation by a, an automorphism of G that fixes Z and so keeps which
+    cosets commute; a a = Z makes it an involution, and cosets that commute
+    give maps that commute.  Only G/Z's table is read.  Coset i is vertex
+    i - 1 of the coset graph.
     """
-    decomposition = group.center_cosets
-    coset_of = decomposition.coset_of
-    products = decomposition.products
+    table = quotient.table
     kept: list[int] = []
     span = {0}
-    for a, row in enumerate(products):
-        if (
-            coset_of[row[a]] == 0
-            and a not in span
-            and all(coset_of[row[b]] == coset_of[products[b][a]] for b in kept)
-        ):
+    for a, row in enumerate(table):
+        if row[a] == 0 and a not in span and all(row[b] == table[b][a] for b in kept):
             kept.append(a)
-            span.update([coset_of[row[x]] for x in span])
+            span.update([row[x] for x in span])
     perms = []
     for a in kept:
-        column = [coset_of[row[a]] - 1 for row in products]  # the vertex of x a
-        perms.append(tuple(column[coset_of[x]] for x in products[a][1:]))
+        column = [row[a] - 1 for row in table]  # the vertex of x a
+        perms.append(tuple(column[x] for x in table[a][1:]))
     return perms
 
 

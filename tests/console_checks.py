@@ -348,8 +348,8 @@ def check_verify_large_groups(tmp):
         # 1331 elements: 12 cliques of 110 non-central elements, one
         # distinct block
         "heis:11",
-        # 2197 elements: three checked generator rows and the rows of the
-        # 169 coset representatives, no table; commutation from the cosets
+        # 2197 elements: three checked generator rows and one row for each
+        # of the 169 cosets, no table; commutation from the cosets
         "heis:13",
         # 4913 elements, the scale target: its 4913 points are walked and
         # 289 rows composed; check_verify_heis_17_within_80_mb bounds its memory
@@ -358,7 +358,7 @@ def check_verify_large_groups(tmp):
         # non-central rotations into one row
         "dihedral:300",
         # 2000 elements: its central quotient, of order 1000, is the largest
-        # any command builds, read off the 10^6 coset products without a walk
+        # any command builds; its table is the one the decomposition keeps
         "dihedral:1000",
         # 2000 elements: decided on the graph of the 999 non-central cosets;
         # the element graph is not built
@@ -387,7 +387,7 @@ def check_verify_large_groups(tmp):
 
 def check_verify_heis_17_within_80_mb(tmp):
     # no table of heis:17 is built: its decomposition reads three generator
-    # rows and composes the 289 representatives' rows, so the process peaks
+    # rows and composes one row for each of the 289 cosets, so the process peaks
     # near 27 MB, where composing the 4913-row table first took 201 MB.  A
     # process of its own runs the command, so that the peak of its children
     # is that command's alone.

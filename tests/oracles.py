@@ -63,7 +63,8 @@ def table_free(group):
 def table_center_cosets(table, gens):
     """The ``CenterCosets`` of a group read off its whole table: the center
     from the generators, each coset xZ from row x, in order of its
-    smallest member, and the q^2 products of the smallest members."""
+    smallest member, and G/Z's table, entry (i, j) the coset of r_i * r_j
+    for the smallest members r_i and r_j."""
     n = len(table)
     z = tuple(x for x in range(n) if all(table[x][g] == table[g][x] for g in gens))
     coset_of = [-1] * n
@@ -74,12 +75,12 @@ def table_center_cosets(table, gens):
             for m in cosets[-1]:
                 coset_of[m] = len(cosets) - 1
     reps = [coset[0] for coset in cosets]
-    products = tuple(tuple(table[r][s] for s in reps) for r in reps)
+    quotient = tuple(tuple(coset_of[table[r][s]] for s in reps) for r in reps)
     commuting = tuple(
         sum(1 << j for j, s in enumerate(reps) if table[r][s] == table[s][r])
         for r in reps
     )
-    return CenterCosets(tuple(coset_of), tuple(cosets), commuting, products)
+    return CenterCosets(tuple(coset_of), tuple(cosets), commuting, quotient)
 
 
 def centralizer(group, x):

@@ -736,8 +736,8 @@ _GRID_LABELS = [spec.label() for _, spec in list_catalog()]
 )
 def test_the_walk_runs_once_per_built_group(argv, specs, monkeypatch, capsys):
     # a catalog group's points are walked once and its table never
-    # composed: the decomposition composes only the representatives' rows,
-    # and the central quotient is read off the coset products
+    # composed: the decomposition composes one member's row per coset, and
+    # the central quotient wraps the table the decomposition keeps
     walked = _spy_orbit(monkeypatch)
     composed = _spy_composed_tables(monkeypatch)
     assert main(argv) == 0
@@ -745,6 +745,33 @@ def test_the_walk_runs_once_per_built_group(argv, specs, monkeypatch, capsys):
     assert composed == []
     # a product is walked as a whole, never its factors
     assert walked == [parse_family(label).order() for label in specs]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["suite", "--format", "json"],
+        ["verify", "metacyclic:12,6"],
+        ["verify", "dihedral:40"],
+    ],
+    ids=["suite-json", "metacyclic:12,6", "dihedral:40"],
+)
+def test_only_the_proof_derives_columns(argv, monkeypatch, capsys):
+    # the proof derives the column of each generator in S, and the
+    # decomposition reads those and derives none of its own
+    derived = _count_calls(monkeypatch, groups, "_column")
+    generators = []  # |S| of each group the proof builds
+    original = catalog._group
+
+    def proved(*args):
+        group = original(*args)
+        generators.append(len(group.generators))
+        return group
+
+    monkeypatch.setattr(catalog, "_group", proved)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert generators and len(derived) == sum(generators)
 
 
 @pytest.fixture()

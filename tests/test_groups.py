@@ -683,8 +683,8 @@ def test_coset_masks_match_the_pairwise_definition(grid):
         decomposition = group.center_cosets
         reps = [coset[0] for coset in decomposition.cosets]
         rows = [[table[a][b] == table[b][a] for b in reps] for a in reps]
-        assert decomposition.products == tuple(
-            tuple(table[a][b] for b in reps) for a in reps
+        assert decomposition.quotient == tuple(
+            tuple(decomposition.coset_of[table[a][b]] for b in reps) for a in reps
         ), name
         assert decomposition.commuting == tuple(
             sum(1 << j for j, commutes in enumerate(row) if commutes) for row in rows

@@ -2302,8 +2302,82 @@ def _split_analysis(group, candidates=None):
     """is_integral on the coset graph, split by ``candidates`` or, when
     None, by the candidates verify_group passes."""
     if candidates is None:
-        candidates = _commuting_involutions(group)
+        candidates = _commuting_involutions(quotient_by_center(group))
     return is_integral(coset_graph(group), len(center(group)), None, lambda: candidates)
+
+
+def _involutions_by_definition(table):
+    """What ``_commuting_involutions`` keeps, read off a group's whole table.
+
+    The center comes from all n^2 pairs and its cosets are numbered in
+    order of their smallest members r_i, Z first.  A coset a != Z with
+    r_a r_a in Z is an involution of G/Z; it is kept, greedily in index
+    order, when it commutes in G/Z with every coset kept before it and lies
+    outside the group they generate.  Returns the involutions, the kept
+    cosets, the group they generate, the product of G/Z as a function, and
+    for each kept a the map b -> a b a of the coset graph's vertices
+    (coset i is vertex i - 1).
+    """
+    n = len(table)
+    z = [x for x in range(n) if all(table[x][y] == table[y][x] for y in range(n))]
+    coset_of = [-1] * n
+    reps = []
+    for x in range(n):
+        if coset_of[x] < 0:
+            for c in z:
+                coset_of[table[x][c]] = len(reps)
+            reps.append(x)
+
+    def times(i, j):
+        return coset_of[table[reps[i]][reps[j]]]
+
+    def span(kept):
+        found = {0}
+        while True:
+            grown = found | {times(s, k) for s in found for k in kept}
+            if grown == found:
+                return found
+            found = grown
+
+    involutions = [a for a in range(1, len(reps)) if times(a, a) == 0]
+    kept = []
+    for a in involutions:
+        if all(times(a, b) == times(b, a) for b in kept) and a not in span(kept):
+            kept.append(a)
+    maps = [
+        tuple(times(times(a, b), a) - 1 for b in range(1, len(reps))) for a in kept
+    ]
+    return involutions, kept, span(kept), times, maps
+
+
+def test_commuting_involutions_match_their_definition(grid):
+    named = [(name, group) for name, _, group in grid]
+    for label in ("heis:7", "metacyclic:12,6", "dihedral:40", "dihedral:300"):
+        named.append((label, build(parse_family(label))))
+    for name, degree, even in (("S4", 4, False), ("A5", 5, True), ("S5", 5, False)):
+        table = permutation_table(degree, even, random.Random(1))
+        named.append((name, from_cayley_table(table)))
+    split = 0
+    for name, group in named:
+        involutions, kept, span, times, maps = _involutions_by_definition(group.table)
+        # every involution that commutes with all the kept ones is in their span
+        for a in involutions:
+            if all(times(a, b) == times(b, a) for b in kept):
+                assert a in span, (name, a)
+        assert _commuting_involutions(quotient_by_center(group)) == maps, name
+        adjacency = coset_graph(group).adjacency
+        vertices = range(len(adjacency))
+        for perm in maps:
+            assert all(perm[perm[v]] == v for v in vertices), name
+            assert all(
+                adjacency[perm[u]] >> perm[v] & 1 == adjacency[u] >> v & 1
+                for u in vertices
+                for v in vertices
+            ), name
+        for perm, other in itertools.combinations(maps, 2):
+            assert all(perm[other[v]] == other[perm[v]] for v in vertices), name
+        split += len(maps) > 1
+    assert len(named) == 80 and split > 0
 
 
 @pytest.mark.parametrize(
@@ -2344,7 +2418,7 @@ def test_each_candidate_that_fails_a_test_is_dropped(monkeypatch):
     def compose(f, g):
         return {c: f[g[c]] for c in g}
 
-    candidates = _commuting_involutions(group)
+    candidates = _commuting_involutions(quotient_by_center(group))
     good = next(p for p in candidates if any(a != b for a, b in class_map(p).items()))
     involutions = [a for a in range(1, len(table)) if table[a][a] == 0]
     other = next(

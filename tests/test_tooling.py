@@ -1,11 +1,13 @@
 """Checks on the sources and the docs that no linter in CI makes: README's
 API list and error table match the package, every underscore name that a
-docstring or README cites is defined in the package, no module keeps an
-import it never uses, and no module brings floating point in.  That starting the CLI loads none of the introspection
-modules is checked in a fresh process, by
+docstring or README cites is defined in the package, every attribute of a
+package class that they cite exists, no module keeps an import it never
+uses, and no module brings floating point in.  That starting the CLI loads
+none of the introspection modules is checked in a fresh process, by
 ``console_checks.check_startup_loads_no_introspection_module``."""
 
 import ast
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -109,19 +111,89 @@ def _defined_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def _docstrings(tree: ast.Module) -> list[str]:
+    """The docstrings of a module and of every class and function in it."""
+    return [
+        ast.get_docstring(node, clean=False) or ""
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+    ]
+
+
+def _package_trees() -> list[ast.Module]:
+    return [ast.parse(p.read_text(encoding="utf-8")) for p in _PACKAGE.glob("*.py")]
+
+
 def test_every_cited_underscore_name_is_defined():
     # a docstring or README that still names a deleted helper is stale
     defined = set(_NAMEDTUPLE_METHODS)
     cited = set(_CITED_README.findall(_README.read_text(encoding="utf-8")))
-    for path in _PACKAGE.glob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for tree in _package_trees():
         defined |= _defined_names(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
-                doc = ast.get_docstring(node, clean=False) or ""
-                cited.update(_CITED_DOCSTRING.findall(doc))
+        for doc in _docstrings(tree):
+            cited.update(_CITED_DOCSTRING.findall(doc))
     assert cited, "the pattern found no citation at all"
     assert sorted(cited - defined) == []
+
+
+# an attribute of a class cited in a docstring as ``Class.attribute`` or
+# ``module.Class.attribute``, or in README as `Class.attribute`
+_CITED_ATTRIBUTE_DOCSTRING = re.compile(r"``(?:\w+\.)*(_?[A-Z]\w*)\.(\w+)``")
+_CITED_ATTRIBUTE_README = re.compile(r"`(?:\w+\.)*(_?[A-Z]\w*)\.(\w+)`")
+
+
+def _package_classes() -> dict[str, type]:
+    """Every class that a module of the package defines, by name."""
+    modules = [
+        importlib.import_module(f"commspec.{path.stem}")
+        for path in _PACKAGE.glob("*.py")
+        if path.stem != "__init__"
+    ]
+    return {
+        name: obj
+        for module in modules
+        for name, obj in vars(module).items()
+        if inspect.isclass(obj) and obj.__module__ == module.__name__
+    }
+
+
+def _stale_attributes(docstrings: list[str], readme: str) -> list[str]:
+    """The cited ``Class.attribute`` pairs whose class is one of the
+    package's and has no such attribute; a class from outside the package,
+    such as ``typing.NamedTuple``, is not checked."""
+    cited = set(_CITED_ATTRIBUTE_README.findall(readme))
+    for doc in docstrings:
+        cited.update(_CITED_ATTRIBUTE_DOCSTRING.findall(doc))
+    classes = _package_classes()
+    return sorted(
+        f"{name}.{attribute}"
+        for name, attribute in cited
+        if name in classes and not hasattr(classes[name], attribute)
+    )
+
+
+def test_every_cited_class_attribute_exists():
+    # a docstring or README that still names a renamed field is stale
+    docstrings = [doc for tree in _package_trees() for doc in _docstrings(tree)]
+    readme = _README.read_text(encoding="utf-8")
+    assert _CITED_ATTRIBUTE_DOCSTRING.search("\n".join(docstrings))
+    assert _CITED_ATTRIBUTE_README.search(readme)
+    assert _stale_attributes(docstrings, readme) == []
+
+
+def test_the_attribute_guard_finds_a_stale_citation():
+    tree = ast.parse(
+        '"""``CenterCosets.products`` and ``groups.CenterCosets.quotient``."""\n'
+        "class Record:\n"
+        '    """``FiniteGroup.table``, ``_GroupFields.rows`` and\n'
+        '    ``typing.NamedTuple``; ``Fraction.limit`` is not the package\'s."""\n'
+    )
+    readme = "`FiniteGroup.tables`, `Spectrum.pairs` and `groups.FiniteGroup.order`"
+    assert _stale_attributes(_docstrings(tree), readme) == [
+        "CenterCosets.products",
+        "FiniteGroup.tables",
+        "_GroupFields.rows",
+    ]
 
 
 # the functions of ``math`` that map ints to ints exactly; every other name
