@@ -37,6 +37,7 @@ from .groups import (
     _check_order,
     _clip,
     _group,
+    _integer,
     is_prime,
 )
 
@@ -428,7 +429,7 @@ def list_catalog() -> list[tuple[str, FamilySpec]]:
     return entries
 
 
-_CYCLIC_TOKEN = re.compile(r"z(\d+)")
+_CYCLIC_TOKEN = re.compile(r"z([0-9]+)")
 
 # A factor that is itself a product cannot be written: the comma split of
 # the outer spec would leave it a single factor.
@@ -459,18 +460,18 @@ def parse_family(text: str) -> FamilySpec:
 
 def _int_params(text: str, args: list[str]) -> tuple[int, ...]:
     """The parameter strings of the spec ``text`` as ints, for the ``z<k>``
-    form and the family form alike.  ``int`` refuses a non-integer, and a
-    number with more digits than ``sys.get_int_max_str_digits()``; either is
-    a :class:`ParseError`, which names the limit in the second case and
-    shows ``text`` cut by ``_clip``."""
+    form and the family form alike.  ``_integer`` refuses all but an ASCII
+    decimal numeral, and ``int`` a number with more digits than
+    ``sys.get_int_max_str_digits()``; either is a :class:`ParseError`, which
+    names the limit in the second case and shows ``text`` cut by ``_clip``."""
     params = []
     for arg in args:
         try:
-            params.append(int(arg))
+            params.append(_integer(arg))
         except ValueError:
             shown = repr(_clip(text))
             digits = arg.strip()
-            if digits.isdecimal():  # int() reads any run of digits but a long one
+            if digits.isascii() and digits.isdecimal():  # but too long for int()
                 raise ParseError(
                     f"parameter in {shown} has {len(digits)} digits; int() takes "
                     f"at most {sys.get_int_max_str_digits()} "

@@ -1,10 +1,11 @@
 """Finite groups on 0-based element indices, given by the rows of a
 generating set.
 
-Element 0 is always the identity; the constructor relabels elements when the
-identity sits elsewhere.  Every record here is an immutable
-``typing.NamedTuple`` and all operations are pure functions, so groups and
-derived data can be shared freely between workers.
+Element 0 is always the identity; ``from_cayley_table`` reads a table whose
+identity sits elsewhere through the swap of the two, with no relabelled
+copy.  Every record here is an immutable ``typing.NamedTuple`` and all
+operations are pure functions, so groups and derived data can be shared
+freely between workers.
 
 A group is its names, Light's generating set S and the rows of S; the full
 n x n table is composed only when asked for (``FiniteGroup.table``).  Every
@@ -15,9 +16,10 @@ proof, ``_group``: ``_orbit`` walks the points under the rows of S, each
 generator's column is derived along that walk (``_column``), and
 multiplying by a generator on the left must commute with multiplying by
 one on the right.  A table from outside must also give back, row by row,
-what the walk composes, and the group then holds it; a catalog group is
-never tabulated.  The central quotient needs no proof: its table is the
-one the decomposition keeps (``quotient_by_center``).
+what the walk composes; it is checked in place and dropped, so no group
+the proof builds holds a table.  The central quotient needs no proof: its
+table is the one the decomposition keeps (``quotient_by_center``), and it
+is the only group that holds one.
 Commutation is read off the cosets of the center Z, never off all n^2
 pairs.  The center comes from S: x is central iff x*g == g*x for every g
 in S, because the centralizer C(x) is a subgroup, so holding S means
@@ -40,6 +42,7 @@ reads a table after it; none holds a mask per element.
 
 from __future__ import annotations
 
+import re
 from functools import cached_property
 from itertools import compress
 from math import isqrt
@@ -109,10 +112,11 @@ class FiniteGroup(_GroupFields):
 
         Composed on first use along the tree, and kept: row 0 is
         (0, 1, ..., n-1), and on each edge (x, row_g) the row of g*x is
-        row_g o row_x, one ``itemgetter`` call.  A table from outside and a
-        central quotient hold theirs from the start.  Only ``mul``,
-        ``inverse``, ``element_order`` and the central quotient's shape
-        recognition read it.
+        row_g o row_x, one ``itemgetter`` call.  Only a central quotient
+        holds its table from the start; a group built from a table from
+        outside does not keep it, and composes its own like any other.
+        Only ``mul``, ``inverse``, ``element_order`` and the central
+        quotient's shape recognition read it.
         """
         rows = [tuple(range(self.order))] * self.order  # row 0; the tree sets the rest
         for x, row in self._tree:
@@ -180,27 +184,38 @@ class Recognition(NamedTuple):
 def from_cayley_table(
     table: Sequence[Sequence[int]], names: Sequence[str] | None = None
 ) -> FiniteGroup:
-    """Validate a multiplication table from outside and wrap it.
+    """Validate a multiplication table from outside and build its group.
 
-    Every check runs here, in this order: each row has n entries, each
-    entry is an exact int in 0..n-1 (``_check_entries``), there are n
-    distinct names (a repeated name would merge two vertices of the DOT
-    export, and raises ``ParseError``), there is a two-sided identity, and
-    each element has exactly one right inverse.  If the two-sided identity
-    is not element 0, the table is relabelled so that it is; messages from
-    the checks after that name elements by their relabelled indices.
-    Associativity is then proved by ``_group``, which also builds the
-    group.  The table's generator rows reach it only if they are
-    permutations: a row g that is not names (g*g')*m != g*(g'*m), for g'
-    the one right inverse of g and m a value missing from the row, since
-    (g*g')*m = 0*m = m while g*(g'*m) lies in the row.
+    The table is evidence for the proof, not storage: its rows are read in
+    place, and neither a copy nor the table itself is kept.  Every check
+    runs here, in this order: each row has n entries, each entry is an
+    exact int in 0..n-1 (``_check_entries``), there are n distinct names (a
+    repeated name would merge two vertices of the DOT export, and raises
+    ``ParseError``), there is a two-sided identity e, and each element has
+    exactly one right inverse.  The group puts e at index 0: element x is
+    the table's element swap[x], where swap exchanges 0 and e, so its
+    product with y is swap[table[swap[x]][swap[y]]].  Messages from the
+    checks after the identity's name elements by those indices.
+
+    ``_orbit`` asks for the rows of Light's generating set S, each relabelled
+    as it is asked for, and walks the points under them.  They reach the
+    walk only if they are permutations: a row g that is not names
+    (g*g')*m != g*(g'*m), for g' the one right inverse of g and m a value
+    missing from the row, since (g*g')*m = 0*m = m while g*(g'*m) lies in
+    the row.  The table must then be what the walk composes: on each tree
+    edge (x, row_g) the row of g*x must be row_g o row_x.  In the table's
+    own labels that is its row of swap[g*x] against its row of swap[g]
+    picked at its row of swap[x], one ``itemgetter`` call per edge, so no
+    relabelled row is built.  By induction along the tree every row is
+    then the one the walk composes, so the table is the group law that
+    ``_group`` proves.  A mismatch names (g*x)*m != g*(x*m) for the least
+    such m.
     """
-    rows = [tuple(row) for row in table]
-    n = len(rows)
+    n = len(table)
     if n == 0:
         raise IndexOutOfRange("table is empty")
     valid = frozenset(range(n))
-    for i, row in enumerate(rows):
+    for i, row in enumerate(table):
         if len(row) != n:
             raise IndexOutOfRange(f"row {i} has {len(row)} entries, expected {n}")
         _check_entries(i, row, valid)
@@ -217,32 +232,41 @@ def from_cayley_table(
     else:
         name_list = [f"g{i}" for i in range(n)]
 
-    ident = _find_identity(rows)
-    if ident is None:
+    e = _find_identity(table)
+    if e is None:
         raise AxiomViolation("identity", "no two-sided identity element")
-    if ident != 0:
-        rows, name_list = _swap_to_front(rows, name_list, ident)
+    swap = list(range(n))
+    swap[0], swap[e] = e, 0
 
     for i in range(n):
-        hits = rows[i].count(0)
+        hits = table[swap[i]].count(e)
         if hits != 1:
             raise AxiomViolation(
                 "inverse", f"element {i} has {hits} right inverses, expected 1"
             )
 
     def generator_row(g: int) -> tuple[int, ...]:
-        row = rows[g]
+        # n >= 2 where a generator is asked for, so itemgetter gives tuples
+        row = itemgetter(*itemgetter(*swap)(table[swap[g]]))(swap)
         if len(set(row)) < n:
             raise _associativity(g, row.index(0), min(valid.difference(row)))
         return row
 
-    return _group(name_list, generator_row, tuple(rows))
+    def check_tree(edges: list[_Edge]) -> None:
+        for x, row in edges:
+            composed = itemgetter(*table[swap[x]])(table[swap[row[0]]])
+            target = table[swap[row[x]]]
+            if composed != tuple(target):
+                m = next(m for m in range(n) if target[swap[m]] != composed[swap[m]])
+                raise _associativity(row[0], x, m)
+
+    return _group([name_list[i] for i in swap], generator_row, check_tree)
 
 
 def _group(
     names: Sequence[str],
     generator_row: Callable[[int], tuple[int, ...]],
-    table: tuple[tuple[int, ...], ...] | None = None,
+    check_tree: Callable[[list[_Edge]], None] | None = None,
 ) -> FiniteGroup:
     """Prove the named elements a group from the rows of a generating set,
     and wrap those rows: the one proof for every group that is checked.
@@ -253,10 +277,13 @@ def _group(
     ``catalog._check_generator_row``, a table from outside in
     ``from_cayley_table``, after the checks on the whole table.
     ``_orbit`` asks it for the rows of Light's generating set S and walks
-    the points 0..n-1 under them.  Write L = <lambda_g : g in S> for the
-    group of permutations the rows lambda_g: y -> g*y generate.  The walk
-    reaches every point, so L is transitive.  Along the walk's tree each
-    column rho_h: x -> x*h of a generator h is derived from rho_h(0) = h by
+    the points 0..n-1 under them.  ``check_tree``, if given, then gets the
+    walk's tree, before any commutation is checked: a table from outside
+    checks there that it is what the walk composes.  Write
+    L = <lambda_g : g in S> for the group of permutations the rows
+    lambda_g: y -> g*y generate.  The walk reaches every point, so L is
+    transitive.  Along the walk's tree each column rho_h: x -> x*h of a
+    generator h is derived from rho_h(0) = h by
     rho_h(g*x) = lambda_g(rho_h(x)) (``_column``), and then
     lambda_g o rho_h == rho_h o lambda_g is checked for every g and h in S,
     rows in order and for each row the columns in order: |S|^2 pairs, each
@@ -281,29 +308,17 @@ def _group(
       so l_(x*y) = l_x o l_y.  It agrees with the rows of S, since
       l_g = lambda_g, and every rho_h derived above is its column h.
 
-    A ``table`` must also be what the walk composes: on each tree edge
-    (x, row_g) its row of g*x must be row_g o row_x, one ``itemgetter`` call
-    compared and dropped, so no second table is built.  By induction along
-    the tree every row of the table is then l_x, so the table is the law
-    above and its columns of S are the derived ones.  A mismatch at m names
-    (g*x)*m != g*(x*m).
-
     Conversely the rows of a group pass: the derivation follows its law,
     and left and right multiplication commute.  A failing commutation
     check names (g*y)*h != g*(y*h) in the table composed from the rows of S
-    along the tree, as ``FiniteGroup.table`` composes it: the ``table``
-    itself when one is given.  In a group |S| <= log2(n) (see ``_orbit``);
-    on other tables |S| only grows, up to n.  The group keeps the tree, the
-    derived columns and the ``table`` if one is given.
+    along the tree, as ``FiniteGroup.table`` composes it.  In a group
+    |S| <= log2(n) (see ``_orbit``); on other tables |S| only grows, up to
+    n.  The group keeps the tree and the derived columns, and no table.
     """
     n = len(names)
     gens, rows, edges = _orbit(n, generator_row)
-    if table is not None:
-        for x, row in edges:
-            composed = itemgetter(*table[x])(row)  # edges exist only for n >= 2
-            if table[row[x]] != composed:
-                m = next(m for m, v in enumerate(table[row[x]]) if v != composed[m])
-                raise _associativity(row[0], x, m)
+    if check_tree is not None:
+        check_tree(edges)
     columns = [_column(n, edges, h) for h in gens]
     right_of = [itemgetter(*column) for column in columns]
     for row in rows:
@@ -314,8 +329,6 @@ def _group(
                 raise _associativity(row[0], y, column[0])  # g*0 == g, 0*h == h
     group = FiniteGroup(tuple(names), tuple(gens), tuple(rows))
     group.__dict__.update(_tree=edges, _columns=columns)
-    if table is not None:
-        group.__dict__["table"] = table
     return group
 
 
@@ -395,26 +408,17 @@ def _check_entries(i: int, row: Sequence[int], valid: frozenset[int]) -> None:
         raise IndexOutOfRange(f"entry ({i},{j}) = {v!r} not in 0..{n - 1}")
 
 
-def _find_identity(rows: list[tuple[int, ...]]) -> int | None:
-    n = len(rows)
-    straight = tuple(range(n))
+def _find_identity(table: Sequence[Sequence[int]]) -> int | None:
+    """The two-sided identity of a table whose entries are checked, if
+    any: the first e whose row is 0..n-1, read up to its first other
+    entry, and whose column is too."""
+    n = len(table)
     for e in range(n):
-        if rows[e] == straight and all(rows[i][e] == i for i in range(n)):
+        if all(map(eq, table[e], range(n))) and all(
+            table[i][e] == i for i in range(n)
+        ):
             return e
     return None
-
-
-def _swap_to_front(
-    rows: list[tuple[int, ...]], names: list[str], e: int
-) -> tuple[list[tuple[int, ...]], list[str]]:
-    # new entry (i, j) is perm[rows[perm[i]][perm[j]]]: ``pick`` reads a
-    # row at the permuted columns, and one itemgetter maps that through perm;
-    # e != 0 means n >= 2, so both return tuples
-    perm = list(range(len(rows)))
-    perm[0], perm[e] = e, 0
-    pick = itemgetter(*perm)
-    new_rows = [itemgetter(*pick(row))(perm) for row in pick(rows)]
-    return new_rows, list(pick(names))
 
 
 def _center_cosets(group: FiniteGroup) -> CenterCosets:
@@ -422,10 +426,9 @@ def _center_cosets(group: FiniteGroup) -> CenterCosets:
 
     One routine for every group.  The columns x -> x*h of the generators h
     are the group's, derived along its tree (``_column``) by the proof or
-    on first use; no other column is derived.  The rows it needs are read
-    from the table where the group holds one (a table from outside, or a
-    central quotient), and otherwise composed from the generator rows: q
-    compositions of n-tuples at C speed, not n.
+    on first use; no other column is derived.  Every group is its generator
+    rows here, a central quotient too, and the rows it needs are composed
+    from them: q compositions of n-tuples at C speed, not n.
 
     x is central iff (x*h for h in S) equals (h*x for h in S), the column of
     x in S's rows, which ``zip`` transposes; the trivial group has no
@@ -445,7 +448,7 @@ def _center_cosets(group: FiniteGroup) -> CenterCosets:
     dropped too.  So the rows are never held with G/Z's table.
     """
     n, gens, rows = group.order, group.generators, group.generator_rows
-    table, columns = group.__dict__.get("table"), group._columns
+    columns = group._columns
     # row_y o row_h is the row of y*h; n >= 2 where S is not empty
     steps = list(zip(gens, [itemgetter(*row) for row in rows]))
     z = tuple(compress(range(n), map(eq, zip(*columns), zip(*rows)))) if gens else (0,)
@@ -459,7 +462,7 @@ def _center_cosets(group: FiniteGroup) -> CenterCosets:
         for h, step in steps:
             y = row[h]
             if coset_of[y] < 0:
-                row_y = table[y] if table else step(row)
+                row_y = step(row)
                 ys = pick_z(row_y)
                 r = min(ys)
                 for m in ys:
@@ -658,10 +661,11 @@ def _max_clique(adj: list[int], cand: int, cap: int) -> list[int]:
     return best
 
 
-# Groups are built only up to _MAX_ORDER elements.  A table from outside
-# holds n^2 entries, 2**26 at the bound, and larger tables would end in a
-# MemoryError rather than in a typed error.  A catalog group holds no table,
-# but keeps the same bound until a workload measures a larger one.
+# Groups are built only up to _MAX_ORDER elements.  The parse of a table
+# from outside holds its n^2 entries, 2**26 at the bound, and larger tables
+# would end in a MemoryError rather than in a typed error.  No group keeps
+# a table from outside, and a catalog group holds none, but both keep the
+# same bound until a workload measures a larger one.
 _MAX_ORDER = 2**13
 
 
@@ -732,7 +736,7 @@ def parse_cayley_text(text: str) -> tuple[list[list[int]], list[str] | None]:
     if len(lines) < n + 1:
         raise ParseError(f"expected {n} table rows, found {len(lines) - 1}")
     # the canonical spelling of each index, read by lookup; any other token
-    # goes through int(), which also accepts "007", "+3" and "-0"
+    # goes through _integer(), which also accepts "007", "+3" and "-0"
     canonical = {str(k): k for k in range(n)}.__getitem__
     table: list[list[int]] = []
     for i in range(1, n + 1):
@@ -741,7 +745,7 @@ def parse_cayley_text(text: str) -> tuple[list[list[int]], list[str] | None]:
             row = list(map(canonical, parts))
         except KeyError:
             try:
-                row = [int(tok) for tok in parts]
+                row = [_integer(tok) for tok in parts]
             except ValueError:
                 raise ParseError(f"row {i - 1} contains a non-integer token") from None
         if len(row) != n:
@@ -763,7 +767,7 @@ def _order(line: str) -> int:
     error shows the line's ``repr`` cut by ``_clip``, as the line may be of
     any length."""
     try:
-        n = int(line)
+        n = _integer(line)
     except ValueError:
         shown = _clip(repr(line), 50)
         raise ParseError(f"first line must be the order, got {shown}") from None
@@ -771,6 +775,16 @@ def _order(line: str) -> int:
         raise ParseError(f"order must be positive, got {n}")
     _check_order(n)
     return n
+
+
+def _integer(text: str) -> int:
+    """``int(text)`` for an ASCII decimal numeral, with an optional sign and
+    blanks around it, such as "+3", "03" or "-0".  Anything else raises
+    ``ValueError``: also an underscore or a non-ASCII digit, which ``int``
+    reads as well ("1_0", "\uff11\uff10")."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
+        raise ValueError(f"not an ASCII decimal numeral: {text!r}")
+    return int(text)
 
 
 def _clip(text: str, width: int = 60) -> str:
@@ -786,7 +800,7 @@ def from_cayley_text(text: str) -> FiniteGroup:
 
 
 def load_cayley_file(path: str) -> FiniteGroup:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             text = _read_cayley_text(handle)
         except UnicodeDecodeError as exc:

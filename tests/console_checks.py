@@ -27,7 +27,7 @@ import time
 import traceback
 from pathlib import Path
 
-from permutation_groups import permutation_table
+from permutation_groups import permutation_table, relabelled_table
 
 # every command runs in a temporary directory, so a relative entry, such as
 # the src of PYTHONPATH=src, is made absolute first
@@ -385,22 +385,54 @@ def check_verify_large_groups(tmp):
             _require("integral: no" in lines, f"verify {spec} printed {lines}")
 
 
-def check_verify_heis_17_within_80_mb(tmp):
-    # no table of heis:17 is built: its decomposition reads three generator
-    # rows and composes one row for each of the 289 cosets, so the process peaks
-    # near 27 MB, where composing the 4913-row table first took 201 MB.  A
-    # process of its own runs the command, so that the peak of its children
-    # is that command's alone.
+def _peak_mb(tmp, *args):
+    """Run ``commspec *args`` and return its peak resident memory in MB
+    and its stdout.  A process of its own runs the command, so that the
+    peak of its children is that command's alone."""
     source = (
         "import resource, subprocess, sys\n"
-        "argv = [sys.executable, '-m', 'commspec.cli', 'verify', 'heis:17']\n"
-        "subprocess.run(argv, check=True, stdout=subprocess.DEVNULL)\n"
+        f"argv = [sys.executable, '-m', 'commspec.cli', *{args!r}]\n"
+        "out = subprocess.run(argv, check=True, capture_output=True).stdout\n"
         "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
         # kilobytes on Linux, bytes on macOS
         "print(peak >> 20 if sys.platform == 'darwin' else peak >> 10)\n"
+        "sys.stdout.write(out.decode())\n"
     )
-    peak = int(_run(tmp, ["-c", source], 0, 60)[0])
+    peak, out = _run(tmp, ["-c", source], 0, 60)[0].split("\n", 1)
+    return int(peak), out
+
+
+def check_verify_heis_17_within_80_mb(tmp):
+    # no table of heis:17 is built: its decomposition reads three generator
+    # rows and composes one row for each of the 289 cosets, so the process peaks
+    # near 27 MB, where composing the 4913-row table first took 201 MB
+    peak, _ = _peak_mb(tmp, "verify", "heis:17")
     _require(peak < 80, f"verify heis:17 peaked at {peak} MB, over 80 MB")
+
+
+def check_verify_a_relabelled_table_within_100_mb(tmp):
+    # dihedral:1000, a^i b^j at index j*m + i, with its 2000 elements
+    # relabelled so that the identity is off index 0.  Its rows are read
+    # in place and dropped once checked, with no tuple or relabelled copy,
+    # so the process peaks near 80 MB, where the two copies took 125 MB;
+    # what remains is the parse of the text
+    m = 1000
+    values = list(range(2 * m))  # every entry one of these int objects
+
+    def dihedral_row(j, i):  # a^i b^j a^h b^k = a^(i + (-1)^j h) b^(j + k)
+        shifts = [(i - h if j else i + h) % m for h in range(m)]
+        return [values[(j + k) % 2 * m + s] for k in (0, 1) for s in shifts]
+
+    table = [dihedral_row(j, i) for j in (0, 1) for i in range(m)]
+    table = relabelled_table(table, random.Random(1))
+    path = tmp / "dihedral-1000.cayley"
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(f"{2 * m}\n")
+        out.writelines(" ".join(map(str, row)) + "\n" for row in table)
+    del table
+    peak, out = _peak_mb(tmp, "verify", f"file:{path}")
+    _require("result: ok" in out.splitlines(), f"verify printed {out!r}")
+    _require(peak < 100, f"verify of the table peaked at {peak} MB, over 100 MB")
 
 
 CHECKS = (
@@ -426,6 +458,7 @@ CHECKS = (
     check_analyze_heis_5_json,
     check_verify_large_groups,
     check_verify_heis_17_within_80_mb,
+    check_verify_a_relabelled_table_within_100_mb,
 )
 
 

@@ -455,6 +455,8 @@ def test_parse_family_round_trips_catalog_labels():
             "prod:metacyclic:4,2,z2",
             FamilySpec.product(FamilySpec.metacyclic(4, 2), FamilySpec.cyclic(2)),
         ),
+        ("dihedral:+3", FamilySpec.dihedral(3)),
+        ("metacyclic:04, +2", FamilySpec.metacyclic(4, 2)),
     ],
 )
 def test_parse_family(text, spec):
@@ -490,6 +492,23 @@ def test_a_product_factor_cannot_be_a_product(text):
 def test_parse_family_errors(text):
     with pytest.raises((ParseError, ParameterOutOfRange)):
         parse_family(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("dihedral:1_0", "non-integer parameter in 'dihedral:1_0'"),
+        ("dihedral:\uff11\uff10", "non-integer parameter in 'dihedral:\uff11\uff10'"),
+        ("z\uff11\uff12", "unknown family 'z\uff11\uff12'"),
+    ],
+    ids=["underscore", "fullwidth", "fullwidth-cyclic"],
+)
+def test_parameters_are_ascii_decimal_numerals(text, message):
+    # int() reads an underscore and non-ASCII digits, and the regex \d
+    # matches the latter; each used to parse as dihedral:10 or z12
+    with pytest.raises(ParseError) as info:
+        parse_family(text)
+    assert str(info.value) == message
 
 
 def _word(*terms):

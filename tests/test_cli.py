@@ -1,8 +1,10 @@
+import codecs
 import hashlib
 import inspect
 import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +163,19 @@ def test_verify_rejects_duplicate_names(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: elements 1 and 4 share the name 'a'\n"
+
+
+def test_a_cayley_file_with_a_byte_order_mark_verifies(s3_file, tmp_path, capsys):
+    # a table saved with a UTF-8 byte-order mark was refused with "first
+    # line must be the order, got '\\ufeff6'"
+    assert main(["verify", f"file:{s3_file}"]) == 0
+    plain = capsys.readouterr().out
+    marked = tmp_path / "s3-marked.cayley"
+    marked.write_bytes(codecs.BOM_UTF8 + Path(s3_file).read_bytes())
+    assert main(["verify", f"file:{marked}"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == plain.replace(s3_file, str(marked), 1)
 
 
 def test_analyze_binary_file_is_a_parse_error(tmp_path, capsys):
@@ -642,18 +657,18 @@ def test_only_graph_output_builds_the_element_graph(argv, builds, monkeypatch, c
 def test_own_tables_never_take_the_outside_path(argv, monkeypatch, capsys):
     # catalog tables, direct products (one rule made from the factors'
     # rules) and central quotients are made by the program; only a table
-    # from outside is handed to the proof, which compares it row by row
+    # from outside hands the proof a check of the walk's tree against it
     assert main(argv) == 0
     expected = capsys.readouterr().out
-    tables = []
+    checks = []
     original = catalog._group
 
-    def outside(names, generator_row, table=None):
+    def outside(names, generator_row, check_tree=None):
         raise AssertionError("a table the program made took the outside path")
 
-    def built(names, generator_row, table=None):
-        tables.append(table)
-        return original(names, generator_row, table)
+    def built(names, generator_row, check_tree=None):
+        checks.append(check_tree)
+        return original(names, generator_row, check_tree)
 
     monkeypatch.setattr(groups, "_group", outside)
     monkeypatch.setattr(catalog, "_group", built)
@@ -661,8 +676,8 @@ def test_own_tables_never_take_the_outside_path(argv, monkeypatch, capsys):
         from_cayley_table([[0]])
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
-    # a catalog build passes no table
-    assert tables and tables == [None] * len(tables)
+    # a catalog build passes no tree check
+    assert checks and checks == [None] * len(checks)
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from contextlib import nullcontext
 
 import pytest
@@ -220,6 +221,29 @@ def test_relabelling_matches_the_per_entry_formula(degree, even):
     assert group.table == tuple(tuple(row) for row in expected)
     names[0], names[e] = names[e], names[0]
     assert group.names == tuple(names)
+
+
+@pytest.mark.parametrize("label", ["dihedral:300", "heis:7"])
+@pytest.mark.parametrize("relabel", [False, True], ids=["composed", "relabelled"])
+def test_a_table_from_outside_is_neither_copied_nor_kept(label, relabel):
+    # the rows are read in place, also where the identity is off index 0:
+    # a copy of the n^2 entries alone would take n^2 * 8 bytes, four times
+    # the bound; and the group does not keep the table
+    expected = build(parse_family(label))
+    table = expected.table
+    if relabel:
+        table = relabelled_table(table, random.Random(1))
+    n = len(table)
+    tracemalloc.start()
+    try:
+        group = from_cayley_table(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4
+    assert "table" not in group.__dict__
+    assert group.order == n
+    assert len(group.center_cosets.cosets) == len(expected.center_cosets.cosets)
 
 
 def test_bad_entries_rejected():
@@ -874,12 +898,27 @@ def test_cayley_text_reads_non_canonical_index_spellings(spell):
         ("2\n0 1\nx 1\n", "row 1 contains a non-integer token"),
         ("2\n0 1.0\n1 0\n", "row 0 contains a non-integer token"),
         ("2\n0 +1\n1 0x\n", "row 1 contains a non-integer token"),
+        # int() reads these too: indices are ASCII decimal numerals
+        ("2\n0 1\n1 0_0\n", "row 1 contains a non-integer token"),
+        ("2\n0 1\n1 \uff10\n", "row 1 contains a non-integer token"),
+        ("2\n\u0660 1\n1 0\n", "row 0 contains a non-integer token"),
     ],
 )
 def test_cayley_text_names_the_row_of_a_non_integer_token(text, message):
     with pytest.raises(ParseError) as info:
         parse_cayley_text(text)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("line", ["0_2", "\uff12", "\u0662"])
+def test_the_order_is_an_ascii_decimal_numeral(line):
+    # an underscore or a non-ASCII digit, which int() reads, is refused;
+    # a sign and leading zeros are read
+    with pytest.raises(ParseError) as info:
+        parse_cayley_text(f"{line}\n0 1\n1 0\n")
+    assert str(info.value) == f"first line must be the order, got {line!r}"
+    for order in "+2", "02":
+        assert parse_cayley_text(f"{order}\n0 1\n1 0\n") == ([[0, 1], [1, 0]], None)
 
 
 def test_cayley_text_past_the_order_bound_is_refused_before_its_rows(monkeypatch):
